@@ -1,0 +1,84 @@
+"""Golden run: the canonical scenario's outputs, pinned byte for byte.
+
+All five variants, one seed, 600 steps, run through the command line.
+The SHA-256 of metrics.csv and of every history_*.tsv is pinned below, and
+a `--parallel 2` run of the same spec must write the same bytes.
+
+Re-bless these hashes only in a change whose stated purpose is a behaviour
+change, and say so in CHANGES.md; a refactor or a speed-up must keep them.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from hyql.cli import main
+
+VARIANTS = ("GreedyQ", "EpsilonGreedyQ", "CFOnly", "CBRQ", "HyQL")
+SEED = 1000
+
+GOLDEN = {
+    "metrics.csv":
+        "eb12935a7166338ccc014b7d727a874f714772f549b226fbd6386617e697d904",
+    "runs/CBRQ/1000/history_actions.tsv":
+        "606ee7ab71ae3fe9420212871a16136eea67e1bc5832b5b62cb3f9f671ba1838",
+    "runs/CBRQ/1000/history_events.tsv":
+        "5b267d20c1c974d56f74d77241dda7ef38b0255cc42dbe498f4b52e8b0e53e1c",
+    "runs/CFOnly/1000/history_actions.tsv":
+        "120a4ec335b2e32f4477375ae8665ca5af092ea4288c433acea1865590c62ddf",
+    "runs/CFOnly/1000/history_events.tsv":
+        "5b267d20c1c974d56f74d77241dda7ef38b0255cc42dbe498f4b52e8b0e53e1c",
+    "runs/EpsilonGreedyQ/1000/history_actions.tsv":
+        "606ee7ab71ae3fe9420212871a16136eea67e1bc5832b5b62cb3f9f671ba1838",
+    "runs/EpsilonGreedyQ/1000/history_events.tsv":
+        "5b267d20c1c974d56f74d77241dda7ef38b0255cc42dbe498f4b52e8b0e53e1c",
+    "runs/GreedyQ/1000/history_actions.tsv":
+        "03a908edbc913d9d75633212dc02e38fa5b2c00b296144707337fa0c4ff8d5e6",
+    "runs/GreedyQ/1000/history_events.tsv":
+        "5b267d20c1c974d56f74d77241dda7ef38b0255cc42dbe498f4b52e8b0e53e1c",
+    "runs/HyQL/1000/history_actions.tsv":
+        "db8c77462dc71130cd45151ef48efaa35f96abd00c82ff615067ab7d4a13f2c9",
+    "runs/HyQL/1000/history_events.tsv":
+        "5b267d20c1c974d56f74d77241dda7ef38b0255cc42dbe498f4b52e8b0e53e1c",
+}
+
+
+def _write_spec(directory):
+    spec = {"scenario": "canonical", "trials": 1, "steps": 600, "base_seed": SEED,
+            "variants": [{"name": v, "variant": v} for v in VARIANTS]}
+    path = directory / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    return path
+
+
+def _digests(out):
+    paths = [out / "metrics.csv"] + sorted(out.glob("runs/*/*/history_*.tsv"))
+    return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in paths}
+
+
+@pytest.fixture(scope="module")
+def golden_out(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    out = root / "out"
+    assert main(["run", str(_write_spec(root)), "--out", str(out)]) == 0
+    return root, out
+
+
+def test_outputs_match_the_pinned_hashes(golden_out):
+    _, out = golden_out
+    assert _digests(out) == GOLDEN
+
+
+def test_parallel_run_writes_the_same_bytes(golden_out):
+    root, out = golden_out
+    parallel = root / "parallel"
+    assert main(["run", str(root / "spec.json"), "--out", str(parallel),
+                 "--parallel", "2"]) == 0
+    assert _digests(parallel) == _digests(out)
+
+
+def test_verify_accepts_the_golden_run(golden_out):
+    _, out = golden_out
+    assert main(["verify", str(out)]) == 0
