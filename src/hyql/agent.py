@@ -15,7 +15,7 @@ pairs with distinct seeds for parallel trials.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .casebase import (CaseBase, DEFAULT_MAX_SIZE, DEFAULT_RETAIN_MIN_VISITS,
@@ -24,8 +24,7 @@ from .collab import DEFAULT_NEIGHBORS, TransactionStore
 from .context import ContextModel, Profile, RawEvent, SituationKey
 from .qlearn import (ADVISE, CASE_BOOTSTRAPPED, EXPLOIT, EXPLORE,
                      RANDOM_FALLBACK, ActionCatalog, ActionId, LearningParams,
-                     QTable, epsilon_greedy_action, greedy_action)
-from .serde import fmt_float
+                     QTable, StepRecord, epsilon_greedy_action, greedy_action)
 
 VARIANTS = ("GreedyQ", "EpsilonGreedyQ", "CFOnly", "CBRQ", "HyQL")
 _Q_VARIANTS = ("GreedyQ", "EpsilonGreedyQ", "CBRQ", "HyQL")
@@ -59,28 +58,6 @@ class AgentConfig:
 
     def learning_params(self) -> LearningParams:
         return LearningParams(self.alpha, self.gamma, self.p, self.alpha_schedule)
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    step: int
-    s: SituationKey
-    a: ActionId
-    branch: str
-    r: float
-    s_next: SituationKey
-
-    def to_line(self) -> str:
-        return "\t".join((str(self.step), self.s.canonical(), self.a,
-                          self.branch, fmt_float(self.r), self.s_next.canonical()))
-
-    @classmethod
-    def from_line(cls, line: str) -> "StepRecord":
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) != 6:
-            raise ValueError(f"bad trace line: {line!r}")
-        return cls(int(parts[0]), SituationKey.from_canonical(parts[1]), parts[2],
-                   parts[3], float(parts[4]), SituationKey.from_canonical(parts[5]))
 
 
 def hybrid_policy(table: QTable, s: SituationKey, catalog: ActionCatalog,
@@ -172,8 +149,7 @@ class Agent:
         if self.config.variant in _Q_VARIANTS:
             self.table.update(s, a, r, s_next, self.catalog, self.params)
         self.cf_store.record_implicit(self.user_id, a,
-                                      r >= POSITIVE_RATING_THRESHOLD, s,
-                                      self.step_count)
+                                      r >= POSITIVE_RATING_THRESHOLD, s)
         stats = self._situation_stats.setdefault(s, [0.0, 0.0])
         stats[0] += 1.0
         stats[1] += r

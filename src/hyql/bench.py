@@ -18,16 +18,17 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
+from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .agent import Agent, AgentConfig, StepRecord, VARIANTS
+from .agent import Agent, AgentConfig, VARIANTS
 from .collab import TransactionStore
 from .context import ContextModel, Profile
-from .qlearn import EXPLOIT
+from .qlearn import EXPLOIT, StepRecord
 from .serde import fmt_float
 from .simenv import SimEnv, WorldModel, apply_drift, world_from_scenario
-from .store import CAPABILITIES, DeviceRecord, PreferenceRecord, RunStore, UserRecord
+from .store import PreferenceRecord, RunStore, UserRecord, read_action_history
 
 METRIC_NAMES = ("CumulativeReward", "StepsToThreshold", "DriftRecoverySteps",
                 "BranchHistogram")
@@ -59,6 +60,8 @@ class MetricRow:
 
 @dataclass
 class ExperimentSpec:
+    """A validated experiment: every way of building one runs the checks."""
+
     scenario: dict
     variants: list[dict]  # each: {"name": ..., "variant": ..., **agent overrides}
     trials: int
@@ -75,19 +78,63 @@ class ExperimentSpec:
             raise ConfigError("trials must be >= 1")
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
+        if self.threshold_window < 1 or self.recovery_window < 1:
+            raise ConfigError("threshold and recovery windows must be >= 1")
+        if not isinstance(self.variants, (list, tuple)) or not all(
+                isinstance(v, dict) for v in self.variants):
+            raise ConfigError("variants must be a list of objects")
         if not self.variants:
             raise ConfigError("at least one variant is required")
         names = [v.get("name") for v in self.variants]
         if len(set(names)) != len(names):
             raise ConfigError("variant names must be unique")
         for v in self.variants:
-            if not v.get("name") or "," in v["name"]:
+            if not isinstance(v.get("name"), str) or not v["name"] or "," in v["name"]:
                 raise ConfigError(f"bad variant name {v.get('name')!r}")
             if v.get("variant") not in VARIANTS:
                 raise ConfigError(f"unknown agent variant {v.get('variant')!r}")
+            try:
+                agent_config_from_variant(v, self.scenario, self.base_seed).learning_params()
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"variant {v['name']!r}: {exc}") from None
+        if not isinstance(self.metrics, (list, tuple)):
+            raise ConfigError("metrics must be a list of metric names")
         for m in self.metrics:
             if m not in METRIC_NAMES:
                 raise ConfigError(f"unknown metric {m!r}")
+        self.metrics = tuple(self.metrics)
+
+    @classmethod
+    def from_dict(cls, raw: dict, scenario: dict) -> "ExperimentSpec":
+        """Build from the nested spec.json shape; raw["scenario"] is not read."""
+        threshold = raw.get("threshold", {})
+        recovery = raw.get("recovery", {})
+        try:
+            return cls(
+                scenario=scenario,
+                variants=raw["variants"],
+                trials=int(raw["trials"]),
+                steps=int(raw["steps"]),
+                metrics=raw.get("metrics", METRIC_NAMES),
+                base_seed=int(raw.get("base_seed", 1000)),
+                threshold_window=int(threshold.get("window", 50)),
+                threshold_fraction=float(threshold.get("fraction", 0.8)),
+                recovery_window=int(recovery.get("window", 50)),
+                recovery_fraction=float(recovery.get("fraction", 0.9)),
+            )
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ConfigError(f"bad experiment spec: {exc}") from exc
+
+    def to_dict(self) -> dict:
+        """The nested spec.json shape, without the scenario reference."""
+        return {
+            "variants": self.variants, "trials": self.trials, "steps": self.steps,
+            "metrics": list(self.metrics), "base_seed": self.base_seed,
+            "threshold": {"window": self.threshold_window,
+                          "fraction": self.threshold_fraction},
+            "recovery": {"window": self.recovery_window,
+                         "fraction": self.recovery_fraction},
+        }
 
     def seeds(self) -> list[int]:
         return [self.base_seed + t for t in range(self.trials)]
@@ -120,31 +167,13 @@ def load_experiment_spec(path: str | Path) -> ExperimentSpec:
         raw = json.loads(spec_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"spec is not valid JSON: {exc}") from exc
-    try:
-        scenario_ref = raw["scenario"]
-    except KeyError:
-        raise ConfigError("spec is missing 'scenario'") from None
+    scenario_ref = raw.get("scenario") if isinstance(raw, dict) else None
+    if not isinstance(scenario_ref, str):
+        raise ConfigError("spec needs a 'scenario' name or path")
     scenario_path = scenario_ref
     if scenario_ref != "canonical" and not Path(scenario_ref).is_absolute():
         scenario_path = spec_path.parent / scenario_ref
-    scenario = load_scenario(scenario_path)
-    threshold = raw.get("threshold", {})
-    recovery = raw.get("recovery", {})
-    try:
-        return ExperimentSpec(
-            scenario=scenario,
-            variants=list(raw["variants"]),
-            trials=int(raw["trials"]),
-            steps=int(raw["steps"]),
-            metrics=tuple(raw.get("metrics", METRIC_NAMES)),
-            base_seed=int(raw.get("base_seed", 1000)),
-            threshold_window=int(threshold.get("window", 50)),
-            threshold_fraction=float(threshold.get("fraction", 0.8)),
-            recovery_window=int(recovery.get("window", 50)),
-            recovery_fraction=float(recovery.get("fraction", 0.9)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad experiment spec: {exc}") from exc
+    return ExperimentSpec.from_dict(raw, load_scenario(scenario_path))
 
 
 # ---------------------------------------------------------------------------
@@ -157,20 +186,25 @@ def metric_cumulative_reward(trace: Sequence[StepRecord]) -> float:
     return sum(r.r for r in trace)
 
 
-def metric_steps_to_threshold(trace: Sequence[StepRecord], window: int,
-                              threshold: float) -> Optional[int]:
-    """First 1-based step whose trailing-window mean reward clears threshold."""
+def _first_window_hit(rewards: Sequence[float], window: int,
+                      target: float) -> Optional[int]:
+    """First 1-based index whose trailing-window mean reward reaches target."""
     if window < 1:
         raise ValueError("window must be >= 1")
-    rewards = [r.r for r in trace]
     running = 0.0
     for t, value in enumerate(rewards, start=1):
         running += value
         if t > window:
             running -= rewards[t - window - 1]
-        if t >= window and running / window >= threshold:
+        if t >= window and running / window >= target:
             return t
     return None
+
+
+def metric_steps_to_threshold(trace: Sequence[StepRecord], window: int,
+                              threshold: float) -> Optional[int]:
+    """First 1-based step whose trailing-window mean reward clears threshold."""
+    return _first_window_hit([r.r for r in trace], window, threshold)
 
 
 def metric_drift_recovery(trace: Sequence[StepRecord], drift_step: int, window: int,
@@ -184,16 +218,8 @@ def metric_drift_recovery(trace: Sequence[StepRecord], drift_step: int, window: 
     """
     if not 0 <= drift_step < len(trace):
         raise ValueError(f"drift_step {drift_step} outside trace of {len(trace)}")
-    post = [r.r for r in trace[drift_step:]]
-    target = fraction_of_post_optimal * post_drift_optimal
-    running = 0.0
-    for t, value in enumerate(post, start=1):
-        running += value
-        if t > window:
-            running -= post[t - window - 1]
-        if t >= window and running / window >= target:
-            return t
-    return None
+    return _first_window_hit([r.r for r in trace[drift_step:]], window,
+                             fraction_of_post_optimal * post_drift_optimal)
 
 
 def branch_histogram(trace: Sequence[StepRecord]) -> dict[str, int]:
@@ -219,7 +245,6 @@ class TrialResult:
     optimal_pre: float
     optimal_post: float
     drift_step: Optional[int]
-    world: WorldModel
 
 
 def agent_config_from_variant(variant: dict, scenario: dict, seed: int) -> AgentConfig:
@@ -256,7 +281,7 @@ def run_trial(scenario: dict, variant: dict, seed: int, steps: int,
 
     if run_dir is not None:
         _persist_run(run_dir, world, focal, trace, env)
-    return TrialResult(trace, optimal_pre, optimal_post, drift_step, world)
+    return TrialResult(trace, optimal_pre, optimal_post, drift_step)
 
 
 def _persist_run(run_dir: Path, world: WorldModel, focal: str,
@@ -265,8 +290,6 @@ def _persist_run(run_dir: Path, world: WorldModel, focal: str,
     for profile in world.users:
         store.add_user(UserRecord(profile.user_id, profile.user_id,
                                   profile.social_group))
-        store.add_device(DeviceRecord(f"dev-{profile.user_id}", profile.user_id,
-                                      frozenset(CAPABILITIES[:3])))
     for step, event in env.event_log:
         store.append_event_history(event, step)
     for record in trace:
@@ -277,9 +300,8 @@ def _persist_run(run_dir: Path, world: WorldModel, focal: str,
 
 
 def read_trace(run_dir: str | Path) -> list[StepRecord]:
-    path = Path(run_dir) / "history_actions.tsv"
-    lines = path.read_text(encoding="utf-8").splitlines()
-    return [StepRecord.from_line(line) for line in lines[1:] if line]
+    """A run's trace; raises StoreParseError on a malformed history file."""
+    return read_action_history(run_dir)
 
 
 def rows_for_trial(spec: ExperimentSpec, variant_name: str, seed: int,
@@ -318,13 +340,11 @@ def rows_for_trial(spec: ExperimentSpec, variant_name: str, seed: int,
 # The experiment
 # ---------------------------------------------------------------------------
 
-def _trial_task(payload: tuple) -> list[tuple]:
-    spec_dict, variant, seed, run_dir = payload
-    spec = ExperimentSpec(**spec_dict)
-    result = run_trial(spec.scenario, variant, seed, spec.steps, Path(run_dir))
-    rows = rows_for_trial(spec, variant["name"], seed, result)
-    return [(r.variant, r.seed, r.metric, r.value, r.window_from, r.window_to)
-            for r in rows]
+def _trial_task(spec: ExperimentSpec, variant: dict, seed: int,
+                run_dir: Path) -> list[MetricRow]:
+    """One persisted trial and its metric rows, in this or a worker process."""
+    result = run_trial(spec.scenario, variant, seed, spec.steps, run_dir)
+    return rows_for_trial(spec, variant["name"], seed, result)
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path,
@@ -333,46 +353,19 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path,
     out.mkdir(parents=True, exist_ok=True)
     (out / "scenario.json").write_text(
         json.dumps(spec.scenario, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    spec_dict = {
-        "variants": spec.variants, "trials": spec.trials, "steps": spec.steps,
-        "metrics": list(spec.metrics), "base_seed": spec.base_seed,
-        "threshold": {"window": spec.threshold_window,
-                      "fraction": spec.threshold_fraction},
-        "recovery": {"window": spec.recovery_window,
-                     "fraction": spec.recovery_fraction},
-        "scenario": "scenario.json",
-    }
     (out / "spec.json").write_text(
-        json.dumps(spec_dict, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        json.dumps(dict(spec.to_dict(), scenario="scenario.json"), indent=2,
+                   sort_keys=True) + "\n", encoding="utf-8")
 
-    tasks = []
-    for variant in spec.variants:
-        for seed in spec.seeds():
-            run_dir = out / "runs" / variant["name"] / str(seed)
-            tasks.append((variant, seed, run_dir))
-
-    rows: list[MetricRow] = []
+    tasks = [(variant, seed, out / "runs" / variant["name"] / str(seed))
+             for variant in spec.variants for seed in spec.seeds()]
     if parallel > 1:
-        payload_spec = {
-            "scenario": spec.scenario, "variants": spec.variants,
-            "trials": spec.trials, "steps": spec.steps, "metrics": spec.metrics,
-            "base_seed": spec.base_seed,
-            "threshold_window": spec.threshold_window,
-            "threshold_fraction": spec.threshold_fraction,
-            "recovery_window": spec.recovery_window,
-            "recovery_fraction": spec.recovery_fraction,
-        }
-        payloads = [(payload_spec, variant, seed, str(run_dir))
-                    for variant, seed, run_dir in tasks]
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            for raw_rows in pool.map(_trial_task, payloads):
-                rows.extend(MetricRow(*r) for r in raw_rows)
+            per_trial = list(pool.map(_trial_task, repeat(spec), *zip(*tasks)))
     else:
-        for variant, seed, run_dir in tasks:
-            result = run_trial(spec.scenario, variant, seed, spec.steps, run_dir)
-            rows.extend(rows_for_trial(spec, variant["name"], seed, result))
+        per_trial = [_trial_task(spec, *task) for task in tasks]
 
-    rows = sort_rows(rows)
+    rows = sort_rows([row for trial_rows in per_trial for row in trial_rows])
     emit_csv(rows, out / "metrics.csv")
     emit_plot_script(out / "plot_rewards.py")
     return rows
@@ -382,11 +375,16 @@ def sort_rows(rows: Sequence[MetricRow]) -> list[MetricRow]:
     return sorted(rows, key=lambda r: (r.variant, r.seed, r.metric))
 
 
-def emit_csv(rows: Sequence[MetricRow], path: str | Path) -> None:
+def csv_text(rows: Sequence[MetricRow]) -> str:
+    """metrics.csv's exact contents: header, then the rows in sorted order."""
     if not rows:
         raise ValueError("no rows to emit")
     body = "\n".join(r.to_csv() for r in sort_rows(rows))
-    Path(path).write_text(CSV_HEADER + "\n" + body + "\n", encoding="utf-8")
+    return CSV_HEADER + "\n" + body + "\n"
+
+
+def emit_csv(rows: Sequence[MetricRow], path: str | Path) -> None:
+    Path(path).write_text(csv_text(rows), encoding="utf-8")
 
 
 def parse_csv(path: str | Path) -> list[MetricRow]:
@@ -457,16 +455,8 @@ def emit_plot_script(path: str | Path) -> None:
 def recompute_rows(out_dir: str | Path) -> list[MetricRow]:
     """Rebuild every metric row from the persisted traces and configs."""
     out = Path(out_dir)
-    spec_raw = json.loads((out / "spec.json").read_text(encoding="utf-8"))
-    scenario = json.loads((out / "scenario.json").read_text(encoding="utf-8"))
-    spec = ExperimentSpec(
-        scenario=scenario, variants=spec_raw["variants"],
-        trials=int(spec_raw["trials"]), steps=int(spec_raw["steps"]),
-        metrics=tuple(spec_raw["metrics"]), base_seed=int(spec_raw["base_seed"]),
-        threshold_window=int(spec_raw["threshold"]["window"]),
-        threshold_fraction=float(spec_raw["threshold"]["fraction"]),
-        recovery_window=int(spec_raw["recovery"]["window"]),
-        recovery_fraction=float(spec_raw["recovery"]["fraction"]))
+    spec = load_experiment_spec(out / "spec.json")
+    scenario = spec.scenario
     context = ContextModel.default()
     rows: list[MetricRow] = []
     for variant in spec.variants:
@@ -480,7 +470,7 @@ def recompute_rows(out_dir: str | Path) -> list[MetricRow]:
             optimal_post = world.optimal_expected_reward(focal)
             drift_steps = [op.step for op in world.drift_schedule if op.applied]
             result = TrialResult(trace, optimal_pre, optimal_post,
-                                 min(drift_steps) if drift_steps else None, world)
+                                 min(drift_steps) if drift_steps else None)
             rows.extend(rows_for_trial(spec, variant["name"], seed, result))
     return sort_rows(rows)
 
@@ -489,8 +479,7 @@ def verify_dir(out_dir: str | Path) -> list[str]:
     """Recompute metrics from traces; return a list of mismatch messages."""
     out = Path(out_dir)
     recorded = (out / "metrics.csv").read_text(encoding="utf-8")
-    rows = recompute_rows(out)
-    expected = CSV_HEADER + "\n" + "\n".join(r.to_csv() for r in rows) + "\n"
+    expected = csv_text(recompute_rows(out))
     if recorded == expected:
         return []
     mismatches = []

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Sequence
 
 from .context import ContextModel, SituationKey
 from .qlearn import ActionId, QTable
-from .serde import fmt_float
 
 DEFAULT_WEIGHTS = (0.25, 0.25, 0.25, 0.25)  # time, place, group, cognitive
 DEFAULT_THRESHOLD = 0.8
@@ -176,40 +174,3 @@ def adapt(result: RetrievalResult, target_s: SituationKey, table: QTable) -> boo
     table.bootstrapped.add(target_s)
     return True
 
-
-# ---------------------------------------------------------------------------
-# Case-base file: problem<TAB>solution_pairs<TAB>visits<TAB>mean_reward<TAB>user<TAB>step
-# ---------------------------------------------------------------------------
-
-def save_casebase(base: CaseBase, path: str | Path) -> None:
-    lines = []
-    for case in base.cases:
-        pairs = ",".join(f"{a}={fmt_float(v)}" for a, v in sorted(case.solution.items()))
-        lines.append("\t".join((case.problem.canonical(), pairs, str(case.visits),
-                                fmt_float(case.mean_reward), case.user_id,
-                                str(case.step))))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""),
-                          encoding="utf-8")
-
-
-def load_casebase(path: str | Path, context: ContextModel,
-                  feature_weights: Sequence[float] = DEFAULT_WEIGHTS,
-                  retrieval_threshold: float = DEFAULT_THRESHOLD,
-                  max_size: int = DEFAULT_MAX_SIZE) -> CaseBase:
-    base = CaseBase(context, feature_weights, retrieval_threshold, max_size)
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 6:
-            raise ValueError(f"{path}:{lineno}: expected 6 tab-separated fields")
-        problem = SituationKey.from_canonical(parts[0])
-        solution: dict[ActionId, float] = {}
-        if parts[1]:
-            for pair in parts[1].split(","):
-                action, value = pair.split("=", 1)
-                solution[action] = float(value)
-        base.retain(problem, solution, int(parts[2]), float(parts[3]),
-                    parts[4], int(parts[5]))
-    return base

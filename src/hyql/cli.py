@@ -4,17 +4,20 @@
     hyql report <DIR>
     hyql verify <DIR>
 
-Exit codes: 0 success, 2 configuration error, 3 verification mismatch.
+Exit codes: 0 success, 2 configuration error, 3 verification mismatch
+(including a run file that does not parse).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .bench import (ConfigError, load_experiment_spec, report_dir,
                     run_experiment, verify_dir)
+from .store import StoreParseError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -48,9 +51,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             spec = load_experiment_spec(args.spec)
             if args.trials is not None:
-                if args.trials < 1:
-                    raise ConfigError("--trials must be >= 1")
-                spec.trials = args.trials
+                spec = replace(spec, trials=args.trials)
             rows = run_experiment(spec, args.out, parallel=max(1, args.parallel))
             print(f"wrote {len(rows)} metric rows to {Path(args.out) / 'metrics.csv'}")
             return EXIT_OK
@@ -73,6 +74,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except StoreParseError as exc:
+        print(f"verification FAILED: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     return EXIT_CONFIG
 
 

@@ -1,10 +1,10 @@
 """Memory-based collaborative filtering over implicit 0/1 ratings.
 
-Every transaction is a (user, item, rating) record, optionally tagged with
-the situation in which it happened; the store materializes last-write-wins
-rating vectors per user, both globally and per generalized situation scope,
-so that advice can be computed "for people like you, in situations like
-this one". An untouched item reads as rating 0. Similarity is the cosine
+Every transaction is a (user, item, rating) event, optionally tagged with
+the situation in which it happened; the store keeps no log of them but
+materializes last-write-wins rating vectors per user, both globally and
+per generalized situation scope, so that advice can be computed "for
+people like you, in situations like this one". An untouched item reads as rating 0. Similarity is the cosine
 between the 0/1 vectors.
 """
 
@@ -12,31 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
-from pathlib import Path
 from typing import Optional
 
 from .context import ContextModel, SituationKey
 from .qlearn import ActionCatalog, ActionId, CatalogError
-from .serde import fmt_float
 
 DEFAULT_NEIGHBORS = 10  # the scenario's team size
 
 # Scope token for the unscoped, whole-history view.
 GLOBAL_SCOPE = None
-
-
-@dataclass(frozen=True)
-class Transaction:
-    user_id: str
-    item: ActionId
-    rating: float
-    situation: Optional[SituationKey] = None
-    step: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.rating <= 1.0:
-            raise ValueError("rating must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -70,7 +54,7 @@ def cosine_similarity(u_vec: dict[ActionId, float], v_vec: dict[ActionId, float]
 
 
 class TransactionStore:
-    """Append-only transaction log plus materialized rating vectors.
+    """Materialized rating vectors, fed one implicit transaction at a time.
 
     When built with a ContextModel, every situation-tagged transaction is
     also indexed under each generalization of its situation key, which is
@@ -82,14 +66,14 @@ class TransactionStore:
         self.catalog = catalog
         self.context = context
         self.same_group_only = same_group_only
-        self.transactions: list[Transaction] = []
+        self._count = 0  # transactions recorded
         # user -> item -> latest rating, over all transactions
         self._global: dict[str, dict[ActionId, float]] = {}
         # (level, scope key string) -> user -> item -> latest rating
         self._scoped: dict[tuple[int, str], dict[str, dict[ActionId, float]]] = {}
 
     def __len__(self) -> int:
-        return len(self.transactions)
+        return self._count
 
     def _scope_token(self, key: SituationKey) -> str:
         if self.same_group_only:
@@ -99,20 +83,18 @@ class TransactionStore:
                             key.granularity).canonical()
 
     def record_implicit(self, user_id: str, item: ActionId, positive: bool,
-                        situation: Optional[SituationKey] = None, step: int = 0) -> Transaction:
-        """Append an implicit rating: 1.0 for an acceptance, else 0.0."""
+                        situation: Optional[SituationKey] = None) -> None:
+        """Record an implicit rating: 1.0 for an acceptance, else 0.0."""
         if item not in self.catalog:
             raise CatalogError(item)
         rating = 1.0 if positive else 0.0
-        txn = Transaction(user_id, item, rating, situation, step)
-        self.transactions.append(txn)
+        self._count += 1
         self._global.setdefault(user_id, {})[item] = rating
         if situation is not None and self.context is not None:
             for level in range(self.context.depth + 1):
                 scoped_key = self.context.generalize(situation, level)
                 token = (level, self._scope_token(scoped_key))
                 self._scoped.setdefault(token, {}).setdefault(user_id, {})[item] = rating
-        return txn
 
     # -- views ------------------------------------------------------------
 
@@ -219,31 +201,3 @@ class TransactionStore:
                 return fallback
         return None
 
-    # -- transaction log file ----------------------------------------------
-
-    def save(self, path: str | Path) -> None:
-        """Line format: user_id,situation_key,item,rating,step"""
-        lines = []
-        for t in self.transactions:
-            skey = t.situation.canonical() if t.situation else ""
-            lines.append(f"{t.user_id},{skey},{t.item},{fmt_float(t.rating)},{t.step}")
-        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""),
-                              encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path, catalog: ActionCatalog,
-             context: Optional[ContextModel] = None,
-             same_group_only: bool = True) -> "TransactionStore":
-        store = cls(catalog, context, same_group_only)
-        text = Path(path).read_text(encoding="utf-8")
-        for lineno, line in enumerate(text.splitlines(), 1):
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 fields")
-            user_id, skey, item, rating, step = parts
-            situation = SituationKey.from_canonical(skey) if skey else None
-            store.record_implicit(user_id, item, float(rating) >= 0.5,
-                                  situation, int(step))
-        return store

@@ -1,4 +1,5 @@
-"""Tabular Q-learning: table, temporal-difference update, action selection.
+"""Tabular Q-learning: table, temporal-difference update, action selection,
+and the per-step record that carries the selecting branch's tag.
 
 The update is the classic one-step rule
 
@@ -14,12 +15,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Hashable, Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Hashable, Iterator, Sequence
 
 from .context import SituationKey
-from .serde import fmt_float
 
 # Branch tags shared with the agent-level policies.
 EXPLOIT = "Exploit"
@@ -33,6 +32,18 @@ ALPHA_INVERSE_VISITS = "inverse-visits"
 
 State = Hashable
 ActionId = str
+
+
+@dataclass(frozen=True)
+class StepRecord:
+    """One agent step: situation, action, the branch that chose it, reward."""
+
+    step: int
+    s: SituationKey
+    a: ActionId
+    branch: str
+    r: float
+    s_next: SituationKey
 
 
 class CatalogError(KeyError):
@@ -253,27 +264,3 @@ def random_mdp(n_states: int, n_actions: int, rng: random.Random) -> ExplicitMDP
         rewards.append(reward_row)
     return ExplicitMDP(transitions, rewards)
 
-
-# ---------------------------------------------------------------------------
-# Snapshot file: situation_key<TAB>action_id<TAB>value
-# ---------------------------------------------------------------------------
-
-def save_qtable(table: QTable, path: str | Path) -> None:
-    lines = []
-    for s, a, v in sorted(table.entries(),
-                          key=lambda e: (e[0].canonical(), e[1])):
-        lines.append(f"{s.canonical()}\t{a}\t{fmt_float(v)}")
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""),
-                          encoding="utf-8")
-
-
-def load_qtable(path: str | Path, default_value: float = 0.0) -> QTable:
-    table = QTable(default_value)
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
-        table.set_value(SituationKey.from_canonical(parts[0]), parts[1], float(parts[2]))
-    return table

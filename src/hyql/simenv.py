@@ -311,7 +311,7 @@ def apply_drift(world: WorldModel, step: int) -> int:
 # ---------------------------------------------------------------------------
 
 class SimEnv:
-    """Owns the per-run random streams and the per-user current event.
+    """Owns the per-run random streams and the per-user current situation.
 
     Optionally writes "background" transactions into a CF store: ambient
     activity of the other group members (they keep using the system too),
@@ -330,7 +330,6 @@ class SimEnv:
         self.background_users = list(background_users or [])
         self.global_step = 0
         self.event_log: list[tuple[int, RawEvent]] = []
-        self._current: dict[str, RawEvent] = {}
         self._situation: dict[str, SituationKey] = {}
 
     def reset(self, user_id: str) -> RawEvent:
@@ -342,14 +341,13 @@ class SimEnv:
 
     def _remember(self, user_id: str, event: RawEvent) -> None:
         profile = self.world.user(user_id)
-        self._current[user_id] = event
         self._situation[user_id] = self.world.context.aggregate(
             event, profile, 0)
 
     def current_situation(self, user_id: str) -> SituationKey:
         return self._situation[user_id]
 
-    def background_burst(self, n_events: int, step: int = 0) -> int:
+    def background_burst(self, n_events: int) -> int:
         """Simulate n ambient interactions of the background users."""
         if self.cf_store is None or not self.background_users:
             return 0
@@ -362,7 +360,7 @@ class SimEnv:
             item = self.world.catalog.actions[rng.randrange(len(self.world.catalog))]
             probability = self.world.row(user_id, key)[self.world.catalog.index(item)]
             accepted = rng.random() < probability
-            self.cf_store.record_implicit(user_id, item, accepted, key, step)
+            self.cf_store.record_implicit(user_id, item, accepted, key)
         return n_events
 
     def step(self, user_id: str, action: ActionId) -> tuple[float, RawEvent]:
@@ -370,20 +368,12 @@ class SimEnv:
         apply_drift(self.world, self.global_step)
         r = reward(self.world, user_id, self._situation[user_id], action,
                    self.reward_rng)
-        self.background_burst(self.background_rate, self.global_step)
+        self.background_burst(self.background_rate)
         self.global_step += 1
         next_event = gen_event(self.world, user_id, self.global_step, self.event_rng)
         self._remember(user_id, next_event)
         self.event_log.append((self.global_step, next_event))
         return r, next_event
-
-
-def env_step(env: SimEnv, user_id: str, step: int,
-             chosen_action: ActionId) -> tuple[float, RawEvent]:
-    """Step-indexed wrapper around SimEnv.step for external callers."""
-    if step != env.global_step:
-        raise ValueError(f"expected step {env.global_step}, got {step}")
-    return env.step(user_id, chosen_action)
 
 
 # ---------------------------------------------------------------------------

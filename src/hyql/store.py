@@ -1,34 +1,31 @@
-"""The shared run database: users, devices, histories, preferences.
+"""The shared run database: users, histories, preferences.
 
-Everything is append-only in memory and snapshots to five tab-separated
-UTF-8 files in a run directory (users.tsv, devices.tsv,
-history_actions.tsv, history_events.tsv, preferences.tsv). Each file
-starts with a `#` header carrying the schema version and column names.
+Everything is append-only in memory and snapshots to four tab-separated
+UTF-8 files in a run directory (users.tsv, history_actions.tsv,
+history_events.tsv, preferences.tsv). Each file starts with a `#` header
+carrying the schema version and column names. This module is the only
+owner of their line formats: every other module reads a run's files
+through `RunStore.load` or `read_action_history`.
+
 Snapshots are canonical: snapshot -> load -> snapshot is byte-identical.
-Loading is atomic, a malformed file raises with its line number and no
-partial store is exposed.
-
-Preference aggregates (count and mean reward per user/situation/action)
-are derived state, recomputed from the raw stream on load.
+Reading is header- and field-checked: a malformed file raises
+StoreParseError with its path and line number, and no partial store is
+exposed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
-from .agent import StepRecord
 from .context import CalendarEntry, CognitiveAction, RawEvent, SituationKey
+from .qlearn import StepRecord
 from .serde import fmt_float
 
 SCHEMA_VERSION = 1
 
-CAPABILITIES = ("Display", "GPS", "Calendar", "Call")
-
 _FILES = {
     "users": ("users.tsv", "user_id\tlogin\tsocial_group"),
-    "devices": ("devices.tsv", "device_id\tuser_id\tcapabilities"),
     "actions": ("history_actions.tsv",
                 "step\tsituation_key\taction\tbranch\treward\tnext_situation_key"),
     "events": ("history_events.tsv",
@@ -61,18 +58,6 @@ class UserRecord:
 
 
 @dataclass(frozen=True)
-class DeviceRecord:
-    device_id: str
-    user_id: str
-    capabilities: frozenset[str]
-
-    def __post_init__(self):
-        bad = set(self.capabilities) - set(CAPABILITIES)
-        if bad:
-            raise ValueError(f"unknown capabilities: {sorted(bad)}")
-
-
-@dataclass(frozen=True)
 class PreferenceRecord:
     user_id: str
     situation: SituationKey
@@ -90,28 +75,16 @@ class RunStore:
 
     def __init__(self):
         self.users: list[UserRecord] = []
-        self.devices: list[DeviceRecord] = []
         self.action_history: list[StepRecord] = []
         self.event_history: list[tuple[int, RawEvent]] = []
         self.preferences: list[PreferenceRecord] = []
-        # (user, situation, action) -> [count, reward_sum]
-        self._aggregates: dict[tuple[str, SituationKey, str], list[float]] = {}
         self._user_ids: set[str] = set()
-
-    # -- users / devices ----------------------------------------------------
 
     def add_user(self, record: UserRecord) -> None:
         if record.user_id in self._user_ids:
             raise ValueError(f"duplicate user id {record.user_id!r}")
         self._user_ids.add(record.user_id)
         self.users.append(record)
-
-    def add_device(self, record: DeviceRecord) -> None:
-        if record.user_id not in self._user_ids:
-            raise ValueError(f"device for unknown user {record.user_id!r}")
-        self.devices.append(record)
-
-    # -- histories ------------------------------------------------------------
 
     def append_action_history(self, record: StepRecord) -> None:
         if self.action_history and record.step < self.action_history[-1].step:
@@ -125,87 +98,62 @@ class RunStore:
                 f"event step {step} < last {self.event_history[-1][0]}")
         self.event_history.append((step, event))
 
-    # -- preferences ----------------------------------------------------------
-
     def upsert_preferences(self, record: PreferenceRecord) -> None:
         self.preferences.append(record)
-        key = (record.user_id, record.situation, record.action)
-        agg = self._aggregates.setdefault(key, [0.0, 0.0])
-        agg[0] += 1.0
-        agg[1] += record.reward
-
-    def preference_aggregate(self, user_id: str, situation: SituationKey,
-                             action: str) -> Optional[tuple[int, float]]:
-        agg = self._aggregates.get((user_id, situation, action))
-        if agg is None:
-            return None
-        return int(agg[0]), agg[1] / agg[0]
 
     # -- snapshot / load --------------------------------------------------------
 
     def snapshot(self, dirpath: str | Path) -> None:
         directory = Path(dirpath)
         directory.mkdir(parents=True, exist_ok=True)
-        self._write(directory, "users",
-                    (f"{u.user_id}\t{u.login}\t{u.social_group}" for u in self.users))
-        self._write(directory, "devices",
-                    (f"{d.device_id}\t{d.user_id}\t{','.join(sorted(d.capabilities))}"
-                     for d in self.devices))
-        self._write(directory, "actions",
-                    (r.to_line() for r in self.action_history))
-        self._write(directory, "events",
-                    (_event_line(step, e) for step, e in self.event_history))
-        self._write(directory, "preferences",
-                    (f"{p.user_id}\t{p.situation.canonical()}\t{p.action}"
-                     f"\t{fmt_float(p.reward)}\t{p.step}" for p in self.preferences))
-
-    @staticmethod
-    def _write(directory: Path, part: str, lines) -> None:
-        filename, columns = _FILES[part]
-        body = "\n".join(lines)
-        header = f"# hyql-store v{SCHEMA_VERSION} {part}: {columns}"
-        (directory / filename).write_text(
-            header + ("\n" + body if body else "") + "\n", encoding="utf-8")
+        _write(directory, "users",
+               (f"{u.user_id}\t{u.login}\t{u.social_group}" for u in self.users))
+        _write(directory, "actions", (_step_line(r) for r in self.action_history))
+        _write(directory, "events",
+               (_event_line(step, e) for step, e in self.event_history))
+        _write(directory, "preferences",
+               (f"{p.user_id}\t{p.situation.canonical()}\t{p.action}"
+                f"\t{fmt_float(p.reward)}\t{p.step}" for p in self.preferences))
 
     @classmethod
     def load(cls, dirpath: str | Path) -> "RunStore":
         directory = Path(dirpath)
         store = cls()
-        for record in _read_part(directory, "users", 3):
-            path, lineno, fields = record
-            _guard(path, lineno, lambda: store.add_user(UserRecord(*fields)))
-        for record in _read_part(directory, "devices", 3):
-            path, lineno, fields = record
-            caps = frozenset(fields[2].split(",")) if fields[2] else frozenset()
-            _guard(path, lineno, lambda: store.add_device(
-                DeviceRecord(fields[0], fields[1], caps)))
-        for record in _read_part(directory, "actions", 6):
-            path, lineno, fields = record
-            _guard(path, lineno, lambda: store.append_action_history(
-                StepRecord.from_line("\t".join(fields))))
-        for record in _read_part(directory, "events", 10):
-            path, lineno, fields = record
-            _guard(path, lineno, lambda: store.append_event_history(
-                _event_from_fields(fields[1:]), int(fields[0])))
-        for record in _read_part(directory, "preferences", 5):
-            path, lineno, fields = record
-            _guard(path, lineno, lambda: store.upsert_preferences(PreferenceRecord(
-                fields[0], SituationKey.from_canonical(fields[1]), fields[2],
-                float(fields[3]), int(fields[4]))))
+        _read(directory, "users", lambda f: store.add_user(UserRecord(*f)))
+        _read(directory, "actions",
+              lambda f: store.append_action_history(_step_from_fields(f)))
+        _read(directory, "events", lambda f: store.append_event_history(
+            _event_from_fields(f[1:]), int(f[0])))
+        _read(directory, "preferences", lambda f: store.upsert_preferences(
+            PreferenceRecord(f[0], SituationKey.from_canonical(f[1]), f[2],
+                             float(f[3]), int(f[4]))))
         return store
 
 
-def _guard(path, lineno, thunk) -> None:
-    try:
-        thunk()
-    except StoreParseError:
-        raise
-    except Exception as exc:
-        raise StoreParseError(path, lineno, str(exc)) from exc
+def read_action_history(dirpath: str | Path) -> list[StepRecord]:
+    """The action history of one run directory, checked as `RunStore.load` does."""
+    store = RunStore()
+    _read(Path(dirpath), "actions",
+          lambda f: store.append_action_history(_step_from_fields(f)))
+    return store.action_history
 
 
-def _read_part(directory: Path, part: str, n_fields: int):
-    filename, _ = _FILES[part]
+def _write(directory: Path, part: str, lines) -> None:
+    filename, columns = _FILES[part]
+    body = "\n".join(lines)
+    header = f"# hyql-store v{SCHEMA_VERSION} {part}: {columns}"
+    (directory / filename).write_text(
+        header + ("\n" + body if body else "") + "\n", encoding="utf-8")
+
+
+def _read(directory: Path, part: str, add) -> None:
+    """Check the header, then pass each line's fields to `add`.
+
+    Any error, from the field count or from `add`, is raised as a
+    StoreParseError naming the file and line.
+    """
+    filename, columns = _FILES[part]
+    n_fields = columns.count("\t") + 1
     path = directory / filename
     if not path.exists():
         raise StoreParseError(path, 0, "missing store file")
@@ -219,7 +167,21 @@ def _read_part(directory: Path, part: str, n_fields: int):
         if len(fields) != n_fields:
             raise StoreParseError(path, lineno,
                                   f"expected {n_fields} fields, got {len(fields)}")
-        yield path, lineno, fields
+        try:
+            add(fields)
+        except Exception as exc:
+            raise StoreParseError(path, lineno, str(exc)) from exc
+
+
+def _step_line(record: StepRecord) -> str:
+    return "\t".join((str(record.step), record.s.canonical(), record.a,
+                      record.branch, fmt_float(record.r), record.s_next.canonical()))
+
+
+def _step_from_fields(fields: list[str]) -> StepRecord:
+    step, s, a, branch, r, s_next = fields
+    return StepRecord(int(step), SituationKey.from_canonical(s), a, branch,
+                      float(r), SituationKey.from_canonical(s_next))
 
 
 def _event_line(step: int, event: RawEvent) -> str:

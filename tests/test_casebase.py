@@ -3,7 +3,7 @@ import random
 import pytest
 
 from hyql.casebase import (CaseBase, RetrievalResult, adapt, case_similarity,
-                           compute_cost, load_casebase, save_casebase)
+                           compute_cost)
 from hyql.context import SituationKey, TimeBucket
 from hyql.qlearn import QTable
 
@@ -221,20 +221,3 @@ class TestComputeCost:
         for _ in range(100):
             sim = case_similarity(random_key(rng), random_key(rng), W, context)
             assert sim + compute_cost(sim) == 1.0
-
-
-class TestCaseBaseFile:
-    def test_round_trip(self, tmp_path, context):
-        base = CaseBase(context)
-        base.retain(skey(), {"a0": 1 / 3, "a1": 0.25}, visits=7,
-                    mean_reward=0.8, user_id="u3", step=42)
-        base.retain(skey(place="Home"), {}, visits=5, mean_reward=0.1,
-                    user_id="u3", step=50)
-        path = tmp_path / "cases.tsv"
-        save_casebase(base, path)
-        loaded = load_casebase(path, context)
-        assert len(loaded) == 2
-        got = loaded.retrieve(skey())
-        assert got.case.solution == {"a0": 1 / 3, "a1": 0.25}
-        assert got.case.visits == 7
-        assert got.case.mean_reward == 0.8

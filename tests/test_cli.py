@@ -1,0 +1,77 @@
+import json
+import shutil
+
+import pytest
+
+from hyql.cli import EXIT_CONFIG, EXIT_MISMATCH, EXIT_OK, main
+
+BASE_SPEC = {"scenario": "canonical", "trials": 1, "steps": 60,
+             "variants": [{"name": "HyQL", "variant": "HyQL"}]}
+
+
+def write_spec(directory, **changes):
+    spec = dict(BASE_SPEC, **changes)
+    path = directory / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    return path
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("run")
+    out = root / "out"
+    assert main(["run", str(write_spec(root)), "--out", str(out)]) == EXIT_OK
+    return out
+
+
+@pytest.fixture
+def run_copy(finished_run, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(finished_run, out)
+    return out
+
+
+class TestVerify:
+    def test_truncated_trace_line_is_a_mismatch(self, run_copy, capsys):
+        path = run_copy / "runs" / "HyQL" / "1000" / "history_actions.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[-1] = lines[-1][: len(lines[-1]) // 2]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["verify", str(run_copy)]) == EXIT_MISMATCH
+        assert f"{path}:{len(lines)}:" in capsys.readouterr().err
+
+    def test_stripped_header_is_a_mismatch(self, run_copy, capsys):
+        path = run_copy / "runs" / "HyQL" / "1000" / "history_actions.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(lines[1:]) + "\n", encoding="utf-8")
+        assert main(["verify", str(run_copy)]) == EXIT_MISMATCH
+        assert f"{path}:1: missing or wrong schema header" in capsys.readouterr().err
+
+
+HYQL = {"name": "HyQL", "variant": "HyQL"}
+
+
+@pytest.mark.parametrize("changes", [
+    {"variants": [dict(HYQL, alhpa=0.5)]},
+    {"variants": [dict(HYQL, p=1.5)]},
+    {"variants": [dict(HYQL, alpha=-0.1)]},
+    {"variants": [dict(HYQL, gamma=1.0)]},
+    {"variants": "HyQL"},
+    {"variants": {"name": "HyQL"}},
+    {"metrics": "CumulativeReward"},
+    {"threshold": {"window": 0}},
+    {"recovery": {"window": 0}, "steps": 1200},
+], ids=["unknown-override", "p", "alpha", "gamma", "variants-string",
+        "variants-object", "metrics-string", "threshold-window", "recovery-window"])
+def test_bad_spec_exits_2_before_writing(tmp_path, changes):
+    out = tmp_path / "out"
+    assert main(["run", str(write_spec(tmp_path, **changes)), "--out", str(out)]) \
+        == EXIT_CONFIG
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_trials_override_is_validated(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", str(write_spec(tmp_path)), "--out", str(out),
+                 "--trials", "0"]) == EXIT_CONFIG
+    assert not out.exists()

@@ -228,11 +228,11 @@ class TestAdviseAction:
         rng = random.Random(13)
         store = TransactionStore(CATALOG, context)
         situations = [skey(), skey(place="Home"), skey(cognitive="Call")]
-        for step in range(300):
+        for _ in range(300):
             user = f"u{rng.randrange(5)}"
             item = ITEMS[rng.randrange(len(ITEMS))]
             s = situations[rng.randrange(len(situations))]
-            store.record_implicit(user, item, rng.random() < 0.5, s, step)
+            store.record_implicit(user, item, rng.random() < 0.5, s)
             advice = store.advise_action(user, situations[rng.randrange(3)])
             assert advice is None or advice in CATALOG
 
@@ -249,15 +249,3 @@ class TestAdviseAction:
         for i in range(3):
             store.record_implicit(f"u{i}", "b", True, situation=other)
         assert store.advise_action("newcomer", skey(group="g0")) == "b"
-
-
-class TestTransactionLog:
-    def test_round_trip(self, tmp_path, context):
-        store = TransactionStore(CATALOG, context)
-        store.record_implicit("u1", "a", True, skey(), step=3)
-        store.record_implicit("u2", "b", False, step=4)
-        path = tmp_path / "transactions.csv"
-        store.save(path)
-        loaded = TransactionStore.load(path, CATALOG, context)
-        assert loaded.transactions == store.transactions
-        assert loaded.vector("u1") == store.vector("u1")

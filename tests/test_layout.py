@@ -1,0 +1,77 @@
+"""Static layout checks over the hyql package, stdlib only.
+
+Every import is used, and the modules depend on each other only in one
+direction: context -> qlearn -> collab/casebase -> agent -> simenv ->
+store/bench -> cli. serde is a leaf helper any module may use.
+"""
+
+import ast
+from pathlib import Path
+
+import hyql
+
+PACKAGE = Path(hyql.__file__).parent
+
+# module -> the hyql modules it may import
+ALLOWED = {
+    "serde": set(),
+    "context": set(),
+    "qlearn": {"context", "serde"},
+    "collab": {"context", "qlearn", "serde"},
+    "casebase": {"context", "qlearn", "serde"},
+    "agent": {"casebase", "collab", "context", "qlearn", "serde"},
+    "simenv": {"context", "qlearn", "serde"},
+    "store": {"context", "qlearn", "serde"},
+    "bench": {"agent", "collab", "context", "qlearn", "serde", "simenv", "store"},
+    "cli": {"bench", "store"},
+    "__init__": {"agent", "casebase", "collab", "context", "qlearn", "simenv",
+                 "store"},
+}
+
+
+def modules():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def hyql_imports(tree):
+    """The hyql modules a module imports, relatively or by absolute name."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = "hyql." * node.level + (node.module or "")  # the package is flat
+            if module in ("hyql", "hyql."):  # from . import x, from hyql import x
+                names += [f"hyql.{alias.name}" for alias in node.names]
+            else:
+                names.append(module)
+    return {name.split(".")[1] for name in names if name.startswith("hyql.")}
+
+
+def unused_imports(tree):
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in bound.items()
+                  if name not in used)
+
+
+def test_no_unused_imports():
+    found = {name: unused_imports(tree) for name, tree in modules().items()
+             if name != "__init__"}  # the package's imports are its exports
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_imports_follow_the_dependency_table():
+    trees = modules()
+    assert set(trees) == set(ALLOWED), "every module needs a row in ALLOWED"
+    wrong = {name: sorted(hyql_imports(tree) - ALLOWED[name])
+             for name, tree in trees.items()}
+    assert {name: mods for name, mods in wrong.items() if mods} == {}

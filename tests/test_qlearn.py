@@ -7,8 +7,8 @@ import pytest
 from hyql.context import SituationKey, TimeBucket
 from hyql.qlearn import (EXPLOIT, EXPLORE, ActionCatalog, CatalogError,
                          ExplicitMDP, LearningParams, QTable,
-                         epsilon_greedy_action, greedy_action, load_qtable,
-                         random_mdp, save_qtable, value_iteration)
+                         epsilon_greedy_action, greedy_action, random_mdp,
+                         value_iteration)
 
 
 def key(place="Office", cognitive="Navigate", level=0):
@@ -224,26 +224,3 @@ class TestValueIteration:
         for s in range(n_states):
             for a in range(n_actions):
                 assert abs(q_vi[s][a] - q_oracle[s][a]) < 10 * tolerance
-
-
-class TestSnapshot:
-    def test_round_trip_is_exact(self, tmp_path):
-        table = QTable()
-        rng = random.Random(8)
-        for place in ("Office", "Home", "Paris"):
-            for a in CATALOG:
-                table.set_value(key(place), a, rng.uniform(-3, 3) / 3)
-        path = tmp_path / "q.tsv"
-        save_qtable(table, path)
-        loaded = load_qtable(path)
-        assert {(s, a): v for s, a, v in loaded.entries()} == \
-               {(s, a): v for s, a, v in table.entries()}
-
-    def test_file_is_canonical(self, tmp_path):
-        table = QTable()
-        table.set_value(key("Home"), "a1", 1 / 3)
-        table.set_value(key(), "a0", 0.1)
-        a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
-        save_qtable(table, a)
-        save_qtable(load_qtable(a), b)
-        assert a.read_bytes() == b.read_bytes()

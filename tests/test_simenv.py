@@ -6,8 +6,8 @@ from hyql.collab import TransactionStore
 from hyql.context import Profile
 from hyql.qlearn import ActionCatalog
 from hyql.simenv import (DriftOp, RoutineTriple, SimEnv, apply_drift,
-                         build_population, default_routine, env_step,
-                         gen_event, reward, situation_for, world_from_scenario)
+                         build_population, default_routine, gen_event, reward,
+                         situation_for, world_from_scenario)
 
 
 def small_world(seed=0, n_users=4, affinity=0.8, n_items=5, drift=()):
@@ -211,14 +211,6 @@ class TestEnvStep:
             rewards.append([env.step("u00", "doc01")[0] for _ in range(100)])
         assert rewards[0] == rewards[1]
 
-    def test_env_step_wrapper_validates_step(self):
-        world = small_world(seed=22)
-        env = SimEnv(world)
-        env.reset("u00")
-        env_step(env, "u00", 0, "doc00")
-        with pytest.raises(ValueError):
-            env_step(env, "u00", 0, "doc00")
-
     def test_optimal_policy_matches_closed_form(self):
         world = small_world(seed=23)
         env = SimEnv(world)
@@ -242,9 +234,12 @@ class TestEnvStep:
                      background_users=["u01", "u02"])
         env.background_burst(250)
         assert len(store) == 250
-        users = {t.user_id for t in store.transactions}
-        assert users <= {"u01", "u02"}
-        assert all(t.situation is not None for t in store.transactions)
+        assert set(store._global) <= {"u01", "u02"}
+        # situation-tagged: every rated (user, item) is indexed by situation too
+        scoped = {(user, item) for (level, _), view in store._scoped.items()
+                  if level == 0 for user, vec in view.items() for item in vec}
+        assert scoped == {(user, item) for user, vec in store._global.items()
+                          for item in vec}
 
 
 class TestGroupCoherence:

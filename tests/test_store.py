@@ -1,12 +1,10 @@
-import random
-
 import pytest
 
-from hyql.agent import StepRecord
 from hyql.context import (CalendarEntry, CognitiveAction, RawEvent,
                           SituationKey, TimeBucket)
-from hyql.store import (DeviceRecord, OrderingError, PreferenceRecord,
-                        RunStore, StoreParseError, UserRecord)
+from hyql.qlearn import EXPLOIT, StepRecord
+from hyql.store import (OrderingError, PreferenceRecord, RunStore,
+                        StoreParseError, UserRecord, read_action_history)
 
 
 def skey(place="Office"):
@@ -27,7 +25,6 @@ def populated_store():
     store = RunStore()
     store.add_user(UserRecord("u00", "u00", "g0"))
     store.add_user(UserRecord("u01", "u01", "g0"))
-    store.add_device(DeviceRecord("dev-1", "u00", frozenset({"Display", "GPS"})))
     store.append_event_history(sample_event(), 0)
     store.append_event_history(RawEvent("u01", 7200, None, CognitiveAction("Call")), 1)
     for step in range(3):
@@ -82,41 +79,6 @@ class TestEventHistory:
             store.append_event_history(sample_event(), 4)
 
 
-class TestPreferences:
-    def test_mean_of_two(self):
-        store = RunStore()
-        store.upsert_preferences(PreferenceRecord("u00", skey(), "doc00", 1.0, 0))
-        store.upsert_preferences(PreferenceRecord("u00", skey(), "doc00", 0.0, 1))
-        assert store.preference_aggregate("u00", skey(), "doc00") == (2, 0.5)
-
-    def test_single_record(self):
-        store = RunStore()
-        store.upsert_preferences(PreferenceRecord("u00", skey(), "doc01", 0.75, 0))
-        assert store.preference_aggregate("u00", skey(), "doc01") == (1, 0.75)
-
-    def test_aggregates_match_brute_force_group_by(self):
-        rng = random.Random(30)
-        store = RunStore()
-        raw = []
-        for step in range(100):
-            record = PreferenceRecord(f"u{rng.randrange(3)}",
-                                      skey(("Office", "Home")[rng.randrange(2)]),
-                                      f"doc{rng.randrange(2)}",
-                                      float(rng.randrange(2)), step)
-            raw.append(record)
-            store.upsert_preferences(record)
-        groups = {}
-        for r in raw:
-            groups.setdefault((r.user_id, r.situation, r.action), []).append(r.reward)
-        for key, rewards in groups.items():
-            count, mean = store.preference_aggregate(*key)
-            assert count == len(rewards)
-            assert mean == pytest.approx(sum(rewards) / len(rewards))
-
-    def test_missing_aggregate_is_none(self):
-        assert RunStore().preference_aggregate("u00", skey(), "doc00") is None
-
-
 class TestUsersDevices:
     def test_duplicate_user_rejected(self):
         store = RunStore()
@@ -124,18 +86,9 @@ class TestUsersDevices:
         with pytest.raises(ValueError):
             store.add_user(UserRecord("u00", "other", "g0"))
 
-    def test_device_needs_existing_user(self):
-        store = RunStore()
-        with pytest.raises(ValueError):
-            store.add_device(DeviceRecord("dev-1", "ghost", frozenset()))
-
     def test_empty_login_rejected(self):
         with pytest.raises(ValueError):
             UserRecord("u00", "", "g0")
-
-    def test_unknown_capability_rejected(self):
-        with pytest.raises(ValueError):
-            DeviceRecord("dev-1", "u00", frozenset({"Teleport"}))
 
 
 class TestSnapshotLoad:
@@ -150,8 +103,8 @@ class TestSnapshotLoad:
         second = tmp_path / "second"
         store.snapshot(first)
         RunStore.load(first).snapshot(second)
-        for name in ("users.tsv", "devices.tsv", "history_actions.tsv",
-                     "history_events.tsv", "preferences.tsv"):
+        for name in ("users.tsv", "history_actions.tsv", "history_events.tsv",
+                     "preferences.tsv"):
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
     def test_observational_equality(self, tmp_path):
@@ -159,12 +112,9 @@ class TestSnapshotLoad:
         store.snapshot(tmp_path / "run")
         loaded = RunStore.load(tmp_path / "run")
         assert loaded.users == store.users
-        assert loaded.devices == store.devices
         assert loaded.action_history == store.action_history
         assert loaded.event_history == store.event_history
         assert loaded.preferences == store.preferences
-        assert loaded.preference_aggregate("u00", skey(), "doc00") == \
-            store.preference_aggregate("u00", skey(), "doc00")
 
     def test_truncated_file_is_parse_error_with_line(self, tmp_path):
         store = populated_store()
@@ -189,7 +139,7 @@ class TestSnapshotLoad:
     def test_missing_file_rejected(self, tmp_path):
         store = populated_store()
         store.snapshot(tmp_path / "run")
-        (tmp_path / "run" / "devices.tsv").unlink()
+        (tmp_path / "run" / "preferences.tsv").unlink()
         with pytest.raises(StoreParseError, match="missing store file"):
             RunStore.load(tmp_path / "run")
 
@@ -202,3 +152,15 @@ class TestSnapshotLoad:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(StoreParseError):
             RunStore.load(tmp_path / "run")
+
+
+class TestStepRecord:
+    def test_line_round_trip(self, tmp_path):
+        s = SituationKey(TimeBucket("Morning", "Weekday", "Free"), "Office",
+                         "g0", "Navigate", 0)
+        record = StepRecord(5, s, "a1", EXPLOIT, 1 / 3, skey("Home"))
+        store = RunStore()
+        store.append_action_history(record)
+        store.snapshot(tmp_path)
+        assert read_action_history(tmp_path) == [record]
+
