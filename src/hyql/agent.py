@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .casebase import (CaseBase, DEFAULT_MAX_SIZE, DEFAULT_RETAIN_MIN_VISITS,
-                       DEFAULT_THRESHOLD, DEFAULT_WEIGHTS, adapt)
+                       DEFAULT_THRESHOLD, DEFAULT_WEIGHTS, adapt,
+                       check_retrieval_params)
 from .collab import DEFAULT_NEIGHBORS, TransactionStore
 from .context import ContextModel, Profile, RawEvent, SituationKey
 from .qlearn import (ADVISE, CASE_BOOTSTRAPPED, EXPLOIT, EXPLORE,
@@ -55,6 +56,7 @@ class AgentConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.episode_length < 1:
             raise ValueError("episode_length must be >= 1")
+        check_retrieval_params(self.feature_weights, self.retrieval_threshold)
 
     def learning_params(self) -> LearningParams:
         return LearningParams(self.alpha, self.gamma, self.p, self.alpha_schedule)

@@ -27,7 +27,7 @@ from .collab import TransactionStore
 from .context import ContextModel, Profile
 from .qlearn import EXPLOIT, StepRecord
 from .serde import fmt_float
-from .simenv import SimEnv, WorldModel, apply_drift, world_from_scenario
+from .simenv import SimEnv, WorldModel, apply_drift, user_ids, world_from_scenario
 from .store import PreferenceRecord, RunStore, UserRecord, read_action_history
 
 METRIC_NAMES = ("CumulativeReward", "StepsToThreshold", "DriftRecoverySteps",
@@ -85,6 +85,13 @@ class ExperimentSpec:
             raise ConfigError("variants must be a list of objects")
         if not self.variants:
             raise ConfigError("at least one variant is required")
+        try:
+            population = user_ids(int(self.scenario["users"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"scenario needs an integer 'users': {exc}") from None
+        if self.scenario.get("agent_user") not in population:
+            raise ConfigError(f"agent_user {self.scenario.get('agent_user')!r} is not "
+                              f"one of the scenario's {len(population)} users")
         names = [v.get("name") for v in self.variants]
         if len(set(names)) != len(names):
             raise ConfigError("variant names must be unique")

@@ -57,6 +57,22 @@ def compute_cost(similarity: float) -> float:
     return 1.0 - similarity
 
 
+def check_retrieval_params(feature_weights: Sequence[float],
+                           retrieval_threshold: float) -> tuple[float, ...]:
+    """Check a case base's retrieval settings; return the weights as floats.
+
+    AgentConfig runs the same check, so a bad setting fails before a run.
+    """
+    weights = tuple(float(w) for w in feature_weights)
+    if len(weights) != 4 or any(w < 0 for w in weights):
+        raise ValueError("feature_weights must be 4 non-negative values")
+    if not abs(sum(weights) - 1.0) <= 1e-9:
+        raise ValueError("feature_weights must sum to 1")
+    if not 0.0 <= retrieval_threshold <= 1.0:
+        raise ValueError("retrieval_threshold must be in [0, 1]")
+    return weights
+
+
 def _chain_match(chain_a: Sequence, chain_b: Sequence, levels: int) -> float:
     """Fraction of generalization levels at which two chains coincide."""
     hits = 0
@@ -104,15 +120,9 @@ class CaseBase:
                  feature_weights: Sequence[float] = DEFAULT_WEIGHTS,
                  retrieval_threshold: float = DEFAULT_THRESHOLD,
                  max_size: int = DEFAULT_MAX_SIZE):
-        weights = tuple(float(w) for w in feature_weights)
-        if len(weights) != 4 or any(w < 0 for w in weights):
-            raise ValueError("feature_weights must be 4 non-negative values")
-        if abs(sum(weights) - 1.0) > 1e-9:
-            raise ValueError("feature_weights must sum to 1")
-        if not 0.0 <= retrieval_threshold <= 1.0:
-            raise ValueError("retrieval_threshold must be in [0, 1]")
         self.context = context
-        self.feature_weights = weights
+        self.feature_weights = check_retrieval_params(feature_weights,
+                                                      retrieval_threshold)
         self.retrieval_threshold = retrieval_threshold
         self.max_size = max_size
         self.cases: list[Case] = []

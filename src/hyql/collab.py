@@ -1,15 +1,25 @@
 """Memory-based collaborative filtering over implicit 0/1 ratings.
 
 Every transaction is a (user, item, rating) event, optionally tagged with
-the situation in which it happened; the store keeps no log of them but
-materializes last-write-wins rating vectors per user, both globally and
-per generalized situation scope, so that advice can be computed "for
-people like you, in situations like this one". An untouched item reads as rating 0. Similarity is the cosine
-between the 0/1 vectors.
+the situation in which it happened. The store keeps no log of them. It
+keeps last-write-wins ratings per view and per user, as two bitsets
+(Python ints in which bit i stands for catalog item i): the items rated 1
+and the items rated at all. There is one global view and one view per
+generalized situation scope, so that advice can be computed "for people
+like you, in situations like this one". An untouched item reads as
+rating 0.
+
+Similarity is the cosine between the 0/1 vectors, which on bitsets is
+popcount(u & v) / sqrt(popcount(u) * popcount(v)). A predicted score adds
+each neighbour's similarity to the items it rated 1, neighbour by
+neighbour in neighbourhood order (descending similarity, then user id).
+That order fixes the float summation order, so every score equals the one
+a dense `weighted += sim * rating` loop over the same neighbourhood gives.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -21,6 +31,9 @@ DEFAULT_NEIGHBORS = 10  # the scenario's team size
 
 # Scope token for the unscoped, whole-history view.
 GLOBAL_SCOPE = None
+
+# A view: user id -> [bits of the items rated 1, bits of the items rated at all].
+View = dict[str, list[int]]
 
 
 @dataclass(frozen=True)
@@ -36,29 +49,30 @@ class Prediction:
             raise ValueError("prediction score must be finite")
 
 
-def cosine_similarity(u_vec: dict[ActionId, float], v_vec: dict[ActionId, float],
-                      catalog: ActionCatalog) -> float:
-    """dot/(|u||v|) over the shared catalog; 0 when either norm is 0."""
-    dot = 0.0
-    norm_u = 0.0
-    norm_v = 0.0
-    for item in catalog:
-        u = u_vec.get(item, 0.0)
-        v = v_vec.get(item, 0.0)
-        dot += u * v
-        norm_u += u * u
-        norm_v += v * v
-    if norm_u == 0.0 or norm_v == 0.0:
+def cosine_similarity(u_bits: int, v_bits: int) -> float:
+    """Cosine of two 0/1 vectors given as bitsets; 0 when either is empty.
+
+    The dot product and both squared norms of 0/1 vectors are exact
+    integer counts, so only the square root and the division round, as
+    they do in the dense dot/(|u||v|).
+    """
+    if not u_bits or not v_bits:
         return 0.0
-    return dot / math.sqrt(norm_u * norm_v)
+    return (u_bits & v_bits).bit_count() / math.sqrt(u_bits.bit_count() * v_bits.bit_count())
 
 
 class TransactionStore:
-    """Materialized rating vectors, fed one implicit transaction at a time.
+    """Bitset rating views, fed one implicit transaction at a time.
 
-    When built with a ContextModel, every situation-tagged transaction is
-    also indexed under each generalization of its situation key, which is
-    what makes the coarser-granularity advice fallback cheap.
+    Each view maps a user id to two ints, the positive bits and the rated
+    bits; a rating of 0 clears the positive bit and keeps the rated one,
+    so `vector` tells a rated 0 from an untouched item. When built with a
+    ContextModel, every situation-tagged transaction is also indexed under
+    each generalization of its situation key, which is what makes the
+    coarser-granularity advice fallback cheap. The views one situation's
+    writes touch are resolved once and memoised per SituationKey; keys come
+    from a finite space (time buckets, gazetteer places, groups, cognitive
+    classes), so the memo stays small.
     """
 
     def __init__(self, catalog: ActionCatalog, context: Optional[ContextModel] = None,
@@ -67,10 +81,12 @@ class TransactionStore:
         self.context = context
         self.same_group_only = same_group_only
         self._count = 0  # transactions recorded
-        # user -> item -> latest rating, over all transactions
-        self._global: dict[str, dict[ActionId, float]] = {}
-        # (level, scope key string) -> user -> item -> latest rating
-        self._scoped: dict[tuple[int, str], dict[str, dict[ActionId, float]]] = {}
+        self._bit = {item: 1 << i for i, item in enumerate(catalog)}
+        self._global: View = {}
+        # (level, scope key string) -> view
+        self._scoped: dict[tuple[int, str], View] = {}
+        # situation -> the views its writes touch, the global one first
+        self._views_of: dict[SituationKey, tuple[View, ...]] = {}
 
     def __len__(self) -> int:
         return self._count
@@ -82,30 +98,46 @@ class TransactionStore:
         return SituationKey(key.time, key.place, "*", key.cognitive,
                             key.granularity).canonical()
 
+    def _views_for(self, situation: SituationKey) -> tuple[View, ...]:
+        views = [self._global]
+        for level in range(self.context.depth + 1):
+            token = (level, self._scope_token(self.context.generalize(situation, level)))
+            views.append(self._scoped.setdefault(token, {}))
+        return tuple(views)
+
     def record_implicit(self, user_id: str, item: ActionId, positive: bool,
                         situation: Optional[SituationKey] = None) -> None:
-        """Record an implicit rating: 1.0 for an acceptance, else 0.0."""
-        if item not in self.catalog:
+        """Record an implicit rating: 1 for an acceptance, else 0."""
+        bit = self._bit.get(item)
+        if bit is None:
             raise CatalogError(item)
-        rating = 1.0 if positive else 0.0
-        self._count += 1
-        self._global.setdefault(user_id, {})[item] = rating
+        views: tuple[View, ...] = (self._global,)
         if situation is not None and self.context is not None:
-            for level in range(self.context.depth + 1):
-                scoped_key = self.context.generalize(situation, level)
-                token = (level, self._scope_token(scoped_key))
-                self._scoped.setdefault(token, {}).setdefault(user_id, {})[item] = rating
+            views = self._views_of.get(situation)
+            if views is None:
+                views = self._views_of[situation] = self._views_for(situation)
+        self._count += 1
+        for view in views:
+            bits = view.get(user_id)
+            if bits is None:
+                view[user_id] = [bit if positive else 0, bit]
+            else:
+                bits[0] = bits[0] | bit if positive else bits[0] & ~bit
+                bits[1] |= bit
 
     # -- views ------------------------------------------------------------
 
-    def _view(self, scope: Optional[tuple[int, SituationKey]]) -> dict[str, dict[ActionId, float]]:
+    def _view(self, scope: Optional[tuple[int, SituationKey]]) -> View:
         if scope is GLOBAL_SCOPE:
             return self._global
         level, key = scope
         return self._scoped.get((level, self._scope_token(key)), {})
 
     def vector(self, user_id: str, scope=GLOBAL_SCOPE) -> dict[ActionId, float]:
-        return dict(self._view(scope).get(user_id, {}))
+        """The user's rated items in a view, each 1.0 or 0.0; untouched items are absent."""
+        positive, rated = self._view(scope).get(user_id, (0, 0))
+        return {item: 1.0 if positive & bit else 0.0
+                for item, bit in self._bit.items() if rated & bit}
 
     # -- the CF pipeline ---------------------------------------------------
 
@@ -118,12 +150,12 @@ class TransactionStore:
         if k <= 0:
             return []
         view = self._view(scope)
-        target_vec = view.get(target, {})
+        target_bits = view[target][0] if target in view else 0
         scored = []
         for user_id in sorted(view):
             if user_id == target:
                 continue
-            sim = cosine_similarity(target_vec, view[user_id], self.catalog)
+            sim = cosine_similarity(target_bits, view[user_id][0])
             if sim > 0.0:
                 scored.append((user_id, sim))
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
@@ -132,7 +164,8 @@ class TransactionStore:
     def predict_rating(self, target: str, item: ActionId, k: int = DEFAULT_NEIGHBORS,
                        scope=GLOBAL_SCOPE) -> Optional[Prediction]:
         """Similarity-weighted mean of the neighbors' ratings for one item."""
-        if item not in self.catalog:
+        bit = self._bit.get(item)
+        if bit is None:
             raise CatalogError(item)
         hood = self.neighbors(target, k, scope)
         if not hood:
@@ -141,7 +174,8 @@ class TransactionStore:
         weighted = 0.0
         total = 0.0
         for user_id, sim in hood:
-            weighted += sim * view[user_id].get(item, 0.0)
+            if view[user_id][0] & bit:
+                weighted += sim
             total += sim
         return Prediction(item, weighted / total, len(hood))
 
@@ -154,32 +188,35 @@ class TransactionStore:
         if not hood:
             return []
         view = self._view(scope)
-        target_vec = view.get(target, {})
+        weighted = [0.0] * len(self.catalog)
+        for user_id, sim in hood:
+            bits = view[user_id][0]
+            while bits:
+                low = bits & -bits
+                weighted[low.bit_length() - 1] += sim
+                bits ^= low
         total = sum(sim for _, sim in hood)
-        predictions = []
-        for item in self.catalog:
-            if exclude_rated and target_vec.get(item, 0.0) == 1.0:
-                continue
-            weighted = 0.0
-            for user_id, sim in hood:
-                weighted += sim * view[user_id].get(item, 0.0)
-            predictions.append(Prediction(item, weighted / total, len(hood)))
-        predictions.sort(key=lambda p: (-p.score, self.catalog.index(p.item)))
-        return predictions[:n]
+        scores = [w / total for w in weighted]
+        skip = view[target][0] if exclude_rated and target in view else 0
+        candidates = (i for i in range(len(scores)) if not skip >> i & 1)
+        # nlargest keeps the first of equal scores, so ties go to the lower index
+        best = heapq.nlargest(n, candidates, key=scores.__getitem__)
+        actions = self.catalog.actions
+        return [Prediction(actions[i], scores[i], len(hood)) for i in best]
 
     def _popular_item(self, target: str, scope) -> Optional[ActionId]:
         """Group-popularity advice for a user with no usable history yet."""
         view = self._view(scope)
-        others = [view[u] for u in sorted(view) if u != target]
-        if not others:
-            return None
-        best_item = None
-        best_score = 0.0
-        for item in self.catalog:
-            score = sum(vec.get(item, 0.0) for vec in others) / len(others)
-            if score > best_score:
-                best_item, best_score = item, score
-        return best_item
+        counts = [0] * len(self.catalog)
+        for user_id, (bits, _) in view.items():
+            if user_id == target:
+                continue
+            while bits:
+                low = bits & -bits
+                counts[low.bit_length() - 1] += 1
+                bits ^= low
+        best = max(range(len(counts)), key=counts.__getitem__)
+        return self.catalog.actions[best] if counts[best] else None
 
     def advise_action(self, target: str, s: SituationKey) -> Optional[ActionId]:
         """Top-1 recommendation for the situation, walking granularities.
@@ -200,4 +237,3 @@ class TransactionStore:
             if fallback is not None:
                 return fallback
         return None
-

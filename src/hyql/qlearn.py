@@ -166,11 +166,16 @@ class QTable:
 
 
 def greedy_action(table: QTable, s: State, catalog: ActionCatalog) -> ActionId:
-    """argmax over the catalog; ties fall to the smallest catalog index."""
+    """argmax over the catalog; ties fall to the smallest catalog index.
+
+    Fetches the state's row once, so the key is hashed once, not per action.
+    """
+    row = table.row(s)
+    default = table.default_value
     best_action = None
     best_value = -math.inf
-    for a in catalog:
-        v = table.value(s, a)
+    for a in catalog.actions:
+        v = row.get(a, default)
         if v > best_value:
             best_action, best_value = a, v
     assert best_action is not None

@@ -101,12 +101,13 @@ class WorldModel:
     seed: int
     context: ContextModel
     drift_rng: random.Random = field(repr=False, default_factory=random.Random)
+    _by_id: dict[str, UserProfile] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._by_id = {profile.user_id: profile for profile in self.users}
 
     def user(self, user_id: str) -> UserProfile:
-        for profile in self.users:
-            if profile.user_id == user_id:
-                return profile
-        raise KeyError(user_id)
+        return self._by_id[user_id]
 
     def situations(self, user_id: str) -> list[SituationKey]:
         profile = self.user(user_id)
@@ -131,6 +132,11 @@ class WorldModel:
 def _mix(prototype: float, personal: float, affinity: float) -> float:
     value = affinity * prototype + (1.0 - affinity) * personal
     return min(1.0, max(0.0, value))
+
+
+def user_ids(n_users: int) -> list[str]:
+    """The ids of a population of n users: u00, u01, ..."""
+    return [f"u{i:02d}" for i in range(n_users)]
 
 
 def build_population(n_users: int, n_groups: int, n_items: int, affinity: float,
@@ -158,9 +164,9 @@ def build_population(n_users: int, n_groups: int, n_items: int, affinity: float,
             raise ValueError(f"no routine configured for group {group!r}")
         for triple in routines[group]:
             context.place_chain(triple.place)  # raises on unknown places
-    users = [UserProfile(f"u{i:02d}", groups[i % n_groups], affinity,
+    users = [UserProfile(user_id, groups[i % n_groups], affinity,
                          tuple(routines[groups[i % n_groups]]))
-             for i in range(n_users)]
+             for i, user_id in enumerate(user_ids(n_users))]
 
     prototypes: dict[tuple[str, SituationKey], list[float]] = {}
     for group in groups:

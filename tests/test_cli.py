@@ -3,6 +3,7 @@ import shutil
 
 import pytest
 
+from hyql.bench import load_scenario
 from hyql.cli import EXIT_CONFIG, EXIT_MISMATCH, EXIT_OK, main
 
 BASE_SPEC = {"scenario": "canonical", "trials": 1, "steps": 60,
@@ -10,7 +11,12 @@ BASE_SPEC = {"scenario": "canonical", "trials": 1, "steps": 60,
 
 
 def write_spec(directory, **changes):
+    """A spec file; a dict "scenario" holds overrides of the canonical one."""
     spec = dict(BASE_SPEC, **changes)
+    if isinstance(spec["scenario"], dict):
+        scenario = dict(load_scenario("canonical"), **spec["scenario"])
+        (directory / "scenario.json").write_text(json.dumps(scenario), encoding="utf-8")
+        spec["scenario"] = "scenario.json"
     path = directory / "spec.json"
     path.write_text(json.dumps(spec), encoding="utf-8")
     return path
@@ -61,8 +67,12 @@ HYQL = {"name": "HyQL", "variant": "HyQL"}
     {"metrics": "CumulativeReward"},
     {"threshold": {"window": 0}},
     {"recovery": {"window": 0}, "steps": 1200},
+    {"variants": [dict(HYQL, feature_weights=[1, 1, 0, 0])]},
+    {"variants": [dict(HYQL, retrieval_threshold=1.5)]},
+    {"scenario": {"agent_user": "u11"}},
 ], ids=["unknown-override", "p", "alpha", "gamma", "variants-string",
-        "variants-object", "metrics-string", "threshold-window", "recovery-window"])
+        "variants-object", "metrics-string", "threshold-window", "recovery-window",
+        "feature-weights-sum", "retrieval-threshold", "agent-user-not-in-population"])
 def test_bad_spec_exits_2_before_writing(tmp_path, changes):
     out = tmp_path / "out"
     assert main(["run", str(write_spec(tmp_path, **changes)), "--out", str(out)]) \

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 import random
 
 import pytest
 
-from hyql.collab import TransactionStore, cosine_similarity
+from hyql.collab import GLOBAL_SCOPE, TransactionStore, cosine_similarity
 from hyql.context import SituationKey, TimeBucket
 from hyql.qlearn import ActionCatalog, CatalogError
 
@@ -68,6 +69,42 @@ def oracle_top_n(vectors, target, n, exclude_rated, k, items, index):
     return scored[:n]
 
 
+def oracle_popular(vectors, target, items):
+    others = [vectors[u] for u in sorted(vectors) if u != target]
+    best_item, best_score = None, 0.0
+    for item in items:
+        score = sum(vec.get(item, 0.0) for vec in others) / len(others) if others else 0.0
+        if score > best_score:
+            best_item, best_score = item, score
+    return best_item
+
+
+def oracle_views(stream, context, same_group_only):
+    """Last-write-wins rating dicts per view, replayed from the raw stream.
+
+    Keys: GLOBAL_SCOPE, or (level, generalized key), its group blanked to
+    "*" when the store pools all groups.
+    """
+    views = {GLOBAL_SCOPE: {}}
+    for user, item, positive, s in stream:
+        keys = [GLOBAL_SCOPE]
+        if s is not None:
+            keys += [(level, oracle_scope_key(context.generalize(s, level), same_group_only))
+                     for level in range(context.depth + 1)]
+        for key in keys:
+            views.setdefault(key, {}).setdefault(user, {})[item] = 1.0 if positive else 0.0
+    return views
+
+
+def oracle_scope_key(key, same_group_only):
+    return key if same_group_only else dataclasses.replace(key, social_group="*")
+
+
+def bits(vec, catalog=CATALOG):
+    """A 0/1 rating dict as the store's bitset: bit i is catalog item i rated 1."""
+    return sum(1 << catalog.index(item) for item, rating in vec.items() if rating == 1.0)
+
+
 def store_with(ratings):
     """ratings: iterable of (user, item, positive)"""
     store = TransactionStore(CATALOG)
@@ -98,27 +135,38 @@ class TestRecordImplicit:
 
 class TestCosine:
     def test_identical_nonzero_vectors(self):
-        v = {"a": 1.0, "c": 1.0}
-        assert cosine_similarity(v, v, CATALOG) == pytest.approx(1.0)
+        v = bits({"a": 1.0, "c": 1.0})
+        assert cosine_similarity(v, v) == pytest.approx(1.0)
 
     def test_disjoint_supports(self):
-        assert cosine_similarity({"a": 1.0, "b": 1.0}, {"c": 1.0}, CATALOG) == 0.0
+        assert cosine_similarity(bits({"a": 1.0, "b": 1.0}), bits({"c": 1.0})) == 0.0
 
     def test_hand_value(self):
         # (1,1,0) . (1,0,1) = 1, norms sqrt(2) * sqrt(2) -> 0.5
-        assert cosine_similarity({"a": 1.0, "b": 1.0}, {"a": 1.0, "c": 1.0},
-                                 CATALOG) == pytest.approx(0.5, abs=0)
+        assert cosine_similarity(bits({"a": 1.0, "b": 1.0}),
+                                 bits({"a": 1.0, "c": 1.0})) == pytest.approx(0.5, abs=0)
 
     def test_symmetric_range_reflexive(self):
         rng = random.Random(10)
         for _ in range(200):
-            u = {i: 1.0 for i in ITEMS if rng.random() < 0.5}
-            v = {i: 1.0 for i in ITEMS if rng.random() < 0.5}
-            s_uv = cosine_similarity(u, v, CATALOG)
-            assert s_uv == cosine_similarity(v, u, CATALOG)
+            u = bits({i: 1.0 for i in ITEMS if rng.random() < 0.5})
+            v = bits({i: 1.0 for i in ITEMS if rng.random() < 0.5})
+            s_uv = cosine_similarity(u, v)
+            assert s_uv == cosine_similarity(v, u)
             assert 0.0 <= s_uv <= 1.0 + 1e-12
             if u:
-                assert cosine_similarity(u, u, CATALOG) == pytest.approx(1.0)
+                assert cosine_similarity(u, u) == pytest.approx(1.0)
+
+    def test_equals_the_dense_oracle_bit_for_bit(self):
+        rng = random.Random(14)
+        items = [f"i{n:03d}" for n in range(150)]  # wider than a machine word
+        catalog = ActionCatalog(items)
+        for _ in range(300):
+            density = rng.random()
+            u = {i: 1.0 for i in items if rng.random() < density}
+            v = {i: 1.0 for i in items if rng.random() < density}
+            assert cosine_similarity(bits(u, catalog), bits(v, catalog)) == \
+                oracle_cosine(u, v, items)
 
 
 class TestNeighbors:
@@ -222,7 +270,7 @@ class TestAdviseAction:
         # per-level brute force: level 0 view empty, level 1 view holds b
         assert store.top_n("newcomer", 1, scope=(0, target_key)) == []
         level1 = context.generalize(target_key, 1)
-        assert store._view((1, level1))  # data visible at the city level
+        assert store.vector("u0", (1, level1)) == {"b": 1.0}  # visible at the city level
 
     def test_advice_stays_in_catalog(self, context):
         rng = random.Random(13)
@@ -249,3 +297,84 @@ class TestAdviseAction:
         for i in range(3):
             store.record_implicit(f"u{i}", "b", True, situation=other)
         assert store.advise_action("newcomer", skey(group="g0")) == "b"
+
+
+class TestStoreMatchesOracles:
+    """Random accept/reject streams through the store and the dict oracles.
+
+    80 items, so the bitsets outgrow a machine word; hot items are written
+    over and over, so 1s are overwritten by 0s. Every similarity, score and
+    piece of advice must equal the oracle's exactly.
+    """
+
+    @pytest.mark.parametrize("same_group_only", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_streams_match(self, context, seed, same_group_only):
+        rng = random.Random(seed)
+        items = [f"i{n:02d}" for n in range(80)]
+        catalog = ActionCatalog(items)
+        index = {item: i for i, item in enumerate(items)}
+        hot = items[:10] + items[62:70]
+        users = [f"u{i}" for i in range(6)]
+        situations = [skey(), skey(place="Home"), skey(cognitive="Call"),
+                      skey(group="g1"), skey(place="Home", group="g1")]
+        store = TransactionStore(catalog, context, same_group_only)
+        stream = []
+        last = {}
+        overwrites = 0
+        for checkpoint in (150, 400):
+            while len(stream) < checkpoint:
+                user = rng.choice(users)
+                item = rng.choice(hot) if rng.random() < 0.7 else rng.choice(items)
+                positive = rng.random() < 0.5
+                s = rng.choice(situations + [None])
+                store.record_implicit(user, item, positive, s)
+                stream.append((user, item, positive, s))
+                overwrites += last.get((user, item)) is True and not positive
+                last[(user, item)] = positive
+            self._check(store, oracle_views(stream, context, same_group_only),
+                        situations, users + ["stranger"], items, index,
+                        context, same_group_only)
+        assert overwrites > 0
+
+    def _check(self, store, views, situations, targets, items, index, context,
+               same_group_only):
+        scopes = {GLOBAL_SCOPE: GLOBAL_SCOPE}
+        for s in situations:
+            for level in range(context.depth + 1):
+                scope = (level, context.generalize(s, level))
+                scopes[scope] = (level, oracle_scope_key(scope[1], same_group_only))
+        for scope, oracle_key in scopes.items():
+            vectors = views.get(oracle_key, {})
+            for target in targets:
+                # a rated 0 is present as 0.0, an untouched item is absent
+                assert store.vector(target, scope) == vectors.get(target, {})
+                for k in (2, 10):
+                    assert store.neighbors(target, k, scope) == \
+                        oracle_neighbors(vectors, target, k, items)
+                    for item in (items[0], items[65], items[40]):
+                        got = store.predict_rating(target, item, k, scope)
+                        want = oracle_predict(vectors, target, item, k, items)
+                        assert (None if got is None else got.score) == want
+                    for n in (1, 5):
+                        for exclude in (False, True):
+                            got = store.top_n(target, n, exclude, k, scope)
+                            assert [(p.item, p.score) for p in got] == \
+                                oracle_top_n(vectors, target, n, exclude, k, items, index)
+        for s in situations:
+            for target in targets:
+                assert store.advise_action(target, s) == \
+                    oracle_advise(views, target, s, items, index, context, same_group_only)
+
+
+def oracle_advise(views, target, s, items, index, context, same_group_only):
+    for level in range(context.depth + 1):
+        key = (level, oracle_scope_key(context.generalize(s, level), same_group_only))
+        vectors = views.get(key, {})
+        top = oracle_top_n(vectors, target, 1, False, 10, items, index)
+        if top:
+            return top[0][0]
+        popular = oracle_popular(vectors, target, items)
+        if popular is not None:
+            return popular
+    return None

@@ -2,7 +2,9 @@
 
 All five variants, one seed, 600 steps, run through the command line.
 The SHA-256 of metrics.csv and of every history_*.tsv is pinned below, and
-a `--parallel 2` run of the same spec must write the same bytes.
+a `--parallel 2` run of the same spec must write the same bytes, as must
+fresh interpreters under two PYTHONHASHSEED values (no set or dict order
+keyed by a string hash may reach the output).
 
 Re-bless these hashes only in a change whose stated purpose is a behaviour
 change, and say so in CHANGES.md; a refactor or a speed-up must keep them.
@@ -10,9 +12,14 @@ change, and say so in CHANGES.md; a refactor or a speed-up must keep them.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hyql
 from hyql.cli import main
 
 VARIANTS = ("GreedyQ", "EpsilonGreedyQ", "CFOnly", "CBRQ", "HyQL")
@@ -82,3 +89,15 @@ def test_parallel_run_writes_the_same_bytes(golden_out):
 def test_verify_accepts_the_golden_run(golden_out):
     _, out = golden_out
     assert main(["verify", str(out)]) == 0
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "12345"])
+def test_hash_seed_does_not_change_the_bytes(golden_out, hash_seed):
+    root, _ = golden_out
+    out = root / f"hashseed-{hash_seed}"
+    src = str(Path(hyql.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-m", "hyql.cli", "run", str(root / "spec.json"),
+                    "--out", str(out)], env=env, check=True, timeout=300)
+    assert _digests(out) == GOLDEN

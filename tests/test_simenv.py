@@ -234,12 +234,14 @@ class TestEnvStep:
                      background_users=["u01", "u02"])
         env.background_burst(250)
         assert len(store) == 250
-        assert set(store._global) <= {"u01", "u02"}
-        # situation-tagged: every rated (user, item) is indexed by situation too
-        scoped = {(user, item) for (level, _), view in store._scoped.items()
-                  if level == 0 for user, vec in view.items() for item in vec}
-        assert scoped == {(user, item) for user, vec in store._global.items()
-                          for item in vec}
+        for profile in world.users:
+            user = profile.user_id
+            rated = set(store.vector(user))
+            assert bool(rated) == (user in ("u01", "u02"))
+            # situation-tagged: every rated (user, item) is indexed at level 0 too
+            scoped = set().union(*(store.vector(user, (0, key))
+                                   for key in world.situations(user)))
+            assert scoped == rated
 
 
 class TestGroupCoherence:
