@@ -5,7 +5,7 @@ used to exercise it."""
 
 from .agent import Agent, AgentConfig, hybrid_policy
 from .casebase import Case, CaseBase, RetrievalResult, adapt, case_similarity, compute_cost
-from .collab import Prediction, TransactionStore, cosine_similarity
+from .collab import TransactionStore, cosine_similarity
 from .context import (CalendarEntry, CognitiveAction, ContextModel, PlaceNode,
                       Profile, RawEvent, SituationKey, TimeBucket, abstract_time)
 from .qlearn import (ActionCatalog, ExplicitMDP, LearningParams, QTable, StepRecord,

@@ -21,7 +21,7 @@ from typing import Optional
 from .casebase import (CaseBase, DEFAULT_MAX_SIZE, DEFAULT_RETAIN_MIN_VISITS,
                        DEFAULT_THRESHOLD, DEFAULT_WEIGHTS, adapt,
                        check_retrieval_params)
-from .collab import DEFAULT_NEIGHBORS, TransactionStore
+from .collab import TransactionStore
 from .context import ContextModel, Profile, RawEvent, SituationKey
 from .qlearn import (ADVISE, CASE_BOOTSTRAPPED, EXPLOIT, EXPLORE,
                      RANDOM_FALLBACK, ActionCatalog, ActionId, LearningParams,
@@ -44,7 +44,6 @@ class AgentConfig:
     alpha_schedule: str = "constant"
     episode_length: int = 50
     seed: int = 0
-    cf_k: int = DEFAULT_NEIGHBORS
     retrieval_threshold: float = DEFAULT_THRESHOLD
     retain_min_visits: int = DEFAULT_RETAIN_MIN_VISITS
     case_max_size: int = DEFAULT_MAX_SIZE

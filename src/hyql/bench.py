@@ -24,10 +24,11 @@ from typing import Optional, Sequence
 
 from .agent import Agent, AgentConfig, VARIANTS
 from .collab import TransactionStore
-from .context import ContextModel, Profile
+from .context import ContextModel, GazetteerError, Profile
 from .qlearn import EXPLOIT, StepRecord
 from .serde import fmt_float
-from .simenv import SimEnv, WorldModel, apply_drift, user_ids, world_from_scenario
+from .simenv import (SimEnv, WorldModel, apply_drift, check_scenario, user_ids,
+                     world_from_scenario)
 from .store import PreferenceRecord, RunStore, UserRecord, read_action_history
 
 METRIC_NAMES = ("CumulativeReward", "StepsToThreshold", "DriftRecoverySteps",
@@ -92,6 +93,10 @@ class ExperimentSpec:
         if self.scenario.get("agent_user") not in population:
             raise ConfigError(f"agent_user {self.scenario.get('agent_user')!r} is not "
                               f"one of the scenario's {len(population)} users")
+        try:
+            check_scenario(self.scenario, ContextModel.default())
+        except (KeyError, TypeError, AttributeError, ValueError, GazetteerError) as exc:
+            raise ConfigError(f"bad scenario: {exc}") from None
         names = [v.get("name") for v in self.variants]
         if len(set(names)) != len(names):
             raise ConfigError("variant names must be unique")

@@ -132,10 +132,15 @@ class QTable:
         return self._row_visits.get(s, 0)
 
     def best_value(self, s: State, catalog: ActionCatalog) -> float:
+        """max of Q(s, a) over the catalog; rows hold catalog actions only, so
+        a row shorter than the catalog has an action reading the default."""
         row = self._rows.get(s)
         if not row:
             return self.default_value
-        return max(row.get(a, self.default_value) for a in catalog)
+        best = max(row.values())
+        if len(row) < len(catalog):
+            best = max(best, self.default_value)
+        return best
 
     def update(self, s: State, a: ActionId, r: float, s_next: State,
                catalog: ActionCatalog, params: LearningParams) -> float:

@@ -139,6 +139,28 @@ def user_ids(n_users: int) -> list[str]:
     return [f"u{i:02d}" for i in range(n_users)]
 
 
+def _population(n_users: int, n_groups: int, n_items: int, affinity: float,
+                routines: Optional[dict[str, Sequence[RoutineTriple]]],
+                context: ContextModel) -> tuple[list[str], dict, list[UserProfile]]:
+    """Groups, routines and profiles, after every check needing no random draw."""
+    if n_users < 1 or n_items < 1 or n_groups < 1:
+        raise ValueError("population needs at least one user, group and item")
+    if not 0.0 <= affinity <= 1.0:
+        raise ValueError("affinity must be in [0, 1]")
+    groups = [f"g{i}" for i in range(n_groups)]
+    routines = routines or {g: default_routine() for g in groups}
+    for group in groups:
+        if group not in routines:
+            raise ValueError(f"no routine configured for group {group!r}")
+        for triple in routines[group]:
+            context.place_chain(triple.place)  # raises on unknown places
+            triple.bucket()  # raises on an unknown time bucket
+    users = [UserProfile(user_id, groups[i % n_groups], affinity,
+                         tuple(routines[groups[i % n_groups]]))
+             for i, user_id in enumerate(user_ids(n_users))]
+    return groups, routines, users
+
+
 def build_population(n_users: int, n_groups: int, n_items: int, affinity: float,
                      rng: random.Random, routines: Optional[dict[str, Sequence[RoutineTriple]]] = None,
                      day_length: int = 50,
@@ -151,22 +173,10 @@ def build_population(n_users: int, n_groups: int, n_items: int, affinity: float,
     a routine (the default one covers six situations across the canonical
     gazetteer places).
     """
-    if n_users < 1 or n_items < 1 or n_groups < 1:
-        raise ValueError("population needs at least one user, group and item")
-    if not 0.0 <= affinity <= 1.0:
-        raise ValueError("affinity must be in [0, 1]")
     context = context or ContextModel.default()
+    groups, routines, users = _population(n_users, n_groups, n_items, affinity,
+                                          routines, context)
     catalog = ActionCatalog([f"doc{i:02d}" for i in range(n_items)])
-    groups = [f"g{i}" for i in range(n_groups)]
-    routines = routines or {g: default_routine() for g in groups}
-    for group in groups:
-        if group not in routines:
-            raise ValueError(f"no routine configured for group {group!r}")
-        for triple in routines[group]:
-            context.place_chain(triple.place)  # raises on unknown places
-    users = [UserProfile(user_id, groups[i % n_groups], affinity,
-                         tuple(routines[groups[i % n_groups]]))
-             for i, user_id in enumerate(user_ids(n_users))]
 
     prototypes: dict[tuple[str, SituationKey], list[float]] = {}
     for group in groups:
@@ -392,17 +402,29 @@ def routine_from_config(entries: Sequence[dict]) -> tuple[RoutineTriple, ...]:
                  for e in entries)
 
 
+def _population_args(scenario: dict, context: ContextModel) -> dict:
+    """build_population's arguments for a parsed scenario, but the rng and seed."""
+    return dict(
+        n_users=int(scenario["users"]), n_groups=int(scenario["groups"]),
+        n_items=int(scenario["items"]), affinity=float(scenario["affinity"]),
+        routines={group: routine_from_config(entries)
+                  for group, entries in scenario["routines"].items()},
+        day_length=int(scenario.get("day_length", 50)),
+        drift=[DriftOp(int(d["step"]), d["op"], d["target"], d.get("scope", "all"))
+               for d in scenario.get("drift", [])],
+        context=context)
+
+
 def world_from_scenario(scenario: dict, seed: int,
                         context: Optional[ContextModel] = None) -> WorldModel:
     """Build a world from a parsed scenario config, overriding its seed."""
-    context = context or ContextModel.default()
-    routines = {group: routine_from_config(entries)
-                for group, entries in scenario["routines"].items()}
-    drift = [DriftOp(int(d["step"]), d["op"], d["target"], d.get("scope", "all"))
-             for d in scenario.get("drift", [])]
+    args = _population_args(scenario, context or ContextModel.default())
     rng = random.Random(seed * _SEED_SPREAD + _STREAM_BUILD)
-    return build_population(
-        n_users=int(scenario["users"]), n_groups=int(scenario["groups"]),
-        n_items=int(scenario["items"]), affinity=float(scenario["affinity"]),
-        rng=rng, routines=routines, day_length=int(scenario.get("day_length", 50)),
-        drift=drift, context=context, seed=seed)
+    return build_population(rng=rng, seed=seed, **args)
+
+
+def check_scenario(scenario: dict, context: ContextModel) -> None:
+    """Raise what world_from_scenario would raise, without drawing a random number."""
+    args = _population_args(scenario, context)
+    _population(args["n_users"], args["n_groups"], args["n_items"], args["affinity"],
+                args["routines"], context)

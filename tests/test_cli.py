@@ -3,7 +3,7 @@ import shutil
 
 import pytest
 
-from hyql.bench import load_scenario
+from hyql.bench import NEVER, load_scenario, parse_csv
 from hyql.cli import EXIT_CONFIG, EXIT_MISMATCH, EXIT_OK, main
 
 BASE_SPEC = {"scenario": "canonical", "trials": 1, "steps": 60,
@@ -54,7 +54,37 @@ class TestVerify:
         assert f"{path}:1: missing or wrong schema header" in capsys.readouterr().err
 
 
+class TestReport:
+    def test_one_line_per_variant_and_metric(self, finished_run, capsys):
+        assert main(["report", str(finished_run)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["variant", "metric", "mean", "min", "max", "n"]
+        recorded = sorted(parse_csv(finished_run / "metrics.csv"),
+                          key=lambda row: (row.variant, row.metric))
+        expected = []
+        for row in recorded:
+            value = f"{row.value:.4f}"
+            expected.append([row.variant, row.metric, value, value, value, "1"])
+            if row.value == NEVER:
+                expected.append(["(1", "of", "1", "runs", "never", "triggered)"])
+        assert [line.split() for line in lines[1:]] == expected
+        # the 60-step run ends before the scenario's drift
+        assert [row.metric for row in recorded if row.value == NEVER] == \
+            ["DriftRecoverySteps"]
+
+    @pytest.mark.parametrize("command", ["report", "verify"])
+    def test_missing_directory_exits_2(self, tmp_path, command):
+        assert main([command, str(tmp_path / "missing")]) == EXIT_CONFIG
+
+
 HYQL = {"name": "HyQL", "variant": "HyQL"}
+
+
+def routines_with(**changes):
+    """The canonical routines, with its first habit changed."""
+    routines = load_scenario("canonical")["routines"]
+    routines["g0"][0].update(changes)
+    return routines
 
 
 @pytest.mark.parametrize("changes", [
@@ -70,9 +100,17 @@ HYQL = {"name": "HyQL", "variant": "HyQL"}
     {"variants": [dict(HYQL, feature_weights=[1, 1, 0, 0])]},
     {"variants": [dict(HYQL, retrieval_threshold=1.5)]},
     {"scenario": {"agent_user": "u11"}},
+    {"variants": [dict(HYQL, cf_k=1)]},
+    {"scenario": {"routines": routines_with(place="Atlantis")}},
+    {"scenario": {"drift": [{"step": 1000, "op": "Nope", "target": "g0"}]}},
+    {"scenario": {"groups": 2}},
+    {"scenario": {"routines": routines_with(weight=0.9)}},
+    {"scenario": {"routines": routines_with(part_of_day="Dawn")}},
 ], ids=["unknown-override", "p", "alpha", "gamma", "variants-string",
         "variants-object", "metrics-string", "threshold-window", "recovery-window",
-        "feature-weights-sum", "retrieval-threshold", "agent-user-not-in-population"])
+        "feature-weights-sum", "retrieval-threshold", "agent-user-not-in-population",
+        "cf-k", "routine-place", "drift-op", "group-without-routine",
+        "routine-weights-sum", "part-of-day"])
 def test_bad_spec_exits_2_before_writing(tmp_path, changes):
     out = tmp_path / "out"
     assert main(["run", str(write_spec(tmp_path, **changes)), "--out", str(out)]) \

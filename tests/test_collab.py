@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from hyql.collab import GLOBAL_SCOPE, TransactionStore, cosine_similarity
+from hyql.collab import TransactionStore, cosine_similarity
 from hyql.context import SituationKey, TimeBucket
 from hyql.qlearn import ActionCatalog, CatalogError
 
@@ -45,24 +45,13 @@ def oracle_neighbors(vectors, target, k, items):
     return scored[:k]
 
 
-def oracle_predict(vectors, target, item, k, items):
-    hood = oracle_neighbors(vectors, target, k, items)
-    if not hood:
-        return None
-    weighted = sum(sim * vectors[u].get(item, 0.0) for u, sim in hood)
-    total = sum(sim for _, sim in hood)
-    return weighted / total
-
-
-def oracle_top_n(vectors, target, n, exclude_rated, k, items, index):
+def oracle_top_n(vectors, target, n, k, items, index):
     hood = oracle_neighbors(vectors, target, k, items)
     if not hood:
         return []
     total = sum(sim for _, sim in hood)
     scored = []
     for item in items:
-        if exclude_rated and vectors.get(target, {}).get(item, 0.0) == 1.0:
-            continue
         weighted = sum(sim * vectors[u].get(item, 0.0) for u, sim in hood)
         scored.append((item, weighted / total))
     scored.sort(key=lambda p: (-p[1], index[p[0]]))
@@ -82,16 +71,13 @@ def oracle_popular(vectors, target, items):
 def oracle_views(stream, context, same_group_only):
     """Last-write-wins rating dicts per view, replayed from the raw stream.
 
-    Keys: GLOBAL_SCOPE, or (level, generalized key), its group blanked to
-    "*" when the store pools all groups.
+    Keys: (level, generalized key), its group blanked to "*" when the
+    store pools all groups.
     """
-    views = {GLOBAL_SCOPE: {}}
+    views = {}
     for user, item, positive, s in stream:
-        keys = [GLOBAL_SCOPE]
-        if s is not None:
-            keys += [(level, oracle_scope_key(context.generalize(s, level), same_group_only))
-                     for level in range(context.depth + 1)]
-        for key in keys:
+        for level in range(context.depth + 1):
+            key = (level, oracle_scope_key(context.generalize(s, level), same_group_only))
             views.setdefault(key, {}).setdefault(user, {})[item] = 1.0 if positive else 0.0
     return views
 
@@ -105,32 +91,48 @@ def bits(vec, catalog=CATALOG):
     return sum(1 << catalog.index(item) for item, rating in vec.items() if rating == 1.0)
 
 
-def store_with(ratings):
-    """ratings: iterable of (user, item, positive)"""
-    store = TransactionStore(CATALOG)
+S = skey()
+
+
+def store_with(context, ratings):
+    """ratings: iterable of (user, item, positive), all in situation S"""
+    store = TransactionStore(CATALOG, context)
     for user, item, positive in ratings:
-        store.record_implicit(user, item, positive)
+        store.record_implicit(user, item, positive, S)
     return store
 
 
+def view_of(store, s=S):
+    """The situation's level-0 view."""
+    return store._views(s)[0]
+
+
+def predicted(store, target, item):
+    """The store's predicted rating of one item at level 0, or None."""
+    return dict(store.top_n(view_of(store), target, len(CATALOG))).get(item)
+
+
 class TestRecordImplicit:
-    def test_accept_writes_one(self):
-        store = store_with([("u1", "a", True)])
-        assert store.vector("u1") == {"a": 1.0}
+    def test_accept_writes_one(self, context):
+        store = store_with(context, [("u1", "a", True)])
+        # indexed under every generalization of its situation
+        for level in range(context.depth + 1):
+            assert store.vector("u1", S, level) == {"a": 1.0}
 
-    def test_untouched_item_reads_zero(self):
-        store = store_with([("u1", "a", True)])
-        assert store.vector("u1").get("b", 0.0) == 0.0
+    def test_untouched_item_reads_zero(self, context):
+        store = store_with(context, [("u1", "a", True)])
+        assert store.vector("u1", S, 0).get("b", 0.0) == 0.0
 
-    def test_last_write_wins(self):
-        store = store_with([("u1", "a", True), ("u1", "a", False)])
-        assert store.vector("u1")["a"] == 0.0
-        assert len(store) == 2  # raw log stays append-only
+    def test_last_write_wins(self, context):
+        store = store_with(context, [("u1", "a", True), ("u1", "a", False)])
+        assert store.vector("u1", S, 0)["a"] == 0.0
+        assert len(store) == 2  # counts transactions, not distinct ratings
 
-    def test_unknown_item_rejected(self):
-        store = TransactionStore(CATALOG)
+    def test_unknown_item_rejected(self, context):
+        store = TransactionStore(CATALOG, context)
         with pytest.raises(CatalogError):
-            store.record_implicit("u1", "zz", True)
+            store.record_implicit("u1", "zz", True, S)
+        assert len(store) == 0
 
 
 class TestCosine:
@@ -170,78 +172,69 @@ class TestCosine:
 
 
 class TestNeighbors:
-    def test_target_with_no_transactions(self):
-        store = store_with([("u1", "a", True), ("u2", "a", True)])
-        assert store.neighbors("stranger") == []
+    def test_target_with_no_transactions(self, context):
+        store = store_with(context, [("u1", "a", True), ("u2", "a", True)])
+        assert store.neighbors(view_of(store), "stranger") == []
 
-    def test_k_zero(self):
-        store = store_with([("u1", "a", True), ("u2", "a", True)])
-        assert store.neighbors("u1", k=0) == []
+    def test_k_zero(self, context):
+        store = store_with(context, [("u1", "a", True), ("u2", "a", True)])
+        assert store.neighbors(view_of(store), "u1", k=0) == []
 
-    def test_four_user_store_matches_oracle(self):
+    def test_four_user_store_matches_oracle(self, context):
         rng = random.Random(11)
         for _ in range(50):
             ratings = [(f"u{i}", item, rng.random() < 0.6)
                        for i in range(4) for item in ITEMS if rng.random() < 0.7]
-            store = store_with(ratings)
-            vectors = {u: store.vector(u) for u in [f"u{i}" for i in range(4)]}
+            store = store_with(context, ratings)
+            vectors = {u: store.vector(u, S, 0) for u in [f"u{i}" for i in range(4)]}
             for target in vectors:
                 for k in (1, 2, 10):
-                    assert store.neighbors(target, k) == \
+                    assert store.neighbors(view_of(store), target, k) == \
                         oracle_neighbors(vectors, target, k, ITEMS)
 
 
 class TestPredictRating:
-    def test_single_perfect_neighbor(self):
-        store = store_with([("t", "a", True), ("n", "a", True), ("n", "d", True)])
-        # n's vector {a, d}: sim(t, n) = 1/sqrt(2); only neighbor
-        pred = store.predict_rating("t", "d")
-        assert pred is not None
-        assert pred.score == pytest.approx(1.0)
-        assert pred.support == 1
+    """The score top_n gives an item: the similarity-weighted mean rating."""
 
-    def test_hand_weighted_mean(self):
+    def test_single_perfect_neighbor(self, context):
+        store = store_with(context, [("t", "a", True), ("n", "a", True), ("n", "d", True)])
+        # n's vector {a, d}: sim(t, n) = 1/sqrt(2); only neighbor
+        assert predicted(store, "t", "d") == pytest.approx(1.0)
+        assert len(store.neighbors(view_of(store), "t")) == 1
+
+    def test_hand_weighted_mean(self, context):
         # target {a,b}; n_full {a,b} sim 1.0 rates d=0; n_half {a,d} sim 0.5
         # rates d=1 -> (1.0*0 + 0.5*1) / 1.5 = 1/3
-        store = store_with([
+        store = store_with(context, [
             ("t", "a", True), ("t", "b", True),
             ("n_full", "a", True), ("n_full", "b", True),
             ("n_half", "a", True), ("n_half", "d", True),
         ])
-        pred = store.predict_rating("t", "d")
-        assert pred.score == pytest.approx(1 / 3, abs=0)
-        assert pred.support == 2
+        assert predicted(store, "t", "d") == pytest.approx(1 / 3, abs=0)
+        assert len(store.neighbors(view_of(store), "t")) == 2
 
-    def test_no_neighbors_gives_none(self):
-        store = store_with([("t", "a", True), ("n", "b", True)])
-        assert store.predict_rating("t", "d") is None
+    def test_no_neighbors_gives_none(self, context):
+        store = store_with(context, [("t", "a", True), ("n", "b", True)])
+        assert predicted(store, "t", "d") is None
 
 
 class TestTopN:
-    def test_n_zero(self):
-        store = store_with([("t", "a", True), ("n", "a", True)])
-        assert store.top_n("t", 0) == []
+    def test_n_zero(self, context):
+        store = store_with(context, [("t", "a", True), ("n", "a", True)])
+        assert store.top_n(view_of(store), "t", 0) == []
 
-    def test_exclude_rated_can_empty_the_list(self):
-        ratings = [("t", item, True) for item in ITEMS]
-        ratings += [("n", item, True) for item in ITEMS]
-        store = store_with(ratings)
-        assert store.top_n("t", 3, exclude_rated=True) == []
-
-    def test_small_store_matches_oracle(self):
+    def test_small_store_matches_oracle(self, context):
         rng = random.Random(12)
         index = {item: i for i, item in enumerate(ITEMS)}
         for _ in range(60):
             users = [f"u{i}" for i in range(3)]
             ratings = [(u, item, rng.random() < 0.5)
                        for u in users for item in ITEMS[:4] if rng.random() < 0.8]
-            store = store_with(ratings)
-            vectors = {u: store.vector(u) for u in users}
+            store = store_with(context, ratings)
+            vectors = {u: store.vector(u, S, 0) for u in users}
             for target in users:
-                for exclude in (False, True):
-                    got = store.top_n(target, 4, exclude_rated=exclude)
-                    want = oracle_top_n(vectors, target, 4, exclude, 10, ITEMS, index)
-                    assert [(p.item, p.score) for p in got] == want
+                assert store.top_n(view_of(store), target, 4) == \
+                    oracle_top_n(vectors, target, 4, 10, ITEMS, index)
 
 
 class TestAdviseAction:
@@ -253,6 +246,13 @@ class TestAdviseAction:
             store.record_implicit(f"u{i}", "a", False, situation=s)
         # brute force over the scoped store: "c" is unanimously accepted
         assert store.advise_action("newcomer", s) == "c"
+
+    def test_popular_item_when_no_neighbour_overlaps(self, context):
+        store = store_with(context, [("t", "a", True), ("u0", "e", True)]
+                           + [(f"u{i}", "c", True) for i in range(3)])
+        # t has history, but no one shares an item with it: popularity answers
+        assert store.neighbors(view_of(store), "t") == []
+        assert store.advise_action("t", S) == "c"
 
     def test_empty_store_gives_none(self, context):
         store = TransactionStore(CATALOG, context)
@@ -268,9 +268,9 @@ class TestAdviseAction:
         # level-0 scope (Office) is empty; level-1 scope (Paris) has the data
         assert store.advise_action("newcomer", target_key) == "b"
         # per-level brute force: level 0 view empty, level 1 view holds b
-        assert store.top_n("newcomer", 1, scope=(0, target_key)) == []
-        level1 = context.generalize(target_key, 1)
-        assert store.vector("u0", (1, level1)) == {"b": 1.0}  # visible at the city level
+        assert store.top_n(view_of(store, target_key), "newcomer", 1) == []
+        assert store.vector("u0", target_key, 0) == {}
+        assert store.vector("u0", target_key, 1) == {"b": 1.0}  # visible at the city level
 
     def test_advice_stays_in_catalog(self, context):
         rng = random.Random(13)
@@ -327,7 +327,7 @@ class TestStoreMatchesOracles:
                 user = rng.choice(users)
                 item = rng.choice(hot) if rng.random() < 0.7 else rng.choice(items)
                 positive = rng.random() < 0.5
-                s = rng.choice(situations + [None])
+                s = rng.choice(situations)
                 store.record_implicit(user, item, positive, s)
                 stream.append((user, item, positive, s))
                 overwrites += last.get((user, item)) is True and not positive
@@ -339,29 +339,20 @@ class TestStoreMatchesOracles:
 
     def _check(self, store, views, situations, targets, items, index, context,
                same_group_only):
-        scopes = {GLOBAL_SCOPE: GLOBAL_SCOPE}
         for s in situations:
             for level in range(context.depth + 1):
-                scope = (level, context.generalize(s, level))
-                scopes[scope] = (level, oracle_scope_key(scope[1], same_group_only))
-        for scope, oracle_key in scopes.items():
-            vectors = views.get(oracle_key, {})
-            for target in targets:
-                # a rated 0 is present as 0.0, an untouched item is absent
-                assert store.vector(target, scope) == vectors.get(target, {})
-                for k in (2, 10):
-                    assert store.neighbors(target, k, scope) == \
-                        oracle_neighbors(vectors, target, k, items)
-                    for item in (items[0], items[65], items[40]):
-                        got = store.predict_rating(target, item, k, scope)
-                        want = oracle_predict(vectors, target, item, k, items)
-                        assert (None if got is None else got.score) == want
-                    for n in (1, 5):
-                        for exclude in (False, True):
-                            got = store.top_n(target, n, exclude, k, scope)
-                            assert [(p.item, p.score) for p in got] == \
-                                oracle_top_n(vectors, target, n, exclude, k, items, index)
-        for s in situations:
+                view = store._views(s)[level]
+                key = (level, oracle_scope_key(context.generalize(s, level), same_group_only))
+                vectors = views.get(key, {})
+                for target in targets:
+                    # a rated 0 is present as 0.0, an untouched item is absent
+                    assert store.vector(target, s, level) == vectors.get(target, {})
+                    for k in (2, 10):
+                        assert store.neighbors(view, target, k) == \
+                            oracle_neighbors(vectors, target, k, items)
+                        for n in (1, 5, len(items)):
+                            assert store.top_n(view, target, n, k) == \
+                                oracle_top_n(vectors, target, n, k, items, index)
             for target in targets:
                 assert store.advise_action(target, s) == \
                     oracle_advise(views, target, s, items, index, context, same_group_only)
@@ -371,7 +362,7 @@ def oracle_advise(views, target, s, items, index, context, same_group_only):
     for level in range(context.depth + 1):
         key = (level, oracle_scope_key(context.generalize(s, level), same_group_only))
         vectors = views.get(key, {})
-        top = oracle_top_n(vectors, target, 1, False, 10, items, index)
+        top = oracle_top_n(vectors, target, 1, 10, items, index)
         if top:
             return top[0][0]
         popular = oracle_popular(vectors, target, items)

@@ -104,6 +104,18 @@ class TestQUpdate:
         table = QTable(default_value=0.25)
         assert table.value(key(), "a1") == 0.25
 
+    def test_best_value_matches_the_catalog_scan(self):
+        rng = random.Random(15)
+        catalog = ActionCatalog([f"a{i}" for i in range(12)])
+        for _ in range(300):
+            table = QTable(default_value=0.5)
+            # values straddle the default; some rows sit wholly below it
+            high = rng.choice((0.4, 1.0))
+            for a in rng.sample(catalog.actions, rng.randrange(len(catalog) + 1)):
+                table.set_value(key(), a, rng.uniform(-1.0, high))
+            scan = max(table.value(key(), a) for a in catalog)
+            assert table.best_value(key(), catalog) == scan
+
 
 class TestParams:
     def test_gamma_bounds(self):

@@ -236,12 +236,12 @@ class TestEnvStep:
         assert len(store) == 250
         for profile in world.users:
             user = profile.user_id
-            rated = set(store.vector(user))
-            assert bool(rated) == (user in ("u01", "u02"))
-            # situation-tagged: every rated (user, item) is indexed at level 0 too
-            scoped = set().union(*(store.vector(user, (0, key))
+            rated = [set().union(*(store.vector(user, key, level)
                                    for key in world.situations(user)))
-            assert scoped == rated
+                     for level in range(world.context.depth + 1)]
+            assert bool(rated[0]) == (user in ("u01", "u02"))
+            # situation-tagged: every rated (user, item) is indexed at every level
+            assert all(items == rated[0] for items in rated)
 
 
 class TestGroupCoherence:
