@@ -45,6 +45,12 @@ class ConfigError(Exception):
     """A spec or scenario file the runner cannot act on."""
 
 
+def _is_safe_name(name) -> bool:
+    """A variant name is a CSV field and a directory under the run's output."""
+    return (isinstance(name, str) and name not in ("", ".", "..")
+            and not any(c in name for c in ",/\\\t\n\r"))
+
+
 @dataclass(frozen=True)
 class MetricRow:
     variant: str
@@ -101,7 +107,7 @@ class ExperimentSpec:
         if len(set(names)) != len(names):
             raise ConfigError("variant names must be unique")
         for v in self.variants:
-            if not isinstance(v.get("name"), str) or not v["name"] or "," in v["name"]:
+            if not _is_safe_name(v.get("name")):
                 raise ConfigError(f"bad variant name {v.get('name')!r}")
             if v.get("variant") not in VARIANTS:
                 raise ConfigError(f"unknown agent variant {v.get('variant')!r}")

@@ -81,8 +81,8 @@ class TransactionStore:
             for level in range(self.context.depth + 1):
                 key = self.context.generalize(s, level)
                 if not self.same_group_only:
-                    key = SituationKey(key.time, key.place, "*", key.cognitive,
-                                       key.granularity)
+                    key = self.context.situation(key.time, key.place, "*",
+                                                 key.cognitive, key.granularity)
                 scoped.append(self._scoped.setdefault((level, key), {}))
             views = self._views_of[s] = tuple(scoped)
         return views

@@ -9,7 +9,13 @@ any live reverse-geocoding service so that runs stay deterministic and
 offline. Missing sensor fields map to an explicit "Unknown" sentinel so
 every event yields a usable situation.
 
-All functions here are pure: same inputs, same key, from any thread.
+Every layer indexes by situation, so situation keys are interned: a
+`ContextModel` hands out one shared `SituationKey` per distinct situation,
+and each key hashes its fields once, when it is built. Equality stays by
+value, so a key built elsewhere (say, parsed from a trace) still finds
+the interned one in a dict. The intern table only ever gains entries, and
+it is filled with `setdefault`, so the functions here behave as pure ones:
+same inputs, same key, from any thread.
 """
 
 from __future__ import annotations
@@ -72,7 +78,7 @@ class TimeBucket:
         parts = text.split("-")
         if len(parts) != 3:
             raise ValueError(f"bad time bucket string: {text!r}")
-        return cls(*parts)
+        return time_bucket(*parts)
 
 
 @dataclass(frozen=True)
@@ -155,6 +161,10 @@ class SituationKey:
     specific). Lifting a key whose place chain is shorter than the asked
     level clamps at the chain end, so the Unknown sentinel stays at
     level 0 at every granularity.
+
+    The hash is computed once, in `__post_init__`. String hashes differ
+    between interpreters, so a pickled key is rebuilt through the
+    constructor and hashes afresh wherever it is loaded.
     """
 
     time: TimeBucket
@@ -162,6 +172,17 @@ class SituationKey:
     social_group: str
     cognitive: str
     granularity: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.time, self.place, self.social_group,
+                                                self.cognitive, self.granularity)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (SituationKey, (self.time, self.place, self.social_group,
+                               self.cognitive, self.granularity))
 
     def canonical(self) -> str:
         return "|".join((self.time.canonical(), self.place, self.social_group,
@@ -184,6 +205,21 @@ class Profile:
     prior_cognitive: Optional[str] = None
 
 
+# The 16 time buckets, built once and handed out by time_bucket and
+# abstract_time, so interned situations compare their buckets by identity.
+_BUCKETS = {(part, day, state): TimeBucket(part, day, state)
+            for part in PARTS_OF_DAY for day in DAY_CLASSES for state in CALENDAR_STATES}
+
+
+def time_bucket(part_of_day: str, day_class: str, calendar_state: str) -> TimeBucket:
+    """The shared bucket for these fields; ValueError for an unknown field."""
+    try:
+        return _BUCKETS[part_of_day, day_class, calendar_state]
+    except KeyError:
+        # not one of the 16: the constructor raises, naming the bad field
+        return TimeBucket(part_of_day, day_class, calendar_state)
+
+
 def abstract_time(timestamp: int, calendar: Iterable[CalendarEntry] = ()) -> TimeBucket:
     """Map a timestamp (plus calendar) to its bucket. Total function."""
     if timestamp < 0:
@@ -204,7 +240,7 @@ def abstract_time(timestamp: int, calendar: Iterable[CalendarEntry] = ()) -> Tim
         if entry.start <= timestamp < entry.end:
             state = "InMeeting"
             break
-    return TimeBucket(part, day_class, state)
+    return _BUCKETS[part, day_class, state]
 
 
 def parse_gazetteer(lines: Iterable[str], source: str = "<gazetteer>") -> list[PlaceNode]:
@@ -260,9 +296,11 @@ class ContextModel:
                 cursor = self.nodes[cursor.parent]
             self._chains[node.name] = tuple(chain)
         self.depth = max(len(c) - 1 for c in self._chains.values())
-        # chain length minus one == how deep the node sits below the root
-        self._node_depth = {name: len(chain) - 1
-                            for name, chain in self._chains.items()}
+        # reverse geocoding's scan order: deepest first (chain length minus
+        # one is the depth below the root), same-depth ties by name
+        self._scan = sorted(nodes, key=lambda n: (-len(self._chains[n.name]), n.name))
+        # (time, place, group, cognitive, granularity) -> the one shared key
+        self._interned: dict[tuple, SituationKey] = {}
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ContextModel":
@@ -290,14 +328,23 @@ class ContextModel:
         """
         if not (-90.0 <= lat <= 90.0) or not (-180.0 <= lon <= 180.0):
             raise ValueError(f"invalid coordinates ({lat}, {lon})")
-        containing = [n for n in self.nodes.values() if n.contains(lat, lon)]
-        if containing:
-            return min(containing, key=lambda n: (-self._node_depth[n.name], n.name))
+        for node in self._scan:
+            if node.contains(lat, lon):
+                return node
 
         def dist2(node: PlaceNode) -> float:
             return (node.centroid_lat - lat) ** 2 + (node.centroid_lon - lon) ** 2
 
         return min(self.nodes.values(), key=lambda n: (dist2(n), n.name))
+
+    def situation(self, time: TimeBucket, place: str, social_group: str,
+                  cognitive: str, granularity: int) -> SituationKey:
+        """The one shared key for these fields, built on first request."""
+        fields = (time, place, social_group, cognitive, granularity)
+        key = self._interned.get(fields)
+        if key is None:
+            key = self._interned.setdefault(fields, SituationKey(*fields))
+        return key
 
     def aggregate(self, event: RawEvent, profile: Profile, level: int) -> SituationKey:
         """Compose time, lifted place, group and cognitive class into one key."""
@@ -315,8 +362,8 @@ class ContextModel:
             cognitive = event.cognitive.kind
         else:
             cognitive = getattr(profile, "prior_cognitive", None) or UNKNOWN_COGNITIVE
-        return SituationKey(bucket, chain[effective], profile.social_group,
-                            cognitive, effective)
+        return self.situation(bucket, chain[effective], profile.social_group,
+                              cognitive, effective)
 
     def enumerate_granularities(self, event: RawEvent, profile: Profile) -> list[SituationKey]:
         """All keys for an event from most specific to most general, deduped."""
@@ -335,7 +382,5 @@ class ContextModel:
             raise ValueError(f"granularity level {level} outside 0..{self.depth}")
         chain = self.place_chain(key.place)
         hop = min(level - key.granularity, len(chain) - 1)
-        if hop == 0 and level == key.granularity:
-            return key
-        return SituationKey(key.time, chain[hop], key.social_group,
-                            key.cognitive, key.granularity + hop)
+        return self.situation(key.time, chain[hop], key.social_group,
+                              key.cognitive, key.granularity + hop)

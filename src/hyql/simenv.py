@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .context import (CalendarEntry, CognitiveAction, ContextModel, HOUR_RANGES,
                       RawEvent, SECONDS_PER_DAY, SECONDS_PER_HOUR, SituationKey,
-                      TimeBucket)
+                      TimeBucket, time_bucket)
 from .qlearn import ActionCatalog, ActionId, CatalogError
 
 DRIFT_OPS = ("SwapTopItems", "ResampleRow")
@@ -53,7 +53,7 @@ class RoutineTriple:
     weight: float
 
     def bucket(self) -> TimeBucket:
-        return TimeBucket(self.part_of_day, self.day_class, self.calendar_state)
+        return time_bucket(self.part_of_day, self.day_class, self.calendar_state)
 
 
 @dataclass
@@ -82,11 +82,13 @@ class DriftOp:
     def __post_init__(self):
         if self.op not in DRIFT_OPS:
             raise ValueError(f"unknown drift op {self.op!r}")
+        if self.step < 0:
+            raise ValueError(f"drift step {self.step} is negative")
 
 
-def situation_for(triple: RoutineTriple, group: str) -> SituationKey:
-    """The level-0 key this routine habit lands on."""
-    return SituationKey(triple.bucket(), triple.place, group, triple.cognitive, 0)
+def situation_for(context: ContextModel, triple: RoutineTriple, group: str) -> SituationKey:
+    """The level-0 key this routine habit lands on, interned by `context`."""
+    return context.situation(triple.bucket(), triple.place, group, triple.cognitive, 0)
 
 
 @dataclass
@@ -111,7 +113,8 @@ class WorldModel:
 
     def situations(self, user_id: str) -> list[SituationKey]:
         profile = self.user(user_id)
-        return [situation_for(t, profile.social_group) for t in profile.routine]
+        return [situation_for(self.context, t, profile.social_group)
+                for t in profile.routine]
 
     def row(self, user_id: str, s: SituationKey) -> list[float]:
         try:
@@ -124,14 +127,16 @@ class WorldModel:
         profile = self.user(user_id)
         total = 0.0
         for triple in profile.routine:
-            row = self.row(user_id, situation_for(triple, profile.social_group))
+            row = self.row(user_id, situation_for(self.context, triple,
+                                                  profile.social_group))
             total += triple.weight * max(row)
         return total
 
 
-def _mix(prototype: float, personal: float, affinity: float) -> float:
-    value = affinity * prototype + (1.0 - affinity) * personal
-    return min(1.0, max(0.0, value))
+def _mix_row(proto: Sequence[float], rng: random.Random, affinity: float) -> list[float]:
+    """A user's row: each prototype value mixed with one fresh personal draw."""
+    return [min(1.0, max(0.0, affinity * p + (1.0 - affinity) * rng.random()))
+            for p in proto]
 
 
 def user_ids(n_users: int) -> list[str]:
@@ -141,7 +146,8 @@ def user_ids(n_users: int) -> list[str]:
 
 def _population(n_users: int, n_groups: int, n_items: int, affinity: float,
                 routines: Optional[dict[str, Sequence[RoutineTriple]]],
-                context: ContextModel) -> tuple[list[str], dict, list[UserProfile]]:
+                context: ContextModel,
+                drift: Sequence[DriftOp]) -> tuple[list[str], dict, list[UserProfile]]:
     """Groups, routines and profiles, after every check needing no random draw."""
     if n_users < 1 or n_items < 1 or n_groups < 1:
         raise ValueError("population needs at least one user, group and item")
@@ -158,6 +164,16 @@ def _population(n_users: int, n_groups: int, n_items: int, affinity: float,
     users = [UserProfile(user_id, groups[i % n_groups], affinity,
                          tuple(routines[groups[i % n_groups]]))
              for i, user_id in enumerate(user_ids(n_users))]
+    for op in drift:
+        # a drift op that would touch no row is a mistake, not a no-op
+        members = [u for u in users if op.target in (u.user_id, u.social_group)]
+        if not members:
+            raise ValueError(f"drift target {op.target!r} names no user or group")
+        scopes = {situation_for(context, t, members[0].social_group).canonical()
+                  for t in members[0].routine}
+        if op.scope != "all" and op.scope not in scopes:
+            raise ValueError(f"drift scope {op.scope!r} is neither 'all' nor a "
+                             f"situation of {op.target!r}'s routine")
     return groups, routines, users
 
 
@@ -175,22 +191,21 @@ def build_population(n_users: int, n_groups: int, n_items: int, affinity: float,
     """
     context = context or ContextModel.default()
     groups, routines, users = _population(n_users, n_groups, n_items, affinity,
-                                          routines, context)
+                                          routines, context, drift)
     catalog = ActionCatalog([f"doc{i:02d}" for i in range(n_items)])
 
     prototypes: dict[tuple[str, SituationKey], list[float]] = {}
     for group in groups:
         for triple in routines[group]:
-            key = situation_for(triple, group)
+            key = situation_for(context, triple, group)
             prototypes[(group, key)] = [rng.random() for _ in range(n_items)]
 
     relevance: dict[tuple[str, SituationKey], list[float]] = {}
     for profile in users:
         for triple in profile.routine:
-            key = situation_for(triple, profile.social_group)
+            key = situation_for(context, triple, profile.social_group)
             proto = prototypes[(profile.social_group, key)]
-            relevance[(profile.user_id, key)] = [
-                _mix(proto[i], rng.random(), affinity) for i in range(n_items)]
+            relevance[(profile.user_id, key)] = _mix_row(proto, rng, affinity)
 
     return WorldModel(users=users, catalog=catalog, relevance=relevance,
                       prototypes=prototypes,
@@ -216,14 +231,15 @@ def default_routine() -> tuple[RoutineTriple, ...]:
 # Event synthesis
 # ---------------------------------------------------------------------------
 
-def _sample_triple(routine: Sequence[RoutineTriple], rng: random.Random) -> RoutineTriple:
+def _sample_habit(routine: Sequence[RoutineTriple], rng: random.Random) -> int:
+    """The index of one routine habit, drawn by weight with one random number."""
     u = rng.random()
     acc = 0.0
-    for triple in routine:
+    for i, triple in enumerate(routine):
         acc += triple.weight
         if u < acc:
-            return triple
-    return routine[-1]
+            return i
+    return len(routine) - 1
 
 
 def gen_event(world: WorldModel, user_id: str, step: int, rng: random.Random) -> RawEvent:
@@ -234,7 +250,7 @@ def gen_event(world: WorldModel, user_id: str, step: int, rng: random.Random) ->
     class. Coordinates are uniform inside the place's bounding region.
     """
     profile = world.user(user_id)
-    triple = _sample_triple(profile.routine, rng)
+    triple = profile.routine[_sample_habit(profile.routine, rng)]
 
     day_number = step // world.day_length
     pos_in_day = (step % world.day_length) / world.day_length
@@ -316,9 +332,8 @@ def apply_drift(world: WorldModel, step: int) -> int:
                 if proto_key not in redrawn:
                     world.prototypes[proto_key] = [rng.random() for _ in world.catalog]
                     redrawn.add(proto_key)
-                proto = world.prototypes[proto_key]
-                world.relevance[(user_id, key)] = [
-                    _mix(p, rng.random(), profile.group_affinity) for p in proto]
+                world.relevance[(user_id, key)] = _mix_row(
+                    world.prototypes[proto_key], rng, profile.group_affinity)
     return fired
 
 
@@ -347,6 +362,13 @@ class SimEnv:
         self.global_step = 0
         self.event_log: list[tuple[int, RawEvent]] = []
         self._situation: dict[str, SituationKey] = {}
+        # per background user: its routine and the relevance key of each habit
+        self._habits = []
+        for user_id in self.background_users:
+            profile = world.user(user_id)
+            self._habits.append((profile.routine, [
+                (user_id, situation_for(world.context, t, profile.social_group))
+                for t in profile.routine]))
 
     def reset(self, user_id: str) -> RawEvent:
         event = gen_event(self.world, user_id, 0, self.event_rng)
@@ -368,15 +390,17 @@ class SimEnv:
         if self.cf_store is None or not self.background_users:
             return 0
         rng = self.background_rng
+        habits = self._habits
+        actions = self.world.catalog.actions
+        # rows are read on every write: a ResampleRow drift replaces them
+        relevance = self.world.relevance
+        record = self.cf_store.record_implicit
         for _ in range(n_events):
-            user_id = self.background_users[rng.randrange(len(self.background_users))]
-            profile = self.world.user(user_id)
-            triple = _sample_triple(profile.routine, rng)
-            key = situation_for(triple, profile.social_group)
-            item = self.world.catalog.actions[rng.randrange(len(self.world.catalog))]
-            probability = self.world.row(user_id, key)[self.world.catalog.index(item)]
-            accepted = rng.random() < probability
-            self.cf_store.record_implicit(user_id, item, accepted, key)
+            routine, row_keys = habits[rng.randrange(len(habits))]
+            row_key = row_keys[_sample_habit(routine, rng)]
+            i = rng.randrange(len(actions))
+            accepted = rng.random() < relevance[row_key][i]
+            record(row_key[0], actions[i], accepted, row_key[1])
         return n_events
 
     def step(self, user_id: str, action: ActionId) -> tuple[float, RawEvent]:
@@ -427,4 +451,4 @@ def check_scenario(scenario: dict, context: ContextModel) -> None:
     """Raise what world_from_scenario would raise, without drawing a random number."""
     args = _population_args(scenario, context)
     _population(args["n_users"], args["n_groups"], args["n_items"], args["affinity"],
-                args["routines"], context)
+                args["routines"], context, args["drift"])

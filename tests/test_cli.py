@@ -106,11 +106,17 @@ def routines_with(**changes):
     {"scenario": {"groups": 2}},
     {"scenario": {"routines": routines_with(weight=0.9)}},
     {"scenario": {"routines": routines_with(part_of_day="Dawn")}},
+    {"scenario": {"drift": [{"step": 10, "op": "SwapTopItems", "target": "g7"}]}},
+    {"scenario": {"drift": [{"step": 10, "op": "SwapTopItems", "target": "g0",
+                             "scope": "nonsense"}]}},
+    {"scenario": {"drift": [{"step": -1, "op": "SwapTopItems", "target": "g0"}]}},
+    {"variants": [dict(HYQL, name="../../escaped")]},
 ], ids=["unknown-override", "p", "alpha", "gamma", "variants-string",
         "variants-object", "metrics-string", "threshold-window", "recovery-window",
         "feature-weights-sum", "retrieval-threshold", "agent-user-not-in-population",
         "cf-k", "routine-place", "drift-op", "group-without-routine",
-        "routine-weights-sum", "part-of-day"])
+        "routine-weights-sum", "part-of-day", "drift-target", "drift-scope",
+        "drift-step-negative", "variant-name-path"])
 def test_bad_spec_exits_2_before_writing(tmp_path, changes):
     out = tmp_path / "out"
     assert main(["run", str(write_spec(tmp_path, **changes)), "--out", str(out)]) \

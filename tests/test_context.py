@@ -1,6 +1,14 @@
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import hyql
 
 from hyql.context import (CalendarEntry, CognitiveAction, ContextModel,
                           GazetteerError, PlaceNode, Profile, RawEvent,
@@ -93,6 +101,66 @@ class TestAbstractLocation:
         # Office is inside the Paris box; the leaf must win
         node = context.abstract_location(48.85, 2.33)
         assert node.name == "Office"
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_scan_matches_the_min_over_containing_nodes(self, context, data):
+        lat, lon = data.draw(points_near(context))
+        assert context.abstract_location(lat, lon).name == \
+            oracle_location(context, lat, lon).name
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_scan_matches_oracle_on_overlapping_siblings(self, data):
+        ctx = data.draw(overlapping_gazetteers())
+        lat, lon = data.draw(points_near(ctx))
+        assert ctx.abstract_location(lat, lon).name == oracle_location(ctx, lat, lon).name
+
+
+def oracle_location(ctx, lat, lon):
+    """Deepest containing node, ties by name; else the nearest centroid."""
+    depth = {name: len(ctx.place_chain(name)) - 1 for name in ctx.nodes}
+    containing = [n for n in ctx.nodes.values() if n.contains(lat, lon)]
+    if containing:
+        return min(containing, key=lambda n: (-depth[n.name], n.name))
+    return min(ctx.nodes.values(),
+               key=lambda n: ((n.centroid_lat - lat) ** 2 + (n.centroid_lon - lon) ** 2,
+                              n.name))
+
+
+def points_near(ctx):
+    """Points anywhere, inside and around the boxes, and exactly on box edges."""
+    nodes = list(ctx.nodes.values())
+    edge_lats = sorted({v for n in nodes for v in (n.lat_min, n.lat_max)})
+    edge_lons = sorted({v for n in nodes for v in (n.lon_min, n.lon_max)})
+    finite = dict(allow_nan=False, allow_infinity=False)
+    anywhere = st.tuples(st.floats(-90.0, 90.0, **finite), st.floats(-180.0, 180.0, **finite))
+    near = st.tuples(
+        st.floats(max(-90.0, edge_lats[0] - 1), min(90.0, edge_lats[-1] + 1), **finite),
+        st.floats(max(-180.0, edge_lons[0] - 1), min(180.0, edge_lons[-1] + 1), **finite))
+    on_edges = st.tuples(st.sampled_from(edge_lats), st.sampled_from(edge_lons))
+    edge_and_near = st.tuples(st.sampled_from(edge_lats), near.map(lambda p: p[1]))
+    return st.one_of(anywhere, near, on_edges, edge_and_near)
+
+
+@st.composite
+def overlapping_gazetteers(draw):
+    """A random tree of integer-cornered boxes on a 10 x 10 grid, no global root.
+
+    Siblings overlap and share edges, and names are dealt in random order,
+    so the same-depth tie by name decides many points.
+    """
+    n = draw(st.integers(2, 8))
+    names = draw(st.permutations("ABCDEFGH"))[:n]
+    lines = []
+    for i, name in enumerate(names):
+        parent = "" if i == 0 else names[draw(st.integers(0, i - 1))]
+        lat_lo, lat_hi = sorted(draw(st.lists(st.integers(0, 10), min_size=2, max_size=2)))
+        lon_lo, lon_hi = sorted(draw(st.lists(st.integers(0, 10), min_size=2, max_size=2)))
+        clat = draw(st.integers(lat_lo, lat_hi))
+        clon = draw(st.integers(lon_lo, lon_hi))
+        lines.append(f"{name},Other,{parent},{lat_lo},{lat_hi},{lon_lo},{lon_hi},{clat},{clon}")
+    return ContextModel(parse_gazetteer(lines))
 
 
 class TestGazetteer:
@@ -216,6 +284,37 @@ class TestSituationKey:
         b = SituationKey(bucket, "Office", "g0", "Navigate", 0)
         assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
+
+    def test_equal_situations_share_one_key(self, context):
+        a = context.aggregate(office_event(), Profile("g0"), 0)
+        assert context.aggregate(office_event(ts(TUESDAY, 11, 45)), Profile("g0"), 0) is a
+        lifted = context.aggregate(office_event(), Profile("g0"), 1)
+        assert context.generalize(a, 1) is lifted
+        assert context.generalize(a, 0) is a
+        # a key built outside the model lifts to the shared keys too
+        outside = SituationKey(TimeBucket("Morning", "Weekday", "Free"),
+                               "Office", "g0", "Navigate", 0)
+        assert outside is not a
+        assert context.generalize(outside, 0) is a
+        assert context.generalize(outside, 1) is lifted
+
+    def test_pickled_key_hashes_where_it_is_loaded(self, context):
+        # another interpreter hashes strings with another seed
+        hash_seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        code = ("import pickle, sys\n"
+                "from hyql.context import ContextModel, TimeBucket\n"
+                "key = ContextModel.default().situation(\n"
+                "    TimeBucket('Morning', 'Weekday', 'Free'), 'Office', 'g0', 'Navigate', 0)\n"
+                "sys.stdout.buffer.write(pickle.dumps(key))\n")
+        src = str(Path(hyql.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        loaded = pickle.loads(subprocess.run([sys.executable, "-c", code], env=env,
+                                             capture_output=True, check=True).stdout)
+        local = context.situation(TimeBucket("Morning", "Weekday", "Free"),
+                                  "Office", "g0", "Navigate", 0)
+        assert loaded == local and hash(loaded) == hash(local)
+        assert {local: "found"}.get(loaded) == "found"
 
 
 class TestRawEvent:

@@ -3,11 +3,11 @@ import random
 import pytest
 
 from hyql.collab import TransactionStore
-from hyql.context import Profile
+from hyql.context import Profile, SituationKey
 from hyql.qlearn import ActionCatalog
 from hyql.simenv import (DriftOp, RoutineTriple, SimEnv, apply_drift,
-                         build_population, default_routine, gen_event, reward,
-                         situation_for, world_from_scenario)
+                         build_population, check_scenario, default_routine,
+                         gen_event, reward, situation_for, world_from_scenario)
 
 
 def small_world(seed=0, n_users=4, affinity=0.8, n_items=5, drift=()):
@@ -63,7 +63,7 @@ class TestGenEvent:
         world = build_population(2, 1, 4, 0.8, rng,
                                  routines={"g0": SINGLE_TRIPLE}, seed=1)
         evt_rng = random.Random(2)
-        expected = situation_for(SINGLE_TRIPLE[0], "g0")
+        expected = situation_for(world.context, SINGLE_TRIPLE[0], "g0")
         for step in range(100):
             event = gen_event(world, "u00", step, evt_rng)
             key = world.context.aggregate(event, Profile("g0"), 0)
@@ -79,14 +79,14 @@ class TestGenEvent:
         world = small_world(seed=5)
         profile = world.users[0]
         rng = random.Random(6)
-        counts = {situation_for(t, "g0"): 0 for t in profile.routine}
+        counts = {situation_for(world.context, t, "g0"): 0 for t in profile.routine}
         n = 10_000
         for step in range(n):
             event = gen_event(world, "u00", step, rng)
             key = world.context.aggregate(event, Profile("g0"), 0)
             counts[key] += 1
         for triple in profile.routine:
-            freq = counts[situation_for(triple, "g0")] / n
+            freq = counts[situation_for(world.context, triple, "g0")] / n
             assert abs(freq - triple.weight) <= 0.02
 
     def test_events_abstract_back_to_routine_keys(self):
@@ -243,6 +243,51 @@ class TestEnvStep:
             # situation-tagged: every rated (user, item) is indexed at every level
             assert all(items == rated[0] for items in rated)
 
+    def test_background_burst_reads_rows_a_resample_replaced(self):
+        background = ["u00", "u01", "u02", "u03"]
+        world = small_world(seed=25, drift=[DriftOp(0, "ResampleRow", "g0")])
+        store = TransactionStore(world.catalog, world.context)
+        env = SimEnv(world, store, background_users=background)
+        ref_world = small_world(seed=25, drift=[DriftOp(0, "ResampleRow", "g0")])
+        ref_store = TransactionStore(ref_world.catalog, ref_world.context)
+        ref_rng = random.Random()
+        ref_rng.setstate(env.background_rng.getstate())
+
+        env.background_burst(200)
+        reference_burst(ref_world, ref_store, ref_rng, background, 200)
+        rows_before = dict(world.relevance)
+        assert apply_drift(world, 0) == apply_drift(ref_world, 0) == 1
+        assert all(world.relevance[k] is not row for k, row in rows_before.items())
+        env.background_burst(400)
+        reference_burst(ref_world, ref_store, ref_rng, background, 400)
+
+        assert env.background_rng.getstate() == ref_rng.getstate()
+        for user in background:
+            for key in world.situations(user):
+                for level in range(world.context.depth + 1):
+                    assert store.vector(user, key, level) == \
+                        ref_store.vector(user, key, level)
+
+
+def reference_burst(world, store, rng, background_users, n_events):
+    """Reference background write loop: every key, row and index looked up per event."""
+    for _ in range(n_events):
+        user_id = background_users[rng.randrange(len(background_users))]
+        profile = world.user(user_id)
+        u = rng.random()
+        acc = 0.0
+        triple = profile.routine[-1]
+        for candidate in profile.routine:
+            acc += candidate.weight
+            if u < acc:
+                triple = candidate
+                break
+        key = SituationKey(triple.bucket(), triple.place, profile.social_group,
+                           triple.cognitive, 0)
+        item = world.catalog.actions[rng.randrange(len(world.catalog))]
+        probability = world.row(user_id, key)[world.catalog.index(item)]
+        store.record_implicit(user_id, item, rng.random() < probability, key)
+
 
 class TestGroupCoherence:
     def test_row_distance_non_increasing_in_affinity(self):
@@ -268,6 +313,14 @@ class TestScenario:
         assert len(world.catalog) == 20
         assert len(world.situations("u10")) == 6
         assert world.drift_schedule[0].step == 1000
+
+    def test_check_scenario_takes_a_scope_from_the_targets_routine(
+            self, canonical_scenario, context):
+        key = world_from_scenario(canonical_scenario, 7).situations("u03")[2]
+        for target in ("u03", "g0"):
+            drift = [{"step": 5, "op": "ResampleRow", "target": target,
+                      "scope": key.canonical()}]
+            check_scenario(dict(canonical_scenario, drift=drift), context)
 
     def test_scenario_determinism(self, canonical_scenario):
         a = world_from_scenario(canonical_scenario, 3)
