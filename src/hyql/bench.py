@@ -101,6 +101,7 @@ class ExperimentSpec:
                               f"one of the scenario's {len(population)} users")
         try:
             check_scenario(self.scenario, ContextModel.default())
+            _background_counts(self.scenario)
         except (KeyError, TypeError, AttributeError, ValueError, GazetteerError) as exc:
             raise ConfigError(f"bad scenario: {exc}") from None
         names = [v.get("name") for v in self.variants]
@@ -265,6 +266,16 @@ class TrialResult:
     drift_step: Optional[int]
 
 
+def _background_counts(scenario: dict) -> tuple[int, int]:
+    """The scenario's warm-start events and background events per step."""
+    counts = (int(scenario.get("warm_start_events", 0)),
+              int(scenario.get("background_rate", 0)))
+    if min(counts) < 0:
+        raise ValueError(f"warm_start_events and background_rate must be >= 0, "
+                         f"got {counts[0]} and {counts[1]}")
+    return counts
+
+
 def agent_config_from_variant(variant: dict, scenario: dict, seed: int) -> AgentConfig:
     overrides = {k: v for k, v in variant.items() if k not in ("name",)}
     overrides.setdefault("episode_length", int(scenario.get("day_length", 50)))
@@ -284,9 +295,9 @@ def run_trial(scenario: dict, variant: dict, seed: int, steps: int,
     cf_store = TransactionStore(world.catalog, world.context,
                                 bool(scenario.get("cf_same_group_only", True)))
     background_users = [u.user_id for u in world.users if u.user_id != focal]
-    env = SimEnv(world, cf_store, int(scenario.get("background_rate", 0)),
-                 background_users)
-    env.background_burst(int(scenario.get("warm_start_events", 0)))
+    warm_start_events, background_rate = _background_counts(scenario)
+    env = SimEnv(world, cf_store, background_rate, background_users)
+    env.background_burst(warm_start_events)
 
     config = agent_config_from_variant(variant, scenario, seed)
     agent = Agent(config, world.catalog, world.context, profile, cf_store)

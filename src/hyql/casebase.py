@@ -152,7 +152,10 @@ class CaseBase:
 
     def retain(self, problem: SituationKey, q_row: dict[ActionId, float],
                visits: int, mean_reward: float, user_id: str, step: int) -> Case:
-        """Insert a finished experience; revise an identical problem in place.
+        """Insert a finished experience; revise an equal problem in place.
+
+        Equal means an equal key, not a similarity of 1.0: with some valid
+        weights, identical problems score a float just below 1.0.
 
         Over capacity, the lowest-mean-reward case is evicted, oldest first
         on ties.
@@ -161,7 +164,7 @@ class CaseBase:
                     order=self._next_order)
         self._next_order += 1
         for i, existing in enumerate(self.cases):
-            if self.similarity(problem, existing.problem) == 1.0:
+            if existing.problem == problem:
                 self.cases[i] = case
                 return case
         self.cases.append(case)

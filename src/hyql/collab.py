@@ -118,18 +118,17 @@ class TransactionStore:
                   k: int = DEFAULT_NEIGHBORS) -> list[tuple[str, float]]:
         """k most similar other users in the view with similarity > 0, sorted.
 
-        Descending similarity, ties broken by ascending user id.
+        Descending similarity, ties broken by ascending user id; that key is
+        a total order, so the view's insertion order never shows. The cosine
+        is positive exactly when two users share a positive bit, so a user
+        sharing none is skipped without computing it.
         """
         if k <= 0:
             return []
         target_bits = view[target][0] if target in view else 0
-        scored = []
-        for user_id in sorted(view):
-            if user_id == target:
-                continue
-            sim = cosine_similarity(target_bits, view[user_id][0])
-            if sim > 0.0:
-                scored.append((user_id, sim))
+        scored = [(user_id, cosine_similarity(target_bits, bits))
+                  for user_id, (bits, _) in view.items()
+                  if bits & target_bits and user_id != target]
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
         return scored[:k]
 
@@ -165,17 +164,31 @@ class TransactionStore:
         Advice asks for it at a level whenever no other user in that view
         has a positive cosine with the target, a target with history
         included. None when no other user in the view rated anything 1.
+
+        The counts are bit-sliced: bit i of planes[j] is bit j of item i's
+        count, and each user's positive bits are ripple-added into the
+        planes. Narrowing the candidates from the top plane down keeps
+        exactly the items with the highest count; the lowest set bit is the
+        first of them.
         """
-        counts = [0] * len(self.catalog)
-        for user_id, (bits, _) in view.items():
-            if user_id == target:
+        planes: list[int] = []
+        for user_id, (carry, _) in view.items():
+            if not carry or user_id == target:
                 continue
-            while bits:
-                low = bits & -bits
-                counts[low.bit_length() - 1] += 1
-                bits ^= low
-        best = max(range(len(counts)), key=counts.__getitem__)
-        return self.catalog.actions[best] if counts[best] else None
+            for j, plane in enumerate(planes):
+                planes[j] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                planes.append(carry)
+        if not planes:
+            return None
+        best = planes[-1]  # never 0: a plane is added only for a carry out of the top
+        for plane in reversed(planes[:-1]):
+            if best & plane:
+                best &= plane
+        return self.catalog.actions[(best & -best).bit_length() - 1]
 
     def advise_action(self, target: str, s: SituationKey) -> Optional[ActionId]:
         """Top-1 recommendation for the situation, walking granularities.

@@ -56,7 +56,12 @@ class GazetteerError(Exception):
 
 @dataclass(frozen=True)
 class TimeBucket:
-    """Discretized time: part of day, weekday/weekend, calendar state."""
+    """Discretized time: part of day, weekday/weekend, calendar state.
+
+    Like `SituationKey`, it hashes once, in `__post_init__`; a pickled
+    bucket loads as the shared one `time_bucket` hands out, hashed by the
+    interpreter that loads it.
+    """
 
     part_of_day: str
     day_class: str
@@ -69,6 +74,14 @@ class TimeBucket:
             raise ValueError(f"bad day_class: {self.day_class!r}")
         if self.calendar_state not in CALENDAR_STATES:
             raise ValueError(f"bad calendar_state: {self.calendar_state!r}")
+        object.__setattr__(self, "_hash", hash((self.part_of_day, self.day_class,
+                                                self.calendar_state)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (time_bucket, (self.part_of_day, self.day_class, self.calendar_state))
 
     def canonical(self) -> str:
         return f"{self.part_of_day}-{self.day_class}-{self.calendar_state}"

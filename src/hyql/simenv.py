@@ -52,6 +52,10 @@ class RoutineTriple:
     cognitive: str
     weight: float
 
+    def __post_init__(self):
+        if not self.weight >= 0.0:
+            raise ValueError(f"routine weight must be >= 0, got {self.weight}")
+
     def bucket(self) -> TimeBucket:
         return time_bucket(self.part_of_day, self.day_class, self.calendar_state)
 
@@ -134,9 +138,18 @@ class WorldModel:
 
 
 def _mix_row(proto: Sequence[float], rng: random.Random, affinity: float) -> list[float]:
-    """A user's row: each prototype value mixed with one fresh personal draw."""
-    return [min(1.0, max(0.0, affinity * p + (1.0 - affinity) * rng.random()))
-            for p in proto]
+    """A user's row: each prototype value mixed with one fresh personal draw.
+
+    A mix of values in [0, 1] stays in [0, 1], so the row is clamped only
+    when some value may have left it; clamping a value in (0, 1] returns
+    it unchanged, and a zero is clamped so that it is always +0.0.
+    """
+    draw = rng.random
+    personal = 1.0 - affinity
+    row = [affinity * p + personal * draw() for p in proto]
+    if min(row) <= 0.0 or max(row) > 1.0:
+        row = [min(1.0, max(0.0, x)) for x in row]
+    return row
 
 
 def user_ids(n_users: int) -> list[str]:

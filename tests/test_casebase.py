@@ -167,6 +167,28 @@ class TestRetain:
         assert len(base) == 1
         assert base.retrieve(skey()).case.solution == {"a0": 2.0}
 
+    def test_equal_problem_is_revised_whatever_the_weights(self, context):
+        base = CaseBase(context, feature_weights=(0.7, 0.1, 0.1, 0.1))
+        # identical problems do not score exactly 1.0 under these weights
+        assert base.similarity(skey(), skey()) < 1.0
+        rng = random.Random(25)
+        keys = [random_key(rng) for _ in range(300)]
+        for i, key in enumerate(keys):
+            base.retain(key, {"a0": float(i)}, visits=5, mean_reward=0.5,
+                        user_id="u0", step=i)
+        assert len(base) == len(set(keys))
+        last = {key: float(i) for i, key in enumerate(keys)}
+        assert {case.problem: case.solution["a0"] for case in base.cases} == last
+
+    def test_problems_differing_in_a_zero_weight_feature_are_two_cases(self, context):
+        base = CaseBase(context, feature_weights=(0.5, 0.5, 0.0, 0.0))
+        assert base.similarity(skey(group="g0"), skey(group="g1")) == 1.0
+        base.retain(skey(group="g0"), {"a0": 1.0}, visits=5, mean_reward=0.5,
+                    user_id="u0", step=1)
+        base.retain(skey(group="g1"), {"a0": 2.0}, visits=5, mean_reward=0.5,
+                    user_id="u1", step=2)
+        assert [case.problem.social_group for case in base.cases] == ["g0", "g1"]
+
     def test_eviction_matches_brute_force(self, context):
         rng = random.Random(22)
         for _ in range(20):

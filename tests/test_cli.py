@@ -87,6 +87,14 @@ def routines_with(**changes):
     return routines
 
 
+def routines_with_negative_weight():
+    """The canonical routines, still summing to 1, one habit weighted -0.1."""
+    routines = load_scenario("canonical")["routines"]
+    routines["g0"][0]["weight"] += 0.3  # 0.3 -> 0.6
+    routines["g0"][1]["weight"] -= 0.3  # 0.2 -> -0.1
+    return routines
+
+
 @pytest.mark.parametrize("changes", [
     {"variants": [dict(HYQL, alhpa=0.5)]},
     {"variants": [dict(HYQL, p=1.5)]},
@@ -111,12 +119,16 @@ def routines_with(**changes):
                              "scope": "nonsense"}]}},
     {"scenario": {"drift": [{"step": -1, "op": "SwapTopItems", "target": "g0"}]}},
     {"variants": [dict(HYQL, name="../../escaped")]},
+    {"scenario": {"warm_start_events": -5}},
+    {"scenario": {"background_rate": -3}},
+    {"scenario": {"routines": routines_with_negative_weight()}},
 ], ids=["unknown-override", "p", "alpha", "gamma", "variants-string",
         "variants-object", "metrics-string", "threshold-window", "recovery-window",
         "feature-weights-sum", "retrieval-threshold", "agent-user-not-in-population",
         "cf-k", "routine-place", "drift-op", "group-without-routine",
         "routine-weights-sum", "part-of-day", "drift-target", "drift-scope",
-        "drift-step-negative", "variant-name-path"])
+        "drift-step-negative", "variant-name-path", "warm-start-negative",
+        "background-rate-negative", "routine-weight-negative"])
 def test_bad_spec_exits_2_before_writing(tmp_path, changes):
     out = tmp_path / "out"
     assert main(["run", str(write_spec(tmp_path, **changes)), "--out", str(out)]) \

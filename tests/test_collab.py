@@ -193,6 +193,93 @@ class TestNeighbors:
                         oracle_neighbors(vectors, target, k, ITEMS)
 
 
+    def test_independent_of_insertion_order(self, context):
+        rng = random.Random(14)
+        items = [f"i{n:02d}" for n in range(70)]
+        patterns = [rng.getrandbits(70) for _ in range(6)]
+        # few patterns over many users: lots of equal similarities, so the
+        # user-id tie rule decides the order
+        view = {f"u{i:03d}": [patterns[rng.randrange(6)], 0] for i in range(60)}
+        view["u007"] = [0, 1]  # rated something, but nothing 1
+        store = TransactionStore(ActionCatalog(items), context)
+        vectors = {user: {items[i]: 1.0 for i in range(70) if bits >> i & 1}
+                   for user, (bits, _) in view.items()}
+        for target in ("u000", "u007", "u031", "stranger"):
+            expected = {k: oracle_neighbors(vectors, target, k, items) for k in (1, 3, 10, 100)}
+            for order in (sorted(view), sorted(view, reverse=True),
+                          rng.sample(sorted(view), len(view))):
+                reordered = {user: view[user] for user in order}
+                for k, want in expected.items():
+                    assert store.neighbors(reordered, target, k) == want
+
+
+def oracle_popular_index(view, target, n_items):
+    """Per-bit count over the other users; the first index of the highest count."""
+    counts = [sum(bits >> i & 1 for user, (bits, _) in view.items() if user != target)
+              for i in range(n_items)]
+    best = max(range(n_items), key=counts.__getitem__)
+    return (best if counts[best] else None), counts[best]
+
+
+class TestPopularItem:
+    """The bit-sliced count against a per-bit count oracle, exact."""
+
+    N_ITEMS = 70
+
+    def _store(self, context):
+        return TransactionStore(ActionCatalog([f"i{n:02d}" for n in range(self.N_ITEMS)]),
+                                context)
+
+    def _popular_index(self, store, view, target):
+        item = store._popular_item(view, target)
+        return None if item is None else store.catalog.index(item)
+
+    @pytest.mark.parametrize("n_users", [130, 257])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_wide_views_match_the_oracle(self, context, seed, n_users):
+        rng = random.Random(seed)
+        store = self._store(context)
+        # each item's share of raters; a few near 1, so counts pass 128 (8 planes)
+        shares = [rng.choice([0.0, 0.1, 0.5, 0.97, 0.99, 1.0]) for _ in range(self.N_ITEMS)]
+        columns = [[rng.random() < share for _ in range(n_users)] for share in shares]
+        # copy the likely winner's column elsewhere, so the index tie rule decides
+        top = max(range(self.N_ITEMS), key=lambda i: sum(columns[i]))
+        columns[rng.randrange(self.N_ITEMS)] = list(columns[top])
+        users = [f"u{i:03d}" for i in range(n_users)]
+        view = {user: [sum(1 << i for i in range(self.N_ITEMS) if columns[i][row]),
+                       (1 << self.N_ITEMS) - 1]
+                for row, user in enumerate(users)}
+        for target in (users[0], users[n_users // 2], "stranger"):
+            best, count = oracle_popular_index(view, target, self.N_ITEMS)
+            assert count >= 128
+            assert self._popular_index(store, view, target) == best
+
+    def test_ties_go_to_the_lowest_index_and_the_target_is_not_counted(self, context):
+        store = self._store(context)
+        view = {f"u{i:03d}": [1 << 9 | 1 << 3 | (1 << 65 if i < 129 else 0), 0]
+                for i in range(140)}
+        # items 3 and 9 tie at 140 raters, 65 has 129: the lower index wins
+        assert oracle_popular_index(view, "nobody", self.N_ITEMS) == (3, 140)
+        assert self._popular_index(store, view, "nobody") == 3
+        for i in range(128, 140):
+            view[f"u{i:03d}"][0] &= ~(1 << 3 | 1 << 9)
+        view["u000"][0] &= ~(1 << 9)
+        view["u001"][0] &= ~(1 << 65)
+        view["t"] = [1 << 65 | 1 << 9, 0]
+        # other raters: 3 and 65 have 128, 9 has 127, so 3 wins; counting
+        # the target too would give 65 (129 raters)
+        assert oracle_popular_index(view, "t", self.N_ITEMS) == (3, 128)
+        assert self._popular_index(store, view, "t") == 3
+
+    def test_none_when_only_the_target_rated_one(self, context):
+        store = self._store(context)
+        assert store._popular_item({}, "t") is None
+        view = {"t": [1 << 69 | 1, 1 << 69 | 1]}
+        view.update({f"u{i:03d}": [0, 1 << i] for i in range(130)})  # rated 0 only
+        assert self._popular_index(store, view, "t") is None
+        assert self._popular_index(store, view, "u000") == 0
+
+
 class TestPredictRating:
     """The score top_n gives an item: the similarity-weighted mean rating."""
 

@@ -13,7 +13,8 @@ import hyql
 from hyql.context import (CalendarEntry, CognitiveAction, ContextModel,
                           GazetteerError, PlaceNode, Profile, RawEvent,
                           SituationKey, TimeBucket, abstract_time,
-                          parse_gazetteer, SECONDS_PER_DAY, SECONDS_PER_HOUR,
+                          parse_gazetteer, time_bucket,
+                          SECONDS_PER_DAY, SECONDS_PER_HOUR,
                           UNKNOWN_PLACE)
 
 MONDAY = 0
@@ -315,6 +316,10 @@ class TestSituationKey:
                                   "Office", "g0", "Navigate", 0)
         assert loaded == local and hash(loaded) == hash(local)
         assert {local: "found"}.get(loaded) == "found"
+        # its bucket loads as the shared one, hashed here
+        shared = time_bucket("Morning", "Weekday", "Free")
+        assert loaded.time is shared and hash(loaded.time) == hash(shared)
+        assert pickle.loads(pickle.dumps(TimeBucket("Morning", "Weekday", "Free"))) is shared
 
 
 class TestRawEvent:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from hyql.collab import TransactionStore
 from hyql.context import Profile, SituationKey
 from hyql.qlearn import ActionCatalog
-from hyql.simenv import (DriftOp, RoutineTriple, SimEnv, apply_drift,
+from hyql.simenv import (DriftOp, RoutineTriple, SimEnv, _mix_row, apply_drift,
                          build_population, check_scenario, default_routine,
                          gen_event, reward, situation_for, world_from_scenario)
 
@@ -55,6 +56,58 @@ class TestBuildPopulation:
         for profile in world.users:
             for key in world.situations(profile.user_id):
                 assert (profile.user_id, key) in world.relevance
+
+
+class Draws:
+    """A stand-in rng whose random() hands out the given values in turn."""
+
+    def __init__(self, values):
+        self.values = values
+        self.n = 0
+
+    def random(self):
+        value = self.values[self.n % len(self.values)]
+        self.n += 1
+        return value
+
+
+def oracle_mix_row(proto, rng, affinity):
+    """The per-item clamp the row builder must match bit for bit."""
+    return [min(1.0, max(0.0, affinity * p + (1.0 - affinity) * rng.random()))
+            for p in proto]
+
+
+def exact(row):
+    """Values with their sign, so +0.0 and -0.0 differ."""
+    return [(x, math.copysign(1.0, x)) for x in row]
+
+
+LARGEST_DRAW = 1.0 - 2.0 ** -53
+
+
+class TestMixRow:
+    @pytest.mark.parametrize("draws", [[0.0], [LARGEST_DRAW], [0.0, LARGEST_DRAW, 0.5]])
+    @pytest.mark.parametrize("affinity", [
+        base if step is None else math.nextafter(base, step)
+        for base in (0.0, 0.5, 1.0) for step in (None, -math.inf, math.inf)])
+    def test_matches_the_per_item_clamp(self, affinity, draws):
+        values = [0.0, -0.0, 5e-324, 0.25, 0.5, math.nextafter(1.0, 0.0), 1.0, LARGEST_DRAW]
+        # one value out of range clamps the whole row, so try small rows too
+        rows = [values] + [[a, b] for a in values for b in values]
+        for row in rows:
+            rng = Draws(draws)
+            got = _mix_row(row, rng, affinity)
+            assert rng.n == len(row)  # one draw per item, as the oracle takes
+            assert exact(got) == exact(oracle_mix_row(row, Draws(draws), affinity))
+
+    def test_an_out_of_range_prototype_still_clamps(self):
+        proto = [-0.5, 1.5, 0.25, 2.0, -3.0]
+        for affinity in (0.5, 0.9, 1.0):
+            got = _mix_row(proto, Draws([0.0, LARGEST_DRAW]), affinity)
+            assert exact(got) == exact(oracle_mix_row(proto, Draws([0.0, LARGEST_DRAW]),
+                                                      affinity))
+            assert all(0.0 <= x <= 1.0 for x in got)
+            assert got[0] == 0.0 and got[1] == 1.0
 
 
 class TestGenEvent:
