@@ -140,16 +140,14 @@ class WorldModel:
 def _mix_row(proto: Sequence[float], rng: random.Random, affinity: float) -> list[float]:
     """A user's row: each prototype value mixed with one fresh personal draw.
 
-    A mix of values in [0, 1] stays in [0, 1], so the row is clamped only
-    when some value may have left it; clamping a value in (0, 1] returns
-    it unchanged, and a zero is clamped so that it is always +0.0.
+    No clamp is needed: the affinity is in [0, 1] (`UserProfile` checks it)
+    and every prototype value and draw is a `random()` draw in [0, 1), so
+    both terms are non-negative (never -0.0) and, rounded to nearest, their
+    sum is at most fl(affinity + fl(1 - affinity)) <= 1.0.
     """
     draw = rng.random
     personal = 1.0 - affinity
-    row = [affinity * p + personal * draw() for p in proto]
-    if min(row) <= 0.0 or max(row) > 1.0:
-        row = [min(1.0, max(0.0, x)) for x in row]
-    return row
+    return [affinity * p + personal * draw() for p in proto]
 
 
 def user_ids(n_users: int) -> list[str]:
