@@ -41,14 +41,12 @@ class AgentConfig:
     alpha: float = 0.3
     gamma: float = 0.1
     p: float = 0.8
-    alpha_schedule: str = "constant"
     episode_length: int = 50
     seed: int = 0
     retrieval_threshold: float = DEFAULT_THRESHOLD
     retain_min_visits: int = DEFAULT_RETAIN_MIN_VISITS
     case_max_size: int = DEFAULT_MAX_SIZE
     feature_weights: tuple = DEFAULT_WEIGHTS
-    default_q: float = 0.0
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -58,7 +56,7 @@ class AgentConfig:
         check_retrieval_params(self.feature_weights, self.retrieval_threshold)
 
     def learning_params(self) -> LearningParams:
-        return LearningParams(self.alpha, self.gamma, self.p, self.alpha_schedule)
+        return LearningParams(self.alpha, self.gamma, self.p)
 
 
 def hybrid_policy(table: QTable, s: SituationKey, catalog: ActionCatalog,
@@ -88,7 +86,7 @@ class Agent:
         self.context = context
         self.profile = profile
         self.params = config.learning_params()
-        self.table = QTable(config.default_q)
+        self.table = QTable()
         self.casebase = casebase if casebase is not None else CaseBase(
             context, config.feature_weights, config.retrieval_threshold,
             config.case_max_size)
@@ -196,29 +194,3 @@ class Agent:
             trace.extend(records)
             remaining -= length
         return trace
-
-    # -- resets ---------------------------------------------------------------
-
-    def reset(self, keep: frozenset[str] = frozenset()) -> "Agent":
-        """Wipe components not named in `keep`; reseed the rng from config.
-
-        keep may contain "qtable", "casebase" and "cf".
-        """
-        unknown = set(keep) - {"qtable", "casebase", "cf"}
-        if unknown:
-            raise ValueError(f"unknown keep components: {sorted(unknown)}")
-        if "qtable" not in keep:
-            self.table = QTable(self.config.default_q)
-        if "casebase" not in keep:
-            self.casebase = CaseBase(self.context, self.config.feature_weights,
-                                     self.config.retrieval_threshold,
-                                     self.config.case_max_size)
-        if "cf" not in keep:
-            self.cf_store = TransactionStore(self.catalog, self.context,
-                                             self.cf_store.same_group_only)
-        self.rng = random.Random(self.config.seed)
-        self.step_count = 0
-        self.adapt_skipped = 0
-        self._situation_stats = {}
-        self._episode_seen = set()
-        return self

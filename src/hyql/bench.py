@@ -26,16 +26,21 @@ from .agent import Agent, AgentConfig, VARIANTS
 from .collab import TransactionStore
 from .context import ContextModel, GazetteerError, Profile
 from .qlearn import EXPLOIT, StepRecord
-from .serde import fmt_float
 from .simenv import (SimEnv, WorldModel, apply_drift, check_scenario, user_ids,
                      world_from_scenario)
-from .store import PreferenceRecord, RunStore, UserRecord, read_action_history
+from .store import (PreferenceRecord, RunStore, UserRecord, fmt_float,
+                    read_action_history)
 
 METRIC_NAMES = ("CumulativeReward", "StepsToThreshold", "DriftRecoverySteps",
                 "BranchHistogram")
 NEVER = -1.0
 
 CSV_HEADER = "variant,seed,metric,value,from,to"
+
+# the scenario keys the runner reads, and the scenario's name
+SCENARIO_KEYS = frozenset({"name", "users", "groups", "items", "affinity", "routines",
+                           "day_length", "drift", "agent_user", "warm_start_events",
+                           "background_rate"})
 
 _AGENT_STREAM = 99  # agent rng offset below the trial seed base
 _SEED_SPREAD = 1_000_003
@@ -96,6 +101,9 @@ class ExperimentSpec:
             population = user_ids(int(self.scenario["users"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"scenario needs an integer 'users': {exc}") from None
+        unknown = sorted(set(self.scenario) - SCENARIO_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown scenario keys: {', '.join(unknown)}")
         if self.scenario.get("agent_user") not in population:
             raise ConfigError(f"agent_user {self.scenario.get('agent_user')!r} is not "
                               f"one of the scenario's {len(population)} users")
@@ -292,8 +300,7 @@ def run_trial(scenario: dict, variant: dict, seed: int, steps: int,
     world = world_from_scenario(scenario, seed, context)
     focal = scenario["agent_user"]
     profile = Profile(world.user(focal).social_group)
-    cf_store = TransactionStore(world.catalog, world.context,
-                                bool(scenario.get("cf_same_group_only", True)))
+    cf_store = TransactionStore(world.catalog, world.context)
     background_users = [u.user_id for u in world.users if u.user_id != focal]
     warm_start_events, background_rate = _background_counts(scenario)
     env = SimEnv(world, cf_store, background_rate, background_users)

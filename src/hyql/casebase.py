@@ -47,14 +47,6 @@ class Case:
 class RetrievalResult:
     case: Case
     similarity: float
-    cost: float
-
-
-def compute_cost(similarity: float) -> float:
-    """Adaptation distance: 1 - similarity."""
-    if not 0.0 <= similarity <= 1.0:
-        raise ValueError("similarity must be in [0, 1]")
-    return 1.0 - similarity
 
 
 def check_retrieval_params(feature_weights: Sequence[float],
@@ -148,7 +140,7 @@ class CaseBase:
                 best, best_sim = case, sim
         if best is None or best_sim < self.retrieval_threshold:
             return None
-        return RetrievalResult(best, best_sim, compute_cost(best_sim))
+        return RetrievalResult(best, best_sim)
 
     def retain(self, problem: SituationKey, q_row: dict[ActionId, float],
                visits: int, mean_reward: float, user_id: str, step: int) -> Case:
@@ -186,4 +178,3 @@ def adapt(result: RetrievalResult, target_s: SituationKey, table: QTable) -> boo
         table.set_value(target_s, action, result.similarity * value)
     table.bootstrapped.add(target_s)
     return True
-

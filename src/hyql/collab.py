@@ -50,19 +50,18 @@ class TransactionStore:
     bits; a rating of 0 clears the positive bit and keeps the rated one,
     so `vector` tells a rated 0 from an untouched item. A situation has one
     view per granularity level, the scope of its key generalized to that
-    level (with the social group blanked out when advice pools all
-    groups). Every transaction is indexed in all of its situation's views,
-    which is what makes the coarser-granularity advice fallback cheap.
+    level; the scope keeps the user's social group, so advice never
+    crosses groups. Every transaction is indexed in all of its
+    situation's views, which is what makes the coarser-granularity advice
+    fallback cheap.
     `_views` resolves a situation to its views once and memoises them;
     keys come from a finite space (time buckets, gazetteer places, groups,
     cognitive classes), so the memo stays small.
     """
 
-    def __init__(self, catalog: ActionCatalog, context: ContextModel,
-                 same_group_only: bool = True):
+    def __init__(self, catalog: ActionCatalog, context: ContextModel):
         self.catalog = catalog
         self.context = context
-        self.same_group_only = same_group_only
         self._count = 0  # transactions recorded
         self._bit = {item: 1 << i for i, item in enumerate(catalog)}
         # (level, generalized scope key) -> view
@@ -77,14 +76,9 @@ class TransactionStore:
         """The views of the situation's scopes, one per level, level 0 first."""
         views = self._views_of.get(s)
         if views is None:
-            scoped = []
-            for level in range(self.context.depth + 1):
-                key = self.context.generalize(s, level)
-                if not self.same_group_only:
-                    key = self.context.situation(key.time, key.place, "*",
-                                                 key.cognitive, key.granularity)
-                scoped.append(self._scoped.setdefault((level, key), {}))
-            views = self._views_of[s] = tuple(scoped)
+            views = self._views_of[s] = tuple(
+                self._scoped.setdefault((level, self.context.generalize(s, level)), {})
+                for level in range(self.context.depth + 1))
         return views
 
     def record_implicit(self, user_id: str, item: ActionId, positive: bool,

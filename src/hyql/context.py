@@ -215,7 +215,6 @@ class Profile:
     """What aggregation needs to know about a user."""
 
     social_group: str
-    prior_cognitive: Optional[str] = None
 
 
 # The 16 time buckets, built once and handed out by time_bucket and
@@ -371,21 +370,9 @@ class ContextModel:
             leaf = UNKNOWN_PLACE
         chain = self.place_chain(leaf)
         effective = min(level, len(chain) - 1)
-        if event.cognitive is not None:
-            cognitive = event.cognitive.kind
-        else:
-            cognitive = getattr(profile, "prior_cognitive", None) or UNKNOWN_COGNITIVE
+        cognitive = event.cognitive.kind if event.cognitive is not None else UNKNOWN_COGNITIVE
         return self.situation(bucket, chain[effective], profile.social_group,
                               cognitive, effective)
-
-    def enumerate_granularities(self, event: RawEvent, profile: Profile) -> list[SituationKey]:
-        """All keys for an event from most specific to most general, deduped."""
-        keys: list[SituationKey] = []
-        for level in range(self.depth + 1):
-            key = self.aggregate(event, profile, level)
-            if not keys or key != keys[-1]:
-                keys.append(key)
-        return keys
 
     def generalize(self, key: SituationKey, level: int) -> SituationKey:
         """Lift a key's place to `level`, clamping at its chain end."""

@@ -5,10 +5,9 @@ The update is the classic one-step rule
 
     Q(s, a) <- Q(s, a) + alpha * (r + gamma * max_a' Q(s', a') - Q(s, a))
 
-over a sparse table that returns ``default_value`` for unseen pairs.
-Exploitation draws use the orientation "q <= p exploits": the larger p,
-the rarer the exploratory branch. A small explicit-MDP value-iteration
-solver is included as the convergence oracle for tests.
+with a constant learning rate alpha, over a sparse table in which unseen
+pairs read 0.0. Exploitation draws use the orientation "q <= p exploits":
+the larger p, the rarer the exploratory branch.
 """
 
 from __future__ import annotations
@@ -26,9 +25,6 @@ EXPLORE = "Explore"
 ADVISE = "Advise"
 RANDOM_FALLBACK = "RandomFallback"
 CASE_BOOTSTRAPPED = "CaseBootstrapped"
-
-ALPHA_CONSTANT = "constant"
-ALPHA_INVERSE_VISITS = "inverse-visits"
 
 State = Hashable
 ActionId = str
@@ -82,7 +78,6 @@ class LearningParams:
     alpha: float
     gamma: float
     p: float = 0.8
-    alpha_schedule: str = ALPHA_CONSTANT
 
     def __post_init__(self):
         # alpha == 0 is allowed: the update degenerates to a no-op
@@ -92,30 +87,25 @@ class LearningParams:
             raise ValueError("gamma must be in [0, 1)")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must be in [0, 1]")
-        if self.alpha_schedule not in (ALPHA_CONSTANT, ALPHA_INVERSE_VISITS):
-            raise ValueError(f"unknown alpha schedule {self.alpha_schedule!r}")
 
 
 class QTable:
-    """Sparse (state, action) -> value map with visit bookkeeping.
+    """Sparse (state, action) -> value map; an unseen pair reads 0.0.
 
-    Single-writer: one agent owns one table. Visit counts drive both the
-    inverse-visits learning-rate schedule and the "only bootstrap unseen
-    rows" rule used by case adaptation.
+    Single-writer: one agent owns one table. Per-row update counts drive
+    the "only bootstrap unseen rows" rule used by case adaptation.
     """
 
-    def __init__(self, default_value: float = 0.0):
-        self.default_value = default_value
+    def __init__(self):
         self._rows: dict[State, dict[ActionId, float]] = {}
-        self._visits: dict[tuple[State, ActionId], int] = {}
         self._row_visits: dict[State, int] = {}
         self.bootstrapped: set[State] = set()
 
     def value(self, s: State, a: ActionId) -> float:
         row = self._rows.get(s)
         if row is None:
-            return self.default_value
-        return row.get(a, self.default_value)
+            return 0.0
+        return row.get(a, 0.0)
 
     def row(self, s: State) -> dict[ActionId, float]:
         return dict(self._rows.get(s, {}))
@@ -125,21 +115,18 @@ class QTable:
             raise ValueError(f"non-finite Q value for ({s}, {a})")
         self._rows.setdefault(s, {})[a] = value
 
-    def visits(self, s: State, a: ActionId) -> int:
-        return self._visits.get((s, a), 0)
-
     def row_visits(self, s: State) -> int:
         return self._row_visits.get(s, 0)
 
     def best_value(self, s: State, catalog: ActionCatalog) -> float:
         """max of Q(s, a) over the catalog; rows hold catalog actions only, so
-        a row shorter than the catalog has an action reading the default."""
+        a row shorter than the catalog has an action reading 0.0."""
         row = self._rows.get(s)
         if not row:
-            return self.default_value
+            return 0.0
         best = max(row.values())
         if len(row) < len(catalog):
-            best = max(best, self.default_value)
+            best = max(best, 0.0)
         return best
 
     def update(self, s: State, a: ActionId, r: float, s_next: State,
@@ -149,15 +136,10 @@ class QTable:
             raise ValueError(f"non-finite reward {r!r} (simulator bug?)")
         old = self.value(s, a)
         target = r + params.gamma * self.best_value(s_next, catalog)
-        if params.alpha_schedule == ALPHA_INVERSE_VISITS:
-            alpha = 1.0 / (1.0 + self.visits(s, a))
-        else:
-            alpha = params.alpha
-        new = old + alpha * (target - old)
+        new = old + params.alpha * (target - old)
         if not math.isfinite(new):
             raise ValueError(f"Q update produced non-finite value for ({s}, {a})")
         self._rows.setdefault(s, {})[a] = new
-        self._visits[(s, a)] = self.visits(s, a) + 1
         self._row_visits[s] = self.row_visits(s) + 1
         return new
 
@@ -173,14 +155,16 @@ class QTable:
 def greedy_action(table: QTable, s: State, catalog: ActionCatalog) -> ActionId:
     """argmax over the catalog; ties fall to the smallest catalog index.
 
-    Fetches the state's row once, so the key is hashed once, not per action.
+    Reads the state's stored row once, without copying it, so the key is
+    hashed once, not per action.
     """
-    row = table.row(s)
-    default = table.default_value
+    row = table._rows.get(s)
+    if row is None:
+        return catalog.actions[0]
     best_action = None
     best_value = -math.inf
     for a in catalog.actions:
-        v = row.get(a, default)
+        v = row.get(a, 0.0)
         if v > best_value:
             best_action, best_value = a, v
     assert best_action is not None
@@ -196,81 +180,3 @@ def epsilon_greedy_action(table: QTable, s: State, catalog: ActionCatalog,
     if q <= p:
         return greedy_action(table, s, catalog), EXPLOIT
     return catalog.actions[rng.randrange(len(catalog))], EXPLORE
-
-
-# ---------------------------------------------------------------------------
-# Explicit-MDP value iteration (test oracle)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ExplicitMDP:
-    """Dense finite MDP: transitions[s][a][s'] and rewards[s][a]."""
-
-    transitions: Sequence[Sequence[Sequence[float]]]
-    rewards: Sequence[Sequence[float]]
-
-    def __post_init__(self):
-        if not self.transitions or not self.transitions[0]:
-            raise ValueError("MDP needs at least one state and one action")
-        n = self.n_states
-        for s, per_action in enumerate(self.transitions):
-            for a, dist in enumerate(per_action):
-                if len(dist) != n:
-                    raise ValueError(f"transition row ({s},{a}) has wrong length")
-                if abs(sum(dist) - 1.0) > 1e-9:
-                    raise ValueError(f"transition row ({s},{a}) does not sum to 1")
-
-    @property
-    def n_states(self) -> int:
-        return len(self.transitions)
-
-    @property
-    def n_actions(self) -> int:
-        return len(self.transitions[0])
-
-    def sample_next(self, s: int, a: int, rng: random.Random) -> int:
-        u = rng.random()
-        acc = 0.0
-        for s_next, prob in enumerate(self.transitions[s][a]):
-            acc += prob
-            if u < acc:
-                return s_next
-        return self.n_states - 1  # guard against float round-off
-
-
-def value_iteration(mdp: ExplicitMDP, gamma: float,
-                    tolerance: float = 1e-10) -> list[list[float]]:
-    """Bellman optimality backups to a max-norm fixed point; returns Q*."""
-    if gamma >= 1.0 or gamma < 0.0:
-        raise ValueError("gamma must be in [0, 1)")
-    n_s, n_a = mdp.n_states, mdp.n_actions
-    q = [[0.0] * n_a for _ in range(n_s)]
-    while True:
-        v = [max(q[s]) for s in range(n_s)]
-        delta = 0.0
-        for s in range(n_s):
-            for a in range(n_a):
-                new = mdp.rewards[s][a] + gamma * sum(
-                    p * v[t] for t, p in enumerate(mdp.transitions[s][a]) if p)
-                delta = max(delta, abs(new - q[s][a]))
-                q[s][a] = new
-        if delta < tolerance:
-            return q
-
-
-def random_mdp(n_states: int, n_actions: int, rng: random.Random) -> ExplicitMDP:
-    """Random dense MDP with rewards in [0, 1]; used by convergence tests."""
-    transitions = []
-    rewards = []
-    for _ in range(n_states):
-        per_action = []
-        reward_row = []
-        for _ in range(n_actions):
-            raw = [rng.random() for _ in range(n_states)]
-            total = sum(raw)
-            per_action.append([x / total for x in raw])
-            reward_row.append(rng.random())
-        transitions.append(per_action)
-        rewards.append(reward_row)
-    return ExplicitMDP(transitions, rewards)
-

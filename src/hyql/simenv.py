@@ -393,9 +393,6 @@ class SimEnv:
         self._situation[user_id] = self.world.context.aggregate(
             event, profile, 0)
 
-    def current_situation(self, user_id: str) -> SituationKey:
-        return self._situation[user_id]
-
     def background_burst(self, n_events: int) -> int:
         """Simulate n ambient interactions of the background users."""
         if self.cf_store is None or not self.background_users:

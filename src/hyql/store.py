@@ -4,13 +4,14 @@ Everything is append-only in memory and snapshots to four tab-separated
 UTF-8 files in a run directory (users.tsv, history_actions.tsv,
 history_events.tsv, preferences.tsv). Each file starts with a `#` header
 carrying the schema version and column names. This module is the only
-owner of their line formats: every other module reads a run's files
-through `RunStore.load` or `read_action_history`.
+owner of their line formats and of the float format they share
+(`fmt_float`); every other module reads a run's action history, the
+trace, through `read_action_history`.
 
-Snapshots are canonical: snapshot -> load -> snapshot is byte-identical.
-Reading is header- and field-checked: a malformed file raises
-StoreParseError with its path and line number, and no partial store is
-exposed.
+Snapshots are canonical: the same records always write the same bytes,
+and a trace read back and snapshotted again is byte-identical. Reading
+is header- and field-checked: a malformed file raises StoreParseError
+with its path and line number, and no partial trace is returned.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .context import CalendarEntry, CognitiveAction, RawEvent, SituationKey
+from .context import RawEvent, SituationKey
 from .qlearn import StepRecord
-from .serde import fmt_float
 
 SCHEMA_VERSION = 1
 
@@ -33,6 +33,11 @@ _FILES = {
                "\tcalendar_label\tcalendar_start\tcalendar_end"),
     "preferences": ("preferences.tsv", "user_id\tsituation_key\taction\treward\tstep"),
 }
+
+
+def fmt_float(value: float) -> str:
+    """17 significant digits: enough for a bit-faithful double round-trip."""
+    return format(float(value), ".17g")
 
 
 class OrderingError(Exception):
@@ -101,7 +106,7 @@ class RunStore:
     def upsert_preferences(self, record: PreferenceRecord) -> None:
         self.preferences.append(record)
 
-    # -- snapshot / load --------------------------------------------------------
+    # -- snapshot ---------------------------------------------------------------
 
     def snapshot(self, dirpath: str | Path) -> None:
         directory = Path(dirpath)
@@ -115,26 +120,33 @@ class RunStore:
                (f"{p.user_id}\t{p.situation.canonical()}\t{p.action}"
                 f"\t{fmt_float(p.reward)}\t{p.step}" for p in self.preferences))
 
-    @classmethod
-    def load(cls, dirpath: str | Path) -> "RunStore":
-        directory = Path(dirpath)
-        store = cls()
-        _read(directory, "users", lambda f: store.add_user(UserRecord(*f)))
-        _read(directory, "actions",
-              lambda f: store.append_action_history(_step_from_fields(f)))
-        _read(directory, "events", lambda f: store.append_event_history(
-            _event_from_fields(f[1:]), int(f[0])))
-        _read(directory, "preferences", lambda f: store.upsert_preferences(
-            PreferenceRecord(f[0], SituationKey.from_canonical(f[1]), f[2],
-                             float(f[3]), int(f[4]))))
-        return store
-
 
 def read_action_history(dirpath: str | Path) -> list[StepRecord]:
-    """The action history of one run directory, checked as `RunStore.load` does."""
+    """The action history of one run directory, header-, field- and order-checked.
+
+    Any error, from the field count, a field's parse or the step order, is
+    raised as a StoreParseError naming the file and line.
+    """
+    filename, columns = _FILES["actions"]
+    n_fields = columns.count("\t") + 1
+    path = Path(dirpath) / filename
+    if not path.exists():
+        raise StoreParseError(path, 0, "missing store file")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if not lines or not lines[0].startswith(f"# hyql-store v{SCHEMA_VERSION} actions:"):
+        raise StoreParseError(path, 1, "missing or wrong schema header")
     store = RunStore()
-    _read(Path(dirpath), "actions",
-          lambda f: store.append_action_history(_step_from_fields(f)))
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != n_fields:
+            raise StoreParseError(path, lineno,
+                                  f"expected {n_fields} fields, got {len(fields)}")
+        try:
+            store.append_action_history(_step_from_fields(fields))
+        except Exception as exc:
+            raise StoreParseError(path, lineno, str(exc)) from exc
     return store.action_history
 
 
@@ -144,33 +156,6 @@ def _write(directory: Path, part: str, lines) -> None:
     header = f"# hyql-store v{SCHEMA_VERSION} {part}: {columns}"
     (directory / filename).write_text(
         header + ("\n" + body if body else "") + "\n", encoding="utf-8")
-
-
-def _read(directory: Path, part: str, add) -> None:
-    """Check the header, then pass each line's fields to `add`.
-
-    Any error, from the field count or from `add`, is raised as a
-    StoreParseError naming the file and line.
-    """
-    filename, columns = _FILES[part]
-    n_fields = columns.count("\t") + 1
-    path = directory / filename
-    if not path.exists():
-        raise StoreParseError(path, 0, "missing store file")
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith(f"# hyql-store v{SCHEMA_VERSION} {part}:"):
-        raise StoreParseError(path, 1, "missing or wrong schema header")
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != n_fields:
-            raise StoreParseError(path, lineno,
-                                  f"expected {n_fields} fields, got {len(fields)}")
-        try:
-            add(fields)
-        except Exception as exc:
-            raise StoreParseError(path, lineno, str(exc)) from exc
 
 
 def _step_line(record: StepRecord) -> str:
@@ -194,11 +179,3 @@ def _event_line(step: int, event: RawEvent) -> str:
     end = str(event.calendar_entry.end) if event.calendar_entry else ""
     return "\t".join((str(step), event.user_id, str(event.timestamp),
                       lat, lon, kind, item, label, start, end))
-
-
-def _event_from_fields(fields: list[str]) -> RawEvent:
-    user_id, timestamp, lat, lon, kind, item, label, start, end = fields
-    geo = (float(lat), float(lon)) if lat else None
-    cognitive = CognitiveAction(kind, item or None) if kind else None
-    calendar = CalendarEntry(label, int(start), int(end)) if label else None
-    return RawEvent(user_id, int(timestamp), geo, cognitive, calendar)

@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from hyql.agent import Agent, AgentConfig, hybrid_policy
 from hyql.collab import TransactionStore
 from hyql.context import (CognitiveAction, ContextModel, Profile, RawEvent,
@@ -171,44 +169,3 @@ class TestRunEpisode:
             if record.branch == CASE_BOOTSTRAPPED:
                 assert record.s not in seen
             seen.add(record.s)
-
-
-class TestReset:
-    def test_full_reset(self):
-        agent, _ = run_pair("HyQL", seed=12)
-        agent.reset()
-        assert len(agent.table) == 0
-        assert len(agent.casebase) == 0
-        assert len(agent.cf_store) == 0
-        assert agent.step_count == 0
-
-    def test_keep_casebase(self):
-        agent, _ = run_pair("HyQL", seed=13, steps=200)
-        base = agent.casebase
-        assert len(base) > 0
-        agent.reset(keep=frozenset({"casebase"}))
-        assert agent.casebase is base
-        assert len(agent.table) == 0
-
-    def test_keep_cf(self):
-        agent, _ = run_pair("HyQL", seed=14)
-        store = agent.cf_store
-        agent.reset(keep=frozenset({"cf"}))
-        assert agent.cf_store is store
-
-    def test_unknown_component_rejected(self):
-        agent = make_agent("HyQL")
-        with pytest.raises(ValueError):
-            agent.reset(keep=frozenset({"bogus"}))
-
-    def test_reset_reseeds_rng(self):
-        agent, t1 = run_pair("HyQL", seed=15)
-        # a second identical environment replays the same world stream
-        world = build_population(3, 1, 4, 0.8, random.Random(5), seed=5)
-        cf = TransactionStore(world.catalog, world.context)
-        env = SimEnv(world, cf, background_rate=1,
-                     background_users=["u01", "u02"])
-        agent.reset()
-        agent.cf_store = cf
-        t2 = agent.run(env, 120)
-        assert t1 == t2

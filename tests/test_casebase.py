@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from hyql.casebase import (CaseBase, RetrievalResult, adapt, case_similarity,
-                           compute_cost)
+from hyql.casebase import CaseBase, RetrievalResult, adapt, case_similarity
 from hyql.context import SituationKey, TimeBucket
 from hyql.qlearn import QTable
 
@@ -77,7 +76,6 @@ class TestRetrieve:
         result = base.retrieve(skey())
         assert result is not None
         assert result.similarity == 1.0
-        assert result.cost == 0.0
         assert result.case.solution == {"a0": 2.0}
 
     def test_below_threshold_is_none(self, context):
@@ -114,7 +112,7 @@ class TestAdapt:
         case = base.retain(skey(), {"a0": 2.0, "a1": 0.0}, visits=5,
                            mean_reward=0.5, user_id="u0", step=1)
         table = QTable()
-        assert adapt(RetrievalResult(case, 1.0, 0.0), skey(), table)
+        assert adapt(RetrievalResult(case, 1.0), skey(), table)
         assert table.row(skey()) == {"a0": 2.0, "a1": 0.0}
 
     def test_similarity_scaling(self, context):
@@ -122,7 +120,7 @@ class TestAdapt:
         case = base.retain(skey(), {"a0": 2.0}, visits=5, mean_reward=0.5,
                            user_id="u0", step=1)
         table = QTable()
-        adapt(RetrievalResult(case, 0.5, 0.5), skey(place="Home"), table)
+        adapt(RetrievalResult(case, 0.5), skey(place="Home"), table)
         assert table.row(skey(place="Home")) == {"a0": 1.0}
 
     def test_visited_row_never_overwritten(self, context):
@@ -135,7 +133,7 @@ class TestAdapt:
         table.update(skey(), "a0", 1.0, skey(), catalog,
                      LearningParams(alpha=1.0, gamma=0.0))
         before = table.row(skey())
-        assert not adapt(RetrievalResult(case, 1.0, 0.0), skey(), table)
+        assert not adapt(RetrievalResult(case, 1.0), skey(), table)
         assert table.row(skey()) == before
 
     def test_only_target_row_touched(self, context):
@@ -144,7 +142,7 @@ class TestAdapt:
                            user_id="u0", step=1)
         table = QTable()
         table.set_value(skey(place="Home"), "a1", 0.4)
-        adapt(RetrievalResult(case, 1.0, 0.0), skey(), table)
+        adapt(RetrievalResult(case, 1.0), skey(), table)
         assert table.row(skey(place="Home")) == {"a1": 0.4}
         assert len(table) == 2
 
@@ -224,22 +222,3 @@ class TestRetain:
         base.retain(skey(), row, visits=5, mean_reward=0.5, user_id="u0", step=1)
         row["a0"] = 99.0
         assert base.retrieve(skey()).case.solution == {"a0": 1.0}
-
-
-class TestComputeCost:
-    def test_endpoints_and_affine(self):
-        assert compute_cost(1.0) == 0.0
-        assert compute_cost(0.0) == 1.0
-        assert compute_cost(0.75) == 0.25
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            compute_cost(1.5)
-        with pytest.raises(ValueError):
-            compute_cost(-0.1)
-
-    def test_complements_similarity(self, context):
-        rng = random.Random(24)
-        for _ in range(100):
-            sim = case_similarity(random_key(rng), random_key(rng), W, context)
-            assert sim + compute_cost(sim) == 1.0

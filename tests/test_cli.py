@@ -122,13 +122,20 @@ def routines_with_negative_weight():
     {"scenario": {"warm_start_events": -5}},
     {"scenario": {"background_rate": -3}},
     {"scenario": {"routines": routines_with_negative_weight()}},
+    {"variants": [dict(HYQL, alpha_schedule="inverse-visits")]},
+    {"variants": [dict(HYQL, default_q=0.5)]},
+    {"scenario": {"cf_same_group_only": False}},
+    {"scenario": {"seed": 7}},
+    {"scenario": {"backgroud_rate": 2}},
 ], ids=["unknown-override", "p", "alpha", "gamma", "variants-string",
         "variants-object", "metrics-string", "threshold-window", "recovery-window",
         "feature-weights-sum", "retrieval-threshold", "agent-user-not-in-population",
         "cf-k", "routine-place", "drift-op", "group-without-routine",
         "routine-weights-sum", "part-of-day", "drift-target", "drift-scope",
         "drift-step-negative", "variant-name-path", "warm-start-negative",
-        "background-rate-negative", "routine-weight-negative"])
+        "background-rate-negative", "routine-weight-negative", "alpha-schedule",
+        "default-q", "scenario-cf-same-group-only", "scenario-seed",
+        "scenario-misspelt-key"])
 def test_bad_spec_exits_2_before_writing(tmp_path, changes):
     out = tmp_path / "out"
     assert main(["run", str(write_spec(tmp_path, **changes)), "--out", str(out)]) \

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -68,22 +67,17 @@ def oracle_popular(vectors, target, items):
     return best_item
 
 
-def oracle_views(stream, context, same_group_only):
+def oracle_views(stream, context):
     """Last-write-wins rating dicts per view, replayed from the raw stream.
 
-    Keys: (level, generalized key), its group blanked to "*" when the
-    store pools all groups.
+    Keys: (level, generalized key); the key keeps the social group.
     """
     views = {}
     for user, item, positive, s in stream:
         for level in range(context.depth + 1):
-            key = (level, oracle_scope_key(context.generalize(s, level), same_group_only))
+            key = (level, context.generalize(s, level))
             views.setdefault(key, {}).setdefault(user, {})[item] = 1.0 if positive else 0.0
     return views
-
-
-def oracle_scope_key(key, same_group_only):
-    return key if same_group_only else dataclasses.replace(key, social_group="*")
 
 
 def bits(vec, catalog=CATALOG):
@@ -378,13 +372,6 @@ class TestAdviseAction:
             store.record_implicit(f"u{i}", "b", True, situation=other)
         assert store.advise_action("newcomer", skey(group="g0")) is None
 
-    def test_whole_population_mode(self, context):
-        store = TransactionStore(CATALOG, context, same_group_only=False)
-        other = skey(group="g1")
-        for i in range(3):
-            store.record_implicit(f"u{i}", "b", True, situation=other)
-        assert store.advise_action("newcomer", skey(group="g0")) == "b"
-
 
 class TestStoreMatchesOracles:
     """Random accept/reject streams through the store and the dict oracles.
@@ -394,9 +381,8 @@ class TestStoreMatchesOracles:
     piece of advice must equal the oracle's exactly.
     """
 
-    @pytest.mark.parametrize("same_group_only", [True, False])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_random_streams_match(self, context, seed, same_group_only):
+    def test_random_streams_match(self, context, seed):
         rng = random.Random(seed)
         items = [f"i{n:02d}" for n in range(80)]
         catalog = ActionCatalog(items)
@@ -405,7 +391,7 @@ class TestStoreMatchesOracles:
         users = [f"u{i}" for i in range(6)]
         situations = [skey(), skey(place="Home"), skey(cognitive="Call"),
                       skey(group="g1"), skey(place="Home", group="g1")]
-        store = TransactionStore(catalog, context, same_group_only)
+        store = TransactionStore(catalog, context)
         stream = []
         last = {}
         overwrites = 0
@@ -419,18 +405,15 @@ class TestStoreMatchesOracles:
                 stream.append((user, item, positive, s))
                 overwrites += last.get((user, item)) is True and not positive
                 last[(user, item)] = positive
-            self._check(store, oracle_views(stream, context, same_group_only),
-                        situations, users + ["stranger"], items, index,
-                        context, same_group_only)
+            self._check(store, oracle_views(stream, context), situations,
+                        users + ["stranger"], items, index, context)
         assert overwrites > 0
 
-    def _check(self, store, views, situations, targets, items, index, context,
-               same_group_only):
+    def _check(self, store, views, situations, targets, items, index, context):
         for s in situations:
             for level in range(context.depth + 1):
                 view = store._views(s)[level]
-                key = (level, oracle_scope_key(context.generalize(s, level), same_group_only))
-                vectors = views.get(key, {})
+                vectors = views.get((level, context.generalize(s, level)), {})
                 for target in targets:
                     # a rated 0 is present as 0.0, an untouched item is absent
                     assert store.vector(target, s, level) == vectors.get(target, {})
@@ -442,13 +425,12 @@ class TestStoreMatchesOracles:
                                 oracle_top_n(vectors, target, n, k, items, index)
             for target in targets:
                 assert store.advise_action(target, s) == \
-                    oracle_advise(views, target, s, items, index, context, same_group_only)
+                    oracle_advise(views, target, s, items, index, context)
 
 
-def oracle_advise(views, target, s, items, index, context, same_group_only):
+def oracle_advise(views, target, s, items, index, context):
     for level in range(context.depth + 1):
-        key = (level, oracle_scope_key(context.generalize(s, level), same_group_only))
-        vectors = views.get(key, {})
+        vectors = views.get((level, context.generalize(s, level)), {})
         top = oracle_top_n(vectors, target, 1, 10, items, index)
         if top:
             return top[0][0]

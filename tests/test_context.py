@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import hyql
 
 from hyql.context import (CalendarEntry, CognitiveAction, ContextModel,
-                          GazetteerError, PlaceNode, Profile, RawEvent,
+                          GazetteerError, Profile, RawEvent,
                           SituationKey, TimeBucket, abstract_time,
                           parse_gazetteer, time_bucket,
                           SECONDS_PER_DAY, SECONDS_PER_HOUR,
@@ -218,11 +218,9 @@ class TestAggregate:
         key = context.aggregate(event, Profile("g0"), 0)
         assert key.place == UNKNOWN_PLACE
 
-    def test_missing_cognitive_uses_profile_prior(self, context):
+    def test_missing_cognitive_is_unknown(self, context):
         event = RawEvent("u00", ts(TUESDAY, 9), (48.85, 2.32), None,
                          CalendarEntry("m", 0, 1))
-        key = context.aggregate(event, Profile("g0", prior_cognitive="SendEmail"), 0)
-        assert key.cognitive == "SendEmail"
         key = context.aggregate(event, Profile("g0"), 0)
         assert key.cognitive == "Unknown"
 
@@ -251,25 +249,32 @@ class TestAggregate:
                 seen[key_k] = key_k1
 
 
+def every_level(context, event):
+    """The event's key at each granularity level, most specific first."""
+    return [context.aggregate(event, Profile("g0"), level)
+            for level in range(context.depth + 1)]
+
+
 class TestEnumerateGranularities:
     def test_leaf_depth_two_gives_three_keys(self, context):
-        keys = context.enumerate_granularities(office_event(), Profile("g0"))
+        keys = every_level(context, office_event())
         assert [k.place for k in keys] == ["Office", "Paris", "Anywhere"]
         assert [k.granularity for k in keys] == [0, 1, 2]
 
     def test_unknown_place_deduplicates(self, context):
         event = RawEvent("u00", ts(TUESDAY, 9), None, CognitiveAction("Call"))
-        keys = context.enumerate_granularities(event, Profile("g0"))
-        assert len(keys) == 1
-        assert keys[0].place == UNKNOWN_PLACE
+        keys = every_level(context, event)
+        # the Unknown sentinel clamps at level 0: every level is one key
+        assert set(keys) == {keys[0]}
+        assert keys[0].place == UNKNOWN_PLACE and keys[0].granularity == 0
 
     def test_same_bucket_same_lists(self, context):
-        a = context.enumerate_granularities(office_event(ts(TUESDAY, 9)), Profile("g0"))
-        b = context.enumerate_granularities(office_event(ts(TUESDAY, 11, 45)), Profile("g0"))
+        a = every_level(context, office_event(ts(TUESDAY, 9)))
+        b = every_level(context, office_event(ts(TUESDAY, 11, 45)))
         assert a == b
 
     def test_no_duplicates_and_ordered(self, context):
-        keys = context.enumerate_granularities(office_event(), Profile("g0"))
+        keys = every_level(context, office_event())
         assert len(set(keys)) == len(keys)
         assert [k.granularity for k in keys] == sorted(k.granularity for k in keys)
 

@@ -2,7 +2,7 @@
 
 Every import is used, and the modules depend on each other only in one
 direction: context -> qlearn -> collab/casebase -> agent -> simenv ->
-store/bench -> cli. serde is a leaf helper any module may use.
+store/bench -> cli.
 """
 
 import ast
@@ -14,15 +14,14 @@ PACKAGE = Path(hyql.__file__).parent
 
 # module -> the hyql modules it may import
 ALLOWED = {
-    "serde": set(),
     "context": set(),
-    "qlearn": {"context", "serde"},
-    "collab": {"context", "qlearn", "serde"},
-    "casebase": {"context", "qlearn", "serde"},
-    "agent": {"casebase", "collab", "context", "qlearn", "serde"},
-    "simenv": {"context", "qlearn", "serde"},
-    "store": {"context", "qlearn", "serde"},
-    "bench": {"agent", "collab", "context", "qlearn", "serde", "simenv", "store"},
+    "qlearn": {"context"},
+    "collab": {"context", "qlearn"},
+    "casebase": {"context", "qlearn"},
+    "agent": {"casebase", "collab", "context", "qlearn"},
+    "simenv": {"context", "qlearn"},
+    "store": {"context", "qlearn"},
+    "bench": {"agent", "collab", "context", "qlearn", "simenv", "store"},
     "cli": {"bench", "store"},
     "__init__": {"agent", "casebase", "collab", "context", "qlearn", "simenv",
                  "store"},

@@ -1,14 +1,14 @@
-import math
 import random
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import pytest
 
 from hyql.context import SituationKey, TimeBucket
 from hyql.qlearn import (EXPLOIT, EXPLORE, ActionCatalog, CatalogError,
-                         ExplicitMDP, LearningParams, QTable,
-                         epsilon_greedy_action, greedy_action, random_mdp,
-                         value_iteration)
+                         LearningParams, QTable, epsilon_greedy_action,
+                         greedy_action)
 
 
 def key(place="Office", cognitive="Navigate", level=0):
@@ -91,26 +91,21 @@ class TestQUpdate:
             table.update(key(), "a0", float("nan"), key(), CATALOG,
                          LearningParams(alpha=0.5, gamma=0.5))
 
-    def test_inverse_visits_schedule(self):
-        table = QTable()
-        params = LearningParams(alpha=1.0, gamma=0.0,
-                                alpha_schedule="inverse-visits")
-        # first update: alpha=1 -> Q=r1; second: alpha=1/2 -> mean(r1, r2)
-        table.update(key(), "a0", 1.0, key(), CATALOG, params)
-        table.update(key(), "a0", 0.0, key(), CATALOG, params)
-        assert table.value(key(), "a0") == pytest.approx(0.5)
-
     def test_absent_pair_reads_default(self):
-        table = QTable(default_value=0.25)
-        assert table.value(key(), "a1") == 0.25
+        table = QTable()
+        assert table.value(key(), "a1") == 0.0
+        # an absent action in a row that sits below 0.0 still reads 0.0
+        table.set_value(key(), "a0", -0.75)
+        assert table.value(key(), "a1") == 0.0
+        assert table.value(key(), "a0") == -0.75
 
     def test_best_value_matches_the_catalog_scan(self):
         rng = random.Random(15)
         catalog = ActionCatalog([f"a{i}" for i in range(12)])
         for _ in range(300):
-            table = QTable(default_value=0.5)
-            # values straddle the default; some rows sit wholly below it
-            high = rng.choice((0.4, 1.0))
+            table = QTable()
+            # values straddle the default 0.0; some rows sit wholly below it
+            high = rng.choice((-0.1, 1.0))
             for a in rng.sample(catalog.actions, rng.randrange(len(catalog) + 1)):
                 table.set_value(key(), a, rng.uniform(-1.0, high))
             scan = max(table.value(key(), a) for a in catalog)
@@ -142,6 +137,18 @@ class TestGreedy:
 
     def test_unseen_state_all_defaults(self):
         assert greedy_action(QTable(), key(), CATALOG) == "a0"
+
+    def test_absent_action_beats_a_row_below_zero(self):
+        table = QTable()
+        table.set_value(key(), "a0", -0.5)
+        table.set_value(key(), "a2", -0.1)
+        assert greedy_action(table, key(), CATALOG) == "a1"
+
+    def test_does_not_copy_the_row(self, monkeypatch):
+        table = QTable()
+        table.set_value(key(), "a2", 0.9)
+        monkeypatch.setattr(QTable, "row", None)
+        assert greedy_action(table, key(), CATALOG) == "a2"
 
     def test_argmax_invariant_to_positive_shift(self):
         rng = random.Random(3)
@@ -194,6 +201,74 @@ class TestCatalog:
             CATALOG.index("a9")
 
 
+# ---------------------------------------------------------------------------
+# Explicit-MDP value iteration: the convergence oracle for the Q update
+# ---------------------------------------------------------------------------
+
+@dataclass
+class ExplicitMDP:
+    """Dense finite MDP: transitions[s][a][s'] and rewards[s][a]."""
+
+    transitions: Sequence[Sequence[Sequence[float]]]
+    rewards: Sequence[Sequence[float]]
+
+    def __post_init__(self):
+        if not self.transitions or not self.transitions[0]:
+            raise ValueError("MDP needs at least one state and one action")
+        n = self.n_states
+        for s, per_action in enumerate(self.transitions):
+            for a, dist in enumerate(per_action):
+                if len(dist) != n:
+                    raise ValueError(f"transition row ({s},{a}) has wrong length")
+                if abs(sum(dist) - 1.0) > 1e-9:
+                    raise ValueError(f"transition row ({s},{a}) does not sum to 1")
+
+    @property
+    def n_states(self) -> int:
+        return len(self.transitions)
+
+    @property
+    def n_actions(self) -> int:
+        return len(self.transitions[0])
+
+
+def value_iteration(mdp: ExplicitMDP, gamma: float,
+                    tolerance: float = 1e-10) -> list[list[float]]:
+    """Bellman optimality backups to a max-norm fixed point; returns Q*."""
+    if gamma >= 1.0 or gamma < 0.0:
+        raise ValueError("gamma must be in [0, 1)")
+    n_s, n_a = mdp.n_states, mdp.n_actions
+    q = [[0.0] * n_a for _ in range(n_s)]
+    while True:
+        v = [max(q[s]) for s in range(n_s)]
+        delta = 0.0
+        for s in range(n_s):
+            for a in range(n_a):
+                new = mdp.rewards[s][a] + gamma * sum(
+                    p * v[t] for t, p in enumerate(mdp.transitions[s][a]) if p)
+                delta = max(delta, abs(new - q[s][a]))
+                q[s][a] = new
+        if delta < tolerance:
+            return q
+
+
+def random_mdp(n_states: int, n_actions: int, rng: random.Random) -> ExplicitMDP:
+    """Random dense MDP with rewards in [0, 1]; used by convergence tests."""
+    transitions = []
+    rewards = []
+    for _ in range(n_states):
+        per_action = []
+        reward_row = []
+        for _ in range(n_actions):
+            raw = [rng.random() for _ in range(n_states)]
+            total = sum(raw)
+            per_action.append([x / total for x in raw])
+            reward_row.append(rng.random())
+        transitions.append(per_action)
+        rewards.append(reward_row)
+    return ExplicitMDP(transitions, rewards)
+
+
 class TestValueIteration:
     def test_single_state_geometric_series(self):
         mdp = ExplicitMDP([[[1.0]]], [[1.0]])
@@ -236,3 +311,26 @@ class TestValueIteration:
         for s in range(n_states):
             for a in range(n_actions):
                 assert abs(q_vi[s][a] - q_oracle[s][a]) < 10 * tolerance
+
+    def test_q_sweeps_reach_the_oracle_on_a_deterministic_mdp(self):
+        """With alpha = 1, one sweep of Q updates over every (s, a) of a
+        deterministic MDP is one Bellman backup, so the table converges to
+        value iteration's Q*."""
+        rng = random.Random(8)
+        n_states, n_actions, gamma = 6, 3, 0.9
+        nxt = [[rng.randrange(n_states) for _ in range(n_actions)] for _ in range(n_states)]
+        transitions = [[[1.0 if t == nxt[s][a] else 0.0 for t in range(n_states)]
+                        for a in range(n_actions)] for s in range(n_states)]
+        mdp = ExplicitMDP(transitions, random_mdp(n_states, n_actions, rng).rewards)
+        q_star = value_iteration(mdp, gamma, tolerance=1e-12)
+
+        catalog = ActionCatalog([f"a{a}" for a in range(n_actions)])
+        table = QTable()
+        params = LearningParams(alpha=1.0, gamma=gamma)
+        for _ in range(400):
+            for s in range(n_states):
+                for a in range(n_actions):
+                    table.update(s, f"a{a}", mdp.rewards[s][a], nxt[s][a], catalog, params)
+        for s in range(n_states):
+            for a in range(n_actions):
+                assert table.value(s, f"a{a}") == pytest.approx(q_star[s][a], abs=1e-9)

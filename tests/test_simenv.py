@@ -5,10 +5,9 @@ import pytest
 
 from hyql.collab import TransactionStore
 from hyql.context import Profile, SituationKey
-from hyql.qlearn import ActionCatalog
 from hyql.simenv import (DriftOp, RoutineTriple, SimEnv, _mix_row, apply_drift,
-                         build_population, check_scenario, default_routine,
-                         gen_event, reward, situation_for, world_from_scenario)
+                         build_population, check_scenario, gen_event, reward,
+                         situation_for, world_from_scenario)
 
 
 def small_world(seed=0, n_users=4, affinity=0.8, n_items=5, drift=()):
@@ -272,7 +271,7 @@ class TestEnvStep:
         n = 20_000
         total = 0.0
         for _ in range(n):
-            s = env.current_situation("u00")
+            s = world.context.aggregate(event, Profile(world.user("u00").social_group), 0)
             row = world.row("u00", s)
             best = catalog.actions[row.index(max(row))]
             r, event = env.step("u00", best)

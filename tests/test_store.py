@@ -94,27 +94,24 @@ class TestUsersDevices:
 class TestSnapshotLoad:
     def test_empty_round_trip(self, tmp_path):
         RunStore().snapshot(tmp_path / "run")
-        loaded = RunStore.load(tmp_path / "run")
-        assert loaded.users == [] and loaded.action_history == []
+        assert read_action_history(tmp_path / "run") == []
 
     def test_populated_round_trip_byte_identical(self, tmp_path):
         store = populated_store()
         first = tmp_path / "first"
         second = tmp_path / "second"
         store.snapshot(first)
-        RunStore.load(first).snapshot(second)
-        for name in ("users.tsv", "history_actions.tsv", "history_events.tsv",
-                     "preferences.tsv"):
-            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+        again = RunStore()
+        for record in read_action_history(first):
+            again.append_action_history(record)
+        again.snapshot(second)
+        name = "history_actions.tsv"
+        assert (first / name).read_bytes() == (second / name).read_bytes()
 
     def test_observational_equality(self, tmp_path):
         store = populated_store()
         store.snapshot(tmp_path / "run")
-        loaded = RunStore.load(tmp_path / "run")
-        assert loaded.users == store.users
-        assert loaded.action_history == store.action_history
-        assert loaded.event_history == store.event_history
-        assert loaded.preferences == store.preferences
+        assert read_action_history(tmp_path / "run") == store.action_history
 
     def test_truncated_file_is_parse_error_with_line(self, tmp_path):
         store = populated_store()
@@ -124,24 +121,24 @@ class TestSnapshotLoad:
         lines[-1] = lines[-1][: len(lines[-1]) // 2]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(StoreParseError) as info:
-            RunStore.load(tmp_path / "run")
+            read_action_history(tmp_path / "run")
         assert info.value.lineno == len(lines)
 
     def test_missing_header_rejected(self, tmp_path):
         store = populated_store()
         store.snapshot(tmp_path / "run")
-        path = tmp_path / "run" / "users.tsv"
+        path = tmp_path / "run" / "history_actions.tsv"
         body = path.read_text().splitlines()[1:]
         path.write_text("\n".join(body) + "\n")
         with pytest.raises(StoreParseError, match="schema header"):
-            RunStore.load(tmp_path / "run")
+            read_action_history(tmp_path / "run")
 
     def test_missing_file_rejected(self, tmp_path):
         store = populated_store()
         store.snapshot(tmp_path / "run")
-        (tmp_path / "run" / "preferences.tsv").unlink()
+        (tmp_path / "run" / "history_actions.tsv").unlink()
         with pytest.raises(StoreParseError, match="missing store file"):
-            RunStore.load(tmp_path / "run")
+            read_action_history(tmp_path / "run")
 
     def test_ordering_violation_in_file_detected(self, tmp_path):
         store = populated_store()
@@ -150,8 +147,8 @@ class TestSnapshotLoad:
         lines = path.read_text().splitlines()
         lines.append(lines[1].replace(lines[1].split("\t")[0], "0", 1))
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(StoreParseError):
-            RunStore.load(tmp_path / "run")
+        with pytest.raises(StoreParseError, match="action step 0 < last 2"):
+            read_action_history(tmp_path / "run")
 
 
 class TestStepRecord:
@@ -163,4 +160,3 @@ class TestStepRecord:
         store.append_action_history(record)
         store.snapshot(tmp_path)
         assert read_action_history(tmp_path) == [record]
-
