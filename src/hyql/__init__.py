@@ -7,12 +7,12 @@ from .agent import Agent, AgentConfig, hybrid_policy
 from .casebase import Case, CaseBase, RetrievalResult, adapt, case_similarity
 from .collab import TransactionStore, cosine_similarity
 from .context import (CalendarEntry, CognitiveAction, ContextModel, PlaceNode,
-                      Profile, RawEvent, SituationKey, TimeBucket, abstract_time)
+                      RawEvent, SituationKey, TimeBucket, abstract_time)
 from .qlearn import (ActionCatalog, LearningParams, QTable, StepRecord,
                      epsilon_greedy_action, greedy_action)
-from .simenv import (DriftOp, RoutineTriple, SimEnv, UserProfile, WorldModel,
-                     apply_drift, build_population, gen_event, reward,
+from .simenv import (DriftOp, RoutineTriple, Scenario, SimEnv, UserProfile, WorldModel,
+                     apply_drift, gen_event, parse_scenario, reward,
                      world_from_scenario)
-from .store import PreferenceRecord, RunStore, UserRecord
+from .store import PreferenceRecord, RunStore
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from .casebase import (CaseBase, DEFAULT_MAX_SIZE, DEFAULT_RETAIN_MIN_VISITS,
                        DEFAULT_THRESHOLD, DEFAULT_WEIGHTS, adapt,
                        check_retrieval_params)
 from .collab import TransactionStore
-from .context import ContextModel, Profile, RawEvent, SituationKey
+from .context import ContextModel, RawEvent, SituationKey
 from .qlearn import (ADVISE, CASE_BOOTSTRAPPED, EXPLOIT, EXPLORE,
                      RANDOM_FALLBACK, ActionCatalog, ActionId, LearningParams,
                      QTable, StepRecord, epsilon_greedy_action, greedy_action)
@@ -78,13 +78,13 @@ class Agent:
     """One user's recommender; owns its table, case base and rng."""
 
     def __init__(self, config: AgentConfig, catalog: ActionCatalog,
-                 context: ContextModel, profile: Profile,
+                 context: ContextModel, social_group: str,
                  cf_store: Optional[TransactionStore] = None,
                  casebase: Optional[CaseBase] = None):
         self.config = config
         self.catalog = catalog
         self.context = context
-        self.profile = profile
+        self.social_group = social_group
         self.params = config.learning_params()
         self.table = QTable()
         self.casebase = casebase if casebase is not None else CaseBase(
@@ -138,13 +138,13 @@ class Agent:
 
     def step(self, event: RawEvent, env) -> tuple[StepRecord, RawEvent]:
         """One full interaction: situate, maybe reuse a case, act, learn."""
-        s = self.context.aggregate(event, self.profile, 0)
+        s = self.context.aggregate(event, self.social_group, 0)
         bootstrapped = self._maybe_bootstrap(s)
         a, branch = self._select(s)
         if bootstrapped:
             branch = CASE_BOOTSTRAPPED
         r, next_event = env.step(self.user_id, a)
-        s_next = self.context.aggregate(next_event, self.profile, 0)
+        s_next = self.context.aggregate(next_event, self.social_group, 0)
         if self.config.variant in _Q_VARIANTS:
             self.table.update(s, a, r, s_next, self.catalog, self.params)
         self.cf_store.record_implicit(self.user_id, a,

@@ -8,6 +8,10 @@ metric can be recomputed from those files alone, which is what `verify`
 does. Outputs are canonical: rerunning a spec reproduces the CSV and the
 traces byte for byte, with or without parallelism.
 
+Building an `ExperimentSpec` checks its scenario once, through
+`simenv.parse_scenario`; trials and `verify` draw their worlds from that
+parsed form and never read the scenario's keys themselves.
+
 A metric that never triggers (a threshold never reached, a recovery that
 never happens) is reported with the sentinel value -1.
 """
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from itertools import repeat
 from pathlib import Path
@@ -24,23 +28,17 @@ from typing import Optional, Sequence
 
 from .agent import Agent, AgentConfig, VARIANTS
 from .collab import TransactionStore
-from .context import ContextModel, GazetteerError, Profile
+from .context import ContextModel, GazetteerError
 from .qlearn import EXPLOIT, StepRecord
-from .simenv import (SimEnv, WorldModel, apply_drift, check_scenario, user_ids,
+from .simenv import (Scenario, SimEnv, apply_drift, parse_scenario,
                      world_from_scenario)
-from .store import (PreferenceRecord, RunStore, UserRecord, fmt_float,
-                    read_action_history)
+from .store import PreferenceRecord, RunStore, fmt_float, read_action_history
 
 METRIC_NAMES = ("CumulativeReward", "StepsToThreshold", "DriftRecoverySteps",
                 "BranchHistogram")
 NEVER = -1.0
 
 CSV_HEADER = "variant,seed,metric,value,from,to"
-
-# the scenario keys the runner reads, and the scenario's name
-SCENARIO_KEYS = frozenset({"name", "users", "groups", "items", "affinity", "routines",
-                           "day_length", "drift", "agent_user", "warm_start_events",
-                           "background_rate"})
 
 _AGENT_STREAM = 99  # agent rng offset below the trial seed base
 _SEED_SPREAD = 1_000_003
@@ -72,7 +70,11 @@ class MetricRow:
 
 @dataclass
 class ExperimentSpec:
-    """A validated experiment: every way of building one runs the checks."""
+    """A validated experiment: every way of building one runs the checks.
+
+    `scenario` is the config as loaded, written back to scenario.json
+    unchanged; `parsed` is its checked form, which every trial reads.
+    """
 
     scenario: dict
     variants: list[dict]  # each: {"name": ..., "variant": ..., **agent overrides}
@@ -84,6 +86,7 @@ class ExperimentSpec:
     threshold_fraction: float = 0.8
     recovery_window: int = 50
     recovery_fraction: float = 0.9
+    parsed: Scenario = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.trials < 1:
@@ -98,19 +101,8 @@ class ExperimentSpec:
         if not self.variants:
             raise ConfigError("at least one variant is required")
         try:
-            population = user_ids(int(self.scenario["users"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"scenario needs an integer 'users': {exc}") from None
-        unknown = sorted(set(self.scenario) - SCENARIO_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown scenario keys: {', '.join(unknown)}")
-        if self.scenario.get("agent_user") not in population:
-            raise ConfigError(f"agent_user {self.scenario.get('agent_user')!r} is not "
-                              f"one of the scenario's {len(population)} users")
-        try:
-            check_scenario(self.scenario, ContextModel.default())
-            _background_counts(self.scenario)
-        except (KeyError, TypeError, AttributeError, ValueError, GazetteerError) as exc:
+            self.parsed = parse_scenario(self.scenario, ContextModel.default())
+        except (TypeError, ValueError, GazetteerError) as exc:
             raise ConfigError(f"bad scenario: {exc}") from None
         names = [v.get("name") for v in self.variants]
         if len(set(names)) != len(names):
@@ -121,7 +113,7 @@ class ExperimentSpec:
             if v.get("variant") not in VARIANTS:
                 raise ConfigError(f"unknown agent variant {v.get('variant')!r}")
             try:
-                agent_config_from_variant(v, self.scenario, self.base_seed).learning_params()
+                agent_config_from_variant(v, self.parsed, self.base_seed).learning_params()
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"variant {v['name']!r}: {exc}") from None
         if not isinstance(self.metrics, (list, tuple)):
@@ -177,13 +169,9 @@ def load_scenario(ref: str | Path) -> dict:
             raise ConfigError(f"scenario file not found: {path}")
         text = path.read_text(encoding="utf-8")
     try:
-        scenario = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"scenario is not valid JSON: {exc}") from exc
-    for field in ("users", "groups", "items", "affinity", "routines", "agent_user"):
-        if field not in scenario:
-            raise ConfigError(f"scenario is missing {field!r}")
-    return scenario
 
 
 def load_experiment_spec(path: str | Path) -> ExperimentSpec:
@@ -274,40 +262,29 @@ class TrialResult:
     drift_step: Optional[int]
 
 
-def _background_counts(scenario: dict) -> tuple[int, int]:
-    """The scenario's warm-start events and background events per step."""
-    counts = (int(scenario.get("warm_start_events", 0)),
-              int(scenario.get("background_rate", 0)))
-    if min(counts) < 0:
-        raise ValueError(f"warm_start_events and background_rate must be >= 0, "
-                         f"got {counts[0]} and {counts[1]}")
-    return counts
-
-
-def agent_config_from_variant(variant: dict, scenario: dict, seed: int) -> AgentConfig:
+def agent_config_from_variant(variant: dict, scenario: Scenario, seed: int) -> AgentConfig:
     overrides = {k: v for k, v in variant.items() if k not in ("name",)}
-    overrides.setdefault("episode_length", int(scenario.get("day_length", 50)))
+    overrides.setdefault("episode_length", scenario.day_length)
     if "feature_weights" in overrides:
         overrides["feature_weights"] = tuple(overrides["feature_weights"])
-    return AgentConfig(user_id=scenario["agent_user"],
+    return AgentConfig(user_id=scenario.agent_user,
                        seed=seed * _SEED_SPREAD + _AGENT_STREAM, **overrides)
 
 
-def run_trial(scenario: dict, variant: dict, seed: int, steps: int,
+def run_trial(scenario: Scenario, variant: dict, seed: int, steps: int,
               run_dir: Optional[Path] = None,
               context: Optional[ContextModel] = None) -> TrialResult:
     """Fresh world plus fresh agent, one full run, optional persistence."""
     world = world_from_scenario(scenario, seed, context)
-    focal = scenario["agent_user"]
-    profile = Profile(world.user(focal).social_group)
+    focal = scenario.agent_user
     cf_store = TransactionStore(world.catalog, world.context)
     background_users = [u.user_id for u in world.users if u.user_id != focal]
-    warm_start_events, background_rate = _background_counts(scenario)
-    env = SimEnv(world, cf_store, background_rate, background_users)
-    env.background_burst(warm_start_events)
+    env = SimEnv(world, cf_store, scenario.background_rate, background_users)
+    env.background_burst(scenario.warm_start_events)
 
     config = agent_config_from_variant(variant, scenario, seed)
-    agent = Agent(config, world.catalog, world.context, profile, cf_store)
+    agent = Agent(config, world.catalog, world.context,
+                  world.user(focal).social_group, cf_store)
 
     optimal_pre = world.optimal_expected_reward(focal)
     trace = agent.run(env, steps)
@@ -316,16 +293,13 @@ def run_trial(scenario: dict, variant: dict, seed: int, steps: int,
     drift_step = min(drift_steps) if drift_steps else None
 
     if run_dir is not None:
-        _persist_run(run_dir, world, focal, trace, env)
+        _persist_run(run_dir, focal, trace, env)
     return TrialResult(trace, optimal_pre, optimal_post, drift_step)
 
 
-def _persist_run(run_dir: Path, world: WorldModel, focal: str,
-                 trace: list[StepRecord], env: SimEnv) -> None:
+def _persist_run(run_dir: Path, focal: str, trace: list[StepRecord],
+                 env: SimEnv) -> None:
     store = RunStore()
-    for profile in world.users:
-        store.add_user(UserRecord(profile.user_id, profile.user_id,
-                                  profile.social_group))
     for step, event in env.event_log:
         store.append_event_history(event, step)
     for record in trace:
@@ -379,7 +353,7 @@ def rows_for_trial(spec: ExperimentSpec, variant_name: str, seed: int,
 def _trial_task(spec: ExperimentSpec, variant: dict, seed: int,
                 run_dir: Path) -> list[MetricRow]:
     """One persisted trial and its metric rows, in this or a worker process."""
-    result = run_trial(spec.scenario, variant, seed, spec.steps, run_dir)
+    result = run_trial(spec.parsed, variant, seed, spec.steps, run_dir)
     return rows_for_trial(spec, variant["name"], seed, result)
 
 
@@ -492,7 +466,7 @@ def recompute_rows(out_dir: str | Path) -> list[MetricRow]:
     """Rebuild every metric row from the persisted traces and configs."""
     out = Path(out_dir)
     spec = load_experiment_spec(out / "spec.json")
-    scenario = spec.scenario
+    scenario = spec.parsed
     context = ContextModel.default()
     rows: list[MetricRow] = []
     for variant in spec.variants:
@@ -500,10 +474,9 @@ def recompute_rows(out_dir: str | Path) -> list[MetricRow]:
             run_dir = out / "runs" / variant["name"] / str(seed)
             trace = read_trace(run_dir)
             world = world_from_scenario(scenario, seed, context)
-            focal = scenario["agent_user"]
-            optimal_pre = world.optimal_expected_reward(focal)
+            optimal_pre = world.optimal_expected_reward(scenario.agent_user)
             apply_drift(world, spec.steps - 1)
-            optimal_post = world.optimal_expected_reward(focal)
+            optimal_post = world.optimal_expected_reward(scenario.agent_user)
             drift_steps = [op.step for op in world.drift_schedule if op.applied]
             result = TrialResult(trace, optimal_pre, optimal_post,
                                  min(drift_steps) if drift_steps else None)

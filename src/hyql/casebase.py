@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .context import ContextModel, SituationKey
 from .qlearn import ActionId, QTable
@@ -142,9 +142,10 @@ class CaseBase:
             return None
         return RetrievalResult(best, best_sim)
 
-    def retain(self, problem: SituationKey, q_row: dict[ActionId, float],
+    def retain(self, problem: SituationKey, q_row: Mapping[ActionId, float],
                visits: int, mean_reward: float, user_id: str, step: int) -> Case:
-        """Insert a finished experience; revise an equal problem in place.
+        """Insert a finished experience, copying `q_row`; revise an equal
+        problem in place.
 
         Equal means an equal key, not a similarity of 1.0: with some valid
         weights, identical problems score a float just below 1.0.

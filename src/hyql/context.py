@@ -210,13 +210,6 @@ class SituationKey:
                    parts[3], int(parts[4]))
 
 
-@dataclass(frozen=True)
-class Profile:
-    """What aggregation needs to know about a user."""
-
-    social_group: str
-
-
 # The 16 time buckets, built once and handed out by time_bucket and
 # abstract_time, so interned situations compare their buckets by identity.
 _BUCKETS = {(part, day, state): TimeBucket(part, day, state)
@@ -358,7 +351,7 @@ class ContextModel:
             key = self._interned.setdefault(fields, SituationKey(*fields))
         return key
 
-    def aggregate(self, event: RawEvent, profile: Profile, level: int) -> SituationKey:
+    def aggregate(self, event: RawEvent, social_group: str, level: int) -> SituationKey:
         """Compose time, lifted place, group and cognitive class into one key."""
         if level < 0 or level > self.depth:
             raise ValueError(f"granularity level {level} outside 0..{self.depth}")
@@ -371,7 +364,7 @@ class ContextModel:
         chain = self.place_chain(leaf)
         effective = min(level, len(chain) - 1)
         cognitive = event.cognitive.kind if event.cognitive is not None else UNKNOWN_COGNITIVE
-        return self.situation(bucket, chain[effective], profile.social_group,
+        return self.situation(bucket, chain[effective], social_group,
                               cognitive, effective)
 
     def generalize(self, key: SituationKey, level: int) -> SituationKey:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Hashable, Iterator, Sequence
+from typing import Hashable, Iterator, Mapping, Sequence
 
 from .context import SituationKey
 
@@ -107,8 +107,9 @@ class QTable:
             return 0.0
         return row.get(a, 0.0)
 
-    def row(self, s: State) -> dict[ActionId, float]:
-        return dict(self._rows.get(s, {}))
+    def row(self, s: State) -> Mapping[ActionId, float]:
+        """The stored row itself, not a copy: read it, do not keep it."""
+        return self._rows.get(s, {})
 
     def set_value(self, s: State, a: ActionId, value: float) -> None:
         if not math.isfinite(value):

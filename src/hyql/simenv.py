@@ -8,6 +8,11 @@ things. Rewards are Bernoulli acceptances. Scheduled drift operations
 rewrite the probability rows mid-run, which is what the recommender has
 to track.
 
+A scenario config (a JSON object) defines the world, and this module is
+the only one that knows its format. `parse_scenario` checks a config once
+and returns a `Scenario`; `world_from_scenario` then only draws. So a bad
+scenario fails before a run writes anything, and no world build re-checks.
+
 Everything is driven by named random streams derived from one seed, and
 events never depend on the agent's actions, so all agent variants sharing
 a seed consume the identical event stream (paired-seed contract). The
@@ -18,15 +23,24 @@ paired variants also share their luck.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
-from .context import (CalendarEntry, CognitiveAction, ContextModel, HOUR_RANGES,
-                      RawEvent, SECONDS_PER_DAY, SECONDS_PER_HOUR, SituationKey,
-                      TimeBucket, time_bucket)
+from .context import (COGNITIVE_KINDS, CalendarEntry, CognitiveAction, ContextModel,
+                      HOUR_RANGES, RawEvent, SECONDS_PER_DAY, SECONDS_PER_HOUR,
+                      SituationKey, TimeBucket, time_bucket)
 from .qlearn import ActionCatalog, ActionId, CatalogError
 
 DRIFT_OPS = ("SwapTopItems", "ResampleRow")
+
+# the keys of a scenario config (and those it may omit), of a habit, of a drift entry
+SCENARIO_KEYS = frozenset({"name", "users", "groups", "items", "affinity", "routines",
+                           "day_length", "drift", "agent_user", "warm_start_events",
+                           "background_rate"})
+_OPTIONAL_KEYS = {"name", "day_length", "drift", "warm_start_events", "background_rate"}
+_HABIT_KEYS = frozenset({"part_of_day", "day_class", "calendar", "place", "cognitive",
+                         "weight"})
+_DRIFT_KEYS = frozenset({"step", "op", "target", "scope"})
 
 # stream offsets below the per-world seed base
 _STREAM_BUILD = 0
@@ -53,6 +67,9 @@ class RoutineTriple:
     weight: float
 
     def __post_init__(self):
+        self.bucket()  # raises on an unknown time bucket field
+        if self.cognitive not in COGNITIVE_KINDS:
+            raise ValueError(f"unknown cognitive kind {self.cognitive!r}")
         if not self.weight >= 0.0:
             raise ValueError(f"routine weight must be >= 0, got {self.weight}")
 
@@ -60,7 +77,7 @@ class RoutineTriple:
         return time_bucket(self.part_of_day, self.day_class, self.calendar_state)
 
 
-@dataclass
+@dataclass(frozen=True)
 class UserProfile:
     user_id: str
     social_group: str
@@ -86,8 +103,6 @@ class DriftOp:
     def __post_init__(self):
         if self.op not in DRIFT_OPS:
             raise ValueError(f"unknown drift op {self.op!r}")
-        if self.step < 0:
-            raise ValueError(f"drift step {self.step} is negative")
 
 
 def situation_for(context: ContextModel, triple: RoutineTriple, group: str) -> SituationKey:
@@ -150,92 +165,126 @@ def _mix_row(proto: Sequence[float], rng: random.Random, affinity: float) -> lis
     return [affinity * p + personal * draw() for p in proto]
 
 
-def user_ids(n_users: int) -> list[str]:
-    """The ids of a population of n users: u00, u01, ..."""
-    return [f"u{i:02d}" for i in range(n_users)]
+# ---------------------------------------------------------------------------
+# Scenario: parse and check once, then draw any number of worlds
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Scenario:
+    """A checked scenario config, built by `parse_scenario`: users u00..
+    join groups g0.. round-robin, and each group shares one routine."""
+
+    routines: dict[str, tuple[RoutineTriple, ...]]  # every group, in order
+    users: tuple[UserProfile, ...]
+    n_items: int
+    drift: tuple[DriftOp, ...]  # by step
+    day_length: int
+    agent_user: str
+    warm_start_events: int
+    background_rate: int
 
 
-def _population(n_users: int, n_groups: int, n_items: int, affinity: float,
-                routines: Optional[dict[str, Sequence[RoutineTriple]]],
-                context: ContextModel,
-                drift: Sequence[DriftOp]) -> tuple[list[str], dict, list[UserProfile]]:
-    """Groups, routines and profiles, after every check needing no random draw."""
-    if n_users < 1 or n_items < 1 or n_groups < 1:
-        raise ValueError("population needs at least one user, group and item")
-    if not 0.0 <= affinity <= 1.0:
-        raise ValueError("affinity must be in [0, 1]")
-    groups = [f"g{i}" for i in range(n_groups)]
-    routines = routines or {g: default_routine() for g in groups}
-    for group in groups:
-        if group not in routines:
-            raise ValueError(f"no routine configured for group {group!r}")
-        for triple in routines[group]:
-            context.place_chain(triple.place)  # raises on unknown places
-            triple.bucket()  # raises on an unknown time bucket
-    users = [UserProfile(user_id, groups[i % n_groups], affinity,
-                         tuple(routines[groups[i % n_groups]]))
-             for i, user_id in enumerate(user_ids(n_users))]
-    for op in drift:
-        # a drift op that would touch no row is a mistake, not a no-op
-        members = [u for u in users if op.target in (u.user_id, u.social_group)]
-        if not members:
-            raise ValueError(f"drift target {op.target!r} names no user or group")
-        scopes = {situation_for(context, t, members[0].social_group).canonical()
-                  for t in members[0].routine}
-        if op.scope != "all" and op.scope not in scopes:
-            raise ValueError(f"drift scope {op.scope!r} is neither 'all' nor a "
-                             f"situation of {op.target!r}'s routine")
-    return groups, routines, users
+def _check_keys(entry, required: frozenset, allowed: frozenset, what: str) -> None:
+    if not isinstance(entry, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    unknown = sorted(set(entry) - allowed)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")
+    missing = sorted(required - set(entry))
+    if missing:
+        raise ValueError(f"{what} is missing {', '.join(missing)}")
 
 
-def build_population(n_users: int, n_groups: int, n_items: int, affinity: float,
-                     rng: random.Random, routines: Optional[dict[str, Sequence[RoutineTriple]]] = None,
-                     day_length: int = 50,
-                     drift: Sequence[DriftOp] = (),
-                     context: Optional[ContextModel] = None,
-                     seed: int = 0) -> WorldModel:
-    """Draw group prototypes and per-user relevance rows.
+def _count(entry: dict, key: str, minimum: int, default: Optional[int] = None) -> int:
+    """A JSON integer: a float, a string or a boolean is a mistake."""
+    value = entry.get(key, default)
+    if type(value) is not int or value < minimum:
+        raise ValueError(f"{key} must be an integer >= {minimum}, got {value!r}")
+    return value
 
-    Users u00.. are assigned to groups g0.. round-robin. Each group shares
-    a routine (the default one covers six situations across the canonical
-    gazetteer places).
+
+def _number(value, what: str) -> float:
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _habit(entry, context: ContextModel) -> RoutineTriple:
+    _check_keys(entry, _HABIT_KEYS, _HABIT_KEYS, "routine habit")
+    context.place_chain(entry["place"])  # raises on an unknown place
+    return RoutineTriple(entry["part_of_day"], entry["day_class"], entry["calendar"],
+                         entry["place"], entry["cognitive"],
+                         _number(entry["weight"], "routine weight"))
+
+
+def _drift_op(entry, users: Sequence[UserProfile], context: ContextModel) -> DriftOp:
+    _check_keys(entry, _DRIFT_KEYS - {"scope"}, _DRIFT_KEYS, "drift entry")
+    op = DriftOp(_count(entry, "step", 0), entry["op"], entry["target"],
+                 entry.get("scope", "all"))
+    # a drift op that would touch no row is a mistake, not a no-op
+    members = [u for u in users if op.target in (u.user_id, u.social_group)]
+    if not members:
+        raise ValueError(f"drift target {op.target!r} names no user or group")
+    scopes = {situation_for(context, t, members[0].social_group).canonical()
+              for t in members[0].routine}
+    if op.scope != "all" and op.scope not in scopes:
+        raise ValueError(f"drift scope {op.scope!r} is neither 'all' nor a "
+                         f"situation of {op.target!r}'s routine")
+    return op
+
+
+def parse_scenario(raw: dict, context: ContextModel) -> Scenario:
+    """Check a scenario config without a random draw and return it parsed.
+
+    Raises ValueError, or GazetteerError for a place `context` lacks.
     """
-    context = context or ContextModel.default()
-    groups, routines, users = _population(n_users, n_groups, n_items, affinity,
-                                          routines, context, drift)
-    catalog = ActionCatalog([f"doc{i:02d}" for i in range(n_items)])
+    _check_keys(raw, SCENARIO_KEYS - _OPTIONAL_KEYS, SCENARIO_KEYS, "scenario")
+    n_groups = _count(raw, "groups", 1)
+    groups = [f"g{i}" for i in range(n_groups)]
+    # one routine per group, none for a group the scenario lacks
+    _check_keys(raw["routines"], frozenset(groups), frozenset(groups), "routines")
+    routines = {group: tuple(_habit(entry, context) for entry in raw["routines"][group])
+                for group in groups}
+    affinity = _number(raw["affinity"], "affinity")
+    users = tuple(UserProfile(f"u{i:02d}", groups[i % n_groups], affinity,
+                              routines[groups[i % n_groups]])
+                  for i in range(_count(raw, "users", 1)))
+    if raw["agent_user"] not in [u.user_id for u in users]:
+        raise ValueError(f"agent_user {raw['agent_user']!r} is not one of the "
+                         f"scenario's {len(users)} users")
+    drift = [_drift_op(entry, users, context) for entry in raw.get("drift", [])]
+    return Scenario(routines, users, _count(raw, "items", 1),
+                    tuple(sorted(drift, key=lambda op: op.step)),
+                    _count(raw, "day_length", 1, 50), raw["agent_user"],
+                    _count(raw, "warm_start_events", 0, 0),
+                    _count(raw, "background_rate", 0, 0))
 
+
+def world_from_scenario(scenario: Scenario, seed: int,
+                        context: Optional[ContextModel] = None) -> WorldModel:
+    """Draw a world: group prototypes, then each user's relevance rows."""
+    context = context or ContextModel.default()
+    rng = random.Random(seed * _SEED_SPREAD + _STREAM_BUILD)
     prototypes: dict[tuple[str, SituationKey], list[float]] = {}
-    for group in groups:
-        for triple in routines[group]:
+    for group, routine in scenario.routines.items():
+        for triple in routine:
             key = situation_for(context, triple, group)
-            prototypes[(group, key)] = [rng.random() for _ in range(n_items)]
+            prototypes[(group, key)] = [rng.random() for _ in range(scenario.n_items)]
 
     relevance: dict[tuple[str, SituationKey], list[float]] = {}
-    for profile in users:
+    for profile in scenario.users:
         for triple in profile.routine:
             key = situation_for(context, triple, profile.social_group)
             proto = prototypes[(profile.social_group, key)]
-            relevance[(profile.user_id, key)] = _mix_row(proto, rng, affinity)
+            relevance[(profile.user_id, key)] = _mix_row(proto, rng,
+                                                         profile.group_affinity)
 
-    return WorldModel(users=users, catalog=catalog, relevance=relevance,
-                      prototypes=prototypes,
-                      drift_schedule=sorted((DriftOp(d.step, d.op, d.target, d.scope)
-                                             for d in drift), key=lambda d: d.step),
-                      day_length=day_length, seed=seed, context=context,
+    return WorldModel(users=list(scenario.users),
+                      catalog=ActionCatalog([f"doc{i:02d}" for i in range(scenario.n_items)]),
+                      relevance=relevance, prototypes=prototypes,
+                      drift_schedule=[replace(op) for op in scenario.drift],
+                      day_length=scenario.day_length, seed=seed, context=context,
                       drift_rng=random.Random(seed * _SEED_SPREAD + _STREAM_DRIFT))
-
-
-def default_routine() -> tuple[RoutineTriple, ...]:
-    """Six weighted office-worker habits over the built-in gazetteer."""
-    return (
-        RoutineTriple("Morning", "Weekday", "Free", "Office", "Navigate", 0.30),
-        RoutineTriple("Afternoon", "Weekday", "InMeeting", "ClientSite", "OpenFolder", 0.20),
-        RoutineTriple("Afternoon", "Weekday", "Free", "Office", "SendEmail", 0.20),
-        RoutineTriple("Evening", "Weekday", "Free", "Home", "Navigate", 0.10),
-        RoutineTriple("Morning", "Weekend", "Free", "Home", "Navigate", 0.10),
-        RoutineTriple("Night", "Weekday", "Free", "Transit", "Call", 0.10),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +438,8 @@ class SimEnv:
         return event
 
     def _remember(self, user_id: str, event: RawEvent) -> None:
-        profile = self.world.user(user_id)
         self._situation[user_id] = self.world.context.aggregate(
-            event, profile, 0)
+            event, self.world.user(user_id).social_group, 0)
 
     def background_burst(self, n_events: int) -> int:
         """Simulate n ambient interactions of the background users."""
@@ -424,39 +472,3 @@ class SimEnv:
         return r, next_event
 
 
-# ---------------------------------------------------------------------------
-# Scenario configuration (structured text file)
-# ---------------------------------------------------------------------------
-
-def routine_from_config(entries: Sequence[dict]) -> tuple[RoutineTriple, ...]:
-    return tuple(RoutineTriple(e["part_of_day"], e["day_class"], e["calendar"],
-                               e["place"], e["cognitive"], float(e["weight"]))
-                 for e in entries)
-
-
-def _population_args(scenario: dict, context: ContextModel) -> dict:
-    """build_population's arguments for a parsed scenario, but the rng and seed."""
-    return dict(
-        n_users=int(scenario["users"]), n_groups=int(scenario["groups"]),
-        n_items=int(scenario["items"]), affinity=float(scenario["affinity"]),
-        routines={group: routine_from_config(entries)
-                  for group, entries in scenario["routines"].items()},
-        day_length=int(scenario.get("day_length", 50)),
-        drift=[DriftOp(int(d["step"]), d["op"], d["target"], d.get("scope", "all"))
-               for d in scenario.get("drift", [])],
-        context=context)
-
-
-def world_from_scenario(scenario: dict, seed: int,
-                        context: Optional[ContextModel] = None) -> WorldModel:
-    """Build a world from a parsed scenario config, overriding its seed."""
-    args = _population_args(scenario, context or ContextModel.default())
-    rng = random.Random(seed * _SEED_SPREAD + _STREAM_BUILD)
-    return build_population(rng=rng, seed=seed, **args)
-
-
-def check_scenario(scenario: dict, context: ContextModel) -> None:
-    """Raise what world_from_scenario would raise, without drawing a random number."""
-    args = _population_args(scenario, context)
-    _population(args["n_users"], args["n_groups"], args["n_items"], args["affinity"],
-                args["routines"], context, args["drift"])

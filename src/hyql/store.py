@@ -1,12 +1,12 @@
-"""The shared run database: users, histories, preferences.
+"""The shared run database: histories and preferences.
 
-Everything is append-only in memory and snapshots to four tab-separated
-UTF-8 files in a run directory (users.tsv, history_actions.tsv,
-history_events.tsv, preferences.tsv). Each file starts with a `#` header
-carrying the schema version and column names. This module is the only
-owner of their line formats and of the float format they share
-(`fmt_float`); every other module reads a run's action history, the
-trace, through `read_action_history`.
+Everything is append-only in memory and snapshots to three tab-separated
+UTF-8 files in a run directory (history_actions.tsv, history_events.tsv,
+preferences.tsv); the experiment's scenario.json defines the users. Each
+file starts with a `#` header carrying the schema version and column names.
+This module is the only owner of their line formats and of the float
+format they share (`fmt_float`); every other module reads a run's action
+history, the trace, through `read_action_history`.
 
 Snapshots are canonical: the same records always write the same bytes,
 and a trace read back and snapshotted again is byte-identical. Reading
@@ -25,7 +25,6 @@ from .qlearn import StepRecord
 SCHEMA_VERSION = 1
 
 _FILES = {
-    "users": ("users.tsv", "user_id\tlogin\tsocial_group"),
     "actions": ("history_actions.tsv",
                 "step\tsituation_key\taction\tbranch\treward\tnext_situation_key"),
     "events": ("history_events.tsv",
@@ -52,17 +51,6 @@ class StoreParseError(Exception):
 
 
 @dataclass(frozen=True)
-class UserRecord:
-    user_id: str
-    login: str
-    social_group: str
-
-    def __post_init__(self):
-        if not self.login:
-            raise ValueError("login must be non-empty")
-
-
-@dataclass(frozen=True)
 class PreferenceRecord:
     user_id: str
     situation: SituationKey
@@ -79,17 +67,9 @@ class RunStore:
     """Single-writer store for one simulation run."""
 
     def __init__(self):
-        self.users: list[UserRecord] = []
         self.action_history: list[StepRecord] = []
         self.event_history: list[tuple[int, RawEvent]] = []
         self.preferences: list[PreferenceRecord] = []
-        self._user_ids: set[str] = set()
-
-    def add_user(self, record: UserRecord) -> None:
-        if record.user_id in self._user_ids:
-            raise ValueError(f"duplicate user id {record.user_id!r}")
-        self._user_ids.add(record.user_id)
-        self.users.append(record)
 
     def append_action_history(self, record: StepRecord) -> None:
         if self.action_history and record.step < self.action_history[-1].step:
@@ -111,8 +91,6 @@ class RunStore:
     def snapshot(self, dirpath: str | Path) -> None:
         directory = Path(dirpath)
         directory.mkdir(parents=True, exist_ok=True)
-        _write(directory, "users",
-               (f"{u.user_id}\t{u.login}\t{u.social_group}" for u in self.users))
         _write(directory, "actions", (_step_line(r) for r in self.action_history))
         _write(directory, "events",
                (_event_line(step, e) for step, e in self.event_history))

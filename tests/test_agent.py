@@ -1,12 +1,13 @@
 import random
 
 from hyql.agent import Agent, AgentConfig, hybrid_policy
+from hyql.bench import load_scenario
 from hyql.collab import TransactionStore
-from hyql.context import (CognitiveAction, ContextModel, Profile, RawEvent,
-                          SituationKey, TimeBucket)
+from hyql.context import (CognitiveAction, ContextModel, RawEvent, SituationKey,
+                          TimeBucket)
 from hyql.qlearn import (ADVISE, CASE_BOOTSTRAPPED, EXPLOIT, RANDOM_FALLBACK,
                          ActionCatalog, QTable)
-from hyql.simenv import SimEnv, build_population
+from hyql.simenv import SimEnv, parse_scenario, world_from_scenario
 
 CATALOG = ActionCatalog(["a0", "a1", "a2", "a3"])
 
@@ -36,7 +37,7 @@ _CONTEXT = ContextModel.default()
 
 def make_agent(variant="HyQL", seed=0, **overrides):
     config = AgentConfig(variant, "u00", seed=seed, **overrides)
-    return Agent(config, CATALOG, _CONTEXT, Profile("g0"))
+    return Agent(config, CATALOG, _CONTEXT, "g0")
 
 
 class TestHybridPolicy:
@@ -79,7 +80,7 @@ class TestStep:
         1.0 whose best action is a3, p=1. The row is bootstrapped from the
         case, then the greedy branch must pick a3."""
         agent = make_agent("HyQL", p=1.0)
-        s = context.aggregate(office_event(), Profile("g0"), 0)
+        s = context.aggregate(office_event(), "g0", 0)
         agent.casebase.retain(s, {"a3": 5.0, "a0": 1.0}, visits=5,
                               mean_reward=0.9, user_id="u00", step=1)
         record, _ = agent.step(office_event(), StubEnv())
@@ -119,14 +120,20 @@ class TestStep:
         assert len(agent.cf_store) == 7
 
 
+def small_scenario():
+    """Three users of one group on four items, with the canonical routine."""
+    return dict(load_scenario("canonical"), users=3, items=4, agent_user="u00",
+                drift=[])
+
+
 def run_pair(variant, seed, steps=120, world_seed=5, **overrides):
-    world = build_population(3, 1, 4, 0.8, random.Random(world_seed),
-                             seed=world_seed)
+    world = world_from_scenario(parse_scenario(small_scenario(), _CONTEXT),
+                                world_seed, _CONTEXT)
     cf = TransactionStore(world.catalog, world.context)
     env = SimEnv(world, cf, background_rate=1,
                  background_users=["u01", "u02"])
     config = AgentConfig(variant, "u00", seed=seed, **overrides)
-    agent = Agent(config, world.catalog, world.context, Profile("g0"), cf)
+    agent = Agent(config, world.catalog, world.context, "g0", cf)
     return agent, agent.run(env, steps)
 
 

@@ -132,7 +132,7 @@ class TestAdapt:
         catalog = ActionCatalog(["a0", "a1"])
         table.update(skey(), "a0", 1.0, skey(), catalog,
                      LearningParams(alpha=1.0, gamma=0.0))
-        before = table.row(skey())
+        before = dict(table.row(skey()))
         assert not adapt(RetrievalResult(case, 1.0), skey(), table)
         assert table.row(skey()) == before
 

@@ -127,6 +127,18 @@ def routines_with_negative_weight():
     {"scenario": {"cf_same_group_only": False}},
     {"scenario": {"seed": 7}},
     {"scenario": {"backgroud_rate": 2}},
+    {"scenario": {"routines": routines_with(cognitive="Dance")}},
+    {"scenario": {"routines": dict(routines_with(), g7=routines_with()["g0"])}},
+    {"scenario": {"routines": routines_with(wieght=0.3)}},
+    {"scenario": {"drift": [{"step": 1000, "op": "SwapTopItems", "target": "g0",
+                             "scoep": "all"}]}},
+    {"scenario": {"users": 11.7}},
+    {"scenario": {"groups": True}},
+    {"scenario": {"items": "20"}},
+    {"scenario": {"day_length": 50.0}},
+    {"scenario": {"warm_start_events": 1000.5}},
+    {"scenario": {"background_rate": "2"}},
+    {"scenario": {"drift": [{"step": 1000.0, "op": "SwapTopItems", "target": "g0"}]}},
 ], ids=["unknown-override", "p", "alpha", "gamma", "variants-string",
         "variants-object", "metrics-string", "threshold-window", "recovery-window",
         "feature-weights-sum", "retrieval-threshold", "agent-user-not-in-population",
@@ -135,7 +147,10 @@ def routines_with_negative_weight():
         "drift-step-negative", "variant-name-path", "warm-start-negative",
         "background-rate-negative", "routine-weight-negative", "alpha-schedule",
         "default-q", "scenario-cf-same-group-only", "scenario-seed",
-        "scenario-misspelt-key"])
+        "scenario-misspelt-key", "routine-cognitive", "routine-unknown-group",
+        "habit-misspelt-key", "drift-misspelt-key", "users-float", "groups-bool",
+        "items-string", "day-length-float", "warm-start-float",
+        "background-rate-string", "drift-step-float"])
 def test_bad_spec_exits_2_before_writing(tmp_path, changes):
     out = tmp_path / "out"
     assert main(["run", str(write_spec(tmp_path, **changes)), "--out", str(out)]) \

@@ -1,14 +1,15 @@
 """Static layout checks over the hyql package, stdlib only.
 
-Every import is used, and the modules depend on each other only in one
+Every import is used, the modules depend on each other only in one
 direction: context -> qlearn -> collab/casebase -> agent -> simenv ->
-store/bench -> cli.
+store/bench -> cli, and only simenv spells the scenario format's keys.
 """
 
 import ast
 from pathlib import Path
 
 import hyql
+from hyql.simenv import SCENARIO_KEYS
 
 PACKAGE = Path(hyql.__file__).parent
 
@@ -74,3 +75,15 @@ def test_imports_follow_the_dependency_table():
     wrong = {name: sorted(hyql_imports(tree) - ALLOWED[name])
              for name, tree in trees.items()}
     assert {name: mods for name, mods in wrong.items() if mods} == {}
+
+
+def test_only_simenv_spells_the_scenario_keys():
+    """The scenario format stays behind simenv: no other module names a key.
+
+    "name" is exempt, since it is also an ordinary word for a variant name.
+    """
+    keys = SCENARIO_KEYS - {"name"}
+    found = {name: sorted({node.value for node in ast.walk(tree)
+                           if isinstance(node, ast.Constant) and node.value in keys})
+             for name, tree in modules().items() if name != "simenv"}
+    assert {name: spelt for name, spelt in found.items() if spelt} == {}

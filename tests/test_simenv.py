@@ -3,21 +3,33 @@ import random
 
 import pytest
 
+from hyql.bench import load_scenario
 from hyql.collab import TransactionStore
-from hyql.context import Profile, SituationKey
-from hyql.simenv import (DriftOp, RoutineTriple, SimEnv, _mix_row, apply_drift,
-                         build_population, check_scenario, gen_event, reward,
-                         situation_for, world_from_scenario)
+from hyql.context import ContextModel, SituationKey
+from hyql.simenv import (DriftOp, SimEnv, _mix_row, apply_drift, gen_event,
+                         parse_scenario, reward, situation_for, world_from_scenario)
+
+CONTEXT = ContextModel.default()
+
+SINGLE_HABIT = {"part_of_day": "Morning", "day_class": "Weekday", "calendar": "Free",
+                "place": "Office", "cognitive": "Navigate", "weight": 1.0}
 
 
-def small_world(seed=0, n_users=4, affinity=0.8, n_items=5, drift=()):
-    rng = random.Random(seed)
-    return build_population(n_users, 1, n_items, affinity, rng, drift=drift,
-                            seed=seed)
+def scenario(n_users=4, affinity=0.8, n_items=5, drift=(), routine=None):
+    """A one-group scenario config, on the canonical routine by default."""
+    canonical = load_scenario("canonical")
+    return dict(canonical, users=n_users, affinity=affinity, items=n_items,
+                agent_user="u00", drift=list(drift),
+                routines={"g0": routine or canonical["routines"]["g0"]})
 
 
-SINGLE_TRIPLE = (RoutineTriple("Morning", "Weekday", "Free", "Office",
-                               "Navigate", 1.0),)
+def small_world(seed=0, **changes):
+    return world_from_scenario(parse_scenario(scenario(**changes), CONTEXT), seed,
+                               CONTEXT)
+
+
+def swap(step):
+    return {"step": step, "op": "SwapTopItems", "target": "g0"}
 
 
 class TestBuildPopulation:
@@ -46,9 +58,9 @@ class TestBuildPopulation:
 
     def test_bad_counts_rejected(self):
         with pytest.raises(ValueError):
-            build_population(0, 1, 5, 0.5, random.Random(0))
+            parse_scenario(scenario(n_users=0, affinity=0.5), CONTEXT)
         with pytest.raises(ValueError):
-            build_population(2, 1, 5, 1.5, random.Random(0))
+            parse_scenario(scenario(n_users=2, affinity=1.5), CONTEXT)
 
     def test_every_routine_situation_covered(self):
         world = small_world()
@@ -111,14 +123,12 @@ class TestMixRow:
 
 class TestGenEvent:
     def test_degenerate_routine_hits_one_key(self):
-        rng = random.Random(1)
-        world = build_population(2, 1, 4, 0.8, rng,
-                                 routines={"g0": SINGLE_TRIPLE}, seed=1)
+        world = small_world(seed=1, n_users=2, n_items=4, routine=[SINGLE_HABIT])
         evt_rng = random.Random(2)
-        expected = situation_for(world.context, SINGLE_TRIPLE[0], "g0")
+        expected = situation_for(world.context, world.user("u00").routine[0], "g0")
         for step in range(100):
             event = gen_event(world, "u00", step, evt_rng)
-            key = world.context.aggregate(event, Profile("g0"), 0)
+            key = world.context.aggregate(event, "g0", 0)
             assert key == expected
 
     def test_fixed_seed_fixed_sequence(self):
@@ -135,7 +145,7 @@ class TestGenEvent:
         n = 10_000
         for step in range(n):
             event = gen_event(world, "u00", step, rng)
-            key = world.context.aggregate(event, Profile("g0"), 0)
+            key = world.context.aggregate(event, "g0", 0)
             counts[key] += 1
         for triple in profile.routine:
             freq = counts[situation_for(world.context, triple, "g0")] / n
@@ -147,7 +157,7 @@ class TestGenEvent:
         valid = set(world.situations("u00"))
         for step in range(500):
             event = gen_event(world, "u00", step, rng)
-            key = world.context.aggregate(event, Profile("g0"), 0)
+            key = world.context.aggregate(event, "g0", 0)
             assert key in valid
 
 
@@ -193,8 +203,7 @@ class TestDrift:
         assert world.relevance == before
 
     def test_swap_exchanges_best_and_worst(self):
-        world = small_world(seed=12, n_users=1, n_items=3,
-                            drift=[DriftOp(5, "SwapTopItems", "g0")])
+        world = small_world(seed=12, n_users=1, n_items=3, drift=[swap(5)])
         key = world.situations("u00")[0]
         world.relevance[("u00", key)] = [0.9, 0.1, 0.5]
         # force every other row to something inert
@@ -205,15 +214,14 @@ class TestDrift:
         assert world.relevance[("u00", key)] == [0.1, 0.9, 0.5]
 
     def test_op_applies_exactly_once(self):
-        world = small_world(seed=12, n_users=1, n_items=3,
-                            drift=[DriftOp(5, "SwapTopItems", "g0")])
+        world = small_world(seed=12, n_users=1, n_items=3, drift=[swap(5)])
         assert apply_drift(world, 5) == 1
         snapshot = {k: list(v) for k, v in world.relevance.items()}
         assert apply_drift(world, 6) == 0
         assert world.relevance == snapshot
 
     def test_swap_moves_argmax_when_best_differs_from_worst(self):
-        world = small_world(seed=13, drift=[DriftOp(0, "SwapTopItems", "g0")])
+        world = small_world(seed=13, drift=[swap(0)])
         before = {k: list(v) for k, v in world.relevance.items()}
         apply_drift(world, 0)
         for k, row_before in before.items():
@@ -224,7 +232,7 @@ class TestDrift:
                     or row_before[hi] == row_before[lo]
 
     def test_resample_keeps_range_and_changes_rows(self):
-        world = small_world(seed=14, drift=[DriftOp(3, "ResampleRow", "g0")])
+        world = small_world(seed=14, drift=[dict(swap(3), op="ResampleRow")])
         before = {k: list(v) for k, v in world.relevance.items()}
         apply_drift(world, 3)
         assert all(0.0 <= p <= 1.0 for row in world.relevance.values() for p in row)
@@ -244,9 +252,8 @@ class TestDrift:
 
 class TestEnvStep:
     def test_deterministic_reward_chain(self):
-        rng = random.Random(20)
-        world = build_population(1, 1, 2, 1.0, rng,
-                                 routines={"g0": SINGLE_TRIPLE}, seed=20)
+        world = small_world(seed=20, n_users=1, n_items=2, affinity=1.0,
+                            routine=[SINGLE_HABIT])
         key = world.situations("u00")[0]
         world.relevance[("u00", key)] = [1.0, 0.0]
         env = SimEnv(world)
@@ -271,7 +278,7 @@ class TestEnvStep:
         n = 20_000
         total = 0.0
         for _ in range(n):
-            s = world.context.aggregate(event, Profile(world.user("u00").social_group), 0)
+            s = world.context.aggregate(event, world.user("u00").social_group, 0)
             row = world.row("u00", s)
             best = catalog.actions[row.index(max(row))]
             r, event = env.step("u00", best)
@@ -297,10 +304,11 @@ class TestEnvStep:
 
     def test_background_burst_reads_rows_a_resample_replaced(self):
         background = ["u00", "u01", "u02", "u03"]
-        world = small_world(seed=25, drift=[DriftOp(0, "ResampleRow", "g0")])
+        resample = [dict(swap(0), op="ResampleRow")]
+        world = small_world(seed=25, drift=resample)
         store = TransactionStore(world.catalog, world.context)
         env = SimEnv(world, store, background_users=background)
-        ref_world = small_world(seed=25, drift=[DriftOp(0, "ResampleRow", "g0")])
+        ref_world = small_world(seed=25, drift=resample)
         ref_store = TransactionStore(ref_world.catalog, ref_world.context)
         ref_rng = random.Random()
         ref_rng.setstate(env.background_rng.getstate())
@@ -359,8 +367,8 @@ class TestGroupCoherence:
 
 
 class TestScenario:
-    def test_world_from_scenario_canonical(self, canonical_scenario):
-        world = world_from_scenario(canonical_scenario, 7)
+    def test_world_from_scenario_canonical(self, canonical_scenario, context):
+        world = world_from_scenario(parse_scenario(canonical_scenario, context), 7)
         assert len(world.users) == 11
         assert len(world.catalog) == 20
         assert len(world.situations("u10")) == 6
@@ -368,13 +376,23 @@ class TestScenario:
 
     def test_check_scenario_takes_a_scope_from_the_targets_routine(
             self, canonical_scenario, context):
-        key = world_from_scenario(canonical_scenario, 7).situations("u03")[2]
+        parsed = parse_scenario(canonical_scenario, context)
+        key = world_from_scenario(parsed, 7).situations("u03")[2]
         for target in ("u03", "g0"):
             drift = [{"step": 5, "op": "ResampleRow", "target": target,
                       "scope": key.canonical()}]
-            check_scenario(dict(canonical_scenario, drift=drift), context)
+            parse_scenario(dict(canonical_scenario, drift=drift), context)
 
-    def test_scenario_determinism(self, canonical_scenario):
-        a = world_from_scenario(canonical_scenario, 3)
-        b = world_from_scenario(canonical_scenario, 3)
-        assert a.relevance == b.relevance
+    def test_scenario_determinism(self, canonical_scenario, context):
+        parsed = parse_scenario(canonical_scenario, context)
+        assert world_from_scenario(parsed, 3).relevance == \
+            world_from_scenario(parsed, 3).relevance
+
+    def test_each_world_applies_its_own_drift_copies(self, canonical_scenario, context):
+        parsed = parse_scenario(canonical_scenario, context)
+        first = world_from_scenario(parsed, 3)
+        assert apply_drift(first, 1000) == 1
+        second = world_from_scenario(parsed, 3)
+        assert not any(op.applied for op in parsed.drift + tuple(second.drift_schedule))
+        assert apply_drift(second, 1000) == 1
+        assert second.relevance == first.relevance

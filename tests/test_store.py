@@ -4,7 +4,7 @@ from hyql.context import (CalendarEntry, CognitiveAction, RawEvent,
                           SituationKey, TimeBucket)
 from hyql.qlearn import EXPLOIT, StepRecord
 from hyql.store import (OrderingError, PreferenceRecord, RunStore,
-                        StoreParseError, UserRecord, read_action_history)
+                        StoreParseError, read_action_history)
 
 
 def skey(place="Office"):
@@ -23,8 +23,6 @@ def sample_event(user="u00", timestamp=9 * 3600):
 
 def populated_store():
     store = RunStore()
-    store.add_user(UserRecord("u00", "u00", "g0"))
-    store.add_user(UserRecord("u01", "u01", "g0"))
     store.append_event_history(sample_event(), 0)
     store.append_event_history(RawEvent("u01", 7200, None, CognitiveAction("Call")), 1)
     for step in range(3):
@@ -77,18 +75,6 @@ class TestEventHistory:
         store.append_event_history(sample_event(), 5)
         with pytest.raises(OrderingError):
             store.append_event_history(sample_event(), 4)
-
-
-class TestUsersDevices:
-    def test_duplicate_user_rejected(self):
-        store = RunStore()
-        store.add_user(UserRecord("u00", "u00", "g0"))
-        with pytest.raises(ValueError):
-            store.add_user(UserRecord("u00", "other", "g0"))
-
-    def test_empty_login_rejected(self):
-        with pytest.raises(ValueError):
-            UserRecord("u00", "", "g0")
 
 
 class TestSnapshotLoad:
