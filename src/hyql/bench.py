@@ -6,7 +6,9 @@ variants consume the identical event stream and per-step acceptance draws
 history, which doubles as the trace) under the output directory; every
 metric can be recomputed from those files alone, which is what `verify`
 does. Outputs are canonical: rerunning a spec reproduces the CSV and the
-traces byte for byte, with or without parallelism.
+traces byte for byte, with or without parallelism. The process pool is
+imported only when a run asks for one, so a serial run never loads
+`multiprocessing`.
 
 Building an `ExperimentSpec` checks its scenario once, through
 `simenv.parse_scenario`; trials and `verify` draw their worlds from that
@@ -19,7 +21,6 @@ never happens) is reported with the sentinel value -1.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import repeat
@@ -370,6 +371,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path,
     tasks = [(variant, seed, out / "runs" / variant["name"] / str(seed))
              for variant in spec.variants for seed in spec.seeds()]
     if parallel > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             per_trial = list(pool.map(_trial_task, repeat(spec), *zip(*tasks)))
     else:

@@ -94,7 +94,7 @@ class TimeBucket:
         return time_bucket(*parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CalendarEntry:
     label: str
     start: int
@@ -105,7 +105,7 @@ class CalendarEntry:
             raise ValueError("calendar entry ends before it starts")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CognitiveAction:
     """A user action observed by the cognitive sensor.
 
@@ -121,7 +121,7 @@ class CognitiveAction:
             raise ValueError(f"bad cognitive kind: {self.kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawEvent:
     """One multi-sensor observation of a user.
 

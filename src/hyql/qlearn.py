@@ -30,7 +30,7 @@ State = Hashable
 ActionId = str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepRecord:
     """One agent step: situation, action, the branch that chose it, reward."""
 

@@ -9,9 +9,11 @@ format they share (`fmt_float`); every other module reads a run's action
 history, the trace, through `read_action_history`.
 
 Snapshots are canonical: the same records always write the same bytes,
-and a trace read back and snapshotted again is byte-identical. Reading
-is header- and field-checked: a malformed file raises StoreParseError
-with its path and line number, and no partial trace is returned.
+and a trace read back and snapshotted again is byte-identical. A snapshot
+streams each file line by line through one buffered handle, so it never
+holds a whole file's text in memory. Reading is header- and field-checked:
+a malformed file raises StoreParseError with its path and line number,
+and no partial trace is returned.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ class StoreParseError(Exception):
         self.lineno = lineno
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PreferenceRecord:
     user_id: str
     situation: SituationKey
@@ -129,11 +131,12 @@ def read_action_history(dirpath: str | Path) -> list[StepRecord]:
 
 
 def _write(directory: Path, part: str, lines) -> None:
+    """Stream the header and then each line, newline-ended, to one file."""
     filename, columns = _FILES[part]
-    body = "\n".join(lines)
-    header = f"# hyql-store v{SCHEMA_VERSION} {part}: {columns}"
-    (directory / filename).write_text(
-        header + ("\n" + body if body else "") + "\n", encoding="utf-8")
+    with open(directory / filename, "w", encoding="utf-8") as handle:
+        handle.write(f"# hyql-store v{SCHEMA_VERSION} {part}: {columns}\n")
+        for line in lines:
+            handle.write(line + "\n")
 
 
 def _step_line(record: StepRecord) -> str:

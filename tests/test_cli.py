@@ -1,8 +1,13 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hyql
 from hyql.bench import NEVER, load_scenario, parse_csv
 from hyql.cli import EXIT_CONFIG, EXIT_MISMATCH, EXIT_OK, main
 
@@ -87,6 +92,13 @@ def routines_with(**changes):
     return routines
 
 
+def routines_with_unjoined_group():
+    """Canonical g0, and a g1 that no user joins whose weights sum to 0.5."""
+    routines = load_scenario("canonical")["routines"]
+    routines["g1"] = [dict(habit, weight=habit["weight"] / 2) for habit in routines["g0"]]
+    return routines
+
+
 def routines_with_negative_weight():
     """The canonical routines, still summing to 1, one habit weighted -0.1."""
     routines = load_scenario("canonical")["routines"]
@@ -139,6 +151,12 @@ def routines_with_negative_weight():
     {"scenario": {"warm_start_events": 1000.5}},
     {"scenario": {"background_rate": "2"}},
     {"scenario": {"drift": [{"step": 1000.0, "op": "SwapTopItems", "target": "g0"}]}},
+    {"scenario": {"drift": {}}},
+    {"scenario": {"drift": ""}},
+    {"scenario": {"name": ["canonical"]}},
+    {"scenario": {"name": 7}},
+    {"scenario": {"users": 1, "groups": 2, "agent_user": "u00",
+                  "routines": routines_with_unjoined_group()}},
 ], ids=["unknown-override", "p", "alpha", "gamma", "variants-string",
         "variants-object", "metrics-string", "threshold-window", "recovery-window",
         "feature-weights-sum", "retrieval-threshold", "agent-user-not-in-population",
@@ -150,12 +168,30 @@ def routines_with_negative_weight():
         "scenario-misspelt-key", "routine-cognitive", "routine-unknown-group",
         "habit-misspelt-key", "drift-misspelt-key", "users-float", "groups-bool",
         "items-string", "day-length-float", "warm-start-float",
-        "background-rate-string", "drift-step-float"])
+        "background-rate-string", "drift-step-float", "drift-object",
+        "drift-empty-string", "name-array", "name-number",
+        "unjoined-group-weights-sum"])
 def test_bad_spec_exits_2_before_writing(tmp_path, changes):
     out = tmp_path / "out"
     assert main(["run", str(write_spec(tmp_path, **changes)), "--out", str(out)]) \
         == EXIT_CONFIG
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_serial_run_never_loads_the_process_pool(tmp_path):
+    """A fresh interpreter's serial run leaves `multiprocessing` unimported."""
+    script = ("import sys\n"
+              "from hyql.cli import main\n"
+              "code = main(['run', sys.argv[1], '--out', sys.argv[2]])\n"
+              "print(code, 'concurrent.futures.process' in sys.modules,"
+              " 'multiprocessing' in sys.modules)\n")
+    src = str(Path(hyql.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, str(write_spec(tmp_path)),
+                           str(tmp_path / "out")], env=env, capture_output=True,
+                          text=True, check=True, timeout=300)
+    assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} False False"
 
 
 def test_trials_override_is_validated(tmp_path):

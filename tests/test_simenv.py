@@ -1,5 +1,6 @@
 import math
 import random
+from array import array
 
 import pytest
 
@@ -93,6 +94,11 @@ def exact(row):
     return [(x, math.copysign(1.0, x)) for x in row]
 
 
+def exact_rows(world):
+    """Every relevance row by value, bit for bit, whatever container holds it."""
+    return {k: exact(row) for k, row in world.relevance.items()}
+
+
 LARGEST_DRAW = 1.0 - 2.0 ** -53
 
 
@@ -108,6 +114,7 @@ class TestMixRow:
         for row in rows:
             rng = Draws(draws)
             got = _mix_row(row, rng, affinity)
+            assert got.typecode == "d"  # packed doubles, not a list of floats
             assert rng.n == len(row)  # one draw per item, as the oracle takes
             assert exact(got) == exact(oracle_mix_row(row, Draws(draws), affinity))
 
@@ -198,27 +205,27 @@ class TestReward:
 class TestDrift:
     def test_no_op_scheduled_world_unchanged(self):
         world = small_world(seed=11)
-        before = {k: list(v) for k, v in world.relevance.items()}
+        before = exact_rows(world)
         assert apply_drift(world, 100) == 0
-        assert world.relevance == before
+        assert exact_rows(world) == before
 
     def test_swap_exchanges_best_and_worst(self):
         world = small_world(seed=12, n_users=1, n_items=3, drift=[swap(5)])
         key = world.situations("u00")[0]
-        world.relevance[("u00", key)] = [0.9, 0.1, 0.5]
+        world.relevance[("u00", key)] = array("d", [0.9, 0.1, 0.5])
         # force every other row to something inert
         for k in world.relevance:
             if k != ("u00", key):
-                world.relevance[k] = [0.3, 0.3, 0.3]
+                world.relevance[k] = array("d", [0.3, 0.3, 0.3])
         apply_drift(world, 5)
-        assert world.relevance[("u00", key)] == [0.1, 0.9, 0.5]
+        assert exact(world.relevance[("u00", key)]) == exact([0.1, 0.9, 0.5])
 
     def test_op_applies_exactly_once(self):
         world = small_world(seed=12, n_users=1, n_items=3, drift=[swap(5)])
         assert apply_drift(world, 5) == 1
-        snapshot = {k: list(v) for k, v in world.relevance.items()}
+        snapshot = exact_rows(world)
         assert apply_drift(world, 6) == 0
-        assert world.relevance == snapshot
+        assert exact_rows(world) == snapshot
 
     def test_swap_moves_argmax_when_best_differs_from_worst(self):
         world = small_world(seed=13, drift=[swap(0)])
@@ -233,21 +240,21 @@ class TestDrift:
 
     def test_resample_keeps_range_and_changes_rows(self):
         world = small_world(seed=14, drift=[dict(swap(3), op="ResampleRow")])
-        before = {k: list(v) for k, v in world.relevance.items()}
+        before = exact_rows(world)
         apply_drift(world, 3)
         assert all(0.0 <= p <= 1.0 for row in world.relevance.values() for p in row)
-        assert world.relevance != before
+        assert exact_rows(world) != before
 
     def test_scoped_drift_touches_only_scope(self):
         world = small_world(seed=15)
         key = world.situations("u00")[0]
         world.drift_schedule = [DriftOp(0, "SwapTopItems", "u00", key.canonical())]
-        before = {k: list(v) for k, v in world.relevance.items()}
+        before = exact_rows(world)
         apply_drift(world, 0)
         for k, row in world.relevance.items():
             if k == ("u00", key):
                 continue
-            assert row == before[k]
+            assert exact(row) == before[k]
 
 
 class TestEnvStep:

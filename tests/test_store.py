@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from hyql.context import (CalendarEntry, CognitiveAction, RawEvent,
@@ -82,6 +84,16 @@ class TestSnapshotLoad:
         RunStore().snapshot(tmp_path / "run")
         assert read_action_history(tmp_path / "run") == []
 
+    def test_empty_store_writes_only_the_headers(self, tmp_path):
+        RunStore().snapshot(tmp_path)
+        files = sorted(tmp_path.iterdir())
+        assert [f.name for f in files] == ["history_actions.tsv", "history_events.tsv",
+                                           "preferences.tsv"]
+        for path in files:
+            header, rest = path.read_bytes().split(b"\n", 1)
+            assert header.startswith(b"# hyql-store v1 ")
+            assert rest == b""
+
     def test_populated_round_trip_byte_identical(self, tmp_path):
         store = populated_store()
         first = tmp_path / "first"
@@ -146,3 +158,13 @@ class TestStepRecord:
         store.append_action_history(record)
         store.snapshot(tmp_path)
         assert read_action_history(tmp_path) == [record]
+
+
+@pytest.mark.parametrize("record", [
+    step_record(3), sample_event(), CognitiveAction("Navigate", "doc03"),
+    CalendarEntry("sync", 0, 60), PreferenceRecord("u00", skey(), "doc00", 1.0, 3),
+], ids=lambda record: type(record).__name__)
+def test_per_step_records_are_slotted(record):
+    assert not hasattr(record, "__dict__")
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(record, protocol)) == record
