@@ -5,8 +5,11 @@ asks collaborative filtering for an action; when no advice exists the
 exploratory branch falls back to a uniform random pick. Before selecting
 in a never-visited situation, the case-boosted variants try to retrieve a
 similar past case and bootstrap the Q-row from its solution. Episodes are
-fixed-length simulated days; at each day boundary, well-visited situations
-are retained into the case base.
+fixed-length simulated days; at each day boundary, situations visited at
+least 5 times are retained into the case base.
+
+The learning settings are fixed for every variant: alpha 0.3, gamma 0.1 and
+exploit probability p 0.8 (`PARAMS`).
 
 One agent instance is strictly single-threaded; run many (agent, env)
 pairs with distinct seeds for parallel trials.
@@ -18,9 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .casebase import (CaseBase, DEFAULT_MAX_SIZE, DEFAULT_RETAIN_MIN_VISITS,
-                       DEFAULT_THRESHOLD, DEFAULT_WEIGHTS, adapt,
-                       check_retrieval_params)
+from .casebase import CaseBase, adapt
 from .collab import TransactionStore
 from .context import ContextModel, RawEvent, SituationKey
 from .qlearn import (ADVISE, CASE_BOOTSTRAPPED, EXPLOIT, EXPLORE,
@@ -32,31 +33,24 @@ _Q_VARIANTS = ("GreedyQ", "EpsilonGreedyQ", "CBRQ", "HyQL")
 _CASE_VARIANTS = ("CBRQ", "HyQL")
 
 POSITIVE_RATING_THRESHOLD = 0.5  # reward >= 0.5 counts as an acceptance
+PARAMS = LearningParams(alpha=0.3, gamma=0.1, p=0.8)
+RETAIN_MIN_VISITS = 5
 
 
 @dataclass(frozen=True)
 class AgentConfig:
+    """One agent's variant, user, day length (the scenario's) and rng seed."""
+
     variant: str
     user_id: str
-    alpha: float = 0.3
-    gamma: float = 0.1
-    p: float = 0.8
     episode_length: int = 50
     seed: int = 0
-    retrieval_threshold: float = DEFAULT_THRESHOLD
-    retain_min_visits: int = DEFAULT_RETAIN_MIN_VISITS
-    case_max_size: int = DEFAULT_MAX_SIZE
-    feature_weights: tuple = DEFAULT_WEIGHTS
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.episode_length < 1:
             raise ValueError("episode_length must be >= 1")
-        check_retrieval_params(self.feature_weights, self.retrieval_threshold)
-
-    def learning_params(self) -> LearningParams:
-        return LearningParams(self.alpha, self.gamma, self.p)
 
 
 def hybrid_policy(table: QTable, s: SituationKey, catalog: ActionCatalog,
@@ -79,22 +73,17 @@ class Agent:
 
     def __init__(self, config: AgentConfig, catalog: ActionCatalog,
                  context: ContextModel, social_group: str,
-                 cf_store: Optional[TransactionStore] = None,
-                 casebase: Optional[CaseBase] = None):
+                 cf_store: Optional[TransactionStore] = None):
         self.config = config
         self.catalog = catalog
         self.context = context
         self.social_group = social_group
-        self.params = config.learning_params()
         self.table = QTable()
-        self.casebase = casebase if casebase is not None else CaseBase(
-            context, config.feature_weights, config.retrieval_threshold,
-            config.case_max_size)
+        self.casebase = CaseBase(context)
         self.cf_store = cf_store if cf_store is not None else TransactionStore(
             catalog, context)
         self.rng = random.Random(config.seed)
         self.step_count = 0
-        self.adapt_skipped = 0
         # lifetime per-situation outcome stats feeding case retention
         self._situation_stats: dict[SituationKey, list[float]] = {}
         self._episode_seen: set[SituationKey] = set()
@@ -111,28 +100,23 @@ class Agent:
             return greedy_action(self.table, s, self.catalog), EXPLOIT
         if variant == "EpsilonGreedyQ" or variant == "CBRQ":
             a, branch = epsilon_greedy_action(self.table, s, self.catalog,
-                                              self.config.p, self.rng)
+                                              PARAMS.p, self.rng)
             return a, RANDOM_FALLBACK if branch == EXPLORE else branch
         if variant == "CFOnly":
             advice = self.cf_store.advise_action(self.user_id, s)
             if advice is not None:
                 return advice, ADVISE
             return self.catalog.actions[self.rng.randrange(len(self.catalog))], RANDOM_FALLBACK
-        return hybrid_policy(self.table, s, self.catalog, self.config.p,
+        return hybrid_policy(self.table, s, self.catalog, PARAMS.p,
                              self.cf_store, self.user_id, self.rng)
 
     def _maybe_bootstrap(self, s: SituationKey) -> bool:
-        if self.config.variant not in _CASE_VARIANTS:
-            return False
-        if self.table.row_visits(s) > 0 or s in self.table.bootstrapped:
+        # every case variant updates the row of `s` in this same step, so the
+        # visit count alone keeps a situation from being looked up twice
+        if self.config.variant not in _CASE_VARIANTS or self.table.row_visits(s) > 0:
             return False
         result = self.casebase.retrieve(s)
-        if result is None:
-            return False
-        if not adapt(result, s, self.table):
-            self.adapt_skipped += 1
-            return False
-        return True
+        return result is not None and adapt(result, s, self.table)
 
     # -- the step -------------------------------------------------------------
 
@@ -146,7 +130,7 @@ class Agent:
         r, next_event = env.step(self.user_id, a)
         s_next = self.context.aggregate(next_event, self.social_group, 0)
         if self.config.variant in _Q_VARIANTS:
-            self.table.update(s, a, r, s_next, self.catalog, self.params)
+            self.table.update(s, a, r, s_next, self.catalog, PARAMS)
         self.cf_store.record_implicit(self.user_id, a,
                                       r >= POSITIVE_RATING_THRESHOLD, s)
         stats = self._situation_stats.setdefault(s, [0.0, 0.0])
@@ -164,7 +148,7 @@ class Agent:
             visits = self.table.row_visits(s)
             if self.config.variant not in _Q_VARIANTS:
                 visits = int(self._situation_stats[s][0])
-            if visits < self.config.retain_min_visits:
+            if visits < RETAIN_MIN_VISITS:
                 continue
             count, total = self._situation_stats[s]
             self.casebase.retain(s, self.table.row(s), visits, total / count,

@@ -10,12 +10,21 @@ traces byte for byte, with or without parallelism. The process pool is
 imported only when a run asks for one, so a serial run never loads
 `multiprocessing`.
 
-Building an `ExperimentSpec` checks its scenario once, through
+A spec file holds exactly five keys: `scenario` (a name or a path),
+`variants` (a list of `{"name", "variant"}` objects), `trials`, `steps` and
+an optional `base_seed` (1000 by default). `load_experiment_spec` is the
+one way to build an `ExperimentSpec`: it rejects any other key, at the top
+level or in a variant, and a count that is not a JSON integer, before a run
+writes anything. It checks the scenario once, through
 `simenv.parse_scenario`; trials and `verify` draw their worlds from that
 parsed form and never read the scenario's keys themselves.
 
-A metric that never triggers (a threshold never reached, a recovery that
-never happens) is reported with the sentinel value -1.
+Every trial yields four metrics at fixed windows: StepsToThreshold is the
+first step whose trailing 50-step mean reward reaches 0.8 of the optimal
+expected reward, and DriftRecoverySteps counts the post-drift steps until
+that mean reaches 0.9 of the post-drift optimum. A metric that never
+triggers (a threshold never reached, a recovery that never happens) is
+reported with the sentinel value -1.
 """
 
 from __future__ import annotations
@@ -31,13 +40,17 @@ from .agent import Agent, AgentConfig, VARIANTS
 from .collab import TransactionStore
 from .context import ContextModel, GazetteerError
 from .qlearn import EXPLOIT, StepRecord
-from .simenv import (Scenario, SimEnv, apply_drift, parse_scenario,
-                     world_from_scenario)
+from .simenv import (Scenario, SimEnv, apply_drift, check_keys, json_int,
+                     json_list, parse_scenario, world_from_scenario)
 from .store import PreferenceRecord, RunStore, fmt_float, read_action_history
 
-METRIC_NAMES = ("CumulativeReward", "StepsToThreshold", "DriftRecoverySteps",
-                "BranchHistogram")
 NEVER = -1.0
+THRESHOLD_WINDOW, THRESHOLD_FRACTION = 50, 0.8
+RECOVERY_WINDOW, RECOVERY_FRACTION = 50, 0.9
+
+SPEC_KEYS = frozenset({"scenario", "variants", "trials", "steps", "base_seed"})
+VARIANT_KEYS = frozenset({"name", "variant"})
+DEFAULT_BASE_SEED = 1000
 
 CSV_HEADER = "variant,seed,metric,value,from,to"
 
@@ -69,92 +82,26 @@ class MetricRow:
                 f"{self.window_from},{self.window_to}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
-    """A validated experiment: every way of building one runs the checks.
+    """A checked experiment, as `load_experiment_spec` builds it.
 
     `scenario` is the config as loaded, written back to scenario.json
     unchanged; `parsed` is its checked form, which every trial reads.
     """
 
     scenario: dict
-    variants: list[dict]  # each: {"name": ..., "variant": ..., **agent overrides}
+    variants: list[dict]  # each exactly {"name": ..., "variant": ...}
     trials: int
     steps: int
-    metrics: tuple[str, ...] = METRIC_NAMES
-    base_seed: int = 1000
-    threshold_window: int = 50
-    threshold_fraction: float = 0.8
-    recovery_window: int = 50
-    recovery_fraction: float = 0.9
-    parsed: Scenario = field(init=False, repr=False, compare=False)
+    base_seed: int
+    parsed: Scenario = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.steps < 1:
-            raise ConfigError("steps must be >= 1")
-        if self.threshold_window < 1 or self.recovery_window < 1:
-            raise ConfigError("threshold and recovery windows must be >= 1")
-        if not isinstance(self.variants, (list, tuple)) or not all(
-                isinstance(v, dict) for v in self.variants):
-            raise ConfigError("variants must be a list of objects")
-        if not self.variants:
-            raise ConfigError("at least one variant is required")
-        try:
-            self.parsed = parse_scenario(self.scenario, ContextModel.default())
-        except (TypeError, ValueError, GazetteerError) as exc:
-            raise ConfigError(f"bad scenario: {exc}") from None
-        names = [v.get("name") for v in self.variants]
-        if len(set(names)) != len(names):
-            raise ConfigError("variant names must be unique")
-        for v in self.variants:
-            if not _is_safe_name(v.get("name")):
-                raise ConfigError(f"bad variant name {v.get('name')!r}")
-            if v.get("variant") not in VARIANTS:
-                raise ConfigError(f"unknown agent variant {v.get('variant')!r}")
-            try:
-                agent_config_from_variant(v, self.parsed, self.base_seed).learning_params()
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"variant {v['name']!r}: {exc}") from None
-        if not isinstance(self.metrics, (list, tuple)):
-            raise ConfigError("metrics must be a list of metric names")
-        for m in self.metrics:
-            if m not in METRIC_NAMES:
-                raise ConfigError(f"unknown metric {m!r}")
-        self.metrics = tuple(self.metrics)
-
-    @classmethod
-    def from_dict(cls, raw: dict, scenario: dict) -> "ExperimentSpec":
-        """Build from the nested spec.json shape; raw["scenario"] is not read."""
-        threshold = raw.get("threshold", {})
-        recovery = raw.get("recovery", {})
-        try:
-            return cls(
-                scenario=scenario,
-                variants=raw["variants"],
-                trials=int(raw["trials"]),
-                steps=int(raw["steps"]),
-                metrics=raw.get("metrics", METRIC_NAMES),
-                base_seed=int(raw.get("base_seed", 1000)),
-                threshold_window=int(threshold.get("window", 50)),
-                threshold_fraction=float(threshold.get("fraction", 0.8)),
-                recovery_window=int(recovery.get("window", 50)),
-                recovery_fraction=float(recovery.get("fraction", 0.9)),
-            )
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise ConfigError(f"bad experiment spec: {exc}") from exc
-
-    def to_dict(self) -> dict:
-        """The nested spec.json shape, without the scenario reference."""
-        return {
-            "variants": self.variants, "trials": self.trials, "steps": self.steps,
-            "metrics": list(self.metrics), "base_seed": self.base_seed,
-            "threshold": {"window": self.threshold_window,
-                          "fraction": self.threshold_fraction},
-            "recovery": {"window": self.recovery_window,
-                         "fraction": self.recovery_fraction},
-        }
+    def to_dict(self, scenario_ref: str) -> dict:
+        """The spec.json shape: the five keys, the scenario by reference."""
+        return {"scenario": scenario_ref, "variants": self.variants,
+                "trials": self.trials, "steps": self.steps,
+                "base_seed": self.base_seed}
 
     def seeds(self) -> list[int]:
         return [self.base_seed + t for t in range(self.trials)]
@@ -175,7 +122,27 @@ def load_scenario(ref: str | Path) -> dict:
         raise ConfigError(f"scenario is not valid JSON: {exc}") from exc
 
 
+def _check_variants(value) -> list[dict]:
+    """A non-empty list of uniquely named `{"name", "variant"}` objects."""
+    variants = json_list(value, "variants")
+    if not variants:
+        raise ValueError("at least one variant is required")
+    for v in variants:
+        check_keys(v, VARIANT_KEYS, VARIANT_KEYS, "variant")
+        if not _is_safe_name(v["name"]):
+            raise ValueError(f"bad variant name {v['name']!r}")
+        if v["variant"] not in VARIANTS:
+            raise ValueError(f"unknown agent variant {v['variant']!r}")
+    if len({v["name"] for v in variants}) != len(variants):
+        raise ValueError("variant names must be unique")
+    return variants
+
+
 def load_experiment_spec(path: str | Path) -> ExperimentSpec:
+    """Read and check a spec file; the one way to build an ExperimentSpec.
+
+    A relative scenario path is taken from the spec file's directory.
+    """
     spec_path = Path(path)
     if not spec_path.exists():
         raise ConfigError(f"spec file not found: {spec_path}")
@@ -183,13 +150,25 @@ def load_experiment_spec(path: str | Path) -> ExperimentSpec:
         raw = json.loads(spec_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"spec is not valid JSON: {exc}") from exc
-    scenario_ref = raw.get("scenario") if isinstance(raw, dict) else None
-    if not isinstance(scenario_ref, str):
-        raise ConfigError("spec needs a 'scenario' name or path")
-    scenario_path = scenario_ref
-    if scenario_ref != "canonical" and not Path(scenario_ref).is_absolute():
-        scenario_path = spec_path.parent / scenario_ref
-    return ExperimentSpec.from_dict(raw, load_scenario(scenario_path))
+    try:
+        check_keys(raw, SPEC_KEYS - {"base_seed"}, SPEC_KEYS, "spec")
+        if not isinstance(raw["scenario"], str):
+            raise ValueError("scenario must be a name or a path")
+        variants = _check_variants(raw["variants"])
+        trials = json_int(raw, "trials", 1)
+        steps = json_int(raw, "steps", 1)
+        base_seed = json_int(raw, "base_seed", None, DEFAULT_BASE_SEED)
+    except ValueError as exc:
+        raise ConfigError(f"bad experiment spec: {exc}") from None
+    scenario_path = raw["scenario"]
+    if scenario_path != "canonical" and not Path(scenario_path).is_absolute():
+        scenario_path = spec_path.parent / scenario_path
+    scenario = load_scenario(scenario_path)
+    try:
+        parsed = parse_scenario(scenario, ContextModel.default())
+    except (TypeError, ValueError, GazetteerError) as exc:
+        raise ConfigError(f"bad scenario: {exc}") from None
+    return ExperimentSpec(scenario, variants, trials, steps, base_seed, parsed)
 
 
 # ---------------------------------------------------------------------------
@@ -263,15 +242,6 @@ class TrialResult:
     drift_step: Optional[int]
 
 
-def agent_config_from_variant(variant: dict, scenario: Scenario, seed: int) -> AgentConfig:
-    overrides = {k: v for k, v in variant.items() if k not in ("name",)}
-    overrides.setdefault("episode_length", scenario.day_length)
-    if "feature_weights" in overrides:
-        overrides["feature_weights"] = tuple(overrides["feature_weights"])
-    return AgentConfig(user_id=scenario.agent_user,
-                       seed=seed * _SEED_SPREAD + _AGENT_STREAM, **overrides)
-
-
 def run_trial(scenario: Scenario, variant: dict, seed: int, steps: int,
               run_dir: Optional[Path] = None,
               context: Optional[ContextModel] = None) -> TrialResult:
@@ -283,7 +253,8 @@ def run_trial(scenario: Scenario, variant: dict, seed: int, steps: int,
     env = SimEnv(world, cf_store, scenario.background_rate, background_users)
     env.background_burst(scenario.warm_start_events)
 
-    config = agent_config_from_variant(variant, scenario, seed)
+    config = AgentConfig(variant["variant"], focal, scenario.day_length,
+                         seed * _SEED_SPREAD + _AGENT_STREAM)
     agent = Agent(config, world.catalog, world.context,
                   world.user(focal).social_group, cf_store)
 
@@ -315,35 +286,25 @@ def read_trace(run_dir: str | Path) -> list[StepRecord]:
     return read_action_history(run_dir)
 
 
-def rows_for_trial(spec: ExperimentSpec, variant_name: str, seed: int,
+def rows_for_trial(variant_name: str, seed: int,
                    result: TrialResult) -> list[MetricRow]:
-    n = len(result.trace)
-    rows = []
-    for metric in spec.metrics:
-        if metric == "CumulativeReward":
-            rows.append(MetricRow(variant_name, seed, metric,
-                                  metric_cumulative_reward(result.trace), 0, n))
-        elif metric == "StepsToThreshold":
-            hit = metric_steps_to_threshold(
-                result.trace, spec.threshold_window,
-                spec.threshold_fraction * result.optimal_pre)
-            rows.append(MetricRow(variant_name, seed, metric,
-                                  NEVER if hit is None else float(hit), 0, n))
-        elif metric == "DriftRecoverySteps":
-            if result.drift_step is None:
-                rows.append(MetricRow(variant_name, seed, metric, NEVER, 0, n))
-            else:
-                hit = metric_drift_recovery(result.trace, result.drift_step,
-                                            spec.recovery_window,
-                                            spec.recovery_fraction,
-                                            result.optimal_post)
-                rows.append(MetricRow(variant_name, seed, metric,
-                                      NEVER if hit is None else float(hit),
-                                      result.drift_step, n))
-        elif metric == "BranchHistogram":
-            rows.append(MetricRow(variant_name, seed, metric,
-                                  metric_branch_exploit_fraction(result.trace),
-                                  0, n))
+    """The trial's four metric rows, at the fixed windows."""
+    trace, n = result.trace, len(result.trace)
+
+    def row(metric: str, value: Optional[float], window_from: int = 0) -> MetricRow:
+        return MetricRow(variant_name, seed, metric,
+                         NEVER if value is None else float(value), window_from, n)
+
+    rows = [row("CumulativeReward", metric_cumulative_reward(trace)),
+            row("StepsToThreshold", metric_steps_to_threshold(
+                trace, THRESHOLD_WINDOW, THRESHOLD_FRACTION * result.optimal_pre))]
+    if result.drift_step is None:
+        rows.append(row("DriftRecoverySteps", None))
+    else:
+        rows.append(row("DriftRecoverySteps", metric_drift_recovery(
+            trace, result.drift_step, RECOVERY_WINDOW, RECOVERY_FRACTION,
+            result.optimal_post), result.drift_step))
+    rows.append(row("BranchHistogram", metric_branch_exploit_fraction(trace)))
     return rows
 
 
@@ -355,7 +316,7 @@ def _trial_task(spec: ExperimentSpec, variant: dict, seed: int,
                 run_dir: Path) -> list[MetricRow]:
     """One persisted trial and its metric rows, in this or a worker process."""
     result = run_trial(spec.parsed, variant, seed, spec.steps, run_dir)
-    return rows_for_trial(spec, variant["name"], seed, result)
+    return rows_for_trial(variant["name"], seed, result)
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path,
@@ -365,8 +326,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path,
     (out / "scenario.json").write_text(
         json.dumps(spec.scenario, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     (out / "spec.json").write_text(
-        json.dumps(dict(spec.to_dict(), scenario="scenario.json"), indent=2,
-                   sort_keys=True) + "\n", encoding="utf-8")
+        json.dumps(spec.to_dict("scenario.json"), indent=2, sort_keys=True) + "\n",
+        encoding="utf-8")
 
     tasks = [(variant, seed, out / "runs" / variant["name"] / str(seed))
              for variant in spec.variants for seed in spec.seeds()]
@@ -482,7 +443,7 @@ def recompute_rows(out_dir: str | Path) -> list[MetricRow]:
             drift_steps = [op.step for op in world.drift_schedule if op.applied]
             result = TrialResult(trace, optimal_pre, optimal_post,
                                  min(drift_steps) if drift_steps else None)
-            rows.extend(rows_for_trial(spec, variant["name"], seed, result))
+            rows.extend(rows_for_trial(variant["name"], seed, result))
     return sort_rows(rows)
 
 

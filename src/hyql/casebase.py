@@ -6,6 +6,9 @@ Retrieval is an argmax over a weighted per-dimension similarity; reuse
 writes a similarity-scaled copy of the stored row into the live Q-table,
 but only for rows that have never been visited, so learned values are
 never clobbered by old cases.
+
+The settings are fixed: the four dimensions weigh 0.25 each, a case is
+reused at a similarity of 0.8 or more, and the base holds 1000 cases.
 """
 
 from __future__ import annotations
@@ -17,10 +20,9 @@ from typing import Mapping, Optional, Sequence
 from .context import ContextModel, SituationKey
 from .qlearn import ActionId, QTable
 
-DEFAULT_WEIGHTS = (0.25, 0.25, 0.25, 0.25)  # time, place, group, cognitive
-DEFAULT_THRESHOLD = 0.8
-DEFAULT_MAX_SIZE = 1000
-DEFAULT_RETAIN_MIN_VISITS = 5
+FEATURE_WEIGHTS = (0.25, 0.25, 0.25, 0.25)  # time, place, group, cognitive
+RETRIEVAL_THRESHOLD = 0.8
+MAX_SIZE = 1000
 
 
 @dataclass
@@ -47,22 +49,6 @@ class Case:
 class RetrievalResult:
     case: Case
     similarity: float
-
-
-def check_retrieval_params(feature_weights: Sequence[float],
-                           retrieval_threshold: float) -> tuple[float, ...]:
-    """Check a case base's retrieval settings; return the weights as floats.
-
-    AgentConfig runs the same check, so a bad setting fails before a run.
-    """
-    weights = tuple(float(w) for w in feature_weights)
-    if len(weights) != 4 or any(w < 0 for w in weights):
-        raise ValueError("feature_weights must be 4 non-negative values")
-    if not abs(sum(weights) - 1.0) <= 1e-9:
-        raise ValueError("feature_weights must sum to 1")
-    if not 0.0 <= retrieval_threshold <= 1.0:
-        raise ValueError("retrieval_threshold must be in [0, 1]")
-    return weights
 
 
 def _chain_match(chain_a: Sequence, chain_b: Sequence, levels: int) -> float:
@@ -108,15 +94,8 @@ def case_similarity(problem_a: SituationKey, problem_b: SituationKey,
 class CaseBase:
     """Fixed-capacity case store with replace-on-duplicate retention."""
 
-    def __init__(self, context: ContextModel,
-                 feature_weights: Sequence[float] = DEFAULT_WEIGHTS,
-                 retrieval_threshold: float = DEFAULT_THRESHOLD,
-                 max_size: int = DEFAULT_MAX_SIZE):
+    def __init__(self, context: ContextModel):
         self.context = context
-        self.feature_weights = check_retrieval_params(feature_weights,
-                                                      retrieval_threshold)
-        self.retrieval_threshold = retrieval_threshold
-        self.max_size = max_size
         self.cases: list[Case] = []
         self._next_order = 0
 
@@ -124,7 +103,7 @@ class CaseBase:
         return len(self.cases)
 
     def similarity(self, a: SituationKey, b: SituationKey) -> float:
-        return case_similarity(a, b, self.feature_weights, self.context)
+        return case_similarity(a, b, FEATURE_WEIGHTS, self.context)
 
     def retrieve(self, problem: SituationKey) -> Optional[RetrievalResult]:
         """Most similar case at or above the threshold, or None.
@@ -138,7 +117,7 @@ class CaseBase:
             sim = self.similarity(problem, case.problem)
             if best is None or (sim, case.visits, -case.step) > (best_sim, best.visits, -best.step):
                 best, best_sim = case, sim
-        if best is None or best_sim < self.retrieval_threshold:
+        if best is None or best_sim < RETRIEVAL_THRESHOLD:
             return None
         return RetrievalResult(best, best_sim)
 
@@ -147,8 +126,8 @@ class CaseBase:
         """Insert a finished experience, copying `q_row`; revise an equal
         problem in place.
 
-        Equal means an equal key, not a similarity of 1.0: with some valid
-        weights, identical problems score a float just below 1.0.
+        Equal means an equal key, not a similarity of 1.0: two keys that
+        differ only in granularity score 1.0 and stay two cases.
 
         Over capacity, the lowest-mean-reward case is evicted, oldest first
         on ties.
@@ -161,7 +140,7 @@ class CaseBase:
                 self.cases[i] = case
                 return case
         self.cases.append(case)
-        if len(self.cases) > self.max_size:
+        if len(self.cases) > MAX_SIZE:
             victim = min(self.cases, key=lambda c: (c.mean_reward, c.order))
             self.cases.remove(victim)
         return case
@@ -171,11 +150,10 @@ def adapt(result: RetrievalResult, target_s: SituationKey, table: QTable) -> boo
     """Bootstrap an unvisited row with the similarity-scaled case solution.
 
     Returns False (and leaves the table untouched) when the target row has
-    already been visited; callers count those skips.
+    already been visited.
     """
     if table.row_visits(target_s) > 0:
         return False
     for action, value in result.case.solution.items():
         table.set_value(target_s, action, result.similarity * value)
-    table.bootstrapped.add(target_s)
     return True

@@ -1,6 +1,6 @@
 """Command-line experiment runner.
 
-    hyql run <spec.json> [--trials N] [--out DIR] [--parallel K]
+    hyql run <spec.json> [--out DIR] [--parallel K]
     hyql report <DIR>
     hyql verify <DIR>
 
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .bench import (ConfigError, load_experiment_spec, report_dir,
@@ -31,8 +30,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute an experiment spec")
     run.add_argument("spec", help="experiment spec JSON file")
-    run.add_argument("--trials", type=int, default=None,
-                     help="override the spec's trial count")
     run.add_argument("--out", default="out", help="output directory")
     run.add_argument("--parallel", type=int, default=1,
                      help="worker processes (outputs are identical for any K)")
@@ -50,8 +47,6 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             spec = load_experiment_spec(args.spec)
-            if args.trials is not None:
-                spec = replace(spec, trials=args.trials)
             rows = run_experiment(spec, args.out, parallel=max(1, args.parallel))
             print(f"wrote {len(rows)} metric rows to {Path(args.out) / 'metrics.csv'}")
             return EXIT_OK

@@ -99,7 +99,6 @@ class QTable:
     def __init__(self):
         self._rows: dict[State, dict[ActionId, float]] = {}
         self._row_visits: dict[State, int] = {}
-        self.bootstrapped: set[State] = set()
 
     def value(self, s: State, a: ActionId) -> float:
         row = self._rows.get(s)

@@ -190,7 +190,8 @@ class Scenario:
     background_rate: int
 
 
-def _check_keys(entry, required: frozenset, allowed: frozenset, what: str) -> None:
+def check_keys(entry, required: frozenset, allowed: frozenset, what: str) -> None:
+    """A JSON object with every `required` key and no key outside `allowed`."""
     if not isinstance(entry, dict):
         raise ValueError(f"{what} must be a JSON object")
     unknown = sorted(set(entry) - allowed)
@@ -201,11 +202,14 @@ def _check_keys(entry, required: frozenset, allowed: frozenset, what: str) -> No
         raise ValueError(f"{what} is missing {', '.join(missing)}")
 
 
-def _count(entry: dict, key: str, minimum: int, default: Optional[int] = None) -> int:
-    """A JSON integer: a float, a string or a boolean is a mistake."""
+def json_int(entry: dict, key: str, minimum: Optional[int],
+             default: Optional[int] = None) -> int:
+    """A JSON integer, at least `minimum` unless that is None: a float, a
+    string or a boolean is a mistake."""
     value = entry.get(key, default)
-    if type(value) is not int or value < minimum:
-        raise ValueError(f"{key} must be an integer >= {minimum}, got {value!r}")
+    if type(value) is not int or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{key} must be an integer{bound}, got {value!r}")
     return value
 
 
@@ -215,7 +219,7 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
-def _json_list(value, what: str) -> list:
+def json_list(value, what: str) -> list:
     """A JSON array: an object or a string, even an empty one, is a mistake."""
     if not isinstance(value, list):
         raise ValueError(f"{what} must be a JSON array, got {value!r}")
@@ -225,7 +229,7 @@ def _json_list(value, what: str) -> list:
 def _routine(entries, group: str, context: ContextModel) -> tuple[RoutineTriple, ...]:
     """A group's habits, whose weights must sum to 1 whether or not a user joins."""
     routine = tuple(_habit(entry, context)
-                    for entry in _json_list(entries, f"routine of {group}"))
+                    for entry in json_list(entries, f"routine of {group}"))
     total = sum(t.weight for t in routine)
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"routine of {group} has weights summing to {total}, expected 1")
@@ -233,7 +237,7 @@ def _routine(entries, group: str, context: ContextModel) -> tuple[RoutineTriple,
 
 
 def _habit(entry, context: ContextModel) -> RoutineTriple:
-    _check_keys(entry, _HABIT_KEYS, _HABIT_KEYS, "routine habit")
+    check_keys(entry, _HABIT_KEYS, _HABIT_KEYS, "routine habit")
     context.place_chain(entry["place"])  # raises on an unknown place
     return RoutineTriple(entry["part_of_day"], entry["day_class"], entry["calendar"],
                          entry["place"], entry["cognitive"],
@@ -241,8 +245,8 @@ def _habit(entry, context: ContextModel) -> RoutineTriple:
 
 
 def _drift_op(entry, users: Sequence[UserProfile], context: ContextModel) -> DriftOp:
-    _check_keys(entry, _DRIFT_KEYS - {"scope"}, _DRIFT_KEYS, "drift entry")
-    op = DriftOp(_count(entry, "step", 0), entry["op"], entry["target"],
+    check_keys(entry, _DRIFT_KEYS - {"scope"}, _DRIFT_KEYS, "drift entry")
+    op = DriftOp(json_int(entry, "step", 0), entry["op"], entry["target"],
                  entry.get("scope", "all"))
     # a drift op that would touch no row is a mistake, not a no-op
     members = [u for u in users if op.target in (u.user_id, u.social_group)]
@@ -261,29 +265,29 @@ def parse_scenario(raw: dict, context: ContextModel) -> Scenario:
 
     Raises ValueError, or GazetteerError for a place `context` lacks.
     """
-    _check_keys(raw, SCENARIO_KEYS - _OPTIONAL_KEYS, SCENARIO_KEYS, "scenario")
+    check_keys(raw, SCENARIO_KEYS - _OPTIONAL_KEYS, SCENARIO_KEYS, "scenario")
     if not isinstance(raw.get("name", ""), str):
         raise ValueError(f"name must be a string, got {raw['name']!r}")
-    n_groups = _count(raw, "groups", 1)
+    n_groups = json_int(raw, "groups", 1)
     groups = [f"g{i}" for i in range(n_groups)]
     # one routine per group, none for a group the scenario lacks
-    _check_keys(raw["routines"], frozenset(groups), frozenset(groups), "routines")
+    check_keys(raw["routines"], frozenset(groups), frozenset(groups), "routines")
     routines = {group: _routine(raw["routines"][group], group, context)
                 for group in groups}
     affinity = _number(raw["affinity"], "affinity")
     users = tuple(UserProfile(f"u{i:02d}", groups[i % n_groups], affinity,
                               routines[groups[i % n_groups]])
-                  for i in range(_count(raw, "users", 1)))
+                  for i in range(json_int(raw, "users", 1)))
     if raw["agent_user"] not in [u.user_id for u in users]:
         raise ValueError(f"agent_user {raw['agent_user']!r} is not one of the "
                          f"scenario's {len(users)} users")
     drift = [_drift_op(entry, users, context)
-             for entry in _json_list(raw.get("drift", []), "drift")]
-    return Scenario(routines, users, _count(raw, "items", 1),
+             for entry in json_list(raw.get("drift", []), "drift")]
+    return Scenario(routines, users, json_int(raw, "items", 1),
                     tuple(sorted(drift, key=lambda op: op.step)),
-                    _count(raw, "day_length", 1, 50), raw["agent_user"],
-                    _count(raw, "warm_start_events", 0, 0),
-                    _count(raw, "background_rate", 0, 0))
+                    json_int(raw, "day_length", 1, 50), raw["agent_user"],
+                    json_int(raw, "warm_start_events", 0, 0),
+                    json_int(raw, "background_rate", 0, 0))
 
 
 def world_from_scenario(scenario: Scenario, seed: int,

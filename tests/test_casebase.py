@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from hyql.casebase import CaseBase, RetrievalResult, adapt, case_similarity
+from hyql.casebase import (FEATURE_WEIGHTS, MAX_SIZE, RETRIEVAL_THRESHOLD, CaseBase,
+                           RetrievalResult, adapt, case_similarity)
 from hyql.context import SituationKey, TimeBucket
 from hyql.qlearn import QTable
 
-W = (0.25, 0.25, 0.25, 0.25)
+W = FEATURE_WEIGHTS
 
 BUCKETS = [("Morning", "Weekday", "Free"), ("Afternoon", "Weekday", "InMeeting"),
            ("Evening", "Weekday", "Free"), ("Night", "Weekend", "Free"),
@@ -16,8 +17,9 @@ GROUPS = ["g0", "g1"]
 COGS = ["Navigate", "SendEmail", "Call", "OpenFolder"]
 
 
-def skey(bucket=BUCKETS[0], place="Office", group="g0", cognitive="Navigate"):
-    return SituationKey(TimeBucket(*bucket), place, group, cognitive, 0)
+def skey(bucket=BUCKETS[0], place="Office", group="g0", cognitive="Navigate",
+         granularity=0):
+    return SituationKey(TimeBucket(*bucket), place, group, cognitive, granularity)
 
 
 def random_key(rng):
@@ -70,7 +72,7 @@ class TestRetrieve:
         assert base.retrieve(skey()) is None
 
     def test_single_exact_case(self, context):
-        base = CaseBase(context, retrieval_threshold=0.8)
+        base = CaseBase(context)
         base.retain(skey(), {"a0": 2.0}, visits=5, mean_reward=0.9,
                     user_id="u0", step=10)
         result = base.retrieve(skey())
@@ -79,19 +81,23 @@ class TestRetrieve:
         assert result.case.solution == {"a0": 2.0}
 
     def test_below_threshold_is_none(self, context):
-        base = CaseBase(context, retrieval_threshold=0.9)
+        base = CaseBase(context)
         base.retain(skey(cognitive="Call"), {"a0": 2.0}, visits=5,
                     mean_reward=0.9, user_id="u0", step=10)
-        assert base.retrieve(skey(cognitive="Navigate")) is None  # sim 0.75
+        assert base.similarity(skey(cognitive="Navigate"), skey(cognitive="Call")) \
+            == 0.75 < RETRIEVAL_THRESHOLD
+        assert base.retrieve(skey(cognitive="Navigate")) is None
 
     def test_matches_linear_scan_oracle(self, context):
         rng = random.Random(21)
-        base = CaseBase(context, retrieval_threshold=0.0, max_size=2000)
-        for i in range(1000):
+        base = CaseBase(context)
+        # a small base, so that some queries fall below the threshold
+        for i in range(100):
             base.retain(random_key(rng), {"a0": rng.random()},
                         visits=rng.randrange(1, 20),
                         mean_reward=rng.random(), user_id="u0", step=i)
-        for _ in range(50):
+        hits = 0
+        for _ in range(200):
             query = random_key(rng)
             best = None
             best_rank = None
@@ -101,9 +107,13 @@ class TestRetrieve:
                 if best_rank is None or rank > best_rank:
                     best, best_rank = case, rank
             got = base.retrieve(query)
-            assert got is not None
+            if best_rank[0] < RETRIEVAL_THRESHOLD:
+                assert got is None
+                continue
+            hits += 1
             assert got.case is best
             assert got.similarity == best_rank[0]
+        assert 0 < hits < 200  # both outcomes are checked
 
 
 class TestAdapt:
@@ -165,10 +175,8 @@ class TestRetain:
         assert len(base) == 1
         assert base.retrieve(skey()).case.solution == {"a0": 2.0}
 
-    def test_equal_problem_is_revised_whatever_the_weights(self, context):
-        base = CaseBase(context, feature_weights=(0.7, 0.1, 0.1, 0.1))
-        # identical problems do not score exactly 1.0 under these weights
-        assert base.similarity(skey(), skey()) < 1.0
+    def test_equal_problem_is_revised(self, context):
+        base = CaseBase(context)
         rng = random.Random(25)
         keys = [random_key(rng) for _ in range(300)]
         for i, key in enumerate(keys):
@@ -178,43 +186,38 @@ class TestRetain:
         last = {key: float(i) for i, key in enumerate(keys)}
         assert {case.problem: case.solution["a0"] for case in base.cases} == last
 
-    def test_problems_differing_in_a_zero_weight_feature_are_two_cases(self, context):
-        base = CaseBase(context, feature_weights=(0.5, 0.5, 0.0, 0.0))
-        assert base.similarity(skey(group="g0"), skey(group="g1")) == 1.0
-        base.retain(skey(group="g0"), {"a0": 1.0}, visits=5, mean_reward=0.5,
+    def test_problems_differing_only_in_granularity_are_two_cases(self, context):
+        base = CaseBase(context)
+        assert base.similarity(skey(granularity=0), skey(granularity=1)) == 1.0
+        base.retain(skey(granularity=0), {"a0": 1.0}, visits=5, mean_reward=0.5,
                     user_id="u0", step=1)
-        base.retain(skey(group="g1"), {"a0": 2.0}, visits=5, mean_reward=0.5,
+        base.retain(skey(granularity=1), {"a0": 2.0}, visits=5, mean_reward=0.5,
                     user_id="u1", step=2)
-        assert [case.problem.social_group for case in base.cases] == ["g0", "g1"]
+        assert [case.problem.granularity for case in base.cases] == [0, 1]
 
     def test_eviction_matches_brute_force(self, context):
         rng = random.Random(22)
-        for _ in range(20):
-            base = CaseBase(context, max_size=5)
-            keys = []
-            while len({k.canonical() for k in keys}) < 6:
-                keys.append(random_key(rng))
-            keys = list({k.canonical(): k for k in keys}.values())[:6]
-            inserted = []
-            for i, k in enumerate(keys[:5]):
-                inserted.append(base.retain(k, {}, visits=1,
-                                            mean_reward=rng.random(),
-                                            user_id="u0", step=i))
-            survivors = list(base.cases)
-            victim = min(survivors, key=lambda c: (c.mean_reward, c.order))
-            base.retain(keys[5], {}, visits=1, mean_reward=rng.random(),
-                        user_id="u0", step=9)
-            assert len(base) == 5
-            assert victim not in base.cases or victim.mean_reward >= min(
-                c.mean_reward for c in base.cases)
+        base = CaseBase(context)
+        for i in range(MAX_SIZE):
+            base.retain(skey(group=f"g{i}"), {}, visits=1,
+                        mean_reward=rng.choice([0.25, 0.5, 0.75]),
+                        user_id="u0", step=i)
+        for i in range(MAX_SIZE, MAX_SIZE + 20):
+            before = list(base.cases)
+            new = base.retain(skey(group=f"g{i}"), {}, visits=1,
+                              mean_reward=rng.choice([0.25, 0.5, 0.75]),
+                              user_id="u0", step=i)
+            victim = min(before + [new], key=lambda c: (c.mean_reward, c.order))
+            assert len(base) == MAX_SIZE
+            assert base.cases == [c for c in before + [new] if c is not victim]
 
     def test_size_never_exceeds_max(self, context):
         rng = random.Random(23)
-        base = CaseBase(context, max_size=10)
-        for i in range(200):
-            base.retain(random_key(rng), {}, visits=1, mean_reward=rng.random(),
-                        user_id="u0", step=i)
-            assert len(base) <= 10
+        base = CaseBase(context)
+        for i in range(MAX_SIZE + 200):
+            base.retain(skey(group=f"g{i}"), {}, visits=1,
+                        mean_reward=rng.random(), user_id="u0", step=i)
+            assert len(base) == min(i + 1, MAX_SIZE)
 
     def test_solution_is_snapshotted(self, context):
         base = CaseBase(context)

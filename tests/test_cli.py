@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import hyql
-from hyql.bench import NEVER, load_scenario, parse_csv
+from hyql.bench import NEVER, SPEC_KEYS, load_experiment_spec, load_scenario, parse_csv
 from hyql.cli import EXIT_CONFIG, EXIT_MISMATCH, EXIT_OK, main
 
 BASE_SPEC = {"scenario": "canonical", "trials": 1, "steps": 60,
@@ -57,6 +57,18 @@ class TestVerify:
         path.write_text("\n".join(lines[1:]) + "\n", encoding="utf-8")
         assert main(["verify", str(run_copy)]) == EXIT_MISMATCH
         assert f"{path}:1: missing or wrong schema header" in capsys.readouterr().err
+
+    def test_spec_with_an_extra_key_exits_2(self, run_copy):
+        path = run_copy / "spec.json"
+        spec = dict(json.loads(path.read_text(encoding="utf-8")), metrics=["CumulativeReward"])
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        assert main(["verify", str(run_copy)]) == EXIT_CONFIG
+
+
+def test_written_spec_loads_back_equal(finished_run, tmp_path):
+    written = finished_run / "spec.json"
+    assert set(json.loads(written.read_text(encoding="utf-8"))) == SPEC_KEYS
+    assert load_experiment_spec(written) == load_experiment_spec(write_spec(tmp_path))
 
 
 class TestReport:
@@ -157,6 +169,13 @@ def routines_with_negative_weight():
     {"scenario": {"name": 7}},
     {"scenario": {"users": 1, "groups": 2, "agent_user": "u00",
                   "routines": routines_with_unjoined_group()}},
+    {"trials": 1.9},
+    {"steps": "60"},
+    {"base_seed": True},
+    {"trials": 0},
+    {"trails": 5},
+    {"threshold": {"windw": 3}},
+    {"variants": [dict(HYQL, case_max_size=-3)]},
 ], ids=["unknown-override", "p", "alpha", "gamma", "variants-string",
         "variants-object", "metrics-string", "threshold-window", "recovery-window",
         "feature-weights-sum", "retrieval-threshold", "agent-user-not-in-population",
@@ -170,7 +189,9 @@ def routines_with_negative_weight():
         "items-string", "day-length-float", "warm-start-float",
         "background-rate-string", "drift-step-float", "drift-object",
         "drift-empty-string", "name-array", "name-number",
-        "unjoined-group-weights-sum"])
+        "unjoined-group-weights-sum", "trials-float", "steps-string", "base-seed-bool",
+        "trials-zero", "spec-misspelt-key", "threshold-misspelt-key",
+        "case-max-size-negative"])
 def test_bad_spec_exits_2_before_writing(tmp_path, changes):
     out = tmp_path / "out"
     assert main(["run", str(write_spec(tmp_path, **changes)), "--out", str(out)]) \
@@ -192,10 +213,3 @@ def test_serial_run_never_loads_the_process_pool(tmp_path):
                            str(tmp_path / "out")], env=env, capture_output=True,
                           text=True, check=True, timeout=300)
     assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} False False"
-
-
-def test_trials_override_is_validated(tmp_path):
-    out = tmp_path / "out"
-    assert main(["run", str(write_spec(tmp_path)), "--out", str(out),
-                 "--trials", "0"]) == EXIT_CONFIG
-    assert not out.exists()

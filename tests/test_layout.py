@@ -2,13 +2,15 @@
 
 Every import is used, the modules depend on each other only in one
 direction: context -> qlearn -> collab/casebase -> agent -> simenv ->
-store/bench -> cli, and only simenv spells the scenario format's keys.
+store/bench -> cli. Only simenv spells the scenario format's keys, and
+only bench spells the experiment spec's.
 """
 
 import ast
 from pathlib import Path
 
 import hyql
+from hyql.bench import SPEC_KEYS, VARIANT_KEYS
 from hyql.simenv import SCENARIO_KEYS
 
 PACKAGE = Path(hyql.__file__).parent
@@ -77,13 +79,26 @@ def test_imports_follow_the_dependency_table():
     assert {name: mods for name, mods in wrong.items() if mods} == {}
 
 
+def spelt_outside(owner, keys):
+    """The keys each module but `owner` names as a string constant."""
+    found = {name: sorted({node.value for node in ast.walk(tree)
+                           if isinstance(node, ast.Constant) and node.value in keys})
+             for name, tree in modules().items() if name != owner}
+    return {name: spelt for name, spelt in found.items() if spelt}
+
+
 def test_only_simenv_spells_the_scenario_keys():
     """The scenario format stays behind simenv: no other module names a key.
 
     "name" is exempt, since it is also an ordinary word for a variant name.
     """
-    keys = SCENARIO_KEYS - {"name"}
-    found = {name: sorted({node.value for node in ast.walk(tree)
-                           if isinstance(node, ast.Constant) and node.value in keys})
-             for name, tree in modules().items() if name != "simenv"}
-    assert {name: spelt for name, spelt in found.items() if spelt} == {}
+    assert spelt_outside("simenv", SCENARIO_KEYS - {"name"}) == {}
+
+
+def test_only_bench_spells_the_spec_keys():
+    """The spec format stays behind bench: no other module names a key.
+
+    "name" is exempt, as for the scenario keys, and so is "scenario", which
+    simenv's messages use as the word for what it parses.
+    """
+    assert spelt_outside("bench", (SPEC_KEYS | VARIANT_KEYS) - {"name", "scenario"}) == {}
