@@ -10,7 +10,7 @@ from .context import (CalendarEntry, CognitiveAction, ContextModel, PlaceNode,
                       RawEvent, SituationKey, TimeBucket, abstract_time)
 from .qlearn import (ActionCatalog, LearningParams, QTable, StepRecord,
                      epsilon_greedy_action, greedy_action)
-from .simenv import (DriftOp, RoutineTriple, Scenario, SimEnv, UserProfile, WorldModel,
+from .simenv import (DriftOp, Habit, Scenario, SimEnv, UserProfile, WorldModel,
                      apply_drift, gen_event, parse_scenario, reward,
                      world_from_scenario)
 from .store import PreferenceRecord, RunStore

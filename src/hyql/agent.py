@@ -57,8 +57,6 @@ def hybrid_policy(table: QTable, s: SituationKey, catalog: ActionCatalog,
                   p: float, cf_store: TransactionStore, target: str,
                   rng: random.Random) -> tuple[ActionId, str]:
     """Exploit when q <= p; otherwise take CF advice, or a random action."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be in [0, 1]")
     q = rng.random()
     if q <= p:
         return greedy_action(table, s, catalog), EXPLOIT
@@ -122,13 +120,13 @@ class Agent:
 
     def step(self, event: RawEvent, env) -> tuple[StepRecord, RawEvent]:
         """One full interaction: situate, maybe reuse a case, act, learn."""
-        s = self.context.aggregate(event, self.social_group, 0)
+        s = self.context.aggregate(event, self.social_group)
         bootstrapped = self._maybe_bootstrap(s)
         a, branch = self._select(s)
         if bootstrapped:
             branch = CASE_BOOTSTRAPPED
         r, next_event = env.step(self.user_id, a)
-        s_next = self.context.aggregate(next_event, self.social_group, 0)
+        s_next = self.context.aggregate(next_event, self.social_group)
         if self.config.variant in _Q_VARIANTS:
             self.table.update(s, a, r, s_next, self.catalog, PARAMS)
         self.cf_store.record_implicit(self.user_id, a,
@@ -142,16 +140,14 @@ class Agent:
         return record, next_event
 
     def end_episode(self) -> int:
-        """Retain each well-visited situation of the finished day."""
+        """Retain each situation of the finished day stepped in at least
+        RETAIN_MIN_VISITS times over the agent's lifetime."""
         retained = 0
         for s in sorted(self._episode_seen, key=lambda k: k.canonical()):
-            visits = self.table.row_visits(s)
-            if self.config.variant not in _Q_VARIANTS:
-                visits = int(self._situation_stats[s][0])
-            if visits < RETAIN_MIN_VISITS:
-                continue
             count, total = self._situation_stats[s]
-            self.casebase.retain(s, self.table.row(s), visits, total / count,
+            if count < RETAIN_MIN_VISITS:
+                continue
+            self.casebase.retain(s, self.table.row(s), int(count), total / count,
                                  self.user_id, self.step_count)
             retained += 1
         self._episode_seen.clear()

@@ -6,9 +6,9 @@ variants consume the identical event stream and per-step acceptance draws
 history, which doubles as the trace) under the output directory; every
 metric can be recomputed from those files alone, which is what `verify`
 does. Outputs are canonical: rerunning a spec reproduces the CSV and the
-traces byte for byte, with or without parallelism. The process pool is
-imported only when a run asks for one, so a serial run never loads
-`multiprocessing`.
+traces byte for byte, with or without parallelism. `--parallel K` starts
+at most min(K, trials, CPUs) workers, and the process pool is imported only
+when that is more than one, so a serial run never loads `multiprocessing`.
 
 A spec file holds exactly five keys: `scenario` (a name or a path),
 `variants` (a list of `{"name", "variant"}` objects), `trials`, `steps` and
@@ -17,7 +17,9 @@ one way to build an `ExperimentSpec`: it rejects any other key, at the top
 level or in a variant, and a count that is not a JSON integer, before a run
 writes anything. It checks the scenario once, through
 `simenv.parse_scenario`; trials and `verify` draw their worlds from that
-parsed form and never read the scenario's keys themselves.
+parsed form and its one context, never reading the scenario's keys or the
+gazetteer again. A run file `verify` or `report` cannot parse raises
+`StoreParseError` with its path and line.
 
 Every trial yields four metrics at fixed windows: StepsToThreshold is the
 first step whose trailing 50-step mean reward reaches 0.8 of the optimal
@@ -30,6 +32,7 @@ reported with the sentinel value -1.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import repeat
@@ -42,7 +45,8 @@ from .context import ContextModel, GazetteerError
 from .qlearn import EXPLOIT, StepRecord
 from .simenv import (Scenario, SimEnv, apply_drift, check_keys, json_int,
                      json_list, parse_scenario, world_from_scenario)
-from .store import PreferenceRecord, RunStore, fmt_float, read_action_history
+from .store import (PreferenceRecord, RunStore, StoreParseError, fmt_float,
+                    read_action_history)
 
 NEVER = -1.0
 THRESHOLD_WINDOW, THRESHOLD_FRACTION = 50, 0.8
@@ -243,10 +247,9 @@ class TrialResult:
 
 
 def run_trial(scenario: Scenario, variant: dict, seed: int, steps: int,
-              run_dir: Optional[Path] = None,
-              context: Optional[ContextModel] = None) -> TrialResult:
+              run_dir: Optional[Path] = None) -> TrialResult:
     """Fresh world plus fresh agent, one full run, optional persistence."""
-    world = world_from_scenario(scenario, seed, context)
+    world = world_from_scenario(scenario, seed)
     focal = scenario.agent_user
     cf_store = TransactionStore(world.catalog, world.context)
     background_users = [u.user_id for u in world.users if u.user_id != focal]
@@ -281,9 +284,10 @@ def _persist_run(run_dir: Path, focal: str, trace: list[StepRecord],
     store.snapshot(run_dir)
 
 
-def read_trace(run_dir: str | Path) -> list[StepRecord]:
-    """A run's trace; raises StoreParseError on a malformed history file."""
-    return read_action_history(run_dir)
+def read_trace(run_dir: str | Path, steps: int) -> list[StepRecord]:
+    """A run's trace of `steps` records; raises StoreParseError on a malformed
+    or incomplete history file."""
+    return read_action_history(run_dir, steps)
 
 
 def rows_for_trial(variant_name: str, seed: int,
@@ -331,9 +335,11 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path,
 
     tasks = [(variant, seed, out / "runs" / variant["name"] / str(seed))
              for variant in spec.variants for seed in spec.seeds()]
-    if parallel > 1:
+    # a process pool forks all its workers at the first submit
+    workers = min(parallel, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_trial = list(pool.map(_trial_task, repeat(spec), *zip(*tasks)))
     else:
         per_trial = [_trial_task(spec, *task) for task in tasks]
@@ -361,16 +367,21 @@ def emit_csv(rows: Sequence[MetricRow], path: str | Path) -> None:
 
 
 def parse_csv(path: str | Path) -> list[MetricRow]:
+    """metrics.csv's rows; StoreParseError names the line of a bad header,
+    field count or field."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != CSV_HEADER:
-        raise ConfigError(f"{path}: missing metrics header")
+        raise StoreParseError(path, 1, "missing metrics header")
     rows = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        variant, seed, metric, value, w_from, w_to = line.split(",")
-        rows.append(MetricRow(variant, int(seed), metric, float(value),
-                              int(w_from), int(w_to)))
+        try:
+            variant, seed, metric, value, w_from, w_to = line.split(",")
+            rows.append(MetricRow(variant, int(seed), metric, float(value),
+                                  int(w_from), int(w_to)))
+        except ValueError as exc:  # a field count or a field that does not parse
+            raise StoreParseError(path, lineno, str(exc)) from None
     return rows
 
 
@@ -430,13 +441,12 @@ def recompute_rows(out_dir: str | Path) -> list[MetricRow]:
     out = Path(out_dir)
     spec = load_experiment_spec(out / "spec.json")
     scenario = spec.parsed
-    context = ContextModel.default()
     rows: list[MetricRow] = []
     for variant in spec.variants:
         for seed in spec.seeds():
             run_dir = out / "runs" / variant["name"] / str(seed)
-            trace = read_trace(run_dir)
-            world = world_from_scenario(scenario, seed, context)
+            trace = read_trace(run_dir, spec.steps)
+            world = world_from_scenario(scenario, seed)
             optimal_pre = world.optimal_expected_reward(scenario.agent_user)
             apply_drift(world, spec.steps - 1)
             optimal_post = world.optimal_expected_reward(scenario.agent_user)

@@ -71,22 +71,20 @@ def _time_chain(key: SituationKey) -> tuple:
 
 
 def case_similarity(problem_a: SituationKey, problem_b: SituationKey,
-                    weights: Sequence[float], context: ContextModel) -> float:
-    """Weighted per-dimension match in [0, 1].
+                    context: ContextModel) -> float:
+    """FEATURE_WEIGHTS-weighted per-dimension match in [0, 1].
 
     Time and place score the fraction of their generalization chains on
     which the two problems coincide; social group and cognitive class are
     exact-match 0/1.
     """
-    if len(weights) != 4:
-        raise ValueError("expected one weight per feature dimension (4)")
     time_match = _chain_match(_time_chain(problem_a), _time_chain(problem_b), 3)
     place_match = _chain_match(context.place_chain(problem_a.place),
                                context.place_chain(problem_b.place),
                                context.depth + 1)
     group_match = 1.0 if problem_a.social_group == problem_b.social_group else 0.0
     cognitive_match = 1.0 if problem_a.cognitive == problem_b.cognitive else 0.0
-    w_time, w_place, w_group, w_cog = weights
+    w_time, w_place, w_group, w_cog = FEATURE_WEIGHTS
     return (w_time * time_match + w_place * place_match
             + w_group * group_match + w_cog * cognitive_match)
 
@@ -103,7 +101,7 @@ class CaseBase:
         return len(self.cases)
 
     def similarity(self, a: SituationKey, b: SituationKey) -> float:
-        return case_similarity(a, b, FEATURE_WEIGHTS, self.context)
+        return case_similarity(a, b, self.context)
 
     def retrieve(self, problem: SituationKey) -> Optional[RetrievalResult]:
         """Most similar case at or above the threshold, or None.

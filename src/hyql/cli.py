@@ -4,8 +4,8 @@
     hyql report <DIR>
     hyql verify <DIR>
 
-Exit codes: 0 success, 2 configuration error, 3 verification mismatch
-(including a run file that does not parse).
+Exit codes: 0 success, 2 configuration error, 3 verification mismatch or a
+run file (a trace, metrics.csv) that does not parse.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except StoreParseError as exc:
-        print(f"verification FAILED: {exc}", file=sys.stderr)
+        print(f"{args.command} FAILED: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     return EXIT_CONFIG
 

@@ -351,21 +351,17 @@ class ContextModel:
             key = self._interned.setdefault(fields, SituationKey(*fields))
         return key
 
-    def aggregate(self, event: RawEvent, social_group: str, level: int) -> SituationKey:
-        """Compose time, lifted place, group and cognitive class into one key."""
-        if level < 0 or level > self.depth:
-            raise ValueError(f"granularity level {level} outside 0..{self.depth}")
+    def aggregate(self, event: RawEvent, social_group: str) -> SituationKey:
+        """Compose time, place, group and cognitive class into one level-0 key;
+        `generalize` lifts it to a coarser level."""
         calendar = (event.calendar_entry,) if event.calendar_entry else ()
         bucket = abstract_time(event.timestamp, calendar)
         if event.geo is not None:
-            leaf = self.abstract_location(*event.geo).name
+            place = self.abstract_location(*event.geo).name
         else:
-            leaf = UNKNOWN_PLACE
-        chain = self.place_chain(leaf)
-        effective = min(level, len(chain) - 1)
+            place = UNKNOWN_PLACE
         cognitive = event.cognitive.kind if event.cognitive is not None else UNKNOWN_COGNITIVE
-        return self.situation(bucket, chain[effective], social_group,
-                              cognitive, effective)
+        return self.situation(bucket, place, social_group, cognitive, 0)
 
     def generalize(self, key: SituationKey, level: int) -> SituationKey:
         """Lift a key's place to `level`, clamping at its chain end."""

@@ -174,8 +174,6 @@ def greedy_action(table: QTable, s: State, catalog: ActionCatalog) -> ActionId:
 def epsilon_greedy_action(table: QTable, s: State, catalog: ActionCatalog,
                           p: float, rng: random.Random) -> tuple[ActionId, str]:
     """Draw q ~ U[0,1]; exploit when q <= p, otherwise explore uniformly."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be in [0, 1]")
     q = rng.random()
     if q <= p:
         return greedy_action(table, s, catalog), EXPLOIT

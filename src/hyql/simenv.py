@@ -10,9 +10,13 @@ Bernoulli acceptances. Scheduled drift operations rewrite the probability
 rows mid-run, which is what the recommender has to track.
 
 A scenario config (a JSON object) defines the world, and this module is
-the only one that knows its format. `parse_scenario` checks a config once
-and returns a `Scenario`; `world_from_scenario` then only draws. So a bad
-scenario fails before a run writes anything, and no world build re-checks.
+the only one that knows its format. `parse_scenario` checks a config once,
+against the one `ContextModel` its `Scenario` then carries, and turns each
+routine habit into its situation: the interned level-0 key it realizes,
+plus its weight. A habit's place must be a gazetteer leaf, the only kind
+whose region reverse-geocodes back to it. `world_from_scenario` then only
+draws. So a bad scenario fails before a run writes anything, no world
+build re-checks, and a run reads the gazetteer once.
 
 Everything is driven by named random streams derived from one seed, and
 events never depend on the agent's actions, so all agent variants sharing
@@ -30,7 +34,7 @@ from typing import Optional, Sequence
 
 from .context import (COGNITIVE_KINDS, CalendarEntry, CognitiveAction, ContextModel,
                       HOUR_RANGES, RawEvent, SECONDS_PER_DAY, SECONDS_PER_HOUR,
-                      SituationKey, TimeBucket, time_bucket)
+                      UNKNOWN_PLACE, SituationKey, time_bucket)
 from .qlearn import ActionCatalog, ActionId, CatalogError
 
 DRIFT_OPS = ("SwapTopItems", "ResampleRow")
@@ -57,26 +61,12 @@ class CoverageError(Exception):
     """A (user, situation) pair the world has no relevance row for."""
 
 
-@dataclass(frozen=True)
-class RoutineTriple:
-    """One weighted (time bucket, place, cognitive class) habit."""
+@dataclass(frozen=True, slots=True)
+class Habit:
+    """One weighted routine habit: the level-0 situation it realizes."""
 
-    part_of_day: str
-    day_class: str
-    calendar_state: str
-    place: str
-    cognitive: str
+    situation: SituationKey
     weight: float
-
-    def __post_init__(self):
-        self.bucket()  # raises on an unknown time bucket field
-        if self.cognitive not in COGNITIVE_KINDS:
-            raise ValueError(f"unknown cognitive kind {self.cognitive!r}")
-        if not self.weight >= 0.0:
-            raise ValueError(f"routine weight must be >= 0, got {self.weight}")
-
-    def bucket(self) -> TimeBucket:
-        return time_bucket(self.part_of_day, self.day_class, self.calendar_state)
 
 
 @dataclass(frozen=True)
@@ -84,7 +74,7 @@ class UserProfile:
     user_id: str
     social_group: str
     group_affinity: float
-    routine: tuple[RoutineTriple, ...]
+    routine: tuple[Habit, ...]
 
     def __post_init__(self):
         if not 0.0 <= self.group_affinity <= 1.0:
@@ -96,17 +86,12 @@ class DriftOp:
     step: int
     op: str
     target: str  # user id or group id
-    scope: str = "all"  # "all" or a canonical level-0 situation key
+    scope: Optional[SituationKey] = None  # None for every situation of the target
     applied: bool = False
 
     def __post_init__(self):
         if self.op not in DRIFT_OPS:
             raise ValueError(f"unknown drift op {self.op!r}")
-
-
-def situation_for(context: ContextModel, triple: RoutineTriple, group: str) -> SituationKey:
-    """The level-0 key this routine habit lands on, interned by `context`."""
-    return context.situation(triple.bucket(), triple.place, group, triple.cognitive, 0)
 
 
 @dataclass
@@ -115,7 +100,7 @@ class WorldModel:
     catalog: ActionCatalog
     # (user_id, level-0 key) -> per-item acceptance probability, packed
     relevance: dict[tuple[str, SituationKey], array]
-    prototypes: dict[tuple[str, SituationKey], array]
+    prototypes: dict[SituationKey, array]  # a key names its group
     drift_schedule: list[DriftOp]
     day_length: int
     seed: int
@@ -130,9 +115,7 @@ class WorldModel:
         return self._by_id[user_id]
 
     def situations(self, user_id: str) -> list[SituationKey]:
-        profile = self.user(user_id)
-        return [situation_for(self.context, t, profile.social_group)
-                for t in profile.routine]
+        return [habit.situation for habit in self.user(user_id).routine]
 
     def row(self, user_id: str, s: SituationKey) -> array:
         try:
@@ -142,12 +125,9 @@ class WorldModel:
 
     def optimal_expected_reward(self, user_id: str) -> float:
         """Routine-weighted best-item acceptance probability (closed form)."""
-        profile = self.user(user_id)
         total = 0.0
-        for triple in profile.routine:
-            row = self.row(user_id, situation_for(self.context, triple,
-                                                  profile.social_group))
-            total += triple.weight * max(row)
+        for habit in self.user(user_id).routine:
+            total += habit.weight * max(self.row(user_id, habit.situation))
         return total
 
 
@@ -178,9 +158,11 @@ def _mix_row(proto: Sequence[float], rng: random.Random, affinity: float) -> arr
 @dataclass(frozen=True)
 class Scenario:
     """A checked scenario config, built by `parse_scenario`: users u00..
-    join groups g0.. round-robin, and each group shares one routine."""
+    join groups g0.. round-robin, and each group shares one routine. Its
+    situations are interned by `context`, which every world drawn from it
+    shares."""
 
-    routines: dict[str, tuple[RoutineTriple, ...]]  # every group, in order
+    routines: dict[str, tuple[Habit, ...]]  # every group, in order
     users: tuple[UserProfile, ...]
     n_items: int
     drift: tuple[DriftOp, ...]  # by step
@@ -188,6 +170,7 @@ class Scenario:
     agent_user: str
     warm_start_events: int
     background_rate: int
+    context: ContextModel
 
 
 def check_keys(entry, required: frozenset, allowed: frozenset, what: str) -> None:
@@ -226,37 +209,47 @@ def json_list(value, what: str) -> list:
     return value
 
 
-def _routine(entries, group: str, context: ContextModel) -> tuple[RoutineTriple, ...]:
+def _routine(entries, group: str, context: ContextModel) -> tuple[Habit, ...]:
     """A group's habits, whose weights must sum to 1 whether or not a user joins."""
-    routine = tuple(_habit(entry, context)
+    routine = tuple(_habit(entry, group, context)
                     for entry in json_list(entries, f"routine of {group}"))
-    total = sum(t.weight for t in routine)
+    total = sum(habit.weight for habit in routine)
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"routine of {group} has weights summing to {total}, expected 1")
     return routine
 
 
-def _habit(entry, context: ContextModel) -> RoutineTriple:
+def _habit(entry, group: str, context: ContextModel) -> Habit:
+    """A habit the simulator can realize: `gen_event` draws a point inside its
+    place's region, which reverse-geocodes back to that place only for a leaf."""
     check_keys(entry, _HABIT_KEYS, _HABIT_KEYS, "routine habit")
-    context.place_chain(entry["place"])  # raises on an unknown place
-    return RoutineTriple(entry["part_of_day"], entry["day_class"], entry["calendar"],
-                         entry["place"], entry["cognitive"],
-                         _number(entry["weight"], "routine weight"))
+    place = entry["place"]
+    context.place_chain(place)  # raises on an unknown place
+    if place == UNKNOWN_PLACE or any(node.parent == place for node in context.nodes.values()):
+        raise ValueError(f"routine place {place!r} is not a leaf place of the gazetteer")
+    if entry["cognitive"] not in COGNITIVE_KINDS:
+        raise ValueError(f"unknown cognitive kind {entry['cognitive']!r}")
+    weight = _number(entry["weight"], "routine weight")
+    if not weight >= 0.0:
+        raise ValueError(f"routine weight must be >= 0, got {weight}")
+    bucket = time_bucket(entry["part_of_day"], entry["day_class"], entry["calendar"])
+    return Habit(context.situation(bucket, place, group, entry["cognitive"], 0), weight)
 
 
-def _drift_op(entry, users: Sequence[UserProfile], context: ContextModel) -> DriftOp:
+def _drift_op(entry, users: Sequence[UserProfile]) -> DriftOp:
     check_keys(entry, _DRIFT_KEYS - {"scope"}, _DRIFT_KEYS, "drift entry")
-    op = DriftOp(json_int(entry, "step", 0), entry["op"], entry["target"],
-                 entry.get("scope", "all"))
+    op = DriftOp(json_int(entry, "step", 0), entry["op"], entry["target"])
     # a drift op that would touch no row is a mistake, not a no-op
     members = [u for u in users if op.target in (u.user_id, u.social_group)]
     if not members:
         raise ValueError(f"drift target {op.target!r} names no user or group")
-    scopes = {situation_for(context, t, members[0].social_group).canonical()
-              for t in members[0].routine}
-    if op.scope != "all" and op.scope not in scopes:
-        raise ValueError(f"drift scope {op.scope!r} is neither 'all' nor a "
-                         f"situation of {op.target!r}'s routine")
+    scope = entry.get("scope", "all")
+    if scope != "all":
+        scopes = {h.situation.canonical(): h.situation for h in members[0].routine}
+        op.scope = scopes.get(scope)
+        if op.scope is None:
+            raise ValueError(f"drift scope {scope!r} is neither 'all' nor a "
+                             f"situation of {op.target!r}'s routine")
     return op
 
 
@@ -281,39 +274,33 @@ def parse_scenario(raw: dict, context: ContextModel) -> Scenario:
     if raw["agent_user"] not in [u.user_id for u in users]:
         raise ValueError(f"agent_user {raw['agent_user']!r} is not one of the "
                          f"scenario's {len(users)} users")
-    drift = [_drift_op(entry, users, context)
-             for entry in json_list(raw.get("drift", []), "drift")]
+    drift = [_drift_op(entry, users) for entry in json_list(raw.get("drift", []), "drift")]
     return Scenario(routines, users, json_int(raw, "items", 1),
                     tuple(sorted(drift, key=lambda op: op.step)),
                     json_int(raw, "day_length", 1, 50), raw["agent_user"],
                     json_int(raw, "warm_start_events", 0, 0),
-                    json_int(raw, "background_rate", 0, 0))
+                    json_int(raw, "background_rate", 0, 0), context)
 
 
-def world_from_scenario(scenario: Scenario, seed: int,
-                        context: Optional[ContextModel] = None) -> WorldModel:
+def world_from_scenario(scenario: Scenario, seed: int) -> WorldModel:
     """Draw a world: group prototypes, then each user's relevance rows."""
-    context = context or ContextModel.default()
     rng = random.Random(seed * _SEED_SPREAD + _STREAM_BUILD)
-    prototypes: dict[tuple[str, SituationKey], array] = {}
-    for group, routine in scenario.routines.items():
-        for triple in routine:
-            key = situation_for(context, triple, group)
-            prototypes[(group, key)] = _draw_row(rng, scenario.n_items)
+    prototypes: dict[SituationKey, array] = {}
+    for routine in scenario.routines.values():
+        for habit in routine:
+            prototypes[habit.situation] = _draw_row(rng, scenario.n_items)
 
     relevance: dict[tuple[str, SituationKey], array] = {}
     for profile in scenario.users:
-        for triple in profile.routine:
-            key = situation_for(context, triple, profile.social_group)
-            proto = prototypes[(profile.social_group, key)]
-            relevance[(profile.user_id, key)] = _mix_row(proto, rng,
-                                                         profile.group_affinity)
+        for habit in profile.routine:
+            relevance[(profile.user_id, habit.situation)] = _mix_row(
+                prototypes[habit.situation], rng, profile.group_affinity)
 
     return WorldModel(users=list(scenario.users),
                       catalog=ActionCatalog([f"doc{i:02d}" for i in range(scenario.n_items)]),
                       relevance=relevance, prototypes=prototypes,
                       drift_schedule=[replace(op) for op in scenario.drift],
-                      day_length=scenario.day_length, seed=seed, context=context,
+                      day_length=scenario.day_length, seed=seed, context=scenario.context,
                       drift_rng=random.Random(seed * _SEED_SPREAD + _STREAM_DRIFT))
 
 
@@ -321,32 +308,34 @@ def world_from_scenario(scenario: Scenario, seed: int,
 # Event synthesis
 # ---------------------------------------------------------------------------
 
-def _sample_habit(routine: Sequence[RoutineTriple], rng: random.Random) -> int:
+def _sample_habit(routine: Sequence[Habit], rng: random.Random) -> int:
     """The index of one routine habit, drawn by weight with one random number."""
     u = rng.random()
     acc = 0.0
-    for i, triple in enumerate(routine):
-        acc += triple.weight
+    for i, habit in enumerate(routine):
+        acc += habit.weight
         if u < acc:
             return i
     return len(routine) - 1
 
 
 def gen_event(world: WorldModel, user_id: str, step: int, rng: random.Random) -> RawEvent:
-    """Synthesize a raw event realizing one weighted routine habit.
+    """Synthesize a raw event realizing one weighted routine habit, whose
+    situation it aggregates back to.
 
     The clock hour moves through the bucket's span as the day advances;
     the day-of-week is chosen to satisfy the habit's weekday/weekend
     class. Coordinates are uniform inside the place's bounding region.
     """
-    profile = world.user(user_id)
-    triple = profile.routine[_sample_habit(profile.routine, rng)]
+    routine = world.user(user_id).routine
+    s = routine[_sample_habit(routine, rng)].situation
+    time = s.time
 
     day_number = step // world.day_length
     pos_in_day = (step % world.day_length) / world.day_length
-    start, stop = HOUR_RANGES[triple.part_of_day]
+    start, stop = HOUR_RANGES[time.part_of_day]
     hour = int(start + pos_in_day * (stop - start)) % 24
-    if triple.day_class == "Weekday":
+    if time.day_class == "Weekday":
         day_of_week = day_number % 5
     else:
         day_of_week = 5 + day_number % 2
@@ -354,18 +343,18 @@ def gen_event(world: WorldModel, user_id: str, step: int, rng: random.Random) ->
     minute = rng.randrange(60)
     timestamp = absolute_day * SECONDS_PER_DAY + hour * SECONDS_PER_HOUR + minute * 60
 
-    node = world.context.nodes[triple.place]
+    node = world.context.nodes[s.place]
     lat = rng.uniform(node.lat_min, node.lat_max)
     lon = rng.uniform(node.lon_min, node.lon_max)
 
-    if triple.cognitive == "Navigate":
+    if s.cognitive == "Navigate":
         item = world.catalog.actions[rng.randrange(len(world.catalog))]
         cognitive = CognitiveAction("Navigate", item)
     else:
-        cognitive = CognitiveAction(triple.cognitive)
+        cognitive = CognitiveAction(s.cognitive)
 
     calendar = None
-    if triple.calendar_state == "InMeeting":
+    if time.calendar_state == "InMeeting":
         top_of_hour = timestamp - (timestamp % SECONDS_PER_HOUR)
         calendar = CalendarEntry("meeting", top_of_hour, top_of_hour + SECONDS_PER_HOUR)
 
@@ -386,15 +375,11 @@ def reward(world: WorldModel, user_id: str, s: SituationKey, a: ActionId,
 # Drift
 # ---------------------------------------------------------------------------
 
-def _scoped_rows(world: WorldModel, op: DriftOp) -> list[tuple[str, SituationKey]]:
-    user_ids = [u.user_id for u in world.users
-                if u.user_id == op.target or u.social_group == op.target]
-    keys = []
-    for user_id in user_ids:
-        for key in world.situations(user_id):
-            if op.scope == "all" or key.canonical() == op.scope:
-                keys.append((user_id, key))
-    return keys
+def _scoped_rows(world: WorldModel, op: DriftOp) -> list[tuple[UserProfile, SituationKey]]:
+    """The (user, situation) rows an op touches, by user, then by habit."""
+    return [(u, habit.situation) for u in world.users
+            if op.target in (u.user_id, u.social_group)
+            for habit in u.routine if op.scope in (None, habit.situation)]
 
 
 def apply_drift(world: WorldModel, step: int) -> int:
@@ -406,24 +391,22 @@ def apply_drift(world: WorldModel, step: int) -> int:
         op.applied = True
         fired += 1
         if op.op == "SwapTopItems":
-            for user_id, key in _scoped_rows(world, op):
-                row = world.relevance[(user_id, key)]
+            for profile, key in _scoped_rows(world, op):
+                row = world.relevance[(profile.user_id, key)]
                 hi = row.index(max(row))
                 lo = row.index(min(row))
                 row[hi], row[lo] = row[lo], row[hi]
         elif op.op == "ResampleRow":
-            # redraw the prototype once per touched (group, situation), then
-            # re-mix every scoped member with fresh personal noise
+            # redraw the prototype once per touched situation, then re-mix
+            # every scoped member with fresh personal noise
             rng = world.drift_rng
-            redrawn: set[tuple[str, SituationKey]] = set()
-            for user_id, key in _scoped_rows(world, op):
-                profile = world.user(user_id)
-                proto_key = (profile.social_group, key)
-                if proto_key not in redrawn:
-                    world.prototypes[proto_key] = _draw_row(rng, len(world.catalog))
-                    redrawn.add(proto_key)
-                world.relevance[(user_id, key)] = _mix_row(
-                    world.prototypes[proto_key], rng, profile.group_affinity)
+            redrawn: set[SituationKey] = set()
+            for profile, key in _scoped_rows(world, op):
+                if key not in redrawn:
+                    world.prototypes[key] = _draw_row(rng, len(world.catalog))
+                    redrawn.add(key)
+                world.relevance[(profile.user_id, key)] = _mix_row(
+                    world.prototypes[key], rng, profile.group_affinity)
     return fired
 
 
@@ -455,10 +438,8 @@ class SimEnv:
         # per background user: its routine and the relevance key of each habit
         self._habits = []
         for user_id in self.background_users:
-            profile = world.user(user_id)
-            self._habits.append((profile.routine, [
-                (user_id, situation_for(world.context, t, profile.social_group))
-                for t in profile.routine]))
+            routine = world.user(user_id).routine
+            self._habits.append((routine, [(user_id, h.situation) for h in routine]))
 
     def reset(self, user_id: str) -> RawEvent:
         event = gen_event(self.world, user_id, 0, self.event_rng)
@@ -469,7 +450,7 @@ class SimEnv:
 
     def _remember(self, user_id: str, event: RawEvent) -> None:
         self._situation[user_id] = self.world.context.aggregate(
-            event, self.world.user(user_id).social_group, 0)
+            event, self.world.user(user_id).social_group)
 
     def background_burst(self, n_events: int) -> int:
         """Simulate n ambient interactions of the background users."""

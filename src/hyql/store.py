@@ -13,7 +13,8 @@ and a trace read back and snapshotted again is byte-identical. A snapshot
 streams each file line by line through one buffered handle, so it never
 holds a whole file's text in memory. Reading is header- and field-checked:
 a malformed file raises StoreParseError with its path and line number,
-and no partial trace is returned.
+and no partial trace is returned. A trace holds exactly the run's steps,
+numbered from 0, one record to a line.
 """
 
 from __future__ import annotations
@@ -101,11 +102,13 @@ class RunStore:
                 f"\t{fmt_float(p.reward)}\t{p.step}" for p in self.preferences))
 
 
-def read_action_history(dirpath: str | Path) -> list[StepRecord]:
-    """The action history of one run directory, header-, field- and order-checked.
+def read_action_history(dirpath: str | Path, steps: int) -> list[StepRecord]:
+    """The action history of one run of `steps` steps, header-, field- and
+    order-checked.
 
-    Any error, from the field count, a field's parse or the step order, is
-    raised as a StoreParseError naming the file and line.
+    Any error, from the field count, a field's parse, a record numbered
+    other than its place in the trace or a trace shorter or longer than
+    `steps`, is raised as a StoreParseError naming the file and line.
     """
     filename, columns = _FILES["actions"]
     n_fields = columns.count("\t") + 1
@@ -115,7 +118,7 @@ def read_action_history(dirpath: str | Path) -> list[StepRecord]:
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or not lines[0].startswith(f"# hyql-store v{SCHEMA_VERSION} actions:"):
         raise StoreParseError(path, 1, "missing or wrong schema header")
-    store = RunStore()
+    trace: list[StepRecord] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -124,10 +127,19 @@ def read_action_history(dirpath: str | Path) -> list[StepRecord]:
             raise StoreParseError(path, lineno,
                                   f"expected {n_fields} fields, got {len(fields)}")
         try:
-            store.append_action_history(_step_from_fields(fields))
+            record = _step_from_fields(fields)
         except Exception as exc:
             raise StoreParseError(path, lineno, str(exc)) from exc
-    return store.action_history
+        if record.step != len(trace):
+            raise StoreParseError(path, lineno,
+                                  f"step {record.step} where step {len(trace)} belongs")
+        if record.step == steps:
+            raise StoreParseError(path, lineno, f"more than the run's {steps} steps")
+        trace.append(record)
+    if len(trace) != steps:
+        raise StoreParseError(path, len(lines) + 1,
+                              f"trace ends after {len(trace)} of {steps} steps")
+    return trace
 
 
 def _write(directory: Path, part: str, lines) -> None:

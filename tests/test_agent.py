@@ -82,7 +82,7 @@ class TestStep:
         pick a3."""
         seed = next(s for s in range(100) if random.Random(s).random() <= PARAMS.p)
         agent = make_agent("HyQL", seed=seed)
-        s = context.aggregate(office_event(), "g0", 0)
+        s = context.aggregate(office_event(), "g0")
         agent.casebase.retain(s, {"a3": 5.0, "a0": 1.0}, visits=5,
                               mean_reward=0.9, user_id="u00", step=1)
         record, _ = agent.step(office_event(), StubEnv())
@@ -129,8 +129,7 @@ def small_scenario():
 
 
 def run_pair(variant, seed, steps=120, world_seed=5, **overrides):
-    world = world_from_scenario(parse_scenario(small_scenario(), _CONTEXT),
-                                world_seed, _CONTEXT)
+    world = world_from_scenario(parse_scenario(small_scenario(), _CONTEXT), world_seed)
     cf = TransactionStore(world.catalog, world.context)
     env = SimEnv(world, cf, background_rate=1,
                  background_users=["u01", "u02"])

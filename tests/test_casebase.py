@@ -2,12 +2,10 @@ import random
 
 import pytest
 
-from hyql.casebase import (FEATURE_WEIGHTS, MAX_SIZE, RETRIEVAL_THRESHOLD, CaseBase,
-                           RetrievalResult, adapt, case_similarity)
+from hyql.casebase import (MAX_SIZE, RETRIEVAL_THRESHOLD, CaseBase, RetrievalResult,
+                           adapt, case_similarity)
 from hyql.context import SituationKey, TimeBucket
 from hyql.qlearn import QTable
-
-W = FEATURE_WEIGHTS
 
 BUCKETS = [("Morning", "Weekday", "Free"), ("Afternoon", "Weekday", "InMeeting"),
            ("Evening", "Weekday", "Free"), ("Night", "Weekend", "Free"),
@@ -31,39 +29,35 @@ def random_key(rng):
 
 class TestCaseSimilarity:
     def test_identical_problems(self, context):
-        assert case_similarity(skey(), skey(), W, context) == 1.0
+        assert case_similarity(skey(), skey(), context) == 1.0
 
     def test_three_exact_one_mismatched(self, context):
         # same time, place, group; cognitive differs entirely -> 0.75
         a = skey(cognitive="Navigate")
         b = skey(cognitive="Call")
-        assert case_similarity(a, b, W, context) == pytest.approx(0.75, abs=0)
+        assert case_similarity(a, b, context) == pytest.approx(0.75, abs=0)
 
     def test_total_mismatch_is_zero(self, context):
         # Unknown shares no place level with Office; time differs at all
         # three levels; group and cognitive differ too
         a = skey(("Morning", "Weekday", "Free"), "Office", "g0", "Navigate")
         b = skey(("Evening", "Weekend", "InMeeting"), "Unknown", "g1", "Call")
-        assert case_similarity(a, b, W, context) == 0.0
+        assert case_similarity(a, b, context) == 0.0
 
     def test_partial_place_match_scores_fraction(self, context):
         # Office and Home share Paris and Anywhere: 2 of 3 levels
         a, b = skey(place="Office"), skey(place="Home")
-        assert case_similarity(a, b, W, context) == pytest.approx(
+        assert case_similarity(a, b, context) == pytest.approx(
             0.75 + 0.25 * (2 / 3))
 
     def test_symmetric_reflexive_bounded(self, context):
         rng = random.Random(20)
         for _ in range(300):
             a, b = random_key(rng), random_key(rng)
-            s_ab = case_similarity(a, b, W, context)
-            assert s_ab == case_similarity(b, a, W, context)
+            s_ab = case_similarity(a, b, context)
+            assert s_ab == case_similarity(b, a, context)
             assert 0.0 <= s_ab <= 1.0
-            assert case_similarity(a, a, W, context) == 1.0
-
-    def test_weight_count_enforced(self, context):
-        with pytest.raises(ValueError):
-            case_similarity(skey(), skey(), (0.5, 0.5), context)
+            assert case_similarity(a, a, context) == 1.0
 
 
 class TestRetrieve:
@@ -102,7 +96,7 @@ class TestRetrieve:
             best = None
             best_rank = None
             for case in base.cases:
-                sim = case_similarity(query, case.problem, W, context)
+                sim = case_similarity(query, case.problem, context)
                 rank = (sim, case.visits, -case.step)
                 if best_rank is None or rank > best_rank:
                     best, best_rank = case, rank

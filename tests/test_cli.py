@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import shutil
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import hyql
+import hyql.bench
 from hyql.bench import NEVER, SPEC_KEYS, load_experiment_spec, load_scenario, parse_csv
 from hyql.cli import EXIT_CONFIG, EXIT_MISMATCH, EXIT_OK, main
 
@@ -58,6 +60,24 @@ class TestVerify:
         assert main(["verify", str(run_copy)]) == EXIT_MISMATCH
         assert f"{path}:1: missing or wrong schema header" in capsys.readouterr().err
 
+    def test_header_only_trace_is_a_mismatch(self, run_copy, capsys):
+        path = run_copy / "runs" / "HyQL" / "1000" / "history_actions.tsv"
+        header = path.read_text(encoding="utf-8").splitlines()[0]
+        path.write_text(header + "\n", encoding="utf-8")
+        assert main(["verify", str(run_copy)]) == EXIT_MISMATCH
+        assert f"{path}:2: trace ends after 0 of 60 steps" in capsys.readouterr().err
+
+    def test_trace_cut_before_the_drift_is_a_mismatch(self, tmp_path, capsys):
+        drift = [{"step": 30, "op": "SwapTopItems", "target": "g0"}]
+        out = tmp_path / "out"
+        assert main(["run", str(write_spec(tmp_path, scenario={"drift": drift})),
+                     "--out", str(out)]) == EXIT_OK
+        path = out / "runs" / "HyQL" / "1000" / "history_actions.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines()[:21]  # steps 0..19
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["verify", str(out)]) == EXIT_MISMATCH
+        assert f"{path}:22: trace ends after 20 of 60 steps" in capsys.readouterr().err
+
     def test_spec_with_an_extra_key_exits_2(self, run_copy):
         path = run_copy / "spec.json"
         spec = dict(json.loads(path.read_text(encoding="utf-8")), metrics=["CumulativeReward"])
@@ -88,6 +108,14 @@ class TestReport:
         # the 60-step run ends before the scenario's drift
         assert [row.metric for row in recorded if row.value == NEVER] == \
             ["DriftRecoverySteps"]
+
+    def test_short_metrics_row_exits_3(self, run_copy, capsys):
+        path = run_copy / "metrics.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["report", str(run_copy)]) == EXIT_MISMATCH
+        assert f"{path}:3: not enough values to unpack" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["report", "verify"])
     def test_missing_directory_exits_2(self, tmp_path, command):
@@ -134,6 +162,9 @@ def routines_with_negative_weight():
     {"scenario": {"agent_user": "u11"}},
     {"variants": [dict(HYQL, cf_k=1)]},
     {"scenario": {"routines": routines_with(place="Atlantis")}},
+    {"scenario": {"routines": routines_with(place="Unknown")}},
+    {"scenario": {"routines": routines_with(place="Paris")}},
+    {"scenario": {"routines": routines_with(place="Anywhere")}},
     {"scenario": {"drift": [{"step": 1000, "op": "Nope", "target": "g0"}]}},
     {"scenario": {"groups": 2}},
     {"scenario": {"routines": routines_with(weight=0.9)}},
@@ -179,7 +210,8 @@ def routines_with_negative_weight():
 ], ids=["unknown-override", "p", "alpha", "gamma", "variants-string",
         "variants-object", "metrics-string", "threshold-window", "recovery-window",
         "feature-weights-sum", "retrieval-threshold", "agent-user-not-in-population",
-        "cf-k", "routine-place", "drift-op", "group-without-routine",
+        "cf-k", "routine-place", "routine-place-unknown", "routine-place-city",
+        "routine-place-root", "drift-op", "group-without-routine",
         "routine-weights-sum", "part-of-day", "drift-target", "drift-scope",
         "drift-step-negative", "variant-name-path", "warm-start-negative",
         "background-rate-negative", "routine-weight-negative", "alpha-schedule",
@@ -197,6 +229,43 @@ def test_bad_spec_exits_2_before_writing(tmp_path, changes):
     assert main(["run", str(write_spec(tmp_path, **changes)), "--out", str(out)]) \
         == EXIT_CONFIG
     assert not out.exists() or not any(out.iterdir())
+
+
+class InProcessPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    max_workers = []
+
+    def __init__(self, max_workers):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("parallel, trials, cpus, workers", [
+    (10_000, 1, 2, None),  # one trial: no pool at all
+    (10_000, 3, 2, 2),
+    (10_000, 3, 8, 3),
+    (2, 3, 8, 2),
+    (4, 3, None, None),  # CPU count unknown: serial
+])
+def test_parallel_starts_at_most_one_worker_per_trial_and_cpu(
+        tmp_path, monkeypatch, parallel, trials, cpus, workers):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(InProcessPool, "max_workers", [])
+    monkeypatch.setattr(hyql.bench.os, "cpu_count", lambda: cpus)
+    out = tmp_path / "out"
+    assert main(["run", str(write_spec(tmp_path, trials=trials, steps=5)), "--out", str(out),
+                 "--parallel", str(parallel)]) == EXIT_OK
+    assert InProcessPool.max_workers == ([] if workers is None else [workers])
+    assert main(["verify", str(out)]) == EXIT_OK
 
 
 def test_serial_run_never_loads_the_process_pool(tmp_path):

@@ -183,10 +183,6 @@ class TestEpsilonGreedy:
         _, b2 = epsilon_greedy_action(QTable(), key(), CATALOG, 0.5, rng)
         assert (b1, b2) == (EXPLOIT, EXPLORE)
 
-    def test_invalid_p(self):
-        with pytest.raises(ValueError):
-            epsilon_greedy_action(QTable(), key(), CATALOG, 1.2, random.Random(0))
-
 
 class TestCatalog:
     def test_non_empty(self):

@@ -3,12 +3,14 @@ import random
 from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyql.bench import load_scenario
 from hyql.collab import TransactionStore
-from hyql.context import ContextModel, SituationKey
+from hyql.context import (CALENDAR_STATES, COGNITIVE_KINDS, DAY_CLASSES, PARTS_OF_DAY,
+                          ContextModel)
 from hyql.simenv import (DriftOp, SimEnv, _mix_row, apply_drift, gen_event,
-                         parse_scenario, reward, situation_for, world_from_scenario)
+                         parse_scenario, reward, world_from_scenario)
 
 CONTEXT = ContextModel.default()
 
@@ -25,8 +27,7 @@ def scenario(n_users=4, affinity=0.8, n_items=5, drift=(), routine=None):
 
 
 def small_world(seed=0, **changes):
-    return world_from_scenario(parse_scenario(scenario(**changes), CONTEXT), seed,
-                               CONTEXT)
+    return world_from_scenario(parse_scenario(scenario(**changes), CONTEXT), seed)
 
 
 def swap(step):
@@ -44,7 +45,7 @@ class TestBuildPopulation:
         world = small_world(affinity=0.0)
         u = world.users[0]
         key = world.situations(u.user_id)[0]
-        proto = world.prototypes[(u.social_group, key)]
+        proto = world.prototypes[key]
         assert world.row(u.user_id, key) != proto
 
     def test_determinism(self):
@@ -128,15 +129,34 @@ class TestMixRow:
                 oracle_mix_row(proto, random.Random(seed), affinity))
 
 
+LEAVES = sorted(set(CONTEXT.nodes) - {node.parent for node in CONTEXT.nodes.values()})
+
+
+def every_degenerate_routine():
+    """One group per leaf place x time bucket x cognitive kind, each with a
+    routine of that one habit, and one user per group."""
+    habits = [dict(part_of_day=part, day_class=day, calendar=state, place=place,
+                   cognitive=kind, weight=1.0)
+              for place in LEAVES for part in PARTS_OF_DAY for day in DAY_CLASSES
+              for state in CALENDAR_STATES for kind in COGNITIVE_KINDS]
+    config = dict(scenario(n_users=len(habits), n_items=3), groups=len(habits),
+                  routines={f"g{i}": [habit] for i, habit in enumerate(habits)})
+    return world_from_scenario(parse_scenario(config, CONTEXT), 1)
+
+
+DEGENERATE = every_degenerate_routine()
+
+
 class TestGenEvent:
-    def test_degenerate_routine_hits_one_key(self):
-        world = small_world(seed=1, n_users=2, n_items=4, routine=[SINGLE_HABIT])
-        evt_rng = random.Random(2)
-        expected = situation_for(world.context, world.user("u00").routine[0], "g0")
-        for step in range(100):
-            event = gen_event(world, "u00", step, evt_rng)
-            key = world.context.aggregate(event, "g0", 0)
-            assert key == expected
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(step=st.integers(0, 10**7), seed=st.integers(0, 2**32))
+    def test_degenerate_routine_hits_one_key(self, step, seed):
+        rng = random.Random(seed)
+        assert len(DEGENERATE.users) == 4 * 16 * 4
+        for profile in DEGENERATE.users:
+            (habit,) = profile.routine
+            event = gen_event(DEGENERATE, profile.user_id, step, rng)
+            assert CONTEXT.aggregate(event, profile.social_group) == habit.situation
 
     def test_fixed_seed_fixed_sequence(self):
         world = small_world(seed=9)
@@ -148,15 +168,15 @@ class TestGenEvent:
         world = small_world(seed=5)
         profile = world.users[0]
         rng = random.Random(6)
-        counts = {situation_for(world.context, t, "g0"): 0 for t in profile.routine}
+        counts = {habit.situation: 0 for habit in profile.routine}
         n = 10_000
         for step in range(n):
             event = gen_event(world, "u00", step, rng)
-            key = world.context.aggregate(event, "g0", 0)
+            key = world.context.aggregate(event, "g0")
             counts[key] += 1
-        for triple in profile.routine:
-            freq = counts[situation_for(world.context, triple, "g0")] / n
-            assert abs(freq - triple.weight) <= 0.02
+        for habit in profile.routine:
+            freq = counts[habit.situation] / n
+            assert abs(freq - habit.weight) <= 0.02
 
     def test_events_abstract_back_to_routine_keys(self):
         world = small_world(seed=7)
@@ -164,7 +184,7 @@ class TestGenEvent:
         valid = set(world.situations("u00"))
         for step in range(500):
             event = gen_event(world, "u00", step, rng)
-            key = world.context.aggregate(event, "g0", 0)
+            key = world.context.aggregate(event, "g0")
             assert key in valid
 
 
@@ -248,7 +268,7 @@ class TestDrift:
     def test_scoped_drift_touches_only_scope(self):
         world = small_world(seed=15)
         key = world.situations("u00")[0]
-        world.drift_schedule = [DriftOp(0, "SwapTopItems", "u00", key.canonical())]
+        world.drift_schedule = [DriftOp(0, "SwapTopItems", "u00", key)]
         before = exact_rows(world)
         apply_drift(world, 0)
         for k, row in world.relevance.items():
@@ -285,7 +305,7 @@ class TestEnvStep:
         n = 20_000
         total = 0.0
         for _ in range(n):
-            s = world.context.aggregate(event, world.user("u00").social_group, 0)
+            s = world.context.aggregate(event, world.user("u00").social_group)
             row = world.row("u00", s)
             best = catalog.actions[row.index(max(row))]
             r, event = env.step("u00", best)
@@ -343,14 +363,13 @@ def reference_burst(world, store, rng, background_users, n_events):
         profile = world.user(user_id)
         u = rng.random()
         acc = 0.0
-        triple = profile.routine[-1]
+        habit = profile.routine[-1]
         for candidate in profile.routine:
             acc += candidate.weight
             if u < acc:
-                triple = candidate
+                habit = candidate
                 break
-        key = SituationKey(triple.bucket(), triple.place, profile.social_group,
-                           triple.cognitive, 0)
+        key = habit.situation
         item = world.catalog.actions[rng.randrange(len(world.catalog))]
         probability = world.row(user_id, key)[world.catalog.index(item)]
         store.record_implicit(user_id, item, rng.random() < probability, key)
@@ -374,6 +393,25 @@ class TestGroupCoherence:
 
 
 class TestScenario:
+    def test_habits_are_interned_situations_of_the_parsing_context(self, canonical_scenario):
+        context = ContextModel.default()
+        parsed = parse_scenario(canonical_scenario, context)
+        assert parsed.context is context
+        for habit in parsed.routines["g0"]:
+            s = habit.situation
+            assert context.situation(s.time, s.place, "g0", s.cognitive, 0) is s
+        world = world_from_scenario(parsed, 7)
+        assert world.context is context
+        assert world.situations("u10") == [h.situation for h in parsed.routines["g0"]]
+
+    def test_drift_scope_resolves_to_the_habit_situation(self, canonical_scenario):
+        parsed = parse_scenario(canonical_scenario, CONTEXT)
+        assert parsed.drift[0].scope is None  # "all"
+        key = parsed.routines["g0"][2].situation
+        drift = [{"step": 5, "op": "ResampleRow", "target": "g0", "scope": key.canonical()}]
+        scoped = parse_scenario(dict(canonical_scenario, drift=drift), CONTEXT)
+        assert scoped.drift[0].scope is key
+
     def test_world_from_scenario_canonical(self, canonical_scenario, context):
         world = world_from_scenario(parse_scenario(canonical_scenario, context), 7)
         assert len(world.users) == 11

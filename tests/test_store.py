@@ -82,7 +82,7 @@ class TestEventHistory:
 class TestSnapshotLoad:
     def test_empty_round_trip(self, tmp_path):
         RunStore().snapshot(tmp_path / "run")
-        assert read_action_history(tmp_path / "run") == []
+        assert read_action_history(tmp_path / "run", 0) == []
 
     def test_empty_store_writes_only_the_headers(self, tmp_path):
         RunStore().snapshot(tmp_path)
@@ -100,7 +100,7 @@ class TestSnapshotLoad:
         second = tmp_path / "second"
         store.snapshot(first)
         again = RunStore()
-        for record in read_action_history(first):
+        for record in read_action_history(first, 3):
             again.append_action_history(record)
         again.snapshot(second)
         name = "history_actions.tsv"
@@ -109,7 +109,7 @@ class TestSnapshotLoad:
     def test_observational_equality(self, tmp_path):
         store = populated_store()
         store.snapshot(tmp_path / "run")
-        assert read_action_history(tmp_path / "run") == store.action_history
+        assert read_action_history(tmp_path / "run", 3) == store.action_history
 
     def test_truncated_file_is_parse_error_with_line(self, tmp_path):
         store = populated_store()
@@ -119,7 +119,7 @@ class TestSnapshotLoad:
         lines[-1] = lines[-1][: len(lines[-1]) // 2]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(StoreParseError) as info:
-            read_action_history(tmp_path / "run")
+            read_action_history(tmp_path / "run", 3)
         assert info.value.lineno == len(lines)
 
     def test_missing_header_rejected(self, tmp_path):
@@ -129,14 +129,14 @@ class TestSnapshotLoad:
         body = path.read_text().splitlines()[1:]
         path.write_text("\n".join(body) + "\n")
         with pytest.raises(StoreParseError, match="schema header"):
-            read_action_history(tmp_path / "run")
+            read_action_history(tmp_path / "run", 3)
 
     def test_missing_file_rejected(self, tmp_path):
         store = populated_store()
         store.snapshot(tmp_path / "run")
         (tmp_path / "run" / "history_actions.tsv").unlink()
         with pytest.raises(StoreParseError, match="missing store file"):
-            read_action_history(tmp_path / "run")
+            read_action_history(tmp_path / "run", 3)
 
     def test_ordering_violation_in_file_detected(self, tmp_path):
         store = populated_store()
@@ -145,19 +145,19 @@ class TestSnapshotLoad:
         lines = path.read_text().splitlines()
         lines.append(lines[1].replace(lines[1].split("\t")[0], "0", 1))
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(StoreParseError, match="action step 0 < last 2"):
-            read_action_history(tmp_path / "run")
+        with pytest.raises(StoreParseError, match="step 0 where step 3 belongs"):
+            read_action_history(tmp_path / "run", 4)
 
 
 class TestStepRecord:
     def test_line_round_trip(self, tmp_path):
         s = SituationKey(TimeBucket("Morning", "Weekday", "Free"), "Office",
                          "g0", "Navigate", 0)
-        record = StepRecord(5, s, "a1", EXPLOIT, 1 / 3, skey("Home"))
+        record = StepRecord(0, s, "a1", EXPLOIT, 1 / 3, skey("Home"))
         store = RunStore()
         store.append_action_history(record)
         store.snapshot(tmp_path)
-        assert read_action_history(tmp_path) == [record]
+        assert read_action_history(tmp_path, 1) == [record]
 
 
 @pytest.mark.parametrize("record", [
