@@ -6,7 +6,9 @@ last-write-wins ratings per view and per user, as two bitsets (Python ints
 in which bit i stands for catalog item i): the items rated 1 and the items
 rated at all. There is one view per generalized situation scope, so that
 advice can be computed "for people like you, in situations like this one".
-An untouched item reads as rating 0.
+An untouched item reads as rating 0. Each view also counts, per item, its
+users whose positive bit is set, and each user caches its positive item
+indices as an ascending tuple; both change only when a positive bit flips.
 
 Similarity is the cosine between the 0/1 vectors, which on bitsets is
 popcount(u & v) / sqrt(popcount(u) * popcount(v)). A predicted score adds
@@ -14,6 +16,11 @@ each neighbour's similarity to the items it rated 1, neighbour by
 neighbour in neighbourhood order (descending similarity, then user id).
 That order fixes the float summation order, so every score equals the one
 a dense `weighted += sim * rating` loop over the same neighbourhood gives.
+
+Advice in a view comes from the neighbours when there are any. Popularity
+answers exactly when no other user in the view shares a positive item with
+the target, which includes a target with no positive rating there: this is
+the cold-start rule.
 """
 
 from __future__ import annotations
@@ -27,8 +34,51 @@ from .qlearn import ActionCatalog, ActionId, CatalogError
 
 DEFAULT_NEIGHBORS = 10  # the scenario's team size
 
-# A view: user id -> [bits of the items rated 1, bits of the items rated at all].
-View = dict[str, list[int]]
+
+class View:
+    """One scope's ratings.
+
+    `ratings` maps a user id to [bits of the items rated 1, bits of the items
+    rated at all, indices of the items rated 1]; the indices are an
+    ascending tuple, or None from a flip of a positive bit until the next
+    read rebuilds them. `counts[i]` is the number of users whose positive
+    bit i is set.
+    """
+
+    __slots__ = ("ratings", "counts")
+
+    def __init__(self, n_items: int):
+        self.ratings: dict[str, list] = {}
+        self.counts = [0] * n_items
+
+
+def _positives(entry: list) -> tuple[int, ...]:
+    """The indices of a user entry's positive bits, ascending."""
+    indices = entry[2]
+    if indices is None:
+        found = []
+        bits = entry[0]
+        while bits:
+            low = bits & -bits
+            found.append(low.bit_length() - 1)
+            bits ^= low
+        indices = entry[2] = tuple(found)
+    return indices
+
+
+def _best_index(weighted: list[float], total: float) -> int:
+    """The first index of the highest weighted[i] / total (total > 0).
+
+    Dividing by a positive total never reverses an order, but it can round
+    two different weights to one quotient. So the first index of the
+    highest weight wins, unless an earlier, smaller weight rounds to the
+    same quotient; only then are the earlier quotients computed.
+    """
+    high = max(weighted)
+    best = weighted.index(high)
+    if best and max(weighted[:best]) / total == high / total:
+        best = [w / total for w in weighted[:best]].index(high / total)
+    return best
 
 
 def cosine_similarity(u_bits: int, v_bits: int) -> float:
@@ -46,14 +96,17 @@ def cosine_similarity(u_bits: int, v_bits: int) -> float:
 class TransactionStore:
     """Bitset rating views, fed one implicit transaction at a time.
 
-    Each view maps a user id to two ints, the positive bits and the rated
-    bits; a rating of 0 clears the positive bit and keeps the rated one,
-    so `vector` tells a rated 0 from an untouched item. A situation has one
-    view per granularity level, the scope of its key generalized to that
-    level; the scope keeps the user's social group, so advice never
-    crosses groups. Every transaction is indexed in all of its
-    situation's views, which is what makes the coarser-granularity advice
-    fallback cheap.
+    Each view maps a user id to its positive bits, its rated bits and the
+    cached indices of its positive bits; a rating of 0 clears the positive
+    bit and keeps the rated one, so `vector` tells a rated 0 from an
+    untouched item. Each view also keeps its per-item count of positive
+    bits, which `record_implicit` moves by one when a positive bit flips,
+    the same moment it drops that user's cached indices. A situation has
+    one view per granularity level, the scope of its key generalized to
+    that level; the scope keeps the user's social group, so advice never
+    crosses groups. Every transaction is indexed in all of its situation's
+    views, which is what makes the coarser-granularity advice fallback
+    cheap.
     `_views` resolves a situation to its views once and memoises them;
     keys come from a finite space (time buckets, gazetteer places, groups,
     cognitive classes), so the memo stays small.
@@ -63,7 +116,7 @@ class TransactionStore:
         self.catalog = catalog
         self.context = context
         self._count = 0  # transactions recorded
-        self._bit = {item: 1 << i for i, item in enumerate(catalog)}
+        self._slot = {item: (i, 1 << i) for i, item in enumerate(catalog)}  # index, bit
         # (level, generalized scope key) -> view
         self._scoped: dict[tuple[int, SituationKey], View] = {}
         # situation -> its views, most specific first
@@ -77,34 +130,46 @@ class TransactionStore:
         views = self._views_of.get(s)
         if views is None:
             views = self._views_of[s] = tuple(
-                self._scoped.setdefault((level, self.context.generalize(s, level)), {})
+                self._scoped.setdefault((level, self.context.generalize(s, level)),
+                                        View(len(self.catalog)))
                 for level in range(self.context.depth + 1))
         return views
 
     def record_implicit(self, user_id: str, item: ActionId, positive: bool,
                         situation: SituationKey) -> None:
         """Record an implicit rating: 1 for an acceptance, else 0."""
-        bit = self._bit.get(item)
-        if bit is None:
+        slot = self._slot.get(item)
+        if slot is None:
             raise CatalogError(item)
+        index, bit = slot
         views = self._views(situation)
         self._count += 1
         for view in views:
-            bits = view.get(user_id)
-            if bits is None:
-                view[user_id] = [bit if positive else 0, bit]
-            else:
-                bits[0] = bits[0] | bit if positive else bits[0] & ~bit
-                bits[1] |= bit
+            entry = view.ratings.get(user_id)
+            if entry is None:
+                view.ratings[user_id] = [bit, bit, None] if positive else [0, bit, ()]
+                if positive:
+                    view.counts[index] += 1
+                continue
+            if entry[0] & bit:
+                if not positive:  # a 1 overwritten by a 0
+                    entry[0] ^= bit
+                    entry[2] = None
+                    view.counts[index] -= 1
+            elif positive:  # a 0 overwritten by a 1
+                entry[0] |= bit
+                entry[2] = None
+                view.counts[index] += 1
+            entry[1] |= bit
 
     def vector(self, user_id: str, s: SituationKey, level: int) -> dict[ActionId, float]:
         """The user's rated items in the situation's view at `level`.
 
         Each reads 1.0 or 0.0; untouched items are absent.
         """
-        positive, rated = self._views(s)[level].get(user_id, (0, 0))
+        positive, rated, _ = self._views(s)[level].ratings.get(user_id, (0, 0, ()))
         return {item: 1.0 if positive & bit else 0.0
-                for item, bit in self._bit.items() if rated & bit}
+                for item, (_, bit) in self._slot.items() if rated & bit}
 
     # -- the CF pipeline ---------------------------------------------------
 
@@ -115,13 +180,17 @@ class TransactionStore:
         Descending similarity, ties broken by ascending user id; that key is
         a total order, so the view's insertion order never shows. The cosine
         is positive exactly when two users share a positive bit, so a user
-        sharing none is skipped without computing it.
+        sharing none is skipped without computing it, and a target with no
+        positive bit has no neighbours at all.
         """
         if k <= 0:
             return []
-        target_bits = view[target][0] if target in view else 0
+        entry = view.ratings.get(target)
+        if entry is None or not entry[0]:
+            return []
+        target_bits = entry[0]
         scored = [(user_id, cosine_similarity(target_bits, bits))
-                  for user_id, (bits, _) in view.items()
+                  for user_id, (bits, _, _) in view.ratings.items()
                   if bits & target_bits and user_id != target]
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
         return scored[:k]
@@ -138,61 +207,49 @@ class TransactionStore:
         hood = self.neighbors(view, target, k)
         if not hood:
             return []
+        ratings = view.ratings
         weighted = [0.0] * len(self.catalog)
         for user_id, sim in hood:
-            bits = view[user_id][0]
-            while bits:
-                low = bits & -bits
-                weighted[low.bit_length() - 1] += sim
-                bits ^= low
+            for i in _positives(ratings[user_id]):
+                weighted[i] += sim
         total = sum(sim for _, sim in hood)
+        actions = self.catalog.actions
+        if n == 1:
+            best = _best_index(weighted, total)
+            return [(actions[best], weighted[best] / total)]
         scores = [w / total for w in weighted]
         # nlargest keeps the first of equal scores, so ties go to the lower index
-        best = heapq.nlargest(n, range(len(scores)), key=scores.__getitem__)
-        actions = self.catalog.actions
-        return [(actions[i], scores[i]) for i in best]
+        ranked = heapq.nlargest(n, range(len(scores)), key=scores.__getitem__)
+        return [(actions[i], scores[i]) for i in ranked]
 
     def _popular_item(self, view: View, target: str) -> Optional[ActionId]:
         """The item most other users in the view rated 1, ties by item index.
 
-        Advice asks for it at a level whenever no other user in that view
-        has a positive cosine with the target, a target with history
-        included. None when no other user in the view rated anything 1.
-
-        The counts are bit-sliced: bit i of planes[j] is bit j of item i's
-        count, and each user's positive bits are ripple-added into the
-        planes. Narrowing the candidates from the top plane down keeps
-        exactly the items with the highest count; the lowest set bit is the
-        first of them.
+        Advice asks for it at a level exactly when no other user in that
+        view shares a positive item with the target, a target with no
+        positive rating there included. None when no other user in the
+        view rated anything 1. The view's per-item counts, less the
+        target's own positives, are those of the other users.
         """
-        planes: list[int] = []
-        for user_id, (carry, _) in view.items():
-            if not carry or user_id == target:
-                continue
-            for j, plane in enumerate(planes):
-                planes[j] = plane ^ carry
-                carry &= plane
-                if not carry:
-                    break
-            else:
-                planes.append(carry)
-        if not planes:
-            return None
-        best = planes[-1]  # never 0: a plane is added only for a carry out of the top
-        for plane in reversed(planes[:-1]):
-            if best & plane:
-                best &= plane
-        return self.catalog.actions[(best & -best).bit_length() - 1]
+        counts = view.counts
+        entry = view.ratings.get(target)
+        if entry is not None and entry[0]:
+            counts = counts.copy()
+            for i in _positives(entry):
+                counts[i] -= 1
+        best = max(counts)
+        return self.catalog.actions[counts.index(best)] if best else None
 
     def advise_action(self, target: str, s: SituationKey) -> Optional[ActionId]:
         """Top-1 recommendation for the situation, walking granularities.
 
         Tries the situation's views most specific first, until one yields
         advice. In each view, the advice is the best-scored item over the
-        target's neighbours; when no other user in the view has a positive
-        cosine with the target (whatever the target's own history), it is
-        the view's most popular item instead. A view that gives neither
-        passes to the next level.
+        target's neighbours. Popularity answers exactly when no other user
+        in the view shares a positive item with the target, which includes
+        a target with no positive rating in the view (the cold-start rule):
+        then the advice is the item most other users there rated 1. A view
+        that gives neither passes to the next level.
         """
         for view in self._views(s):
             top = self.top_n(view, target, 1)

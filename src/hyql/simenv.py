@@ -210,9 +210,19 @@ def json_list(value, what: str) -> list:
 
 
 def _routine(entries, group: str, context: ContextModel) -> tuple[Habit, ...]:
-    """A group's habits, whose weights must sum to 1 whether or not a user joins."""
+    """A group's habits, whose weights must sum to 1 whether or not a user joins.
+
+    Each habit is a distinct situation: a repeated one would be listed twice
+    in `WorldModel.situations`, so a scoped drift would act on its row twice.
+    """
     routine = tuple(_habit(entry, group, context)
                     for entry in json_list(entries, f"routine of {group}"))
+    seen = set()
+    for habit in routine:
+        if habit.situation in seen:
+            raise ValueError(f"routine of {group} repeats the situation "
+                             f"{habit.situation.canonical()}")
+        seen.add(habit.situation)
     total = sum(habit.weight for habit in routine)
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"routine of {group} has weights summing to {total}, expected 1")

@@ -139,6 +139,15 @@ def routines_with_unjoined_group():
     return routines
 
 
+def routines_with_repeated_situation():
+    """The canonical routines, their first habit split into two of half its weight."""
+    routines = load_scenario("canonical")["routines"]
+    first = routines["g0"][0]
+    first["weight"] /= 2  # 0.3 -> 0.15
+    routines["g0"].insert(0, dict(first))
+    return routines
+
+
 def routines_with_negative_weight():
     """The canonical routines, still summing to 1, one habit weighted -0.1."""
     routines = load_scenario("canonical")["routines"]
@@ -207,6 +216,7 @@ def routines_with_negative_weight():
     {"trails": 5},
     {"threshold": {"windw": 3}},
     {"variants": [dict(HYQL, case_max_size=-3)]},
+    {"scenario": {"routines": routines_with_repeated_situation()}},
 ], ids=["unknown-override", "p", "alpha", "gamma", "variants-string",
         "variants-object", "metrics-string", "threshold-window", "recovery-window",
         "feature-weights-sum", "retrieval-threshold", "agent-user-not-in-population",
@@ -223,7 +233,7 @@ def routines_with_negative_weight():
         "drift-empty-string", "name-array", "name-number",
         "unjoined-group-weights-sum", "trials-float", "steps-string", "base-seed-bool",
         "trials-zero", "spec-misspelt-key", "threshold-misspelt-key",
-        "case-max-size-negative"])
+        "case-max-size-negative", "routine-repeated-situation"])
 def test_bad_spec_exits_2_before_writing(tmp_path, changes):
     out = tmp_path / "out"
     assert main(["run", str(write_spec(tmp_path, **changes)), "--out", str(out)]) \

@@ -1,9 +1,11 @@
+import heapq
 import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hyql.collab import TransactionStore, cosine_similarity
+from hyql.collab import TransactionStore, _best_index, cosine_similarity
 from hyql.context import SituationKey, TimeBucket
 from hyql.qlearn import ActionCatalog, CatalogError
 
@@ -101,6 +103,20 @@ def view_of(store, s=S):
     return store._views(s)[0]
 
 
+def store_of_rows(context, catalog, rows):
+    """A store whose views of S hold `rows`, written through record_implicit.
+
+    rows: user -> (bits of the items rated 1, bits of the items rated 0 or
+    1), users in the dict's order; each rated item is written once.
+    """
+    store = TransactionStore(catalog, context)
+    for user, (positive, rated) in rows.items():
+        for i, item in enumerate(catalog):
+            if (positive | rated) >> i & 1:
+                store.record_implicit(user, item, bool(positive >> i & 1), S)
+    return store
+
+
 def predicted(store, target, item):
     """The store's predicted rating of one item at level 0, or None."""
     return dict(store.top_n(view_of(store), target, len(CATALOG))).get(item)
@@ -190,88 +206,100 @@ class TestNeighbors:
     def test_independent_of_insertion_order(self, context):
         rng = random.Random(14)
         items = [f"i{n:02d}" for n in range(70)]
+        catalog = ActionCatalog(items)
         patterns = [rng.getrandbits(70) for _ in range(6)]
         # few patterns over many users: lots of equal similarities, so the
         # user-id tie rule decides the order
-        view = {f"u{i:03d}": [patterns[rng.randrange(6)], 0] for i in range(60)}
-        view["u007"] = [0, 1]  # rated something, but nothing 1
-        store = TransactionStore(ActionCatalog(items), context)
+        rows = {f"u{i:03d}": (patterns[rng.randrange(6)], 0) for i in range(60)}
+        rows["u007"] = (0, 1)  # rated something, but nothing 1
         vectors = {user: {items[i]: 1.0 for i in range(70) if bits >> i & 1}
-                   for user, (bits, _) in view.items()}
+                   for user, (bits, _) in rows.items()}
         for target in ("u000", "u007", "u031", "stranger"):
             expected = {k: oracle_neighbors(vectors, target, k, items) for k in (1, 3, 10, 100)}
-            for order in (sorted(view), sorted(view, reverse=True),
-                          rng.sample(sorted(view), len(view))):
-                reordered = {user: view[user] for user in order}
+            for order in (sorted(rows), sorted(rows, reverse=True),
+                          rng.sample(sorted(rows), len(rows))):
+                store = store_of_rows(context, catalog, {user: rows[user] for user in order})
+                view = view_of(store)
+                assert list(view.ratings) == order
                 for k, want in expected.items():
-                    assert store.neighbors(reordered, target, k) == want
+                    assert store.neighbors(view, target, k) == want
 
 
-def oracle_popular_index(view, target, n_items):
+def oracle_popular_index(rows, target, n_items):
     """Per-bit count over the other users; the first index of the highest count."""
-    counts = [sum(bits >> i & 1 for user, (bits, _) in view.items() if user != target)
+    counts = [sum(bits >> i & 1 for user, (bits, _) in rows.items() if user != target)
               for i in range(n_items)]
     best = max(range(n_items), key=counts.__getitem__)
     return (best if counts[best] else None), counts[best]
 
 
 class TestPopularItem:
-    """The bit-sliced count against a per-bit count oracle, exact."""
+    """The view's per-item counts against a per-bit count oracle, exact.
+
+    Every view is written through record_implicit, so the counts are the
+    ones the store keeps, overwrites included.
+    """
 
     N_ITEMS = 70
+    CATALOG = ActionCatalog([f"i{n:02d}" for n in range(N_ITEMS)])
 
-    def _store(self, context):
-        return TransactionStore(ActionCatalog([f"i{n:02d}" for n in range(self.N_ITEMS)]),
-                                context)
-
-    def _popular_index(self, store, view, target):
-        item = store._popular_item(view, target)
+    def _popular_index(self, store, target):
+        item = store._popular_item(view_of(store), target)
         return None if item is None else store.catalog.index(item)
 
     @pytest.mark.parametrize("n_users", [130, 257])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_wide_views_match_the_oracle(self, context, seed, n_users):
         rng = random.Random(seed)
-        store = self._store(context)
-        # each item's share of raters; a few near 1, so counts pass 128 (8 planes)
+        # each item's share of raters; a few near 1, so counts pass 128
         shares = [rng.choice([0.0, 0.1, 0.5, 0.97, 0.99, 1.0]) for _ in range(self.N_ITEMS)]
         columns = [[rng.random() < share for _ in range(n_users)] for share in shares]
         # copy the likely winner's column elsewhere, so the index tie rule decides
         top = max(range(self.N_ITEMS), key=lambda i: sum(columns[i]))
         columns[rng.randrange(self.N_ITEMS)] = list(columns[top])
         users = [f"u{i:03d}" for i in range(n_users)]
-        view = {user: [sum(1 << i for i in range(self.N_ITEMS) if columns[i][row]),
-                       (1 << self.N_ITEMS) - 1]
+        rows = {user: (sum(1 << i for i in range(self.N_ITEMS) if columns[i][row]),
+                       (1 << self.N_ITEMS) - 1)
                 for row, user in enumerate(users)}
+        store = store_of_rows(context, self.CATALOG, rows)
         for target in (users[0], users[n_users // 2], "stranger"):
-            best, count = oracle_popular_index(view, target, self.N_ITEMS)
+            best, count = oracle_popular_index(rows, target, self.N_ITEMS)
             assert count >= 128
-            assert self._popular_index(store, view, target) == best
+            assert self._popular_index(store, target) == best
 
     def test_ties_go_to_the_lowest_index_and_the_target_is_not_counted(self, context):
-        store = self._store(context)
-        view = {f"u{i:03d}": [1 << 9 | 1 << 3 | (1 << 65 if i < 129 else 0), 0]
+        rows = {f"u{i:03d}": (1 << 9 | 1 << 3 | (1 << 65 if i < 129 else 0), 0)
                 for i in range(140)}
+        store = store_of_rows(context, self.CATALOG, rows)
         # items 3 and 9 tie at 140 raters, 65 has 129: the lower index wins
-        assert oracle_popular_index(view, "nobody", self.N_ITEMS) == (3, 140)
-        assert self._popular_index(store, view, "nobody") == 3
-        for i in range(128, 140):
-            view[f"u{i:03d}"][0] &= ~(1 << 3 | 1 << 9)
-        view["u000"][0] &= ~(1 << 9)
-        view["u001"][0] &= ~(1 << 65)
-        view["t"] = [1 << 65 | 1 << 9, 0]
+        assert oracle_popular_index(rows, "nobody", self.N_ITEMS) == (3, 140)
+        assert self._popular_index(store, "nobody") == 3
+
+        def write(user, i, positive):
+            store.record_implicit(user, self.CATALOG.actions[i], positive, S)
+            bits, rated = rows.get(user, (0, 0))
+            rows[user] = (bits | 1 << i if positive else bits & ~(1 << i), rated | 1 << i)
+
+        for i in range(128, 140):  # overwrites of 1 by 0
+            write(f"u{i:03d}", 3, False)
+            write(f"u{i:03d}", 9, False)
+        write("u000", 9, False)
+        write("u001", 65, False)
+        write("t", 65, True)
+        write("t", 9, True)
         # other raters: 3 and 65 have 128, 9 has 127, so 3 wins; counting
         # the target too would give 65 (129 raters)
-        assert oracle_popular_index(view, "t", self.N_ITEMS) == (3, 128)
-        assert self._popular_index(store, view, "t") == 3
+        assert oracle_popular_index(rows, "t", self.N_ITEMS) == (3, 128)
+        assert self._popular_index(store, "t") == 3
 
     def test_none_when_only_the_target_rated_one(self, context):
-        store = self._store(context)
-        assert store._popular_item({}, "t") is None
-        view = {"t": [1 << 69 | 1, 1 << 69 | 1]}
-        view.update({f"u{i:03d}": [0, 1 << i] for i in range(130)})  # rated 0 only
-        assert self._popular_index(store, view, "t") is None
-        assert self._popular_index(store, view, "u000") == 0
+        empty = TransactionStore(self.CATALOG, context)
+        assert empty._popular_item(view_of(empty), "t") is None
+        rows = {"t": (1 << 69 | 1, 1 << 69 | 1)}
+        rows.update({f"u{i:03d}": (0, 1 << i % self.N_ITEMS) for i in range(130)})  # rated 0 only
+        store = store_of_rows(context, self.CATALOG, rows)
+        assert self._popular_index(store, "t") is None
+        assert self._popular_index(store, "u000") == 0
 
 
 class TestPredictRating:
@@ -316,6 +344,31 @@ class TestTopN:
             for target in users:
                 assert store.top_n(view_of(store), target, 4) == \
                     oracle_top_n(vectors, target, 4, 10, ITEMS, index)
+
+
+class TestBestIndex:
+    """The top-1 item: the first index of the highest quotient, as
+    nlargest(1, ...) over every weighted[i] / total picks it."""
+
+    @staticmethod
+    def first_of_highest_quotient(weighted, total):
+        scores = [w / total for w in weighted]
+        return heapq.nlargest(1, range(len(scores)), key=scores.__getitem__)[0]
+
+    def test_an_earlier_smaller_weight_rounding_to_the_same_quotient_wins(self):
+        weighted = [0.0, 1.75, math.nextafter(1.75, 2.0), 0.5]
+        assert weighted[1] < weighted[2] and weighted[1] / 3.0 == weighted[2] / 3.0
+        assert _best_index(weighted, 3.0) == self.first_of_highest_quotient(weighted, 3.0) == 1
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(total=st.floats(0.1, 10.0), high=st.floats(0.1, 10.0), data=st.data())
+    def test_matches_the_quotient_scan(self, total, high, data):
+        # many weights at or a few ulps below the highest, so quotients often
+        # round together
+        near = st.integers(0, 3).map(lambda j: high - j * math.ulp(high))
+        weighted = data.draw(st.lists(st.one_of(near, st.floats(0.0, high)),
+                                      min_size=1, max_size=12))
+        assert _best_index(weighted, total) == self.first_of_highest_quotient(weighted, total)
 
 
 class TestAdviseAction:
@@ -371,6 +424,78 @@ class TestAdviseAction:
         for i in range(3):
             store.record_implicit(f"u{i}", "b", True, situation=other)
         assert store.advise_action("newcomer", skey(group="g0")) is None
+
+
+class TestColdStartRule:
+    """Popularity answers exactly when no other user in the view shares a
+    positive item with the target; the two ways that happens to a target
+    with history in the view."""
+
+    def test_target_that_rated_only_zeros(self, context):
+        store = store_with(context, [("t", "a", False), ("t", "c", False), ("u0", "a", True)]
+                           + [(f"u{i}", "c", True) for i in range(3)])
+        assert store.neighbors(view_of(store), "t") == []
+        # the most popular item among the others, though t rated it 0
+        assert store.advise_action("t", S) == "c"
+
+    def test_target_whose_positive_item_no_one_else_rated_one(self, context):
+        store = store_with(context, [("t", "b", True), ("u0", "b", False), ("u0", "d", True),
+                                     ("u1", "d", True), ("u2", "a", True)])
+        assert store.neighbors(view_of(store), "t") == []
+        assert store.advise_action("t", S) == "d"
+        # once another user shares b, the neighbours answer instead
+        store.record_implicit("u2", "b", True, S)
+        assert store.neighbors(view_of(store), "t") == [("u2", 1 / math.sqrt(2))]
+        assert store.advise_action("t", S) == "a"
+
+
+class TestViewState:
+    """The per-item counts and cached index tuples after random streams.
+
+    Writes overwrite ratings in both directions, and advice is read between
+    writes, so index tuples are built, dropped on a flip and rebuilt.
+    """
+
+    ITEMS = [f"i{n:02d}" for n in range(70)]
+    USED = [0, 1, 2, 3, 31, 63, 64, 65, 69]  # item indices written; past a machine word
+    USERS = ["u0", "u1", "u2", "u3"]
+    SITUATIONS = [skey(), skey(place="Home"), skey(cognitive="Call"), skey(group="g1")]
+
+    write = st.tuples(st.sampled_from(USERS), st.sampled_from(USED), st.booleans(),
+                      st.integers(0, len(SITUATIONS) - 1), st.booleans())
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(writes=st.lists(write, min_size=1, max_size=60), data=st.data())
+    def test_counts_and_indices_follow_every_write(self, context, writes, data):
+        # every write again at a random later point, with the opposite rating
+        flips = data.draw(st.lists(st.integers(0, len(writes) - 1), max_size=20))
+        writes = writes + [(u, i, not positive, j, read)
+                           for u, i, positive, j, read in (writes[f] for f in flips)]
+        catalog = ActionCatalog(self.ITEMS)
+        store = TransactionStore(catalog, context)
+        stream = []
+        for user, i, positive, j, read in writes:
+            s = self.SITUATIONS[j]
+            store.record_implicit(user, self.ITEMS[i], positive, s)
+            stream.append((user, self.ITEMS[i], positive, s))
+            if read:
+                store.advise_action(user, s)
+        self._check_view_state(store)
+        views = oracle_views(stream, context)
+        index = {item: i for i, item in enumerate(self.ITEMS)}
+        for s in self.SITUATIONS:
+            for target in self.USERS + ["stranger"]:
+                assert store.advise_action(target, s) == \
+                    oracle_advise(views, target, s, self.ITEMS, index, context)
+        self._check_view_state(store)
+
+    def _check_view_state(self, store):
+        for view in store._scoped.values():
+            for i in range(len(self.ITEMS)):
+                assert view.counts[i] == sum(bits >> i & 1 for bits, _, _ in view.ratings.values())
+            for bits, _, indices in view.ratings.values():
+                if indices is not None:
+                    assert indices == tuple(i for i in range(len(self.ITEMS)) if bits >> i & 1)
 
 
 class TestStoreMatchesOracles:

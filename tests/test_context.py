@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import hyql
 
-from hyql.context import (CalendarEntry, CognitiveAction, ContextModel,
+from hyql.context import (CALENDAR_STATES, COGNITIVE_KINDS, DAY_CLASSES, PARTS_OF_DAY,
+                          CalendarEntry, CognitiveAction, ContextModel,
                           GazetteerError, RawEvent, SituationKey, TimeBucket,
                           abstract_time, parse_gazetteer, time_bucket,
                           SECONDS_PER_DAY, SECONDS_PER_HOUR,
@@ -283,6 +284,21 @@ class TestSituationKey:
     def test_canonical_round_trip(self, context):
         key = context.aggregate(office_event(), "g0")
         assert SituationKey.from_canonical(key.canonical()) == key
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(key=st.builds(
+        SituationKey,
+        st.builds(time_bucket, st.sampled_from(PARTS_OF_DAY), st.sampled_from(DAY_CLASSES),
+                  st.sampled_from(CALENDAR_STATES)),
+        st.sampled_from(sorted(ContextModel.default().nodes) + [UNKNOWN_PLACE]),
+        st.integers(0, 99).map("g{}".format), st.sampled_from(COGNITIVE_KINDS),
+        st.integers(0, 3)))
+    def test_canonical_round_trips_for_any_key(self, key):
+        text = key.canonical()
+        back = SituationKey.from_canonical(text)
+        assert back == key and hash(back) == hash(key)
+        assert back.time is key.time  # one of the 16 shared buckets
+        assert back.canonical() == text
 
     def test_value_equality_and_hash(self):
         bucket = TimeBucket("Morning", "Weekday", "Free")

@@ -1,10 +1,16 @@
-"""Golden run: the canonical scenario's outputs, pinned byte for byte.
+"""Golden runs: the canonical scenario's outputs, pinned byte for byte.
 
 All five variants, one seed, 600 steps, run through the command line.
 The SHA-256 of metrics.csv and of every history_*.tsv is pinned below, and
 a `--parallel 2` run of the same spec must write the same bytes, as must
 fresh interpreters under two PYTHONHASHSEED values (no set or dict order
 keyed by a string hash may reach the output).
+
+A second, wide run pins CFOnly and HyQL on the canonical scenario widened
+to 101 users and 200 items (the `cf-wide` benchmark shape). CFOnly asks for
+CF advice on every step, so it reaches the popularity answer and the
+neighbour answer over 100 neighbours with many equal similarities, which
+the 11-user run never does.
 
 Re-bless these hashes only in a change whose stated purpose is a behaviour
 change, and say so in CHANGES.md; a refactor or a speed-up must keep them.
@@ -20,6 +26,7 @@ from pathlib import Path
 import pytest
 
 import hyql
+from hyql.bench import load_scenario
 from hyql.cli import main
 
 VARIANTS = ("GreedyQ", "EpsilonGreedyQ", "CFOnly", "CBRQ", "HyQL")
@@ -101,3 +108,32 @@ def test_hash_seed_does_not_change_the_bytes(golden_out, hash_seed):
     subprocess.run([sys.executable, "-m", "hyql.cli", "run", str(root / "spec.json"),
                     "--out", str(out)], env=env, check=True, timeout=300)
     assert _digests(out) == GOLDEN
+
+
+WIDE_VARIANTS = ("CFOnly", "HyQL")
+WIDE_OVERRIDES = {"users": 101, "items": 200, "warm_start_events": 20000}
+
+WIDE_GOLDEN = {
+    "metrics.csv":
+        "2a2d1c888e899de35c49ca541d16b9dd2c034195fd4848076922d7b008a9b980",
+    "runs/CFOnly/1000/history_actions.tsv":
+        "210cba602eb7c6eed794641f3f4001c8cfa6cc90fe0d46544a72b6ce75a2ed70",
+    "runs/CFOnly/1000/history_events.tsv":
+        "77171ab8358f5b12d40b105b416e69dc69856b82666ee6694377eb06bd0ebfaf",
+    "runs/HyQL/1000/history_actions.tsv":
+        "91cde65f0d26b70060170239f2e45fd70fd0d486e5f4e4d90d4f3eff3f95b675",
+    "runs/HyQL/1000/history_events.tsv":
+        "77171ab8358f5b12d40b105b416e69dc69856b82666ee6694377eb06bd0ebfaf",
+}
+
+
+def test_wide_outputs_match_the_pinned_hashes(tmp_path):
+    scenario = load_scenario("canonical")
+    scenario.update(WIDE_OVERRIDES)
+    (tmp_path / "scenario.json").write_text(json.dumps(scenario), encoding="utf-8")
+    spec = {"scenario": "scenario.json", "trials": 1, "steps": 600, "base_seed": SEED,
+            "variants": [{"name": v, "variant": v} for v in WIDE_VARIANTS]}
+    (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(tmp_path / "spec.json"), "--out", str(out)]) == 0
+    assert _digests(out) == WIDE_GOLDEN

@@ -1,5 +1,7 @@
+import copy
 import math
 import random
+import re
 from array import array
 
 import pytest
@@ -411,6 +413,16 @@ class TestScenario:
         drift = [{"step": 5, "op": "ResampleRow", "target": "g0", "scope": key.canonical()}]
         scoped = parse_scenario(dict(canonical_scenario, drift=drift), CONTEXT)
         assert scoped.drift[0].scope is key
+
+    def test_a_repeated_situation_is_rejected_by_name(self, canonical_scenario):
+        routines = copy.deepcopy(canonical_scenario["routines"])
+        first = routines["g0"][0]
+        first["weight"] /= 2
+        routines["g0"].insert(0, dict(first))
+        key = parse_scenario(canonical_scenario, CONTEXT).routines["g0"][0].situation
+        with pytest.raises(ValueError, match=re.escape(
+                f"routine of g0 repeats the situation {key.canonical()}")):
+            parse_scenario(dict(canonical_scenario, routines=routines), CONTEXT)
 
     def test_world_from_scenario_canonical(self, canonical_scenario, context):
         world = world_from_scenario(parse_scenario(canonical_scenario, context), 7)

@@ -1,12 +1,16 @@
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hyql.context import (CalendarEntry, CognitiveAction, RawEvent,
-                          SituationKey, TimeBucket)
-from hyql.qlearn import EXPLOIT, StepRecord
+from hyql.context import (CALENDAR_STATES, COGNITIVE_KINDS, DAY_CLASSES, PARTS_OF_DAY,
+                          CalendarEntry, CognitiveAction, RawEvent, SituationKey,
+                          TimeBucket, time_bucket)
+from hyql.qlearn import (ADVISE, CASE_BOOTSTRAPPED, EXPLOIT, EXPLORE, RANDOM_FALLBACK,
+                         StepRecord)
 from hyql.store import (OrderingError, PreferenceRecord, RunStore,
-                        StoreParseError, read_action_history)
+                        StoreParseError, _step_from_fields, _step_line,
+                        read_action_history)
 
 
 def skey(place="Office"):
@@ -158,6 +162,28 @@ class TestStepRecord:
         store.append_action_history(record)
         store.snapshot(tmp_path)
         assert read_action_history(tmp_path, 1) == [record]
+
+
+situation_keys = st.builds(
+    SituationKey,
+    st.builds(time_bucket, st.sampled_from(PARTS_OF_DAY), st.sampled_from(DAY_CLASSES),
+              st.sampled_from(CALENDAR_STATES)),
+    st.sampled_from(["Office", "Home", "Paris", "Unknown"]),
+    st.integers(0, 99).map("g{}".format), st.sampled_from(COGNITIVE_KINDS),
+    st.integers(0, 3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(record=st.builds(
+    StepRecord, st.integers(0, 10**9), situation_keys,
+    st.integers(0, 999).map("doc{:02d}".format),
+    st.sampled_from([EXPLOIT, EXPLORE, ADVISE, RANDOM_FALLBACK, CASE_BOOTSTRAPPED]),
+    st.floats(allow_nan=False), situation_keys))
+def test_step_line_round_trips_for_any_record(record):
+    line = _step_line(record)
+    back = _step_from_fields(line.split("\t"))
+    assert back == record
+    assert _step_line(back) == line  # the reward's sign and bits too
 
 
 @pytest.mark.parametrize("record", [
