@@ -4,9 +4,10 @@ The hybrid policy exploits the Q-table with probability p and otherwise
 asks collaborative filtering for an action; when no advice exists the
 exploratory branch falls back to a uniform random pick. Before selecting
 in a never-visited situation, the case-boosted variants try to retrieve a
-similar past case and bootstrap the Q-row from its solution. Episodes are
-fixed-length simulated days; at each day boundary, situations visited at
-least 5 times are retained into the case base.
+similar past case and bootstrap the Q-row from its solution. `run` steps
+through fixed-length simulated days; at each day boundary, and after the
+last step, situations visited at least 5 times are retained into the case
+base.
 
 The learning settings are fixed for every variant: alpha 0.3, gamma 0.1 and
 exploit probability p 0.8 (`PARAMS`).
@@ -24,9 +25,9 @@ from typing import Optional
 from .casebase import CaseBase, adapt
 from .collab import TransactionStore
 from .context import ContextModel, RawEvent, SituationKey
-from .qlearn import (ADVISE, CASE_BOOTSTRAPPED, EXPLOIT, EXPLORE,
-                     RANDOM_FALLBACK, ActionCatalog, ActionId, LearningParams,
-                     QTable, StepRecord, epsilon_greedy_action, greedy_action)
+from .qlearn import (ADVISE, CASE_BOOTSTRAPPED, EXPLOIT, RANDOM_FALLBACK,
+                     ActionCatalog, ActionId, LearningParams, QTable,
+                     StepRecord, epsilon_greedy_action, greedy_action)
 
 VARIANTS = ("GreedyQ", "EpsilonGreedyQ", "CFOnly", "CBRQ", "HyQL")
 _Q_VARIANTS = ("GreedyQ", "EpsilonGreedyQ", "CBRQ", "HyQL")
@@ -82,8 +83,9 @@ class Agent:
             catalog, context)
         self.rng = random.Random(config.seed)
         self.step_count = 0
-        # lifetime per-situation outcome stats feeding case retention
-        self._situation_stats: dict[SituationKey, list[float]] = {}
+        # lifetime [steps, reward sum] per situation: retention reads both,
+        # and a situation with none is one the agent has never stepped in
+        self._situation_stats: dict[SituationKey, list] = {}
         self._episode_seen: set[SituationKey] = set()
 
     @property
@@ -97,9 +99,8 @@ class Agent:
         if variant == "GreedyQ":
             return greedy_action(self.table, s, self.catalog), EXPLOIT
         if variant == "EpsilonGreedyQ" or variant == "CBRQ":
-            a, branch = epsilon_greedy_action(self.table, s, self.catalog,
-                                              PARAMS.p, self.rng)
-            return a, RANDOM_FALLBACK if branch == EXPLORE else branch
+            return epsilon_greedy_action(self.table, s, self.catalog,
+                                         PARAMS.p, self.rng)
         if variant == "CFOnly":
             advice = self.cf_store.advise_action(self.user_id, s)
             if advice is not None:
@@ -109,9 +110,9 @@ class Agent:
                              self.cf_store, self.user_id, self.rng)
 
     def _maybe_bootstrap(self, s: SituationKey) -> bool:
-        # every case variant updates the row of `s` in this same step, so the
-        # visit count alone keeps a situation from being looked up twice
-        if self.config.variant not in _CASE_VARIANTS or self.table.row_visits(s) > 0:
+        # only a situation never stepped in is looked up; every case variant
+        # is a Q variant, so its row of `s` is also absent until this step
+        if self.config.variant not in _CASE_VARIANTS or s in self._situation_stats:
             return False
         result = self.casebase.retrieve(s)
         return result is not None and adapt(result, s, self.table)
@@ -131,8 +132,8 @@ class Agent:
             self.table.update(s, a, r, s_next, self.catalog, PARAMS)
         self.cf_store.record_implicit(self.user_id, a,
                                       r >= POSITIVE_RATING_THRESHOLD, s)
-        stats = self._situation_stats.setdefault(s, [0.0, 0.0])
-        stats[0] += 1.0
+        stats = self._situation_stats.setdefault(s, [0, 0.0])
+        stats[0] += 1
         stats[1] += r
         self._episode_seen.add(s)
         record = StepRecord(self.step_count, s, a, branch, r, s_next)
@@ -147,30 +148,21 @@ class Agent:
             count, total = self._situation_stats[s]
             if count < RETAIN_MIN_VISITS:
                 continue
-            self.casebase.retain(s, self.table.row(s), int(count), total / count,
+            self.casebase.retain(s, self.table.row(s), count, total / count,
                                  self.user_id, self.step_count)
             retained += 1
         self._episode_seen.clear()
         return retained
 
-    def run_episode(self, env, event: RawEvent,
-                    length: Optional[int] = None) -> tuple[list[StepRecord], RawEvent]:
-        length = length or self.config.episode_length
-        records = []
-        for _ in range(length):
-            record, event = self.step(event, env)
-            records.append(record)
-        self.end_episode()
-        return records, event
-
     def run(self, env, total_steps: int) -> list[StepRecord]:
-        """Episodes of `episode_length` until the step budget is spent."""
+        """`total_steps` steps from a reset; the episode ends after every
+        `episode_length` steps and after the last one."""
         event = env.reset(self.user_id)
         trace: list[StepRecord] = []
-        remaining = total_steps
-        while remaining > 0:
-            length = min(self.config.episode_length, remaining)
-            records, event = self.run_episode(env, event, length)
-            trace.extend(records)
-            remaining -= length
+        length = self.config.episode_length
+        for done in range(1, total_steps + 1):
+            record, event = self.step(event, env)
+            trace.append(record)
+            if done % length == 0 or done == total_steps:
+                self.end_episode()
         return trace

@@ -18,15 +18,20 @@ level or in a variant, and a count that is not a JSON integer, before a run
 writes anything. It checks the scenario once, through
 `simenv.parse_scenario`; trials and `verify` draw their worlds from that
 parsed form and its one context, never reading the scenario's keys or the
-gazetteer again. A run file `verify` or `report` cannot parse raises
-`StoreParseError` with its path and line.
+gazetteer again. A run file `verify` or `report` cannot find or parse
+raises `StoreParseError` with its path and line; a missing output directory
+is a `ConfigError`.
 
-Every trial yields four metrics at fixed windows: StepsToThreshold is the
-first step whose trailing 50-step mean reward reaches 0.8 of the optimal
-expected reward, and DriftRecoverySteps counts the post-drift steps until
-that mean reaches 0.9 of the post-drift optimum. A metric that never
-triggers (a threshold never reached, a recovery that never happens) is
-reported with the sentinel value -1.
+Every trial yields four metrics, all from its list of rewards and branch
+tags: CumulativeReward sums the rewards; StepsToThreshold is the first step
+whose trailing 50-step mean reward reaches 0.8 of the optimal expected
+reward; DriftRecoverySteps counts the post-drift steps until that mean
+reaches 0.9 of the post-drift optimum; BranchHistogram is the share of
+steps the greedy branch chose. A metric that never triggers (a threshold
+never reached, a recovery that never happens) is reported with the
+sentinel value -1. Both `run_trial` and `verify` take a trial's drift step
+from the scenario: the first drift op a run of its length applies. `verify`
+draws one world per seed, for the optimal rewards of every variant.
 """
 
 from __future__ import annotations
@@ -176,20 +181,12 @@ def load_experiment_spec(path: str | Path) -> ExperimentSpec:
 
 
 # ---------------------------------------------------------------------------
-# Metrics
+# One trial
 # ---------------------------------------------------------------------------
-
-def metric_cumulative_reward(trace: Sequence[StepRecord]) -> float:
-    if not trace:
-        raise ValueError("empty trace")
-    return sum(r.r for r in trace)
-
 
 def _first_window_hit(rewards: Sequence[float], window: int,
                       target: float) -> Optional[int]:
     """First 1-based index whose trailing-window mean reward reaches target."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
     running = 0.0
     for t, value in enumerate(rewards, start=1):
         running += value
@@ -200,43 +197,10 @@ def _first_window_hit(rewards: Sequence[float], window: int,
     return None
 
 
-def metric_steps_to_threshold(trace: Sequence[StepRecord], window: int,
-                              threshold: float) -> Optional[int]:
-    """First 1-based step whose trailing-window mean reward clears threshold."""
-    return _first_window_hit([r.r for r in trace], window, threshold)
+def _drift_step(scenario: Scenario, steps: int) -> Optional[int]:
+    """The step of the first drift op a run of `steps` steps applies, if any."""
+    return min((op.step for op in scenario.drift if op.step < steps), default=None)
 
-
-def metric_drift_recovery(trace: Sequence[StepRecord], drift_step: int, window: int,
-                          fraction_of_post_optimal: float,
-                          post_drift_optimal: float) -> Optional[int]:
-    """Post-drift steps until the trailing-window mean recovers.
-
-    Counts only steps at indices >= drift_step (the first rewards drawn
-    from the drifted world); the target is fraction * post-drift optimal
-    expected reward.
-    """
-    if not 0 <= drift_step < len(trace):
-        raise ValueError(f"drift_step {drift_step} outside trace of {len(trace)}")
-    return _first_window_hit([r.r for r in trace[drift_step:]], window,
-                             fraction_of_post_optimal * post_drift_optimal)
-
-
-def branch_histogram(trace: Sequence[StepRecord]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for record in trace:
-        counts[record.branch] = counts.get(record.branch, 0) + 1
-    return counts
-
-
-def metric_branch_exploit_fraction(trace: Sequence[StepRecord]) -> float:
-    if not trace:
-        raise ValueError("empty trace")
-    return branch_histogram(trace).get(EXPLOIT, 0) / len(trace)
-
-
-# ---------------------------------------------------------------------------
-# One trial
-# ---------------------------------------------------------------------------
 
 @dataclass
 class TrialResult:
@@ -264,12 +228,10 @@ def run_trial(scenario: Scenario, variant: dict, seed: int, steps: int,
     optimal_pre = world.optimal_expected_reward(focal)
     trace = agent.run(env, steps)
     optimal_post = world.optimal_expected_reward(focal)
-    drift_steps = [op.step for op in world.drift_schedule if op.applied]
-    drift_step = min(drift_steps) if drift_steps else None
 
     if run_dir is not None:
         _persist_run(run_dir, focal, trace, env)
-    return TrialResult(trace, optimal_pre, optimal_post, drift_step)
+    return TrialResult(trace, optimal_pre, optimal_post, _drift_step(scenario, steps))
 
 
 def _persist_run(run_dir: Path, focal: str, trace: list[StepRecord],
@@ -292,24 +254,29 @@ def read_trace(run_dir: str | Path, steps: int) -> list[StepRecord]:
 
 def rows_for_trial(variant_name: str, seed: int,
                    result: TrialResult) -> list[MetricRow]:
-    """The trial's four metric rows, at the fixed windows."""
-    trace, n = result.trace, len(result.trace)
+    """The trial's four metric rows, at the fixed windows, over one reward list.
+
+    DriftRecoverySteps counts only the rewards from the drift step on, the
+    first ones drawn from the drifted world.
+    """
+    rewards = [record.r for record in result.trace]
+    n = len(rewards)
+    if not n:
+        raise ValueError("empty trace")
+    drift = result.drift_step
 
     def row(metric: str, value: Optional[float], window_from: int = 0) -> MetricRow:
         return MetricRow(variant_name, seed, metric,
                          NEVER if value is None else float(value), window_from, n)
 
-    rows = [row("CumulativeReward", metric_cumulative_reward(trace)),
-            row("StepsToThreshold", metric_steps_to_threshold(
-                trace, THRESHOLD_WINDOW, THRESHOLD_FRACTION * result.optimal_pre))]
-    if result.drift_step is None:
-        rows.append(row("DriftRecoverySteps", None))
-    else:
-        rows.append(row("DriftRecoverySteps", metric_drift_recovery(
-            trace, result.drift_step, RECOVERY_WINDOW, RECOVERY_FRACTION,
-            result.optimal_post), result.drift_step))
-    rows.append(row("BranchHistogram", metric_branch_exploit_fraction(trace)))
-    return rows
+    recovery = None if drift is None else _first_window_hit(
+        rewards[drift:], RECOVERY_WINDOW, RECOVERY_FRACTION * result.optimal_post)
+    exploits = sum(record.branch == EXPLOIT for record in result.trace)
+    return [row("CumulativeReward", sum(rewards)),
+            row("StepsToThreshold", _first_window_hit(
+                rewards, THRESHOLD_WINDOW, THRESHOLD_FRACTION * result.optimal_pre)),
+            row("DriftRecoverySteps", recovery, drift or 0),
+            row("BranchHistogram", exploits / n)]
 
 
 # ---------------------------------------------------------------------------
@@ -441,27 +408,36 @@ def recompute_rows(out_dir: str | Path) -> list[MetricRow]:
     out = Path(out_dir)
     spec = load_experiment_spec(out / "spec.json")
     scenario = spec.parsed
+    focal = scenario.agent_user
+    drift_step = _drift_step(scenario, spec.steps)
     rows: list[MetricRow] = []
-    for variant in spec.variants:
-        for seed in spec.seeds():
-            run_dir = out / "runs" / variant["name"] / str(seed)
-            trace = read_trace(run_dir, spec.steps)
-            world = world_from_scenario(scenario, seed)
-            optimal_pre = world.optimal_expected_reward(scenario.agent_user)
-            apply_drift(world, spec.steps - 1)
-            optimal_post = world.optimal_expected_reward(scenario.agent_user)
-            drift_steps = [op.step for op in world.drift_schedule if op.applied]
-            result = TrialResult(trace, optimal_pre, optimal_post,
-                                 min(drift_steps) if drift_steps else None)
-            rows.extend(rows_for_trial(variant["name"], seed, result))
+    for seed in spec.seeds():
+        world = world_from_scenario(scenario, seed)
+        optimal_pre = world.optimal_expected_reward(focal)
+        apply_drift(world, spec.steps - 1)
+        optimal_post = world.optimal_expected_reward(focal)
+        for variant in spec.variants:
+            trace = read_trace(out / "runs" / variant["name"] / str(seed), spec.steps)
+            rows.extend(rows_for_trial(variant["name"], seed, TrialResult(
+                trace, optimal_pre, optimal_post, drift_step)))
     return sort_rows(rows)
+
+
+def _metrics_path(out_dir: str | Path) -> Path:
+    """An output directory's metrics.csv, which must exist."""
+    out = Path(out_dir)
+    if not out.is_dir():
+        raise ConfigError(f"output directory not found: {out}")
+    path = out / "metrics.csv"
+    if not path.exists():
+        raise StoreParseError(path, 0, "missing store file")
+    return path
 
 
 def verify_dir(out_dir: str | Path) -> list[str]:
     """Recompute metrics from traces; return a list of mismatch messages."""
-    out = Path(out_dir)
-    recorded = (out / "metrics.csv").read_text(encoding="utf-8")
-    expected = csv_text(recompute_rows(out))
+    recorded = _metrics_path(out_dir).read_text(encoding="utf-8")
+    expected = csv_text(recompute_rows(out_dir))
     if recorded == expected:
         return []
     mismatches = []
@@ -477,7 +453,7 @@ def verify_dir(out_dir: str | Path) -> list[str]:
 
 def report_dir(out_dir: str | Path) -> str:
     """Readable per-variant summary of a finished experiment."""
-    rows = parse_csv(Path(out_dir) / "metrics.csv")
+    rows = parse_csv(_metrics_path(out_dir))
     by_key: dict[tuple[str, str], list[float]] = {}
     for row in rows:
         by_key.setdefault((row.variant, row.metric), []).append(row.value)

@@ -4,7 +4,7 @@ A case pairs a problem description (the situation key's four feature
 dimensions) with the Q-row that worked there and some outcome statistics.
 Retrieval is an argmax over a weighted per-dimension similarity; reuse
 writes a similarity-scaled copy of the stored row into the live Q-table,
-but only for rows that have never been visited, so learned values are
+but only for a row the table does not hold yet, so learned values are
 never clobbered by old cases.
 
 The settings are fixed: the four dimensions weigh 0.25 each, a case is
@@ -145,12 +145,13 @@ class CaseBase:
 
 
 def adapt(result: RetrievalResult, target_s: SituationKey, table: QTable) -> bool:
-    """Bootstrap an unvisited row with the similarity-scaled case solution.
+    """Bootstrap an absent row with the similarity-scaled case solution.
 
-    Returns False (and leaves the table untouched) when the target row has
-    already been visited.
+    Returns False (and leaves the table untouched) when the table already
+    holds a row for the target. An agent writes a row only here and in
+    `QTable.update`, so a present row is one it has visited.
     """
-    if table.row_visits(target_s) > 0:
+    if table.row(target_s):
         return False
     for action, value in result.case.solution.items():
         table.set_value(target_s, action, result.similarity * value)

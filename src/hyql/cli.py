@@ -4,8 +4,9 @@
     hyql report <DIR>
     hyql verify <DIR>
 
-Exit codes: 0 success, 2 configuration error, 3 verification mismatch or a
-run file (a trace, metrics.csv) that does not parse.
+Exit codes: 0 success, 2 configuration error (a missing output directory
+included), 3 verification mismatch or a run file (a trace, metrics.csv)
+that is missing or does not parse.
 """
 
 from __future__ import annotations

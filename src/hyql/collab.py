@@ -2,13 +2,14 @@
 
 Every transaction is a (user, item, rating) event tagged with the
 situation in which it happened. The store keeps no log of them. It keeps
-last-write-wins ratings per view and per user, as two bitsets (Python ints
-in which bit i stands for catalog item i): the items rated 1 and the items
-rated at all. There is one view per generalized situation scope, so that
-advice can be computed "for people like you, in situations like this one".
-An untouched item reads as rating 0. Each view also counts, per item, its
-users whose positive bit is set, and each user caches its positive item
-indices as an ascending tuple; both change only when a positive bit flips.
+last-write-wins ratings per view and per user, as one bitset (a Python int
+in which bit i stands for catalog item i) of the items rated 1. A rating
+of 0 and an untouched item both read as 0, so only the positive votes are
+stored. There is one view per generalized situation scope, so that advice
+can be computed "for people like you, in situations like this one". Each
+view also counts, per item, its users whose positive bit is set, and each
+user caches its positive item indices as an ascending tuple; both change
+only when a positive bit flips.
 
 Similarity is the cosine between the 0/1 vectors, which on bitsets is
 popcount(u & v) / sqrt(popcount(u) * popcount(v)). A predicted score adds
@@ -38,11 +39,11 @@ DEFAULT_NEIGHBORS = 10  # the scenario's team size
 class View:
     """One scope's ratings.
 
-    `ratings` maps a user id to [bits of the items rated 1, bits of the items
-    rated at all, indices of the items rated 1]; the indices are an
-    ascending tuple, or None from a flip of a positive bit until the next
-    read rebuilds them. `counts[i]` is the number of users whose positive
-    bit i is set.
+    `ratings` maps a user id to [bits of the items rated 1, indices of the
+    items rated 1]; the indices are an ascending tuple, or None from a flip
+    of a positive bit until the next read rebuilds them. A user who rated
+    only 0s has an entry with no bit set. `counts[i]` is the number of users
+    whose positive bit i is set.
     """
 
     __slots__ = ("ratings", "counts")
@@ -54,7 +55,7 @@ class View:
 
 def _positives(entry: list) -> tuple[int, ...]:
     """The indices of a user entry's positive bits, ascending."""
-    indices = entry[2]
+    indices = entry[1]
     if indices is None:
         found = []
         bits = entry[0]
@@ -62,7 +63,7 @@ def _positives(entry: list) -> tuple[int, ...]:
             low = bits & -bits
             found.append(low.bit_length() - 1)
             bits ^= low
-        indices = entry[2] = tuple(found)
+        indices = entry[1] = tuple(found)
     return indices
 
 
@@ -96,17 +97,15 @@ def cosine_similarity(u_bits: int, v_bits: int) -> float:
 class TransactionStore:
     """Bitset rating views, fed one implicit transaction at a time.
 
-    Each view maps a user id to its positive bits, its rated bits and the
-    cached indices of its positive bits; a rating of 0 clears the positive
-    bit and keeps the rated one, so `vector` tells a rated 0 from an
-    untouched item. Each view also keeps its per-item count of positive
-    bits, which `record_implicit` moves by one when a positive bit flips,
-    the same moment it drops that user's cached indices. A situation has
-    one view per granularity level, the scope of its key generalized to
-    that level; the scope keeps the user's social group, so advice never
-    crosses groups. Every transaction is indexed in all of its situation's
-    views, which is what makes the coarser-granularity advice fallback
-    cheap.
+    Each view maps a user id to its positive bits and their cached
+    indices; a rating of 0 clears the positive bit. Each view also keeps
+    its per-item count of positive bits, which `record_implicit` moves by
+    one when a positive bit flips, the same moment it drops that user's
+    cached indices. A situation has one view per granularity level, the
+    scope of its key generalized to that level; the scope keeps the user's
+    social group, so advice never crosses groups. Every transaction is
+    indexed in all of its situation's views, which is what makes the
+    coarser-granularity advice fallback cheap.
     `_views` resolves a situation to its views once and memoises them;
     keys come from a finite space (time buckets, gazetteer places, groups,
     cognitive classes), so the memo stays small.
@@ -147,29 +146,18 @@ class TransactionStore:
         for view in views:
             entry = view.ratings.get(user_id)
             if entry is None:
-                view.ratings[user_id] = [bit, bit, None] if positive else [0, bit, ()]
+                view.ratings[user_id] = [bit, None] if positive else [0, ()]
                 if positive:
                     view.counts[index] += 1
-                continue
-            if entry[0] & bit:
+            elif entry[0] & bit:
                 if not positive:  # a 1 overwritten by a 0
                     entry[0] ^= bit
-                    entry[2] = None
+                    entry[1] = None
                     view.counts[index] -= 1
             elif positive:  # a 0 overwritten by a 1
                 entry[0] |= bit
-                entry[2] = None
+                entry[1] = None
                 view.counts[index] += 1
-            entry[1] |= bit
-
-    def vector(self, user_id: str, s: SituationKey, level: int) -> dict[ActionId, float]:
-        """The user's rated items in the situation's view at `level`.
-
-        Each reads 1.0 or 0.0; untouched items are absent.
-        """
-        positive, rated, _ = self._views(s)[level].ratings.get(user_id, (0, 0, ()))
-        return {item: 1.0 if positive & bit else 0.0
-                for item, (_, bit) in self._slot.items() if rated & bit}
 
     # -- the CF pipeline ---------------------------------------------------
 
@@ -190,7 +178,7 @@ class TransactionStore:
             return []
         target_bits = entry[0]
         scored = [(user_id, cosine_similarity(target_bits, bits))
-                  for user_id, (bits, _, _) in view.ratings.items()
+                  for user_id, (bits, _) in view.ratings.items()
                   if bits & target_bits and user_id != target]
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
         return scored[:k]

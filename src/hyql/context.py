@@ -36,18 +36,17 @@ PLACE_TYPES = ("Home", "Office", "ClientSite", "Transit", "Other")
 UNKNOWN_PLACE = "Unknown"
 UNKNOWN_COGNITIVE = "Unknown"
 
-# Hour boundaries for the parts of the day: [6,12) Morning, [12,18)
-# Afternoon, [18,23) Evening, everything else Night.
-_MORNING, _AFTERNOON, _EVENING = 6, 12, 18
-_NIGHT = 23
-
-# Hour spans used when synthesizing timestamps for a wanted bucket.
+# The hours of each part of the day, [start, end): abstract_time reads them
+# through _PART_OF_HOUR, and the simulator draws a bucket's timestamps from them.
 HOUR_RANGES = {
     "Morning": (6, 12),
     "Afternoon": (12, 18),
     "Evening": (18, 23),
     "Night": (23, 30),  # 23:00 through 05:59 next morning, mod 24
 }
+_PART_OF_HOUR = tuple(next(part for part, (start, end) in HOUR_RANGES.items()
+                           if start <= hour < end or start <= hour + 24 < end)
+                      for hour in range(24))
 
 
 class GazetteerError(Exception):
@@ -229,15 +228,7 @@ def abstract_time(timestamp: int, calendar: Iterable[CalendarEntry] = ()) -> Tim
     """Map a timestamp (plus calendar) to its bucket. Total function."""
     if timestamp < 0:
         raise ValueError("timestamp must be >= 0")
-    hour = (timestamp % SECONDS_PER_DAY) // SECONDS_PER_HOUR
-    if _MORNING <= hour < _AFTERNOON:
-        part = "Morning"
-    elif _AFTERNOON <= hour < _EVENING:
-        part = "Afternoon"
-    elif _EVENING <= hour < _NIGHT:
-        part = "Evening"
-    else:
-        part = "Night"
+    part = _PART_OF_HOUR[(timestamp % SECONDS_PER_DAY) // SECONDS_PER_HOUR]
     day_of_week = (timestamp // SECONDS_PER_DAY) % 7  # 0 = Monday
     day_class = "Weekend" if day_of_week >= 5 else "Weekday"
     state = "Free"

@@ -21,7 +21,6 @@ from .context import SituationKey
 
 # Branch tags shared with the agent-level policies.
 EXPLOIT = "Exploit"
-EXPLORE = "Explore"
 ADVISE = "Advise"
 RANDOM_FALLBACK = "RandomFallback"
 CASE_BOOTSTRAPPED = "CaseBootstrapped"
@@ -92,13 +91,12 @@ class LearningParams:
 class QTable:
     """Sparse (state, action) -> value map; an unseen pair reads 0.0.
 
-    Single-writer: one agent owns one table. Per-row update counts drive
-    the "only bootstrap unseen rows" rule used by case adaptation.
+    Single-writer: one agent owns one table. A row exists once a value in
+    it has been written.
     """
 
     def __init__(self):
         self._rows: dict[State, dict[ActionId, float]] = {}
-        self._row_visits: dict[State, int] = {}
 
     def value(self, s: State, a: ActionId) -> float:
         row = self._rows.get(s)
@@ -114,9 +112,6 @@ class QTable:
         if not math.isfinite(value):
             raise ValueError(f"non-finite Q value for ({s}, {a})")
         self._rows.setdefault(s, {})[a] = value
-
-    def row_visits(self, s: State) -> int:
-        return self._row_visits.get(s, 0)
 
     def best_value(self, s: State, catalog: ActionCatalog) -> float:
         """max of Q(s, a) over the catalog; rows hold catalog actions only, so
@@ -140,16 +135,7 @@ class QTable:
         if not math.isfinite(new):
             raise ValueError(f"Q update produced non-finite value for ({s}, {a})")
         self._rows.setdefault(s, {})[a] = new
-        self._row_visits[s] = self.row_visits(s) + 1
         return new
-
-    def entries(self) -> Iterator[tuple[State, ActionId, float]]:
-        for s, row in self._rows.items():
-            for a, v in row.items():
-                yield s, a, v
-
-    def __len__(self) -> int:
-        return sum(len(row) for row in self._rows.values())
 
 
 def greedy_action(table: QTable, s: State, catalog: ActionCatalog) -> ActionId:
@@ -173,8 +159,8 @@ def greedy_action(table: QTable, s: State, catalog: ActionCatalog) -> ActionId:
 
 def epsilon_greedy_action(table: QTable, s: State, catalog: ActionCatalog,
                           p: float, rng: random.Random) -> tuple[ActionId, str]:
-    """Draw q ~ U[0,1]; exploit when q <= p, otherwise explore uniformly."""
+    """Draw q ~ U[0,1]; exploit when q <= p, otherwise pick uniformly at random."""
     q = rng.random()
     if q <= p:
         return greedy_action(table, s, catalog), EXPLOIT
-    return catalog.actions[rng.randrange(len(catalog))], EXPLORE
+    return catalog.actions[rng.randrange(len(catalog))], RANDOM_FALLBACK

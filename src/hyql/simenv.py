@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 from .context import (COGNITIVE_KINDS, CalendarEntry, CognitiveAction, ContextModel,
                       HOUR_RANGES, RawEvent, SECONDS_PER_DAY, SECONDS_PER_HOUR,
                       UNKNOWN_PLACE, SituationKey, time_bucket)
-from .qlearn import ActionCatalog, ActionId, CatalogError
+from .qlearn import ActionCatalog, ActionId
 
 DRIFT_OPS = ("SwapTopItems", "ResampleRow")
 
@@ -113,9 +113,6 @@ class WorldModel:
 
     def user(self, user_id: str) -> UserProfile:
         return self._by_id[user_id]
-
-    def situations(self, user_id: str) -> list[SituationKey]:
-        return [habit.situation for habit in self.user(user_id).routine]
 
     def row(self, user_id: str, s: SituationKey) -> array:
         try:
@@ -213,7 +210,7 @@ def _routine(entries, group: str, context: ContextModel) -> tuple[Habit, ...]:
     """A group's habits, whose weights must sum to 1 whether or not a user joins.
 
     Each habit is a distinct situation: a repeated one would be listed twice
-    in `WorldModel.situations`, so a scoped drift would act on its row twice.
+    in a user's routine, so a scoped drift would act on its row twice.
     """
     routine = tuple(_habit(entry, group, context)
                     for entry in json_list(entries, f"routine of {group}"))
@@ -373,11 +370,9 @@ def gen_event(world: WorldModel, user_id: str, step: int, rng: random.Random) ->
 
 def reward(world: WorldModel, user_id: str, s: SituationKey, a: ActionId,
            rng: random.Random) -> float:
-    """Bernoulli acceptance with the ground-truth probability."""
-    if a not in world.catalog:
-        raise CatalogError(a)
-    row = world.row(user_id, s)
-    probability = row[world.catalog.index(a)]
+    """Bernoulli acceptance with the ground-truth probability; CatalogError
+    for an action outside the catalog."""
+    probability = world.row(user_id, s)[world.catalog.index(a)]
     return 1.0 if rng.random() < probability else 0.0
 
 

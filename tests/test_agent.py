@@ -1,7 +1,10 @@
 import random
 
-from hyql.agent import PARAMS, RETAIN_MIN_VISITS, Agent, AgentConfig, hybrid_policy
+import pytest
+
+from hyql.agent import PARAMS, RETAIN_MIN_VISITS, VARIANTS, Agent, AgentConfig, hybrid_policy
 from hyql.bench import load_scenario
+from hyql.casebase import CaseBase
 from hyql.collab import TransactionStore
 from hyql.context import (CognitiveAction, ContextModel, RawEvent, SituationKey,
                           TimeBucket)
@@ -26,6 +29,9 @@ class StubEnv:
         self.reward = reward
         self.next_event = next_event or office_event()
         self.calls = []
+
+    def reset(self, user_id):
+        return office_event(user_id)
 
     def step(self, user_id, action):
         self.calls.append((user_id, action))
@@ -101,18 +107,18 @@ class TestStep:
         record, _ = agent.step(office_event(), env)
         assert record.a == "a0"  # now locked in by value, not by tie-break
 
-    def test_cfonly_never_updates_q(self):
+    def test_cfonly_never_updates_q(self, context):
         agent = make_agent("CFOnly")
         env = StubEnv(reward=1.0)
         for _ in range(30):
             agent.step(office_event(), env)
-        assert len(agent.table) == 0
+        assert agent.table.row(context.aggregate(office_event(), "g0")) == {}
 
-    def test_q_variants_update_q(self):
+    def test_q_variants_update_q(self, context):
         agent = make_agent("EpsilonGreedyQ")
         env = StubEnv(reward=1.0)
-        agent.step(office_event(), env)
-        assert len(agent.table) == 1
+        record, _ = agent.step(office_event(), env)
+        assert list(agent.table.row(context.aggregate(office_event(), "g0"))) == [record.a]
 
     def test_every_step_records_cf_transaction(self):
         agent = make_agent("GreedyQ")
@@ -141,18 +147,47 @@ def run_pair(variant, seed, steps=120, world_seed=5, **overrides):
 class TestRunEpisode:
     def test_single_step_episode(self):
         agent = make_agent("GreedyQ", episode_length=1)
-        records, _ = agent.run_episode(StubEnv(), office_event())
+        records = agent.run(StubEnv(), 1)
         assert len(records) == 1
 
     def test_case_base_grows_after_enough_visits(self):
         agent = make_agent("HyQL", episode_length=3)
         assert 3 < RETAIN_MIN_VISITS <= 6
         env = StubEnv()
-        event = office_event()
-        records, event = agent.run_episode(env, event)
+        agent.run(env, 3)
         assert len(agent.casebase) == 0  # 3 visits
-        records, event = agent.run_episode(env, event)
+        agent.run(env, 3)
         assert len(agent.casebase) >= 1  # 6 cumulative visits
+
+    def test_episode_ends_every_episode_length_steps_and_after_the_last(self, monkeypatch):
+        agent = make_agent("HyQL", episode_length=3)
+        ends = []
+        monkeypatch.setattr(agent, "end_episode", lambda: ends.append(agent.step_count))
+        agent.run(StubEnv(), 7)
+        assert ends == [3, 6, 7]
+        ends.clear()
+        agent.run(StubEnv(), 6)
+        assert ends == [10, 13]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_retrieve_once_per_new_situation_for_case_variants(self, monkeypatch, variant):
+        """A case variant retrieves on the first step in each situation and
+        never again: its lifetime visit count and its Q-row appear together."""
+        retrieved = []
+        original = CaseBase.retrieve
+
+        def spy(self, problem):
+            retrieved.append(problem)
+            return original(self, problem)
+
+        monkeypatch.setattr(CaseBase, "retrieve", spy)
+        _, trace = run_pair(variant, seed=12, steps=300)
+        if variant in ("CBRQ", "HyQL"):
+            first_seen = list(dict.fromkeys(record.s for record in trace))
+            assert retrieved == first_seen
+            assert len(retrieved) > 1
+        else:
+            assert retrieved == []
 
     def test_trace_is_deterministic(self):
         _, t1 = run_pair("HyQL", seed=9)

@@ -148,7 +148,7 @@ class TestAdapt:
         table.set_value(skey(place="Home"), "a1", 0.4)
         adapt(RetrievalResult(case, 1.0), skey(), table)
         assert table.row(skey(place="Home")) == {"a1": 0.4}
-        assert len(table) == 2
+        assert table.row(skey()) == {"a0": 3.0}
 
 
 class TestRetain:

@@ -121,6 +121,13 @@ class TestReport:
     def test_missing_directory_exits_2(self, tmp_path, command):
         assert main([command, str(tmp_path / "missing")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["report", "verify"])
+    def test_missing_metrics_file_exits_3(self, run_copy, capsys, command):
+        path = run_copy / "metrics.csv"
+        path.unlink()
+        assert main([command, str(run_copy)]) == EXIT_MISMATCH
+        assert f"{path}:0: missing store file" in capsys.readouterr().err
+
 
 HYQL = {"name": "HyQL", "variant": "HyQL"}
 

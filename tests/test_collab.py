@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import positive_items
 from hyql.collab import TransactionStore, _best_index, cosine_similarity
 from hyql.context import SituationKey, TimeBucket
 from hyql.qlearn import ActionCatalog, CatalogError
@@ -70,7 +71,8 @@ def oracle_popular(vectors, target, items):
 
 
 def oracle_views(stream, context):
-    """Last-write-wins rating dicts per view, replayed from the raw stream.
+    """Last-write-wins rating dicts per view, replayed from the raw stream;
+    a rated 0 is present as 0.0.
 
     Keys: (level, generalized key); the key keeps the social group.
     """
@@ -107,7 +109,8 @@ def store_of_rows(context, catalog, rows):
     """A store whose views of S hold `rows`, written through record_implicit.
 
     rows: user -> (bits of the items rated 1, bits of the items rated 0 or
-    1), users in the dict's order; each rated item is written once.
+    1), users in the dict's order; each rated item is written once, so a
+    user who rated only 0s still has an entry.
     """
     store = TransactionStore(catalog, context)
     for user, (positive, rated) in rows.items():
@@ -127,15 +130,15 @@ class TestRecordImplicit:
         store = store_with(context, [("u1", "a", True)])
         # indexed under every generalization of its situation
         for level in range(context.depth + 1):
-            assert store.vector("u1", S, level) == {"a": 1.0}
+            assert positive_items(store, "u1", S, level) == {"a": 1.0}
 
     def test_untouched_item_reads_zero(self, context):
         store = store_with(context, [("u1", "a", True)])
-        assert store.vector("u1", S, 0).get("b", 0.0) == 0.0
+        assert positive_items(store, "u1", S).get("b", 0.0) == 0.0
 
     def test_last_write_wins(self, context):
         store = store_with(context, [("u1", "a", True), ("u1", "a", False)])
-        assert store.vector("u1", S, 0)["a"] == 0.0
+        assert positive_items(store, "u1", S) == {}
         assert len(store) == 2  # counts transactions, not distinct ratings
 
     def test_unknown_item_rejected(self, context):
@@ -196,7 +199,7 @@ class TestNeighbors:
             ratings = [(f"u{i}", item, rng.random() < 0.6)
                        for i in range(4) for item in ITEMS if rng.random() < 0.7]
             store = store_with(context, ratings)
-            vectors = {u: store.vector(u, S, 0) for u in [f"u{i}" for i in range(4)]}
+            vectors = {u: positive_items(store, u, S) for u in [f"u{i}" for i in range(4)]}
             for target in vectors:
                 for k in (1, 2, 10):
                     assert store.neighbors(view_of(store), target, k) == \
@@ -340,7 +343,7 @@ class TestTopN:
             ratings = [(u, item, rng.random() < 0.5)
                        for u in users for item in ITEMS[:4] if rng.random() < 0.8]
             store = store_with(context, ratings)
-            vectors = {u: store.vector(u, S, 0) for u in users}
+            vectors = {u: positive_items(store, u, S) for u in users}
             for target in users:
                 assert store.top_n(view_of(store), target, 4) == \
                     oracle_top_n(vectors, target, 4, 10, ITEMS, index)
@@ -403,8 +406,8 @@ class TestAdviseAction:
         assert store.advise_action("newcomer", target_key) == "b"
         # per-level brute force: level 0 view empty, level 1 view holds b
         assert store.top_n(view_of(store, target_key), "newcomer", 1) == []
-        assert store.vector("u0", target_key, 0) == {}
-        assert store.vector("u0", target_key, 1) == {"b": 1.0}  # visible at the city level
+        assert positive_items(store, "u0", target_key, 0) == {}
+        assert positive_items(store, "u0", target_key, 1) == {"b": 1.0}  # visible at the city level
 
     def test_advice_stays_in_catalog(self, context):
         rng = random.Random(13)
@@ -492,8 +495,8 @@ class TestViewState:
     def _check_view_state(self, store):
         for view in store._scoped.values():
             for i in range(len(self.ITEMS)):
-                assert view.counts[i] == sum(bits >> i & 1 for bits, _, _ in view.ratings.values())
-            for bits, _, indices in view.ratings.values():
+                assert view.counts[i] == sum(bits >> i & 1 for bits, _ in view.ratings.values())
+            for bits, indices in view.ratings.values():
                 if indices is not None:
                     assert indices == tuple(i for i in range(len(self.ITEMS)) if bits >> i & 1)
 
@@ -540,8 +543,9 @@ class TestStoreMatchesOracles:
                 view = store._views(s)[level]
                 vectors = views.get((level, context.generalize(s, level)), {})
                 for target in targets:
-                    # a rated 0 is present as 0.0, an untouched item is absent
-                    assert store.vector(target, s, level) == vectors.get(target, {})
+                    assert positive_items(store, target, s, level) == {
+                        item: 1.0 for item, rating in vectors.get(target, {}).items()
+                        if rating == 1.0}
                     for k in (2, 10):
                         assert store.neighbors(view, target, k) == \
                             oracle_neighbors(vectors, target, k, items)

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import hyql
 
-from hyql.context import (CALENDAR_STATES, COGNITIVE_KINDS, DAY_CLASSES, PARTS_OF_DAY,
-                          CalendarEntry, CognitiveAction, ContextModel,
+from hyql.context import (CALENDAR_STATES, COGNITIVE_KINDS, DAY_CLASSES, HOUR_RANGES,
+                          PARTS_OF_DAY, CalendarEntry, CognitiveAction, ContextModel,
                           GazetteerError, RawEvent, SituationKey, TimeBucket,
                           abstract_time, parse_gazetteer, time_bucket,
                           SECONDS_PER_DAY, SECONDS_PER_HOUR,
@@ -44,6 +44,12 @@ class TestAbstractTime:
         assert abstract_time(ts(MONDAY, 18)).part_of_day == "Evening"
         assert abstract_time(ts(MONDAY, 23)).part_of_day == "Night"
         assert abstract_time(ts(MONDAY, 5, 59)).part_of_day == "Night"
+        for hour in range(24):
+            spans = [part for part, (start, end) in HOUR_RANGES.items()
+                     if hour in range(start, end) or hour + 24 in range(start, end)]
+            assert len(spans) == 1
+            for minute in (0, 59):
+                assert abstract_time(ts(MONDAY, hour, minute)).part_of_day == spans[0]
 
     def test_meeting_end_is_exclusive(self):
         entry = CalendarEntry("m", 100, 200)

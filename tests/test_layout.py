@@ -3,7 +3,8 @@
 Every import is used, the modules depend on each other only in one
 direction: context -> qlearn -> collab/casebase -> agent -> simenv ->
 store/bench -> cli. Only simenv spells the scenario format's keys, and
-only bench spells the experiment spec's.
+only bench spells the experiment spec's. Every function, method and class
+is used by the package itself, not only by the tests.
 """
 
 import ast
@@ -102,3 +103,37 @@ def test_only_bench_spells_the_spec_keys():
     simenv's messages use as the word for what it parses.
     """
     assert spelt_outside("bench", (SPEC_KEYS | VARIANT_KEYS) - {"name", "scenario"}) == {}
+
+
+def unreferenced_definitions(trees):
+    """Functions, methods and classes no code refers to outside their own body.
+
+    A reference is an `ast.Name` or `ast.Attribute` spelling the definition's
+    name anywhere in the given modules, outside the definition itself.
+    Dunders are exempt: the interpreter calls them.
+    """
+    references: dict[str, list[int]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                references.setdefault(node.id, []).append(id(node))
+            elif isinstance(node, ast.Attribute):
+                references.setdefault(node.attr, []).append(id(node))
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            inside = {id(child) for child in ast.walk(node)}
+            if all(ref in inside for ref in references.get(node.name, [])):
+                found.append(f"{module}.{node.name} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_every_definition_is_used_by_the_package():
+    """API that only the tests call is dead weight; the package's own
+    re-exports in __init__ do not count as a use."""
+    trees = {name: tree for name, tree in modules().items() if name != "__init__"}
+    assert unreferenced_definitions(trees) == []

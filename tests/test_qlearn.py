@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hyql.context import SituationKey, TimeBucket
-from hyql.qlearn import (EXPLOIT, EXPLORE, ActionCatalog, CatalogError,
+from hyql.qlearn import (EXPLOIT, RANDOM_FALLBACK, ActionCatalog, CatalogError,
                          LearningParams, QTable, epsilon_greedy_action,
                          greedy_action)
 
@@ -60,10 +60,13 @@ class TestQUpdate:
         table.set_value(key(), "a0", 0.3)
         table.set_value(key(), "a1", 0.7)
         table.set_value(key("Home"), "a2", 0.5)
-        before = {(s, a): v for s, a, v in table.entries()}
+        def entries():
+            return {(s, a): table.value(s, a) for s in (key(), key("Home")) for a in CATALOG}
+
+        before = entries()
         table.update(key(), "a2", 1.0, key("Home"), CATALOG,
                      LearningParams(alpha=0.5, gamma=0.9))
-        after = {(s, a): v for s, a, v in table.entries()}
+        after = entries()
         changed = {k for k in set(before) | set(after)
                    if before.get(k) != after.get(k)}
         assert changed == {(key(), "a2")}
@@ -175,13 +178,13 @@ class TestEpsilonGreedy:
         rng = random.Random(5)
         branches = {epsilon_greedy_action(QTable(), key(), CATALOG, 0.0, rng)[1]
                     for _ in range(200)}
-        assert branches == {EXPLORE}
+        assert branches == {RANDOM_FALLBACK}
 
     def test_scripted_stream(self):
         rng = ScriptedRng([0.3, 0.8])
         _, b1 = epsilon_greedy_action(QTable(), key(), CATALOG, 0.5, rng)
         _, b2 = epsilon_greedy_action(QTable(), key(), CATALOG, 0.5, rng)
-        assert (b1, b2) == (EXPLOIT, EXPLORE)
+        assert (b1, b2) == (EXPLOIT, RANDOM_FALLBACK)
 
 
 class TestCatalog:

@@ -7,10 +7,12 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import positive_items
 from hyql.bench import load_scenario
 from hyql.collab import TransactionStore
 from hyql.context import (CALENDAR_STATES, COGNITIVE_KINDS, DAY_CLASSES, PARTS_OF_DAY,
                           ContextModel)
+from hyql.qlearn import CatalogError
 from hyql.simenv import (DriftOp, SimEnv, _mix_row, apply_drift, gen_event,
                          parse_scenario, reward, world_from_scenario)
 
@@ -28,6 +30,11 @@ def scenario(n_users=4, affinity=0.8, n_items=5, drift=(), routine=None):
                 routines={"g0": routine or canonical["routines"]["g0"]})
 
 
+def situations(world, user_id):
+    """The user's routine situations, in routine order."""
+    return [habit.situation for habit in world.user(user_id).routine]
+
+
 def small_world(seed=0, **changes):
     return world_from_scenario(parse_scenario(scenario(**changes), CONTEXT), seed)
 
@@ -39,14 +46,14 @@ def swap(step):
 class TestBuildPopulation:
     def test_affinity_one_makes_clones(self):
         world = small_world(affinity=1.0)
-        rows = [world.row(u.user_id, world.situations(u.user_id)[0])
+        rows = [world.row(u.user_id, situations(world, u.user_id)[0])
                 for u in world.users]
         assert all(r == rows[0] for r in rows)
 
     def test_affinity_zero_detaches_from_prototype(self):
         world = small_world(affinity=0.0)
         u = world.users[0]
-        key = world.situations(u.user_id)[0]
+        key = situations(world, u.user_id)[0]
         proto = world.prototypes[key]
         assert world.row(u.user_id, key) != proto
 
@@ -69,7 +76,7 @@ class TestBuildPopulation:
     def test_every_routine_situation_covered(self):
         world = small_world()
         for profile in world.users:
-            for key in world.situations(profile.user_id):
+            for key in situations(world, profile.user_id):
                 assert (profile.user_id, key) in world.relevance
 
 
@@ -183,7 +190,7 @@ class TestGenEvent:
     def test_events_abstract_back_to_routine_keys(self):
         world = small_world(seed=7)
         rng = random.Random(8)
-        valid = set(world.situations("u00"))
+        valid = set(situations(world, "u00"))
         for step in range(500):
             event = gen_event(world, "u00", step, rng)
             key = world.context.aggregate(event, "g0")
@@ -193,7 +200,7 @@ class TestGenEvent:
 class TestReward:
     def _world_with_row(self, values):
         world = small_world(n_items=len(values))
-        key = world.situations("u00")[0]
+        key = situations(world, "u00")[0]
         world.relevance[("u00", key)] = list(values)
         return world, key
 
@@ -216,10 +223,15 @@ class TestReward:
         mean = sum(reward(world, "u00", key, "doc00", rng) for _ in range(n)) / n
         assert abs(mean - 0.5) <= 0.02
 
+    def test_unknown_action_raises(self):
+        world, key = self._world_with_row([1.0, 0.0])
+        with pytest.raises(CatalogError):
+            reward(world, "u00", key, "doc99", random.Random(0))
+
     def test_uncovered_situation_raises(self):
         from hyql.simenv import CoverageError
         world = small_world()
-        stray = world.situations("u00")[0]
+        stray = situations(world, "u00")[0]
         with pytest.raises(CoverageError):
             world.row("u99", stray)
 
@@ -233,7 +245,7 @@ class TestDrift:
 
     def test_swap_exchanges_best_and_worst(self):
         world = small_world(seed=12, n_users=1, n_items=3, drift=[swap(5)])
-        key = world.situations("u00")[0]
+        key = situations(world, "u00")[0]
         world.relevance[("u00", key)] = array("d", [0.9, 0.1, 0.5])
         # force every other row to something inert
         for k in world.relevance:
@@ -269,7 +281,7 @@ class TestDrift:
 
     def test_scoped_drift_touches_only_scope(self):
         world = small_world(seed=15)
-        key = world.situations("u00")[0]
+        key = situations(world, "u00")[0]
         world.drift_schedule = [DriftOp(0, "SwapTopItems", "u00", key)]
         before = exact_rows(world)
         apply_drift(world, 0)
@@ -283,7 +295,7 @@ class TestEnvStep:
     def test_deterministic_reward_chain(self):
         world = small_world(seed=20, n_users=1, n_items=2, affinity=1.0,
                             routine=[SINGLE_HABIT])
-        key = world.situations("u00")[0]
+        key = situations(world, "u00")[0]
         world.relevance[("u00", key)] = [1.0, 0.0]
         env = SimEnv(world)
         env.reset("u00")
@@ -324,12 +336,12 @@ class TestEnvStep:
         assert len(store) == 250
         for profile in world.users:
             user = profile.user_id
-            rated = [set().union(*(store.vector(user, key, level)
-                                   for key in world.situations(user)))
-                     for level in range(world.context.depth + 1)]
-            assert bool(rated[0]) == (user in ("u01", "u02"))
-            # situation-tagged: every rated (user, item) is indexed at every level
-            assert all(items == rated[0] for items in rated)
+            accepted = [set().union(*(positive_items(store, user, key, level)
+                                      for key in situations(world, user)))
+                        for level in range(world.context.depth + 1)]
+            assert bool(accepted[0]) == (user in ("u01", "u02"))
+            # situation-tagged: every accepted (user, item) is indexed at every level
+            assert all(items == accepted[0] for items in accepted)
 
     def test_background_burst_reads_rows_a_resample_replaced(self):
         background = ["u00", "u01", "u02", "u03"]
@@ -352,10 +364,10 @@ class TestEnvStep:
 
         assert env.background_rng.getstate() == ref_rng.getstate()
         for user in background:
-            for key in world.situations(user):
+            for key in situations(world, user):
                 for level in range(world.context.depth + 1):
-                    assert store.vector(user, key, level) == \
-                        ref_store.vector(user, key, level)
+                    assert positive_items(store, user, key, level) == \
+                        positive_items(ref_store, user, key, level)
 
 
 def reference_burst(world, store, rng, background_users, n_events):
@@ -382,7 +394,7 @@ class TestGroupCoherence:
         def mean_abs_diff(affinity):
             world = small_world(seed=30, n_users=2, affinity=affinity)
             total = count = 0.0
-            for key in world.situations("u00"):
+            for key in situations(world, "u00"):
                 a = world.row("u00", key)
                 b = world.row("u01", key)
                 total += sum(abs(x - y) for x, y in zip(a, b))
@@ -404,7 +416,7 @@ class TestScenario:
             assert context.situation(s.time, s.place, "g0", s.cognitive, 0) is s
         world = world_from_scenario(parsed, 7)
         assert world.context is context
-        assert world.situations("u10") == [h.situation for h in parsed.routines["g0"]]
+        assert situations(world, "u10") == [h.situation for h in parsed.routines["g0"]]
 
     def test_drift_scope_resolves_to_the_habit_situation(self, canonical_scenario):
         parsed = parse_scenario(canonical_scenario, CONTEXT)
@@ -428,13 +440,13 @@ class TestScenario:
         world = world_from_scenario(parse_scenario(canonical_scenario, context), 7)
         assert len(world.users) == 11
         assert len(world.catalog) == 20
-        assert len(world.situations("u10")) == 6
+        assert len(situations(world, "u10")) == 6
         assert world.drift_schedule[0].step == 1000
 
     def test_check_scenario_takes_a_scope_from_the_targets_routine(
             self, canonical_scenario, context):
         parsed = parse_scenario(canonical_scenario, context)
-        key = world_from_scenario(parsed, 7).situations("u03")[2]
+        key = situations(world_from_scenario(parsed, 7), "u03")[2]
         for target in ("u03", "g0"):
             drift = [{"step": 5, "op": "ResampleRow", "target": target,
                       "scope": key.canonical()}]

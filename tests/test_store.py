@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hyql.context import (CALENDAR_STATES, COGNITIVE_KINDS, DAY_CLASSES, PARTS_OF_DAY,
                           CalendarEntry, CognitiveAction, RawEvent, SituationKey,
                           TimeBucket, time_bucket)
-from hyql.qlearn import (ADVISE, CASE_BOOTSTRAPPED, EXPLOIT, EXPLORE, RANDOM_FALLBACK,
+from hyql.qlearn import (ADVISE, CASE_BOOTSTRAPPED, EXPLOIT, RANDOM_FALLBACK,
                          StepRecord)
 from hyql.store import (OrderingError, PreferenceRecord, RunStore,
                         StoreParseError, _step_from_fields, _step_line,
@@ -177,7 +177,7 @@ situation_keys = st.builds(
 @given(record=st.builds(
     StepRecord, st.integers(0, 10**9), situation_keys,
     st.integers(0, 999).map("doc{:02d}".format),
-    st.sampled_from([EXPLOIT, EXPLORE, ADVISE, RANDOM_FALLBACK, CASE_BOOTSTRAPPED]),
+    st.sampled_from([EXPLOIT, ADVISE, RANDOM_FALLBACK, CASE_BOOTSTRAPPED]),
     st.floats(allow_nan=False), situation_keys))
 def test_step_line_round_trips_for_any_record(record):
     line = _step_line(record)
