@@ -147,8 +147,7 @@ class TestAdapt:
         table = QTable()
         table.set_value(skey(place="Home"), "a1", 0.4)
         adapt(RetrievalResult(case, 1.0), skey(), table)
-        assert table.row(skey(place="Home")) == {"a1": 0.4}
-        assert table.row(skey()) == {"a0": 3.0}
+        assert table._rows == {skey(place="Home"): {"a1": 0.4}, skey(): {"a0": 3.0}}
 
 
 class TestRetain:
