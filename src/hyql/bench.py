@@ -1,4 +1,4 @@
-"""Experiment runner: seeded variant comparisons, metrics, CSV and plots.
+"""Experiment runner: seeded variant comparisons, their metrics and CSV.
 
 Each trial pairs every agent variant with the same world seed, so all
 variants consume the identical event stream and per-step acceptance draws
@@ -18,9 +18,9 @@ level or in a variant, and a count that is not a JSON integer, before a run
 writes anything. It checks the scenario once, through
 `simenv.parse_scenario`; trials and `verify` draw their worlds from that
 parsed form and its one context, never reading the scenario's keys or the
-gazetteer again. A run file `verify` or `report` cannot find or parse
-raises `StoreParseError` with its path and line; a missing output directory
-is a `ConfigError`.
+gazetteer again. A bad spec, scenario file or output directory is a
+`ConfigError`; a run file `verify` or `report` cannot read or parse raises
+`StoreParseError` with its path and line.
 
 Every trial yields four metrics, all from its list of rewards and branch
 tags: CumulativeReward sums the rewards; StepsToThreshold is the first step
@@ -51,7 +51,7 @@ from .qlearn import EXPLOIT, StepRecord
 from .simenv import (Scenario, SimEnv, apply_drift, check_keys, json_int,
                      json_list, parse_scenario, world_from_scenario)
 from .store import (PreferenceRecord, RunStore, StoreParseError, fmt_float,
-                    read_action_history)
+                    read_action_history, read_run_file)
 
 NEVER = -1.0
 THRESHOLD_WINDOW, THRESHOLD_FRACTION = 50, 0.8
@@ -116,19 +116,24 @@ class ExperimentSpec:
         return [self.base_seed + t for t in range(self.trials)]
 
 
-def load_scenario(ref: str | Path) -> dict:
-    """Load a scenario config; the name "canonical" resolves to the built-in."""
-    if str(ref) == "canonical":
-        text = (resources.files("hyql") / "data" / "canonical_scenario.json").read_text("utf-8")
-    else:
-        path = Path(ref)
-        if not path.exists():
-            raise ConfigError(f"scenario file not found: {path}")
+def _read_json(path: Path, what: str):
+    """A spec or scenario file's JSON; ConfigError unless it reads as UTF-8 JSON."""
+    try:
         text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"scenario is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from None
+
+
+def load_scenario(ref: str | Path) -> dict:
+    """Load a scenario config; the name "canonical" resolves to the built-in."""
+    if str(ref) == "canonical":
+        return json.loads(
+            (resources.files("hyql") / "data" / "canonical_scenario.json").read_text("utf-8"))
+    return _read_json(Path(ref), "scenario")
 
 
 def _check_variants(value) -> list[dict]:
@@ -153,12 +158,7 @@ def load_experiment_spec(path: str | Path) -> ExperimentSpec:
     A relative scenario path is taken from the spec file's directory.
     """
     spec_path = Path(path)
-    if not spec_path.exists():
-        raise ConfigError(f"spec file not found: {spec_path}")
-    try:
-        raw = json.loads(spec_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"spec is not valid JSON: {exc}") from exc
+    raw = _read_json(spec_path, "spec")
     try:
         check_keys(raw, SPEC_KEYS - {"base_seed"}, SPEC_KEYS, "spec")
         if not isinstance(raw["scenario"], str):
@@ -293,7 +293,10 @@ def _trial_task(spec: ExperimentSpec, variant: dict, seed: int,
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path,
                    parallel: int = 1) -> list[MetricRow]:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at the path or above it
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from None
     (out / "scenario.json").write_text(
         json.dumps(spec.scenario, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     (out / "spec.json").write_text(
@@ -311,32 +314,24 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path,
     else:
         per_trial = [_trial_task(spec, *task) for task in tasks]
 
-    rows = sort_rows([row for trial_rows in per_trial for row in trial_rows])
-    emit_csv(rows, out / "metrics.csv")
-    emit_plot_script(out / "plot_rewards.py")
+    rows = [row for trial_rows in per_trial for row in trial_rows]
+    (out / "metrics.csv").write_text(csv_text(rows), encoding="utf-8")
     return rows
 
 
-def sort_rows(rows: Sequence[MetricRow]) -> list[MetricRow]:
-    return sorted(rows, key=lambda r: (r.variant, r.seed, r.metric))
-
-
 def csv_text(rows: Sequence[MetricRow]) -> str:
-    """metrics.csv's exact contents: header, then the rows in sorted order."""
+    """metrics.csv's exact contents: header, then rows by variant, seed, metric."""
     if not rows:
         raise ValueError("no rows to emit")
-    body = "\n".join(r.to_csv() for r in sort_rows(rows))
+    body = "\n".join(r.to_csv() for r in sorted(
+        rows, key=lambda r: (r.variant, r.seed, r.metric)))
     return CSV_HEADER + "\n" + body + "\n"
-
-
-def emit_csv(rows: Sequence[MetricRow], path: str | Path) -> None:
-    Path(path).write_text(csv_text(rows), encoding="utf-8")
 
 
 def parse_csv(path: str | Path) -> list[MetricRow]:
     """metrics.csv's rows; StoreParseError names the line of a bad header,
     field count or field."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_run_file(Path(path)).splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise StoreParseError(path, 1, "missing metrics header")
     rows = []
@@ -350,53 +345,6 @@ def parse_csv(path: str | Path) -> list[MetricRow]:
         except ValueError as exc:  # a field count or a field that does not parse
             raise StoreParseError(path, lineno, str(exc)) from None
     return rows
-
-
-_PLOT_TEMPLATE = '''\
-#!/usr/bin/env python3
-"""Reward-vs-step curves per variant, averaged over seeds.
-
-Standalone: run from the experiment output directory (needs matplotlib).
-"""
-
-from pathlib import Path
-
-import matplotlib.pyplot as plt
-
-WINDOW = 50
-HERE = Path(__file__).parent
-
-curves = {}
-for variant_dir in sorted((HERE / "runs").iterdir()):
-    seed_curves = []
-    for seed_dir in sorted(variant_dir.iterdir(), key=lambda p: int(p.name)):
-        lines = (seed_dir / "history_actions.tsv").read_text().splitlines()
-        rewards = [float(line.split("\\t")[4]) for line in lines[1:] if line]
-        rolling = []
-        acc = 0.0
-        for i, r in enumerate(rewards):
-            acc += r
-            if i >= WINDOW:
-                acc -= rewards[i - WINDOW]
-            rolling.append(acc / min(i + 1, WINDOW))
-        seed_curves.append(rolling)
-    n = min(len(c) for c in seed_curves)
-    curves[variant_dir.name] = [
-        sum(c[i] for c in seed_curves) / len(seed_curves) for i in range(n)]
-
-for name, curve in curves.items():
-    plt.plot(range(len(curve)), curve, label=name)
-plt.xlabel("step")
-plt.ylabel(f"mean reward (rolling {WINDOW})")
-plt.legend()
-plt.tight_layout()
-plt.savefig(HERE / "reward_vs_step.png", dpi=150)
-print(f"wrote {HERE / 'reward_vs_step.png'}")
-'''
-
-
-def emit_plot_script(path: str | Path) -> None:
-    Path(path).write_text(_PLOT_TEMPLATE, encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -420,23 +368,20 @@ def recompute_rows(out_dir: str | Path) -> list[MetricRow]:
             trace = read_trace(out / "runs" / variant["name"] / str(seed), spec.steps)
             rows.extend(rows_for_trial(variant["name"], seed, TrialResult(
                 trace, optimal_pre, optimal_post, drift_step)))
-    return sort_rows(rows)
+    return rows
 
 
 def _metrics_path(out_dir: str | Path) -> Path:
-    """An output directory's metrics.csv, which must exist."""
+    """The metrics.csv of an output directory, which must exist."""
     out = Path(out_dir)
     if not out.is_dir():
         raise ConfigError(f"output directory not found: {out}")
-    path = out / "metrics.csv"
-    if not path.exists():
-        raise StoreParseError(path, 0, "missing store file")
-    return path
+    return out / "metrics.csv"
 
 
 def verify_dir(out_dir: str | Path) -> list[str]:
     """Recompute metrics from traces; return a list of mismatch messages."""
-    recorded = _metrics_path(out_dir).read_text(encoding="utf-8")
+    recorded = read_run_file(_metrics_path(out_dir))
     expected = csv_text(recompute_rows(out_dir))
     if recorded == expected:
         return []

@@ -100,9 +100,6 @@ class CaseBase:
     def __len__(self) -> int:
         return len(self.cases)
 
-    def similarity(self, a: SituationKey, b: SituationKey) -> float:
-        return case_similarity(a, b, self.context)
-
     def retrieve(self, problem: SituationKey) -> Optional[RetrievalResult]:
         """Most similar case at or above the threshold, or None.
 
@@ -112,7 +109,7 @@ class CaseBase:
         best: Optional[Case] = None
         best_sim = -1.0
         for case in self.cases:
-            sim = self.similarity(problem, case.problem)
+            sim = case_similarity(problem, case.problem, self.context)
             if best is None or (sim, case.visits, -case.step) > (best_sim, best.visits, -best.step):
                 best, best_sim = case, sim
         if best is None or best_sim < RETRIEVAL_THRESHOLD:

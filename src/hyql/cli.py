@@ -4,9 +4,9 @@
     hyql report <DIR>
     hyql verify <DIR>
 
-Exit codes: 0 success, 2 configuration error (a missing output directory
-included), 3 verification mismatch or a run file (a trace, metrics.csv)
-that is missing or does not parse.
+Exit codes: 0 success, 2 configuration error (an unreadable spec or scenario,
+an output directory that is missing or cannot be made), 3 verification
+mismatch or a run file (a trace, metrics.csv) missing, unreadable or malformed.
 """
 
 from __future__ import annotations
@@ -64,10 +64,7 @@ def main(argv=None) -> int:
                 return EXIT_MISMATCH
             print("verification OK: metrics match the persisted traces")
             return EXIT_OK
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except StoreParseError as exc:

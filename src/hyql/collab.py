@@ -26,7 +26,6 @@ the cold-start rule.
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Optional
 
@@ -161,9 +160,8 @@ class TransactionStore:
 
     # -- the CF pipeline ---------------------------------------------------
 
-    def neighbors(self, view: View, target: str,
-                  k: int = DEFAULT_NEIGHBORS) -> list[tuple[str, float]]:
-        """k most similar other users in the view with similarity > 0, sorted.
+    def neighbors(self, view: View, target: str) -> list[tuple[str, float]]:
+        """The DEFAULT_NEIGHBORS most similar other users with similarity > 0.
 
         Descending similarity, ties broken by ascending user id; that key is
         a total order, so the view's insertion order never shows. The cosine
@@ -171,8 +169,6 @@ class TransactionStore:
         sharing none is skipped without computing it, and a target with no
         positive bit has no neighbours at all.
         """
-        if k <= 0:
-            return []
         entry = view.ratings.get(target)
         if entry is None or not entry[0]:
             return []
@@ -181,34 +177,25 @@ class TransactionStore:
                   for user_id, (bits, _) in view.ratings.items()
                   if bits & target_bits and user_id != target]
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
-        return scored[:k]
+        return scored[:DEFAULT_NEIGHBORS]
 
-    def top_n(self, view: View, target: str, n: int,
-              k: int = DEFAULT_NEIGHBORS) -> list[tuple[ActionId, float]]:
-        """The n best (item, score) pairs over the catalog, ties by item index.
+    def top_n(self, view: View, target: str) -> Optional[tuple[ActionId, float]]:
+        """The best (item, score) over the catalog, ties by item index.
 
         An item's score is the similarity-weighted mean of the neighbours'
-        ratings of it. No neighbours, no scores: the list is empty.
+        ratings of it. No neighbours, no scores: None.
         """
-        if n <= 0:
-            return []
-        hood = self.neighbors(view, target, k)
+        hood = self.neighbors(view, target)
         if not hood:
-            return []
+            return None
         ratings = view.ratings
         weighted = [0.0] * len(self.catalog)
         for user_id, sim in hood:
             for i in _positives(ratings[user_id]):
                 weighted[i] += sim
         total = sum(sim for _, sim in hood)
-        actions = self.catalog.actions
-        if n == 1:
-            best = _best_index(weighted, total)
-            return [(actions[best], weighted[best] / total)]
-        scores = [w / total for w in weighted]
-        # nlargest keeps the first of equal scores, so ties go to the lower index
-        ranked = heapq.nlargest(n, range(len(scores)), key=scores.__getitem__)
-        return [(actions[i], scores[i]) for i in ranked]
+        best = _best_index(weighted, total)
+        return self.catalog.actions[best], weighted[best] / total
 
     def _popular_item(self, view: View, target: str) -> Optional[ActionId]:
         """The item most other users in the view rated 1, ties by item index.
@@ -232,17 +219,17 @@ class TransactionStore:
         """Top-1 recommendation for the situation, walking granularities.
 
         Tries the situation's views most specific first, until one yields
-        advice. In each view, the advice is the best-scored item over the
-        target's neighbours. Popularity answers exactly when no other user
-        in the view shares a positive item with the target, which includes
-        a target with no positive rating in the view (the cold-start rule):
-        then the advice is the item most other users there rated 1. A view
-        that gives neither passes to the next level.
+        advice. In each view, the advice is `top_n`'s item, without its score.
+        Popularity answers exactly when no other user in the view shares a
+        positive item with the target, which includes a target with no
+        positive rating in the view (the cold-start rule): then the advice
+        is the item most other users there rated 1. A view that gives
+        neither passes to the next level.
         """
         for view in self._views(s):
-            top = self.top_n(view, target, 1)
-            if top:
-                return top[0][0]
+            top = self.top_n(view, target)
+            if top is not None:
+                return top[0]
             fallback = self._popular_item(view, target)
             if fallback is not None:
                 return fallback

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .context import (COGNITIVE_KINDS, CalendarEntry, CognitiveAction, ContextModel,
@@ -81,13 +81,14 @@ class UserProfile:
             raise ValueError("group_affinity must be in [0, 1]")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DriftOp:
+    """A scheduled row rewrite; frozen, so a scenario's worlds share its ops."""
+
     step: int
     op: str
     target: str  # user id or group id
     scope: Optional[SituationKey] = None  # None for every situation of the target
-    applied: bool = False
 
     def __post_init__(self):
         if self.op not in DRIFT_OPS:
@@ -101,11 +102,12 @@ class WorldModel:
     # (user_id, level-0 key) -> per-item acceptance probability, packed
     relevance: dict[tuple[str, SituationKey], array]
     prototypes: dict[SituationKey, array]  # a key names its group
-    drift_schedule: list[DriftOp]
+    drift_schedule: tuple[DriftOp, ...]  # by step
     day_length: int
     seed: int
     context: ContextModel
     drift_rng: random.Random = field(repr=False, default_factory=random.Random)
+    drift_fired: int = 0  # apply_drift has fired this many ops, the schedule's first
     _by_id: dict[str, UserProfile] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -245,19 +247,17 @@ def _habit(entry, group: str, context: ContextModel) -> Habit:
 
 def _drift_op(entry, users: Sequence[UserProfile]) -> DriftOp:
     check_keys(entry, _DRIFT_KEYS - {"scope"}, _DRIFT_KEYS, "drift entry")
-    op = DriftOp(json_int(entry, "step", 0), entry["op"], entry["target"])
+    step, target = json_int(entry, "step", 0), entry["target"]
     # a drift op that would touch no row is a mistake, not a no-op
-    members = [u for u in users if op.target in (u.user_id, u.social_group)]
+    members = [u for u in users if target in (u.user_id, u.social_group)]
     if not members:
-        raise ValueError(f"drift target {op.target!r} names no user or group")
+        raise ValueError(f"drift target {target!r} names no user or group")
     scope = entry.get("scope", "all")
-    if scope != "all":
-        scopes = {h.situation.canonical(): h.situation for h in members[0].routine}
-        op.scope = scopes.get(scope)
-        if op.scope is None:
-            raise ValueError(f"drift scope {scope!r} is neither 'all' nor a "
-                             f"situation of {op.target!r}'s routine")
-    return op
+    scopes = {h.situation.canonical(): h.situation for h in members[0].routine}
+    if scope != "all" and scope not in scopes:
+        raise ValueError(f"drift scope {scope!r} is neither 'all' nor a "
+                         f"situation of {target!r}'s routine")
+    return DriftOp(step, entry["op"], target, None if scope == "all" else scopes[scope])
 
 
 def parse_scenario(raw: dict, context: ContextModel) -> Scenario:
@@ -306,7 +306,7 @@ def world_from_scenario(scenario: Scenario, seed: int) -> WorldModel:
     return WorldModel(users=list(scenario.users),
                       catalog=ActionCatalog([f"doc{i:02d}" for i in range(scenario.n_items)]),
                       relevance=relevance, prototypes=prototypes,
-                      drift_schedule=[replace(op) for op in scenario.drift],
+                      drift_schedule=scenario.drift,
                       day_length=scenario.day_length, seed=seed, context=scenario.context,
                       drift_rng=random.Random(seed * _SEED_SPREAD + _STREAM_DRIFT))
 
@@ -388,13 +388,15 @@ def _scoped_rows(world: WorldModel, op: DriftOp) -> list[tuple[UserProfile, Situ
 
 
 def apply_drift(world: WorldModel, step: int) -> int:
-    """Execute every not-yet-applied drift op scheduled at or before `step`."""
-    fired = 0
-    for op in world.drift_schedule:
-        if op.applied or op.step > step:
-            continue
-        op.applied = True
-        fired += 1
+    """Fire the world's unfired drift ops scheduled at or before `step`, in
+    step order, and return how many fired; the schedule is step-sorted, so
+    the ops due now follow its first `world.drift_fired`."""
+    schedule = world.drift_schedule
+    start = end = world.drift_fired
+    while end < len(schedule) and schedule[end].step <= step:
+        end += 1
+    world.drift_fired = end
+    for op in schedule[start:end]:
         if op.op == "SwapTopItems":
             for profile, key in _scoped_rows(world, op):
                 row = world.relevance[(profile.user_id, key)]
@@ -412,7 +414,7 @@ def apply_drift(world: WorldModel, step: int) -> int:
                     redrawn.add(key)
                 world.relevance[(profile.user_id, key)] = _mix_row(
                     world.prototypes[key], rng, profile.group_affinity)
-    return fired
+    return end - start
 
 
 # ---------------------------------------------------------------------------

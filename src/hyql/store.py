@@ -113,9 +113,7 @@ def read_action_history(dirpath: str | Path, steps: int) -> list[StepRecord]:
     filename, columns = _FILES["actions"]
     n_fields = columns.count("\t") + 1
     path = Path(dirpath) / filename
-    if not path.exists():
-        raise StoreParseError(path, 0, "missing store file")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_run_file(path).splitlines()
     if not lines or not lines[0].startswith(f"# hyql-store v{SCHEMA_VERSION} actions:"):
         raise StoreParseError(path, 1, "missing or wrong schema header")
     trace: list[StepRecord] = []
@@ -140,6 +138,16 @@ def read_action_history(dirpath: str | Path, steps: int) -> list[StepRecord]:
         raise StoreParseError(path, len(lines) + 1,
                               f"trace ends after {len(trace)} of {steps} steps")
     return trace
+
+
+def read_run_file(path: Path) -> str:
+    """A run file's text; StoreParseError at line 0 unless it reads as UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise StoreParseError(path, 0, "missing store file") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise StoreParseError(path, 0, f"unreadable store file: {exc}") from None
 
 
 def _write(directory: Path, part: str, lines) -> None:

@@ -78,8 +78,8 @@ class TestRetrieve:
         base = CaseBase(context)
         base.retain(skey(cognitive="Call"), {"a0": 2.0}, visits=5,
                     mean_reward=0.9, user_id="u0", step=10)
-        assert base.similarity(skey(cognitive="Navigate"), skey(cognitive="Call")) \
-            == 0.75 < RETRIEVAL_THRESHOLD
+        assert case_similarity(skey(cognitive="Navigate"), skey(cognitive="Call"),
+                               context) == 0.75 < RETRIEVAL_THRESHOLD
         assert base.retrieve(skey(cognitive="Navigate")) is None
 
     def test_matches_linear_scan_oracle(self, context):
@@ -181,7 +181,7 @@ class TestRetain:
 
     def test_problems_differing_only_in_granularity_are_two_cases(self, context):
         base = CaseBase(context)
-        assert base.similarity(skey(granularity=0), skey(granularity=1)) == 1.0
+        assert case_similarity(skey(granularity=0), skey(granularity=1), context) == 1.0
         base.retain(skey(granularity=0), {"a0": 1.0}, visits=5, mean_reward=0.5,
                     user_id="u0", step=1)
         base.retain(skey(granularity=1), {"a0": 2.0}, visits=5, mean_reward=0.5,

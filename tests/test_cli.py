@@ -129,6 +129,48 @@ class TestReport:
         assert f"{path}:0: missing store file" in capsys.readouterr().err
 
 
+def make_unreadable(path, kind):
+    """Append a byte that is not UTF-8 to the file, or put a directory in its place."""
+    if kind == "non-utf8":
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+    else:
+        path.unlink()
+        path.mkdir()
+
+
+@pytest.mark.parametrize("kind", ["non-utf8", "directory"])
+@pytest.mark.parametrize("command, name", [
+    ("report", "metrics.csv"), ("verify", "metrics.csv"),
+    ("verify", "runs/HyQL/1000/history_actions.tsv")])
+def test_unreadable_run_file_exits_3(run_copy, capsys, command, name, kind):
+    path = run_copy / name
+    make_unreadable(path, kind)
+    assert main([command, str(run_copy)]) == EXIT_MISMATCH
+    assert f"{path}:0: unreadable store file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["non-utf8", "directory"])
+@pytest.mark.parametrize("name", ["spec", "scenario"])
+def test_unreadable_spec_or_scenario_exits_2_before_writing(tmp_path, capsys, name, kind):
+    spec = write_spec(tmp_path, scenario={})
+    make_unreadable(tmp_path / f"{name}.json", kind)
+    out = tmp_path / "out"
+    assert main(["run", str(spec), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    assert f"cannot read {name} file {tmp_path / name}.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+def test_out_at_or_under_a_file_exits_2_before_writing(tmp_path, capsys, under):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n", encoding="utf-8")
+    out = blocker / "out" if under else blocker
+    assert main(["run", str(write_spec(tmp_path)), "--out", str(out)]) == EXIT_CONFIG
+    assert blocker.read_text(encoding="utf-8") == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "spec.json"]
+    assert f"cannot create output directory {out}" in capsys.readouterr().err
+
+
 HYQL = {"name": "HyQL", "variant": "HyQL"}
 
 

@@ -12,6 +12,7 @@ from hyql.qlearn import ActionCatalog, CatalogError
 
 ITEMS = ["a", "b", "c", "d", "e"]
 CATALOG = ActionCatalog(ITEMS)
+INDEX = {item: i for i, item in enumerate(ITEMS)}
 
 
 def skey(place="Office", cognitive="Navigate", bucket=("Morning", "Weekday", "Free"),
@@ -58,6 +59,13 @@ def oracle_top_n(vectors, target, n, k, items, index):
         scored.append((item, weighted / total))
     scored.sort(key=lambda p: (-p[1], index[p[0]]))
     return scored[:n]
+
+
+def oracle_top(vectors, target, items, index):
+    """What top_n gives: the oracle's best (item, score) over 10 neighbours,
+    or None when it has none."""
+    top = oracle_top_n(vectors, target, 1, 10, items, index)
+    return top[0] if top else None
 
 
 def oracle_popular(vectors, target, items):
@@ -120,9 +128,10 @@ def store_of_rows(context, catalog, rows):
     return store
 
 
-def predicted(store, target, item):
-    """The store's predicted rating of one item at level 0, or None."""
-    return dict(store.top_n(view_of(store), target, len(CATALOG))).get(item)
+def top_and_oracle(store, target, users):
+    """top_n of the target in S's level-0 view, and the oracle's answer."""
+    vectors = {user: positive_items(store, user, S) for user in users}
+    return store.top_n(view_of(store), target), oracle_top(vectors, target, ITEMS, INDEX)
 
 
 class TestRecordImplicit:
@@ -189,10 +198,6 @@ class TestNeighbors:
         store = store_with(context, [("u1", "a", True), ("u2", "a", True)])
         assert store.neighbors(view_of(store), "stranger") == []
 
-    def test_k_zero(self, context):
-        store = store_with(context, [("u1", "a", True), ("u2", "a", True)])
-        assert store.neighbors(view_of(store), "u1", k=0) == []
-
     def test_four_user_store_matches_oracle(self, context):
         rng = random.Random(11)
         for _ in range(50):
@@ -201,9 +206,8 @@ class TestNeighbors:
             store = store_with(context, ratings)
             vectors = {u: positive_items(store, u, S) for u in [f"u{i}" for i in range(4)]}
             for target in vectors:
-                for k in (1, 2, 10):
-                    assert store.neighbors(view_of(store), target, k) == \
-                        oracle_neighbors(vectors, target, k, ITEMS)
+                assert store.neighbors(view_of(store), target) == \
+                    oracle_neighbors(vectors, target, 10, ITEMS)
 
 
     def test_independent_of_insertion_order(self, context):
@@ -217,15 +221,17 @@ class TestNeighbors:
         rows["u007"] = (0, 1)  # rated something, but nothing 1
         vectors = {user: {items[i]: 1.0 for i in range(70) if bits >> i & 1}
                    for user, (bits, _) in rows.items()}
+        # more users tie at the cut than fit in it
+        everyone = oracle_neighbors(vectors, "u000", len(rows), items)
+        assert everyone[9][1] == everyone[10][1]
         for target in ("u000", "u007", "u031", "stranger"):
-            expected = {k: oracle_neighbors(vectors, target, k, items) for k in (1, 3, 10, 100)}
+            want = oracle_neighbors(vectors, target, 10, items)
             for order in (sorted(rows), sorted(rows, reverse=True),
                           rng.sample(sorted(rows), len(rows))):
                 store = store_of_rows(context, catalog, {user: rows[user] for user in order})
                 view = view_of(store)
                 assert list(view.ratings) == order
-                for k, want in expected.items():
-                    assert store.neighbors(view, target, k) == want
+                assert store.neighbors(view, target) == want
 
 
 def oracle_popular_index(rows, target, n_items):
@@ -306,47 +312,45 @@ class TestPopularItem:
 
 
 class TestPredictRating:
-    """The score top_n gives an item: the similarity-weighted mean rating."""
+    """The score top_n gives its item: the similarity-weighted mean rating."""
 
     def test_single_perfect_neighbor(self, context):
         store = store_with(context, [("t", "a", True), ("n", "a", True), ("n", "d", True)])
-        # n's vector {a, d}: sim(t, n) = 1/sqrt(2); only neighbor
-        assert predicted(store, "t", "d") == pytest.approx(1.0)
+        # n's vector {a, d}: sim(t, n) = 1/sqrt(2); only neighbor, so a and d
+        # both score 1.0 and a wins by index
+        assert top_and_oracle(store, "t", ["t", "n"]) == (("a", 1.0), ("a", 1.0))
         assert len(store.neighbors(view_of(store), "t")) == 1
 
     def test_hand_weighted_mean(self, context):
-        # target {a,b}; n_full {a,b} sim 1.0 rates d=0; n_half {a,d} sim 0.5
-        # rates d=1 -> (1.0*0 + 0.5*1) / 1.5 = 1/3
+        # target {a,b}; n_full {a,b} sim 1.0; n_ac {a,c} and n_bc {b,c} sim 0.5
+        # each -> a: (1.0 + 0.5) / 2.0 = 3/4, b the same, c: 1.0 / 2.0 = 1/2;
+        # a wins the tie by index
         store = store_with(context, [
             ("t", "a", True), ("t", "b", True),
             ("n_full", "a", True), ("n_full", "b", True),
-            ("n_half", "a", True), ("n_half", "d", True),
+            ("n_ac", "a", True), ("n_ac", "c", True),
+            ("n_bc", "b", True), ("n_bc", "c", True),
         ])
-        assert predicted(store, "t", "d") == pytest.approx(1 / 3, abs=0)
-        assert len(store.neighbors(view_of(store), "t")) == 2
+        users = ["t", "n_full", "n_ac", "n_bc"]
+        assert top_and_oracle(store, "t", users) == (("a", 0.75), ("a", 0.75))
+        assert len(store.neighbors(view_of(store), "t")) == 3
 
     def test_no_neighbors_gives_none(self, context):
         store = store_with(context, [("t", "a", True), ("n", "b", True)])
-        assert predicted(store, "t", "d") is None
+        assert top_and_oracle(store, "t", ["t", "n"]) == (None, None)
 
 
 class TestTopN:
-    def test_n_zero(self, context):
-        store = store_with(context, [("t", "a", True), ("n", "a", True)])
-        assert store.top_n(view_of(store), "t", 0) == []
-
     def test_small_store_matches_oracle(self, context):
         rng = random.Random(12)
-        index = {item: i for i, item in enumerate(ITEMS)}
         for _ in range(60):
             users = [f"u{i}" for i in range(3)]
             ratings = [(u, item, rng.random() < 0.5)
                        for u in users for item in ITEMS[:4] if rng.random() < 0.8]
             store = store_with(context, ratings)
-            vectors = {u: positive_items(store, u, S) for u in users}
             for target in users:
-                assert store.top_n(view_of(store), target, 4) == \
-                    oracle_top_n(vectors, target, 4, 10, ITEMS, index)
+                got, want = top_and_oracle(store, target, users)
+                assert got == want
 
 
 class TestBestIndex:
@@ -405,7 +409,7 @@ class TestAdviseAction:
         # level-0 scope (Office) is empty; level-1 scope (Paris) has the data
         assert store.advise_action("newcomer", target_key) == "b"
         # per-level brute force: level 0 view empty, level 1 view holds b
-        assert store.top_n(view_of(store, target_key), "newcomer", 1) == []
+        assert store.top_n(view_of(store, target_key), "newcomer") is None
         assert positive_items(store, "u0", target_key, 0) == {}
         assert positive_items(store, "u0", target_key, 1) == {"b": 1.0}  # visible at the city level
 
@@ -546,12 +550,10 @@ class TestStoreMatchesOracles:
                     assert positive_items(store, target, s, level) == {
                         item: 1.0 for item, rating in vectors.get(target, {}).items()
                         if rating == 1.0}
-                    for k in (2, 10):
-                        assert store.neighbors(view, target, k) == \
-                            oracle_neighbors(vectors, target, k, items)
-                        for n in (1, 5, len(items)):
-                            assert store.top_n(view, target, n, k) == \
-                                oracle_top_n(vectors, target, n, k, items, index)
+                    assert store.neighbors(view, target) == \
+                        oracle_neighbors(vectors, target, 10, items)
+                    assert store.top_n(view, target) == \
+                        oracle_top(vectors, target, items, index)
             for target in targets:
                 assert store.advise_action(target, s) == \
                     oracle_advise(views, target, s, items, index, context)
@@ -560,9 +562,9 @@ class TestStoreMatchesOracles:
 def oracle_advise(views, target, s, items, index, context):
     for level in range(context.depth + 1):
         vectors = views.get((level, context.generalize(s, level)), {})
-        top = oracle_top_n(vectors, target, 1, 10, items, index)
-        if top:
-            return top[0][0]
+        top = oracle_top(vectors, target, items, index)
+        if top is not None:
+            return top[0]
         popular = oracle_popular(vectors, target, items)
         if popular is not None:
             return popular

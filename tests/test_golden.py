@@ -85,6 +85,14 @@ def test_outputs_match_the_pinned_hashes(golden_out):
     assert _digests(out) == GOLDEN
 
 
+def test_the_run_writes_its_metrics_configs_and_store_files_only(golden_out):
+    _, out = golden_out
+    store_files = ("history_actions.tsv", "history_events.tsv", "preferences.tsv")
+    assert {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()} == \
+        {"metrics.csv", "scenario.json", "spec.json"} | {
+            f"runs/{variant}/{SEED}/{name}" for variant in VARIANTS for name in store_files}
+
+
 def test_parallel_run_writes_the_same_bytes(golden_out):
     root, out = golden_out
     parallel = root / "parallel"

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import random
 import re
@@ -261,6 +262,29 @@ class TestDrift:
         assert apply_drift(world, 6) == 0
         assert exact_rows(world) == snapshot
 
+    def test_a_call_at_an_earlier_step_fires_nothing(self):
+        world = small_world(seed=12, n_users=1, n_items=3, drift=[swap(5), swap(9)])
+        assert apply_drift(world, 5) == 1
+        snapshot = exact_rows(world)
+        assert apply_drift(world, 3) == 0
+        assert exact_rows(world) == snapshot
+        assert apply_drift(world, 9) == 1
+        assert exact_rows(world) != snapshot
+
+    def test_two_ops_at_one_step_fire_in_one_call(self):
+        world = small_world(seed=16, drift=[swap(5), swap(5)])
+        before = exact_rows(world)
+        assert apply_drift(world, 4) == 0
+        assert apply_drift(world, 5) == 2
+        # the second swap puts back every best and worst item the first swapped
+        assert exact_rows(world) == before
+        assert apply_drift(world, 5) == 0
+
+    def test_a_drift_op_is_frozen(self):
+        op = small_world(seed=16, drift=[swap(5)]).drift_schedule[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op.step = 0
+
     def test_swap_moves_argmax_when_best_differs_from_worst(self):
         world = small_world(seed=13, drift=[swap(0)])
         before = {k: list(v) for k, v in world.relevance.items()}
@@ -282,7 +306,7 @@ class TestDrift:
     def test_scoped_drift_touches_only_scope(self):
         world = small_world(seed=15)
         key = situations(world, "u00")[0]
-        world.drift_schedule = [DriftOp(0, "SwapTopItems", "u00", key)]
+        world.drift_schedule = (DriftOp(0, "SwapTopItems", "u00", key),)
         before = exact_rows(world)
         apply_drift(world, 0)
         for k, row in world.relevance.items():
@@ -457,11 +481,14 @@ class TestScenario:
         assert world_from_scenario(parsed, 3).relevance == \
             world_from_scenario(parsed, 3).relevance
 
-    def test_each_world_applies_its_own_drift_copies(self, canonical_scenario, context):
+    def test_worlds_of_one_scenario_drift_independently(self, canonical_scenario, context):
         parsed = parse_scenario(canonical_scenario, context)
-        first = world_from_scenario(parsed, 3)
+        first, second = world_from_scenario(parsed, 3), world_from_scenario(parsed, 3)
+        assert first.drift_schedule is second.drift_schedule is parsed.drift
+        before = exact_rows(second)
         assert apply_drift(first, 1000) == 1
-        second = world_from_scenario(parsed, 3)
-        assert not any(op.applied for op in parsed.drift + tuple(second.drift_schedule))
+        assert exact_rows(first) != before
+        assert exact_rows(second) == before
         assert apply_drift(second, 1000) == 1
-        assert second.relevance == first.relevance
+        assert exact_rows(second) == exact_rows(first)
+        assert apply_drift(first, 2000) == apply_drift(second, 2000) == 0
