@@ -124,7 +124,7 @@ def _read_json(path: Path, what: str):
         raise ConfigError(f"cannot read {what} file {path}: {exc}") from None
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"{what} is not valid JSON: {exc}") from None
 
 

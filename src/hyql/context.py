@@ -6,8 +6,8 @@ Time buckets come from fixed hour boundaries on a simulated local clock
 (day 0 is a Monday). Places come from a static gazetteer of bounding
 regions with a parent hierarchy (place -> city -> root), which replaces
 any live reverse-geocoding service so that runs stay deterministic and
-offline. Missing sensor fields map to an explicit "Unknown" sentinel so
-every event yields a usable situation.
+offline. Every event carries a position and a cognitive action; only the
+calendar entry may be absent.
 
 Every layer indexes by situation, so situation keys are interned: a
 `ContextModel` hands out one shared `SituationKey` per distinct situation,
@@ -31,10 +31,6 @@ PARTS_OF_DAY = ("Morning", "Afternoon", "Evening", "Night")
 DAY_CLASSES = ("Weekday", "Weekend")
 CALENDAR_STATES = ("InMeeting", "Free")
 COGNITIVE_KINDS = ("Navigate", "SendEmail", "Call", "OpenFolder")
-PLACE_TYPES = ("Home", "Office", "ClientSite", "Transit", "Other")
-
-UNKNOWN_PLACE = "Unknown"
-UNKNOWN_COGNITIVE = "Unknown"
 
 # The hours of each part of the day, [start, end): abstract_time reads them
 # through _PART_OF_HOUR, and the simulator draws a bucket's timestamps from them.
@@ -122,43 +118,35 @@ class CognitiveAction:
 
 @dataclass(frozen=True, slots=True)
 class RawEvent:
-    """One multi-sensor observation of a user.
-
-    At least one of geo / cognitive / calendar_entry must be present.
-    """
+    """One multi-sensor observation of a user: a (lat, lon) position, a
+    cognitive action and, during a meeting, a calendar entry."""
 
     user_id: str
     timestamp: int
-    geo: Optional[tuple[float, float]] = None
-    cognitive: Optional[CognitiveAction] = None
+    geo: tuple[float, float]
+    cognitive: CognitiveAction
     calendar_entry: Optional[CalendarEntry] = None
 
     def __post_init__(self):
         if self.timestamp < 0:
             raise ValueError("timestamp must be >= 0")
-        if self.geo is not None:
-            lat, lon = self.geo
-            if not (-90.0 <= lat <= 90.0):
-                raise ValueError(f"latitude out of range: {lat}")
-            if not (-180.0 <= lon <= 180.0):
-                raise ValueError(f"longitude out of range: {lon}")
-        if self.geo is None and self.cognitive is None and self.calendar_entry is None:
-            raise ValueError("event carries no sensor payload")
+        lat, lon = self.geo
+        if not (-90.0 <= lat <= 90.0):
+            raise ValueError(f"latitude out of range: {lat}")
+        if not (-180.0 <= lon <= 180.0):
+            raise ValueError(f"longitude out of range: {lon}")
 
 
 @dataclass(frozen=True)
 class PlaceNode:
-    """A gazetteer entry: named region with a parent and a centroid."""
+    """A gazetteer entry: a named bounding box inside its parent's region."""
 
     name: str
-    place_type: str
     parent: Optional[str]  # parent place name, None for the root
     lat_min: float
     lat_max: float
     lon_min: float
     lon_max: float
-    centroid_lat: float
-    centroid_lon: float
 
     def contains(self, lat: float, lon: float) -> bool:
         return (self.lat_min <= lat <= self.lat_max
@@ -171,8 +159,8 @@ class SituationKey:
 
     `granularity` is the effective place level actually used (0 = most
     specific). Lifting a key whose place chain is shorter than the asked
-    level clamps at the chain end, so the Unknown sentinel stays at
-    level 0 at every granularity.
+    level clamps at the chain end, the root: a key at the root place stays
+    at level 0 at every granularity.
 
     The hash is computed once, in `__post_init__`. String hashes differ
     between interpreters, so a pickled key is rebuilt through the
@@ -240,23 +228,21 @@ def abstract_time(timestamp: int, calendar: Iterable[CalendarEntry] = ()) -> Tim
 
 
 def parse_gazetteer(lines: Iterable[str], source: str = "<gazetteer>") -> list[PlaceNode]:
-    """Parse `name,type,parent,lat_min,lat_max,lon_min,lon_max,clat,clon` lines."""
+    """Parse `name,parent,lat_min,lat_max,lon_min,lon_max` lines; an empty
+    parent marks the root."""
     nodes = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         fields = [f.strip() for f in line.split(",")]
-        if len(fields) != 9:
-            raise GazetteerError(f"{source}:{lineno}: expected 9 fields, got {len(fields)}")
-        name, ptype, parent = fields[0], fields[1], fields[2] or None
-        if ptype not in PLACE_TYPES:
-            raise GazetteerError(f"{source}:{lineno}: unknown place type {ptype!r}")
+        if len(fields) != 6:
+            raise GazetteerError(f"{source}:{lineno}: expected 6 fields, got {len(fields)}")
         try:
-            numbers = [float(f) for f in fields[3:]]
+            numbers = [float(f) for f in fields[2:]]
         except ValueError as exc:
             raise GazetteerError(f"{source}:{lineno}: {exc}") from None
-        nodes.append(PlaceNode(name, ptype, parent, *numbers))
+        nodes.append(PlaceNode(fields[0], fields[1] or None, *numbers))
     return nodes
 
 
@@ -270,14 +256,12 @@ class ContextModel:
         for node in nodes:
             if node.name in self.nodes:
                 raise GazetteerError(f"duplicate place name {node.name!r}")
-            if node.name == UNKNOWN_PLACE:
-                raise GazetteerError(f"{UNKNOWN_PLACE!r} is a reserved place name")
             self.nodes[node.name] = node
         roots = [n.name for n in nodes if n.parent is None]
         if len(roots) != 1:
             raise GazetteerError(f"expected exactly one root place, found {roots}")
         self.root = roots[0]
-        self._chains: dict[str, tuple[str, ...]] = {UNKNOWN_PLACE: (UNKNOWN_PLACE,)}
+        self._chains: dict[str, tuple[str, ...]] = {}
         for node in nodes:
             chain = [node.name]
             seen = {node.name}
@@ -309,7 +293,8 @@ class ContextModel:
         return cls.from_file(path)
 
     def place_chain(self, name: str) -> tuple[str, ...]:
-        """Names from the node up to the root; ("Unknown",) for the sentinel."""
+        """Names from the node up to the root; GazetteerError for a name the
+        gazetteer lacks."""
         try:
             return self._chains[name]
         except KeyError:
@@ -319,19 +304,16 @@ class ContextModel:
         """Reverse geocode against the gazetteer.
 
         Deepest containing region wins; same-depth ties go to the
-        lexicographically smaller name; with no containing region at all,
-        fall back to the nearest centroid (ties again by name).
+        lexicographically smaller name. A point no region contains raises
+        GazetteerError: a root that covers the globe, as the built-in one
+        does, contains every valid point.
         """
         if not (-90.0 <= lat <= 90.0) or not (-180.0 <= lon <= 180.0):
             raise ValueError(f"invalid coordinates ({lat}, {lon})")
         for node in self._scan:
             if node.contains(lat, lon):
                 return node
-
-        def dist2(node: PlaceNode) -> float:
-            return (node.centroid_lat - lat) ** 2 + (node.centroid_lon - lon) ** 2
-
-        return min(self.nodes.values(), key=lambda n: (dist2(n), n.name))
+        raise GazetteerError(f"no gazetteer region contains ({lat}, {lon})")
 
     def situation(self, time: TimeBucket, place: str, social_group: str,
                   cognitive: str, granularity: int) -> SituationKey:
@@ -347,12 +329,8 @@ class ContextModel:
         `generalize` lifts it to a coarser level."""
         calendar = (event.calendar_entry,) if event.calendar_entry else ()
         bucket = abstract_time(event.timestamp, calendar)
-        if event.geo is not None:
-            place = self.abstract_location(*event.geo).name
-        else:
-            place = UNKNOWN_PLACE
-        cognitive = event.cognitive.kind if event.cognitive is not None else UNKNOWN_COGNITIVE
-        return self.situation(bucket, place, social_group, cognitive, 0)
+        place = self.abstract_location(*event.geo).name
+        return self.situation(bucket, place, social_group, event.cognitive.kind, 0)
 
     def generalize(self, key: SituationKey, level: int) -> SituationKey:
         """Lift a key's place to `level`, clamping at its chain end."""

@@ -6,8 +6,9 @@ vector per situation; a user's vector mixes the prototype with personal
 noise through the group affinity, so colleagues want roughly the same
 things. Both are packed `array('d')` rows, which hold the same doubles a
 list of floats would, bit for bit, at a quarter of the memory. Rewards are
-Bernoulli acceptances. Scheduled drift operations rewrite the probability
-rows mid-run, which is what the recommender has to track.
+Bernoulli acceptances. A scheduled drift op swaps the best and the worst
+item of each row it touches, in place, mid-run, which is what the
+recommender has to track.
 
 A scenario config (a JSON object) defines the world, and this module is
 the only one that knows its format. `parse_scenario` checks a config once,
@@ -34,10 +35,8 @@ from typing import Optional, Sequence
 
 from .context import (COGNITIVE_KINDS, CalendarEntry, CognitiveAction, ContextModel,
                       HOUR_RANGES, RawEvent, SECONDS_PER_DAY, SECONDS_PER_HOUR,
-                      UNKNOWN_PLACE, SituationKey, time_bucket)
+                      SituationKey, time_bucket)
 from .qlearn import ActionCatalog, ActionId
-
-DRIFT_OPS = ("SwapTopItems", "ResampleRow")
 
 # the keys of a scenario config (and those it may omit), of a habit, of a drift entry
 SCENARIO_KEYS = frozenset({"name", "users", "groups", "items", "affinity", "routines",
@@ -53,7 +52,6 @@ _STREAM_BUILD = 0
 _STREAM_EVENTS = 1
 _STREAM_REWARDS = 2
 _STREAM_BACKGROUND = 3
-_STREAM_DRIFT = 4
 _SEED_SPREAD = 1_000_003
 
 
@@ -83,30 +81,27 @@ class UserProfile:
 
 @dataclass(frozen=True)
 class DriftOp:
-    """A scheduled row rewrite; frozen, so a scenario's worlds share its ops."""
+    """A scheduled swap of the best and the worst item in each scoped row of
+    its target ("SwapTopItems"); frozen, so a scenario's worlds share its ops."""
 
     step: int
-    op: str
     target: str  # user id or group id
     scope: Optional[SituationKey] = None  # None for every situation of the target
-
-    def __post_init__(self):
-        if self.op not in DRIFT_OPS:
-            raise ValueError(f"unknown drift op {self.op!r}")
 
 
 @dataclass
 class WorldModel:
+    """One seed's drawn world: the users, the catalog and every relevance
+    row, which `apply_drift` rewrites in place as its schedule comes due."""
+
     users: list[UserProfile]
     catalog: ActionCatalog
     # (user_id, level-0 key) -> per-item acceptance probability, packed
     relevance: dict[tuple[str, SituationKey], array]
-    prototypes: dict[SituationKey, array]  # a key names its group
     drift_schedule: tuple[DriftOp, ...]  # by step
     day_length: int
     seed: int
     context: ContextModel
-    drift_rng: random.Random = field(repr=False, default_factory=random.Random)
     drift_fired: int = 0  # apply_drift has fired this many ops, the schedule's first
     _by_id: dict[str, UserProfile] = field(init=False, repr=False, compare=False)
 
@@ -234,7 +229,7 @@ def _habit(entry, group: str, context: ContextModel) -> Habit:
     check_keys(entry, _HABIT_KEYS, _HABIT_KEYS, "routine habit")
     place = entry["place"]
     context.place_chain(place)  # raises on an unknown place
-    if place == UNKNOWN_PLACE or any(node.parent == place for node in context.nodes.values()):
+    if any(node.parent == place for node in context.nodes.values()):
         raise ValueError(f"routine place {place!r} is not a leaf place of the gazetteer")
     if entry["cognitive"] not in COGNITIVE_KINDS:
         raise ValueError(f"unknown cognitive kind {entry['cognitive']!r}")
@@ -247,6 +242,8 @@ def _habit(entry, group: str, context: ContextModel) -> Habit:
 
 def _drift_op(entry, users: Sequence[UserProfile]) -> DriftOp:
     check_keys(entry, _DRIFT_KEYS - {"scope"}, _DRIFT_KEYS, "drift entry")
+    if entry["op"] != "SwapTopItems":
+        raise ValueError(f"unknown drift op {entry['op']!r}")
     step, target = json_int(entry, "step", 0), entry["target"]
     # a drift op that would touch no row is a mistake, not a no-op
     members = [u for u in users if target in (u.user_id, u.social_group)]
@@ -257,7 +254,7 @@ def _drift_op(entry, users: Sequence[UserProfile]) -> DriftOp:
     if scope != "all" and scope not in scopes:
         raise ValueError(f"drift scope {scope!r} is neither 'all' nor a "
                          f"situation of {target!r}'s routine")
-    return DriftOp(step, entry["op"], target, None if scope == "all" else scopes[scope])
+    return DriftOp(step, target, None if scope == "all" else scopes[scope])
 
 
 def parse_scenario(raw: dict, context: ContextModel) -> Scenario:
@@ -305,10 +302,8 @@ def world_from_scenario(scenario: Scenario, seed: int) -> WorldModel:
 
     return WorldModel(users=list(scenario.users),
                       catalog=ActionCatalog([f"doc{i:02d}" for i in range(scenario.n_items)]),
-                      relevance=relevance, prototypes=prototypes,
-                      drift_schedule=scenario.drift,
-                      day_length=scenario.day_length, seed=seed, context=scenario.context,
-                      drift_rng=random.Random(seed * _SEED_SPREAD + _STREAM_DRIFT))
+                      relevance=relevance, drift_schedule=scenario.drift,
+                      day_length=scenario.day_length, seed=seed, context=scenario.context)
 
 
 # ---------------------------------------------------------------------------
@@ -389,31 +384,20 @@ def _scoped_rows(world: WorldModel, op: DriftOp) -> list[tuple[UserProfile, Situ
 
 def apply_drift(world: WorldModel, step: int) -> int:
     """Fire the world's unfired drift ops scheduled at or before `step`, in
-    step order, and return how many fired; the schedule is step-sorted, so
-    the ops due now follow its first `world.drift_fired`."""
+    step order, each swapping its rows' best and worst item in place, and
+    return how many fired; the schedule is step-sorted, so the ops due now
+    follow its first `world.drift_fired`."""
     schedule = world.drift_schedule
     start = end = world.drift_fired
     while end < len(schedule) and schedule[end].step <= step:
         end += 1
     world.drift_fired = end
     for op in schedule[start:end]:
-        if op.op == "SwapTopItems":
-            for profile, key in _scoped_rows(world, op):
-                row = world.relevance[(profile.user_id, key)]
-                hi = row.index(max(row))
-                lo = row.index(min(row))
-                row[hi], row[lo] = row[lo], row[hi]
-        elif op.op == "ResampleRow":
-            # redraw the prototype once per touched situation, then re-mix
-            # every scoped member with fresh personal noise
-            rng = world.drift_rng
-            redrawn: set[SituationKey] = set()
-            for profile, key in _scoped_rows(world, op):
-                if key not in redrawn:
-                    world.prototypes[key] = _draw_row(rng, len(world.catalog))
-                    redrawn.add(key)
-                world.relevance[(profile.user_id, key)] = _mix_row(
-                    world.prototypes[key], rng, profile.group_affinity)
+        for profile, key in _scoped_rows(world, op):
+            row = world.relevance[(profile.user_id, key)]
+            hi = row.index(max(row))
+            lo = row.index(min(row))
+            row[hi], row[lo] = row[lo], row[hi]
     return end - start
 
 
@@ -466,7 +450,6 @@ class SimEnv:
         rng = self.background_rng
         habits = self._habits
         actions = self.world.catalog.actions
-        # rows are read on every write: a ResampleRow drift replaces them
         relevance = self.world.relevance
         record = self.cf_store.record_implicit
         for _ in range(n_events):

@@ -171,12 +171,10 @@ def _step_from_fields(fields: list[str]) -> StepRecord:
 
 
 def _event_line(step: int, event: RawEvent) -> str:
-    lat = fmt_float(event.geo[0]) if event.geo else ""
-    lon = fmt_float(event.geo[1]) if event.geo else ""
-    kind = event.cognitive.kind if event.cognitive else ""
-    item = (event.cognitive.item or "") if event.cognitive else ""
+    lat, lon = event.geo
     label = event.calendar_entry.label if event.calendar_entry else ""
     start = str(event.calendar_entry.start) if event.calendar_entry else ""
     end = str(event.calendar_entry.end) if event.calendar_entry else ""
     return "\t".join((str(step), event.user_id, str(event.timestamp),
-                      lat, lon, kind, item, label, start, end))
+                      fmt_float(lat), fmt_float(lon), event.cognitive.kind,
+                      event.cognitive.item or "", label, start, end))

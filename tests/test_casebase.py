@@ -10,7 +10,7 @@ from hyql.qlearn import QTable
 BUCKETS = [("Morning", "Weekday", "Free"), ("Afternoon", "Weekday", "InMeeting"),
            ("Evening", "Weekday", "Free"), ("Night", "Weekend", "Free"),
            ("Morning", "Weekend", "Free")]
-PLACES = ["Office", "Home", "Transit", "ClientSite", "Paris", "Unknown"]
+PLACES = ["Office", "Home", "Transit", "ClientSite", "Paris", "Anywhere"]
 GROUPS = ["g0", "g1"]
 COGS = ["Navigate", "SendEmail", "Call", "OpenFolder"]
 
@@ -37,12 +37,14 @@ class TestCaseSimilarity:
         b = skey(cognitive="Call")
         assert case_similarity(a, b, context) == pytest.approx(0.75, abs=0)
 
-    def test_total_mismatch_is_zero(self, context):
-        # Unknown shares no place level with Office; time differs at all
-        # three levels; group and cognitive differ too
+    def test_total_mismatch_scores_only_the_shared_root(self, context):
+        # every two places share the root, 1 of 3 place levels, so the floor
+        # is 0.25 / 3: time differs at all three levels, group and cognitive
+        # differ too, and Office and ClientSite meet only at Anywhere
         a = skey(("Morning", "Weekday", "Free"), "Office", "g0", "Navigate")
-        b = skey(("Evening", "Weekend", "InMeeting"), "Unknown", "g1", "Call")
-        assert case_similarity(a, b, context) == 0.0
+        for place in ("ClientSite", "Anywhere"):
+            b = skey(("Evening", "Weekend", "InMeeting"), place, "g1", "Call")
+            assert case_similarity(a, b, context) == 0.25 * (1 / 3)
 
     def test_partial_place_match_scores_fraction(self, context):
         # Office and Home share Paris and Anywhere: 2 of 3 levels

@@ -4,9 +4,11 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hyql
 import hyql.bench
@@ -160,6 +162,17 @@ def test_unreadable_spec_or_scenario_exits_2_before_writing(tmp_path, capsys, na
     assert f"cannot read {name} file {tmp_path / name}.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["spec", "scenario"])
+def test_deeply_nested_json_exits_2_before_writing(tmp_path, capsys, name):
+    # valid JSON, but past the decoder's recursion limit
+    spec = write_spec(tmp_path, scenario={})
+    (tmp_path / f"{name}.json").write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(spec), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    assert f"{name} is not valid JSON: maximum recursion depth" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
 def test_out_at_or_under_a_file_exits_2_before_writing(tmp_path, capsys, under):
     blocker = tmp_path / "blocker"
@@ -266,6 +279,7 @@ def routines_with_negative_weight():
     {"threshold": {"windw": 3}},
     {"variants": [dict(HYQL, case_max_size=-3)]},
     {"scenario": {"routines": routines_with_repeated_situation()}},
+    {"scenario": {"drift": [{"step": 1000, "op": "ResampleRow", "target": "g0"}]}},
 ], ids=["unknown-override", "p", "alpha", "gamma", "variants-string",
         "variants-object", "metrics-string", "threshold-window", "recovery-window",
         "feature-weights-sum", "retrieval-threshold", "agent-user-not-in-population",
@@ -282,7 +296,7 @@ def routines_with_negative_weight():
         "drift-empty-string", "name-array", "name-number",
         "unjoined-group-weights-sum", "trials-float", "steps-string", "base-seed-bool",
         "trials-zero", "spec-misspelt-key", "threshold-misspelt-key",
-        "case-max-size-negative", "routine-repeated-situation"])
+        "case-max-size-negative", "routine-repeated-situation", "drift-op-resample"])
 def test_bad_spec_exits_2_before_writing(tmp_path, changes):
     out = tmp_path / "out"
     assert main(["run", str(write_spec(tmp_path, **changes)), "--out", str(out)]) \
@@ -341,3 +355,65 @@ def test_serial_run_never_loads_the_process_pool(tmp_path):
                            str(tmp_path / "out")], env=env, capture_output=True,
                           text=True, check=True, timeout=300)
     assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} False False"
+
+
+# Values of a wrong type or out of range, JSON's NaN and infinities among them.
+ODD_VALUES = [None, True, "x", 1.5, -1, [], {}, float("nan"), float("inf"), float("-inf")]
+
+
+def json_object_at(document, path):
+    """The JSON object reached by `path`, or None once a mutation has removed it."""
+    for step in path:
+        try:
+            document = document[step]
+        except (KeyError, IndexError, TypeError):
+            return None
+    return document if isinstance(document, dict) else None
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """The canonical scenario at small sizes with up to three mutations, each
+    at the top level, in a habit or in the drift entry: a key dropped, a value
+    replaced by one of ODD_VALUES, or an unknown key added.
+
+    Counts stay at 50 or below: a count such as 10**30 is valid and would
+    build a huge world.
+    """
+    scenario = load_scenario("canonical")
+    scenario.update(users=draw(st.integers(1, 50)), items=draw(st.integers(1, 50)),
+                    warm_start_events=draw(st.integers(0, 50)),
+                    background_rate=draw(st.integers(0, 50)), agent_user="u00")
+    scenario["drift"][0]["step"] = draw(st.integers(0, 10))
+    paths = ([()] + [("routines", "g0", i) for i in range(len(scenario["routines"]["g0"]))]
+             + [("drift", 0)])
+    for _ in range(draw(st.integers(0, 3))):
+        entry = json_object_at(scenario, draw(st.sampled_from(paths)))
+        kind = draw(st.sampled_from(["drop", "retype", "add"]))
+        if entry is None:
+            continue
+        if kind == "add" or not entry:
+            entry["extra"] = 1
+        elif kind == "drop":
+            del entry[draw(st.sampled_from(sorted(entry)))]
+        else:
+            entry[draw(st.sampled_from(sorted(entry)))] = draw(st.sampled_from(ODD_VALUES))
+    return scenario
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(scenario=mutated_scenarios(), steps=st.integers(1, 10))
+def test_a_mutated_scenario_runs_and_verifies_or_exits_2_before_writing(scenario, steps):
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        (directory / "scenario.json").write_text(json.dumps(scenario), encoding="utf-8")
+        spec = directory / "spec.json"
+        spec.write_text(json.dumps(dict(BASE_SPEC, scenario="scenario.json", steps=steps)),
+                        encoding="utf-8")
+        out = directory / "out"
+        code = main(["run", str(spec), "--out", str(out)])
+        if code == EXIT_OK:
+            assert main(["verify", str(out)]) == EXIT_OK
+        else:
+            assert code == EXIT_CONFIG
+            assert not out.exists()

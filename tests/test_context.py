@@ -1,6 +1,7 @@
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,8 +15,7 @@ from hyql.context import (CALENDAR_STATES, COGNITIVE_KINDS, DAY_CLASSES, HOUR_RA
                           PARTS_OF_DAY, CalendarEntry, CognitiveAction, ContextModel,
                           GazetteerError, RawEvent, SituationKey, TimeBucket,
                           abstract_time, parse_gazetteer, time_bucket,
-                          SECONDS_PER_DAY, SECONDS_PER_HOUR,
-                          UNKNOWN_PLACE)
+                          SECONDS_PER_DAY, SECONDS_PER_HOUR)
 
 MONDAY = 0
 TUESDAY = 1
@@ -74,27 +74,26 @@ class TestAbstractLocation:
         assert context.abstract_location(48.85, 2.32).name == "Office"
         assert context.abstract_location(48.87, 2.35).name == "Home"
 
-    def test_nearest_centroid_fallback(self):
+    def test_point_outside_every_region_raises(self):
         # no global root box, so points can fall outside every region
         nodes = parse_gazetteer([
-            "Root,Other,,10,11,10,11,10.5,10.5",
-            "Home,Home,Root,10.0,10.2,10.0,10.2,10.1,10.1",
-            "Office,Office,Root,10.8,11.0,10.8,11.0,10.9,10.9",
+            "Root,,10,11,10,11",
+            "Home,Root,10.0,10.2,10.0,10.2",
+            "Office,Root,10.8,11.0,10.8,11.0",
         ])
         ctx = ContextModel(nodes)
-        queries = [(12.0, 12.0), (9.9, 9.9), (10.3, 10.5), (20.0, 3.0)]
-        for lat, lon in queries:
-            expected = min(ctx.nodes.values(),
-                           key=lambda n: ((n.centroid_lat - lat) ** 2
-                                          + (n.centroid_lon - lon) ** 2, n.name))
-            got = ctx.abstract_location(lat, lon)
-            assert got.name == expected.name
+        for lat, lon in [(12.0, 12.0), (9.9, 9.9), (20.0, 3.0), (10.5, 11.5)]:
+            with pytest.raises(GazetteerError,
+                               match=re.escape(f"no gazetteer region contains ({lat}, {lon})")):
+                ctx.abstract_location(lat, lon)
+        # inside the root's box but no leaf's
+        assert ctx.abstract_location(10.3, 10.5).name == "Root"
 
     def test_boundary_tie_lexicographic(self):
         nodes = parse_gazetteer([
-            "Root,Other,,0,10,0,10,5,5",
-            "B,Office,Root,0,5,0,5,2,2",
-            "A,Home,Root,5,10,0,5,7,2",
+            "Root,,0,10,0,10",
+            "B,Root,0,5,0,5",
+            "A,Root,5,10,0,5",
         ])
         ctx = ContextModel(nodes)
         # (5, 3) sits on the shared lat boundary of A and B
@@ -113,26 +112,31 @@ class TestAbstractLocation:
     @given(data=st.data())
     def test_scan_matches_the_min_over_containing_nodes(self, context, data):
         lat, lon = data.draw(points_near(context))
-        assert context.abstract_location(lat, lon).name == \
-            oracle_location(context, lat, lon).name
+        assert_locates_as_oracle(context, lat, lon)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_scan_matches_oracle_on_overlapping_siblings(self, data):
         ctx = data.draw(overlapping_gazetteers())
         lat, lon = data.draw(points_near(ctx))
-        assert ctx.abstract_location(lat, lon).name == oracle_location(ctx, lat, lon).name
+        assert_locates_as_oracle(ctx, lat, lon)
 
 
 def oracle_location(ctx, lat, lon):
-    """Deepest containing node, ties by name; else the nearest centroid."""
+    """Deepest containing node, ties by name; None when no node contains the point."""
     depth = {name: len(ctx.place_chain(name)) - 1 for name in ctx.nodes}
     containing = [n for n in ctx.nodes.values() if n.contains(lat, lon)]
-    if containing:
-        return min(containing, key=lambda n: (-depth[n.name], n.name))
-    return min(ctx.nodes.values(),
-               key=lambda n: ((n.centroid_lat - lat) ** 2 + (n.centroid_lon - lon) ** 2,
-                              n.name))
+    return min(containing, key=lambda n: (-depth[n.name], n.name), default=None)
+
+
+def assert_locates_as_oracle(ctx, lat, lon):
+    """abstract_location returns the oracle's node, or raises where it finds none."""
+    expected = oracle_location(ctx, lat, lon)
+    if expected is None:
+        with pytest.raises(GazetteerError, match="no gazetteer region contains"):
+            ctx.abstract_location(lat, lon)
+    else:
+        assert ctx.abstract_location(lat, lon).name == expected.name
 
 
 def points_near(ctx):
@@ -164,9 +168,7 @@ def overlapping_gazetteers(draw):
         parent = "" if i == 0 else names[draw(st.integers(0, i - 1))]
         lat_lo, lat_hi = sorted(draw(st.lists(st.integers(0, 10), min_size=2, max_size=2)))
         lon_lo, lon_hi = sorted(draw(st.lists(st.integers(0, 10), min_size=2, max_size=2)))
-        clat = draw(st.integers(lat_lo, lat_hi))
-        clon = draw(st.integers(lon_lo, lon_hi))
-        lines.append(f"{name},Other,{parent},{lat_lo},{lat_hi},{lon_lo},{lon_hi},{clat},{clon}")
+        lines.append(f"{name},{parent},{lat_lo},{lat_hi},{lon_lo},{lon_hi}")
     return ContextModel(parse_gazetteer(lines))
 
 
@@ -176,29 +178,32 @@ class TestGazetteer:
             ContextModel([])
 
     def test_bad_field_count(self):
-        with pytest.raises(GazetteerError, match="expected 9 fields"):
-            parse_gazetteer(["A,Home,,1,2,3"])
+        with pytest.raises(GazetteerError, match="expected 6 fields, got 4"):
+            parse_gazetteer(["A,,1,2"])
+        # the old line with a place type and a centroid
+        with pytest.raises(GazetteerError, match="expected 6 fields, got 9"):
+            parse_gazetteer(["A,Home,,1,2,3,4,1.5,3.5"])
 
     def test_comments_and_blanks_skipped(self):
         nodes = parse_gazetteer([
             "# comment",
             "",
-            "Root,Other,,0,1,0,1,0.5,0.5",
+            "Root,,0,1,0,1",
         ])
         assert len(nodes) == 1
 
     def test_two_roots_rejected(self):
         nodes = parse_gazetteer([
-            "R1,Other,,0,1,0,1,0,0",
-            "R2,Other,,2,3,2,3,2,2",
+            "R1,,0,1,0,1",
+            "R2,,2,3,2,3",
         ])
         with pytest.raises(GazetteerError, match="one root"):
             ContextModel(nodes)
 
     def test_unknown_parent_rejected(self):
         nodes = parse_gazetteer([
-            "Root,Other,,0,1,0,1,0,0",
-            "A,Home,Nowhere,0,1,0,1,0,0",
+            "Root,,0,1,0,1",
+            "A,Nowhere,0,1,0,1",
         ])
         with pytest.raises(GazetteerError, match="unknown parent"):
             ContextModel(nodes)
@@ -219,17 +224,6 @@ class TestAggregate:
         assert key.place == "Anywhere"
         assert key.granularity == context.depth
 
-    def test_missing_geo_is_unknown_place(self, context):
-        event = RawEvent("u00", ts(TUESDAY, 9), None, CognitiveAction("Call"))
-        key = context.aggregate(event, "g0")
-        assert key.place == UNKNOWN_PLACE
-
-    def test_missing_cognitive_is_unknown(self, context):
-        event = RawEvent("u00", ts(TUESDAY, 9), (48.85, 2.32), None,
-                         CalendarEntry("m", 0, 1))
-        key = context.aggregate(event, "g0")
-        assert key.cognitive == "Unknown"
-
     def test_level_out_of_range(self, context):
         key = context.aggregate(office_event(), "g0")
         with pytest.raises(ValueError):
@@ -238,9 +232,11 @@ class TestAggregate:
             context.generalize(context.generalize(key, 1), 0)
 
     def test_generalization_is_function_of_previous_level(self, context):
-        # equal level-k keys must generalize to equal level-(k+1) keys
+        # equal level-k keys must generalize to equal level-(k+1) keys; the
+        # last two points lie in Paris but no leaf, and in the root alone
         rng = random.Random(1)
-        places = [(48.85, 2.32), (48.87, 2.35), (48.63, 2.44), (48.89, 2.39), None]
+        places = [(48.85, 2.32), (48.87, 2.35), (48.63, 2.44), (48.89, 2.39),
+                  (48.82, 2.26), (0.0, 0.0)]
         events = []
         for _ in range(200):
             geo = places[rng.randrange(len(places))]
@@ -269,11 +265,12 @@ class TestEnumerateGranularities:
         assert [k.granularity for k in keys] == [0, 1, 2]
 
     def test_unknown_place_deduplicates(self, context):
-        event = RawEvent("u00", ts(TUESDAY, 9), None, CognitiveAction("Call"))
+        # a point no city contains is known only as the root, whose chain
+        # ends at once, so it clamps at level 0: every level is one key
+        event = RawEvent("u00", ts(TUESDAY, 9), (0.0, 0.0), CognitiveAction("Call"))
         keys = every_level(context, event)
-        # the Unknown sentinel clamps at level 0: every level is one key
         assert set(keys) == {keys[0]}
-        assert keys[0].place == UNKNOWN_PLACE and keys[0].granularity == 0
+        assert keys[0].place == "Anywhere" and keys[0].granularity == 0
 
     def test_same_bucket_same_lists(self, context):
         a = every_level(context, office_event(ts(TUESDAY, 9)))
@@ -296,7 +293,7 @@ class TestSituationKey:
         SituationKey,
         st.builds(time_bucket, st.sampled_from(PARTS_OF_DAY), st.sampled_from(DAY_CLASSES),
                   st.sampled_from(CALENDAR_STATES)),
-        st.sampled_from(sorted(ContextModel.default().nodes) + [UNKNOWN_PLACE]),
+        st.sampled_from(sorted(ContextModel.default().nodes)),
         st.integers(0, 99).map("g{}".format), st.sampled_from(COGNITIVE_KINDS),
         st.integers(0, 3)))
     def test_canonical_round_trips_for_any_key(self, key):
@@ -351,11 +348,15 @@ class TestSituationKey:
 
 class TestRawEvent:
     def test_needs_some_payload(self):
-        with pytest.raises(ValueError):
+        # a position and a cognitive action are required; the calendar is not
+        with pytest.raises(TypeError):
             RawEvent("u00", 0)
+        with pytest.raises(TypeError):
+            RawEvent("u00", 0, (48.85, 2.32))
+        assert RawEvent("u00", 0, (48.85, 2.32), CognitiveAction("Call")).calendar_entry is None
 
     def test_coordinate_ranges(self):
         with pytest.raises(ValueError):
-            RawEvent("u00", 0, (95.0, 0.0))
+            RawEvent("u00", 0, (95.0, 0.0), CognitiveAction("Call"))
         with pytest.raises(ValueError):
-            RawEvent("u00", 0, (0.0, -190.0))
+            RawEvent("u00", 0, (0.0, -190.0), CognitiveAction("Call"))

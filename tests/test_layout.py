@@ -4,7 +4,8 @@ Every import is used, the modules depend on each other only in one
 direction: context -> qlearn -> collab/casebase -> agent -> simenv ->
 store/bench -> cli. Only simenv spells the scenario format's keys, and
 only bench spells the experiment spec's. Every function, method and class
-is used by the package itself, not only by the tests.
+is used by the package itself, not only by the tests, and every annotated
+class field is read by it.
 """
 
 import ast
@@ -137,3 +138,26 @@ def test_every_definition_is_used_by_the_package():
     re-exports in __init__ do not count as a use."""
     trees = {name: tree for name, tree in modules().items() if name != "__init__"}
     assert unreferenced_definitions(trees) == []
+
+
+def unread_fields(trees):
+    """Annotated class fields no code reads as an attribute.
+
+    A read is an `ast.Attribute` in load context spelling the field's name
+    anywhere in the given modules; a keyword argument that sets the field,
+    a store and a `del` do not count.
+    """
+    loaded = {node.attr for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{module}.{cls.name}.{stmt.target.id} (line {stmt.lineno})"
+                  for module, tree in trees.items()
+                  for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                  for stmt in cls.body
+                  if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                  and stmt.target.id not in loaded)
+
+
+def test_every_field_is_read_by_the_package():
+    """A field that is set but never read is state no result depends on."""
+    trees = {name: tree for name, tree in modules().items() if name != "__init__"}
+    assert unread_fields(trees) == []

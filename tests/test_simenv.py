@@ -14,8 +14,8 @@ from hyql.collab import TransactionStore
 from hyql.context import (CALENDAR_STATES, COGNITIVE_KINDS, DAY_CLASSES, PARTS_OF_DAY,
                           ContextModel)
 from hyql.qlearn import CatalogError
-from hyql.simenv import (DriftOp, SimEnv, _mix_row, apply_drift, gen_event,
-                         parse_scenario, reward, world_from_scenario)
+from hyql.simenv import (_SEED_SPREAD, _STREAM_BUILD, DriftOp, SimEnv, _draw_row, _mix_row,
+                         apply_drift, gen_event, parse_scenario, reward, world_from_scenario)
 
 CONTEXT = ContextModel.default()
 
@@ -52,11 +52,13 @@ class TestBuildPopulation:
         assert all(r == rows[0] for r in rows)
 
     def test_affinity_zero_detaches_from_prototype(self):
-        world = small_world(affinity=0.0)
-        u = world.users[0]
-        key = situations(world, u.user_id)[0]
-        proto = world.prototypes[key]
-        assert world.row(u.user_id, key) != proto
+        # the first prototype the build stream draws is the first habit's
+        proto = _draw_row(random.Random(0 * _SEED_SPREAD + _STREAM_BUILD), 5)
+        for affinity, attached in ((1.0, True), (0.0, False)):
+            world = small_world(seed=0, affinity=affinity, n_items=5)
+            u = world.users[0]
+            key = situations(world, u.user_id)[0]
+            assert (world.row(u.user_id, key) == proto) is attached
 
     def test_determinism(self):
         a = small_world(seed=42, n_users=10)
@@ -296,17 +298,10 @@ class TestDrift:
                 assert world.relevance[k].index(max(world.relevance[k])) != hi \
                     or row_before[hi] == row_before[lo]
 
-    def test_resample_keeps_range_and_changes_rows(self):
-        world = small_world(seed=14, drift=[dict(swap(3), op="ResampleRow")])
-        before = exact_rows(world)
-        apply_drift(world, 3)
-        assert all(0.0 <= p <= 1.0 for row in world.relevance.values() for p in row)
-        assert exact_rows(world) != before
-
     def test_scoped_drift_touches_only_scope(self):
         world = small_world(seed=15)
         key = situations(world, "u00")[0]
-        world.drift_schedule = (DriftOp(0, "SwapTopItems", "u00", key),)
+        world.drift_schedule = (DriftOp(0, "u00", key),)
         before = exact_rows(world)
         apply_drift(world, 0)
         for k, row in world.relevance.items():
@@ -367,22 +362,21 @@ class TestEnvStep:
             # situation-tagged: every accepted (user, item) is indexed at every level
             assert all(items == accepted[0] for items in accepted)
 
-    def test_background_burst_reads_rows_a_resample_replaced(self):
+    def test_background_burst_reads_rows_a_swap_changed(self):
         background = ["u00", "u01", "u02", "u03"]
-        resample = [dict(swap(0), op="ResampleRow")]
-        world = small_world(seed=25, drift=resample)
+        world = small_world(seed=25, drift=[swap(0)])
         store = TransactionStore(world.catalog, world.context)
         env = SimEnv(world, store, background_users=background)
-        ref_world = small_world(seed=25, drift=resample)
+        ref_world = small_world(seed=25, drift=[swap(0)])
         ref_store = TransactionStore(ref_world.catalog, ref_world.context)
         ref_rng = random.Random()
         ref_rng.setstate(env.background_rng.getstate())
 
         env.background_burst(200)
         reference_burst(ref_world, ref_store, ref_rng, background, 200)
-        rows_before = dict(world.relevance)
+        rows_before = exact_rows(world)
         assert apply_drift(world, 0) == apply_drift(ref_world, 0) == 1
-        assert all(world.relevance[k] is not row for k, row in rows_before.items())
+        assert all(exact(world.relevance[k]) != row for k, row in rows_before.items())
         env.background_burst(400)
         reference_burst(ref_world, ref_store, ref_rng, background, 400)
 
@@ -446,7 +440,7 @@ class TestScenario:
         parsed = parse_scenario(canonical_scenario, CONTEXT)
         assert parsed.drift[0].scope is None  # "all"
         key = parsed.routines["g0"][2].situation
-        drift = [{"step": 5, "op": "ResampleRow", "target": "g0", "scope": key.canonical()}]
+        drift = [{"step": 5, "op": "SwapTopItems", "target": "g0", "scope": key.canonical()}]
         scoped = parse_scenario(dict(canonical_scenario, drift=drift), CONTEXT)
         assert scoped.drift[0].scope is key
 
@@ -472,7 +466,7 @@ class TestScenario:
         parsed = parse_scenario(canonical_scenario, context)
         key = situations(world_from_scenario(parsed, 7), "u03")[2]
         for target in ("u03", "g0"):
-            drift = [{"step": 5, "op": "ResampleRow", "target": target,
+            drift = [{"step": 5, "op": "SwapTopItems", "target": target,
                       "scope": key.canonical()}]
             parse_scenario(dict(canonical_scenario, drift=drift), context)
 

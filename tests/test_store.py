@@ -30,7 +30,7 @@ def sample_event(user="u00", timestamp=9 * 3600):
 def populated_store():
     store = RunStore()
     store.append_event_history(sample_event(), 0)
-    store.append_event_history(RawEvent("u01", 7200, None, CognitiveAction("Call")), 1)
+    store.append_event_history(RawEvent("u01", 7200, (48.87, 2.35), CognitiveAction("Call")), 1)
     for step in range(3):
         store.append_action_history(step_record(step, reward=float(step % 2)))
         store.upsert_preferences(PreferenceRecord("u00", skey(), "doc00",
@@ -71,7 +71,7 @@ class TestEventHistory:
     def test_thousand_appends_order_preserved(self):
         store = RunStore()
         for i in range(1000):
-            store.append_event_history(RawEvent("u00", i, None,
+            store.append_event_history(RawEvent("u00", i, (48.87, 2.35),
                                                 CognitiveAction("Call")), i)
         assert len(store.event_history) == 1000
         assert [s for s, _ in store.event_history] == list(range(1000))
@@ -168,7 +168,7 @@ situation_keys = st.builds(
     SituationKey,
     st.builds(time_bucket, st.sampled_from(PARTS_OF_DAY), st.sampled_from(DAY_CLASSES),
               st.sampled_from(CALENDAR_STATES)),
-    st.sampled_from(["Office", "Home", "Paris", "Unknown"]),
+    st.sampled_from(["Office", "Home", "Paris", "Anywhere"]),
     st.integers(0, 99).map("g{}".format), st.sampled_from(COGNITIVE_KINDS),
     st.integers(0, 3))
 
