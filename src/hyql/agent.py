@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 from .casebase import CaseBase, adapt
 from .collab import TransactionStore
@@ -72,15 +71,14 @@ class Agent:
 
     def __init__(self, config: AgentConfig, catalog: ActionCatalog,
                  context: ContextModel, social_group: str,
-                 cf_store: Optional[TransactionStore] = None):
+                 cf_store: TransactionStore):
         self.config = config
         self.catalog = catalog
         self.context = context
         self.social_group = social_group
         self.table = QTable()
         self.casebase = CaseBase(context)
-        self.cf_store = cf_store if cf_store is not None else TransactionStore(
-            catalog, context)
+        self.cf_store = cf_store
         self.rng = random.Random(config.seed)
         self.step_count = 0
         # lifetime [steps, reward sum] per situation: retention reads both,
@@ -126,7 +124,7 @@ class Agent:
         a, branch = self._select(s)
         if bootstrapped:
             branch = CASE_BOOTSTRAPPED
-        r, next_event = env.step(self.user_id, a)
+        r, next_event = env.step(a)
         s_next = self.context.aggregate(next_event, self.social_group)
         if self.config.variant in _Q_VARIANTS:
             self.table.update(s, a, r, s_next, self.catalog, PARAMS)
@@ -157,7 +155,7 @@ class Agent:
     def run(self, env, total_steps: int) -> list[StepRecord]:
         """`total_steps` steps from a reset; the episode ends after every
         `episode_length` steps and after the last one."""
-        event = env.reset(self.user_id)
+        event = env.reset()
         trace: list[StepRecord] = []
         length = self.config.episode_length
         for done in range(1, total_steps + 1):

@@ -24,14 +24,15 @@ gazetteer again. A bad spec, scenario file or output directory is a
 
 Every trial yields four metrics, all from its list of rewards and branch
 tags: CumulativeReward sums the rewards; StepsToThreshold is the first step
-whose trailing 50-step mean reward reaches 0.8 of the optimal expected
-reward; DriftRecoverySteps counts the post-drift steps until that mean
-reaches 0.9 of the post-drift optimum; BranchHistogram is the share of
-steps the greedy branch chose. A metric that never triggers (a threshold
-never reached, a recovery that never happens) is reported with the
-sentinel value -1. Both `run_trial` and `verify` take a trial's drift step
-from the scenario: the first drift op a run of its length applies. `verify`
-draws one world per seed, for the optimal rewards of every variant.
+whose trailing 50-step mean reward reaches 0.8 of the focal user's optimal
+expected reward; DriftRecoverySteps counts the post-drift steps until that
+mean reaches 0.9 of the same optimum (a drift permutes rows, swapping a best
+and a worst item, so the optimum after it equals the one before it);
+BranchHistogram is the share of steps the greedy branch chose. A metric
+that never triggers is reported with the sentinel value -1. Both `run_trial`
+and `verify` take a trial's drift step from the scenario: the first drift
+op a run of its length applies. `verify` draws one world per seed and reads
+its optimum for every variant, without applying a drift.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ from .agent import Agent, AgentConfig, VARIANTS
 from .collab import TransactionStore
 from .context import ContextModel, GazetteerError
 from .qlearn import EXPLOIT, StepRecord
-from .simenv import (Scenario, SimEnv, apply_drift, check_keys, json_int,
-                     json_list, parse_scenario, world_from_scenario)
+from .simenv import (Scenario, SimEnv, check_keys, json_int, json_list,
+                     parse_scenario, world_from_scenario)
 from .store import (PreferenceRecord, RunStore, StoreParseError, fmt_float,
                     read_action_history, read_run_file)
 
@@ -124,7 +125,7 @@ def _read_json(path: Path, what: str):
         raise ConfigError(f"cannot read {what} file {path}: {exc}") from None
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # a decode error, an int past 4300 digits
         raise ConfigError(f"{what} is not valid JSON: {exc}") from None
 
 
@@ -205,8 +206,7 @@ def _drift_step(scenario: Scenario, steps: int) -> Optional[int]:
 @dataclass
 class TrialResult:
     trace: list[StepRecord]
-    optimal_pre: float
-    optimal_post: float
+    optimal: float  # the focal user's optimal expected reward, before and after drift
     drift_step: Optional[int]
 
 
@@ -215,23 +215,20 @@ def run_trial(scenario: Scenario, variant: dict, seed: int, steps: int,
     """Fresh world plus fresh agent, one full run, optional persistence."""
     world = world_from_scenario(scenario, seed)
     focal = scenario.agent_user
-    cf_store = TransactionStore(world.catalog, world.context)
-    background_users = [u.user_id for u in world.users if u.user_id != focal]
-    env = SimEnv(world, cf_store, scenario.background_rate, background_users)
+    cf_store = TransactionStore(scenario.catalog, scenario.context)
+    env = SimEnv(world, cf_store)
     env.background_burst(scenario.warm_start_events)
 
     config = AgentConfig(variant["variant"], focal, scenario.day_length,
                          seed * _SEED_SPREAD + _AGENT_STREAM)
-    agent = Agent(config, world.catalog, world.context,
-                  world.user(focal).social_group, cf_store)
+    agent = Agent(config, scenario.catalog, scenario.context,
+                  scenario.user(focal).social_group, cf_store)
 
-    optimal_pre = world.optimal_expected_reward(focal)
+    optimal = world.optimal_expected_reward(focal)
     trace = agent.run(env, steps)
-    optimal_post = world.optimal_expected_reward(focal)
-
     if run_dir is not None:
         _persist_run(run_dir, focal, trace, env)
-    return TrialResult(trace, optimal_pre, optimal_post, _drift_step(scenario, steps))
+    return TrialResult(trace, optimal, _drift_step(scenario, steps))
 
 
 def _persist_run(run_dir: Path, focal: str, trace: list[StepRecord],
@@ -270,11 +267,11 @@ def rows_for_trial(variant_name: str, seed: int,
                          NEVER if value is None else float(value), window_from, n)
 
     recovery = None if drift is None else _first_window_hit(
-        rewards[drift:], RECOVERY_WINDOW, RECOVERY_FRACTION * result.optimal_post)
+        rewards[drift:], RECOVERY_WINDOW, RECOVERY_FRACTION * result.optimal)
     exploits = sum(record.branch == EXPLOIT for record in result.trace)
     return [row("CumulativeReward", sum(rewards)),
             row("StepsToThreshold", _first_window_hit(
-                rewards, THRESHOLD_WINDOW, THRESHOLD_FRACTION * result.optimal_pre)),
+                rewards, THRESHOLD_WINDOW, THRESHOLD_FRACTION * result.optimal)),
             row("DriftRecoverySteps", recovery, drift or 0),
             row("BranchHistogram", exploits / n)]
 
@@ -360,14 +357,11 @@ def recompute_rows(out_dir: str | Path) -> list[MetricRow]:
     drift_step = _drift_step(scenario, spec.steps)
     rows: list[MetricRow] = []
     for seed in spec.seeds():
-        world = world_from_scenario(scenario, seed)
-        optimal_pre = world.optimal_expected_reward(focal)
-        apply_drift(world, spec.steps - 1)
-        optimal_post = world.optimal_expected_reward(focal)
+        optimal = world_from_scenario(scenario, seed).optimal_expected_reward(focal)
         for variant in spec.variants:
             trace = read_trace(out / "runs" / variant["name"] / str(seed), spec.steps)
-            rows.extend(rows_for_trial(variant["name"], seed, TrialResult(
-                trace, optimal_pre, optimal_post, drift_step)))
+            rows.extend(rows_for_trial(variant["name"], seed,
+                                       TrialResult(trace, optimal, drift_step)))
     return rows
 
 

@@ -260,7 +260,6 @@ class ContextModel:
         roots = [n.name for n in nodes if n.parent is None]
         if len(roots) != 1:
             raise GazetteerError(f"expected exactly one root place, found {roots}")
-        self.root = roots[0]
         self._chains: dict[str, tuple[str, ...]] = {}
         for node in nodes:
             chain = [node.name]

@@ -8,16 +8,19 @@ things. Both are packed `array('d')` rows, which hold the same doubles a
 list of floats would, bit for bit, at a quarter of the memory. Rewards are
 Bernoulli acceptances. A scheduled drift op swaps the best and the worst
 item of each row it touches, in place, mid-run, which is what the
-recommender has to track.
+recommender has to track. A swap permutes a row, so no drift changes a
+user's optimal expected reward.
 
 A scenario config (a JSON object) defines the world, and this module is
 the only one that knows its format. `parse_scenario` checks a config once,
 against the one `ContextModel` its `Scenario` then carries, and turns each
 routine habit into its situation: the interned level-0 key it realizes,
 plus its weight. A habit's place must be a gazetteer leaf, the only kind
-whose region reverse-geocodes back to it. `world_from_scenario` then only
-draws. So a bad scenario fails before a run writes anything, no world
-build re-checks, and a run reads the gazetteer once.
+whose region reverse-geocodes back to it. The `Scenario` holds every fact
+its worlds share, and `world_from_scenario` only draws a seed's relevance
+rows. So a bad scenario fails before a run writes anything, no world build
+re-checks, and a run reads the gazetteer once. `SimEnv` steps the
+scenario's `agent_user`; every other user is background.
 
 Everything is driven by named random streams derived from one seed, and
 events never depend on the agent's actions, so all agent variants sharing
@@ -71,12 +74,7 @@ class Habit:
 class UserProfile:
     user_id: str
     social_group: str
-    group_affinity: float
     routine: tuple[Habit, ...]
-
-    def __post_init__(self):
-        if not 0.0 <= self.group_affinity <= 1.0:
-            raise ValueError("group_affinity must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -91,25 +89,16 @@ class DriftOp:
 
 @dataclass
 class WorldModel:
-    """One seed's drawn world: the users, the catalog and every relevance
-    row, which `apply_drift` rewrites in place as its schedule comes due."""
+    """One seed's drawn world: every relevance row of its scenario's users,
+    which `apply_drift` rewrites in place as the scenario's drift comes due.
+    Everything else a trial reads of the world, the users, the catalog, the
+    drift, the day length and the context, it reads from `scenario`."""
 
-    users: list[UserProfile]
-    catalog: ActionCatalog
+    scenario: Scenario
     # (user_id, level-0 key) -> per-item acceptance probability, packed
     relevance: dict[tuple[str, SituationKey], array]
-    drift_schedule: tuple[DriftOp, ...]  # by step
-    day_length: int
     seed: int
-    context: ContextModel
-    drift_fired: int = 0  # apply_drift has fired this many ops, the schedule's first
-    _by_id: dict[str, UserProfile] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._by_id = {profile.user_id: profile for profile in self.users}
-
-    def user(self, user_id: str) -> UserProfile:
-        return self._by_id[user_id]
+    drift_fired: int = 0  # apply_drift has fired this many ops, the drift's first
 
     def row(self, user_id: str, s: SituationKey) -> array:
         try:
@@ -120,7 +109,7 @@ class WorldModel:
     def optimal_expected_reward(self, user_id: str) -> float:
         """Routine-weighted best-item acceptance probability (closed form)."""
         total = 0.0
-        for habit in self.user(user_id).routine:
+        for habit in self.scenario.user(user_id).routine:
             total += habit.weight * max(self.row(user_id, habit.situation))
         return total
 
@@ -135,7 +124,7 @@ def _mix_row(proto: Sequence[float], rng: random.Random, affinity: float) -> arr
     """A user's row: each prototype value mixed with one fresh personal draw,
     packed as doubles (8 bytes a value, against about 32 for a list of floats).
 
-    No clamp is needed: the affinity is in [0, 1] (`UserProfile` checks it)
+    No clamp is needed: the affinity is in [0, 1] (`parse_scenario` checks it)
     and every prototype value and draw is a `random()` draw in [0, 1), so
     both terms are non-negative (never -0.0) and, rounded to nearest, their
     sum is at most fl(affinity + fl(1 - affinity)) <= 1.0.
@@ -152,19 +141,27 @@ def _mix_row(proto: Sequence[float], rng: random.Random, affinity: float) -> arr
 @dataclass(frozen=True)
 class Scenario:
     """A checked scenario config, built by `parse_scenario`: users u00..
-    join groups g0.. round-robin, and each group shares one routine. Its
-    situations are interned by `context`, which every world drawn from it
-    shares."""
+    join groups g0.. round-robin, and each group shares one routine. Every
+    world drawn from it shares its users, its catalog (items doc00..), its
+    drift and its context, which interns its situations."""
 
     routines: dict[str, tuple[Habit, ...]]  # every group, in order
     users: tuple[UserProfile, ...]
-    n_items: int
+    catalog: ActionCatalog
+    affinity: float  # each user's weight on its group's prototype, in [0, 1]
     drift: tuple[DriftOp, ...]  # by step
     day_length: int
     agent_user: str
     warm_start_events: int
     background_rate: int
     context: ContextModel
+    _by_id: dict[str, UserProfile] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_by_id", {u.user_id: u for u in self.users})
+
+    def user(self, user_id: str) -> UserProfile:
+        return self._by_id[user_id]
 
 
 def check_keys(entry, required: frozenset, allowed: frozenset, what: str) -> None:
@@ -272,14 +269,16 @@ def parse_scenario(raw: dict, context: ContextModel) -> Scenario:
     routines = {group: _routine(raw["routines"][group], group, context)
                 for group in groups}
     affinity = _number(raw["affinity"], "affinity")
-    users = tuple(UserProfile(f"u{i:02d}", groups[i % n_groups], affinity,
-                              routines[groups[i % n_groups]])
+    if not 0.0 <= affinity <= 1.0:
+        raise ValueError(f"affinity must be in [0, 1], got {affinity}")
+    users = tuple(UserProfile(f"u{i:02d}", groups[i % n_groups], routines[groups[i % n_groups]])
                   for i in range(json_int(raw, "users", 1)))
     if raw["agent_user"] not in [u.user_id for u in users]:
         raise ValueError(f"agent_user {raw['agent_user']!r} is not one of the "
                          f"scenario's {len(users)} users")
     drift = [_drift_op(entry, users) for entry in json_list(raw.get("drift", []), "drift")]
-    return Scenario(routines, users, json_int(raw, "items", 1),
+    catalog = ActionCatalog([f"doc{i:02d}" for i in range(json_int(raw, "items", 1))])
+    return Scenario(routines, users, catalog, affinity,
                     tuple(sorted(drift, key=lambda op: op.step)),
                     json_int(raw, "day_length", 1, 50), raw["agent_user"],
                     json_int(raw, "warm_start_events", 0, 0),
@@ -289,21 +288,18 @@ def parse_scenario(raw: dict, context: ContextModel) -> Scenario:
 def world_from_scenario(scenario: Scenario, seed: int) -> WorldModel:
     """Draw a world: group prototypes, then each user's relevance rows."""
     rng = random.Random(seed * _SEED_SPREAD + _STREAM_BUILD)
+    n_items = len(scenario.catalog)
     prototypes: dict[SituationKey, array] = {}
     for routine in scenario.routines.values():
         for habit in routine:
-            prototypes[habit.situation] = _draw_row(rng, scenario.n_items)
+            prototypes[habit.situation] = _draw_row(rng, n_items)
 
     relevance: dict[tuple[str, SituationKey], array] = {}
     for profile in scenario.users:
         for habit in profile.routine:
             relevance[(profile.user_id, habit.situation)] = _mix_row(
-                prototypes[habit.situation], rng, profile.group_affinity)
-
-    return WorldModel(users=list(scenario.users),
-                      catalog=ActionCatalog([f"doc{i:02d}" for i in range(scenario.n_items)]),
-                      relevance=relevance, drift_schedule=scenario.drift,
-                      day_length=scenario.day_length, seed=seed, context=scenario.context)
+                prototypes[habit.situation], rng, scenario.affinity)
+    return WorldModel(scenario, relevance, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +325,13 @@ def gen_event(world: WorldModel, user_id: str, step: int, rng: random.Random) ->
     the day-of-week is chosen to satisfy the habit's weekday/weekend
     class. Coordinates are uniform inside the place's bounding region.
     """
-    routine = world.user(user_id).routine
+    scenario = world.scenario
+    routine = scenario.user(user_id).routine
     s = routine[_sample_habit(routine, rng)].situation
     time = s.time
 
-    day_number = step // world.day_length
-    pos_in_day = (step % world.day_length) / world.day_length
+    day_number = step // scenario.day_length
+    pos_in_day = (step % scenario.day_length) / scenario.day_length
     start, stop = HOUR_RANGES[time.part_of_day]
     hour = int(start + pos_in_day * (stop - start)) % 24
     if time.day_class == "Weekday":
@@ -345,12 +342,12 @@ def gen_event(world: WorldModel, user_id: str, step: int, rng: random.Random) ->
     minute = rng.randrange(60)
     timestamp = absolute_day * SECONDS_PER_DAY + hour * SECONDS_PER_HOUR + minute * 60
 
-    node = world.context.nodes[s.place]
+    node = scenario.context.nodes[s.place]
     lat = rng.uniform(node.lat_min, node.lat_max)
     lon = rng.uniform(node.lon_min, node.lon_max)
 
     if s.cognitive == "Navigate":
-        item = world.catalog.actions[rng.randrange(len(world.catalog))]
+        item = scenario.catalog.actions[rng.randrange(len(scenario.catalog))]
         cognitive = CognitiveAction("Navigate", item)
     else:
         cognitive = CognitiveAction(s.cognitive)
@@ -367,7 +364,7 @@ def reward(world: WorldModel, user_id: str, s: SituationKey, a: ActionId,
            rng: random.Random) -> float:
     """Bernoulli acceptance with the ground-truth probability; CatalogError
     for an action outside the catalog."""
-    probability = world.row(user_id, s)[world.catalog.index(a)]
+    probability = world.row(user_id, s)[world.scenario.catalog.index(a)]
     return 1.0 if rng.random() < probability else 0.0
 
 
@@ -377,7 +374,7 @@ def reward(world: WorldModel, user_id: str, s: SituationKey, a: ActionId,
 
 def _scoped_rows(world: WorldModel, op: DriftOp) -> list[tuple[UserProfile, SituationKey]]:
     """The (user, situation) rows an op touches, by user, then by habit."""
-    return [(u, habit.situation) for u in world.users
+    return [(u, habit.situation) for u in world.scenario.users
             if op.target in (u.user_id, u.social_group)
             for habit in u.routine if op.scope in (None, habit.situation)]
 
@@ -385,9 +382,9 @@ def _scoped_rows(world: WorldModel, op: DriftOp) -> list[tuple[UserProfile, Situ
 def apply_drift(world: WorldModel, step: int) -> int:
     """Fire the world's unfired drift ops scheduled at or before `step`, in
     step order, each swapping its rows' best and worst item in place, and
-    return how many fired; the schedule is step-sorted, so the ops due now
-    follow its first `world.drift_fired`."""
-    schedule = world.drift_schedule
+    return how many fired; the scenario's drift is step-sorted, so the ops
+    due now follow its first `world.drift_fired`."""
+    schedule = world.scenario.drift
     start = end = world.drift_fired
     while end < len(schedule) and schedule[end].step <= step:
         end += 1
@@ -406,50 +403,52 @@ def apply_drift(world: WorldModel, step: int) -> int:
 # ---------------------------------------------------------------------------
 
 class SimEnv:
-    """Owns the per-run random streams and the per-user current situation.
+    """Steps the scenario's focal user (`agent_user`) through its world, and
+    owns the per-run random streams and the focal user's current situation.
 
-    Optionally writes "background" transactions into a CF store: ambient
-    activity of the other group members (they keep using the system too),
-    which is what keeps collaborative advice fresh after a drift.
+    Between steps it writes "background" transactions into the CF store:
+    ambient activity of every other user at the scenario's background rate
+    (they keep using the system too), which is what keeps collaborative
+    advice fresh after a drift. A one-user scenario has no background.
     """
 
-    def __init__(self, world: WorldModel, cf_store=None, background_rate: int = 0,
-                 background_users: Optional[Sequence[str]] = None):
+    def __init__(self, world: WorldModel, cf_store):
+        scenario = world.scenario
         base = world.seed * _SEED_SPREAD
         self.world = world
+        self.scenario = scenario
         self.event_rng = random.Random(base + _STREAM_EVENTS)
         self.reward_rng = random.Random(base + _STREAM_REWARDS)
         self.background_rng = random.Random(base + _STREAM_BACKGROUND)
         self.cf_store = cf_store
-        self.background_rate = background_rate
-        self.background_users = list(background_users or [])
+        self.focal = scenario.agent_user
+        self.group = scenario.user(self.focal).social_group
         self.global_step = 0
         self.event_log: list[tuple[int, RawEvent]] = []
-        self._situation: dict[str, SituationKey] = {}
+        self._situation: Optional[SituationKey] = None  # the focal user's current one
         # per background user: its routine and the relevance key of each habit
-        self._habits = []
-        for user_id in self.background_users:
-            routine = world.user(user_id).routine
-            self._habits.append((routine, [(user_id, h.situation) for h in routine]))
+        self._habits = [(u.routine, [(u.user_id, h.situation) for h in u.routine])
+                        for u in scenario.users if u.user_id != self.focal]
 
-    def reset(self, user_id: str) -> RawEvent:
-        event = gen_event(self.world, user_id, 0, self.event_rng)
-        self._remember(user_id, event)
+    def reset(self) -> RawEvent:
         self.global_step = 0
-        self.event_log = [(0, event)]
+        self.event_log = []
+        return self._observe()
+
+    def _observe(self) -> RawEvent:
+        """The focal user's event at the current step, situated and logged."""
+        event = gen_event(self.world, self.focal, self.global_step, self.event_rng)
+        self._situation = self.scenario.context.aggregate(event, self.group)
+        self.event_log.append((self.global_step, event))
         return event
 
-    def _remember(self, user_id: str, event: RawEvent) -> None:
-        self._situation[user_id] = self.world.context.aggregate(
-            event, self.world.user(user_id).social_group)
-
-    def background_burst(self, n_events: int) -> int:
+    def background_burst(self, n_events: int) -> None:
         """Simulate n ambient interactions of the background users."""
-        if self.cf_store is None or not self.background_users:
-            return 0
-        rng = self.background_rng
         habits = self._habits
-        actions = self.world.catalog.actions
+        if not habits:
+            return
+        rng = self.background_rng
+        actions = self.scenario.catalog.actions
         relevance = self.world.relevance
         record = self.cf_store.record_implicit
         for _ in range(n_events):
@@ -458,18 +457,11 @@ class SimEnv:
             i = rng.randrange(len(actions))
             accepted = rng.random() < relevance[row_key][i]
             record(row_key[0], actions[i], accepted, row_key[1])
-        return n_events
 
-    def step(self, user_id: str, action: ActionId) -> tuple[float, RawEvent]:
+    def step(self, action: ActionId) -> tuple[float, RawEvent]:
         """Advance one step: drift, reward, ambient activity, next event."""
         apply_drift(self.world, self.global_step)
-        r = reward(self.world, user_id, self._situation[user_id], action,
-                   self.reward_rng)
-        self.background_burst(self.background_rate)
+        r = reward(self.world, self.focal, self._situation, action, self.reward_rng)
+        self.background_burst(self.scenario.background_rate)
         self.global_step += 1
-        next_event = gen_event(self.world, user_id, self.global_step, self.event_rng)
-        self._remember(user_id, next_event)
-        self.event_log.append((self.global_step, next_event))
-        return r, next_event
-
-
+        return r, self._observe()

@@ -49,8 +49,6 @@ class OrderingError(Exception):
 class StoreParseError(Exception):
     def __init__(self, path, lineno: int, message: str):
         super().__init__(f"{path}:{lineno}: {message}")
-        self.path = str(path)
-        self.lineno = lineno
 
 
 @dataclass(frozen=True, slots=True)

@@ -23,18 +23,16 @@ def office_event(user="u00"):
 
 
 class StubEnv:
-    """Fixed reward, fixed follow-up event; counts calls."""
+    """Fixed reward, fixed follow-up event."""
 
     def __init__(self, reward=1.0, next_event=None):
         self.reward = reward
         self.next_event = next_event or office_event()
-        self.calls = []
 
-    def reset(self, user_id):
-        return office_event(user_id)
+    def reset(self):
+        return office_event()
 
-    def step(self, user_id, action):
-        self.calls.append((user_id, action))
+    def step(self, action):
         return self.reward, self.next_event
 
 
@@ -43,7 +41,7 @@ _CONTEXT = ContextModel.default()
 
 def make_agent(variant="HyQL", seed=0, **overrides):
     config = AgentConfig(variant, "u00", seed=seed, **overrides)
-    return Agent(config, CATALOG, _CONTEXT, "g0")
+    return Agent(config, CATALOG, _CONTEXT, "g0", TransactionStore(CATALOG, _CONTEXT))
 
 
 class TestHybridPolicy:
@@ -130,18 +128,18 @@ class TestStep:
 
 
 def small_scenario():
-    """Three users of one group on four items, with the canonical routine."""
+    """Three users of one group on four items, with the canonical routine:
+    u00 is the focal user, u01 and u02 one background event a step."""
     return dict(load_scenario("canonical"), users=3, items=4, agent_user="u00",
-                drift=[])
+                background_rate=1, drift=[])
 
 
 def run_pair(variant, seed, steps=120, world_seed=5, **overrides):
-    world = world_from_scenario(parse_scenario(small_scenario(), _CONTEXT), world_seed)
-    cf = TransactionStore(world.catalog, world.context)
-    env = SimEnv(world, cf, background_rate=1,
-                 background_users=["u01", "u02"])
+    scenario = parse_scenario(small_scenario(), _CONTEXT)
+    cf = TransactionStore(scenario.catalog, scenario.context)
+    env = SimEnv(world_from_scenario(scenario, world_seed), cf)
     config = AgentConfig(variant, "u00", seed=seed, **overrides)
-    agent = Agent(config, world.catalog, world.context, "g0", cf)
+    agent = Agent(config, scenario.catalog, scenario.context, "g0", cf)
     return agent, agent.run(env, steps)
 
 

@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -17,6 +18,8 @@ from hyql.cli import EXIT_CONFIG, EXIT_MISMATCH, EXIT_OK, main
 
 BASE_SPEC = {"scenario": "canonical", "trials": 1, "steps": 60,
              "variants": [{"name": "HyQL", "variant": "HyQL"}]}
+
+HUGE_INT = "9" * 5000  # a JSON integer Python's int() refuses to parse
 
 
 def write_spec(directory, **changes):
@@ -173,6 +176,19 @@ def test_deeply_nested_json_exits_2_before_writing(tmp_path, capsys, name):
     assert f"{name} is not valid JSON: maximum recursion depth" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, key", [("spec", "base_seed"), ("scenario", "users")])
+def test_an_integer_past_the_digit_limit_exits_2_before_writing(tmp_path, capsys, name, key):
+    # valid JSON, but past the interpreter's 4,300-digit limit on int("...")
+    spec = write_spec(tmp_path, scenario={})
+    path = tmp_path / f"{name}.json"
+    document = dict(json.loads(path.read_text(encoding="utf-8")), **{key: "huge"})
+    path.write_text(json.dumps(document).replace('"huge"', HUGE_INT), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(spec), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    assert f"{name} is not valid JSON: Exceeds the limit (4300 digits)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
 def test_out_at_or_under_a_file_exits_2_before_writing(tmp_path, capsys, under):
     blocker = tmp_path / "blocker"
@@ -280,6 +296,8 @@ def routines_with_negative_weight():
     {"variants": [dict(HYQL, case_max_size=-3)]},
     {"scenario": {"routines": routines_with_repeated_situation()}},
     {"scenario": {"drift": [{"step": 1000, "op": "ResampleRow", "target": "g0"}]}},
+    {"scenario": {"affinity": 1.5}},
+    {"scenario": {"affinity": -0.1}},
 ], ids=["unknown-override", "p", "alpha", "gamma", "variants-string",
         "variants-object", "metrics-string", "threshold-window", "recovery-window",
         "feature-weights-sum", "retrieval-threshold", "agent-user-not-in-population",
@@ -296,7 +314,8 @@ def routines_with_negative_weight():
         "drift-empty-string", "name-array", "name-number",
         "unjoined-group-weights-sum", "trials-float", "steps-string", "base-seed-bool",
         "trials-zero", "spec-misspelt-key", "threshold-misspelt-key",
-        "case-max-size-negative", "routine-repeated-situation", "drift-op-resample"])
+        "case-max-size-negative", "routine-repeated-situation", "drift-op-resample",
+        "affinity-above-one", "affinity-negative"])
 def test_bad_spec_exits_2_before_writing(tmp_path, changes):
     out = tmp_path / "out"
     assert main(["run", str(write_spec(tmp_path, **changes)), "--out", str(out)]) \
@@ -417,3 +436,126 @@ def test_a_mutated_scenario_runs_and_verifies_or_exits_2_before_writing(scenario
         else:
             assert code == EXIT_CONFIG
             assert not out.exists()
+
+
+# A few steps on three users and four items, with a swap after step 4.
+TINY_SCENARIO = dict(load_scenario("canonical"), users=3, items=4, agent_user="u00",
+                     warm_start_events=10, background_rate=1,
+                     drift=[{"step": 5, "op": "SwapTopItems", "target": "g0"}])
+
+
+@st.composite
+def mutated_specs(draw):
+    """A spec of 1-3 trials, 1-10 steps and 1-2 variants on the tiny scenario,
+    with up to three mutations, each at the top level or in a variant: a key
+    dropped, a value replaced by one of ODD_VALUES or nested in [] or {}, or
+    an unknown key added.
+
+    Counts stay at 10 or below: a valid count such as 2**70 would run forever.
+    """
+    spec = {"scenario": "scenario.json", "trials": draw(st.integers(1, 3)),
+            "steps": draw(st.integers(1, 10)), "base_seed": draw(st.integers(-3, 3000)),
+            "variants": [{"name": v, "variant": v} for v in draw(st.lists(
+                st.sampled_from(hyql.agent.VARIANTS), min_size=1, max_size=2, unique=True))]}
+    paths = [()] + [("variants", i) for i in range(len(spec["variants"]))]
+    for _ in range(draw(st.integers(0, 3))):
+        entry = json_object_at(spec, draw(st.sampled_from(paths)))
+        kind = draw(st.sampled_from(["drop", "retype", "nest", "add"]))
+        if entry is None:
+            continue
+        if kind == "add" or not entry:
+            entry["extra"] = 1
+            continue
+        key = draw(st.sampled_from(sorted(entry)))
+        if kind == "drop":
+            del entry[key]
+        elif kind == "retype":
+            entry[key] = draw(st.sampled_from(ODD_VALUES))
+        else:
+            entry[key] = draw(st.sampled_from([[entry[key]], {"x": entry[key]}]))
+    return spec
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(spec=mutated_specs(), out_kind=st.sampled_from(["fresh", "a-file", "under-a-file"]))
+def test_a_mutated_spec_runs_and_verifies_or_exits_2_before_writing(spec, out_kind):
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        (directory / "scenario.json").write_text(json.dumps(TINY_SCENARIO), encoding="utf-8")
+        (directory / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+        blocker = directory / "blocker"
+        blocker.write_text("kept\n", encoding="utf-8")
+        out = {"fresh": directory / "out", "a-file": blocker,
+               "under-a-file": blocker / "out"}[out_kind]
+        code = main(["run", str(directory / "spec.json"), "--out", str(out)])
+        if code == EXIT_OK:
+            assert out_kind == "fresh"
+            assert main(["verify", str(out)]) == EXIT_OK
+        else:
+            assert code == EXIT_CONFIG
+            assert blocker.read_text(encoding="utf-8") == "kept\n"
+            assert sorted(p.name for p in directory.iterdir()) == \
+                ["blocker", "scenario.json", "spec.json"]
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """A finished two-trial, two-variant run on the tiny scenario."""
+    root = tmp_path_factory.mktemp("tiny")
+    (root / "scenario.json").write_text(json.dumps(TINY_SCENARIO), encoding="utf-8")
+    spec = write_spec(root, scenario="scenario.json", trials=2, steps=10, variants=[
+        HYQL, {"name": "CFOnly", "variant": "CFOnly"}])
+    assert main(["run", str(spec), "--out", str(root / "out")]) == EXIT_OK
+    return root / "out"
+
+
+# one trace stands for all four: they share a format and a reader
+RUN_FILES = ["metrics.csv", "spec.json", "scenario.json", "runs/HyQL/1001/history_actions.tsv"]
+
+# a JSON token: a string, a number, true, false or null
+JSON_TOKEN = re.compile(r'"[^"]*"|-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|true|false|null')
+
+
+def replace_field(line, suffix, index, value):
+    """The line with one field replaced: a tab- or comma-separated field, or
+    a JSON value in a JSON file, whose NaN, infinity and empty string are
+    spelt as JSON spells them."""
+    if suffix == ".json":
+        value = {"nan": "NaN", "inf": "Infinity", "": '""'}.get(value, value)
+        tokens = [token for token in JSON_TOKEN.finditer(line)
+                  if not line[token.end():].lstrip().startswith(":")]  # not a key
+        if not tokens:
+            return line
+        token = tokens[index % len(tokens)]
+        return line[:token.start()] + value + line[token.end():]
+    fields = line.split("\t" if suffix == ".tsv" else ",")
+    fields[index % len(fields)] = value
+    return ("\t" if suffix == ".tsv" else ",").join(fields)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(name=st.sampled_from(RUN_FILES), line=st.integers(0, 10**6),
+       kind=st.sampled_from(["drop", "duplicate", "truncate", "append", "replace"]),
+       field=st.integers(0, 20), text=st.sampled_from(["0", "9", "x", "\t", ",", "-"]),
+       value=st.sampled_from(["nan", "inf", "1e999", "", HUGE_INT]))
+def test_a_mutated_run_file_verifies_and_reports_with_exit_0_2_or_3(
+        tiny_run, name, line, kind, field, text, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        shutil.copytree(tiny_run, out)
+        path = out / name
+        lines = path.read_text(encoding="utf-8").splitlines()
+        i = line % len(lines)
+        if kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "truncate":
+            lines[i] = lines[i][: len(lines[i]) // 2]
+        elif kind == "append":
+            lines[i] += text
+        else:
+            lines[i] = replace_field(lines[i], path.suffix, field, value)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["verify", str(out)]) in (EXIT_OK, EXIT_CONFIG, EXIT_MISMATCH)
+        assert main(["report", str(out)]) in (EXIT_OK, EXIT_CONFIG, EXIT_MISMATCH)

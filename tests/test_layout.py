@@ -5,7 +5,7 @@ direction: context -> qlearn -> collab/casebase -> agent -> simenv ->
 store/bench -> cli. Only simenv spells the scenario format's keys, and
 only bench spells the experiment spec's. Every function, method and class
 is used by the package itself, not only by the tests, and every annotated
-class field is read by it.
+class field and every attribute a method sets on `self` is read by it.
 """
 
 import ast
@@ -140,6 +140,12 @@ def test_every_definition_is_used_by_the_package():
     assert unreferenced_definitions(trees) == []
 
 
+def loaded_attributes(trees):
+    """Every name an `ast.Attribute` in load context spells in the modules."""
+    return {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 def unread_fields(trees):
     """Annotated class fields no code reads as an attribute.
 
@@ -147,8 +153,7 @@ def unread_fields(trees):
     anywhere in the given modules; a keyword argument that sets the field,
     a store and a `del` do not count.
     """
-    loaded = {node.attr for tree in trees.values() for node in ast.walk(tree)
-              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    loaded = loaded_attributes(trees)
     return sorted(f"{module}.{cls.name}.{stmt.target.id} (line {stmt.lineno})"
                   for module, tree in trees.items()
                   for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
@@ -157,7 +162,29 @@ def unread_fields(trees):
                   and stmt.target.id not in loaded)
 
 
+def unread_instance_attributes(trees):
+    """Attributes a method stores on `self` that no code reads as an attribute.
+
+    A store is a `self.<name>` assignment target anywhere in a class body,
+    `__init__` included; a read is as for `unread_fields`.
+    """
+    loaded = loaded_attributes(trees)
+    return sorted({f"{module}.{cls.name}.{node.attr}"
+                   for module, tree in trees.items()
+                   for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for node in ast.walk(cls)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                   and isinstance(node.value, ast.Name) and node.value.id == "self"
+                   and node.attr not in loaded})
+
+
 def test_every_field_is_read_by_the_package():
     """A field that is set but never read is state no result depends on."""
     trees = {name: tree for name, tree in modules().items() if name != "__init__"}
     assert unread_fields(trees) == []
+
+
+def test_every_instance_attribute_is_read_by_the_package():
+    """The same rule for the attributes methods set on `self`."""
+    trees = {name: tree for name, tree in modules().items() if name != "__init__"}
+    assert unread_instance_attributes(trees) == []

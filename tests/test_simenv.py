@@ -23,17 +23,25 @@ SINGLE_HABIT = {"part_of_day": "Morning", "day_class": "Weekday", "calendar": "F
                 "place": "Office", "cognitive": "Navigate", "weight": 1.0}
 
 
-def scenario(n_users=4, affinity=0.8, n_items=5, drift=(), routine=None):
-    """A one-group scenario config, on the canonical routine by default."""
+def scenario(n_users=4, affinity=0.8, n_items=5, drift=(), routine=None, **changes):
+    """A one-group scenario config, on the canonical routine by default, with
+    u00 as the focal user unless `changes` names another."""
     canonical = load_scenario("canonical")
-    return dict(canonical, users=n_users, affinity=affinity, items=n_items,
-                agent_user="u00", drift=list(drift),
-                routines={"g0": routine or canonical["routines"]["g0"]})
+    config = dict(canonical, users=n_users, affinity=affinity, items=n_items,
+                  agent_user="u00", drift=list(drift),
+                  routines={"g0": routine or canonical["routines"]["g0"]})
+    config.update(changes)
+    return config
 
 
 def situations(world, user_id):
     """The user's routine situations, in routine order."""
-    return [habit.situation for habit in world.user(user_id).routine]
+    return [habit.situation for habit in world.scenario.user(user_id).routine]
+
+
+def env_of(world):
+    """A SimEnv of the world, with a fresh CF store."""
+    return SimEnv(world, TransactionStore(world.scenario.catalog, world.scenario.context))
 
 
 def small_world(seed=0, **changes):
@@ -48,7 +56,7 @@ class TestBuildPopulation:
     def test_affinity_one_makes_clones(self):
         world = small_world(affinity=1.0)
         rows = [world.row(u.user_id, situations(world, u.user_id)[0])
-                for u in world.users]
+                for u in world.scenario.users]
         assert all(r == rows[0] for r in rows)
 
     def test_affinity_zero_detaches_from_prototype(self):
@@ -56,7 +64,7 @@ class TestBuildPopulation:
         proto = _draw_row(random.Random(0 * _SEED_SPREAD + _STREAM_BUILD), 5)
         for affinity, attached in ((1.0, True), (0.0, False)):
             world = small_world(seed=0, affinity=affinity, n_items=5)
-            u = world.users[0]
+            u = world.scenario.users[0]
             key = situations(world, u.user_id)[0]
             assert (world.row(u.user_id, key) == proto) is attached
 
@@ -64,7 +72,7 @@ class TestBuildPopulation:
         a = small_world(seed=42, n_users=10)
         b = small_world(seed=42, n_users=10)
         assert a.relevance == b.relevance
-        assert [u.user_id for u in a.users] == [u.user_id for u in b.users]
+        assert [u.user_id for u in a.scenario.users] == [u.user_id for u in b.scenario.users]
 
     def test_probabilities_in_range(self):
         world = small_world(seed=3, n_users=8)
@@ -78,7 +86,7 @@ class TestBuildPopulation:
 
     def test_every_routine_situation_covered(self):
         world = small_world()
-        for profile in world.users:
+        for profile in world.scenario.users:
             for key in situations(world, profile.user_id):
                 assert (profile.user_id, key) in world.relevance
 
@@ -164,8 +172,8 @@ class TestGenEvent:
     @given(step=st.integers(0, 10**7), seed=st.integers(0, 2**32))
     def test_degenerate_routine_hits_one_key(self, step, seed):
         rng = random.Random(seed)
-        assert len(DEGENERATE.users) == 4 * 16 * 4
-        for profile in DEGENERATE.users:
+        assert len(DEGENERATE.scenario.users) == 4 * 16 * 4
+        for profile in DEGENERATE.scenario.users:
             (habit,) = profile.routine
             event = gen_event(DEGENERATE, profile.user_id, step, rng)
             assert CONTEXT.aggregate(event, profile.social_group) == habit.situation
@@ -178,13 +186,13 @@ class TestGenEvent:
 
     def test_triple_frequencies_match_weights(self):
         world = small_world(seed=5)
-        profile = world.users[0]
+        profile = world.scenario.users[0]
         rng = random.Random(6)
         counts = {habit.situation: 0 for habit in profile.routine}
         n = 10_000
         for step in range(n):
             event = gen_event(world, "u00", step, rng)
-            key = world.context.aggregate(event, "g0")
+            key = CONTEXT.aggregate(event, "g0")
             counts[key] += 1
         for habit in profile.routine:
             freq = counts[habit.situation] / n
@@ -196,7 +204,7 @@ class TestGenEvent:
         valid = set(situations(world, "u00"))
         for step in range(500):
             event = gen_event(world, "u00", step, rng)
-            key = world.context.aggregate(event, "g0")
+            key = CONTEXT.aggregate(event, "g0")
             assert key in valid
 
 
@@ -283,7 +291,7 @@ class TestDrift:
         assert apply_drift(world, 5) == 0
 
     def test_a_drift_op_is_frozen(self):
-        op = small_world(seed=16, drift=[swap(5)]).drift_schedule[0]
+        op = small_world(seed=16, drift=[swap(5)]).scenario.drift[0]
         with pytest.raises(dataclasses.FrozenInstanceError):
             op.step = 0
 
@@ -299,15 +307,53 @@ class TestDrift:
                     or row_before[hi] == row_before[lo]
 
     def test_scoped_drift_touches_only_scope(self):
-        world = small_world(seed=15)
-        key = situations(world, "u00")[0]
-        world.drift_schedule = (DriftOp(0, "u00", key),)
+        key = situations(small_world(seed=15), "u00")[0]
+        world = small_world(seed=15, drift=[
+            {"step": 0, "op": "SwapTopItems", "target": "u00", "scope": key.canonical()}])
+        assert world.scenario.drift == (DriftOp(0, "u00", key),)
         before = exact_rows(world)
-        apply_drift(world, 0)
+        assert apply_drift(world, 0) == 1
+        assert exact(world.relevance[("u00", key)]) != before[("u00", key)]
         for k, row in world.relevance.items():
             if k == ("u00", key):
                 continue
             assert exact(row) == before[k]
+
+
+CANONICAL_SCOPES = [habit.situation.canonical()
+                    for habit in parse_scenario(scenario(), CONTEXT).routines["g0"]]
+
+
+@st.composite
+def drifting_worlds(draw):
+    """A world of 1-6 users on 2-12 items with 0-3 swaps, each on the group
+    or on one user, over every situation or over one habit's."""
+    n_users = draw(st.integers(1, 6))
+    drift = []
+    for _ in range(draw(st.integers(0, 3))):
+        entry = {"step": draw(st.integers(0, 20)), "op": "SwapTopItems",
+                 "target": draw(st.sampled_from(["g0"] + [f"u{i:02d}" for i in range(n_users)]))}
+        scope = draw(st.none() | st.sampled_from(CANONICAL_SCOPES))
+        if scope is not None:
+            entry["scope"] = scope
+        drift.append(entry)
+    return small_world(seed=draw(st.integers(0, 2**32)), n_users=n_users,
+                       n_items=draw(st.integers(2, 12)), drift=drift)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(world=drifting_worlds())
+def test_no_drift_changes_an_optimum(world):
+    """A swap permutes a row, so each user's optimum after any drift equals
+    its optimum before, exactly: what lets a trial compute it once."""
+    users = [u.user_id for u in world.scenario.users]
+    optimum = {user: world.optimal_expected_reward(user) for user in users}
+    rows = {key: sorted(row) for key, row in world.relevance.items()}
+    for op in world.scenario.drift:
+        apply_drift(world, op.step)
+        assert {user: world.optimal_expected_reward(user) for user in users} == optimum
+        assert {key: sorted(row) for key, row in world.relevance.items()} == rows
+    assert world.drift_fired == len(world.scenario.drift)
 
 
 class TestEnvStep:
@@ -316,59 +362,58 @@ class TestEnvStep:
                             routine=[SINGLE_HABIT])
         key = situations(world, "u00")[0]
         world.relevance[("u00", key)] = [1.0, 0.0]
-        env = SimEnv(world)
-        env.reset("u00")
-        total = sum(env.step("u00", "doc00")[0] for _ in range(50))
+        env = env_of(world)
+        env.reset()
+        total = sum(env.step("doc00")[0] for _ in range(50))
         assert total == 50.0
 
     def test_fixed_seed_fixed_rewards(self):
         rewards = []
         for _ in range(2):
-            world = small_world(seed=21)
-            env = SimEnv(world)
-            env.reset("u00")
-            rewards.append([env.step("u00", "doc01")[0] for _ in range(100)])
+            env = env_of(small_world(seed=21, background_rate=0))
+            env.reset()
+            rewards.append([env.step("doc01")[0] for _ in range(100)])
         assert rewards[0] == rewards[1]
 
     def test_optimal_policy_matches_closed_form(self):
-        world = small_world(seed=23)
-        env = SimEnv(world)
-        event = env.reset("u00")
-        catalog = world.catalog
+        world = small_world(seed=23, background_rate=0)
+        env = env_of(world)
+        event = env.reset()
+        catalog = world.scenario.catalog
         n = 20_000
         total = 0.0
         for _ in range(n):
-            s = world.context.aggregate(event, world.user("u00").social_group)
+            s = CONTEXT.aggregate(event, world.scenario.user("u00").social_group)
             row = world.row("u00", s)
             best = catalog.actions[row.index(max(row))]
-            r, event = env.step("u00", best)
+            r, event = env.step(best)
             total += r
         expected = world.optimal_expected_reward("u00")
         assert abs(total / n - expected) <= 0.02
 
     def test_background_burst_fills_store(self):
-        world = small_world(seed=24)
-        store = TransactionStore(world.catalog, world.context)
-        env = SimEnv(world, store, background_rate=0,
-                     background_users=["u01", "u02"])
+        world = small_world(seed=24, n_users=3)
+        env = env_of(world)
+        store = env.cf_store
         env.background_burst(250)
         assert len(store) == 250
-        for profile in world.users:
+        for profile in world.scenario.users:
             user = profile.user_id
             accepted = [set().union(*(positive_items(store, user, key, level)
                                       for key in situations(world, user)))
-                        for level in range(world.context.depth + 1)]
+                        for level in range(CONTEXT.depth + 1)]
+            # every user but the focal u00 is background
             assert bool(accepted[0]) == (user in ("u01", "u02"))
             # situation-tagged: every accepted (user, item) is indexed at every level
             assert all(items == accepted[0] for items in accepted)
 
     def test_background_burst_reads_rows_a_swap_changed(self):
-        background = ["u00", "u01", "u02", "u03"]
-        world = small_world(seed=25, drift=[swap(0)])
-        store = TransactionStore(world.catalog, world.context)
-        env = SimEnv(world, store, background_users=background)
-        ref_world = small_world(seed=25, drift=[swap(0)])
-        ref_store = TransactionStore(ref_world.catalog, ref_world.context)
+        background = ["u00", "u01", "u02", "u03"]  # every user but the focal u04
+        world = small_world(seed=25, n_users=5, agent_user="u04", drift=[swap(0)])
+        env = env_of(world)
+        store = env.cf_store
+        ref_world = small_world(seed=25, n_users=5, agent_user="u04", drift=[swap(0)])
+        ref_store = TransactionStore(ref_world.scenario.catalog, CONTEXT)
         ref_rng = random.Random()
         ref_rng.setstate(env.background_rng.getstate())
 
@@ -383,7 +428,7 @@ class TestEnvStep:
         assert env.background_rng.getstate() == ref_rng.getstate()
         for user in background:
             for key in situations(world, user):
-                for level in range(world.context.depth + 1):
+                for level in range(CONTEXT.depth + 1):
                     assert positive_items(store, user, key, level) == \
                         positive_items(ref_store, user, key, level)
 
@@ -392,7 +437,7 @@ def reference_burst(world, store, rng, background_users, n_events):
     """Reference background write loop: every key, row and index looked up per event."""
     for _ in range(n_events):
         user_id = background_users[rng.randrange(len(background_users))]
-        profile = world.user(user_id)
+        profile = world.scenario.user(user_id)
         u = rng.random()
         acc = 0.0
         habit = profile.routine[-1]
@@ -402,8 +447,9 @@ def reference_burst(world, store, rng, background_users, n_events):
                 habit = candidate
                 break
         key = habit.situation
-        item = world.catalog.actions[rng.randrange(len(world.catalog))]
-        probability = world.row(user_id, key)[world.catalog.index(item)]
+        catalog = world.scenario.catalog
+        item = catalog.actions[rng.randrange(len(catalog))]
+        probability = world.row(user_id, key)[catalog.index(item)]
         store.record_implicit(user_id, item, rng.random() < probability, key)
 
 
@@ -433,7 +479,7 @@ class TestScenario:
             s = habit.situation
             assert context.situation(s.time, s.place, "g0", s.cognitive, 0) is s
         world = world_from_scenario(parsed, 7)
-        assert world.context is context
+        assert world.scenario is parsed
         assert situations(world, "u10") == [h.situation for h in parsed.routines["g0"]]
 
     def test_drift_scope_resolves_to_the_habit_situation(self, canonical_scenario):
@@ -456,10 +502,10 @@ class TestScenario:
 
     def test_world_from_scenario_canonical(self, canonical_scenario, context):
         world = world_from_scenario(parse_scenario(canonical_scenario, context), 7)
-        assert len(world.users) == 11
-        assert len(world.catalog) == 20
+        assert len(world.scenario.users) == 11
+        assert len(world.scenario.catalog) == 20
         assert len(situations(world, "u10")) == 6
-        assert world.drift_schedule[0].step == 1000
+        assert world.scenario.drift[0].step == 1000
 
     def test_check_scenario_takes_a_scope_from_the_targets_routine(
             self, canonical_scenario, context):
@@ -478,7 +524,7 @@ class TestScenario:
     def test_worlds_of_one_scenario_drift_independently(self, canonical_scenario, context):
         parsed = parse_scenario(canonical_scenario, context)
         first, second = world_from_scenario(parsed, 3), world_from_scenario(parsed, 3)
-        assert first.drift_schedule is second.drift_schedule is parsed.drift
+        assert first.scenario is second.scenario is parsed
         before = exact_rows(second)
         assert apply_drift(first, 1000) == 1
         assert exact_rows(first) != before

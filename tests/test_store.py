@@ -124,7 +124,7 @@ class TestSnapshotLoad:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(StoreParseError) as info:
             read_action_history(tmp_path / "run", 3)
-        assert info.value.lineno == len(lines)
+        assert str(info.value).startswith(f"{path}:{len(lines)}:")
 
     def test_missing_header_rejected(self, tmp_path):
         store = populated_store()
