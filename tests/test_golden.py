@@ -12,6 +12,11 @@ CF advice on every step, so it reaches the popularity answer and the
 neighbour answer over 100 neighbours with many equal similarities, which
 the 11-user run never does.
 
+A third, tiny run (3 users, 2 items, 3-step days, seed 7) is the one
+pinned run in which the case base acts: its rare weekend habit is first
+met after a day whose weekday habit was retained, and a similar enough
+case bootstraps that row in both case variants.
+
 Re-bless these hashes only in a change whose stated purpose is a behaviour
 change, and say so in CHANGES.md; a refactor or a speed-up must keep them.
 """
@@ -28,6 +33,8 @@ import pytest
 import hyql
 from hyql.bench import load_scenario
 from hyql.cli import main
+from hyql.qlearn import CASE_BOOTSTRAPPED
+from hyql.store import read_action_history
 
 VARIANTS = ("GreedyQ", "EpsilonGreedyQ", "CFOnly", "CBRQ", "HyQL")
 SEED = 1000
@@ -145,3 +152,67 @@ def test_wide_outputs_match_the_pinned_hashes(tmp_path):
     out = tmp_path / "out"
     assert main(["run", str(tmp_path / "spec.json"), "--out", str(out)]) == 0
     assert _digests(out) == WIDE_GOLDEN
+
+
+TINY_VARIANTS = ("GreedyQ", "EpsilonGreedyQ", "CFOnly", "CBRQ", "HyQL")
+TINY_SEED = 7
+
+
+def _habit(part_of_day, day_class, place, cognitive, weight, calendar="Free"):
+    return {"part_of_day": part_of_day, "day_class": day_class, "calendar": calendar,
+            "place": place, "cognitive": cognitive, "weight": weight}
+
+
+TINY_SCENARIO = {
+    "name": "tiny", "users": 3, "groups": 1, "items": 2, "affinity": 0.8,
+    "day_length": 3, "agent_user": "u00", "warm_start_events": 0, "background_rate": 1,
+    "routines": {"g0": [
+        _habit("Morning", "Weekday", "Office", "Navigate", 0.5),
+        _habit("Afternoon", "Weekday", "ClientSite", "OpenFolder", 0.125, "InMeeting"),
+        _habit("Afternoon", "Weekday", "Office", "SendEmail", 0.25),
+        _habit("Evening", "Weekday", "Home", "Navigate", 0.0625),
+        _habit("Morning", "Weekend", "Office", "Navigate", 0.03125),
+        _habit("Night", "Weekday", "Transit", "Call", 0.03125),
+    ]},
+}
+
+TINY_GOLDEN = {
+    "metrics.csv":
+        "92e10292d9be717da32bbd21de68b132aa92bb097b6f41bd64e97561f76c32cd",
+    "runs/CBRQ/7/history_actions.tsv":
+        "e0f7e44edbf4fd263b6dd67c547dfa5626327b22efe2f1a901fa69f1fab2edb1",
+    "runs/CBRQ/7/history_events.tsv":
+        "efc2ce46d0e0af8b223f35defd73f4dd0f6d87e5d920eb8503eab843c4251cf5",
+    "runs/CFOnly/7/history_actions.tsv":
+        "6846b38cc54694676f5c02e7e7dab53b4984891582424342f0c283b0bd5a3891",
+    "runs/CFOnly/7/history_events.tsv":
+        "efc2ce46d0e0af8b223f35defd73f4dd0f6d87e5d920eb8503eab843c4251cf5",
+    "runs/EpsilonGreedyQ/7/history_actions.tsv":
+        "4c6146513488711e84dfbe0c03713a63e90d3a55444332d5c4d4173b586111c1",
+    "runs/EpsilonGreedyQ/7/history_events.tsv":
+        "efc2ce46d0e0af8b223f35defd73f4dd0f6d87e5d920eb8503eab843c4251cf5",
+    "runs/GreedyQ/7/history_actions.tsv":
+        "11830eb52e4117719d83177152bd59f91ab86b79d3c42ae057418eb7d1a45187",
+    "runs/GreedyQ/7/history_events.tsv":
+        "efc2ce46d0e0af8b223f35defd73f4dd0f6d87e5d920eb8503eab843c4251cf5",
+    "runs/HyQL/7/history_actions.tsv":
+        "8fed8b327e86ff5d1411bbc519d1855f1ab6090d52bbe3746001224a245f969a",
+    "runs/HyQL/7/history_events.tsv":
+        "efc2ce46d0e0af8b223f35defd73f4dd0f6d87e5d920eb8503eab843c4251cf5",
+}
+
+
+def test_tiny_outputs_match_the_pinned_hashes_and_bootstrap_a_case(tmp_path):
+    (tmp_path / "scenario.json").write_text(json.dumps(TINY_SCENARIO), encoding="utf-8")
+    spec = {"scenario": "scenario.json", "trials": 1, "steps": 300, "base_seed": TINY_SEED,
+            "variants": [{"name": v, "variant": v} for v in TINY_VARIANTS]}
+    (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(tmp_path / "spec.json"), "--out", str(out)]) == 0
+    assert _digests(out) == TINY_GOLDEN
+    traces = {variant: read_action_history(out / "runs" / variant / str(TINY_SEED), 300)
+              for variant in TINY_VARIANTS}
+    for variant in ("CBRQ", "HyQL"):
+        assert sum(record.branch == CASE_BOOTSTRAPPED for record in traces[variant]) >= 1
+    # GreedyQ never writes a second item's value, so argmax ties keep the first
+    assert {record.a for record in traces["GreedyQ"]} == {"doc00"}
