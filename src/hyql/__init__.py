@@ -8,8 +8,8 @@ from .casebase import Case, CaseBase, RetrievalResult, adapt, case_similarity
 from .collab import TransactionStore, cosine_similarity
 from .context import (CalendarEntry, CognitiveAction, ContextModel, PlaceNode,
                       RawEvent, SituationKey, TimeBucket, abstract_time)
-from .qlearn import (ActionCatalog, LearningParams, QTable, StepRecord,
-                     epsilon_greedy_action, greedy_action)
+from .qlearn import (LearningParams, QTable, StepRecord, epsilon_greedy_action,
+                     greedy_action)
 from .simenv import (DriftOp, Habit, Scenario, SimEnv, UserProfile, WorldModel,
                      apply_drift, gen_event, parse_scenario, reward,
                      world_from_scenario)

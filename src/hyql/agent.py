@@ -25,8 +25,8 @@ from .casebase import CaseBase, adapt
 from .collab import TransactionStore
 from .context import ContextModel, RawEvent, SituationKey
 from .qlearn import (ADVISE, CASE_BOOTSTRAPPED, EXPLOIT, RANDOM_FALLBACK,
-                     ActionCatalog, ActionId, LearningParams, QTable,
-                     StepRecord, epsilon_greedy_action, greedy_action)
+                     ActionId, LearningParams, QTable, StepRecord,
+                     epsilon_greedy_action, greedy_action)
 
 VARIANTS = ("GreedyQ", "EpsilonGreedyQ", "CFOnly", "CBRQ", "HyQL")
 _Q_VARIANTS = ("GreedyQ", "EpsilonGreedyQ", "CBRQ", "HyQL")
@@ -53,30 +53,34 @@ class AgentConfig:
             raise ValueError("episode_length must be >= 1")
 
 
-def hybrid_policy(table: QTable, s: SituationKey, catalog: ActionCatalog,
-                  p: float, cf_store: TransactionStore, target: str,
+def hybrid_policy(table: QTable, s: SituationKey, p: float,
+                  cf_store: TransactionStore, target: str,
                   rng: random.Random) -> tuple[ActionId, str]:
     """Exploit when q <= p; otherwise take CF advice, or a random action."""
     q = rng.random()
     if q <= p:
-        return greedy_action(table, s, catalog), EXPLOIT
+        return greedy_action(table, s), EXPLOIT
     advice = cf_store.advise_action(target, s)
     if advice is not None:
         return advice, ADVISE
-    return catalog.actions[rng.randrange(len(catalog))], RANDOM_FALLBACK
+    return rng.randrange(table.n_actions), RANDOM_FALLBACK
 
 
 class Agent:
-    """One user's recommender; owns its table, case base and rng."""
+    """One user's recommender; owns its table, case base and rng.
 
-    def __init__(self, config: AgentConfig, catalog: ActionCatalog,
+    It acts with catalog indices and names an item by its id from `items`
+    only in the `StepRecord` it writes.
+    """
+
+    def __init__(self, config: AgentConfig, items: tuple[str, ...],
                  context: ContextModel, social_group: str,
                  cf_store: TransactionStore):
         self.config = config
-        self.catalog = catalog
+        self.items = items
         self.context = context
         self.social_group = social_group
-        self.table = QTable()
+        self.table = QTable(len(items))
         self.casebase = CaseBase(context)
         self.cf_store = cf_store
         self.rng = random.Random(config.seed)
@@ -95,17 +99,16 @@ class Agent:
     def _select(self, s: SituationKey) -> tuple[ActionId, str]:
         variant = self.config.variant
         if variant == "GreedyQ":
-            return greedy_action(self.table, s, self.catalog), EXPLOIT
+            return greedy_action(self.table, s), EXPLOIT
         if variant == "EpsilonGreedyQ" or variant == "CBRQ":
-            return epsilon_greedy_action(self.table, s, self.catalog,
-                                         PARAMS.p, self.rng)
+            return epsilon_greedy_action(self.table, s, PARAMS.p, self.rng)
         if variant == "CFOnly":
             advice = self.cf_store.advise_action(self.user_id, s)
             if advice is not None:
                 return advice, ADVISE
-            return self.catalog.actions[self.rng.randrange(len(self.catalog))], RANDOM_FALLBACK
-        return hybrid_policy(self.table, s, self.catalog, PARAMS.p,
-                             self.cf_store, self.user_id, self.rng)
+            return self.rng.randrange(len(self.items)), RANDOM_FALLBACK
+        return hybrid_policy(self.table, s, PARAMS.p, self.cf_store,
+                             self.user_id, self.rng)
 
     def _maybe_bootstrap(self, s: SituationKey) -> bool:
         # only a situation never stepped in is looked up; every case variant
@@ -127,14 +130,14 @@ class Agent:
         r, next_event = env.step(a)
         s_next = self.context.aggregate(next_event, self.social_group)
         if self.config.variant in _Q_VARIANTS:
-            self.table.update(s, a, r, s_next, self.catalog, PARAMS)
+            self.table.update(s, a, r, s_next, PARAMS)
         self.cf_store.record_implicit(self.user_id, a,
                                       r >= POSITIVE_RATING_THRESHOLD, s)
         stats = self._situation_stats.setdefault(s, [0, 0.0])
         stats[0] += 1
         stats[1] += r
         self._episode_seen.add(s)
-        record = StepRecord(self.step_count, s, a, branch, r, s_next)
+        record = StepRecord(self.step_count, s, self.items[a], branch, r, s_next)
         self.step_count += 1
         return record, next_event
 

@@ -49,8 +49,8 @@ from .agent import Agent, AgentConfig, VARIANTS
 from .collab import TransactionStore
 from .context import ContextModel, GazetteerError
 from .qlearn import EXPLOIT, StepRecord
-from .simenv import (Scenario, SimEnv, check_keys, json_int, json_list,
-                     parse_scenario, world_from_scenario)
+from .simenv import (SEED_SPREAD, Scenario, SimEnv, check_keys, json_int,
+                     json_list, parse_scenario, world_from_scenario)
 from .store import (PreferenceRecord, RunStore, StoreParseError, fmt_float,
                     read_action_history, read_run_file)
 
@@ -65,7 +65,6 @@ DEFAULT_BASE_SEED = 1000
 CSV_HEADER = "variant,seed,metric,value,from,to"
 
 _AGENT_STREAM = 99  # agent rng offset below the trial seed base
-_SEED_SPREAD = 1_000_003
 
 
 class ConfigError(Exception):
@@ -215,13 +214,13 @@ def run_trial(scenario: Scenario, variant: dict, seed: int, steps: int,
     """Fresh world plus fresh agent, one full run, optional persistence."""
     world = world_from_scenario(scenario, seed)
     focal = scenario.agent_user
-    cf_store = TransactionStore(scenario.catalog, scenario.context)
+    cf_store = TransactionStore(len(scenario.items), scenario.context)
     env = SimEnv(world, cf_store)
     env.background_burst(scenario.warm_start_events)
 
     config = AgentConfig(variant["variant"], focal, scenario.day_length,
-                         seed * _SEED_SPREAD + _AGENT_STREAM)
-    agent = Agent(config, scenario.catalog, scenario.context,
+                         seed * SEED_SPREAD + _AGENT_STREAM)
+    agent = Agent(config, scenario.items, scenario.context,
                   scenario.user(focal).social_group, cf_store)
 
     optimal = world.optimal_expected_reward(focal)

@@ -1,7 +1,8 @@
 """Case base: store finished (situation -> Q-row) experiences and reuse them.
 
 A case pairs a problem description (the situation key's four feature
-dimensions) with the Q-row that worked there and some outcome statistics.
+dimensions) with the Q-row that worked there, a list of values in catalog
+order, and some outcome statistics.
 Retrieval is an argmax over a weighted per-dimension similarity; reuse
 writes a similarity-scaled copy of the stored row into the live Q-table,
 but only for a row the table does not hold yet, so learned values are
@@ -15,10 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .context import ContextModel, SituationKey
-from .qlearn import ActionId, QTable
+from .qlearn import QTable
 
 FEATURE_WEIGHTS = (0.25, 0.25, 0.25, 0.25)  # time, place, group, cognitive
 RETRIEVAL_THRESHOLD = 0.8
@@ -28,7 +29,7 @@ MAX_SIZE = 1000
 @dataclass
 class Case:
     problem: SituationKey
-    solution: dict[ActionId, float]
+    solution: list[float]  # Q value per catalog index
     visits: int
     mean_reward: float
     user_id: str
@@ -40,7 +41,7 @@ class Case:
             raise ValueError("a case needs at least one visit")
         if not 0.0 <= self.mean_reward <= 1.0:
             raise ValueError("mean_reward must be in [0, 1]")
-        for value in self.solution.values():
+        for value in self.solution:
             if not math.isfinite(value):
                 raise ValueError("case solution contains a non-finite value")
 
@@ -116,7 +117,7 @@ class CaseBase:
             return None
         return RetrievalResult(best, best_sim)
 
-    def retain(self, problem: SituationKey, q_row: Mapping[ActionId, float],
+    def retain(self, problem: SituationKey, q_row: Sequence[float],
                visits: int, mean_reward: float, user_id: str, step: int) -> Case:
         """Insert a finished experience, copying `q_row`; revise an equal
         problem in place.
@@ -127,7 +128,7 @@ class CaseBase:
         Over capacity, the lowest-mean-reward case is evicted, oldest first
         on ties.
         """
-        case = Case(problem, dict(q_row), visits, mean_reward, user_id, step,
+        case = Case(problem, list(q_row), visits, mean_reward, user_id, step,
                     order=self._next_order)
         self._next_order += 1
         for i, existing in enumerate(self.cases):
@@ -150,6 +151,6 @@ def adapt(result: RetrievalResult, target_s: SituationKey, table: QTable) -> boo
     """
     if table.row(target_s):
         return False
-    for action, value in result.case.solution.items():
+    for action, value in enumerate(result.case.solution):
         table.set_value(target_s, action, result.similarity * value)
     return True

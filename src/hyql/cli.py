@@ -4,9 +4,40 @@
     hyql report <DIR>
     hyql verify <DIR>
 
-Exit codes: 0 success, 2 configuration error (an unreadable spec or scenario,
-an output directory that is missing or cannot be made), 3 verification
-mismatch or a run file (a trace, metrics.csv) missing, unreadable or malformed.
+Exit codes: 0 success, 2 configuration error, 3 verification mismatch or a
+bad run file; no input ends in a traceback. Each rule names the test in
+tests/test_cli.py that pins it.
+
+Exit 2, and `run` writes nothing under --out:
+- a spec or scenario file that is a directory or not UTF-8, is not JSON,
+  nests past the decoder's recursion limit or holds an integer of more
+  than 4,300 digits (test_unreadable_spec_or_scenario_exits_2_before_writing,
+  test_deeply_nested_json_exits_2_before_writing,
+  test_an_integer_past_the_digit_limit_exits_2_before_writing);
+- in the spec, a variant, the scenario, a habit or a drift entry: a missing
+  or unknown key; a count that is not a JSON integer or is below its
+  minimum; variants not uniquely and safely named, or unknown; an
+  agent_user outside the users; routines not one per group; a routine,
+  joined or not, whose weights are negative or do not sum to 1, or that
+  repeats a situation; a place that is not a gazetteer leaf; an unknown
+  part of day or cognitive kind; an affinity outside [0, 1]; a drift op
+  other than SwapTopItems, or whose target or scope names nothing; a name
+  that is not a string (test_bad_spec_exits_2_before_writing, a case each);
+- --out at a file or under one (test_out_at_or_under_a_file_exits_2_before_writing);
+- `report` or `verify` of a missing directory, and `verify` of a spec.json
+  that breaks a spec rule (TestReport, TestVerify).
+Every other scenario or spec runs and verifies: a valid but huge count is
+no error (test_a_mutated_scenario_runs_and_verifies_or_exits_2_before_writing,
+test_a_mutated_spec_runs_and_verifies_or_exits_2_before_writing).
+
+Exit 3, naming the bad run file's path and line: a run file that is
+missing, a directory or not UTF-8 (TestReport,
+test_unreadable_run_file_exits_3); a trace with a wrong header, a short
+line or too few lines (TestVerify); a metrics.csv row short of a field
+(TestReport); metrics that differ from those recomputed from the traces
+(perfbench's test_tampered_reward_fails_that_trial). Any mutated run file
+makes `verify` and `report` exit 0, 2 or 3
+(test_a_mutated_run_file_verifies_and_reports_with_exit_0_2_or_3).
 """
 
 from __future__ import annotations

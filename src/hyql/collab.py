@@ -1,15 +1,16 @@
 """Memory-based collaborative filtering over implicit 0/1 ratings.
 
 Every transaction is a (user, item, rating) event tagged with the
-situation in which it happened. The store keeps no log of them. It keeps
-last-write-wins ratings per view and per user, as one bitset (a Python int
-in which bit i stands for catalog item i) of the items rated 1. A rating
-of 0 and an untouched item both read as 0, so only the positive votes are
-stored. There is one view per generalized situation scope, so that advice
-can be computed "for people like you, in situations like this one". Each
-view also counts, per item, its users whose positive bit is set, and each
-user caches its positive item indices as an ascending tuple; both change
-only when a positive bit flips.
+situation in which it happened; an item is its catalog index, and advice
+is an index too. The store keeps no log of them. It keeps last-write-wins
+ratings per view and per user, as one bitset (a Python int in which bit i
+stands for catalog item i) of the items rated 1. A rating of 0 and an
+untouched item both read as 0, so only the positive votes are stored.
+There is one view per generalized situation scope, so that advice can be
+computed "for people like you, in situations like this one". Each view
+also counts, per item, its users whose positive bit is set, and each user
+caches its positive item indices as an ascending tuple; both change only
+when a positive bit flips.
 
 Similarity is the cosine between the 0/1 vectors, which on bitsets is
 popcount(u & v) / sqrt(popcount(u) * popcount(v)). A predicted score adds
@@ -30,7 +31,6 @@ import math
 from typing import Optional
 
 from .context import ContextModel, SituationKey
-from .qlearn import ActionCatalog, ActionId, CatalogError
 
 DEFAULT_NEIGHBORS = 10  # the scenario's team size
 
@@ -110,11 +110,10 @@ class TransactionStore:
     cognitive classes), so the memo stays small.
     """
 
-    def __init__(self, catalog: ActionCatalog, context: ContextModel):
-        self.catalog = catalog
+    def __init__(self, n_items: int, context: ContextModel):
+        self.n_items = n_items
         self.context = context
         self._count = 0  # transactions recorded
-        self._slot = {item: (i, 1 << i) for i, item in enumerate(catalog)}  # index, bit
         # (level, generalized scope key) -> view
         self._scoped: dict[tuple[int, SituationKey], View] = {}
         # situation -> its views, most specific first
@@ -129,17 +128,15 @@ class TransactionStore:
         if views is None:
             views = self._views_of[s] = tuple(
                 self._scoped.setdefault((level, self.context.generalize(s, level)),
-                                        View(len(self.catalog)))
+                                        View(self.n_items))
                 for level in range(self.context.depth + 1))
         return views
 
-    def record_implicit(self, user_id: str, item: ActionId, positive: bool,
+    def record_implicit(self, user_id: str, item: int, positive: bool,
                         situation: SituationKey) -> None:
-        """Record an implicit rating: 1 for an acceptance, else 0."""
-        slot = self._slot.get(item)
-        if slot is None:
-            raise CatalogError(item)
-        index, bit = slot
+        """Record an implicit rating of the item at catalog index `item`:
+        1 for an acceptance, else 0."""
+        bit = 1 << item
         views = self._views(situation)
         self._count += 1
         for view in views:
@@ -147,16 +144,16 @@ class TransactionStore:
             if entry is None:
                 view.ratings[user_id] = [bit, None] if positive else [0, ()]
                 if positive:
-                    view.counts[index] += 1
+                    view.counts[item] += 1
             elif entry[0] & bit:
                 if not positive:  # a 1 overwritten by a 0
                     entry[0] ^= bit
                     entry[1] = None
-                    view.counts[index] -= 1
+                    view.counts[item] -= 1
             elif positive:  # a 0 overwritten by a 1
                 entry[0] |= bit
                 entry[1] = None
-                view.counts[index] += 1
+                view.counts[item] += 1
 
     # -- the CF pipeline ---------------------------------------------------
 
@@ -179,8 +176,8 @@ class TransactionStore:
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
         return scored[:DEFAULT_NEIGHBORS]
 
-    def top_n(self, view: View, target: str) -> Optional[tuple[ActionId, float]]:
-        """The best (item, score) over the catalog, ties by item index.
+    def top_n(self, view: View, target: str) -> Optional[tuple[int, float]]:
+        """The best (item index, score) over the catalog, ties by item index.
 
         An item's score is the similarity-weighted mean of the neighbours'
         ratings of it. No neighbours, no scores: None.
@@ -189,15 +186,15 @@ class TransactionStore:
         if not hood:
             return None
         ratings = view.ratings
-        weighted = [0.0] * len(self.catalog)
+        weighted = [0.0] * self.n_items
         for user_id, sim in hood:
             for i in _positives(ratings[user_id]):
                 weighted[i] += sim
         total = sum(sim for _, sim in hood)
         best = _best_index(weighted, total)
-        return self.catalog.actions[best], weighted[best] / total
+        return best, weighted[best] / total
 
-    def _popular_item(self, view: View, target: str) -> Optional[ActionId]:
+    def _popular_item(self, view: View, target: str) -> Optional[int]:
         """The item most other users in the view rated 1, ties by item index.
 
         Advice asks for it at a level exactly when no other user in that
@@ -213,10 +210,11 @@ class TransactionStore:
             for i in _positives(entry):
                 counts[i] -= 1
         best = max(counts)
-        return self.catalog.actions[counts.index(best)] if best else None
+        return counts.index(best) if best else None
 
-    def advise_action(self, target: str, s: SituationKey) -> Optional[ActionId]:
-        """Top-1 recommendation for the situation, walking granularities.
+    def advise_action(self, target: str, s: SituationKey) -> Optional[int]:
+        """Top-1 recommendation for the situation, walking granularities:
+        an item index, or None when no view gives advice.
 
         Tries the situation's views most specific first, until one yields
         advice. In each view, the advice is `top_n`'s item, without its score.

@@ -1,15 +1,17 @@
 """Synthetic ubiquitous environment: users, routines, relevance, drift.
 
 Ground truth is a per-(user, level-0 situation) vector of acceptance
-probabilities over the item catalog. Each social group has a prototype
-vector per situation; a user's vector mixes the prototype with personal
-noise through the group affinity, so colleagues want roughly the same
-things. Both are packed `array('d')` rows, which hold the same doubles a
-list of floats would, bit for bit, at a quarter of the memory. Rewards are
-Bernoulli acceptances. A scheduled drift op swaps the best and the worst
-item of each row it touches, in place, mid-run, which is what the
-recommender has to track. A swap permutes a row, so no drift changes a
-user's optimal expected reward.
+probabilities over the item catalog, in catalog order. Each social group
+has a prototype vector per situation; a user's vector mixes the prototype
+with personal noise through the group affinity, so colleagues want roughly
+the same things. Both are packed `array('d')` rows, which hold the same
+doubles a list of floats would, bit for bit, at a quarter of the memory.
+Rewards are Bernoulli acceptances. A scheduled drift op swaps the best and
+the worst item of each row it touches, in place, mid-run, which is what
+the recommender has to track. A swap permutes a row, so no drift changes a
+user's optimal expected reward. An action is an item's catalog index;
+this module is also the only one that builds the items' id strings
+(doc00..), which appear only in the lines a run writes.
 
 A scenario config (a JSON object) defines the world, and this module is
 the only one that knows its format. `parse_scenario` checks a config once,
@@ -39,7 +41,6 @@ from typing import Optional, Sequence
 from .context import (COGNITIVE_KINDS, CalendarEntry, CognitiveAction, ContextModel,
                       HOUR_RANGES, RawEvent, SECONDS_PER_DAY, SECONDS_PER_HOUR,
                       SituationKey, time_bucket)
-from .qlearn import ActionCatalog, ActionId
 
 # the keys of a scenario config (and those it may omit), of a habit, of a drift entry
 SCENARIO_KEYS = frozenset({"name", "users", "groups", "items", "affinity", "routines",
@@ -55,7 +56,7 @@ _STREAM_BUILD = 0
 _STREAM_EVENTS = 1
 _STREAM_REWARDS = 2
 _STREAM_BACKGROUND = 3
-_SEED_SPREAD = 1_000_003
+SEED_SPREAD = 1_000_003  # between the seed bases of consecutive seeds
 
 
 class CoverageError(Exception):
@@ -142,12 +143,13 @@ def _mix_row(proto: Sequence[float], rng: random.Random, affinity: float) -> arr
 class Scenario:
     """A checked scenario config, built by `parse_scenario`: users u00..
     join groups g0.. round-robin, and each group shares one routine. Every
-    world drawn from it shares its users, its catalog (items doc00..), its
-    drift and its context, which interns its situations."""
+    world drawn from it shares its users, its catalog (the item ids doc00..,
+    index i naming item i), its drift and its context, which interns its
+    situations."""
 
     routines: dict[str, tuple[Habit, ...]]  # every group, in order
     users: tuple[UserProfile, ...]
-    catalog: ActionCatalog
+    items: tuple[str, ...]
     affinity: float  # each user's weight on its group's prototype, in [0, 1]
     drift: tuple[DriftOp, ...]  # by step
     day_length: int
@@ -277,8 +279,8 @@ def parse_scenario(raw: dict, context: ContextModel) -> Scenario:
         raise ValueError(f"agent_user {raw['agent_user']!r} is not one of the "
                          f"scenario's {len(users)} users")
     drift = [_drift_op(entry, users) for entry in json_list(raw.get("drift", []), "drift")]
-    catalog = ActionCatalog([f"doc{i:02d}" for i in range(json_int(raw, "items", 1))])
-    return Scenario(routines, users, catalog, affinity,
+    items = tuple(f"doc{i:02d}" for i in range(json_int(raw, "items", 1)))
+    return Scenario(routines, users, items, affinity,
                     tuple(sorted(drift, key=lambda op: op.step)),
                     json_int(raw, "day_length", 1, 50), raw["agent_user"],
                     json_int(raw, "warm_start_events", 0, 0),
@@ -287,8 +289,8 @@ def parse_scenario(raw: dict, context: ContextModel) -> Scenario:
 
 def world_from_scenario(scenario: Scenario, seed: int) -> WorldModel:
     """Draw a world: group prototypes, then each user's relevance rows."""
-    rng = random.Random(seed * _SEED_SPREAD + _STREAM_BUILD)
-    n_items = len(scenario.catalog)
+    rng = random.Random(seed * SEED_SPREAD + _STREAM_BUILD)
+    n_items = len(scenario.items)
     prototypes: dict[SituationKey, array] = {}
     for routine in scenario.routines.values():
         for habit in routine:
@@ -347,7 +349,7 @@ def gen_event(world: WorldModel, user_id: str, step: int, rng: random.Random) ->
     lon = rng.uniform(node.lon_min, node.lon_max)
 
     if s.cognitive == "Navigate":
-        item = scenario.catalog.actions[rng.randrange(len(scenario.catalog))]
+        item = scenario.items[rng.randrange(len(scenario.items))]
         cognitive = CognitiveAction("Navigate", item)
     else:
         cognitive = CognitiveAction(s.cognitive)
@@ -360,11 +362,11 @@ def gen_event(world: WorldModel, user_id: str, step: int, rng: random.Random) ->
     return RawEvent(user_id, timestamp, (lat, lon), cognitive, calendar)
 
 
-def reward(world: WorldModel, user_id: str, s: SituationKey, a: ActionId,
+def reward(world: WorldModel, user_id: str, s: SituationKey, a: int,
            rng: random.Random) -> float:
-    """Bernoulli acceptance with the ground-truth probability; CatalogError
-    for an action outside the catalog."""
-    probability = world.row(user_id, s)[world.scenario.catalog.index(a)]
+    """Bernoulli acceptance of the item at catalog index `a`, with its
+    ground-truth probability."""
+    probability = world.row(user_id, s)[a]
     return 1.0 if rng.random() < probability else 0.0
 
 
@@ -414,7 +416,7 @@ class SimEnv:
 
     def __init__(self, world: WorldModel, cf_store):
         scenario = world.scenario
-        base = world.seed * _SEED_SPREAD
+        base = world.seed * SEED_SPREAD
         self.world = world
         self.scenario = scenario
         self.event_rng = random.Random(base + _STREAM_EVENTS)
@@ -448,17 +450,17 @@ class SimEnv:
         if not habits:
             return
         rng = self.background_rng
-        actions = self.scenario.catalog.actions
+        n_items = len(self.scenario.items)
         relevance = self.world.relevance
         record = self.cf_store.record_implicit
         for _ in range(n_events):
             routine, row_keys = habits[rng.randrange(len(habits))]
             row_key = row_keys[_sample_habit(routine, rng)]
-            i = rng.randrange(len(actions))
+            i = rng.randrange(n_items)
             accepted = rng.random() < relevance[row_key][i]
-            record(row_key[0], actions[i], accepted, row_key[1])
+            record(row_key[0], i, accepted, row_key[1])
 
-    def step(self, action: ActionId) -> tuple[float, RawEvent]:
+    def step(self, action: int) -> tuple[float, RawEvent]:
         """Advance one step: drift, reward, ambient activity, next event."""
         apply_drift(self.world, self.global_step)
         r = reward(self.world, self.focal, self._situation, action, self.reward_rng)

@@ -7,12 +7,12 @@ from hyql.context import ContextModel
 
 
 def positive_items(store, user_id, s, level=0):
-    """The items `user_id` rated 1 in the situation's view at `level`, each
-    read as 1.0, decoded from the view's positive bits (an untouched item
-    and a rated 0 are both absent)."""
+    """The catalog indices of the items `user_id` rated 1 in the situation's
+    view at `level`, each read as 1.0, decoded from the view's positive bits
+    (an untouched item and a rated 0 are both absent)."""
     entry = store._views(s)[level].ratings.get(user_id)
     bits = entry[0] if entry else 0
-    return {item: 1.0 for i, item in enumerate(store.catalog) if bits >> i & 1}
+    return {i: 1.0 for i in range(store.n_items) if bits >> i & 1}
 
 
 @pytest.fixture(scope="session")

@@ -8,11 +8,10 @@ from hyql.casebase import CaseBase
 from hyql.collab import TransactionStore
 from hyql.context import (CognitiveAction, ContextModel, RawEvent, SituationKey,
                           TimeBucket)
-from hyql.qlearn import (ADVISE, CASE_BOOTSTRAPPED, EXPLOIT, RANDOM_FALLBACK,
-                         ActionCatalog, QTable)
+from hyql.qlearn import ADVISE, CASE_BOOTSTRAPPED, EXPLOIT, RANDOM_FALLBACK, QTable
 from hyql.simenv import SimEnv, parse_scenario, world_from_scenario
 
-CATALOG = ActionCatalog(["a0", "a1", "a2", "a3"])
+ITEMS = ("a0", "a1", "a2", "a3")
 
 TUESDAY_9AM = 1 * 86_400 + 9 * 3_600
 OFFICE = (48.85, 2.32)
@@ -41,41 +40,60 @@ _CONTEXT = ContextModel.default()
 
 def make_agent(variant="HyQL", seed=0, **overrides):
     config = AgentConfig(variant, "u00", seed=seed, **overrides)
-    return Agent(config, CATALOG, _CONTEXT, "g0", TransactionStore(CATALOG, _CONTEXT))
+    return Agent(config, ITEMS, _CONTEXT, "g0", TransactionStore(len(ITEMS), _CONTEXT))
+
+
+def office_situation():
+    return SituationKey(TimeBucket("Morning", "Weekday", "Free"), "Office",
+                        "g0", "Navigate", 0)
 
 
 class TestHybridPolicy:
     def test_p_one_equals_greedy(self, context):
-        table = QTable()
-        table.set_value("s", "a2", 1.0)
-        store = TransactionStore(CATALOG, context)
+        table = QTable(len(ITEMS))
+        table.set_value("s", 2, 1.0)
+        store = TransactionStore(len(ITEMS), context)
         for _ in range(50):
-            a, branch = hybrid_policy(table, "s", CATALOG, 1.0, store, "u00",
-                                      random.Random(1))
-            assert (a, branch) == ("a2", EXPLOIT)
+            a, branch = hybrid_policy(table, "s", 1.0, store, "u00", random.Random(1))
+            assert (a, branch) == (2, EXPLOIT)
 
     def test_p_zero_with_advice(self, context):
-        s = SituationKey(TimeBucket("Morning", "Weekday", "Free"), "Office",
-                         "g0", "Navigate", 0)
-        store = TransactionStore(CATALOG, context)
+        s = office_situation()
+        store = TransactionStore(len(ITEMS), context)
         for i in range(3):
-            store.record_implicit(f"n{i}", "a1", True, situation=s)
+            store.record_implicit(f"n{i}", 1, True, situation=s)
         rng = random.Random(2)
         for _ in range(50):
-            a, branch = hybrid_policy(QTable(), s, CATALOG, 0.0, store, "u00", rng)
-            assert (a, branch) == ("a1", ADVISE)
+            a, branch = hybrid_policy(QTable(len(ITEMS)), s, 0.0, store, "u00", rng)
+            assert (a, branch) == (1, ADVISE)
 
     def test_p_zero_empty_store_uniform_fallback(self, context):
-        s = SituationKey(TimeBucket("Morning", "Weekday", "Free"), "Office",
-                         "g0", "Navigate", 0)
-        store = TransactionStore(CATALOG, context)
+        s = office_situation()
+        store = TransactionStore(len(ITEMS), context)
         rng = random.Random(3)
         seen = set()
         for _ in range(400):
-            a, branch = hybrid_policy(QTable(), s, CATALOG, 0.0, store, "u00", rng)
+            a, branch = hybrid_policy(QTable(len(ITEMS)), s, 0.0, store, "u00", rng)
             assert branch == RANDOM_FALLBACK
             seen.add(a)
-        assert seen == set(CATALOG.actions)
+        assert seen == set(range(len(ITEMS)))
+
+    def test_advice_of_item_0_takes_the_advise_branch(self, context):
+        """Item 0 is advice like any other, though its index is falsy: the
+        hybrid policy and a CFOnly agent both take it, not a random pick."""
+        s = office_situation()
+        store = TransactionStore(len(ITEMS), context)
+        for i in range(3):
+            store.record_implicit(f"n{i}", 0, True, situation=s)
+        assert store.advise_action("u00", s) == 0
+        rng = random.Random(4)
+        for _ in range(50):
+            assert hybrid_policy(QTable(len(ITEMS)), s, 0.0, store, "u00", rng) == (0, ADVISE)
+        agent = make_agent("CFOnly")
+        agent.cf_store = store
+        for _ in range(5):
+            record, _ = agent.step(office_event(), StubEnv(reward=0.0))
+            assert (record.a, record.branch) == ("a0", ADVISE)
 
 
 class TestStep:
@@ -87,7 +105,7 @@ class TestStep:
         seed = next(s for s in range(100) if random.Random(s).random() <= PARAMS.p)
         agent = make_agent("HyQL", seed=seed)
         s = context.aggregate(office_event(), "g0")
-        agent.casebase.retain(s, {"a3": 5.0, "a0": 1.0}, visits=5,
+        agent.casebase.retain(s, [1.0, 0.0, 0.0, 5.0], visits=5,
                               mean_reward=0.9, user_id="u00", step=1)
         record, _ = agent.step(office_event(), StubEnv())
         assert record.branch == CASE_BOOTSTRAPPED
@@ -117,7 +135,9 @@ class TestStep:
         env = StubEnv(reward=1.0)
         record, _ = agent.step(office_event(), env)
         s = context.aggregate(office_event(), "g0")
-        assert {key: list(row) for key, row in agent.table._rows.items()} == {s: [record.a]}
+        row = [0.0] * len(ITEMS)
+        row[ITEMS.index(record.a)] = PARAMS.alpha * 1.0  # s_next is s, unwritten before
+        assert agent.table._rows == {s: row}
 
     def test_every_step_records_cf_transaction(self):
         agent = make_agent("GreedyQ")
@@ -136,10 +156,10 @@ def small_scenario():
 
 def run_pair(variant, seed, steps=120, world_seed=5, **overrides):
     scenario = parse_scenario(small_scenario(), _CONTEXT)
-    cf = TransactionStore(scenario.catalog, scenario.context)
+    cf = TransactionStore(len(scenario.items), scenario.context)
     env = SimEnv(world_from_scenario(scenario, world_seed), cf)
     config = AgentConfig(variant, "u00", seed=seed, **overrides)
-    agent = Agent(config, scenario.catalog, scenario.context, "g0", cf)
+    agent = Agent(config, scenario.items, scenario.context, "g0", cf)
     return agent, agent.run(env, steps)
 
 

@@ -69,16 +69,16 @@ class TestRetrieve:
 
     def test_single_exact_case(self, context):
         base = CaseBase(context)
-        base.retain(skey(), {"a0": 2.0}, visits=5, mean_reward=0.9,
+        base.retain(skey(), [2.0], visits=5, mean_reward=0.9,
                     user_id="u0", step=10)
         result = base.retrieve(skey())
         assert result is not None
         assert result.similarity == 1.0
-        assert result.case.solution == {"a0": 2.0}
+        assert result.case.solution == [2.0]
 
     def test_below_threshold_is_none(self, context):
         base = CaseBase(context)
-        base.retain(skey(cognitive="Call"), {"a0": 2.0}, visits=5,
+        base.retain(skey(cognitive="Call"), [2.0], visits=5,
                     mean_reward=0.9, user_id="u0", step=10)
         assert case_similarity(skey(cognitive="Navigate"), skey(cognitive="Call"),
                                context) == 0.75 < RETRIEVAL_THRESHOLD
@@ -89,7 +89,7 @@ class TestRetrieve:
         base = CaseBase(context)
         # a small base, so that some queries fall below the threshold
         for i in range(100):
-            base.retain(random_key(rng), {"a0": rng.random()},
+            base.retain(random_key(rng), [rng.random()],
                         visits=rng.randrange(1, 20),
                         mean_reward=rng.random(), user_id="u0", step=i)
         hits = 0
@@ -115,78 +115,76 @@ class TestRetrieve:
 class TestAdapt:
     def test_identity_transfer(self, context):
         base = CaseBase(context)
-        case = base.retain(skey(), {"a0": 2.0, "a1": 0.0}, visits=5,
+        case = base.retain(skey(), [2.0, 0.0], visits=5,
                            mean_reward=0.5, user_id="u0", step=1)
-        table = QTable()
+        table = QTable(2)
         assert adapt(RetrievalResult(case, 1.0), skey(), table)
-        assert table.row(skey()) == {"a0": 2.0, "a1": 0.0}
+        assert table.row(skey()) == [2.0, 0.0]
 
     def test_similarity_scaling(self, context):
         base = CaseBase(context)
-        case = base.retain(skey(), {"a0": 2.0}, visits=5, mean_reward=0.5,
+        case = base.retain(skey(), [2.0, 0.5], visits=5, mean_reward=0.5,
                            user_id="u0", step=1)
-        table = QTable()
+        table = QTable(2)
         adapt(RetrievalResult(case, 0.5), skey(place="Home"), table)
-        assert table.row(skey(place="Home")) == {"a0": 1.0}
+        assert table.row(skey(place="Home")) == [1.0, 0.25]
 
     def test_visited_row_never_overwritten(self, context):
-        from hyql.qlearn import ActionCatalog, LearningParams
+        from hyql.qlearn import LearningParams
         base = CaseBase(context)
-        case = base.retain(skey(), {"a0": 9.0}, visits=5, mean_reward=0.5,
+        case = base.retain(skey(), [9.0, 9.0], visits=5, mean_reward=0.5,
                            user_id="u0", step=1)
-        table = QTable()
-        catalog = ActionCatalog(["a0", "a1"])
-        table.update(skey(), "a0", 1.0, skey(), catalog,
-                     LearningParams(alpha=1.0, gamma=0.0))
-        before = dict(table.row(skey()))
+        table = QTable(2)
+        table.update(skey(), 0, 1.0, skey(), LearningParams(alpha=1.0, gamma=0.0))
+        before = list(table.row(skey()))
         assert not adapt(RetrievalResult(case, 1.0), skey(), table)
         assert table.row(skey()) == before
 
     def test_only_target_row_touched(self, context):
         base = CaseBase(context)
-        case = base.retain(skey(), {"a0": 3.0}, visits=5, mean_reward=0.5,
+        case = base.retain(skey(), [3.0, 0.0], visits=5, mean_reward=0.5,
                            user_id="u0", step=1)
-        table = QTable()
-        table.set_value(skey(place="Home"), "a1", 0.4)
+        table = QTable(2)
+        table.set_value(skey(place="Home"), 1, 0.4)
         adapt(RetrievalResult(case, 1.0), skey(), table)
-        assert table._rows == {skey(place="Home"): {"a1": 0.4}, skey(): {"a0": 3.0}}
+        assert table._rows == {skey(place="Home"): [0.0, 0.4], skey(): [3.0, 0.0]}
 
 
 class TestRetain:
     def test_round_trip(self, context):
         base = CaseBase(context)
-        base.retain(skey(), {"a0": 1.5}, visits=7, mean_reward=0.8,
+        base.retain(skey(), [1.5], visits=7, mean_reward=0.8,
                     user_id="u0", step=99)
         result = base.retrieve(skey())
         assert result.similarity == 1.0
-        assert result.case.solution == {"a0": 1.5}
+        assert result.case.solution == [1.5]
 
     def test_duplicate_problem_replaces(self, context):
         base = CaseBase(context)
-        base.retain(skey(), {"a0": 1.0}, visits=5, mean_reward=0.5,
+        base.retain(skey(), [1.0], visits=5, mean_reward=0.5,
                     user_id="u0", step=1)
-        base.retain(skey(), {"a0": 2.0}, visits=6, mean_reward=0.6,
+        base.retain(skey(), [2.0], visits=6, mean_reward=0.6,
                     user_id="u0", step=2)
         assert len(base) == 1
-        assert base.retrieve(skey()).case.solution == {"a0": 2.0}
+        assert base.retrieve(skey()).case.solution == [2.0]
 
     def test_equal_problem_is_revised(self, context):
         base = CaseBase(context)
         rng = random.Random(25)
         keys = [random_key(rng) for _ in range(300)]
         for i, key in enumerate(keys):
-            base.retain(key, {"a0": float(i)}, visits=5, mean_reward=0.5,
+            base.retain(key, [float(i)], visits=5, mean_reward=0.5,
                         user_id="u0", step=i)
         assert len(base) == len(set(keys))
         last = {key: float(i) for i, key in enumerate(keys)}
-        assert {case.problem: case.solution["a0"] for case in base.cases} == last
+        assert {case.problem: case.solution[0] for case in base.cases} == last
 
     def test_problems_differing_only_in_granularity_are_two_cases(self, context):
         base = CaseBase(context)
         assert case_similarity(skey(granularity=0), skey(granularity=1), context) == 1.0
-        base.retain(skey(granularity=0), {"a0": 1.0}, visits=5, mean_reward=0.5,
+        base.retain(skey(granularity=0), [1.0], visits=5, mean_reward=0.5,
                     user_id="u0", step=1)
-        base.retain(skey(granularity=1), {"a0": 2.0}, visits=5, mean_reward=0.5,
+        base.retain(skey(granularity=1), [2.0], visits=5, mean_reward=0.5,
                     user_id="u1", step=2)
         assert [case.problem.granularity for case in base.cases] == [0, 1]
 
@@ -194,12 +192,12 @@ class TestRetain:
         rng = random.Random(22)
         base = CaseBase(context)
         for i in range(MAX_SIZE):
-            base.retain(skey(group=f"g{i}"), {}, visits=1,
+            base.retain(skey(group=f"g{i}"), [], visits=1,
                         mean_reward=rng.choice([0.25, 0.5, 0.75]),
                         user_id="u0", step=i)
         for i in range(MAX_SIZE, MAX_SIZE + 20):
             before = list(base.cases)
-            new = base.retain(skey(group=f"g{i}"), {}, visits=1,
+            new = base.retain(skey(group=f"g{i}"), [], visits=1,
                               mean_reward=rng.choice([0.25, 0.5, 0.75]),
                               user_id="u0", step=i)
             victim = min(before + [new], key=lambda c: (c.mean_reward, c.order))
@@ -210,13 +208,13 @@ class TestRetain:
         rng = random.Random(23)
         base = CaseBase(context)
         for i in range(MAX_SIZE + 200):
-            base.retain(skey(group=f"g{i}"), {}, visits=1,
+            base.retain(skey(group=f"g{i}"), [], visits=1,
                         mean_reward=rng.random(), user_id="u0", step=i)
             assert len(base) == min(i + 1, MAX_SIZE)
 
     def test_solution_is_snapshotted(self, context):
         base = CaseBase(context)
-        row = {"a0": 1.0}
+        row = [1.0]
         base.retain(skey(), row, visits=5, mean_reward=0.5, user_id="u0", step=1)
-        row["a0"] = 99.0
-        assert base.retrieve(skey()).case.solution == {"a0": 1.0}
+        row[0] = 99.0
+        assert base.retrieve(skey()).case.solution == [1.0]

@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import positive_items
 from hyql.collab import TransactionStore, _best_index, cosine_similarity
 from hyql.context import SituationKey, TimeBucket
-from hyql.qlearn import ActionCatalog, CatalogError
 
-ITEMS = ["a", "b", "c", "d", "e"]
-CATALOG = ActionCatalog(ITEMS)
+# The store takes and answers catalog indices; the dict oracles below name
+# items by id, so every comparison reads a store's index through the id tuple.
+ITEMS = ("a", "b", "c", "d", "e")
 INDEX = {item: i for i, item in enumerate(ITEMS)}
 
 
@@ -92,19 +92,34 @@ def oracle_views(stream, context):
     return views
 
 
-def bits(vec, catalog=CATALOG):
+def bits(vec, items=ITEMS):
     """A 0/1 rating dict as the store's bitset: bit i is catalog item i rated 1."""
-    return sum(1 << catalog.index(item) for item, rating in vec.items() if rating == 1.0)
+    return sum(1 << items.index(item) for item, rating in vec.items() if rating == 1.0)
+
+
+def item_id(index, items=ITEMS):
+    """A store's item index (or None) read through the id tuple."""
+    return None if index is None else items[index]
+
+
+def top_ids(top, items=ITEMS):
+    """top_n's (index, score), or None, with the index read as the item id."""
+    return None if top is None else (items[top[0]], top[1])
+
+
+def rated_one(store, user_id, s, level=0, items=ITEMS):
+    """positive_items with each index read as the item id."""
+    return {items[i]: rating for i, rating in positive_items(store, user_id, s, level).items()}
 
 
 S = skey()
 
 
 def store_with(context, ratings):
-    """ratings: iterable of (user, item, positive), all in situation S"""
-    store = TransactionStore(CATALOG, context)
+    """ratings: iterable of (user, item id, positive), all in situation S"""
+    store = TransactionStore(len(ITEMS), context)
     for user, item, positive in ratings:
-        store.record_implicit(user, item, positive, S)
+        store.record_implicit(user, INDEX[item], positive, S)
     return store
 
 
@@ -113,25 +128,26 @@ def view_of(store, s=S):
     return store._views(s)[0]
 
 
-def store_of_rows(context, catalog, rows):
+def store_of_rows(context, n_items, rows):
     """A store whose views of S hold `rows`, written through record_implicit.
 
     rows: user -> (bits of the items rated 1, bits of the items rated 0 or
     1), users in the dict's order; each rated item is written once, so a
     user who rated only 0s still has an entry.
     """
-    store = TransactionStore(catalog, context)
+    store = TransactionStore(n_items, context)
     for user, (positive, rated) in rows.items():
-        for i, item in enumerate(catalog):
+        for i in range(n_items):
             if (positive | rated) >> i & 1:
-                store.record_implicit(user, item, bool(positive >> i & 1), S)
+                store.record_implicit(user, i, bool(positive >> i & 1), S)
     return store
 
 
 def top_and_oracle(store, target, users):
     """top_n of the target in S's level-0 view, and the oracle's answer."""
-    vectors = {user: positive_items(store, user, S) for user in users}
-    return store.top_n(view_of(store), target), oracle_top(vectors, target, ITEMS, INDEX)
+    vectors = {user: rated_one(store, user, S) for user in users}
+    return (top_ids(store.top_n(view_of(store), target)),
+            oracle_top(vectors, target, ITEMS, INDEX))
 
 
 class TestRecordImplicit:
@@ -139,22 +155,16 @@ class TestRecordImplicit:
         store = store_with(context, [("u1", "a", True)])
         # indexed under every generalization of its situation
         for level in range(context.depth + 1):
-            assert positive_items(store, "u1", S, level) == {"a": 1.0}
+            assert rated_one(store, "u1", S, level) == {"a": 1.0}
 
     def test_untouched_item_reads_zero(self, context):
         store = store_with(context, [("u1", "a", True)])
-        assert positive_items(store, "u1", S).get("b", 0.0) == 0.0
+        assert rated_one(store, "u1", S).get("b", 0.0) == 0.0
 
     def test_last_write_wins(self, context):
         store = store_with(context, [("u1", "a", True), ("u1", "a", False)])
-        assert positive_items(store, "u1", S) == {}
+        assert rated_one(store, "u1", S) == {}
         assert len(store) == 2  # counts transactions, not distinct ratings
-
-    def test_unknown_item_rejected(self, context):
-        store = TransactionStore(CATALOG, context)
-        with pytest.raises(CatalogError):
-            store.record_implicit("u1", "zz", True, S)
-        assert len(store) == 0
 
 
 class TestCosine:
@@ -183,13 +193,12 @@ class TestCosine:
 
     def test_equals_the_dense_oracle_bit_for_bit(self):
         rng = random.Random(14)
-        items = [f"i{n:03d}" for n in range(150)]  # wider than a machine word
-        catalog = ActionCatalog(items)
+        items = tuple(f"i{n:03d}" for n in range(150))  # wider than a machine word
         for _ in range(300):
             density = rng.random()
             u = {i: 1.0 for i in items if rng.random() < density}
             v = {i: 1.0 for i in items if rng.random() < density}
-            assert cosine_similarity(bits(u, catalog), bits(v, catalog)) == \
+            assert cosine_similarity(bits(u, items), bits(v, items)) == \
                 oracle_cosine(u, v, items)
 
 
@@ -204,7 +213,7 @@ class TestNeighbors:
             ratings = [(f"u{i}", item, rng.random() < 0.6)
                        for i in range(4) for item in ITEMS if rng.random() < 0.7]
             store = store_with(context, ratings)
-            vectors = {u: positive_items(store, u, S) for u in [f"u{i}" for i in range(4)]}
+            vectors = {u: rated_one(store, u, S) for u in [f"u{i}" for i in range(4)]}
             for target in vectors:
                 assert store.neighbors(view_of(store), target) == \
                     oracle_neighbors(vectors, target, 10, ITEMS)
@@ -213,7 +222,6 @@ class TestNeighbors:
     def test_independent_of_insertion_order(self, context):
         rng = random.Random(14)
         items = [f"i{n:02d}" for n in range(70)]
-        catalog = ActionCatalog(items)
         patterns = [rng.getrandbits(70) for _ in range(6)]
         # few patterns over many users: lots of equal similarities, so the
         # user-id tie rule decides the order
@@ -228,7 +236,8 @@ class TestNeighbors:
             want = oracle_neighbors(vectors, target, 10, items)
             for order in (sorted(rows), sorted(rows, reverse=True),
                           rng.sample(sorted(rows), len(rows))):
-                store = store_of_rows(context, catalog, {user: rows[user] for user in order})
+                store = store_of_rows(context, len(items),
+                                      {user: rows[user] for user in order})
                 view = view_of(store)
                 assert list(view.ratings) == order
                 assert store.neighbors(view, target) == want
@@ -250,11 +259,9 @@ class TestPopularItem:
     """
 
     N_ITEMS = 70
-    CATALOG = ActionCatalog([f"i{n:02d}" for n in range(N_ITEMS)])
 
     def _popular_index(self, store, target):
-        item = store._popular_item(view_of(store), target)
-        return None if item is None else store.catalog.index(item)
+        return store._popular_item(view_of(store), target)
 
     @pytest.mark.parametrize("n_users", [130, 257])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -270,7 +277,7 @@ class TestPopularItem:
         rows = {user: (sum(1 << i for i in range(self.N_ITEMS) if columns[i][row]),
                        (1 << self.N_ITEMS) - 1)
                 for row, user in enumerate(users)}
-        store = store_of_rows(context, self.CATALOG, rows)
+        store = store_of_rows(context, self.N_ITEMS, rows)
         for target in (users[0], users[n_users // 2], "stranger"):
             best, count = oracle_popular_index(rows, target, self.N_ITEMS)
             assert count >= 128
@@ -279,13 +286,13 @@ class TestPopularItem:
     def test_ties_go_to_the_lowest_index_and_the_target_is_not_counted(self, context):
         rows = {f"u{i:03d}": (1 << 9 | 1 << 3 | (1 << 65 if i < 129 else 0), 0)
                 for i in range(140)}
-        store = store_of_rows(context, self.CATALOG, rows)
+        store = store_of_rows(context, self.N_ITEMS, rows)
         # items 3 and 9 tie at 140 raters, 65 has 129: the lower index wins
         assert oracle_popular_index(rows, "nobody", self.N_ITEMS) == (3, 140)
         assert self._popular_index(store, "nobody") == 3
 
         def write(user, i, positive):
-            store.record_implicit(user, self.CATALOG.actions[i], positive, S)
+            store.record_implicit(user, i, positive, S)
             bits, rated = rows.get(user, (0, 0))
             rows[user] = (bits | 1 << i if positive else bits & ~(1 << i), rated | 1 << i)
 
@@ -302,11 +309,11 @@ class TestPopularItem:
         assert self._popular_index(store, "t") == 3
 
     def test_none_when_only_the_target_rated_one(self, context):
-        empty = TransactionStore(self.CATALOG, context)
+        empty = TransactionStore(self.N_ITEMS, context)
         assert empty._popular_item(view_of(empty), "t") is None
         rows = {"t": (1 << 69 | 1, 1 << 69 | 1)}
         rows.update({f"u{i:03d}": (0, 1 << i % self.N_ITEMS) for i in range(130)})  # rated 0 only
-        store = store_of_rows(context, self.CATALOG, rows)
+        store = store_of_rows(context, self.N_ITEMS, rows)
         assert self._popular_index(store, "t") is None
         assert self._popular_index(store, "u000") == 0
 
@@ -380,56 +387,60 @@ class TestBestIndex:
 
 class TestAdviseAction:
     def test_new_user_gets_group_popular_item(self, context):
-        store = TransactionStore(CATALOG, context)
+        store = TransactionStore(len(ITEMS), context)
         s = skey()
         for i in range(4):
-            store.record_implicit(f"u{i}", "c", True, situation=s)
-            store.record_implicit(f"u{i}", "a", False, situation=s)
+            store.record_implicit(f"u{i}", INDEX["c"], True, situation=s)
+            store.record_implicit(f"u{i}", INDEX["a"], False, situation=s)
         # brute force over the scoped store: "c" is unanimously accepted
-        assert store.advise_action("newcomer", s) == "c"
+        assert item_id(store.advise_action("newcomer", s)) == "c"
 
     def test_popular_item_when_no_neighbour_overlaps(self, context):
         store = store_with(context, [("t", "a", True), ("u0", "e", True)]
                            + [(f"u{i}", "c", True) for i in range(3)])
         # t has history, but no one shares an item with it: popularity answers
         assert store.neighbors(view_of(store), "t") == []
-        assert store.advise_action("t", S) == "c"
+        assert item_id(store.advise_action("t", S)) == "c"
+
+    def test_advice_of_the_first_item_is_index_0_not_none(self, context):
+        store = store_with(context, [(f"u{i}", "a", True) for i in range(3)])
+        assert store.advise_action("newcomer", S) == 0
 
     def test_empty_store_gives_none(self, context):
-        store = TransactionStore(CATALOG, context)
+        store = TransactionStore(len(ITEMS), context)
         assert store.advise_action("u1", skey()) is None
 
     def test_coarser_granularity_fallback(self, context):
-        store = TransactionStore(CATALOG, context)
+        store = TransactionStore(len(ITEMS), context)
         target_key = skey(place="Office")
         # group history exists only at Home, another leaf under the same city
         home = skey(place="Home")
         for i in range(3):
-            store.record_implicit(f"u{i}", "b", True, situation=home)
+            store.record_implicit(f"u{i}", INDEX["b"], True, situation=home)
         # level-0 scope (Office) is empty; level-1 scope (Paris) has the data
-        assert store.advise_action("newcomer", target_key) == "b"
+        assert item_id(store.advise_action("newcomer", target_key)) == "b"
         # per-level brute force: level 0 view empty, level 1 view holds b
         assert store.top_n(view_of(store, target_key), "newcomer") is None
-        assert positive_items(store, "u0", target_key, 0) == {}
-        assert positive_items(store, "u0", target_key, 1) == {"b": 1.0}  # visible at the city level
+        assert rated_one(store, "u0", target_key, 0) == {}
+        assert rated_one(store, "u0", target_key, 1) == {"b": 1.0}  # visible at the city level
 
     def test_advice_stays_in_catalog(self, context):
         rng = random.Random(13)
-        store = TransactionStore(CATALOG, context)
+        store = TransactionStore(len(ITEMS), context)
         situations = [skey(), skey(place="Home"), skey(cognitive="Call")]
         for _ in range(300):
             user = f"u{rng.randrange(5)}"
-            item = ITEMS[rng.randrange(len(ITEMS))]
+            item = rng.randrange(len(ITEMS))
             s = situations[rng.randrange(len(situations))]
             store.record_implicit(user, item, rng.random() < 0.5, s)
             advice = store.advise_action(user, situations[rng.randrange(3)])
-            assert advice is None or advice in CATALOG
+            assert advice is None or advice in range(len(ITEMS))
 
     def test_different_group_not_consulted(self, context):
-        store = TransactionStore(CATALOG, context)
+        store = TransactionStore(len(ITEMS), context)
         other = skey(group="g1")
         for i in range(3):
-            store.record_implicit(f"u{i}", "b", True, situation=other)
+            store.record_implicit(f"u{i}", INDEX["b"], True, situation=other)
         assert store.advise_action("newcomer", skey(group="g0")) is None
 
 
@@ -443,17 +454,17 @@ class TestColdStartRule:
                            + [(f"u{i}", "c", True) for i in range(3)])
         assert store.neighbors(view_of(store), "t") == []
         # the most popular item among the others, though t rated it 0
-        assert store.advise_action("t", S) == "c"
+        assert item_id(store.advise_action("t", S)) == "c"
 
     def test_target_whose_positive_item_no_one_else_rated_one(self, context):
         store = store_with(context, [("t", "b", True), ("u0", "b", False), ("u0", "d", True),
                                      ("u1", "d", True), ("u2", "a", True)])
         assert store.neighbors(view_of(store), "t") == []
-        assert store.advise_action("t", S) == "d"
+        assert item_id(store.advise_action("t", S)) == "d"
         # once another user shares b, the neighbours answer instead
-        store.record_implicit("u2", "b", True, S)
+        store.record_implicit("u2", INDEX["b"], True, S)
         assert store.neighbors(view_of(store), "t") == [("u2", 1 / math.sqrt(2))]
-        assert store.advise_action("t", S) == "a"
+        assert item_id(store.advise_action("t", S)) == "a"
 
 
 class TestViewState:
@@ -463,7 +474,7 @@ class TestViewState:
     writes, so index tuples are built, dropped on a flip and rebuilt.
     """
 
-    ITEMS = [f"i{n:02d}" for n in range(70)]
+    ITEMS = tuple(f"i{n:02d}" for n in range(70))
     USED = [0, 1, 2, 3, 31, 63, 64, 65, 69]  # item indices written; past a machine word
     USERS = ["u0", "u1", "u2", "u3"]
     SITUATIONS = [skey(), skey(place="Home"), skey(cognitive="Call"), skey(group="g1")]
@@ -478,12 +489,11 @@ class TestViewState:
         flips = data.draw(st.lists(st.integers(0, len(writes) - 1), max_size=20))
         writes = writes + [(u, i, not positive, j, read)
                            for u, i, positive, j, read in (writes[f] for f in flips)]
-        catalog = ActionCatalog(self.ITEMS)
-        store = TransactionStore(catalog, context)
+        store = TransactionStore(len(self.ITEMS), context)
         stream = []
         for user, i, positive, j, read in writes:
             s = self.SITUATIONS[j]
-            store.record_implicit(user, self.ITEMS[i], positive, s)
+            store.record_implicit(user, i, positive, s)
             stream.append((user, self.ITEMS[i], positive, s))
             if read:
                 store.advise_action(user, s)
@@ -492,7 +502,7 @@ class TestViewState:
         index = {item: i for i, item in enumerate(self.ITEMS)}
         for s in self.SITUATIONS:
             for target in self.USERS + ["stranger"]:
-                assert store.advise_action(target, s) == \
+                assert item_id(store.advise_action(target, s), self.ITEMS) == \
                     oracle_advise(views, target, s, self.ITEMS, index, context)
         self._check_view_state(store)
 
@@ -516,14 +526,13 @@ class TestStoreMatchesOracles:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_streams_match(self, context, seed):
         rng = random.Random(seed)
-        items = [f"i{n:02d}" for n in range(80)]
-        catalog = ActionCatalog(items)
+        items = tuple(f"i{n:02d}" for n in range(80))
         index = {item: i for i, item in enumerate(items)}
         hot = items[:10] + items[62:70]
         users = [f"u{i}" for i in range(6)]
         situations = [skey(), skey(place="Home"), skey(cognitive="Call"),
                       skey(group="g1"), skey(place="Home", group="g1")]
-        store = TransactionStore(catalog, context)
+        store = TransactionStore(len(items), context)
         stream = []
         last = {}
         overwrites = 0
@@ -533,7 +542,7 @@ class TestStoreMatchesOracles:
                 item = rng.choice(hot) if rng.random() < 0.7 else rng.choice(items)
                 positive = rng.random() < 0.5
                 s = rng.choice(situations)
-                store.record_implicit(user, item, positive, s)
+                store.record_implicit(user, index[item], positive, s)
                 stream.append((user, item, positive, s))
                 overwrites += last.get((user, item)) is True and not positive
                 last[(user, item)] = positive
@@ -547,15 +556,15 @@ class TestStoreMatchesOracles:
                 view = store._views(s)[level]
                 vectors = views.get((level, context.generalize(s, level)), {})
                 for target in targets:
-                    assert positive_items(store, target, s, level) == {
+                    assert rated_one(store, target, s, level, items) == {
                         item: 1.0 for item, rating in vectors.get(target, {}).items()
                         if rating == 1.0}
                     assert store.neighbors(view, target) == \
                         oracle_neighbors(vectors, target, 10, items)
-                    assert store.top_n(view, target) == \
+                    assert top_ids(store.top_n(view, target), items) == \
                         oracle_top(vectors, target, items, index)
             for target in targets:
-                assert store.advise_action(target, s) == \
+                assert item_id(store.advise_action(target, s), items) == \
                     oracle_advise(views, target, s, items, index, context)
 
 

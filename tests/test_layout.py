@@ -2,10 +2,12 @@
 
 Every import is used, the modules depend on each other only in one
 direction: context -> qlearn -> collab/casebase -> agent -> simenv ->
-store/bench -> cli. Only simenv spells the scenario format's keys, and
-only bench spells the experiment spec's. Every function, method and class
-is used by the package itself, not only by the tests, and every annotated
-class field and every attribute a method sets on `self` is read by it.
+store/bench -> cli; collab and simenv need only context, since an item is
+its catalog index. Only simenv spells the scenario format's keys and builds
+the items' id strings, and only bench spells the experiment spec's keys.
+Every function, method and class is used by the package itself, not only by
+the tests, and every annotated class field and every attribute a method
+sets on `self` is read by it.
 """
 
 import ast
@@ -21,10 +23,10 @@ PACKAGE = Path(hyql.__file__).parent
 ALLOWED = {
     "context": set(),
     "qlearn": {"context"},
-    "collab": {"context", "qlearn"},
+    "collab": {"context"},
     "casebase": {"context", "qlearn"},
     "agent": {"casebase", "collab", "context", "qlearn"},
-    "simenv": {"context", "qlearn"},
+    "simenv": {"context"},
     "store": {"context", "qlearn"},
     "bench": {"agent", "collab", "context", "qlearn", "simenv", "store"},
     "cli": {"bench", "store"},
@@ -95,6 +97,12 @@ def test_only_simenv_spells_the_scenario_keys():
     "name" is exempt, since it is also an ordinary word for a variant name.
     """
     assert spelt_outside("simenv", SCENARIO_KEYS - {"name"}) == {}
+
+
+def test_only_simenv_builds_item_ids():
+    """An item is its catalog index everywhere else: only the scenario
+    parser spells the "doc" prefix of an item's id."""
+    assert spelt_outside("simenv", {"doc"}) == {}
 
 
 def test_only_bench_spells_the_spec_keys():

@@ -1,14 +1,15 @@
+import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyql.context import SituationKey, TimeBucket
-from hyql.qlearn import (EXPLOIT, RANDOM_FALLBACK, ActionCatalog, CatalogError,
-                         LearningParams, QTable, epsilon_greedy_action,
-                         greedy_action)
+from hyql.qlearn import (EXPLOIT, RANDOM_FALLBACK, LearningParams, QTable,
+                         epsilon_greedy_action, greedy_action)
 
 
 def key(place="Office", cognitive="Navigate", level=0):
@@ -16,7 +17,7 @@ def key(place="Office", cognitive="Navigate", level=0):
                         cognitive, level)
 
 
-CATALOG = ActionCatalog(["a0", "a1", "a2"])
+N_ACTIONS = 3
 
 
 class ScriptedRng:
@@ -34,85 +35,95 @@ class ScriptedRng:
 
 class TestQUpdate:
     def test_alpha_one_gamma_zero_collapses_to_reward(self):
-        table = QTable()
-        table.set_value(key(), "a0", 123.0)
-        table.update(key(), "a0", 1.0, key("Home"), CATALOG,
+        table = QTable(N_ACTIONS)
+        table.set_value(key(), 0, 123.0)
+        table.update(key(), 0, 1.0, key("Home"),
                      LearningParams(alpha=1.0, gamma=0.0))
-        assert table.value(key(), "a0") == 1.0
+        assert table.value(key(), 0) == 1.0
 
     def test_alpha_zero_is_noop(self):
-        table = QTable()
-        table.set_value(key(), "a0", 2.0)
-        table.update(key(), "a0", 5.0, key("Home"), CATALOG,
+        table = QTable(N_ACTIONS)
+        table.set_value(key(), 0, 2.0)
+        table.update(key(), 0, 5.0, key("Home"),
                      LearningParams(alpha=0.0, gamma=0.5))
-        assert table.value(key(), "a0") == 2.0
+        assert table.value(key(), 0) == 2.0
 
     def test_hand_evaluated_update(self):
         # 0 + 0.5 * (1 + 0.9 * 2.0 - 0) = 1.4
-        table = QTable()
-        table.set_value(key("Home"), "a1", 2.0)
-        new = table.update(key(), "a0", 1.0, key("Home"), CATALOG,
+        table = QTable(N_ACTIONS)
+        table.set_value(key("Home"), 1, 2.0)
+        new = table.update(key(), 0, 1.0, key("Home"),
                            LearningParams(alpha=0.5, gamma=0.9))
         assert new == pytest.approx(1.4, abs=0)
 
     def test_touches_exactly_one_entry(self):
-        table = QTable()
-        table.set_value(key(), "a0", 0.3)
-        table.set_value(key(), "a1", 0.7)
-        table.set_value(key("Home"), "a2", 0.5)
+        table = QTable(N_ACTIONS)
+        table.set_value(key(), 0, 0.3)
+        table.set_value(key(), 1, 0.7)
+        table.set_value(key("Home"), 2, 0.5)
         def entries():
-            return {(s, a): table.value(s, a) for s in (key(), key("Home")) for a in CATALOG}
+            return {(s, a): table.value(s, a) for s in (key(), key("Home"))
+                    for a in range(N_ACTIONS)}
 
         before = entries()
-        table.update(key(), "a2", 1.0, key("Home"), CATALOG,
+        table.update(key(), 2, 1.0, key("Home"),
                      LearningParams(alpha=0.5, gamma=0.9))
         after = entries()
         changed = {k for k in set(before) | set(after)
                    if before.get(k) != after.get(k)}
-        assert changed == {(key(), "a2")}
+        assert changed == {(key(), 2)}
 
     def test_contraction_property(self):
         rng = random.Random(2)
         for _ in range(300):
-            table = QTable()
+            table = QTable(N_ACTIONS)
             old = rng.uniform(-5, 5)
-            table.set_value(key(), "a0", old)
+            table.set_value(key(), 0, old)
             max_next = rng.uniform(-5, 5)
-            table.set_value(key("Home"), "a1", max_next)
+            table.set_value(key("Home"), 1, max_next)
             params = LearningParams(alpha=rng.uniform(0.01, 1.0),
                                     gamma=rng.uniform(0, 0.99))
             r = rng.uniform(0, 1)
-            new = table.update(key(), "a0", r, key("Home"), CATALOG, params)
+            new = table.update(key(), 0, r, key("Home"), params)
             # the row max sees default 0.0 for the two absent actions
             target = r + params.gamma * max(max_next, 0.0)
             assert abs(new - target) == pytest.approx(
                 (1 - params.alpha) * abs(old - target), rel=1e-9, abs=1e-9)
 
     def test_non_finite_reward_rejected(self):
-        table = QTable()
+        table = QTable(N_ACTIONS)
         with pytest.raises(ValueError):
-            table.update(key(), "a0", float("nan"), key(), CATALOG,
+            table.update(key(), 0, float("nan"), key(),
                          LearningParams(alpha=0.5, gamma=0.5))
 
     def test_absent_pair_reads_default(self):
-        table = QTable()
-        assert table.value(key(), "a1") == 0.0
+        table = QTable(N_ACTIONS)
+        assert table.value(key(), 1) == 0.0
         # an absent action in a row that sits below 0.0 still reads 0.0
-        table.set_value(key(), "a0", -0.75)
-        assert table.value(key(), "a1") == 0.0
-        assert table.value(key(), "a0") == -0.75
+        table.set_value(key(), 0, -0.75)
+        assert table.value(key(), 1) == 0.0
+        assert table.value(key(), 0) == -0.75
 
-    def test_best_value_matches_the_catalog_scan(self):
-        rng = random.Random(15)
-        catalog = ActionCatalog([f"a{i}" for i in range(12)])
-        for _ in range(300):
-            table = QTable()
-            # values straddle the default 0.0; some rows sit wholly below it
-            high = rng.choice((-0.1, 1.0))
-            for a in rng.sample(catalog.actions, rng.randrange(len(catalog) + 1)):
-                table.set_value(key(), a, rng.uniform(-1.0, high))
-            scan = max(table.value(key(), a) for a in catalog)
-            assert table.best_value(key(), catalog) == scan
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(n_actions=st.integers(1, 12), data=st.data())
+    def test_best_value_matches_the_catalog_scan(self, n_actions, data):
+        """best_value is the max over every catalog index, and greedy_action
+        the first index that reaches it, as a strict `>` scan in catalog
+        order picks. Values come partly from a small pool, which forces ties,
+        and straddle the 0.0 an unwritten entry reads; some rows sit wholly
+        below it."""
+        value = st.sampled_from((-1.0, -0.25, 0.0, 0.5)) | st.floats(-1.0, 1.0)
+        writes = data.draw(st.lists(st.tuples(st.integers(0, n_actions - 1), value),
+                                    max_size=2 * n_actions))
+        table = QTable(n_actions)
+        for a, v in writes:
+            table.set_value(key(), a, v)
+        best, first = -math.inf, None
+        for a in range(n_actions):
+            if table.value(key(), a) > best:
+                best, first = table.value(key(), a), a
+        assert table.best_value(key()) == best
+        assert greedy_action(table, key()) == first
 
 
 class TestParams:
@@ -127,77 +138,64 @@ class TestParams:
 
 class TestGreedy:
     def test_unique_maximum(self):
-        table = QTable()
-        for a, v in (("a0", 0.2), ("a1", 0.7), ("a2", 0.1)):
+        table = QTable(N_ACTIONS)
+        for a, v in ((0, 0.2), (1, 0.7), (2, 0.1)):
             table.set_value(key(), a, v)
-        assert greedy_action(table, key(), CATALOG) == "a1"
+        assert greedy_action(table, key()) == 1
 
     def test_tie_breaks_to_lowest_index(self):
-        table = QTable()
-        table.set_value(key(), "a0", 0.7)
-        table.set_value(key(), "a1", 0.7)
-        assert greedy_action(table, key(), CATALOG) == "a0"
+        table = QTable(N_ACTIONS)
+        table.set_value(key(), 0, 0.7)
+        table.set_value(key(), 1, 0.7)
+        assert greedy_action(table, key()) == 0
 
     def test_unseen_state_all_defaults(self):
-        assert greedy_action(QTable(), key(), CATALOG) == "a0"
+        assert greedy_action(QTable(N_ACTIONS), key()) == 0
 
     def test_absent_action_beats_a_row_below_zero(self):
-        table = QTable()
-        table.set_value(key(), "a0", -0.5)
-        table.set_value(key(), "a2", -0.1)
-        assert greedy_action(table, key(), CATALOG) == "a1"
+        table = QTable(N_ACTIONS)
+        table.set_value(key(), 0, -0.5)
+        table.set_value(key(), 2, -0.1)
+        assert greedy_action(table, key()) == 1
 
     def test_does_not_copy_the_row(self, monkeypatch):
-        table = QTable()
-        table.set_value(key(), "a2", 0.9)
+        table = QTable(N_ACTIONS)
+        table.set_value(key(), 2, 0.9)
         monkeypatch.setattr(QTable, "row", None)
-        assert greedy_action(table, key(), CATALOG) == "a2"
+        assert greedy_action(table, key()) == 2
 
     def test_argmax_invariant_to_positive_shift(self):
         rng = random.Random(3)
         for _ in range(100):
-            table = QTable()
-            shifted = QTable()
-            for a in CATALOG:
+            table = QTable(N_ACTIONS)
+            shifted = QTable(N_ACTIONS)
+            for a in range(N_ACTIONS):
                 v = rng.uniform(-1, 1)
                 table.set_value(key(), a, v)
                 shifted.set_value(key(), a, v + 7.5)
-            assert (greedy_action(table, key(), CATALOG)
-                    == greedy_action(shifted, key(), CATALOG))
+            assert (greedy_action(table, key())
+                    == greedy_action(shifted, key()))
 
 
 class TestEpsilonGreedy:
     def test_p_one_always_exploits(self):
         rng = random.Random(4)
-        table = QTable()
+        table = QTable(N_ACTIONS)
         for _ in range(200):
-            _, branch = epsilon_greedy_action(table, key(), CATALOG, 1.0, rng)
+            _, branch = epsilon_greedy_action(table, key(), 1.0, rng)
             assert branch == EXPLOIT
 
     def test_p_zero_explores(self):
         rng = random.Random(5)
-        branches = {epsilon_greedy_action(QTable(), key(), CATALOG, 0.0, rng)[1]
+        branches = {epsilon_greedy_action(QTable(N_ACTIONS), key(), 0.0, rng)[1]
                     for _ in range(200)}
         assert branches == {RANDOM_FALLBACK}
 
     def test_scripted_stream(self):
         rng = ScriptedRng([0.3, 0.8])
-        _, b1 = epsilon_greedy_action(QTable(), key(), CATALOG, 0.5, rng)
-        _, b2 = epsilon_greedy_action(QTable(), key(), CATALOG, 0.5, rng)
+        _, b1 = epsilon_greedy_action(QTable(N_ACTIONS), key(), 0.5, rng)
+        _, b2 = epsilon_greedy_action(QTable(N_ACTIONS), key(), 0.5, rng)
         assert (b1, b2) == (EXPLOIT, RANDOM_FALLBACK)
-
-
-class TestCatalog:
-    def test_non_empty(self):
-        with pytest.raises(ValueError):
-            ActionCatalog([])
-
-    def test_indices_contiguous(self):
-        assert [CATALOG.index(a) for a in CATALOG] == [0, 1, 2]
-
-    def test_unknown_action(self):
-        with pytest.raises(CatalogError):
-            CATALOG.index("a9")
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +321,12 @@ class TestValueIteration:
         mdp = ExplicitMDP(transitions, random_mdp(n_states, n_actions, rng).rewards)
         q_star = value_iteration(mdp, gamma, tolerance=1e-12)
 
-        catalog = ActionCatalog([f"a{a}" for a in range(n_actions)])
-        table = QTable()
+        table = QTable(n_actions)
         params = LearningParams(alpha=1.0, gamma=gamma)
         for _ in range(400):
             for s in range(n_states):
                 for a in range(n_actions):
-                    table.update(s, f"a{a}", mdp.rewards[s][a], nxt[s][a], catalog, params)
+                    table.update(s, a, mdp.rewards[s][a], nxt[s][a], params)
         for s in range(n_states):
             for a in range(n_actions):
-                assert table.value(s, f"a{a}") == pytest.approx(q_star[s][a], abs=1e-9)
+                assert table.value(s, a) == pytest.approx(q_star[s][a], abs=1e-9)

@@ -13,8 +13,7 @@ from hyql.bench import load_scenario
 from hyql.collab import TransactionStore
 from hyql.context import (CALENDAR_STATES, COGNITIVE_KINDS, DAY_CLASSES, PARTS_OF_DAY,
                           ContextModel)
-from hyql.qlearn import CatalogError
-from hyql.simenv import (_SEED_SPREAD, _STREAM_BUILD, DriftOp, SimEnv, _draw_row, _mix_row,
+from hyql.simenv import (_STREAM_BUILD, SEED_SPREAD, DriftOp, SimEnv, _draw_row, _mix_row,
                          apply_drift, gen_event, parse_scenario, reward, world_from_scenario)
 
 CONTEXT = ContextModel.default()
@@ -41,7 +40,7 @@ def situations(world, user_id):
 
 def env_of(world):
     """A SimEnv of the world, with a fresh CF store."""
-    return SimEnv(world, TransactionStore(world.scenario.catalog, world.scenario.context))
+    return SimEnv(world, TransactionStore(len(world.scenario.items), world.scenario.context))
 
 
 def small_world(seed=0, **changes):
@@ -61,7 +60,7 @@ class TestBuildPopulation:
 
     def test_affinity_zero_detaches_from_prototype(self):
         # the first prototype the build stream draws is the first habit's
-        proto = _draw_row(random.Random(0 * _SEED_SPREAD + _STREAM_BUILD), 5)
+        proto = _draw_row(random.Random(0 * SEED_SPREAD + _STREAM_BUILD), 5)
         for affinity, attached in ((1.0, True), (0.0, False)):
             world = small_world(seed=0, affinity=affinity, n_items=5)
             u = world.scenario.users[0]
@@ -83,6 +82,8 @@ class TestBuildPopulation:
             parse_scenario(scenario(n_users=0, affinity=0.5), CONTEXT)
         with pytest.raises(ValueError):
             parse_scenario(scenario(n_users=2, affinity=1.5), CONTEXT)
+        with pytest.raises(ValueError, match="items must be an integer >= 1"):
+            parse_scenario(scenario(n_items=0), CONTEXT)  # an empty catalog
 
     def test_every_routine_situation_covered(self):
         world = small_world()
@@ -218,26 +219,21 @@ class TestReward:
     def test_certain_acceptance(self):
         world, key = self._world_with_row([1.0, 0.0])
         rng = random.Random(0)
-        assert all(reward(world, "u00", key, "doc00", rng) == 1.0
+        assert all(reward(world, "u00", key, 0, rng) == 1.0
                    for _ in range(100))
 
     def test_certain_rejection(self):
         world, key = self._world_with_row([1.0, 0.0])
         rng = random.Random(0)
-        assert all(reward(world, "u00", key, "doc01", rng) == 0.0
+        assert all(reward(world, "u00", key, 1, rng) == 0.0
                    for _ in range(100))
 
     def test_half_probability_monte_carlo(self):
         world, key = self._world_with_row([0.5, 0.0])
         rng = random.Random(123)
         n = 10_000
-        mean = sum(reward(world, "u00", key, "doc00", rng) for _ in range(n)) / n
+        mean = sum(reward(world, "u00", key, 0, rng) for _ in range(n)) / n
         assert abs(mean - 0.5) <= 0.02
-
-    def test_unknown_action_raises(self):
-        world, key = self._world_with_row([1.0, 0.0])
-        with pytest.raises(CatalogError):
-            reward(world, "u00", key, "doc99", random.Random(0))
 
     def test_uncovered_situation_raises(self):
         from hyql.simenv import CoverageError
@@ -364,7 +360,7 @@ class TestEnvStep:
         world.relevance[("u00", key)] = [1.0, 0.0]
         env = env_of(world)
         env.reset()
-        total = sum(env.step("doc00")[0] for _ in range(50))
+        total = sum(env.step(0)[0] for _ in range(50))
         assert total == 50.0
 
     def test_fixed_seed_fixed_rewards(self):
@@ -372,20 +368,19 @@ class TestEnvStep:
         for _ in range(2):
             env = env_of(small_world(seed=21, background_rate=0))
             env.reset()
-            rewards.append([env.step("doc01")[0] for _ in range(100)])
+            rewards.append([env.step(1)[0] for _ in range(100)])
         assert rewards[0] == rewards[1]
 
     def test_optimal_policy_matches_closed_form(self):
         world = small_world(seed=23, background_rate=0)
         env = env_of(world)
         event = env.reset()
-        catalog = world.scenario.catalog
         n = 20_000
         total = 0.0
         for _ in range(n):
             s = CONTEXT.aggregate(event, world.scenario.user("u00").social_group)
             row = world.row("u00", s)
-            best = catalog.actions[row.index(max(row))]
+            best = row.index(max(row))
             r, event = env.step(best)
             total += r
         expected = world.optimal_expected_reward("u00")
@@ -413,7 +408,7 @@ class TestEnvStep:
         env = env_of(world)
         store = env.cf_store
         ref_world = small_world(seed=25, n_users=5, agent_user="u04", drift=[swap(0)])
-        ref_store = TransactionStore(ref_world.scenario.catalog, CONTEXT)
+        ref_store = TransactionStore(len(ref_world.scenario.items), CONTEXT)
         ref_rng = random.Random()
         ref_rng.setstate(env.background_rng.getstate())
 
@@ -447,9 +442,8 @@ def reference_burst(world, store, rng, background_users, n_events):
                 habit = candidate
                 break
         key = habit.situation
-        catalog = world.scenario.catalog
-        item = catalog.actions[rng.randrange(len(catalog))]
-        probability = world.row(user_id, key)[catalog.index(item)]
+        item = rng.randrange(len(world.scenario.items))
+        probability = world.row(user_id, key)[item]
         store.record_implicit(user_id, item, rng.random() < probability, key)
 
 
@@ -503,7 +497,7 @@ class TestScenario:
     def test_world_from_scenario_canonical(self, canonical_scenario, context):
         world = world_from_scenario(parse_scenario(canonical_scenario, context), 7)
         assert len(world.scenario.users) == 11
-        assert len(world.scenario.catalog) == 20
+        assert world.scenario.items == tuple(f"doc{i:02d}" for i in range(20))
         assert len(situations(world, "u10")) == 6
         assert world.scenario.drift[0].step == 1000
 
