@@ -23,9 +23,14 @@ Exit 2, and `run` writes nothing under --out:
   part of day or cognitive kind; an affinity outside [0, 1]; a drift op
   other than SwapTopItems, or whose target or scope names nothing; a name
   that is not a string (test_bad_spec_exits_2_before_writing, a case each);
+- an affinity or a routine weight that is a JSON integer too large for a
+  float, such as 1 followed by 400 zeros
+  (test_a_number_past_the_float_range_exits_2_before_writing);
 - --out at a file or under one (test_out_at_or_under_a_file_exits_2_before_writing);
 - `report` or `verify` of a missing directory, and `verify` of a spec.json
-  that breaks a spec rule (TestReport, TestVerify).
+  that breaks a spec rule (TestReport, TestVerify) or of a scenario.json
+  whose affinity or routine weight is too large for a float
+  (test_verify_of_a_number_past_the_float_range_exits_2).
 Every other scenario or spec runs and verifies: a valid but huge count is
 no error (test_a_mutated_scenario_runs_and_verifies_or_exits_2_before_writing,
 test_a_mutated_spec_runs_and_verifies_or_exits_2_before_writing).

@@ -9,8 +9,11 @@ with a constant learning rate alpha. An action is an item's catalog index,
 0 to n_actions - 1; the item's id string appears only in the trace line a
 `StepRecord` writes. The table keeps one row per written state, a list of
 n_actions values in catalog order, and an unwritten state reads 0.0 for
-every action. Exploitation draws use the orientation "q <= p exploits":
-the larger p, the rarer the exploratory branch.
+every action. Next to each row it keeps the row's maximum and the first
+index that holds it, so the greedy pick and the update's max read two
+fields instead of scanning the catalog. Exploitation draws use the
+orientation "q <= p exploits": the larger p, the rarer the exploratory
+branch.
 """
 
 from __future__ import annotations
@@ -67,11 +70,24 @@ class QTable:
 
     Single-writer: one agent owns one table. A row exists once a value in
     it has been written.
+
+    Invariant: for every written state s, `_best[s]` is (max(row), first),
+    where first is the smallest index holding the maximum, so that
+    row[first] is the very value `max(row)` returns. `set_value` keeps it:
+    a value above the maximum takes both fields, a value equal to it at the
+    same or a lower index takes the index, and a value below it rescans the
+    row only when it lands on `first`; any other write leaves both as they
+    are.
     """
 
     def __init__(self, n_actions: int):
         self.n_actions = n_actions
         self._rows: dict[State, list[float]] = {}
+        self._best: dict[State, tuple[float, ActionId]] = {}
+
+    def __len__(self) -> int:
+        """The number of written rows."""
+        return len(self._rows)
 
     def value(self, s: State, a: ActionId) -> float:
         row = self._rows.get(s)
@@ -88,12 +104,19 @@ class QTable:
         row = self._rows.get(s)
         if row is None:
             row = self._rows[s] = [0.0] * self.n_actions
+            self._best[s] = (0.0, 0)
+        best, first = self._best[s]
         row[a] = value
+        if value > best or (value == best and a <= first):
+            self._best[s] = (value, a)
+        elif a == first:  # lowered the entry that held the maximum
+            best = max(row)
+            self._best[s] = (best, row.index(best))
 
     def best_value(self, s: State) -> float:
         """max of Q(s, a) over the catalog."""
-        row = self._rows.get(s)
-        return 0.0 if row is None else max(row)
+        best = self._best.get(s)
+        return 0.0 if best is None else best[0]
 
     def update(self, s: State, a: ActionId, r: float, s_next: State,
                params: LearningParams) -> float:
@@ -108,8 +131,8 @@ class QTable:
 
 def greedy_action(table: QTable, s: State) -> ActionId:
     """argmax over the catalog; ties fall to the smallest catalog index."""
-    row = table._rows.get(s)
-    return 0 if row is None else row.index(max(row))
+    best = table._best.get(s)
+    return 0 if best is None else best[1]
 
 
 def epsilon_greedy_action(table: QTable, s: State, p: float,

@@ -192,7 +192,11 @@ def json_int(entry: dict, key: str, minimum: Optional[int],
 def _number(value, what: str) -> float:
     if type(value) not in (int, float):
         raise ValueError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer past the float range
+        raise ValueError(f"{what} must be a number, got an integer too large "
+                         f"for a float") from None
 
 
 def json_list(value, what: str) -> list:

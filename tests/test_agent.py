@@ -128,7 +128,7 @@ class TestStep:
         env = StubEnv(reward=1.0)
         for _ in range(30):
             agent.step(office_event(), env)
-        assert agent.table._rows == {}
+        assert len(agent.table) == 0
 
     def test_q_variants_update_q(self, context):
         agent = make_agent("EpsilonGreedyQ")
@@ -137,7 +137,9 @@ class TestStep:
         s = context.aggregate(office_event(), "g0")
         row = [0.0] * len(ITEMS)
         row[ITEMS.index(record.a)] = PARAMS.alpha * 1.0  # s_next is s, unwritten before
-        assert agent.table._rows == {s: row}
+        # the whole table: one written row, and it holds exactly that value
+        assert len(agent.table) == 1
+        assert agent.table.row(s) == row
 
     def test_every_step_records_cf_transaction(self):
         agent = make_agent("GreedyQ")

@@ -147,7 +147,10 @@ class TestAdapt:
         table = QTable(2)
         table.set_value(skey(place="Home"), 1, 0.4)
         adapt(RetrievalResult(case, 1.0), skey(), table)
-        assert table._rows == {skey(place="Home"): [0.0, 0.4], skey(): [3.0, 0.0]}
+        # the whole table: the two rows written, and no third
+        assert len(table) == 2
+        assert table.row(skey(place="Home")) == [0.0, 0.4]
+        assert table.row(skey()) == [3.0, 0.0]
 
 
 class TestRetain:

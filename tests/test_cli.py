@@ -20,6 +20,9 @@ BASE_SPEC = {"scenario": "canonical", "trials": 1, "steps": 60,
              "variants": [{"name": "HyQL", "variant": "HyQL"}]}
 
 HUGE_INT = "9" * 5000  # a JSON integer Python's int() refuses to parse
+# A JSON integer int() parses but float() cannot hold. It goes only where a
+# float belongs: as a count it is valid, and a world that large never builds.
+FLOAT_RANGE_INT = 10 ** 400
 
 
 def write_spec(directory, **changes):
@@ -187,6 +190,37 @@ def test_an_integer_past_the_digit_limit_exits_2_before_writing(tmp_path, capsys
     assert main(["run", str(spec), "--out", str(out)]) == EXIT_CONFIG
     assert not out.exists()
     assert f"{name} is not valid JSON: Exceeds the limit (4300 digits)" in capsys.readouterr().err
+
+
+def routines_with_first_weight(value):
+    """The canonical routines with the first g0 habit's weight replaced."""
+    routines = load_scenario("canonical")["routines"]
+    routines["g0"][0]["weight"] = value
+    return routines
+
+
+@pytest.mark.parametrize("key", ["affinity", "weight"])
+def test_a_number_past_the_float_range_exits_2_before_writing(tmp_path, capsys, key):
+    override = ({"affinity": FLOAT_RANGE_INT} if key == "affinity"
+                else {"routines": routines_with_first_weight(FLOAT_RANGE_INT)})
+    out = tmp_path / "out"
+    assert main(["run", str(write_spec(tmp_path, scenario=override)), "--out", str(out)]) \
+        == EXIT_CONFIG
+    assert not out.exists()
+    assert "got an integer too large for a float" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["affinity", "weight"])
+def test_verify_of_a_number_past_the_float_range_exits_2(run_copy, capsys, key):
+    path = run_copy / "scenario.json"
+    scenario = json.loads(path.read_text(encoding="utf-8"))
+    if key == "affinity":
+        scenario["affinity"] = FLOAT_RANGE_INT
+    else:
+        scenario["routines"]["g0"][0]["weight"] = FLOAT_RANGE_INT
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    assert main(["verify", str(run_copy)]) == EXIT_CONFIG
+    assert "got an integer too large for a float" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
@@ -394,7 +428,8 @@ def json_object_at(document, path):
 def mutated_scenarios(draw):
     """The canonical scenario at small sizes with up to three mutations, each
     at the top level, in a habit or in the drift entry: a key dropped, a value
-    replaced by one of ODD_VALUES, or an unknown key added.
+    replaced by one of ODD_VALUES (or by FLOAT_RANGE_INT, where the value is
+    a float), or an unknown key added.
 
     Counts stay at 50 or below: a count such as 10**30 is valid and would
     build a huge world.
@@ -416,7 +451,9 @@ def mutated_scenarios(draw):
         elif kind == "drop":
             del entry[draw(st.sampled_from(sorted(entry)))]
         else:
-            entry[draw(st.sampled_from(sorted(entry)))] = draw(st.sampled_from(ODD_VALUES))
+            key = draw(st.sampled_from(sorted(entry)))
+            floats = [FLOAT_RANGE_INT] if isinstance(entry[key], float) else []
+            entry[key] = draw(st.sampled_from(ODD_VALUES + floats))
     return scenario
 
 
@@ -514,21 +551,28 @@ RUN_FILES = ["metrics.csv", "spec.json", "scenario.json", "runs/HyQL/1001/histor
 
 # a JSON token: a string, a number, true, false or null
 JSON_TOKEN = re.compile(r'"[^"]*"|-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|true|false|null')
+# a number with a fraction or an exponent: a float, not a count
+FLOAT_LITERAL = re.compile(r'-?\d+(?:\.\d+(?:[eE][+-]?\d+)?|[eE][+-]?\d+)')
 
 
 def replace_field(line, suffix, index, value):
     """The line with one field replaced: a tab- or comma-separated field, or
     a JSON value in a JSON file, whose NaN, infinity and empty string are
-    spelt as JSON spells them."""
+    spelt as JSON spells them. FLOAT_RANGE_INT replaces only a float; a line
+    without one stays as it is."""
+    only_floats = value == str(FLOAT_RANGE_INT)
     if suffix == ".json":
         value = {"nan": "NaN", "inf": "Infinity", "": '""'}.get(value, value)
         tokens = [token for token in JSON_TOKEN.finditer(line)
-                  if not line[token.end():].lstrip().startswith(":")]  # not a key
+                  if not line[token.end():].lstrip().startswith(":")  # not a key
+                  and (not only_floats or FLOAT_LITERAL.fullmatch(token.group()))]
         if not tokens:
             return line
         token = tokens[index % len(tokens)]
         return line[:token.start()] + value + line[token.end():]
     fields = line.split("\t" if suffix == ".tsv" else ",")
+    if only_floats and not FLOAT_LITERAL.fullmatch(fields[index % len(fields)]):
+        return line
     fields[index % len(fields)] = value
     return ("\t" if suffix == ".tsv" else ",").join(fields)
 
@@ -537,7 +581,7 @@ def replace_field(line, suffix, index, value):
 @given(name=st.sampled_from(RUN_FILES), line=st.integers(0, 10**6),
        kind=st.sampled_from(["drop", "duplicate", "truncate", "append", "replace"]),
        field=st.integers(0, 20), text=st.sampled_from(["0", "9", "x", "\t", ",", "-"]),
-       value=st.sampled_from(["nan", "inf", "1e999", "", HUGE_INT]))
+       value=st.sampled_from(["nan", "inf", "1e999", "", HUGE_INT, str(FLOAT_RANGE_INT)]))
 def test_a_mutated_run_file_verifies_and_reports_with_exit_0_2_or_3(
         tiny_run, name, line, kind, field, text, value):
     with tempfile.TemporaryDirectory() as tmp:

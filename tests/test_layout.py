@@ -7,7 +7,8 @@ its catalog index. Only simenv spells the scenario format's keys and builds
 the items' id strings, and only bench spells the experiment spec's keys.
 Every function, method and class is used by the package itself, not only by
 the tests, and every annotated class field and every attribute a method
-sets on `self` is read by it.
+sets on `self` is read by it. A private attribute is read only through
+`self` or inside the module that sets it.
 """
 
 import ast
@@ -196,3 +197,32 @@ def test_every_instance_attribute_is_read_by_the_package():
     """The same rule for the attributes methods set on `self`."""
     trees = {name: tree for name, tree in modules().items() if name != "__init__"}
     assert unread_instance_attributes(trees) == []
+
+
+def is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_reads_from_outside(trees):
+    """Reads of a private attribute (one leading underscore) other than
+    through `self`, in a module whose classes never set it on `self`."""
+    found = []
+    for module, tree in trees.items():
+        own = {node.attr for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for node in ast.walk(cls)
+               if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+               and isinstance(node.value, ast.Name) and node.value.id == "self"}
+        found += [f"{module}: .{node.attr} (line {node.lineno})"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and is_private(node.attr) and node.attr not in own
+                  and not (isinstance(node.value, ast.Name) and node.value.id == "self")]
+    return sorted(found)
+
+
+def test_private_attributes_stay_private():
+    """A class's private state is read through its methods everywhere else:
+    agent and casebase read a Q-table through `row`, `value`, `best_value`
+    and `greedy_action`, so none of them can bypass the row maxima that
+    `set_value` keeps."""
+    assert private_reads_from_outside(modules()) == []

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hyql.qlearn
+from hyql.casebase import Case, RetrievalResult, adapt
 from hyql.context import SituationKey, TimeBucket
 from hyql.qlearn import (EXPLOIT, RANDOM_FALLBACK, LearningParams, QTable,
                          epsilon_greedy_action, greedy_action)
@@ -124,6 +126,105 @@ class TestQUpdate:
                 best, first = table.value(key(), a), a
         assert table.best_value(key()) == best
         assert greedy_action(table, key()) == first
+
+
+# A small alphabet, so that ties are common and writes often lower the entry
+# that holds a row's maximum; -0.0 ties with 0.0 but is a different float.
+SMALL_VALUES = (-1.0, -0.5, -0.0, 0.0, 0.5, 1.0)
+N_STATES, WIDE = 4, 6
+
+
+def bits(values):
+    """Floats compared bit for bit, so that -0.0 and 0.0 differ."""
+    return [v.hex() for v in values]
+
+
+@st.composite
+def table_ops(draw):
+    """One write to a table of N_STATES x WIDE: a `set_value`, an `update`
+    or a case-base `adapt`."""
+    kind = draw(st.sampled_from(["set_value", "update", "adapt"]))
+    s = draw(st.integers(0, N_STATES - 1))
+    if kind == "set_value":
+        return kind, s, draw(st.integers(0, WIDE - 1)), draw(st.sampled_from(SMALL_VALUES))
+    if kind == "update":
+        return (kind, s, draw(st.integers(0, WIDE - 1)), draw(st.sampled_from(SMALL_VALUES)),
+                draw(st.integers(0, N_STATES - 1)),
+                LearningParams(alpha=draw(st.sampled_from((0.5, 1.0))),
+                               gamma=draw(st.sampled_from((0.0, 0.5)))))
+    solution = draw(st.lists(st.sampled_from(SMALL_VALUES), min_size=WIDE, max_size=WIDE))
+    return kind, s, solution, draw(st.sampled_from((0.8, 1.0)))
+
+
+class TestCachedMaximum:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(ops=st.lists(table_ops(), max_size=40))
+    def test_every_read_matches_a_plain_table(self, ops):
+        """After every write, each state's best_value, greedy_action, row and
+        values equal those of a dict of lists that scans its rows, written
+        and unwritten states alike."""
+        table, oracle = QTable(WIDE), {}
+
+        def oracle_row(s):
+            return oracle.get(s, [0.0] * WIDE)
+
+        for op in ops:
+            kind, s = op[0], op[1]
+            if kind == "set_value":
+                _, _, a, v = op
+                table.set_value(s, a, v)
+                oracle.setdefault(s, [0.0] * WIDE)[a] = v
+            elif kind == "update":
+                _, _, a, r, s_next, params = op
+                old = oracle_row(s)[a]
+                target = r + params.gamma * max(oracle_row(s_next))
+                table.update(s, a, r, s_next, params)
+                oracle.setdefault(s, [0.0] * WIDE)[a] = old + params.alpha * (target - old)
+            else:
+                _, _, solution, similarity = op
+                case = Case(key(), solution, visits=1, mean_reward=0.5, user_id="u0", step=0)
+                assert adapt(RetrievalResult(case, similarity), s, table) == (s not in oracle)
+                oracle.setdefault(s, [similarity * v for v in solution])
+            for state in range(N_STATES):
+                row = oracle_row(state)
+                assert bits([table.best_value(state)]) == bits([max(row)])
+                assert greedy_action(table, state) == row.index(max(row))
+                assert bits(table.row(state)) == bits(oracle.get(state, []))
+                assert bits([table.value(state, a) for a in range(WIDE)]) == bits(row)
+
+    def test_reads_never_scan_and_only_lowering_the_maximum_rescans(self, monkeypatch):
+        calls = []
+
+        def counting_max(*args, **kwargs):
+            calls.append(args)
+            return max(*args, **kwargs)
+
+        monkeypatch.setattr(hyql.qlearn, "max", counting_max, raising=False)
+        table = QTable(4)
+
+        def scans(write):
+            calls.clear()
+            write()
+            for s in (key(), key("Home")):  # a written and an unwritten state
+                greedy_action(table, s)
+                table.best_value(s)
+            return len(calls)
+
+        assert scans(lambda: table.set_value(key(), 1, 0.5)) == 0  # raises the maximum
+        assert scans(lambda: table.set_value(key(), 2, 0.5)) == 0  # ties it further on
+        assert scans(lambda: table.set_value(key(), 0, 0.5)) == 0  # ties it earlier
+        assert scans(lambda: table.set_value(key(), 3, -1.0)) == 0  # below it elsewhere
+        assert (table.best_value(key()), greedy_action(table, key())) == (0.5, 0)
+        assert scans(lambda: table.set_value(key(), 0, 0.25)) == 1  # lowers the maximum
+        assert (table.best_value(key()), greedy_action(table, key())) == (0.5, 1)
+        assert scans(lambda: table.set_value(key(), 1, 0.5)) == 0  # the same value again
+        # a fresh row's maximum is its 0.0 at index 0
+        assert scans(lambda: table.set_value(key("Home"), 2, -0.5)) == 0
+        assert scans(lambda: table.set_value(key("Transit"), 0, -0.5)) == 1
+        assert (table.best_value(key("Transit")), greedy_action(table, key("Transit"))) == (0.0, 1)
+        # an update reads the next state's maximum without a scan
+        params = LearningParams(alpha=0.5, gamma=0.5)
+        assert scans(lambda: table.update(key("Home"), 3, 1.0, key(), params)) == 0
 
 
 class TestParams:
