@@ -12,6 +12,11 @@ base.
 The learning settings are fixed for every variant: alpha 0.3, gamma 0.1 and
 exploit probability p 0.8 (`PARAMS`).
 
+GreedyQ always recommends the first catalog item and keeps no table: from
+a zero table, on 0/1 rewards and with non-negative alpha and gamma, greedy
+learning writes only values >= 0.0, and `greedy_action` gives ties to
+index 0, so it would never pick another item. Its steps keep the Exploit tag.
+
 One agent instance is strictly single-threaded; run many (agent, env)
 pairs with distinct seeds for parallel trials.
 """
@@ -23,13 +28,13 @@ from dataclasses import dataclass
 
 from .casebase import CaseBase, adapt
 from .collab import TransactionStore
-from .context import ContextModel, RawEvent, SituationKey
+from .context import CONTEXT, RawEvent, SituationKey
 from .qlearn import (ADVISE, CASE_BOOTSTRAPPED, EXPLOIT, RANDOM_FALLBACK,
                      ActionId, LearningParams, QTable, StepRecord,
                      epsilon_greedy_action, greedy_action)
 
 VARIANTS = ("GreedyQ", "EpsilonGreedyQ", "CFOnly", "CBRQ", "HyQL")
-_Q_VARIANTS = ("GreedyQ", "EpsilonGreedyQ", "CBRQ", "HyQL")
+_Q_VARIANTS = ("EpsilonGreedyQ", "CBRQ", "HyQL")
 _CASE_VARIANTS = ("CBRQ", "HyQL")
 
 POSITIVE_RATING_THRESHOLD = 0.5  # reward >= 0.5 counts as an acceptance
@@ -74,14 +79,12 @@ class Agent:
     """
 
     def __init__(self, config: AgentConfig, items: tuple[str, ...],
-                 context: ContextModel, social_group: str,
-                 cf_store: TransactionStore):
+                 social_group: str, cf_store: TransactionStore):
         self.config = config
         self.items = items
-        self.context = context
         self.social_group = social_group
         self.table = QTable(len(items))
-        self.casebase = CaseBase(context)
+        self.casebase = CaseBase()
         self.cf_store = cf_store
         self.rng = random.Random(config.seed)
         self.step_count = 0
@@ -98,8 +101,8 @@ class Agent:
 
     def _select(self, s: SituationKey) -> tuple[ActionId, str]:
         variant = self.config.variant
-        if variant == "GreedyQ":
-            return greedy_action(self.table, s), EXPLOIT
+        if variant == "GreedyQ":  # the constant policy; see the module docstring
+            return 0, EXPLOIT
         if variant == "EpsilonGreedyQ" or variant == "CBRQ":
             return epsilon_greedy_action(self.table, s, PARAMS.p, self.rng)
         if variant == "CFOnly":
@@ -122,13 +125,13 @@ class Agent:
 
     def step(self, event: RawEvent, env) -> tuple[StepRecord, RawEvent]:
         """One full interaction: situate, maybe reuse a case, act, learn."""
-        s = self.context.aggregate(event, self.social_group)
+        s = CONTEXT.aggregate(event, self.social_group)
         bootstrapped = self._maybe_bootstrap(s)
         a, branch = self._select(s)
         if bootstrapped:
             branch = CASE_BOOTSTRAPPED
         r, next_event = env.step(a)
-        s_next = self.context.aggregate(next_event, self.social_group)
+        s_next = CONTEXT.aggregate(next_event, self.social_group)
         if self.config.variant in _Q_VARIANTS:
             self.table.update(s, a, r, s_next, PARAMS)
         self.cf_store.record_implicit(self.user_id, a,

@@ -17,10 +17,10 @@ one way to build an `ExperimentSpec`: it rejects any other key, at the top
 level or in a variant, and a count that is not a JSON integer, before a run
 writes anything. It checks the scenario once, through
 `simenv.parse_scenario`; trials and `verify` draw their worlds from that
-parsed form and its one context, never reading the scenario's keys or the
-gazetteer again. A bad spec, scenario file or output directory is a
-`ConfigError`; a run file `verify` or `report` cannot read or parse raises
-`StoreParseError` with its path and line.
+parsed form, never reading the scenario's keys again. A bad spec, scenario
+file or output directory is a `ConfigError`; a run file `verify` or
+`report` cannot read or parse raises `StoreParseError` with its path and
+line.
 
 Every trial yields four metrics, all from its list of rewards and branch
 tags: CumulativeReward sums the rewards; StepsToThreshold is the first step
@@ -47,7 +47,6 @@ from typing import Optional, Sequence
 
 from .agent import Agent, AgentConfig, VARIANTS
 from .collab import TransactionStore
-from .context import ContextModel, GazetteerError
 from .qlearn import EXPLOIT, StepRecord
 from .simenv import (SEED_SPREAD, Scenario, SimEnv, check_keys, json_int,
                      json_list, parse_scenario, world_from_scenario)
@@ -174,8 +173,8 @@ def load_experiment_spec(path: str | Path) -> ExperimentSpec:
         scenario_path = spec_path.parent / scenario_path
     scenario = load_scenario(scenario_path)
     try:
-        parsed = parse_scenario(scenario, ContextModel.default())
-    except (TypeError, ValueError, GazetteerError) as exc:
+        parsed = parse_scenario(scenario)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad scenario: {exc}") from None
     return ExperimentSpec(scenario, variants, trials, steps, base_seed, parsed)
 
@@ -214,14 +213,13 @@ def run_trial(scenario: Scenario, variant: dict, seed: int, steps: int,
     """Fresh world plus fresh agent, one full run, optional persistence."""
     world = world_from_scenario(scenario, seed)
     focal = scenario.agent_user
-    cf_store = TransactionStore(len(scenario.items), scenario.context)
+    cf_store = TransactionStore(len(scenario.items))
     env = SimEnv(world, cf_store)
     env.background_burst(scenario.warm_start_events)
 
     config = AgentConfig(variant["variant"], focal, scenario.day_length,
                          seed * SEED_SPREAD + _AGENT_STREAM)
-    agent = Agent(config, scenario.items, scenario.context,
-                  scenario.user(focal).social_group, cf_store)
+    agent = Agent(config, scenario.items, scenario.user(focal).social_group, cf_store)
 
     optimal = world.optimal_expected_reward(focal)
     trace = agent.run(env, steps)

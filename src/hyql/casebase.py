@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .context import ContextModel, SituationKey
+from .context import CONTEXT, SituationKey
 from .qlearn import QTable
 
 FEATURE_WEIGHTS = (0.25, 0.25, 0.25, 0.25)  # time, place, group, cognitive
@@ -71,8 +71,7 @@ def _time_chain(key: SituationKey) -> tuple:
             (t.part_of_day,))
 
 
-def case_similarity(problem_a: SituationKey, problem_b: SituationKey,
-                    context: ContextModel) -> float:
+def case_similarity(problem_a: SituationKey, problem_b: SituationKey) -> float:
     """FEATURE_WEIGHTS-weighted per-dimension match in [0, 1].
 
     Time and place score the fraction of their generalization chains on
@@ -80,9 +79,9 @@ def case_similarity(problem_a: SituationKey, problem_b: SituationKey,
     exact-match 0/1.
     """
     time_match = _chain_match(_time_chain(problem_a), _time_chain(problem_b), 3)
-    place_match = _chain_match(context.place_chain(problem_a.place),
-                               context.place_chain(problem_b.place),
-                               context.depth + 1)
+    place_match = _chain_match(CONTEXT.place_chain(problem_a.place),
+                               CONTEXT.place_chain(problem_b.place),
+                               CONTEXT.depth + 1)
     group_match = 1.0 if problem_a.social_group == problem_b.social_group else 0.0
     cognitive_match = 1.0 if problem_a.cognitive == problem_b.cognitive else 0.0
     w_time, w_place, w_group, w_cog = FEATURE_WEIGHTS
@@ -93,8 +92,7 @@ def case_similarity(problem_a: SituationKey, problem_b: SituationKey,
 class CaseBase:
     """Fixed-capacity case store with replace-on-duplicate retention."""
 
-    def __init__(self, context: ContextModel):
-        self.context = context
+    def __init__(self):
         self.cases: list[Case] = []
         self._next_order = 0
 
@@ -110,7 +108,7 @@ class CaseBase:
         best: Optional[Case] = None
         best_sim = -1.0
         for case in self.cases:
-            sim = case_similarity(problem, case.problem, self.context)
+            sim = case_similarity(problem, case.problem)
             if best is None or (sim, case.visits, -case.step) > (best_sim, best.visits, -best.step):
                 best, best_sim = case, sim
         if best is None or best_sim < RETRIEVAL_THRESHOLD:

@@ -26,13 +26,18 @@ Exit 2, and `run` writes nothing under --out:
 - an affinity or a routine weight that is a JSON integer too large for a
   float, such as 1 followed by 400 zeros
   (test_a_number_past_the_float_range_exits_2_before_writing);
+- more than 10,000 items, or more than 10,000,000 relevance values (users x
+  items x the longest routine), checked before the world is built
+  (test_a_world_past_the_size_bound_exits_2_before_writing);
 - --out at a file or under one (test_out_at_or_under_a_file_exits_2_before_writing);
 - `report` or `verify` of a missing directory, and `verify` of a spec.json
   that breaks a spec rule (TestReport, TestVerify) or of a scenario.json
-  whose affinity or routine weight is too large for a float
-  (test_verify_of_a_number_past_the_float_range_exits_2).
-Every other scenario or spec runs and verifies: a valid but huge count is
-no error (test_a_mutated_scenario_runs_and_verifies_or_exits_2_before_writing,
+  whose affinity or routine weight is too large for a float, or whose world
+  is past the size bound (test_verify_of_a_number_past_the_float_range_exits_2,
+  test_verify_of_a_world_past_the_size_bound_exits_2).
+Every other scenario or spec runs and verifies; a huge `steps`,
+`warm_start_events` or `background_rate` is a valid long run
+(test_a_mutated_scenario_runs_and_verifies_or_exits_2_before_writing,
 test_a_mutated_spec_runs_and_verifies_or_exits_2_before_writing).
 
 Exit 3, naming the bad run file's path and line: a run file that is

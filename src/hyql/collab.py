@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .context import ContextModel, SituationKey
+from .context import CONTEXT, SituationKey
 
 DEFAULT_NEIGHBORS = 10  # the scenario's team size
 
@@ -110,9 +110,8 @@ class TransactionStore:
     cognitive classes), so the memo stays small.
     """
 
-    def __init__(self, n_items: int, context: ContextModel):
+    def __init__(self, n_items: int):
         self.n_items = n_items
-        self.context = context
         self._count = 0  # transactions recorded
         # (level, generalized scope key) -> view
         self._scoped: dict[tuple[int, SituationKey], View] = {}
@@ -127,9 +126,9 @@ class TransactionStore:
         views = self._views_of.get(s)
         if views is None:
             views = self._views_of[s] = tuple(
-                self._scoped.setdefault((level, self.context.generalize(s, level)),
+                self._scoped.setdefault((level, CONTEXT.generalize(s, level)),
                                         View(self.n_items))
-                for level in range(self.context.depth + 1))
+                for level in range(CONTEXT.depth + 1))
         return views
 
     def record_implicit(self, user_id: str, item: int, positive: bool,

@@ -6,22 +6,22 @@ Time buckets come from fixed hour boundaries on a simulated local clock
 (day 0 is a Monday). Places come from a static gazetteer of bounding
 regions with a parent hierarchy (place -> city -> root), which replaces
 any live reverse-geocoding service so that runs stay deterministic and
-offline. Every event carries a position and a cognitive action; only the
-calendar entry may be absent.
+offline. The gazetteer is built in (`GAZETTEER`), and every layer reads
+the one `ContextModel` made from it, `CONTEXT`. Every event carries a
+position and a cognitive action; only the calendar entry may be absent.
 
-Every layer indexes by situation, so situation keys are interned: a
-`ContextModel` hands out one shared `SituationKey` per distinct situation,
-and each key hashes its fields once, when it is built. Equality stays by
-value, so a key built elsewhere (say, parsed from a trace) still finds
-the interned one in a dict. The intern table only ever gains entries, and
-it is filled with `setdefault`, so the functions here behave as pure ones:
-same inputs, same key, from any thread.
+Every layer indexes by situation, so situation keys are interned:
+`situation` hands out one shared `SituationKey` per distinct situation,
+process-wide, and each key hashes its fields once, when it is built.
+Equality stays by value, so a key built elsewhere (say, parsed from a
+trace) still finds the interned one in a dict. The intern table only ever
+gains entries, and it is filled with `setdefault`, so the functions here
+behave as pure ones: same inputs, same key, from any thread.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 SECONDS_PER_HOUR = 3_600
@@ -43,10 +43,6 @@ HOUR_RANGES = {
 _PART_OF_HOUR = tuple(next(part for part, (start, end) in HOUR_RANGES.items()
                            if start <= hour < end or start <= hour + 24 < end)
                       for hour in range(24))
-
-
-class GazetteerError(Exception):
-    """Raised for an empty, malformed or inconsistent gazetteer."""
 
 
 @dataclass(frozen=True)
@@ -163,8 +159,8 @@ class SituationKey:
     at level 0 at every granularity.
 
     The hash is computed once, in `__post_init__`. String hashes differ
-    between interpreters, so a pickled key is rebuilt through the
-    constructor and hashes afresh wherever it is loaded.
+    between interpreters, so a pickled key loads as the shared one
+    `situation` hands out, hashed by the interpreter that loads it.
     """
 
     time: TimeBucket
@@ -181,8 +177,8 @@ class SituationKey:
         return self._hash
 
     def __reduce__(self):
-        return (SituationKey, (self.time, self.place, self.social_group,
-                               self.cognitive, self.granularity))
+        return (situation, (self.time, self.place, self.social_group,
+                            self.cognitive, self.granularity))
 
     def canonical(self) -> str:
         return "|".join((self.time.canonical(), self.place, self.social_group,
@@ -227,23 +223,18 @@ def abstract_time(timestamp: int, calendar: Iterable[CalendarEntry] = ()) -> Tim
     return _BUCKETS[part, day_class, state]
 
 
-def parse_gazetteer(lines: Iterable[str], source: str = "<gazetteer>") -> list[PlaceNode]:
-    """Parse `name,parent,lat_min,lat_max,lon_min,lon_max` lines; an empty
-    parent marks the root."""
-    nodes = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != 6:
-            raise GazetteerError(f"{source}:{lineno}: expected 6 fields, got {len(fields)}")
-        try:
-            numbers = [float(f) for f in fields[2:]]
-        except ValueError as exc:
-            raise GazetteerError(f"{source}:{lineno}: {exc}") from None
-        nodes.append(PlaceNode(fields[0], fields[1] or None, *numbers))
-    return nodes
+# (time, place, group, cognitive, granularity) -> the one shared key
+_KEYS: dict[tuple, SituationKey] = {}
+
+
+def situation(time: TimeBucket, place: str, social_group: str, cognitive: str,
+              granularity: int) -> SituationKey:
+    """The one shared key for these fields, built on first request."""
+    fields = (time, place, social_group, cognitive, granularity)
+    key = _KEYS.get(fields)
+    if key is None:
+        key = _KEYS.setdefault(fields, SituationKey(*fields))
+    return key
 
 
 class ContextModel:
@@ -251,15 +242,15 @@ class ContextModel:
 
     def __init__(self, nodes: Sequence[PlaceNode]):
         if not nodes:
-            raise GazetteerError("gazetteer is empty")
+            raise ValueError("gazetteer is empty")
         self.nodes: dict[str, PlaceNode] = {}
         for node in nodes:
             if node.name in self.nodes:
-                raise GazetteerError(f"duplicate place name {node.name!r}")
+                raise ValueError(f"duplicate place name {node.name!r}")
             self.nodes[node.name] = node
         roots = [n.name for n in nodes if n.parent is None]
         if len(roots) != 1:
-            raise GazetteerError(f"expected exactly one root place, found {roots}")
+            raise ValueError(f"expected exactly one root place, found {roots}")
         self._chains: dict[str, tuple[str, ...]] = {}
         for node in nodes:
             chain = [node.name]
@@ -267,9 +258,9 @@ class ContextModel:
             cursor = node
             while cursor.parent is not None:
                 if cursor.parent not in self.nodes:
-                    raise GazetteerError(f"place {cursor.name!r} has unknown parent {cursor.parent!r}")
+                    raise ValueError(f"place {cursor.name!r} has unknown parent {cursor.parent!r}")
                 if cursor.parent in seen:
-                    raise GazetteerError(f"cycle in place hierarchy at {cursor.parent!r}")
+                    raise ValueError(f"cycle in place hierarchy at {cursor.parent!r}")
                 seen.add(cursor.parent)
                 chain.append(cursor.parent)
                 cursor = self.nodes[cursor.parent]
@@ -278,33 +269,21 @@ class ContextModel:
         # reverse geocoding's scan order: deepest first (chain length minus
         # one is the depth below the root), same-depth ties by name
         self._scan = sorted(nodes, key=lambda n: (-len(self._chains[n.name]), n.name))
-        # (time, place, group, cognitive, granularity) -> the one shared key
-        self._interned: dict[tuple, SituationKey] = {}
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ContextModel":
-        text = Path(path).read_text(encoding="utf-8")
-        return cls(parse_gazetteer(text.splitlines(), source=str(path)))
-
-    @classmethod
-    def default(cls) -> "ContextModel":
-        path = Path(__file__).parent / "data" / "gazetteer.csv"
-        return cls.from_file(path)
 
     def place_chain(self, name: str) -> tuple[str, ...]:
-        """Names from the node up to the root; GazetteerError for a name the
+        """Names from the node up to the root; ValueError for a name the
         gazetteer lacks."""
         try:
             return self._chains[name]
         except KeyError:
-            raise GazetteerError(f"unknown place {name!r}") from None
+            raise ValueError(f"unknown place {name!r}") from None
 
     def abstract_location(self, lat: float, lon: float) -> PlaceNode:
         """Reverse geocode against the gazetteer.
 
         Deepest containing region wins; same-depth ties go to the
         lexicographically smaller name. A point no region contains raises
-        GazetteerError: a root that covers the globe, as the built-in one
+        ValueError: a root that covers the globe, as the built-in one
         does, contains every valid point.
         """
         if not (-90.0 <= lat <= 90.0) or not (-180.0 <= lon <= 180.0):
@@ -312,16 +291,7 @@ class ContextModel:
         for node in self._scan:
             if node.contains(lat, lon):
                 return node
-        raise GazetteerError(f"no gazetteer region contains ({lat}, {lon})")
-
-    def situation(self, time: TimeBucket, place: str, social_group: str,
-                  cognitive: str, granularity: int) -> SituationKey:
-        """The one shared key for these fields, built on first request."""
-        fields = (time, place, social_group, cognitive, granularity)
-        key = self._interned.get(fields)
-        if key is None:
-            key = self._interned.setdefault(fields, SituationKey(*fields))
-        return key
+        raise ValueError(f"no gazetteer region contains ({lat}, {lon})")
 
     def aggregate(self, event: RawEvent, social_group: str) -> SituationKey:
         """Compose time, place, group and cognitive class into one level-0 key;
@@ -329,7 +299,7 @@ class ContextModel:
         calendar = (event.calendar_entry,) if event.calendar_entry else ()
         bucket = abstract_time(event.timestamp, calendar)
         place = self.abstract_location(*event.geo).name
-        return self.situation(bucket, place, social_group, event.cognitive.kind, 0)
+        return situation(bucket, place, social_group, event.cognitive.kind, 0)
 
     def generalize(self, key: SituationKey, level: int) -> SituationKey:
         """Lift a key's place to `level`, clamping at its chain end."""
@@ -339,5 +309,19 @@ class ContextModel:
             raise ValueError(f"granularity level {level} outside 0..{self.depth}")
         chain = self.place_chain(key.place)
         hop = min(level - key.granularity, len(chain) - 1)
-        return self.situation(key.time, chain[hop], key.social_group,
-                              key.cognitive, key.granularity + hop)
+        return situation(key.time, chain[hop], key.social_group,
+                         key.cognitive, key.granularity + hop)
+
+
+# The built-in gazetteer: a root covering the globe, so every valid point
+# reverse-geocodes to a place; cities under it, and leaf places under cities.
+GAZETTEER = (
+    PlaceNode("Anywhere", None, -90.0, 90.0, -180.0, 180.0),
+    PlaceNode("Paris", "Anywhere", 48.8, 48.91, 2.25, 2.42),
+    PlaceNode("Evry", "Anywhere", 48.6, 48.66, 2.41, 2.47),
+    PlaceNode("Home", "Paris", 48.86, 48.88, 2.34, 2.36),
+    PlaceNode("Office", "Paris", 48.84, 48.855, 2.3, 2.34),
+    PlaceNode("Transit", "Paris", 48.88, 48.9, 2.37, 2.41),
+    PlaceNode("ClientSite", "Evry", 48.62, 48.64, 2.43, 2.45),
+)
+CONTEXT = ContextModel(GAZETTEER)

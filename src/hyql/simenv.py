@@ -14,14 +14,14 @@ this module is also the only one that builds the items' id strings
 (doc00..), which appear only in the lines a run writes.
 
 A scenario config (a JSON object) defines the world, and this module is
-the only one that knows its format. `parse_scenario` checks a config once,
-against the one `ContextModel` its `Scenario` then carries, and turns each
-routine habit into its situation: the interned level-0 key it realizes,
-plus its weight. A habit's place must be a gazetteer leaf, the only kind
-whose region reverse-geocodes back to it. The `Scenario` holds every fact
-its worlds share, and `world_from_scenario` only draws a seed's relevance
-rows. So a bad scenario fails before a run writes anything, no world build
-re-checks, and a run reads the gazetteer once. `SimEnv` steps the
+the only one that knows its format. `parse_scenario` checks a config once
+and turns each routine habit into its situation: the interned level-0 key
+it realizes, plus its weight. A habit's place must be a leaf of the
+built-in gazetteer, the only kind whose region reverse-geocodes back to
+it, and a world may hold at most MAX_RELEVANCE_VALUES relevance values.
+The `Scenario` holds every fact its worlds share, and `world_from_scenario`
+only draws a seed's relevance rows. So a bad scenario fails before a run
+writes anything, and no world build re-checks. `SimEnv` steps the
 scenario's `agent_user`; every other user is background.
 
 Everything is driven by named random streams derived from one seed, and
@@ -38,9 +38,9 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .context import (COGNITIVE_KINDS, CalendarEntry, CognitiveAction, ContextModel,
+from .context import (CONTEXT, COGNITIVE_KINDS, CalendarEntry, CognitiveAction,
                       HOUR_RANGES, RawEvent, SECONDS_PER_DAY, SECONDS_PER_HOUR,
-                      SituationKey, time_bucket)
+                      SituationKey, situation, time_bucket)
 
 # the keys of a scenario config (and those it may omit), of a habit, of a drift entry
 SCENARIO_KEYS = frozenset({"name", "users", "groups", "items", "affinity", "routines",
@@ -57,6 +57,10 @@ _STREAM_EVENTS = 1
 _STREAM_REWARDS = 2
 _STREAM_BACKGROUND = 3
 SEED_SPREAD = 1_000_003  # between the seed bases of consecutive seeds
+
+# The largest world a scenario may ask for: 80 MB of packed relevance doubles.
+MAX_ITEMS = 10_000
+MAX_RELEVANCE_VALUES = 10_000_000  # users x items x the longest routine
 
 
 class CoverageError(Exception):
@@ -93,7 +97,7 @@ class WorldModel:
     """One seed's drawn world: every relevance row of its scenario's users,
     which `apply_drift` rewrites in place as the scenario's drift comes due.
     Everything else a trial reads of the world, the users, the catalog, the
-    drift, the day length and the context, it reads from `scenario`."""
+    drift and the day length, it reads from `scenario`."""
 
     scenario: Scenario
     # (user_id, level-0 key) -> per-item acceptance probability, packed
@@ -144,8 +148,7 @@ class Scenario:
     """A checked scenario config, built by `parse_scenario`: users u00..
     join groups g0.. round-robin, and each group shares one routine. Every
     world drawn from it shares its users, its catalog (the item ids doc00..,
-    index i naming item i), its drift and its context, which interns its
-    situations."""
+    index i naming item i) and its drift."""
 
     routines: dict[str, tuple[Habit, ...]]  # every group, in order
     users: tuple[UserProfile, ...]
@@ -156,7 +159,6 @@ class Scenario:
     agent_user: str
     warm_start_events: int
     background_rate: int
-    context: ContextModel
     _by_id: dict[str, UserProfile] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -206,13 +208,13 @@ def json_list(value, what: str) -> list:
     return value
 
 
-def _routine(entries, group: str, context: ContextModel) -> tuple[Habit, ...]:
+def _routine(entries, group: str) -> tuple[Habit, ...]:
     """A group's habits, whose weights must sum to 1 whether or not a user joins.
 
     Each habit is a distinct situation: a repeated one would be listed twice
     in a user's routine, so a scoped drift would act on its row twice.
     """
-    routine = tuple(_habit(entry, group, context)
+    routine = tuple(_habit(entry, group)
                     for entry in json_list(entries, f"routine of {group}"))
     seen = set()
     for habit in routine:
@@ -226,13 +228,13 @@ def _routine(entries, group: str, context: ContextModel) -> tuple[Habit, ...]:
     return routine
 
 
-def _habit(entry, group: str, context: ContextModel) -> Habit:
+def _habit(entry, group: str) -> Habit:
     """A habit the simulator can realize: `gen_event` draws a point inside its
     place's region, which reverse-geocodes back to that place only for a leaf."""
     check_keys(entry, _HABIT_KEYS, _HABIT_KEYS, "routine habit")
     place = entry["place"]
-    context.place_chain(place)  # raises on an unknown place
-    if any(node.parent == place for node in context.nodes.values()):
+    CONTEXT.place_chain(place)  # raises on an unknown place
+    if any(node.parent == place for node in CONTEXT.nodes.values()):
         raise ValueError(f"routine place {place!r} is not a leaf place of the gazetteer")
     if entry["cognitive"] not in COGNITIVE_KINDS:
         raise ValueError(f"unknown cognitive kind {entry['cognitive']!r}")
@@ -240,7 +242,7 @@ def _habit(entry, group: str, context: ContextModel) -> Habit:
     if not weight >= 0.0:
         raise ValueError(f"routine weight must be >= 0, got {weight}")
     bucket = time_bucket(entry["part_of_day"], entry["day_class"], entry["calendar"])
-    return Habit(context.situation(bucket, place, group, entry["cognitive"], 0), weight)
+    return Habit(situation(bucket, place, group, entry["cognitive"], 0), weight)
 
 
 def _drift_op(entry, users: Sequence[UserProfile]) -> DriftOp:
@@ -260,11 +262,9 @@ def _drift_op(entry, users: Sequence[UserProfile]) -> DriftOp:
     return DriftOp(step, target, None if scope == "all" else scopes[scope])
 
 
-def parse_scenario(raw: dict, context: ContextModel) -> Scenario:
-    """Check a scenario config without a random draw and return it parsed.
-
-    Raises ValueError, or GazetteerError for a place `context` lacks.
-    """
+def parse_scenario(raw: dict) -> Scenario:
+    """Check a scenario config without a random draw and return it parsed;
+    ValueError for a bad one."""
     check_keys(raw, SCENARIO_KEYS - _OPTIONAL_KEYS, SCENARIO_KEYS, "scenario")
     if not isinstance(raw.get("name", ""), str):
         raise ValueError(f"name must be a string, got {raw['name']!r}")
@@ -272,23 +272,29 @@ def parse_scenario(raw: dict, context: ContextModel) -> Scenario:
     groups = [f"g{i}" for i in range(n_groups)]
     # one routine per group, none for a group the scenario lacks
     check_keys(raw["routines"], frozenset(groups), frozenset(groups), "routines")
-    routines = {group: _routine(raw["routines"][group], group, context)
-                for group in groups}
+    routines = {group: _routine(raw["routines"][group], group) for group in groups}
     affinity = _number(raw["affinity"], "affinity")
     if not 0.0 <= affinity <= 1.0:
         raise ValueError(f"affinity must be in [0, 1], got {affinity}")
+    n_users, n_items = json_int(raw, "users", 1), json_int(raw, "items", 1)
+    if n_items > MAX_ITEMS:
+        raise ValueError(f"items must be at most {MAX_ITEMS}, got {n_items}")
+    longest = max(len(routine) for routine in routines.values())
+    if n_users * n_items * longest > MAX_RELEVANCE_VALUES:
+        raise ValueError(f"users x items x the longest routine must be at most "
+                         f"{MAX_RELEVANCE_VALUES}, got {n_users} x {n_items} x {longest}")
     users = tuple(UserProfile(f"u{i:02d}", groups[i % n_groups], routines[groups[i % n_groups]])
-                  for i in range(json_int(raw, "users", 1)))
+                  for i in range(n_users))
     if raw["agent_user"] not in [u.user_id for u in users]:
         raise ValueError(f"agent_user {raw['agent_user']!r} is not one of the "
                          f"scenario's {len(users)} users")
     drift = [_drift_op(entry, users) for entry in json_list(raw.get("drift", []), "drift")]
-    items = tuple(f"doc{i:02d}" for i in range(json_int(raw, "items", 1)))
+    items = tuple(f"doc{i:02d}" for i in range(n_items))
     return Scenario(routines, users, items, affinity,
                     tuple(sorted(drift, key=lambda op: op.step)),
                     json_int(raw, "day_length", 1, 50), raw["agent_user"],
                     json_int(raw, "warm_start_events", 0, 0),
-                    json_int(raw, "background_rate", 0, 0), context)
+                    json_int(raw, "background_rate", 0, 0))
 
 
 def world_from_scenario(scenario: Scenario, seed: int) -> WorldModel:
@@ -348,7 +354,7 @@ def gen_event(world: WorldModel, user_id: str, step: int, rng: random.Random) ->
     minute = rng.randrange(60)
     timestamp = absolute_day * SECONDS_PER_DAY + hour * SECONDS_PER_HOUR + minute * 60
 
-    node = scenario.context.nodes[s.place]
+    node = CONTEXT.nodes[s.place]
     lat = rng.uniform(node.lat_min, node.lat_max)
     lon = rng.uniform(node.lon_min, node.lon_max)
 
@@ -444,7 +450,7 @@ class SimEnv:
     def _observe(self) -> RawEvent:
         """The focal user's event at the current step, situated and logged."""
         event = gen_event(self.world, self.focal, self.global_step, self.event_rng)
-        self._situation = self.scenario.context.aggregate(event, self.group)
+        self._situation = CONTEXT.aggregate(event, self.group)
         self.event_log.append((self.global_step, event))
         return event
 

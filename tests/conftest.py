@@ -3,8 +3,6 @@ from importlib import resources
 
 import pytest
 
-from hyql.context import ContextModel
-
 
 def positive_items(store, user_id, s, level=0):
     """The catalog indices of the items `user_id` rated 1 in the situation's
@@ -13,11 +11,6 @@ def positive_items(store, user_id, s, level=0):
     entry = store._views(s)[level].ratings.get(user_id)
     bits = entry[0] if entry else 0
     return {i: 1.0 for i in range(store.n_items) if bits >> i & 1}
-
-
-@pytest.fixture(scope="session")
-def context():
-    return ContextModel.default()
 
 
 @pytest.fixture(scope="session")

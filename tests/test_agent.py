@@ -6,8 +6,7 @@ from hyql.agent import PARAMS, RETAIN_MIN_VISITS, VARIANTS, Agent, AgentConfig, 
 from hyql.bench import load_scenario
 from hyql.casebase import CaseBase
 from hyql.collab import TransactionStore
-from hyql.context import (CognitiveAction, ContextModel, RawEvent, SituationKey,
-                          TimeBucket)
+from hyql.context import CONTEXT, CognitiveAction, RawEvent, SituationKey, TimeBucket
 from hyql.qlearn import ADVISE, CASE_BOOTSTRAPPED, EXPLOIT, RANDOM_FALLBACK, QTable
 from hyql.simenv import SimEnv, parse_scenario, world_from_scenario
 
@@ -35,12 +34,9 @@ class StubEnv:
         return self.reward, self.next_event
 
 
-_CONTEXT = ContextModel.default()
-
-
 def make_agent(variant="HyQL", seed=0, **overrides):
     config = AgentConfig(variant, "u00", seed=seed, **overrides)
-    return Agent(config, ITEMS, _CONTEXT, "g0", TransactionStore(len(ITEMS), _CONTEXT))
+    return Agent(config, ITEMS, "g0", TransactionStore(len(ITEMS)))
 
 
 def office_situation():
@@ -49,17 +45,17 @@ def office_situation():
 
 
 class TestHybridPolicy:
-    def test_p_one_equals_greedy(self, context):
+    def test_p_one_equals_greedy(self):
         table = QTable(len(ITEMS))
         table.set_value("s", 2, 1.0)
-        store = TransactionStore(len(ITEMS), context)
+        store = TransactionStore(len(ITEMS))
         for _ in range(50):
             a, branch = hybrid_policy(table, "s", 1.0, store, "u00", random.Random(1))
             assert (a, branch) == (2, EXPLOIT)
 
-    def test_p_zero_with_advice(self, context):
+    def test_p_zero_with_advice(self):
         s = office_situation()
-        store = TransactionStore(len(ITEMS), context)
+        store = TransactionStore(len(ITEMS))
         for i in range(3):
             store.record_implicit(f"n{i}", 1, True, situation=s)
         rng = random.Random(2)
@@ -67,9 +63,9 @@ class TestHybridPolicy:
             a, branch = hybrid_policy(QTable(len(ITEMS)), s, 0.0, store, "u00", rng)
             assert (a, branch) == (1, ADVISE)
 
-    def test_p_zero_empty_store_uniform_fallback(self, context):
+    def test_p_zero_empty_store_uniform_fallback(self):
         s = office_situation()
-        store = TransactionStore(len(ITEMS), context)
+        store = TransactionStore(len(ITEMS))
         rng = random.Random(3)
         seen = set()
         for _ in range(400):
@@ -78,11 +74,11 @@ class TestHybridPolicy:
             seen.add(a)
         assert seen == set(range(len(ITEMS)))
 
-    def test_advice_of_item_0_takes_the_advise_branch(self, context):
+    def test_advice_of_item_0_takes_the_advise_branch(self):
         """Item 0 is advice like any other, though its index is falsy: the
         hybrid policy and a CFOnly agent both take it, not a random pick."""
         s = office_situation()
-        store = TransactionStore(len(ITEMS), context)
+        store = TransactionStore(len(ITEMS))
         for i in range(3):
             store.record_implicit(f"n{i}", 0, True, situation=s)
         assert store.advise_action("u00", s) == 0
@@ -97,14 +93,14 @@ class TestHybridPolicy:
 
 
 class TestStep:
-    def test_case_bootstrap_then_exploit_picks_stored_best(self, context):
+    def test_case_bootstrap_then_exploit_picks_stored_best(self):
         """Hand-traced: unseen situation, one stored case with similarity
         1.0 whose best action is a3, and a seed whose first draw exploits.
         The row is bootstrapped from the case, then the greedy branch must
         pick a3."""
         seed = next(s for s in range(100) if random.Random(s).random() <= PARAMS.p)
         agent = make_agent("HyQL", seed=seed)
-        s = context.aggregate(office_event(), "g0")
+        s = CONTEXT.aggregate(office_event(), "g0")
         agent.casebase.retain(s, [1.0, 0.0, 0.0, 5.0], visits=5,
                               mean_reward=0.9, user_id="u00", step=1)
         record, _ = agent.step(office_event(), StubEnv())
@@ -121,7 +117,7 @@ class TestStep:
         env.reward = 1.0
         agent.step(office_event(), env)  # a0 finally pays out
         record, _ = agent.step(office_event(), env)
-        assert record.a == "a0"  # now locked in by value, not by tie-break
+        assert record.a == "a0"
 
     def test_cfonly_never_updates_q(self):
         agent = make_agent("CFOnly")
@@ -130,11 +126,11 @@ class TestStep:
             agent.step(office_event(), env)
         assert len(agent.table) == 0
 
-    def test_q_variants_update_q(self, context):
+    def test_q_variants_update_q(self):
         agent = make_agent("EpsilonGreedyQ")
         env = StubEnv(reward=1.0)
         record, _ = agent.step(office_event(), env)
-        s = context.aggregate(office_event(), "g0")
+        s = CONTEXT.aggregate(office_event(), "g0")
         row = [0.0] * len(ITEMS)
         row[ITEMS.index(record.a)] = PARAMS.alpha * 1.0  # s_next is s, unwritten before
         # the whole table: one written row, and it holds exactly that value
@@ -157,11 +153,11 @@ def small_scenario():
 
 
 def run_pair(variant, seed, steps=120, world_seed=5, **overrides):
-    scenario = parse_scenario(small_scenario(), _CONTEXT)
-    cf = TransactionStore(len(scenario.items), scenario.context)
+    scenario = parse_scenario(small_scenario())
+    cf = TransactionStore(len(scenario.items))
     env = SimEnv(world_from_scenario(scenario, world_seed), cf)
     config = AgentConfig(variant, "u00", seed=seed, **overrides)
-    agent = Agent(config, scenario.items, scenario.context, "g0", cf)
+    agent = Agent(config, scenario.items, "g0", cf)
     return agent, agent.run(env, steps)
 
 
@@ -209,6 +205,11 @@ class TestRunEpisode:
             assert len(retrieved) > 1
         else:
             assert retrieved == []
+
+    def test_greedy_recommends_the_first_item_and_keeps_no_table(self):
+        agent, trace = run_pair("GreedyQ", seed=10, steps=300)
+        assert {(r.a, r.branch) for r in trace} == {("doc00", EXPLOIT)}
+        assert len(agent.table) == 0
 
     def test_trace_is_deterministic(self):
         _, t1 = run_pair("HyQL", seed=9)

@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import hyql
 import hyql.bench
@@ -223,6 +223,30 @@ def test_verify_of_a_number_past_the_float_range_exits_2(run_copy, capsys, key):
     assert "got an integer too large for a float" in capsys.readouterr().err
 
 
+# Past the world-size bound: too many items, and too many relevance values
+# (the canonical routine has 6 habits: 20,000 x 100 x 6 is 12,000,000).
+PAST_THE_SIZE_BOUND = [{"items": 10_001}, {"users": 10 ** 30},
+                       {"users": 20_000, "items": 100}]
+
+
+@pytest.mark.parametrize("sizes", PAST_THE_SIZE_BOUND)
+def test_a_world_past_the_size_bound_exits_2_before_writing(tmp_path, capsys, sizes):
+    out = tmp_path / "out"
+    assert main(["run", str(write_spec(tmp_path, scenario=sizes)), "--out", str(out)]) \
+        == EXIT_CONFIG
+    assert not out.exists()
+    assert "must be at most" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sizes", PAST_THE_SIZE_BOUND)
+def test_verify_of_a_world_past_the_size_bound_exits_2(run_copy, capsys, sizes):
+    path = run_copy / "scenario.json"
+    path.write_text(json.dumps(dict(json.loads(path.read_text(encoding="utf-8")), **sizes)),
+                    encoding="utf-8")
+    assert main(["verify", str(run_copy)]) == EXIT_CONFIG
+    assert "must be at most" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
 def test_out_at_or_under_a_file_exits_2_before_writing(tmp_path, capsys, under):
     blocker = tmp_path / "blocker"
@@ -431,11 +455,15 @@ def mutated_scenarios(draw):
     replaced by one of ODD_VALUES (or by FLOAT_RANGE_INT, where the value is
     a float), or an unknown key added.
 
-    Counts stay at 50 or below: a count such as 10**30 is valid and would
-    build a huge world.
+    `users` and `items` stay at 50 or below, or are 10**30, past the
+    world-size bound. The other counts stay at 50 or below: a huge
+    `warm_start_events` or `background_rate` is valid, and would only run
+    long.
     """
     scenario = load_scenario("canonical")
-    scenario.update(users=draw(st.integers(1, 50)), items=draw(st.integers(1, 50)),
+    huge = st.just(10 ** 30)
+    scenario.update(users=draw(st.integers(1, 50) | huge),
+                    items=draw(st.integers(1, 50) | huge),
                     warm_start_events=draw(st.integers(0, 50)),
                     background_rate=draw(st.integers(0, 50)), agent_user="u00")
     scenario["drift"][0]["step"] = draw(st.integers(0, 10))
@@ -459,6 +487,8 @@ def mutated_scenarios(draw):
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(scenario=mutated_scenarios(), steps=st.integers(1, 10))
+# the derandomized draws rarely bring FLOAT_RANGE_INT to a float key
+@example(scenario=dict(load_scenario("canonical"), affinity=FLOAT_RANGE_INT), steps=1)
 def test_a_mutated_scenario_runs_and_verifies_or_exits_2_before_writing(scenario, steps):
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import positive_items
 from hyql.collab import TransactionStore, _best_index, cosine_similarity
-from hyql.context import SituationKey, TimeBucket
+from hyql.context import CONTEXT, SituationKey, TimeBucket
 
 # The store takes and answers catalog indices; the dict oracles below name
 # items by id, so every comparison reads a store's index through the id tuple.
@@ -78,7 +78,7 @@ def oracle_popular(vectors, target, items):
     return best_item
 
 
-def oracle_views(stream, context):
+def oracle_views(stream):
     """Last-write-wins rating dicts per view, replayed from the raw stream;
     a rated 0 is present as 0.0.
 
@@ -86,8 +86,8 @@ def oracle_views(stream, context):
     """
     views = {}
     for user, item, positive, s in stream:
-        for level in range(context.depth + 1):
-            key = (level, context.generalize(s, level))
+        for level in range(CONTEXT.depth + 1):
+            key = (level, CONTEXT.generalize(s, level))
             views.setdefault(key, {}).setdefault(user, {})[item] = 1.0 if positive else 0.0
     return views
 
@@ -115,9 +115,9 @@ def rated_one(store, user_id, s, level=0, items=ITEMS):
 S = skey()
 
 
-def store_with(context, ratings):
+def store_with(ratings):
     """ratings: iterable of (user, item id, positive), all in situation S"""
-    store = TransactionStore(len(ITEMS), context)
+    store = TransactionStore(len(ITEMS))
     for user, item, positive in ratings:
         store.record_implicit(user, INDEX[item], positive, S)
     return store
@@ -128,14 +128,14 @@ def view_of(store, s=S):
     return store._views(s)[0]
 
 
-def store_of_rows(context, n_items, rows):
+def store_of_rows(n_items, rows):
     """A store whose views of S hold `rows`, written through record_implicit.
 
     rows: user -> (bits of the items rated 1, bits of the items rated 0 or
     1), users in the dict's order; each rated item is written once, so a
     user who rated only 0s still has an entry.
     """
-    store = TransactionStore(n_items, context)
+    store = TransactionStore(n_items)
     for user, (positive, rated) in rows.items():
         for i in range(n_items):
             if (positive | rated) >> i & 1:
@@ -151,18 +151,18 @@ def top_and_oracle(store, target, users):
 
 
 class TestRecordImplicit:
-    def test_accept_writes_one(self, context):
-        store = store_with(context, [("u1", "a", True)])
+    def test_accept_writes_one(self):
+        store = store_with([("u1", "a", True)])
         # indexed under every generalization of its situation
-        for level in range(context.depth + 1):
+        for level in range(CONTEXT.depth + 1):
             assert rated_one(store, "u1", S, level) == {"a": 1.0}
 
-    def test_untouched_item_reads_zero(self, context):
-        store = store_with(context, [("u1", "a", True)])
+    def test_untouched_item_reads_zero(self):
+        store = store_with([("u1", "a", True)])
         assert rated_one(store, "u1", S).get("b", 0.0) == 0.0
 
-    def test_last_write_wins(self, context):
-        store = store_with(context, [("u1", "a", True), ("u1", "a", False)])
+    def test_last_write_wins(self):
+        store = store_with([("u1", "a", True), ("u1", "a", False)])
         assert rated_one(store, "u1", S) == {}
         assert len(store) == 2  # counts transactions, not distinct ratings
 
@@ -203,23 +203,23 @@ class TestCosine:
 
 
 class TestNeighbors:
-    def test_target_with_no_transactions(self, context):
-        store = store_with(context, [("u1", "a", True), ("u2", "a", True)])
+    def test_target_with_no_transactions(self):
+        store = store_with([("u1", "a", True), ("u2", "a", True)])
         assert store.neighbors(view_of(store), "stranger") == []
 
-    def test_four_user_store_matches_oracle(self, context):
+    def test_four_user_store_matches_oracle(self):
         rng = random.Random(11)
         for _ in range(50):
             ratings = [(f"u{i}", item, rng.random() < 0.6)
                        for i in range(4) for item in ITEMS if rng.random() < 0.7]
-            store = store_with(context, ratings)
+            store = store_with(ratings)
             vectors = {u: rated_one(store, u, S) for u in [f"u{i}" for i in range(4)]}
             for target in vectors:
                 assert store.neighbors(view_of(store), target) == \
                     oracle_neighbors(vectors, target, 10, ITEMS)
 
 
-    def test_independent_of_insertion_order(self, context):
+    def test_independent_of_insertion_order(self):
         rng = random.Random(14)
         items = [f"i{n:02d}" for n in range(70)]
         patterns = [rng.getrandbits(70) for _ in range(6)]
@@ -236,7 +236,7 @@ class TestNeighbors:
             want = oracle_neighbors(vectors, target, 10, items)
             for order in (sorted(rows), sorted(rows, reverse=True),
                           rng.sample(sorted(rows), len(rows))):
-                store = store_of_rows(context, len(items),
+                store = store_of_rows(len(items),
                                       {user: rows[user] for user in order})
                 view = view_of(store)
                 assert list(view.ratings) == order
@@ -265,7 +265,7 @@ class TestPopularItem:
 
     @pytest.mark.parametrize("n_users", [130, 257])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_wide_views_match_the_oracle(self, context, seed, n_users):
+    def test_wide_views_match_the_oracle(self, seed, n_users):
         rng = random.Random(seed)
         # each item's share of raters; a few near 1, so counts pass 128
         shares = [rng.choice([0.0, 0.1, 0.5, 0.97, 0.99, 1.0]) for _ in range(self.N_ITEMS)]
@@ -277,16 +277,16 @@ class TestPopularItem:
         rows = {user: (sum(1 << i for i in range(self.N_ITEMS) if columns[i][row]),
                        (1 << self.N_ITEMS) - 1)
                 for row, user in enumerate(users)}
-        store = store_of_rows(context, self.N_ITEMS, rows)
+        store = store_of_rows(self.N_ITEMS, rows)
         for target in (users[0], users[n_users // 2], "stranger"):
             best, count = oracle_popular_index(rows, target, self.N_ITEMS)
             assert count >= 128
             assert self._popular_index(store, target) == best
 
-    def test_ties_go_to_the_lowest_index_and_the_target_is_not_counted(self, context):
+    def test_ties_go_to_the_lowest_index_and_the_target_is_not_counted(self):
         rows = {f"u{i:03d}": (1 << 9 | 1 << 3 | (1 << 65 if i < 129 else 0), 0)
                 for i in range(140)}
-        store = store_of_rows(context, self.N_ITEMS, rows)
+        store = store_of_rows(self.N_ITEMS, rows)
         # items 3 and 9 tie at 140 raters, 65 has 129: the lower index wins
         assert oracle_popular_index(rows, "nobody", self.N_ITEMS) == (3, 140)
         assert self._popular_index(store, "nobody") == 3
@@ -308,12 +308,12 @@ class TestPopularItem:
         assert oracle_popular_index(rows, "t", self.N_ITEMS) == (3, 128)
         assert self._popular_index(store, "t") == 3
 
-    def test_none_when_only_the_target_rated_one(self, context):
-        empty = TransactionStore(self.N_ITEMS, context)
+    def test_none_when_only_the_target_rated_one(self):
+        empty = TransactionStore(self.N_ITEMS)
         assert empty._popular_item(view_of(empty), "t") is None
         rows = {"t": (1 << 69 | 1, 1 << 69 | 1)}
         rows.update({f"u{i:03d}": (0, 1 << i % self.N_ITEMS) for i in range(130)})  # rated 0 only
-        store = store_of_rows(context, self.N_ITEMS, rows)
+        store = store_of_rows(self.N_ITEMS, rows)
         assert self._popular_index(store, "t") is None
         assert self._popular_index(store, "u000") == 0
 
@@ -321,18 +321,18 @@ class TestPopularItem:
 class TestPredictRating:
     """The score top_n gives its item: the similarity-weighted mean rating."""
 
-    def test_single_perfect_neighbor(self, context):
-        store = store_with(context, [("t", "a", True), ("n", "a", True), ("n", "d", True)])
+    def test_single_perfect_neighbor(self):
+        store = store_with([("t", "a", True), ("n", "a", True), ("n", "d", True)])
         # n's vector {a, d}: sim(t, n) = 1/sqrt(2); only neighbor, so a and d
         # both score 1.0 and a wins by index
         assert top_and_oracle(store, "t", ["t", "n"]) == (("a", 1.0), ("a", 1.0))
         assert len(store.neighbors(view_of(store), "t")) == 1
 
-    def test_hand_weighted_mean(self, context):
+    def test_hand_weighted_mean(self):
         # target {a,b}; n_full {a,b} sim 1.0; n_ac {a,c} and n_bc {b,c} sim 0.5
         # each -> a: (1.0 + 0.5) / 2.0 = 3/4, b the same, c: 1.0 / 2.0 = 1/2;
         # a wins the tie by index
-        store = store_with(context, [
+        store = store_with([
             ("t", "a", True), ("t", "b", True),
             ("n_full", "a", True), ("n_full", "b", True),
             ("n_ac", "a", True), ("n_ac", "c", True),
@@ -342,19 +342,19 @@ class TestPredictRating:
         assert top_and_oracle(store, "t", users) == (("a", 0.75), ("a", 0.75))
         assert len(store.neighbors(view_of(store), "t")) == 3
 
-    def test_no_neighbors_gives_none(self, context):
-        store = store_with(context, [("t", "a", True), ("n", "b", True)])
+    def test_no_neighbors_gives_none(self):
+        store = store_with([("t", "a", True), ("n", "b", True)])
         assert top_and_oracle(store, "t", ["t", "n"]) == (None, None)
 
 
 class TestTopN:
-    def test_small_store_matches_oracle(self, context):
+    def test_small_store_matches_oracle(self):
         rng = random.Random(12)
         for _ in range(60):
             users = [f"u{i}" for i in range(3)]
             ratings = [(u, item, rng.random() < 0.5)
                        for u in users for item in ITEMS[:4] if rng.random() < 0.8]
-            store = store_with(context, ratings)
+            store = store_with(ratings)
             for target in users:
                 got, want = top_and_oracle(store, target, users)
                 assert got == want
@@ -386,8 +386,8 @@ class TestBestIndex:
 
 
 class TestAdviseAction:
-    def test_new_user_gets_group_popular_item(self, context):
-        store = TransactionStore(len(ITEMS), context)
+    def test_new_user_gets_group_popular_item(self):
+        store = TransactionStore(len(ITEMS))
         s = skey()
         for i in range(4):
             store.record_implicit(f"u{i}", INDEX["c"], True, situation=s)
@@ -395,23 +395,23 @@ class TestAdviseAction:
         # brute force over the scoped store: "c" is unanimously accepted
         assert item_id(store.advise_action("newcomer", s)) == "c"
 
-    def test_popular_item_when_no_neighbour_overlaps(self, context):
-        store = store_with(context, [("t", "a", True), ("u0", "e", True)]
+    def test_popular_item_when_no_neighbour_overlaps(self):
+        store = store_with([("t", "a", True), ("u0", "e", True)]
                            + [(f"u{i}", "c", True) for i in range(3)])
         # t has history, but no one shares an item with it: popularity answers
         assert store.neighbors(view_of(store), "t") == []
         assert item_id(store.advise_action("t", S)) == "c"
 
-    def test_advice_of_the_first_item_is_index_0_not_none(self, context):
-        store = store_with(context, [(f"u{i}", "a", True) for i in range(3)])
+    def test_advice_of_the_first_item_is_index_0_not_none(self):
+        store = store_with([(f"u{i}", "a", True) for i in range(3)])
         assert store.advise_action("newcomer", S) == 0
 
-    def test_empty_store_gives_none(self, context):
-        store = TransactionStore(len(ITEMS), context)
+    def test_empty_store_gives_none(self):
+        store = TransactionStore(len(ITEMS))
         assert store.advise_action("u1", skey()) is None
 
-    def test_coarser_granularity_fallback(self, context):
-        store = TransactionStore(len(ITEMS), context)
+    def test_coarser_granularity_fallback(self):
+        store = TransactionStore(len(ITEMS))
         target_key = skey(place="Office")
         # group history exists only at Home, another leaf under the same city
         home = skey(place="Home")
@@ -424,9 +424,9 @@ class TestAdviseAction:
         assert rated_one(store, "u0", target_key, 0) == {}
         assert rated_one(store, "u0", target_key, 1) == {"b": 1.0}  # visible at the city level
 
-    def test_advice_stays_in_catalog(self, context):
+    def test_advice_stays_in_catalog(self):
         rng = random.Random(13)
-        store = TransactionStore(len(ITEMS), context)
+        store = TransactionStore(len(ITEMS))
         situations = [skey(), skey(place="Home"), skey(cognitive="Call")]
         for _ in range(300):
             user = f"u{rng.randrange(5)}"
@@ -436,8 +436,8 @@ class TestAdviseAction:
             advice = store.advise_action(user, situations[rng.randrange(3)])
             assert advice is None or advice in range(len(ITEMS))
 
-    def test_different_group_not_consulted(self, context):
-        store = TransactionStore(len(ITEMS), context)
+    def test_different_group_not_consulted(self):
+        store = TransactionStore(len(ITEMS))
         other = skey(group="g1")
         for i in range(3):
             store.record_implicit(f"u{i}", INDEX["b"], True, situation=other)
@@ -449,15 +449,15 @@ class TestColdStartRule:
     positive item with the target; the two ways that happens to a target
     with history in the view."""
 
-    def test_target_that_rated_only_zeros(self, context):
-        store = store_with(context, [("t", "a", False), ("t", "c", False), ("u0", "a", True)]
+    def test_target_that_rated_only_zeros(self):
+        store = store_with([("t", "a", False), ("t", "c", False), ("u0", "a", True)]
                            + [(f"u{i}", "c", True) for i in range(3)])
         assert store.neighbors(view_of(store), "t") == []
         # the most popular item among the others, though t rated it 0
         assert item_id(store.advise_action("t", S)) == "c"
 
-    def test_target_whose_positive_item_no_one_else_rated_one(self, context):
-        store = store_with(context, [("t", "b", True), ("u0", "b", False), ("u0", "d", True),
+    def test_target_whose_positive_item_no_one_else_rated_one(self):
+        store = store_with([("t", "b", True), ("u0", "b", False), ("u0", "d", True),
                                      ("u1", "d", True), ("u2", "a", True)])
         assert store.neighbors(view_of(store), "t") == []
         assert item_id(store.advise_action("t", S)) == "d"
@@ -484,12 +484,12 @@ class TestViewState:
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(writes=st.lists(write, min_size=1, max_size=60), data=st.data())
-    def test_counts_and_indices_follow_every_write(self, context, writes, data):
+    def test_counts_and_indices_follow_every_write(self, writes, data):
         # every write again at a random later point, with the opposite rating
         flips = data.draw(st.lists(st.integers(0, len(writes) - 1), max_size=20))
         writes = writes + [(u, i, not positive, j, read)
                            for u, i, positive, j, read in (writes[f] for f in flips)]
-        store = TransactionStore(len(self.ITEMS), context)
+        store = TransactionStore(len(self.ITEMS))
         stream = []
         for user, i, positive, j, read in writes:
             s = self.SITUATIONS[j]
@@ -498,12 +498,12 @@ class TestViewState:
             if read:
                 store.advise_action(user, s)
         self._check_view_state(store)
-        views = oracle_views(stream, context)
+        views = oracle_views(stream)
         index = {item: i for i, item in enumerate(self.ITEMS)}
         for s in self.SITUATIONS:
             for target in self.USERS + ["stranger"]:
                 assert item_id(store.advise_action(target, s), self.ITEMS) == \
-                    oracle_advise(views, target, s, self.ITEMS, index, context)
+                    oracle_advise(views, target, s, self.ITEMS, index)
         self._check_view_state(store)
 
     def _check_view_state(self, store):
@@ -524,7 +524,7 @@ class TestStoreMatchesOracles:
     """
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_random_streams_match(self, context, seed):
+    def test_random_streams_match(self, seed):
         rng = random.Random(seed)
         items = tuple(f"i{n:02d}" for n in range(80))
         index = {item: i for i, item in enumerate(items)}
@@ -532,7 +532,7 @@ class TestStoreMatchesOracles:
         users = [f"u{i}" for i in range(6)]
         situations = [skey(), skey(place="Home"), skey(cognitive="Call"),
                       skey(group="g1"), skey(place="Home", group="g1")]
-        store = TransactionStore(len(items), context)
+        store = TransactionStore(len(items))
         stream = []
         last = {}
         overwrites = 0
@@ -546,15 +546,15 @@ class TestStoreMatchesOracles:
                 stream.append((user, item, positive, s))
                 overwrites += last.get((user, item)) is True and not positive
                 last[(user, item)] = positive
-            self._check(store, oracle_views(stream, context), situations,
-                        users + ["stranger"], items, index, context)
+            self._check(store, oracle_views(stream), situations,
+                        users + ["stranger"], items, index)
         assert overwrites > 0
 
-    def _check(self, store, views, situations, targets, items, index, context):
+    def _check(self, store, views, situations, targets, items, index):
         for s in situations:
-            for level in range(context.depth + 1):
+            for level in range(CONTEXT.depth + 1):
                 view = store._views(s)[level]
-                vectors = views.get((level, context.generalize(s, level)), {})
+                vectors = views.get((level, CONTEXT.generalize(s, level)), {})
                 for target in targets:
                     assert rated_one(store, target, s, level, items) == {
                         item: 1.0 for item, rating in vectors.get(target, {}).items()
@@ -565,12 +565,12 @@ class TestStoreMatchesOracles:
                         oracle_top(vectors, target, items, index)
             for target in targets:
                 assert item_id(store.advise_action(target, s), items) == \
-                    oracle_advise(views, target, s, items, index, context)
+                    oracle_advise(views, target, s, items, index)
 
 
-def oracle_advise(views, target, s, items, index, context):
-    for level in range(context.depth + 1):
-        vectors = views.get((level, context.generalize(s, level)), {})
+def oracle_advise(views, target, s, items, index):
+    for level in range(CONTEXT.depth + 1):
+        vectors = views.get((level, CONTEXT.generalize(s, level)), {})
         top = oracle_top(vectors, target, items, index)
         if top is not None:
             return top[0]

@@ -11,10 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 import hyql
 
-from hyql.context import (CALENDAR_STATES, COGNITIVE_KINDS, DAY_CLASSES, HOUR_RANGES,
-                          PARTS_OF_DAY, CalendarEntry, CognitiveAction, ContextModel,
-                          GazetteerError, RawEvent, SituationKey, TimeBucket,
-                          abstract_time, parse_gazetteer, time_bucket,
+from hyql.context import (CALENDAR_STATES, COGNITIVE_KINDS, CONTEXT, DAY_CLASSES,
+                          HOUR_RANGES, PARTS_OF_DAY, CalendarEntry, CognitiveAction,
+                          ContextModel, PlaceNode, RawEvent, SituationKey, TimeBucket,
+                          abstract_time, situation, time_bucket,
                           SECONDS_PER_DAY, SECONDS_PER_HOUR)
 
 MONDAY = 0
@@ -70,49 +70,47 @@ class TestAbstractTime:
 
 
 class TestAbstractLocation:
-    def test_containment(self, context):
-        assert context.abstract_location(48.85, 2.32).name == "Office"
-        assert context.abstract_location(48.87, 2.35).name == "Home"
+    def test_containment(self):
+        assert CONTEXT.abstract_location(48.85, 2.32).name == "Office"
+        assert CONTEXT.abstract_location(48.87, 2.35).name == "Home"
 
     def test_point_outside_every_region_raises(self):
         # no global root box, so points can fall outside every region
-        nodes = parse_gazetteer([
-            "Root,,10,11,10,11",
-            "Home,Root,10.0,10.2,10.0,10.2",
-            "Office,Root,10.8,11.0,10.8,11.0",
+        ctx = ContextModel([
+            PlaceNode("Root", None, 10.0, 11.0, 10.0, 11.0),
+            PlaceNode("Home", "Root", 10.0, 10.2, 10.0, 10.2),
+            PlaceNode("Office", "Root", 10.8, 11.0, 10.8, 11.0),
         ])
-        ctx = ContextModel(nodes)
         for lat, lon in [(12.0, 12.0), (9.9, 9.9), (20.0, 3.0), (10.5, 11.5)]:
-            with pytest.raises(GazetteerError,
+            with pytest.raises(ValueError,
                                match=re.escape(f"no gazetteer region contains ({lat}, {lon})")):
                 ctx.abstract_location(lat, lon)
         # inside the root's box but no leaf's
         assert ctx.abstract_location(10.3, 10.5).name == "Root"
 
     def test_boundary_tie_lexicographic(self):
-        nodes = parse_gazetteer([
-            "Root,,0,10,0,10",
-            "B,Root,0,5,0,5",
-            "A,Root,5,10,0,5",
+        ctx = ContextModel([
+            PlaceNode("Root", None, 0.0, 10.0, 0.0, 10.0),
+            PlaceNode("B", "Root", 0.0, 5.0, 0.0, 5.0),
+            PlaceNode("A", "Root", 5.0, 10.0, 0.0, 5.0),
         ])
-        ctx = ContextModel(nodes)
         # (5, 3) sits on the shared lat boundary of A and B
         assert ctx.abstract_location(5.0, 3.0).name == "A"
 
-    def test_invalid_coordinates(self, context):
+    def test_invalid_coordinates(self):
         with pytest.raises(ValueError):
-            context.abstract_location(91.0, 0.0)
+            CONTEXT.abstract_location(91.0, 0.0)
 
-    def test_deeper_region_beats_city(self, context):
+    def test_deeper_region_beats_city(self):
         # Office is inside the Paris box; the leaf must win
-        node = context.abstract_location(48.85, 2.33)
+        node = CONTEXT.abstract_location(48.85, 2.33)
         assert node.name == "Office"
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
-    def test_scan_matches_the_min_over_containing_nodes(self, context, data):
-        lat, lon = data.draw(points_near(context))
-        assert_locates_as_oracle(context, lat, lon)
+    def test_scan_matches_the_min_over_containing_nodes(self, data):
+        lat, lon = data.draw(points_near(CONTEXT))
+        assert_locates_as_oracle(CONTEXT, lat, lon)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -133,7 +131,7 @@ def assert_locates_as_oracle(ctx, lat, lon):
     """abstract_location returns the oracle's node, or raises where it finds none."""
     expected = oracle_location(ctx, lat, lon)
     if expected is None:
-        with pytest.raises(GazetteerError, match="no gazetteer region contains"):
+        with pytest.raises(ValueError, match="no gazetteer region contains"):
             ctx.abstract_location(lat, lon)
     else:
         assert ctx.abstract_location(lat, lon).name == expected.name
@@ -163,50 +161,35 @@ def overlapping_gazetteers(draw):
     """
     n = draw(st.integers(2, 8))
     names = draw(st.permutations("ABCDEFGH"))[:n]
-    lines = []
+    nodes = []
     for i, name in enumerate(names):
-        parent = "" if i == 0 else names[draw(st.integers(0, i - 1))]
+        parent = None if i == 0 else names[draw(st.integers(0, i - 1))]
         lat_lo, lat_hi = sorted(draw(st.lists(st.integers(0, 10), min_size=2, max_size=2)))
         lon_lo, lon_hi = sorted(draw(st.lists(st.integers(0, 10), min_size=2, max_size=2)))
-        lines.append(f"{name},{parent},{lat_lo},{lat_hi},{lon_lo},{lon_hi}")
-    return ContextModel(parse_gazetteer(lines))
+        nodes.append(PlaceNode(name, parent, *map(float, (lat_lo, lat_hi, lon_lo, lon_hi))))
+    return ContextModel(nodes)
 
 
 class TestGazetteer:
     def test_empty_is_config_error(self):
-        with pytest.raises(GazetteerError):
+        with pytest.raises(ValueError, match="gazetteer is empty"):
             ContextModel([])
 
-    def test_bad_field_count(self):
-        with pytest.raises(GazetteerError, match="expected 6 fields, got 4"):
-            parse_gazetteer(["A,,1,2"])
-        # the old line with a place type and a centroid
-        with pytest.raises(GazetteerError, match="expected 6 fields, got 9"):
-            parse_gazetteer(["A,Home,,1,2,3,4,1.5,3.5"])
-
-    def test_comments_and_blanks_skipped(self):
-        nodes = parse_gazetteer([
-            "# comment",
-            "",
-            "Root,,0,1,0,1",
-        ])
-        assert len(nodes) == 1
-
     def test_two_roots_rejected(self):
-        nodes = parse_gazetteer([
-            "R1,,0,1,0,1",
-            "R2,,2,3,2,3",
-        ])
-        with pytest.raises(GazetteerError, match="one root"):
-            ContextModel(nodes)
+        with pytest.raises(ValueError, match="one root"):
+            ContextModel([PlaceNode("R1", None, 0.0, 1.0, 0.0, 1.0),
+                          PlaceNode("R2", None, 2.0, 3.0, 2.0, 3.0)])
 
     def test_unknown_parent_rejected(self):
-        nodes = parse_gazetteer([
-            "Root,,0,1,0,1",
-            "A,Nowhere,0,1,0,1",
-        ])
-        with pytest.raises(GazetteerError, match="unknown parent"):
-            ContextModel(nodes)
+        with pytest.raises(ValueError, match="unknown parent"):
+            ContextModel([PlaceNode("Root", None, 0.0, 1.0, 0.0, 1.0),
+                          PlaceNode("A", "Nowhere", 0.0, 1.0, 0.0, 1.0)])
+
+    def test_cycle_rejected(self):
+        with pytest.raises(ValueError, match="cycle in place hierarchy"):
+            ContextModel([PlaceNode("Root", None, 0.0, 1.0, 0.0, 1.0),
+                          PlaceNode("A", "B", 0.0, 1.0, 0.0, 1.0),
+                          PlaceNode("B", "A", 0.0, 1.0, 0.0, 1.0)])
 
 
 def office_event(timestamp=ts(TUESDAY, 9), cognitive="Navigate"):
@@ -214,24 +197,24 @@ def office_event(timestamp=ts(TUESDAY, 9), cognitive="Navigate"):
 
 
 class TestAggregate:
-    def test_morning_at_office(self, context):
-        key = context.aggregate(office_event(), "g0")
+    def test_morning_at_office(self):
+        key = CONTEXT.aggregate(office_event(), "g0")
         assert key == SituationKey(TimeBucket("Morning", "Weekday", "Free"),
                                    "Office", "g0", "Navigate", 0)
 
-    def test_full_depth_reaches_root(self, context):
-        key = context.generalize(context.aggregate(office_event(), "g0"), context.depth)
+    def test_full_depth_reaches_root(self):
+        key = CONTEXT.generalize(CONTEXT.aggregate(office_event(), "g0"), CONTEXT.depth)
         assert key.place == "Anywhere"
-        assert key.granularity == context.depth
+        assert key.granularity == CONTEXT.depth
 
-    def test_level_out_of_range(self, context):
-        key = context.aggregate(office_event(), "g0")
+    def test_level_out_of_range(self):
+        key = CONTEXT.aggregate(office_event(), "g0")
         with pytest.raises(ValueError):
-            context.generalize(key, context.depth + 1)
+            CONTEXT.generalize(key, CONTEXT.depth + 1)
         with pytest.raises(ValueError):
-            context.generalize(context.generalize(key, 1), 0)
+            CONTEXT.generalize(CONTEXT.generalize(key, 1), 0)
 
-    def test_generalization_is_function_of_previous_level(self, context):
+    def test_generalization_is_function_of_previous_level(self):
         # equal level-k keys must generalize to equal level-(k+1) keys; the
         # last two points lie in Paris but no leaf, and in the root alone
         rng = random.Random(1)
@@ -242,50 +225,50 @@ class TestAggregate:
             geo = places[rng.randrange(len(places))]
             events.append(RawEvent("u00", rng.randrange(0, 10**7), geo,
                                    CognitiveAction("Navigate")))
-        for k in range(context.depth):
+        for k in range(CONTEXT.depth):
             seen = {}
             for event in events:
-                key_k = context.generalize(context.aggregate(event, "g0"), k)
-                key_k1 = context.generalize(context.aggregate(event, "g0"), k + 1)
+                key_k = CONTEXT.generalize(CONTEXT.aggregate(event, "g0"), k)
+                key_k1 = CONTEXT.generalize(CONTEXT.aggregate(event, "g0"), k + 1)
                 if key_k in seen:
                     assert seen[key_k] == key_k1
                 seen[key_k] = key_k1
 
 
-def every_level(context, event):
+def every_level(event):
     """The event's key at each granularity level, most specific first."""
-    return [context.generalize(context.aggregate(event, "g0"), level)
-            for level in range(context.depth + 1)]
+    return [CONTEXT.generalize(CONTEXT.aggregate(event, "g0"), level)
+            for level in range(CONTEXT.depth + 1)]
 
 
 class TestEnumerateGranularities:
-    def test_leaf_depth_two_gives_three_keys(self, context):
-        keys = every_level(context, office_event())
+    def test_leaf_depth_two_gives_three_keys(self):
+        keys = every_level(office_event())
         assert [k.place for k in keys] == ["Office", "Paris", "Anywhere"]
         assert [k.granularity for k in keys] == [0, 1, 2]
 
-    def test_unknown_place_deduplicates(self, context):
+    def test_unknown_place_deduplicates(self):
         # a point no city contains is known only as the root, whose chain
         # ends at once, so it clamps at level 0: every level is one key
         event = RawEvent("u00", ts(TUESDAY, 9), (0.0, 0.0), CognitiveAction("Call"))
-        keys = every_level(context, event)
+        keys = every_level(event)
         assert set(keys) == {keys[0]}
         assert keys[0].place == "Anywhere" and keys[0].granularity == 0
 
-    def test_same_bucket_same_lists(self, context):
-        a = every_level(context, office_event(ts(TUESDAY, 9)))
-        b = every_level(context, office_event(ts(TUESDAY, 11, 45)))
+    def test_same_bucket_same_lists(self):
+        a = every_level(office_event(ts(TUESDAY, 9)))
+        b = every_level(office_event(ts(TUESDAY, 11, 45)))
         assert a == b
 
-    def test_no_duplicates_and_ordered(self, context):
-        keys = every_level(context, office_event())
+    def test_no_duplicates_and_ordered(self):
+        keys = every_level(office_event())
         assert len(set(keys)) == len(keys)
         assert [k.granularity for k in keys] == sorted(k.granularity for k in keys)
 
 
 class TestSituationKey:
-    def test_canonical_round_trip(self, context):
-        key = context.aggregate(office_event(), "g0")
+    def test_canonical_round_trip(self):
+        key = CONTEXT.aggregate(office_event(), "g0")
         assert SituationKey.from_canonical(key.canonical()) == key
 
     @settings(derandomize=True, deadline=None, max_examples=100)
@@ -293,7 +276,7 @@ class TestSituationKey:
         SituationKey,
         st.builds(time_bucket, st.sampled_from(PARTS_OF_DAY), st.sampled_from(DAY_CLASSES),
                   st.sampled_from(CALENDAR_STATES)),
-        st.sampled_from(sorted(ContextModel.default().nodes)),
+        st.sampled_from(sorted(CONTEXT.nodes)),
         st.integers(0, 99).map("g{}".format), st.sampled_from(COGNITIVE_KINDS),
         st.integers(0, 3)))
     def test_canonical_round_trips_for_any_key(self, key):
@@ -310,34 +293,35 @@ class TestSituationKey:
         assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
 
-    def test_equal_situations_share_one_key(self, context):
-        a = context.aggregate(office_event(), "g0")
-        assert context.aggregate(office_event(ts(TUESDAY, 11, 45)), "g0") is a
-        lifted = context.generalize(a, 1)
-        assert lifted.place == "Paris" and context.generalize(a, 1) is lifted
-        assert context.generalize(a, 0) is a
+    def test_equal_situations_share_one_key(self):
+        a = CONTEXT.aggregate(office_event(), "g0")
+        assert CONTEXT.aggregate(office_event(ts(TUESDAY, 11, 45)), "g0") is a
+        lifted = CONTEXT.generalize(a, 1)
+        assert lifted.place == "Paris" and CONTEXT.generalize(a, 1) is lifted
+        assert CONTEXT.generalize(a, 0) is a
         # a key built outside the model lifts to the shared keys too
         outside = SituationKey(TimeBucket("Morning", "Weekday", "Free"),
                                "Office", "g0", "Navigate", 0)
         assert outside is not a
-        assert context.generalize(outside, 0) is a
-        assert context.generalize(outside, 1) is lifted
+        assert CONTEXT.generalize(outside, 0) is a
+        assert CONTEXT.generalize(outside, 1) is lifted
 
-    def test_pickled_key_hashes_where_it_is_loaded(self, context):
+    def test_pickled_key_hashes_where_it_is_loaded(self):
         # another interpreter hashes strings with another seed
         hash_seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
         code = ("import pickle, sys\n"
-                "from hyql.context import ContextModel, TimeBucket\n"
-                "key = ContextModel.default().situation(\n"
-                "    TimeBucket('Morning', 'Weekday', 'Free'), 'Office', 'g0', 'Navigate', 0)\n"
+                "from hyql.context import TimeBucket, situation\n"
+                "key = situation(TimeBucket('Morning', 'Weekday', 'Free'), 'Office', 'g0',\n"
+                "                'Navigate', 0)\n"
                 "sys.stdout.buffer.write(pickle.dumps(key))\n")
         src = str(Path(hyql.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONHASHSEED=hash_seed,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         loaded = pickle.loads(subprocess.run([sys.executable, "-c", code], env=env,
                                              capture_output=True, check=True).stdout)
-        local = context.situation(TimeBucket("Morning", "Weekday", "Free"),
-                                  "Office", "g0", "Navigate", 0)
+        local = situation(TimeBucket("Morning", "Weekday", "Free"), "Office", "g0",
+                          "Navigate", 0)
+        assert loaded is local  # loads as the shared key, hashed here
         assert loaded == local and hash(loaded) == hash(local)
         assert {local: "found"}.get(loaded) == "found"
         # its bucket loads as the shared one, hashed here

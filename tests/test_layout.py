@@ -8,7 +8,8 @@ the items' id strings, and only bench spells the experiment spec's keys.
 Every function, method and class is used by the package itself, not only by
 the tests, and every annotated class field and every attribute a method
 sets on `self` is read by it. A private attribute is read only through
-`self` or inside the module that sets it.
+`self` or inside the module that sets it. There is one context: only
+context builds a `ContextModel`, and no function takes a `context`.
 """
 
 import ast
@@ -226,3 +227,24 @@ def test_private_attributes_stay_private():
     and `greedy_action`, so none of them can bypass the row maxima that
     `set_value` keeps."""
     assert private_reads_from_outside(modules()) == []
+
+
+def test_only_context_builds_a_context_model():
+    """Every layer reads the one built-in `CONTEXT`."""
+    found = sorted(f"{module} (line {node.lineno})"
+                   for module, tree in modules().items() if module != "context"
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Call)
+                   and "ContextModel" in (getattr(node.func, "id", None),
+                                          getattr(node.func, "attr", None)))
+    assert found == []
+
+
+def test_no_function_takes_a_context():
+    found = sorted(f"{module}.{getattr(node, 'name', 'lambda')} (line {node.lineno})"
+                   for module, tree in modules().items()
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                   for arg in ast.walk(node.args)
+                   if isinstance(arg, ast.arg) and arg.arg == "context")
+    assert found == []

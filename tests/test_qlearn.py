@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hyql.qlearn
+from hyql.agent import PARAMS
 from hyql.casebase import Case, RetrievalResult, adapt
 from hyql.context import SituationKey, TimeBucket
 from hyql.qlearn import (EXPLOIT, RANDOM_FALLBACK, LearningParams, QTable,
@@ -276,6 +277,21 @@ class TestGreedy:
                 shifted.set_value(key(), a, v + 7.5)
             assert (greedy_action(table, key())
                     == greedy_action(shifted, key()))
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(n_actions=st.integers(1, 12),
+           steps=st.lists(st.tuples(st.integers(0, 5), st.sampled_from([0.0, 1.0]),
+                                    st.integers(0, 5)), max_size=60))
+    def test_greedy_learning_from_a_zero_table_never_leaves_index_0(self, n_actions, steps):
+        """Why GreedyQ keeps no table: updated with PARAMS only at its own
+        greedy pick, on 0/1 rewards, a zero table only ever raises entry 0 of
+        a row, so the tie that gives index 0 the pick never breaks."""
+        table = QTable(n_actions)
+        for s, r, s_next in steps:
+            a = greedy_action(table, s)
+            assert a == 0
+            table.update(s, a, r, s_next, PARAMS)
+        assert {greedy_action(table, s) for s in range(6)} == {0}
 
 
 class TestEpsilonGreedy:

@@ -11,12 +11,11 @@ from hypothesis import given, settings, strategies as st
 from conftest import positive_items
 from hyql.bench import load_scenario
 from hyql.collab import TransactionStore
-from hyql.context import (CALENDAR_STATES, COGNITIVE_KINDS, DAY_CLASSES, PARTS_OF_DAY,
-                          ContextModel)
-from hyql.simenv import (_STREAM_BUILD, SEED_SPREAD, DriftOp, SimEnv, _draw_row, _mix_row,
-                         apply_drift, gen_event, parse_scenario, reward, world_from_scenario)
-
-CONTEXT = ContextModel.default()
+from hyql.context import (CALENDAR_STATES, COGNITIVE_KINDS, CONTEXT, DAY_CLASSES,
+                          PARTS_OF_DAY, situation)
+from hyql.simenv import (_STREAM_BUILD, MAX_ITEMS, MAX_RELEVANCE_VALUES, SEED_SPREAD,
+                         DriftOp, SimEnv, _draw_row, _mix_row, apply_drift, gen_event,
+                         parse_scenario, reward, world_from_scenario)
 
 SINGLE_HABIT = {"part_of_day": "Morning", "day_class": "Weekday", "calendar": "Free",
                 "place": "Office", "cognitive": "Navigate", "weight": 1.0}
@@ -40,11 +39,11 @@ def situations(world, user_id):
 
 def env_of(world):
     """A SimEnv of the world, with a fresh CF store."""
-    return SimEnv(world, TransactionStore(len(world.scenario.items), world.scenario.context))
+    return SimEnv(world, TransactionStore(len(world.scenario.items)))
 
 
 def small_world(seed=0, **changes):
-    return world_from_scenario(parse_scenario(scenario(**changes), CONTEXT), seed)
+    return world_from_scenario(parse_scenario(scenario(**changes)), seed)
 
 
 def swap(step):
@@ -79,11 +78,21 @@ class TestBuildPopulation:
 
     def test_bad_counts_rejected(self):
         with pytest.raises(ValueError):
-            parse_scenario(scenario(n_users=0, affinity=0.5), CONTEXT)
+            parse_scenario(scenario(n_users=0, affinity=0.5))
         with pytest.raises(ValueError):
-            parse_scenario(scenario(n_users=2, affinity=1.5), CONTEXT)
+            parse_scenario(scenario(n_users=2, affinity=1.5))
         with pytest.raises(ValueError, match="items must be an integer >= 1"):
-            parse_scenario(scenario(n_items=0), CONTEXT)  # an empty catalog
+            parse_scenario(scenario(n_items=0))  # an empty catalog
+
+    def test_world_size_bound_is_inclusive(self):
+        # the canonical routine has 6 habits: 166 x 10,000 x 6 is 9,960,000
+        assert len(scenario()["routines"]["g0"]) == 6
+        parsed = parse_scenario(scenario(n_users=166, n_items=MAX_ITEMS))
+        assert len(parsed.users) * len(parsed.items) * 6 <= MAX_RELEVANCE_VALUES
+        with pytest.raises(ValueError, match="items must be at most 10000, got 10001"):
+            parse_scenario(scenario(n_items=MAX_ITEMS + 1))
+        with pytest.raises(ValueError, match="at most 10000000, got 167 x 10000 x 6"):
+            parse_scenario(scenario(n_users=167, n_items=MAX_ITEMS))
 
     def test_every_routine_situation_covered(self):
         world = small_world()
@@ -162,7 +171,7 @@ def every_degenerate_routine():
               for state in CALENDAR_STATES for kind in COGNITIVE_KINDS]
     config = dict(scenario(n_users=len(habits), n_items=3), groups=len(habits),
                   routines={f"g{i}": [habit] for i, habit in enumerate(habits)})
-    return world_from_scenario(parse_scenario(config, CONTEXT), 1)
+    return world_from_scenario(parse_scenario(config), 1)
 
 
 DEGENERATE = every_degenerate_routine()
@@ -317,7 +326,7 @@ class TestDrift:
 
 
 CANONICAL_SCOPES = [habit.situation.canonical()
-                    for habit in parse_scenario(scenario(), CONTEXT).routines["g0"]]
+                    for habit in parse_scenario(scenario()).routines["g0"]]
 
 
 @st.composite
@@ -408,7 +417,7 @@ class TestEnvStep:
         env = env_of(world)
         store = env.cf_store
         ref_world = small_world(seed=25, n_users=5, agent_user="u04", drift=[swap(0)])
-        ref_store = TransactionStore(len(ref_world.scenario.items), CONTEXT)
+        ref_store = TransactionStore(len(ref_world.scenario.items))
         ref_rng = random.Random()
         ref_rng.setstate(env.background_rng.getstate())
 
@@ -466,22 +475,20 @@ class TestGroupCoherence:
 
 class TestScenario:
     def test_habits_are_interned_situations_of_the_parsing_context(self, canonical_scenario):
-        context = ContextModel.default()
-        parsed = parse_scenario(canonical_scenario, context)
-        assert parsed.context is context
+        parsed = parse_scenario(canonical_scenario)
         for habit in parsed.routines["g0"]:
             s = habit.situation
-            assert context.situation(s.time, s.place, "g0", s.cognitive, 0) is s
+            assert situation(s.time, s.place, "g0", s.cognitive, 0) is s
         world = world_from_scenario(parsed, 7)
         assert world.scenario is parsed
         assert situations(world, "u10") == [h.situation for h in parsed.routines["g0"]]
 
     def test_drift_scope_resolves_to_the_habit_situation(self, canonical_scenario):
-        parsed = parse_scenario(canonical_scenario, CONTEXT)
+        parsed = parse_scenario(canonical_scenario)
         assert parsed.drift[0].scope is None  # "all"
         key = parsed.routines["g0"][2].situation
         drift = [{"step": 5, "op": "SwapTopItems", "target": "g0", "scope": key.canonical()}]
-        scoped = parse_scenario(dict(canonical_scenario, drift=drift), CONTEXT)
+        scoped = parse_scenario(dict(canonical_scenario, drift=drift))
         assert scoped.drift[0].scope is key
 
     def test_a_repeated_situation_is_rejected_by_name(self, canonical_scenario):
@@ -489,34 +496,34 @@ class TestScenario:
         first = routines["g0"][0]
         first["weight"] /= 2
         routines["g0"].insert(0, dict(first))
-        key = parse_scenario(canonical_scenario, CONTEXT).routines["g0"][0].situation
+        key = parse_scenario(canonical_scenario).routines["g0"][0].situation
         with pytest.raises(ValueError, match=re.escape(
                 f"routine of g0 repeats the situation {key.canonical()}")):
-            parse_scenario(dict(canonical_scenario, routines=routines), CONTEXT)
+            parse_scenario(dict(canonical_scenario, routines=routines))
 
-    def test_world_from_scenario_canonical(self, canonical_scenario, context):
-        world = world_from_scenario(parse_scenario(canonical_scenario, context), 7)
+    def test_world_from_scenario_canonical(self, canonical_scenario):
+        world = world_from_scenario(parse_scenario(canonical_scenario), 7)
         assert len(world.scenario.users) == 11
         assert world.scenario.items == tuple(f"doc{i:02d}" for i in range(20))
         assert len(situations(world, "u10")) == 6
         assert world.scenario.drift[0].step == 1000
 
     def test_check_scenario_takes_a_scope_from_the_targets_routine(
-            self, canonical_scenario, context):
-        parsed = parse_scenario(canonical_scenario, context)
+            self, canonical_scenario):
+        parsed = parse_scenario(canonical_scenario)
         key = situations(world_from_scenario(parsed, 7), "u03")[2]
         for target in ("u03", "g0"):
             drift = [{"step": 5, "op": "SwapTopItems", "target": target,
                       "scope": key.canonical()}]
-            parse_scenario(dict(canonical_scenario, drift=drift), context)
+            parse_scenario(dict(canonical_scenario, drift=drift))
 
-    def test_scenario_determinism(self, canonical_scenario, context):
-        parsed = parse_scenario(canonical_scenario, context)
+    def test_scenario_determinism(self, canonical_scenario):
+        parsed = parse_scenario(canonical_scenario)
         assert world_from_scenario(parsed, 3).relevance == \
             world_from_scenario(parsed, 3).relevance
 
-    def test_worlds_of_one_scenario_drift_independently(self, canonical_scenario, context):
-        parsed = parse_scenario(canonical_scenario, context)
+    def test_worlds_of_one_scenario_drift_independently(self, canonical_scenario):
+        parsed = parse_scenario(canonical_scenario)
         first, second = world_from_scenario(parsed, 3), world_from_scenario(parsed, 3)
         assert first.scenario is second.scenario is parsed
         before = exact_rows(second)
