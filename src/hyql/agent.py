@@ -6,8 +6,9 @@ exploratory branch falls back to a uniform random pick. Before selecting
 in a never-visited situation, the case-boosted variants try to retrieve a
 similar past case and bootstrap the Q-row from its solution. `run` steps
 through fixed-length simulated days; at each day boundary, and after the
-last step, situations visited at least 5 times are retained into the case
-base.
+last step, a variant that learns a Q-table retains each situation visited
+at least 5 times, with its Q-row as the solution, into its case base.
+GreedyQ and CFOnly keep no table, so they keep no cases either.
 
 The learning settings are fixed for every variant: alpha 0.3, gamma 0.1 and
 exploit probability p 0.8 (`PARAMS`).
@@ -146,15 +147,17 @@ class Agent:
 
     def end_episode(self) -> int:
         """Retain each situation of the finished day stepped in at least
-        RETAIN_MIN_VISITS times over the agent's lifetime."""
+        RETAIN_MIN_VISITS times over the agent's lifetime, if the agent
+        learns a Q-table: its row there is the case's solution."""
         retained = 0
-        for s in sorted(self._episode_seen, key=lambda k: k.canonical()):
-            count, total = self._situation_stats[s]
-            if count < RETAIN_MIN_VISITS:
-                continue
-            self.casebase.retain(s, self.table.row(s), count, total / count,
-                                 self.user_id, self.step_count)
-            retained += 1
+        if self.config.variant in _Q_VARIANTS:
+            for s in sorted(self._episode_seen, key=lambda k: k.canonical()):
+                count, total = self._situation_stats[s]
+                if count < RETAIN_MIN_VISITS:
+                    continue
+                self.casebase.retain(s, self.table.row(s), count, total / count,
+                                     self.user_id, self.step_count)
+                retained += 1
         self._episode_seen.clear()
         return retained
 

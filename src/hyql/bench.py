@@ -4,11 +4,13 @@ Each trial pairs every agent variant with the same world seed, so all
 variants consume the identical event stream and per-step acceptance draws
 (paired-seed design). Runs persist their full store (including the action
 history, which doubles as the trace) under the output directory; every
-metric can be recomputed from those files alone, which is what `verify`
-does. Outputs are canonical: rerunning a spec reproduces the CSV and the
-traces byte for byte, with or without parallelism. `--parallel K` starts
-at most min(K, trials, CPUs) workers, and the process pool is imported only
-when that is more than one, so a serial run never loads `multiprocessing`.
+metric, and each run's preference table (the focal user's last reward and
+step per situation and item), can be recomputed from those files alone,
+which is what `verify` does. Outputs are canonical: rerunning a spec
+reproduces the CSV and the traces byte for byte, with or without
+parallelism. `--parallel K` starts at most min(K, trials, CPUs) workers,
+and the process pool is imported only when that is more than one, so a
+serial run never loads `multiprocessing`.
 
 A spec file holds exactly five keys: `scenario` (a name or a path),
 `variants` (a list of `{"name", "variant"}` objects), `trials`, `steps` and
@@ -230,14 +232,21 @@ def run_trial(scenario: Scenario, variant: dict, seed: int, steps: int,
 
 def _persist_run(run_dir: Path, focal: str, trace: list[StepRecord],
                  env: SimEnv) -> None:
-    store = RunStore()
+    store = _preference_store(focal, trace)
     for step, event in env.event_log:
         store.append_event_history(event, step)
     for record in trace:
         store.append_action_history(record)
+    store.snapshot(run_dir)
+
+
+def _preference_store(focal: str, trace: list[StepRecord]) -> RunStore:
+    """A store holding the focal user's preference table for `trace`."""
+    store = RunStore()
+    for record in trace:
         store.upsert_preferences(PreferenceRecord(focal, record.s, record.a,
                                                   record.r, record.step))
-    store.snapshot(run_dir)
+    return store
 
 
 def read_trace(run_dir: str | Path, steps: int) -> list[StepRecord]:
@@ -345,21 +354,46 @@ def parse_csv(path: str | Path) -> list[MetricRow]:
 # verify / report
 # ---------------------------------------------------------------------------
 
-def recompute_rows(out_dir: str | Path) -> list[MetricRow]:
-    """Rebuild every metric row from the persisted traces and configs."""
+def recompute_runs(out_dir: str | Path) -> tuple[list[MetricRow], list[str]]:
+    """Rebuild every metric row and preference table from the persisted
+    traces and configs, reading each trace once.
+
+    Returns the rows, and one message for each run whose preferences.tsv
+    differs from the table its trace gives, naming the file and the first
+    line that differs.
+    """
     out = Path(out_dir)
     spec = load_experiment_spec(out / "spec.json")
     scenario = spec.parsed
     focal = scenario.agent_user
     drift_step = _drift_step(scenario, spec.steps)
     rows: list[MetricRow] = []
+    stale: list[str] = []
     for seed in spec.seeds():
         optimal = world_from_scenario(scenario, seed).optimal_expected_reward(focal)
         for variant in spec.variants:
-            trace = read_trace(out / "runs" / variant["name"] / str(seed), spec.steps)
+            run_dir = out / "runs" / variant["name"] / str(seed)
+            trace = read_trace(run_dir, spec.steps)
             rows.extend(rows_for_trial(variant["name"], seed,
                                        TrialResult(trace, optimal, drift_step)))
-    return rows
+            path = run_dir / "preferences.tsv"
+            recorded = read_run_file(path)
+            expected = _preference_store(focal, trace).preferences_text()
+            if recorded != expected:  # then some line, with its ending, differs
+                lineno, got, want = next(_differing_lines(
+                    recorded.splitlines(keepends=True), expected.splitlines(keepends=True)))
+                stale.append(f"{path}:{lineno}: file has {got!r}, its trace gives {want!r}")
+    return rows, stale
+
+
+def _differing_lines(recorded: list[str], expected: list[str]):
+    """(line number, recorded line, expected line) at each line where two
+    texts differ; "<missing>" stands for a line past a text's end."""
+    for i in range(max(len(recorded), len(expected))):
+        got = recorded[i] if i < len(recorded) else "<missing>"
+        want = expected[i] if i < len(expected) else "<missing>"
+        if got != want:
+            yield i + 1, got, want
 
 
 def _metrics_path(out_dir: str | Path) -> Path:
@@ -371,20 +405,13 @@ def _metrics_path(out_dir: str | Path) -> Path:
 
 
 def verify_dir(out_dir: str | Path) -> list[str]:
-    """Recompute metrics from traces; return a list of mismatch messages."""
+    """Recompute metrics and preference tables from the traces; return a list
+    of mismatch messages, metrics.csv's lines first."""
     recorded = read_run_file(_metrics_path(out_dir))
-    expected = csv_text(recompute_rows(out_dir))
-    if recorded == expected:
-        return []
-    mismatches = []
-    recorded_lines = recorded.splitlines()
-    expected_lines = expected.splitlines()
-    for i in range(max(len(recorded_lines), len(expected_lines))):
-        got = recorded_lines[i] if i < len(recorded_lines) else "<missing>"
-        want = expected_lines[i] if i < len(expected_lines) else "<missing>"
-        if got != want:
-            mismatches.append(f"line {i + 1}: recorded {got!r} != recomputed {want!r}")
-    return mismatches
+    rows, stale = recompute_runs(out_dir)
+    return [f"line {lineno}: recorded {got!r} != recomputed {want!r}"
+            for lineno, got, want in _differing_lines(
+                recorded.splitlines(), csv_text(rows).splitlines())] + stale
 
 
 def report_dir(out_dir: str | Path) -> str:

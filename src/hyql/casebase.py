@@ -37,6 +37,8 @@ class Case:
     order: int = 0  # insertion counter, used as age for eviction ties
 
     def __post_init__(self):
+        if not self.solution:
+            raise ValueError("a case needs a solution")
         if self.visits < 1:
             raise ValueError("a case needs at least one visit")
         if not 0.0 <= self.mean_reward <= 1.0:

@@ -26,8 +26,9 @@ Exit 2, and `run` writes nothing under --out:
 - an affinity or a routine weight that is a JSON integer too large for a
   float, such as 1 followed by 400 zeros
   (test_a_number_past_the_float_range_exits_2_before_writing);
-- more than 10,000 items, or more than 10,000,000 relevance values (users x
-  items x the longest routine), checked before the world is built
+- more than 10,000 items, more than 200,000 relevance rows (users x the
+  longest routine) or more than 10,000,000 relevance values (users x items x
+  the longest routine), checked before the world is built
   (test_a_world_past_the_size_bound_exits_2_before_writing);
 - --out at a file or under one (test_out_at_or_under_a_file_exits_2_before_writing);
 - `report` or `verify` of a missing directory, and `verify` of a spec.json
@@ -43,9 +44,13 @@ test_a_mutated_spec_runs_and_verifies_or_exits_2_before_writing).
 Exit 3, naming the bad run file's path and line: a run file that is
 missing, a directory or not UTF-8 (TestReport,
 test_unreadable_run_file_exits_3); a trace with a wrong header, a short
-line or too few lines (TestVerify); a metrics.csv row short of a field
-(TestReport); metrics that differ from those recomputed from the traces
-(perfbench's test_tampered_reward_fails_that_trial). Any mutated run file
+line, a reward outside [0, 1] or too few lines (TestVerify); a metrics.csv
+row short of a field (TestReport); metrics that differ from those
+recomputed from the traces (perfbench's
+test_tampered_reward_fails_that_trial); a preferences.tsv that differs,
+byte for byte, from the table its trace gives, one with the old per-step
+header included (TestVerify's test_hand_edited_preference_table_is_a_mismatch
+and test_per_step_preference_table_is_a_mismatch). Any mutated run file
 makes `verify` and `report` exit 0, 2 or 3
 (test_a_mutated_run_file_verifies_and_reports_with_exit_0_2_or_3).
 """
@@ -79,7 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser("report", help="summarize a finished experiment")
     report.add_argument("dir", help="experiment output directory")
 
-    verify = sub.add_parser("verify", help="recompute metrics from traces and diff")
+    verify = sub.add_parser("verify", help="recompute metrics and preference tables "
+                                           "from traces and diff")
     verify.add_argument("dir", help="experiment output directory")
     return parser
 
@@ -103,7 +109,7 @@ def main(argv=None) -> int:
                 print(f"verification FAILED: {len(mismatches)} mismatched lines",
                       file=sys.stderr)
                 return EXIT_MISMATCH
-            print("verification OK: metrics match the persisted traces")
+            print("verification OK: metrics and preference tables match the traces")
             return EXIT_OK
     except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

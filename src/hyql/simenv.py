@@ -18,7 +18,8 @@ the only one that knows its format. `parse_scenario` checks a config once
 and turns each routine habit into its situation: the interned level-0 key
 it realizes, plus its weight. A habit's place must be a leaf of the
 built-in gazetteer, the only kind whose region reverse-geocodes back to
-it, and a world may hold at most MAX_RELEVANCE_VALUES relevance values.
+it, and a world may hold at most MAX_RELEVANCE_ROWS relevance rows and
+MAX_RELEVANCE_VALUES relevance values.
 The `Scenario` holds every fact its worlds share, and `world_from_scenario`
 only draws a seed's relevance rows. So a bad scenario fails before a run
 writes anything, and no world build re-checks. `SimEnv` steps the
@@ -58,8 +59,10 @@ _STREAM_REWARDS = 2
 _STREAM_BACKGROUND = 3
 SEED_SPREAD = 1_000_003  # between the seed bases of consecutive seeds
 
-# The largest world a scenario may ask for: 80 MB of packed relevance doubles.
+# The largest world a scenario may ask for: 80 MB of packed relevance doubles,
+# and about 75 MB of per-row overhead at some 376 B a row.
 MAX_ITEMS = 10_000
+MAX_RELEVANCE_ROWS = 200_000  # users x the longest routine
 MAX_RELEVANCE_VALUES = 10_000_000  # users x items x the longest routine
 
 
@@ -280,6 +283,9 @@ def parse_scenario(raw: dict) -> Scenario:
     if n_items > MAX_ITEMS:
         raise ValueError(f"items must be at most {MAX_ITEMS}, got {n_items}")
     longest = max(len(routine) for routine in routines.values())
+    if n_users * longest > MAX_RELEVANCE_ROWS:
+        raise ValueError(f"users x the longest routine must be at most "
+                         f"{MAX_RELEVANCE_ROWS}, got {n_users} x {longest}")
     if n_users * n_items * longest > MAX_RELEVANCE_VALUES:
         raise ValueError(f"users x items x the longest routine must be at most "
                          f"{MAX_RELEVANCE_VALUES}, got {n_users} x {n_items} x {longest}")

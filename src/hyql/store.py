@@ -1,12 +1,15 @@
 """The shared run database: histories and preferences.
 
-Everything is append-only in memory and snapshots to three tab-separated
-UTF-8 files in a run directory (history_actions.tsv, history_events.tsv,
-preferences.tsv); the experiment's scenario.json defines the users. Each
-file starts with a `#` header carrying the schema version and column names.
-This module is the only owner of their line formats and of the float
-format they share (`fmt_float`); every other module reads a run's action
-history, the trace, through `read_action_history`.
+The two histories are append-only in memory; the preference table holds
+one record per (user, situation, item), the latest, in the order each key
+first arrived. All three snapshot to tab-separated UTF-8 files in a run
+directory (history_actions.tsv, history_events.tsv, preferences.tsv); the
+experiment's scenario.json defines the users. Each file starts with a `#`
+header carrying the schema version and column names. This module is the
+only owner of their line formats and of the float format they share
+(`fmt_float`); every other module reads a run's action history, the trace,
+through `read_action_history`, and gets the preference table's exact text
+from `RunStore.preferences_text`.
 
 Snapshots are canonical: the same records always write the same bytes,
 and a trace read back and snapshotted again is byte-identical. A snapshot
@@ -33,7 +36,8 @@ _FILES = {
     "events": ("history_events.tsv",
                "step\tuser_id\ttimestamp\tlat\tlon\tcognitive_kind\tcognitive_item"
                "\tcalendar_label\tcalendar_start\tcalendar_end"),
-    "preferences": ("preferences.tsv", "user_id\tsituation_key\taction\treward\tstep"),
+    "preferences": ("preferences.tsv",
+                    "user_id\tsituation_key\taction\tlast_reward\tlast_step"),
 }
 
 
@@ -43,7 +47,7 @@ def fmt_float(value: float) -> str:
 
 
 class OrderingError(Exception):
-    """An append whose step went backwards."""
+    """An append or upsert whose step went backwards."""
 
 
 class StoreParseError(Exception):
@@ -70,7 +74,8 @@ class RunStore:
     def __init__(self):
         self.action_history: list[StepRecord] = []
         self.event_history: list[tuple[int, RawEvent]] = []
-        self.preferences: list[PreferenceRecord] = []
+        # the latest record per (user, situation, item), in first-seen order
+        self.preferences: dict[tuple[str, SituationKey, str], PreferenceRecord] = {}
 
     def append_action_history(self, record: StepRecord) -> None:
         if self.action_history and record.step < self.action_history[-1].step:
@@ -85,7 +90,13 @@ class RunStore:
         self.event_history.append((step, event))
 
     def upsert_preferences(self, record: PreferenceRecord) -> None:
-        self.preferences.append(record)
+        """Replace the record of the same (user, situation, item), keeping its
+        place, or add the key last."""
+        key = (record.user_id, record.situation, record.action)
+        last = self.preferences.get(key)
+        if last is not None and record.step < last.step:
+            raise OrderingError(f"preference step {record.step} < last {last.step}")
+        self.preferences[key] = record
 
     # -- snapshot ---------------------------------------------------------------
 
@@ -95,18 +106,25 @@ class RunStore:
         _write(directory, "actions", (_step_line(r) for r in self.action_history))
         _write(directory, "events",
                (_event_line(step, e) for step, e in self.event_history))
-        _write(directory, "preferences",
-               (f"{p.user_id}\t{p.situation.canonical()}\t{p.action}"
-                f"\t{fmt_float(p.reward)}\t{p.step}" for p in self.preferences))
+        _write(directory, "preferences", self._preference_lines())
+
+    def preferences_text(self) -> str:
+        """preferences.tsv's exact contents, as `snapshot` writes them."""
+        return "".join(_file_lines("preferences", self._preference_lines()))
+
+    def _preference_lines(self):
+        return (f"{p.user_id}\t{p.situation.canonical()}\t{p.action}"
+                f"\t{fmt_float(p.reward)}\t{p.step}" for p in self.preferences.values())
 
 
 def read_action_history(dirpath: str | Path, steps: int) -> list[StepRecord]:
     """The action history of one run of `steps` steps, header-, field- and
     order-checked.
 
-    Any error, from the field count, a field's parse, a record numbered
-    other than its place in the trace or a trace shorter or longer than
-    `steps`, is raised as a StoreParseError naming the file and line.
+    Any error, from the field count, a field's parse, a reward outside
+    [0, 1], a record numbered other than its place in the trace or a trace
+    shorter or longer than `steps`, is raised as a StoreParseError naming
+    the file and line.
     """
     filename, columns = _FILES["actions"]
     n_fields = columns.count("\t") + 1
@@ -126,6 +144,8 @@ def read_action_history(dirpath: str | Path, steps: int) -> list[StepRecord]:
             record = _step_from_fields(fields)
         except Exception as exc:
             raise StoreParseError(path, lineno, str(exc)) from exc
+        if not 0.0 <= record.r <= 1.0:
+            raise StoreParseError(path, lineno, f"reward {record.r!r} outside [0, 1]")
         if record.step != len(trace):
             raise StoreParseError(path, lineno,
                                   f"step {record.step} where step {len(trace)} belongs")
@@ -148,13 +168,17 @@ def read_run_file(path: Path) -> str:
         raise StoreParseError(path, 0, f"unreadable store file: {exc}") from None
 
 
+def _file_lines(part: str, lines):
+    """The header and then each line, newline-ended."""
+    yield f"# hyql-store v{SCHEMA_VERSION} {part}: {_FILES[part][1]}\n"
+    for line in lines:
+        yield line + "\n"
+
+
 def _write(directory: Path, part: str, lines) -> None:
-    """Stream the header and then each line, newline-ended, to one file."""
-    filename, columns = _FILES[part]
-    with open(directory / filename, "w", encoding="utf-8") as handle:
-        handle.write(f"# hyql-store v{SCHEMA_VERSION} {part}: {columns}\n")
-        for line in lines:
-            handle.write(line + "\n")
+    """Stream a file's lines, as `_file_lines` gives them, to one file."""
+    with open(directory / _FILES[part][0], "w", encoding="utf-8") as handle:
+        handle.writelines(_file_lines(part, lines))
 
 
 def _step_line(record: StepRecord) -> str:

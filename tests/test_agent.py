@@ -211,6 +211,18 @@ class TestRunEpisode:
         assert {(r.a, r.branch) for r in trace} == {("doc00", EXPLOIT)}
         assert len(agent.table) == 0
 
+    def test_only_the_q_learning_variants_keep_cases(self):
+        """GreedyQ and CFOnly keep no Q-row, so they retain nothing; every
+        variant with a table does, CBRQ's and HyQL's readers included."""
+        for variant in VARIANTS:
+            agent, _ = run_pair(variant, seed=10, steps=300)
+            if variant in ("GreedyQ", "CFOnly"):
+                assert len(agent.casebase) == 0
+            else:
+                assert len(agent.casebase) > 0
+                assert all(len(case.solution) == len(agent.items)
+                           for case in agent.casebase.cases)
+
     def test_trace_is_deterministic(self):
         _, t1 = run_pair("HyQL", seed=9)
         _, t2 = run_pair("HyQL", seed=9)

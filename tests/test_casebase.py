@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hyql.casebase import (MAX_SIZE, RETRIEVAL_THRESHOLD, CaseBase, RetrievalResult,
+from hyql.casebase import (MAX_SIZE, RETRIEVAL_THRESHOLD, Case, CaseBase, RetrievalResult,
                            adapt, case_similarity)
 from hyql.context import SituationKey, TimeBucket
 from hyql.qlearn import QTable
@@ -195,12 +195,12 @@ class TestRetain:
         rng = random.Random(22)
         base = CaseBase()
         for i in range(MAX_SIZE):
-            base.retain(skey(group=f"g{i}"), [], visits=1,
+            base.retain(skey(group=f"g{i}"), [0.0], visits=1,
                         mean_reward=rng.choice([0.25, 0.5, 0.75]),
                         user_id="u0", step=i)
         for i in range(MAX_SIZE, MAX_SIZE + 20):
             before = list(base.cases)
-            new = base.retain(skey(group=f"g{i}"), [], visits=1,
+            new = base.retain(skey(group=f"g{i}"), [0.0], visits=1,
                               mean_reward=rng.choice([0.25, 0.5, 0.75]),
                               user_id="u0", step=i)
             victim = min(before + [new], key=lambda c: (c.mean_reward, c.order))
@@ -211,9 +211,15 @@ class TestRetain:
         rng = random.Random(23)
         base = CaseBase()
         for i in range(MAX_SIZE + 200):
-            base.retain(skey(group=f"g{i}"), [], visits=1,
+            base.retain(skey(group=f"g{i}"), [0.0], visits=1,
                         mean_reward=rng.random(), user_id="u0", step=i)
             assert len(base) == min(i + 1, MAX_SIZE)
+
+    def test_a_case_without_a_solution_is_rejected(self):
+        with pytest.raises(ValueError, match="a case needs a solution"):
+            Case(skey(), [], visits=5, mean_reward=0.5, user_id="u0", step=1)
+        with pytest.raises(ValueError, match="a case needs a solution"):
+            CaseBase().retain(skey(), (), visits=5, mean_reward=0.5, user_id="u0", step=1)
 
     def test_solution_is_snapshotted(self):
         base = CaseBase()

@@ -15,9 +15,11 @@ import hyql
 import hyql.bench
 from hyql.bench import NEVER, SPEC_KEYS, load_experiment_spec, load_scenario, parse_csv
 from hyql.cli import EXIT_CONFIG, EXIT_MISMATCH, EXIT_OK, main
+from hyql.store import fmt_float, read_action_history
 
 BASE_SPEC = {"scenario": "canonical", "trials": 1, "steps": 60,
              "variants": [{"name": "HyQL", "variant": "HyQL"}]}
+FOCAL = load_scenario("canonical")["agent_user"]
 
 HUGE_INT = "9" * 5000  # a JSON integer Python's int() refuses to parse
 # A JSON integer int() parses but float() cannot hold. It goes only where a
@@ -85,6 +87,41 @@ class TestVerify:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert main(["verify", str(out)]) == EXIT_MISMATCH
         assert f"{path}:22: trace ends after 20 of 60 steps" in capsys.readouterr().err
+
+    def test_hand_edited_preference_table_is_a_mismatch(self, run_copy, capsys):
+        path = run_copy / "runs" / "HyQL" / "1000" / "preferences.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        fields = lines[2].split("\t")
+        fields[3] = "0" if fields[3] == "1" else "1"  # the last reward
+        edited = "\t".join(fields)
+        path.write_text("".join(lines[:2] + [edited] + lines[3:]), encoding="utf-8")
+        assert main(["verify", str(run_copy)]) == EXIT_MISMATCH
+        assert f"{path}:3: file has {edited!r}, its trace gives {lines[2]!r}" \
+            in capsys.readouterr().err
+
+    def test_per_step_preference_table_is_a_mismatch(self, run_copy, capsys):
+        """The table as runs wrote it before it kept one line per key."""
+        run_dir = run_copy / "runs" / "HyQL" / "1000"
+        trace = read_action_history(run_dir, 60)
+        path = run_dir / "preferences.tsv"
+        path.write_text("".join(
+            ["# hyql-store v1 preferences: user_id\tsituation_key\taction\treward\tstep\n"]
+            + [f"{FOCAL}\t{r.s.canonical()}\t{r.a}\t{fmt_float(r.r)}\t{r.step}\n"
+               for r in trace]),
+            encoding="utf-8")
+        assert main(["verify", str(run_copy)]) == EXIT_MISMATCH
+        assert f"{path}:1: file has '# hyql-store v1 preferences: user_id" \
+            in capsys.readouterr().err
+
+    def test_reward_outside_the_unit_interval_is_a_mismatch(self, run_copy, capsys):
+        path = run_copy / "runs" / "HyQL" / "1000" / "history_actions.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        fields = lines[1].split("\t")
+        fields[4] = "2"
+        lines[1] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["verify", str(run_copy)]) == EXIT_MISMATCH
+        assert f"{path}:2: reward 2.0 outside [0, 1]" in capsys.readouterr().err
 
     def test_spec_with_an_extra_key_exits_2(self, run_copy):
         path = run_copy / "spec.json"
@@ -223,10 +260,11 @@ def test_verify_of_a_number_past_the_float_range_exits_2(run_copy, capsys, key):
     assert "got an integer too large for a float" in capsys.readouterr().err
 
 
-# Past the world-size bound: too many items, and too many relevance values
-# (the canonical routine has 6 habits: 20,000 x 100 x 6 is 12,000,000).
+# Past the world-size bound: too many items, too many relevance values (the
+# canonical routine has 6 habits: 20,000 x 100 x 6 is 12,000,000), and too
+# many relevance rows (33,334 x 6 is 200,004 rows, of one value each).
 PAST_THE_SIZE_BOUND = [{"items": 10_001}, {"users": 10 ** 30},
-                       {"users": 20_000, "items": 100}]
+                       {"users": 20_000, "items": 100}, {"users": 33_334, "items": 1}]
 
 
 @pytest.mark.parametrize("sizes", PAST_THE_SIZE_BOUND)
@@ -576,8 +614,10 @@ def tiny_run(tmp_path_factory):
     return root / "out"
 
 
-# one trace stands for all four: they share a format and a reader
-RUN_FILES = ["metrics.csv", "spec.json", "scenario.json", "runs/HyQL/1001/history_actions.tsv"]
+# one trace and one preference table stand for all four: they share a format
+# and a reader or a checker
+RUN_FILES = ["metrics.csv", "spec.json", "scenario.json",
+             "runs/HyQL/1001/history_actions.tsv", "runs/HyQL/1001/preferences.tsv"]
 
 # a JSON token: a string, a number, true, false or null
 JSON_TOKEN = re.compile(r'"[^"]*"|-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|true|false|null')

@@ -13,7 +13,8 @@ from hyql.bench import load_scenario
 from hyql.collab import TransactionStore
 from hyql.context import (CALENDAR_STATES, COGNITIVE_KINDS, CONTEXT, DAY_CLASSES,
                           PARTS_OF_DAY, situation)
-from hyql.simenv import (_STREAM_BUILD, MAX_ITEMS, MAX_RELEVANCE_VALUES, SEED_SPREAD,
+from hyql.simenv import (_STREAM_BUILD, MAX_ITEMS, MAX_RELEVANCE_ROWS,
+                         MAX_RELEVANCE_VALUES, SEED_SPREAD,
                          DriftOp, SimEnv, _draw_row, _mix_row, apply_drift, gen_event,
                          parse_scenario, reward, world_from_scenario)
 
@@ -93,6 +94,16 @@ class TestBuildPopulation:
             parse_scenario(scenario(n_items=MAX_ITEMS + 1))
         with pytest.raises(ValueError, match="at most 10000000, got 167 x 10000 x 6"):
             parse_scenario(scenario(n_users=167, n_items=MAX_ITEMS))
+        # rows: 33,333 x 6 is 199,998, of one value each
+        parsed = parse_scenario(scenario(n_users=33_333, n_items=1))
+        assert len(parsed.users) * 6 <= MAX_RELEVANCE_ROWS
+        with pytest.raises(ValueError, match="at most 200000, got 33334 x 6"):
+            parse_scenario(scenario(n_users=33_334, n_items=1))
+        # the edge itself, on a one-habit routine
+        parse_scenario(scenario(n_users=MAX_RELEVANCE_ROWS, n_items=1, routine=[SINGLE_HABIT]))
+        with pytest.raises(ValueError, match="at most 200000, got 200001 x 1"):
+            parse_scenario(scenario(n_users=MAX_RELEVANCE_ROWS + 1, n_items=1,
+                                    routine=[SINGLE_HABIT]))
 
     def test_every_routine_situation_covered(self):
         world = small_world()

@@ -83,6 +83,47 @@ class TestEventHistory:
             store.append_event_history(sample_event(), 4)
 
 
+class TestPreferences:
+    def test_a_later_step_replaces_the_keys_line_in_place(self, tmp_path):
+        store = RunStore()
+        store.upsert_preferences(PreferenceRecord("u00", skey(), "doc00", 1.0, 0))
+        store.upsert_preferences(PreferenceRecord("u00", skey("Home"), "doc00", 1.0, 1))
+        store.upsert_preferences(PreferenceRecord("u00", skey(), "doc00", 0.0, 2))
+        store.snapshot(tmp_path)
+        assert (tmp_path / "preferences.tsv").read_text(encoding="utf-8").splitlines() == [
+            "# hyql-store v1 preferences: user_id\tsituation_key\taction"
+            "\tlast_reward\tlast_step",
+            f"u00\t{skey().canonical()}\tdoc00\t0\t2",
+            f"u00\t{skey('Home').canonical()}\tdoc00\t1\t1"]
+
+    def test_a_new_user_situation_or_item_appends_a_line(self):
+        store = RunStore()
+        records = [PreferenceRecord("u00", skey(), "doc00", 1.0, 0),
+                   PreferenceRecord("u00", skey(), "doc01", 1.0, 1),
+                   PreferenceRecord("u00", skey("Home"), "doc00", 0.0, 2),
+                   PreferenceRecord("u01", skey(), "doc00", 0.0, 3)]
+        for record in records:
+            store.upsert_preferences(record)
+        assert list(store.preferences.values()) == records
+
+    def test_an_equal_step_replaces_and_an_older_step_is_rejected(self):
+        store = RunStore()
+        store.upsert_preferences(PreferenceRecord("u00", skey(), "doc00", 1.0, 5))
+        store.upsert_preferences(PreferenceRecord("u00", skey(), "doc00", 0.0, 5))
+        assert [p.reward for p in store.preferences.values()] == [0.0]
+        with pytest.raises(OrderingError, match="preference step 4 < last 5"):
+            store.upsert_preferences(PreferenceRecord("u00", skey(), "doc00", 1.0, 4))
+        # another key's step may be lower
+        store.upsert_preferences(PreferenceRecord("u00", skey("Home"), "doc00", 1.0, 0))
+
+    def test_the_text_is_the_file_the_snapshot_writes(self, tmp_path):
+        store = populated_store()
+        store.snapshot(tmp_path)
+        assert store.preferences_text() == \
+            (tmp_path / "preferences.tsv").read_text(encoding="utf-8")
+        assert RunStore().preferences_text().count("\n") == 1  # the header alone
+
+
 class TestSnapshotLoad:
     def test_empty_round_trip(self, tmp_path):
         RunStore().snapshot(tmp_path / "run")
@@ -141,6 +182,19 @@ class TestSnapshotLoad:
         (tmp_path / "run" / "history_actions.tsv").unlink()
         with pytest.raises(StoreParseError, match="missing store file"):
             read_action_history(tmp_path / "run", 3)
+
+    @pytest.mark.parametrize("reward", ["nan", "-0.5", "2"])
+    def test_a_reward_outside_the_unit_interval_is_rejected(self, tmp_path, reward):
+        populated_store().snapshot(tmp_path / "run")
+        path = tmp_path / "run" / "history_actions.tsv"
+        lines = path.read_text().splitlines()
+        fields = lines[2].split("\t")
+        fields[4] = reward
+        lines[2] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(StoreParseError) as info:
+            read_action_history(tmp_path / "run", 3)
+        assert str(info.value) == f"{path}:3: reward {float(reward)!r} outside [0, 1]"
 
     def test_ordering_violation_in_file_detected(self, tmp_path):
         store = populated_store()
