@@ -141,7 +141,7 @@ class Agent:
         stats[0] += 1
         stats[1] += r
         self._episode_seen.add(s)
-        record = StepRecord(self.step_count, s, self.items[a], branch, r, s_next)
+        record = StepRecord(self.step_count, s, self.items[a], branch, r)
         self.step_count += 1
         return record, next_event
 

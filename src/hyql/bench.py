@@ -6,11 +6,13 @@ variants consume the identical event stream and per-step acceptance draws
 history, which doubles as the trace) under the output directory; every
 metric, and each run's preference table (the focal user's last reward and
 step per situation and item), can be recomputed from those files alone,
-which is what `verify` does. Outputs are canonical: rerunning a spec
-reproduces the CSV and the traces byte for byte, with or without
-parallelism. `--parallel K` starts at most min(K, trials, CPUs) workers,
-and the process pool is imported only when that is more than one, so a
-serial run never loads `multiprocessing`.
+which is what `verify` does. `verify` also ties each trace to its run's
+event log: every step's situation must be the one its logged event
+aggregates to, so a trace situation edited to another valid key fails.
+Outputs are canonical: rerunning a spec reproduces the CSV and the traces
+byte for byte, with or without parallelism. `--parallel K` starts at most
+min(K, trials, CPUs) workers, and the process pool is imported only when
+that is more than one, so a serial run never loads `multiprocessing`.
 
 A spec file holds exactly five keys: `scenario` (a name or a path),
 `variants` (a list of `{"name", "variant"}` objects), `trials`, `steps` and
@@ -49,11 +51,12 @@ from typing import Optional, Sequence
 
 from .agent import Agent, AgentConfig, VARIANTS
 from .collab import TransactionStore
+from .context import CONTEXT
 from .qlearn import EXPLOIT, StepRecord
 from .simenv import (SEED_SPREAD, Scenario, SimEnv, check_keys, json_int,
                      json_list, parse_scenario, world_from_scenario)
 from .store import (PreferenceRecord, RunStore, StoreParseError, fmt_float,
-                    read_action_history, read_run_file)
+                    read_action_history, read_event_history, read_run_file)
 
 NEVER = -1.0
 THRESHOLD_WINDOW, THRESHOLD_FRACTION = 50, 0.8
@@ -356,16 +359,19 @@ def parse_csv(path: str | Path) -> list[MetricRow]:
 
 def recompute_runs(out_dir: str | Path) -> tuple[list[MetricRow], list[str]]:
     """Rebuild every metric row and preference table from the persisted
-    traces and configs, reading each trace once.
+    traces and configs, reading each trace and event log once.
 
-    Returns the rows, and one message for each run whose preferences.tsv
-    differs from the table its trace gives, naming the file and the first
-    line that differs.
+    Returns the rows, and one message for each run whose trace does not
+    follow from its event log, naming the trace line of the first step
+    whose situation is not the one its event aggregates to, and one for
+    each run whose preferences.tsv differs from the table its trace gives,
+    naming the file and the first line that differs.
     """
     out = Path(out_dir)
     spec = load_experiment_spec(out / "spec.json")
     scenario = spec.parsed
     focal = scenario.agent_user
+    group = scenario.user(focal).social_group
     drift_step = _drift_step(scenario, spec.steps)
     rows: list[MetricRow] = []
     stale: list[str] = []
@@ -374,24 +380,44 @@ def recompute_runs(out_dir: str | Path) -> tuple[list[MetricRow], list[str]]:
         for variant in spec.variants:
             run_dir = out / "runs" / variant["name"] / str(seed)
             trace = read_trace(run_dir, spec.steps)
+            events = read_event_history(run_dir, spec.steps)
             rows.extend(rows_for_trial(variant["name"], seed,
                                        TrialResult(trace, optimal, drift_step)))
+            untied = _first_untied_step(trace, events, group)
+            if untied is not None:
+                record, want = untied
+                stale.append(f"{run_dir / 'history_actions.tsv'}:{record.step + 2}: "
+                             f"situation {record.s.canonical()!r}, its event gives "
+                             f"{want.canonical()!r}")
             path = run_dir / "preferences.tsv"
             recorded = read_run_file(path)
             expected = _preference_store(focal, trace).preferences_text()
             if recorded != expected:  # then some line, with its ending, differs
-                lineno, got, want = next(_differing_lines(
-                    recorded.splitlines(keepends=True), expected.splitlines(keepends=True)))
+                lineno, got, want = next(_differing_lines(recorded, expected))
                 stale.append(f"{path}:{lineno}: file has {got!r}, its trace gives {want!r}")
     return rows, stale
 
 
-def _differing_lines(recorded: list[str], expected: list[str]):
-    """(line number, recorded line, expected line) at each line where two
-    texts differ; "<missing>" stands for a line past a text's end."""
-    for i in range(max(len(recorded), len(expected))):
-        got = recorded[i] if i < len(recorded) else "<missing>"
-        want = expected[i] if i < len(expected) else "<missing>"
+def _first_untied_step(trace: list[StepRecord], events, group: str):
+    """(record, the situation its event gives) at the first step whose
+    situation is not the interned key its event aggregates to, or None."""
+    aggregate = CONTEXT.aggregate
+    for record, event in zip(trace, events):
+        s = aggregate(event, group)
+        if s is not record.s:
+            return record, s
+    return None
+
+
+def _differing_lines(recorded: str, expected: str):
+    """(line number, recorded line, expected line), each line with its
+    ending, at each line where two texts differ; "<missing>" stands for a
+    line past a text's end."""
+    recorded_lines = recorded.splitlines(keepends=True)
+    expected_lines = expected.splitlines(keepends=True)
+    for i in range(max(len(recorded_lines), len(expected_lines))):
+        got = recorded_lines[i] if i < len(recorded_lines) else "<missing>"
+        want = expected_lines[i] if i < len(expected_lines) else "<missing>"
         if got != want:
             yield i + 1, got, want
 
@@ -405,13 +431,13 @@ def _metrics_path(out_dir: str | Path) -> Path:
 
 
 def verify_dir(out_dir: str | Path) -> list[str]:
-    """Recompute metrics and preference tables from the traces; return a list
-    of mismatch messages, metrics.csv's lines first."""
+    """Recompute metrics and preference tables from the traces, and tie each
+    trace to its event log; return a list of mismatch messages, metrics.csv's
+    lines first. metrics.csv must match byte for byte, line endings too."""
     recorded = read_run_file(_metrics_path(out_dir))
     rows, stale = recompute_runs(out_dir)
     return [f"line {lineno}: recorded {got!r} != recomputed {want!r}"
-            for lineno, got, want in _differing_lines(
-                recorded.splitlines(), csv_text(rows).splitlines())] + stale
+            for lineno, got, want in _differing_lines(recorded, csv_text(rows))] + stale
 
 
 def report_dir(out_dir: str | Path) -> str:

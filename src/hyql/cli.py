@@ -44,13 +44,25 @@ test_a_mutated_spec_runs_and_verifies_or_exits_2_before_writing).
 Exit 3, naming the bad run file's path and line: a run file that is
 missing, a directory or not UTF-8 (TestReport,
 test_unreadable_run_file_exits_3); a trace with a wrong header, a short
-line, a reward outside [0, 1] or too few lines (TestVerify); a metrics.csv
+line, a reward outside [0, 1] or too few lines (TestVerify); a run written
+under another schema version, such as v1
+(test_a_run_written_under_schema_v1_exits_3); a trace
+situation whose place the gazetteer lacks
+(test_a_trace_naming_a_place_the_gazetteer_lacks_exits_3); a trace
+situation that is not the one its step's logged event aggregates to,
+whether the trace or the event was edited
+(test_a_trace_situation_swapped_for_another_valid_key_is_a_mismatch,
+test_an_event_moved_to_another_place_is_a_mismatch); an event log that is
+not one event per step and one more, the last step's next event
+(test_an_event_log_missing_its_last_line_is_a_mismatch); a metrics.csv
 row short of a field (TestReport); metrics that differ from those
 recomputed from the traces (perfbench's
-test_tampered_reward_fails_that_trial); a preferences.tsv that differs,
-byte for byte, from the table its trace gives, one with the old per-step
-header included (TestVerify's test_hand_edited_preference_table_is_a_mismatch
-and test_per_step_preference_table_is_a_mismatch). Any mutated run file
+test_tampered_reward_fails_that_trial); a metrics.csv or a preferences.tsv
+that differs, byte for byte and line endings included, from the text its
+traces give (test_crlf_line_endings_are_a_mismatch), a hand-edited
+preference table and one with the old per-step header included (TestVerify's
+test_hand_edited_preference_table_is_a_mismatch and
+test_per_step_preference_table_is_a_mismatch). Any mutated run file
 makes `verify` and `report` exit 0, 2 or 3
 (test_a_mutated_run_file_verifies_and_reports_with_exit_0_2_or_3).
 """
@@ -85,7 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("dir", help="experiment output directory")
 
     verify = sub.add_parser("verify", help="recompute metrics and preference tables "
-                                           "from traces and diff")
+                                           "from traces, tie traces to event logs "
+                                           "and diff")
     verify.add_argument("dir", help="experiment output directory")
     return parser
 
@@ -109,7 +122,8 @@ def main(argv=None) -> int:
                 print(f"verification FAILED: {len(mismatches)} mismatched lines",
                       file=sys.stderr)
                 return EXIT_MISMATCH
-            print("verification OK: metrics and preference tables match the traces")
+            print("verification OK: metrics and preference tables match the traces, "
+                  "and the traces their event logs")
             return EXIT_OK
     except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -13,8 +13,9 @@ position and a cognitive action; only the calendar entry may be absent.
 Every layer indexes by situation, so situation keys are interned:
 `situation` hands out one shared `SituationKey` per distinct situation,
 process-wide, and each key hashes its fields once, when it is built.
-Equality stays by value, so a key built elsewhere (say, parsed from a
-trace) still finds the interned one in a dict. The intern table only ever
+Equality stays by value, so a key built elsewhere still finds the
+interned one in a dict; a key parsed from a trace (`from_canonical`) or
+loaded from a pickle is the interned one itself. The intern table only ever
 gains entries, and it is filled with `setdefault`, so the functions here
 behave as pure ones: same inputs, same key, from any thread.
 """
@@ -114,10 +115,10 @@ class CognitiveAction:
 
 @dataclass(frozen=True, slots=True)
 class RawEvent:
-    """One multi-sensor observation of a user: a (lat, lon) position, a
-    cognitive action and, during a meeting, a calendar entry."""
+    """One multi-sensor observation of the focal user: a (lat, lon)
+    position, a cognitive action and, during a meeting, a calendar entry.
+    Only the scenario's `agent_user` is observed, so an event names no user."""
 
-    user_id: str
     timestamp: int
     geo: tuple[float, float]
     cognitive: CognitiveAction
@@ -186,11 +187,18 @@ class SituationKey:
 
     @classmethod
     def from_canonical(cls, text: str) -> "SituationKey":
+        """The shared key `situation` hands out for this text, as a pickle
+        loads; a place the gazetteer lacks or an unknown cognitive kind is a
+        ValueError, raised before the key is interned."""
         parts = text.split("|")
         if len(parts) != 5:
             raise ValueError(f"bad situation key string: {text!r}")
-        return cls(TimeBucket.from_canonical(parts[0]), parts[1], parts[2],
-                   parts[3], int(parts[4]))
+        time, place, group, cognitive, level = parts
+        CONTEXT.place_chain(place)  # raises on an unknown place
+        if cognitive not in COGNITIVE_KINDS:
+            raise ValueError(f"bad cognitive kind: {cognitive!r}")
+        return situation(TimeBucket.from_canonical(time), place, group, cognitive,
+                         int(level))
 
 
 # The 16 time buckets, built once and handed out by time_bucket and

@@ -38,14 +38,14 @@ ActionId = int  # the item's index in the scenario's catalog
 @dataclass(frozen=True, slots=True)
 class StepRecord:
     """One agent step: situation, the chosen item's id, the branch that
-    chose it, reward."""
+    chose it, reward. The next situation is the next record's `s`, or for
+    the last step that of the run's last event."""
 
     step: int
     s: SituationKey
     a: str
     branch: str
     r: float
-    s_next: SituationKey
 
 
 @dataclass(frozen=True)

@@ -375,7 +375,7 @@ def gen_event(world: WorldModel, user_id: str, step: int, rng: random.Random) ->
         top_of_hour = timestamp - (timestamp % SECONDS_PER_HOUR)
         calendar = CalendarEntry("meeting", top_of_hour, top_of_hour + SECONDS_PER_HOUR)
 
-    return RawEvent(user_id, timestamp, (lat, lon), cognitive, calendar)
+    return RawEvent(timestamp, (lat, lon), cognitive, calendar)
 
 
 def reward(world: WorldModel, user_id: str, s: SituationKey, a: int,

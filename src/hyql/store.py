@@ -3,21 +3,36 @@
 The two histories are append-only in memory; the preference table holds
 one record per (user, situation, item), the latest, in the order each key
 first arrived. All three snapshot to tab-separated UTF-8 files in a run
-directory (history_actions.tsv, history_events.tsv, preferences.tsv); the
-experiment's scenario.json defines the users. Each file starts with a `#`
-header carrying the schema version and column names. This module is the
-only owner of their line formats and of the float format they share
-(`fmt_float`); every other module reads a run's action history, the trace,
-through `read_action_history`, and gets the preference table's exact text
-from `RunStore.preferences_text`.
+directory; the experiment's scenario.json defines the users. Each file
+starts with a `#` header carrying the schema version and column names,
+then holds one record to a line. Schema v2 states each fact once:
+
+- history_actions.tsv: `step, situation_key, action, branch, reward`, one
+  line per agent step, numbered from 0. The step's next situation s' is
+  the next line's situation_key; the last step's s' is the situation of
+  the last event.
+- history_events.tsv: `step, timestamp, lat, lon, cognitive_kind,
+  cognitive_item, calendar_label, calendar_start, calendar_end`, one line
+  per observed event, steps 0 to the run's step count; a step's event is
+  the one its situation aggregates. An empty item or calendar is absent.
+  Every event is the focal user's, whom scenario.json names as
+  `agent_user`, so no line names a user.
+- preferences.tsv: `user_id, situation_key, action, last_reward,
+  last_step`.
+
+This module is the only owner of these line formats and of the float
+format they share (`fmt_float`); every other module reads a run's action
+history, the trace, through `read_action_history`, its event log through
+`read_event_history`, and gets the preference table's exact text from
+`RunStore.preferences_text`.
 
 Snapshots are canonical: the same records always write the same bytes,
 and a trace read back and snapshotted again is byte-identical. A snapshot
 streams each file line by line through one buffered handle, so it never
 holds a whole file's text in memory. Reading is header- and field-checked:
-a malformed file raises StoreParseError with its path and line number,
-and no partial trace is returned. A trace holds exactly the run's steps,
-numbered from 0, one record to a line.
+a malformed file, or one written under another schema version, raises
+StoreParseError with its path and line number, and no partial history is
+returned. A run file is read as it is on disk, line endings included.
 """
 
 from __future__ import annotations
@@ -25,16 +40,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .context import RawEvent, SituationKey
+from .context import CalendarEntry, CognitiveAction, RawEvent, SituationKey
 from .qlearn import StepRecord
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _FILES = {
-    "actions": ("history_actions.tsv",
-                "step\tsituation_key\taction\tbranch\treward\tnext_situation_key"),
+    "actions": ("history_actions.tsv", "step\tsituation_key\taction\tbranch\treward"),
     "events": ("history_events.tsv",
-               "step\tuser_id\ttimestamp\tlat\tlon\tcognitive_kind\tcognitive_item"
+               "step\ttimestamp\tlat\tlon\tcognitive_kind\tcognitive_item"
                "\tcalendar_label\tcalendar_start\tcalendar_end"),
     "preferences": ("preferences.tsv",
                     "user_id\tsituation_key\taction\tlast_reward\tlast_step"),
@@ -121,18 +135,42 @@ def read_action_history(dirpath: str | Path, steps: int) -> list[StepRecord]:
     """The action history of one run of `steps` steps, header-, field- and
     order-checked.
 
-    Any error, from the field count, a field's parse, a reward outside
-    [0, 1], a record numbered other than its place in the trace or a trace
-    shorter or longer than `steps`, is raised as a StoreParseError naming
-    the file and line.
+    Any error, from the field count, a field's parse, a situation the
+    gazetteer or the cognitive kinds cannot hold, a reward outside [0, 1],
+    a record numbered other than its place in the trace or a trace shorter
+    or longer than `steps`, is raised as a StoreParseError naming the file
+    and line. Each situation is the shared key `context.situation` hands
+    out.
     """
-    filename, columns = _FILES["actions"]
+    return _read_history(dirpath, "actions", _checked_step, steps, "trace", "step")
+
+
+def read_event_history(dirpath: str | Path, steps: int) -> list[RawEvent]:
+    """The event log of one run of `steps` steps: the focal user's events at
+    steps 0 to `steps`, in order, the last one the last step's next event.
+
+    Checked as `read_action_history` checks a trace; an event that
+    `RawEvent`, `CognitiveAction` or `CalendarEntry` rejects, such as a
+    latitude outside [-90, 90] or a meeting that ends before it starts, is
+    a StoreParseError too.
+    """
+    return _read_history(dirpath, "events", _event_from_fields, steps + 1,
+                         "event log", "event")
+
+
+def _read_history(dirpath: str | Path, part: str, parse, count: int,
+                  name: str, unit: str) -> list:
+    """The `count` records of a history file, the record of line n + 2
+    numbered n: `parse` turns a line's fields into (step, record), or raises
+    ValueError. `name` and `unit` word the messages: "trace" and "step"."""
+    filename, columns = _FILES[part]
     n_fields = columns.count("\t") + 1
     path = Path(dirpath) / filename
     lines = read_run_file(path).splitlines()
-    if not lines or not lines[0].startswith(f"# hyql-store v{SCHEMA_VERSION} actions:"):
-        raise StoreParseError(path, 1, "missing or wrong schema header")
-    trace: list[StepRecord] = []
+    if not lines or lines[0] != _header(part):
+        raise StoreParseError(path, 1, f"missing or wrong schema header, "
+                                       f"expected v{SCHEMA_VERSION} {part}")
+    records = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -141,36 +179,39 @@ def read_action_history(dirpath: str | Path, steps: int) -> list[StepRecord]:
             raise StoreParseError(path, lineno,
                                   f"expected {n_fields} fields, got {len(fields)}")
         try:
-            record = _step_from_fields(fields)
-        except Exception as exc:
+            step, record = parse(fields)
+        except ValueError as exc:
             raise StoreParseError(path, lineno, str(exc)) from exc
-        if not 0.0 <= record.r <= 1.0:
-            raise StoreParseError(path, lineno, f"reward {record.r!r} outside [0, 1]")
-        if record.step != len(trace):
+        if step != len(records):
             raise StoreParseError(path, lineno,
-                                  f"step {record.step} where step {len(trace)} belongs")
-        if record.step == steps:
-            raise StoreParseError(path, lineno, f"more than the run's {steps} steps")
-        trace.append(record)
-    if len(trace) != steps:
+                                  f"step {step} where step {len(records)} belongs")
+        if step == count:
+            raise StoreParseError(path, lineno, f"more than the run's {count} {unit}s")
+        records.append(record)
+    if len(records) != count:
         raise StoreParseError(path, len(lines) + 1,
-                              f"trace ends after {len(trace)} of {steps} steps")
-    return trace
+                              f"{name} ends after {len(records)} of {count} {unit}s")
+    return records
 
 
 def read_run_file(path: Path) -> str:
-    """A run file's text; StoreParseError at line 0 unless it reads as UTF-8."""
+    """A run file's text, line endings as written; StoreParseError at line 0
+    unless it reads as UTF-8."""
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_bytes().decode("utf-8")
     except FileNotFoundError:
         raise StoreParseError(path, 0, "missing store file") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise StoreParseError(path, 0, f"unreadable store file: {exc}") from None
 
 
+def _header(part: str) -> str:
+    return f"# hyql-store v{SCHEMA_VERSION} {part}: {_FILES[part][1]}"
+
+
 def _file_lines(part: str, lines):
     """The header and then each line, newline-ended."""
-    yield f"# hyql-store v{SCHEMA_VERSION} {part}: {_FILES[part][1]}\n"
+    yield _header(part) + "\n"
     for line in lines:
         yield line + "\n"
 
@@ -183,20 +224,35 @@ def _write(directory: Path, part: str, lines) -> None:
 
 def _step_line(record: StepRecord) -> str:
     return "\t".join((str(record.step), record.s.canonical(), record.a,
-                      record.branch, fmt_float(record.r), record.s_next.canonical()))
+                      record.branch, fmt_float(record.r)))
 
 
 def _step_from_fields(fields: list[str]) -> StepRecord:
-    step, s, a, branch, r, s_next = fields
-    return StepRecord(int(step), SituationKey.from_canonical(s), a, branch,
-                      float(r), SituationKey.from_canonical(s_next))
+    step, s, a, branch, r = fields
+    return StepRecord(int(step), SituationKey.from_canonical(s), a, branch, float(r))
+
+
+def _checked_step(fields: list[str]) -> tuple[int, StepRecord]:
+    record = _step_from_fields(fields)
+    if not 0.0 <= record.r <= 1.0:
+        raise ValueError(f"reward {record.r!r} outside [0, 1]")
+    return record.step, record
 
 
 def _event_line(step: int, event: RawEvent) -> str:
     lat, lon = event.geo
-    label = event.calendar_entry.label if event.calendar_entry else ""
-    start = str(event.calendar_entry.start) if event.calendar_entry else ""
-    end = str(event.calendar_entry.end) if event.calendar_entry else ""
-    return "\t".join((str(step), event.user_id, str(event.timestamp),
-                      fmt_float(lat), fmt_float(lon), event.cognitive.kind,
-                      event.cognitive.item or "", label, start, end))
+    entry = event.calendar_entry
+    return "\t".join((str(step), str(event.timestamp), fmt_float(lat), fmt_float(lon),
+                      event.cognitive.kind, event.cognitive.item or "",
+                      entry.label if entry else "", str(entry.start) if entry else "",
+                      str(entry.end) if entry else ""))
+
+
+def _event_from_fields(fields: list[str]) -> tuple[int, RawEvent]:
+    """(step, event) of an event line: an empty item is none, and a line whose
+    three calendar fields are all empty has no calendar entry."""
+    step, timestamp, lat, lon, kind, item, label, start, end = fields
+    entry = (None if label == start == end == ""
+             else CalendarEntry(label, int(start), int(end)))
+    return int(step), RawEvent(int(timestamp), (float(lat), float(lon)),
+                               CognitiveAction(kind, item or None), entry)

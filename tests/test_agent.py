@@ -3,12 +3,13 @@ import random
 import pytest
 
 from hyql.agent import PARAMS, RETAIN_MIN_VISITS, VARIANTS, Agent, AgentConfig, hybrid_policy
-from hyql.bench import load_scenario
+from hyql.bench import load_scenario, run_trial
 from hyql.casebase import CaseBase
 from hyql.collab import TransactionStore
 from hyql.context import CONTEXT, CognitiveAction, RawEvent, SituationKey, TimeBucket
 from hyql.qlearn import ADVISE, CASE_BOOTSTRAPPED, EXPLOIT, RANDOM_FALLBACK, QTable
 from hyql.simenv import SimEnv, parse_scenario, world_from_scenario
+from hyql.store import read_action_history, read_event_history
 
 ITEMS = ("a0", "a1", "a2", "a3")
 
@@ -16,8 +17,8 @@ TUESDAY_9AM = 1 * 86_400 + 9 * 3_600
 OFFICE = (48.85, 2.32)
 
 
-def office_event(user="u00"):
-    return RawEvent(user, TUESDAY_9AM, OFFICE, CognitiveAction("Navigate"))
+def office_event():
+    return RawEvent(TUESDAY_9AM, OFFICE, CognitiveAction("Navigate"))
 
 
 class StubEnv:
@@ -247,3 +248,26 @@ class TestRunEpisode:
             if record.branch == CASE_BOOTSTRAPPED:
                 assert record.s not in seen
             seen.add(record.s)
+
+
+def test_each_update_learns_the_transition_the_run_files_state(tmp_path, monkeypatch):
+    """The trace no longer writes s': each Q update's next situation is the
+    next trace line's situation, and the last one is the situation of the
+    last logged event."""
+    updates = []
+    original = QTable.update
+
+    def spy(self, s, a, r, s_next, params):
+        updates.append((s, r, s_next))
+        return original(self, s, a, r, s_next, params)
+
+    monkeypatch.setattr(QTable, "update", spy)
+    scenario = parse_scenario(load_scenario("canonical"))
+    steps, run_dir = 300, tmp_path / "run"
+    run_trial(scenario, {"name": "HyQL", "variant": "HyQL"}, 1000, steps, run_dir)
+    trace = read_action_history(run_dir, steps)
+    last_event = read_event_history(run_dir, steps)[-1]
+    group = scenario.user(scenario.agent_user).social_group
+    assert [(s, r) for s, r, _ in updates] == [(record.s, record.r) for record in trace]
+    assert [s_next for _, _, s_next in updates] == \
+        [record.s for record in trace[1:]] + [CONTEXT.aggregate(last_event, group)]

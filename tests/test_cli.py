@@ -15,7 +15,8 @@ import hyql
 import hyql.bench
 from hyql.bench import NEVER, SPEC_KEYS, load_experiment_spec, load_scenario, parse_csv
 from hyql.cli import EXIT_CONFIG, EXIT_MISMATCH, EXIT_OK, main
-from hyql.store import fmt_float, read_action_history
+from hyql.context import CONTEXT
+from hyql.store import fmt_float, read_action_history, read_event_history
 
 BASE_SPEC = {"scenario": "canonical", "trials": 1, "steps": 60,
              "variants": [{"name": "HyQL", "variant": "HyQL"}]}
@@ -123,6 +124,92 @@ class TestVerify:
         assert main(["verify", str(run_copy)]) == EXIT_MISMATCH
         assert f"{path}:2: reward 2.0 outside [0, 1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["metrics.csv", "runs/HyQL/1000/preferences.tsv"])
+    def test_crlf_line_endings_are_a_mismatch(self, run_copy, capsys, name):
+        path = run_copy / name
+        first = path.read_text(encoding="utf-8").splitlines(keepends=True)[0]
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert main(["verify", str(run_copy)]) == EXIT_MISMATCH
+        crlf = first.replace("\n", "\r\n")
+        assert (f"line 1: recorded {crlf!r} != recomputed {first!r}" if name == "metrics.csv"
+                else f"{path}:1: file has {crlf!r}, its trace gives {first!r}") \
+            in capsys.readouterr().err
+
+    def test_a_run_written_under_schema_v1_exits_3(self, run_copy, capsys):
+        """The three files as the v1 writer wrote them: each header at v1, the
+        trace with its next situation and each event with its user."""
+        run_dir = run_copy / "runs" / "HyQL" / "1000"
+        trace, events = read_action_history(run_dir, 60), read_event_history(run_dir, 60)
+        following = [r.s for r in trace[1:]] + [CONTEXT.aggregate(events[-1], "g0")]
+        actions = run_dir / "history_actions.tsv"
+        lines = actions.read_text(encoding="utf-8").splitlines()
+        actions.write_text("".join(
+            ["# hyql-store v1 actions: step\tsituation_key\taction\tbranch\treward"
+             "\tnext_situation_key\n"]
+            + [f"{line}\t{s.canonical()}\n" for line, s in zip(lines[1:], following)]),
+            encoding="utf-8")
+        path = run_dir / "history_events.tsv"
+        header, *lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("".join(
+            [header.replace("v2 events: step\t", "v1 events: step\tuser_id\t") + "\n"]
+            + [line.replace("\t", f"\t{FOCAL}\t", 1) + "\n" for line in lines]),
+            encoding="utf-8")
+        path = run_dir / "preferences.tsv"
+        path.write_text(path.read_text(encoding="utf-8").replace("v2", "v1", 1),
+                        encoding="utf-8")
+        assert main(["verify", str(run_copy)]) == EXIT_MISMATCH
+        assert f"{actions}:1: missing or wrong schema header" in capsys.readouterr().err
+
+    def test_a_trace_situation_swapped_for_another_valid_key_is_a_mismatch(
+            self, run_copy, capsys):
+        path = run_copy / "runs" / "HyQL" / "1000" / "history_actions.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        first = lines[1].split("\t")
+        place = first[1].split("|")[1]
+        # a key at the same place, so a check of the place alone passes it
+        other = next(line.split("\t")[1] for line in lines[2:]
+                     if line.split("\t")[1] != first[1]
+                     and line.split("\t")[1].split("|")[1] == place)
+        lines[1] = "\t".join([first[0], other] + first[2:])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["verify", str(run_copy)]) == EXIT_MISMATCH
+        assert f"{path}:2: situation {other!r}, its event gives {first[1]!r}" \
+            in capsys.readouterr().err
+
+    def test_an_event_moved_to_another_place_is_a_mismatch(self, run_copy, capsys):
+        run_dir = run_copy / "runs" / "HyQL" / "1000"
+        path = run_dir / "history_events.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        fields = lines[1].split("\t")  # step 0
+        here = CONTEXT.abstract_location(float(fields[2]), float(fields[3])).name
+        elsewhere = CONTEXT.nodes["Home" if here != "Home" else "Office"]
+        fields[2:4] = (fmt_float((elsewhere.lat_min + elsewhere.lat_max) / 2),
+                       fmt_float((elsewhere.lon_min + elsewhere.lon_max) / 2))
+        lines[1] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["verify", str(run_copy)]) == EXIT_MISMATCH
+        assert f"{run_dir / 'history_actions.tsv'}:2: situation " in capsys.readouterr().err
+
+    def test_an_event_log_missing_its_last_line_is_a_mismatch(self, run_copy, capsys):
+        path = run_copy / "runs" / "HyQL" / "1000" / "history_events.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines()[:-1]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["verify", str(run_copy)]) == EXIT_MISMATCH
+        assert f"{path}:{len(lines) + 1}: event log ends after 60 of 61 events" \
+            in capsys.readouterr().err
+
+    def test_a_trace_naming_a_place_the_gazetteer_lacks_exits_3(self, run_copy, capsys):
+        path = run_copy / "runs" / "HyQL" / "1000" / "history_actions.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        fields = lines[1].split("\t")
+        key = fields[1].split("|")
+        key[1] = "Mars"
+        fields[1] = "|".join(key)
+        lines[1] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["verify", str(run_copy)]) == EXIT_MISMATCH
+        assert f"{path}:2: unknown place 'Mars'" in capsys.readouterr().err
+
     def test_spec_with_an_extra_key_exits_2(self, run_copy):
         path = run_copy / "spec.json"
         spec = dict(json.loads(path.read_text(encoding="utf-8")), metrics=["CumulativeReward"])
@@ -134,6 +221,19 @@ def test_written_spec_loads_back_equal(finished_run, tmp_path):
     written = finished_run / "spec.json"
     assert set(json.loads(written.read_text(encoding="utf-8"))) == SPEC_KEYS
     assert load_experiment_spec(written) == load_experiment_spec(write_spec(tmp_path))
+
+
+def test_a_canonical_run_writes_at_most_145_bytes_per_step(tmp_path):
+    """Each fact once: a trace line states no next situation and an event
+    line no user. Schema v1 wrote 192 B per step on this 200-step run of all
+    five variants, v2 writes 143.3 (the configs, metrics and preference
+    tables included, which weigh more on a short run)."""
+    variants = [{"name": v, "variant": v} for v in hyql.agent.VARIANTS]
+    out = tmp_path / "out"
+    assert main(["run", str(write_spec(tmp_path, steps=200, variants=variants)),
+                 "--out", str(out)]) == EXIT_OK
+    written = sum(path.stat().st_size for path in out.rglob("*") if path.is_file())
+    assert written / (200 * len(variants)) <= 145
 
 
 class TestReport:
@@ -614,10 +714,11 @@ def tiny_run(tmp_path_factory):
     return root / "out"
 
 
-# one trace and one preference table stand for all four: they share a format
-# and a reader or a checker
+# one trace, one event log and one preference table stand for all four: they
+# share a format and a reader or a checker
 RUN_FILES = ["metrics.csv", "spec.json", "scenario.json",
-             "runs/HyQL/1001/history_actions.tsv", "runs/HyQL/1001/preferences.tsv"]
+             "runs/HyQL/1001/history_actions.tsv", "runs/HyQL/1001/history_events.tsv",
+             "runs/HyQL/1001/preferences.tsv"]
 
 # a JSON token: a string, a number, true, false or null
 JSON_TOKEN = re.compile(r'"[^"]*"|-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|true|false|null')

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hyql
-
+import hyql.context as context_module
 from hyql.context import (CALENDAR_STATES, COGNITIVE_KINDS, CONTEXT, DAY_CLASSES,
                           HOUR_RANGES, PARTS_OF_DAY, CalendarEntry, CognitiveAction,
                           ContextModel, PlaceNode, RawEvent, SituationKey, TimeBucket,
@@ -193,7 +193,7 @@ class TestGazetteer:
 
 
 def office_event(timestamp=ts(TUESDAY, 9), cognitive="Navigate"):
-    return RawEvent("u00", timestamp, (48.85, 2.32), CognitiveAction(cognitive))
+    return RawEvent(timestamp, (48.85, 2.32), CognitiveAction(cognitive))
 
 
 class TestAggregate:
@@ -223,7 +223,7 @@ class TestAggregate:
         events = []
         for _ in range(200):
             geo = places[rng.randrange(len(places))]
-            events.append(RawEvent("u00", rng.randrange(0, 10**7), geo,
+            events.append(RawEvent(rng.randrange(0, 10**7), geo,
                                    CognitiveAction("Navigate")))
         for k in range(CONTEXT.depth):
             seen = {}
@@ -250,7 +250,7 @@ class TestEnumerateGranularities:
     def test_unknown_place_deduplicates(self):
         # a point no city contains is known only as the root, whose chain
         # ends at once, so it clamps at level 0: every level is one key
-        event = RawEvent("u00", ts(TUESDAY, 9), (0.0, 0.0), CognitiveAction("Call"))
+        event = RawEvent(ts(TUESDAY, 9), (0.0, 0.0), CognitiveAction("Call"))
         keys = every_level(event)
         assert set(keys) == {keys[0]}
         assert keys[0].place == "Anywhere" and keys[0].granularity == 0
@@ -306,6 +306,30 @@ class TestSituationKey:
         assert CONTEXT.generalize(outside, 0) is a
         assert CONTEXT.generalize(outside, 1) is lifted
 
+    def test_a_parsed_key_is_the_shared_one_of_every_key_of_a_canonical_run(self):
+        from hyql.bench import load_scenario, run_trial
+        from hyql.simenv import parse_scenario
+        trace = run_trial(parse_scenario(load_scenario("canonical")),
+                          {"name": "HyQL", "variant": "HyQL"}, 1000, 200).trace
+        keys = {CONTEXT.generalize(record.s, level) for record in trace
+                for level in range(CONTEXT.depth + 1)}
+        assert len(keys) > 6
+        for key in keys:
+            assert SituationKey.from_canonical(key.canonical()) is key
+
+    @pytest.mark.parametrize("text, message", [
+        ("Morning-Weekday-Free|Mars|g0|Navigate|0", "unknown place 'Mars'"),
+        ("Morning-Weekday-Free|Office|g0|Dance|0", "bad cognitive kind: 'Dance'"),
+        ("Morning-Weekday-Free|Office|g0|Navigate|x", "invalid literal"),
+        ("Dawn-Weekday-Free|Office|g0|Navigate|0", "bad part_of_day"),
+    ])
+    def test_a_parsed_key_the_context_cannot_hold_is_rejected_before_interning(
+            self, text, message):
+        interned = len(context_module._KEYS)
+        with pytest.raises(ValueError, match=message):
+            SituationKey.from_canonical(text)
+        assert len(context_module._KEYS) == interned
+
     def test_pickled_key_hashes_where_it_is_loaded(self):
         # another interpreter hashes strings with another seed
         hash_seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
@@ -334,13 +358,13 @@ class TestRawEvent:
     def test_needs_some_payload(self):
         # a position and a cognitive action are required; the calendar is not
         with pytest.raises(TypeError):
-            RawEvent("u00", 0)
+            RawEvent(0)
         with pytest.raises(TypeError):
-            RawEvent("u00", 0, (48.85, 2.32))
-        assert RawEvent("u00", 0, (48.85, 2.32), CognitiveAction("Call")).calendar_entry is None
+            RawEvent(0, (48.85, 2.32))
+        assert RawEvent(0, (48.85, 2.32), CognitiveAction("Call")).calendar_entry is None
 
     def test_coordinate_ranges(self):
         with pytest.raises(ValueError):
-            RawEvent("u00", 0, (95.0, 0.0), CognitiveAction("Call"))
+            RawEvent(0, (95.0, 0.0), CognitiveAction("Call"))
         with pytest.raises(ValueError):
-            RawEvent("u00", 0, (0.0, -190.0), CognitiveAction("Call"))
+            RawEvent(0, (0.0, -190.0), CognitiveAction("Call"))

@@ -25,7 +25,8 @@ The wide and the tiny run, too, must write their pinned bytes under
 `--parallel 2` and under both PYTHONHASHSEED values.
 
 Re-bless these hashes only in a change whose stated purpose is a behaviour
-change, and say so in CHANGES.md; a refactor or a speed-up must keep them.
+or output-format change, and say so in CHANGES.md; a refactor or a speed-up
+must keep them. Every metrics.csv hash has held since it was pinned.
 """
 
 import hashlib
@@ -53,35 +54,35 @@ GOLDEN = {
     "metrics.csv":
         "eb12935a7166338ccc014b7d727a874f714772f549b226fbd6386617e697d904",
     "runs/CBRQ/1000/history_actions.tsv":
-        "606ee7ab71ae3fe9420212871a16136eea67e1bc5832b5b62cb3f9f671ba1838",
+        "2214e2e011bf8c1e318639a08c61d7b62920c80ed7672ff2838c2be7e7d26bd0",
     "runs/CBRQ/1000/history_events.tsv":
-        "5b267d20c1c974d56f74d77241dda7ef38b0255cc42dbe498f4b52e8b0e53e1c",
+        "9e4a38c7c58b2ef77239d9fda07d041474fc6a29f39975f00864b37c7bad3ce4",
     "runs/CBRQ/1000/preferences.tsv":
-        "44f9472a6aaf35577f219f3c42b7419c1b76729805470577d56bcafd1179d8d8",
+        "0e2f24a8854277562099c81c32d0b0f31dc23e70fb9c2d2c7659842225a603dd",
     "runs/CFOnly/1000/history_actions.tsv":
-        "120a4ec335b2e32f4477375ae8665ca5af092ea4288c433acea1865590c62ddf",
+        "6ccc34cdf493e440775d126479b1049fc5725f8cc99fbec748eb1d359767a5d2",
     "runs/CFOnly/1000/history_events.tsv":
-        "5b267d20c1c974d56f74d77241dda7ef38b0255cc42dbe498f4b52e8b0e53e1c",
+        "9e4a38c7c58b2ef77239d9fda07d041474fc6a29f39975f00864b37c7bad3ce4",
     "runs/CFOnly/1000/preferences.tsv":
-        "4f68c288f8d3e73103d3c201e33bb411c27b390feca98fa58f23236036873f3d",
+        "49eae3ee93361a032eb09020341900451bc9d28ac327688cb903efd0ba26c03a",
     "runs/EpsilonGreedyQ/1000/history_actions.tsv":
-        "606ee7ab71ae3fe9420212871a16136eea67e1bc5832b5b62cb3f9f671ba1838",
+        "2214e2e011bf8c1e318639a08c61d7b62920c80ed7672ff2838c2be7e7d26bd0",
     "runs/EpsilonGreedyQ/1000/history_events.tsv":
-        "5b267d20c1c974d56f74d77241dda7ef38b0255cc42dbe498f4b52e8b0e53e1c",
+        "9e4a38c7c58b2ef77239d9fda07d041474fc6a29f39975f00864b37c7bad3ce4",
     "runs/EpsilonGreedyQ/1000/preferences.tsv":
-        "44f9472a6aaf35577f219f3c42b7419c1b76729805470577d56bcafd1179d8d8",
+        "0e2f24a8854277562099c81c32d0b0f31dc23e70fb9c2d2c7659842225a603dd",
     "runs/GreedyQ/1000/history_actions.tsv":
-        "03a908edbc913d9d75633212dc02e38fa5b2c00b296144707337fa0c4ff8d5e6",
+        "247ee8e95edc6cd42dad5d2cc983ad643997777847728e471f0a442008c9b1da",
     "runs/GreedyQ/1000/history_events.tsv":
-        "5b267d20c1c974d56f74d77241dda7ef38b0255cc42dbe498f4b52e8b0e53e1c",
+        "9e4a38c7c58b2ef77239d9fda07d041474fc6a29f39975f00864b37c7bad3ce4",
     "runs/GreedyQ/1000/preferences.tsv":
-        "c0c6aa6cbec84fd7b5bceade33be31e2cbf3ada6e8ce258c0d315f9ae05e5f8f",
+        "851333d69545208d05fd9160c7035f0ebeb0b8d83700976473929bbab6d46921",
     "runs/HyQL/1000/history_actions.tsv":
-        "db8c77462dc71130cd45151ef48efaa35f96abd00c82ff615067ab7d4a13f2c9",
+        "7784d4c41d447fb99597611e7b5c82b58d0914c7214afe7d3428c6529a5cae12",
     "runs/HyQL/1000/history_events.tsv":
-        "5b267d20c1c974d56f74d77241dda7ef38b0255cc42dbe498f4b52e8b0e53e1c",
+        "9e4a38c7c58b2ef77239d9fda07d041474fc6a29f39975f00864b37c7bad3ce4",
     "runs/HyQL/1000/preferences.tsv":
-        "d58d0525c239548e2d10aa119a75f7a462ca5af1fd6e19dec38f651af6f5596c",
+        "8d34be2d1f4c056a99927deb2186c506e5703a92ea9f78b606db6ebbdd1ba71b",
 }
 
 
@@ -155,7 +156,7 @@ def _preference_lines(run_dir, focal):
     """preferences.tsv's rows, each as (situation, item, reward, step); every
     row is the focal user's."""
     lines = (run_dir / "preferences.tsv").read_text(encoding="utf-8").splitlines()
-    assert lines[0] == ("# hyql-store v1 preferences: "
+    assert lines[0] == ("# hyql-store v2 preferences: "
                         "user_id\tsituation_key\taction\tlast_reward\tlast_step")
     rows = [line.split("\t") for line in lines[1:]]
     assert {user for user, *_ in rows} <= {focal}
@@ -207,17 +208,17 @@ WIDE_GOLDEN = {
     "metrics.csv":
         "2a2d1c888e899de35c49ca541d16b9dd2c034195fd4848076922d7b008a9b980",
     "runs/CFOnly/1000/history_actions.tsv":
-        "210cba602eb7c6eed794641f3f4001c8cfa6cc90fe0d46544a72b6ce75a2ed70",
+        "f666a3b3d740305d4a6cdbcf9ab668b7bd69c24f7f6c806a343fe51cf15e9a1b",
     "runs/CFOnly/1000/history_events.tsv":
-        "77171ab8358f5b12d40b105b416e69dc69856b82666ee6694377eb06bd0ebfaf",
+        "739abe9931d3d17b1254c81174a8987f0fe5fc0d01f4305971b0d4a30e3c46c8",
     "runs/CFOnly/1000/preferences.tsv":
-        "244e526b4bb3831cad912754b3de341f937230d248fb2acd9a56c0f40d271a35",
+        "8367a3a37436e5a1dec9efa2ad0376a625ca814d9a43ae863fdacf2c2bfcce02",
     "runs/HyQL/1000/history_actions.tsv":
-        "91cde65f0d26b70060170239f2e45fd70fd0d486e5f4e4d90d4f3eff3f95b675",
+        "0724316cfc166d98651f7fc9a1ffc4b46a547ab58eb5aaa07607023a4717a83f",
     "runs/HyQL/1000/history_events.tsv":
-        "77171ab8358f5b12d40b105b416e69dc69856b82666ee6694377eb06bd0ebfaf",
+        "739abe9931d3d17b1254c81174a8987f0fe5fc0d01f4305971b0d4a30e3c46c8",
     "runs/HyQL/1000/preferences.tsv":
-        "01e953c71783cf46e41c9da9f3a1e656552194995ebcab6ffaf0daf683152874",
+        "d9dce808f91d3cb0557edc098798e85f25e5570109bf7f10ba92e4dd6a16a78b",
 }
 
 
@@ -263,35 +264,35 @@ TINY_GOLDEN = {
     "metrics.csv":
         "92e10292d9be717da32bbd21de68b132aa92bb097b6f41bd64e97561f76c32cd",
     "runs/CBRQ/7/history_actions.tsv":
-        "e0f7e44edbf4fd263b6dd67c547dfa5626327b22efe2f1a901fa69f1fab2edb1",
+        "a7a47e4fca2a961f414c24d4fc3da65289cd4a55ecdb705c2b4869d959cc0cf2",
     "runs/CBRQ/7/history_events.tsv":
-        "efc2ce46d0e0af8b223f35defd73f4dd0f6d87e5d920eb8503eab843c4251cf5",
+        "1dc465cb20d95325ac0568db9bcb3f9269bab90d670f67e7d589877468893aa4",
     "runs/CBRQ/7/preferences.tsv":
-        "c64fba005d30170810ec7ceed7180154d387cbcd47bb354e4026eaaf228aa0e1",
+        "bab626a1c62db44794735a40018178b0c27eb43a9a2d292460a99f545300bf6c",
     "runs/CFOnly/7/history_actions.tsv":
-        "6846b38cc54694676f5c02e7e7dab53b4984891582424342f0c283b0bd5a3891",
+        "47cb3fd4877065fdb85b0ab5101552a89b415896d6cb8897518d41a33826400d",
     "runs/CFOnly/7/history_events.tsv":
-        "efc2ce46d0e0af8b223f35defd73f4dd0f6d87e5d920eb8503eab843c4251cf5",
+        "1dc465cb20d95325ac0568db9bcb3f9269bab90d670f67e7d589877468893aa4",
     "runs/CFOnly/7/preferences.tsv":
-        "dfa1e5a9b20588501a9a67eccbc879f59d7ffb3f1f0a58c18baafe5e40c97387",
+        "4e998b87518cfff5aab069fe07d49cb69ced84ac4968997edca84191d7e49462",
     "runs/EpsilonGreedyQ/7/history_actions.tsv":
-        "4c6146513488711e84dfbe0c03713a63e90d3a55444332d5c4d4173b586111c1",
+        "f9d7743c666a0bd0aef0bc98faf42d57efa25f3094864d0884cb49e5402fef57",
     "runs/EpsilonGreedyQ/7/history_events.tsv":
-        "efc2ce46d0e0af8b223f35defd73f4dd0f6d87e5d920eb8503eab843c4251cf5",
+        "1dc465cb20d95325ac0568db9bcb3f9269bab90d670f67e7d589877468893aa4",
     "runs/EpsilonGreedyQ/7/preferences.tsv":
-        "c64fba005d30170810ec7ceed7180154d387cbcd47bb354e4026eaaf228aa0e1",
+        "bab626a1c62db44794735a40018178b0c27eb43a9a2d292460a99f545300bf6c",
     "runs/GreedyQ/7/history_actions.tsv":
-        "11830eb52e4117719d83177152bd59f91ab86b79d3c42ae057418eb7d1a45187",
+        "4f294cfa85a69fd32b7b4191e57929a9ae62fd88ceda4bf94789299179c45b91",
     "runs/GreedyQ/7/history_events.tsv":
-        "efc2ce46d0e0af8b223f35defd73f4dd0f6d87e5d920eb8503eab843c4251cf5",
+        "1dc465cb20d95325ac0568db9bcb3f9269bab90d670f67e7d589877468893aa4",
     "runs/GreedyQ/7/preferences.tsv":
-        "a4bc422bf0753734da26b18abc244f8a74f238c87e3ca14f1ed7384676008f93",
+        "99a94a29a2d3919c2d9ada0efba0bcf2e6f3c6984b29930a0e2a602c2b26c725",
     "runs/HyQL/7/history_actions.tsv":
-        "8fed8b327e86ff5d1411bbc519d1855f1ab6090d52bbe3746001224a245f969a",
+        "83b0835e6b77ce3745579b616b3d316951a6736603d87fc9f3fe24307e6649b7",
     "runs/HyQL/7/history_events.tsv":
-        "efc2ce46d0e0af8b223f35defd73f4dd0f6d87e5d920eb8503eab843c4251cf5",
+        "1dc465cb20d95325ac0568db9bcb3f9269bab90d670f67e7d589877468893aa4",
     "runs/HyQL/7/preferences.tsv":
-        "726c62b6b39b524fc1ac02a7d8daed13875a2b52e4d799e167d329445fbd36ac",
+        "c7f34378eff98e9d05bcc30bcfb4c3ea67f12ff58d911ff909f51cb24919bb8d",
 }
 
 

@@ -1,4 +1,6 @@
 import pickle
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,8 +11,8 @@ from hyql.context import (CALENDAR_STATES, COGNITIVE_KINDS, DAY_CLASSES, PARTS_O
 from hyql.qlearn import (ADVISE, CASE_BOOTSTRAPPED, EXPLOIT, RANDOM_FALLBACK,
                          StepRecord)
 from hyql.store import (OrderingError, PreferenceRecord, RunStore,
-                        StoreParseError, _step_from_fields, _step_line,
-                        read_action_history)
+                        StoreParseError, _event_line, _step_from_fields, _step_line,
+                        read_action_history, read_event_history)
 
 
 def skey(place="Office"):
@@ -19,18 +21,18 @@ def skey(place="Office"):
 
 
 def step_record(step, reward=1.0):
-    return StepRecord(step, skey(), "doc00", "Exploit", reward, skey("Home"))
+    return StepRecord(step, skey(), "doc00", "Exploit", reward)
 
 
-def sample_event(user="u00", timestamp=9 * 3600):
-    return RawEvent(user, timestamp, (48.85, 2.32), CognitiveAction("Navigate", "doc03"),
+def sample_event(timestamp=9 * 3600):
+    return RawEvent(timestamp, (48.85, 2.32), CognitiveAction("Navigate", "doc03"),
                     CalendarEntry("sync", timestamp - 60, timestamp + 60))
 
 
 def populated_store():
     store = RunStore()
     store.append_event_history(sample_event(), 0)
-    store.append_event_history(RawEvent("u01", 7200, (48.87, 2.35), CognitiveAction("Call")), 1)
+    store.append_event_history(RawEvent(7200, (48.87, 2.35), CognitiveAction("Call")), 1)
     for step in range(3):
         store.append_action_history(step_record(step, reward=float(step % 2)))
         store.upsert_preferences(PreferenceRecord("u00", skey(), "doc00",
@@ -71,8 +73,7 @@ class TestEventHistory:
     def test_thousand_appends_order_preserved(self):
         store = RunStore()
         for i in range(1000):
-            store.append_event_history(RawEvent("u00", i, (48.87, 2.35),
-                                                CognitiveAction("Call")), i)
+            store.append_event_history(RawEvent(i, (48.87, 2.35), CognitiveAction("Call")), i)
         assert len(store.event_history) == 1000
         assert [s for s, _ in store.event_history] == list(range(1000))
 
@@ -91,7 +92,7 @@ class TestPreferences:
         store.upsert_preferences(PreferenceRecord("u00", skey(), "doc00", 0.0, 2))
         store.snapshot(tmp_path)
         assert (tmp_path / "preferences.tsv").read_text(encoding="utf-8").splitlines() == [
-            "# hyql-store v1 preferences: user_id\tsituation_key\taction"
+            "# hyql-store v2 preferences: user_id\tsituation_key\taction"
             "\tlast_reward\tlast_step",
             f"u00\t{skey().canonical()}\tdoc00\t0\t2",
             f"u00\t{skey('Home').canonical()}\tdoc00\t1\t1"]
@@ -136,7 +137,7 @@ class TestSnapshotLoad:
                                            "preferences.tsv"]
         for path in files:
             header, rest = path.read_bytes().split(b"\n", 1)
-            assert header.startswith(b"# hyql-store v1 ")
+            assert header.startswith(b"# hyql-store v2 ")
             assert rest == b""
 
     def test_populated_round_trip_byte_identical(self, tmp_path):
@@ -211,7 +212,7 @@ class TestStepRecord:
     def test_line_round_trip(self, tmp_path):
         s = SituationKey(TimeBucket("Morning", "Weekday", "Free"), "Office",
                          "g0", "Navigate", 0)
-        record = StepRecord(0, s, "a1", EXPLOIT, 1 / 3, skey("Home"))
+        record = StepRecord(0, s, "a1", EXPLOIT, 1 / 3)
         store = RunStore()
         store.append_action_history(record)
         store.snapshot(tmp_path)
@@ -232,12 +233,100 @@ situation_keys = st.builds(
     StepRecord, st.integers(0, 10**9), situation_keys,
     st.integers(0, 999).map("doc{:02d}".format),
     st.sampled_from([EXPLOIT, ADVISE, RANDOM_FALLBACK, CASE_BOOTSTRAPPED]),
-    st.floats(allow_nan=False), situation_keys))
+    st.floats(allow_nan=False)))
 def test_step_line_round_trips_for_any_record(record):
     line = _step_line(record)
     back = _step_from_fields(line.split("\t"))
     assert back == record
     assert _step_line(back) == line  # the reward's sign and bits too
+
+
+def event_store(events):
+    store = RunStore()
+    for step, event in enumerate(events):
+        store.append_event_history(event, step)
+    return store
+
+
+class TestReadEventHistory:
+    def test_snapshot_then_read_gives_the_events_back(self, tmp_path):
+        events = [sample_event(), RawEvent(7200, (48.87, 2.35), CognitiveAction("Call"))]
+        event_store(events).snapshot(tmp_path)
+        assert read_event_history(tmp_path, 1) == events
+
+    def test_the_lines_are_the_event_columns_without_a_user(self, tmp_path):
+        event_store([sample_event()]).snapshot(tmp_path)
+        assert (tmp_path / "history_events.tsv").read_text(encoding="utf-8").splitlines() == [
+            "# hyql-store v2 events: step\ttimestamp\tlat\tlon\tcognitive_kind"
+            "\tcognitive_item\tcalendar_label\tcalendar_start\tcalendar_end",
+            "0\t32400\t48.850000000000001\t2.3199999999999998\tNavigate\tdoc03"
+            "\tsync\t32340\t32460"]
+
+    def test_a_v1_header_is_rejected(self, tmp_path):
+        event_store([sample_event()]).snapshot(tmp_path)
+        path = tmp_path / "history_events.tsv"
+        path.write_text(path.read_text().replace("# hyql-store v2", "# hyql-store v1"))
+        with pytest.raises(StoreParseError) as info:
+            read_event_history(tmp_path, 0)
+        assert str(info.value).startswith(f"{path}:1: missing or wrong schema header")
+
+    @pytest.mark.parametrize("steps, message", [
+        (2, "event log ends after 2 of 3 events"),
+        (0, "more than the run's 1 events")])
+    def test_the_log_holds_exactly_one_event_more_than_the_steps(
+            self, tmp_path, steps, message):
+        event_store([sample_event(), sample_event()]).snapshot(tmp_path)
+        with pytest.raises(StoreParseError, match=message):
+            read_event_history(tmp_path, steps)
+
+    @pytest.mark.parametrize("index, value, message", [
+        (0, "1", "step 1 where step 0 belongs"),
+        (1, "-5", "timestamp must be >= 0"),
+        (2, "90.5", "latitude out of range"),
+        (3, "nan", "longitude out of range"),
+        (4, "Dance", "bad cognitive kind"),
+        (7, "", "invalid literal for int"),
+        (8, "0", "calendar entry ends before it starts"),
+    ])
+    def test_a_bad_field_is_a_parse_error_naming_the_line(self, tmp_path, index, value,
+                                                          message):
+        event_store([sample_event()]).snapshot(tmp_path)
+        path = tmp_path / "history_events.tsv"
+        header, line = path.read_text().splitlines()
+        fields = line.split("\t")
+        fields[index] = value
+        path.write_text(f"{header}\n" + "\t".join(fields) + "\n")
+        with pytest.raises(StoreParseError, match=message) as info:
+            read_event_history(tmp_path, 0)
+        assert str(info.value).startswith(f"{path}:2: ")
+
+
+# every float the line format must carry bit for bit: the range ends, the
+# smallest subnormal, and values whose shortest repr needs 17 digits
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 0.1 + 0.2,
+               48.850000000000001, 1 / 3]
+latitudes = st.floats(-90.0, 90.0) | st.sampled_from([90.0, -90.0] + EDGE_FLOATS)
+longitudes = st.floats(-180.0, 180.0) | st.sampled_from([180.0, -180.0] + EDGE_FLOATS)
+cognitive_actions = (st.builds(CognitiveAction, st.sampled_from(COGNITIVE_KINDS))
+                     | st.builds(CognitiveAction, st.just("Navigate"),
+                                 st.integers(0, 999).map("doc{:02d}".format)))
+meetings = st.none() | st.integers(0, 10**9).flatmap(lambda start: st.builds(
+    CalendarEntry, st.sampled_from(["meeting", "sync", ""]), st.just(start),
+    st.integers(start, start + 10**6)))
+raw_events = st.builds(RawEvent, st.integers(0, 10**12), st.tuples(latitudes, longitudes),
+                       cognitive_actions, meetings)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(events=st.lists(raw_events, min_size=1, max_size=5))
+def test_event_lines_read_back_as_equal_events(events):
+    with tempfile.TemporaryDirectory() as tmp:
+        event_store(events).snapshot(tmp)
+        back = read_event_history(tmp, len(events) - 1)
+        text = (Path(tmp) / "history_events.tsv").read_text(encoding="utf-8")
+    assert back == events
+    assert text.splitlines()[1:] == [_event_line(step, event)
+                                     for step, event in enumerate(back)]
 
 
 @pytest.mark.parametrize("record", [
