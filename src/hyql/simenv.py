@@ -30,12 +30,37 @@ events never depend on the agent's actions, so all agent variants sharing
 a seed consume the identical event stream (paired-seed contract). The
 per-step acceptance draw is taken once per step whatever the action, so
 paired variants also share their luck.
+
+The background stream: every user but the focal one writes transactions
+into the CF store, `warm_start_events` of them before step 0 and
+`background_rate` after each step, which keeps collaborative advice fresh
+after a drift. Each transaction takes four draws from `background_rng`, in
+this order: the user, uniform over the background users; one of its
+habits, by weight; the item, uniform over the catalog; and the acceptance,
+a `random()` draw below the user's probability for that item in that
+habit's situation. The stream reads neither the agent's action nor any
+other stream, so it writes the same transactions whatever the agent does.
+`SimEnv.background_burst` draws them in one loop:
+- A user or an item is CPython's own `randrange(n)`, spelt inline:
+  `getrandbits(n.bit_length())`, drawn again while it is n or more. That is
+  the algorithm `Random.randrange` runs for one positive argument, and a
+  test pins the two against each other, state included.
+- A habit is the first whose running weight sum exceeds a `random()` draw,
+  or the last habit when none does (the sums may end just short of 1).
+  The sums are added once, in routine order, as a `u < acc` loop adds
+  them, and never decrease, since no weight is negative; so `bisect_right`
+  over the sums of every habit but the last (`UserProfile.bounds`) returns
+  exactly the loop's index, the last habit included. `gen_event` draws its
+  habit the same way.
+- A `SimEnv` looks up each background user's relevance rows once. Drift
+  swaps values inside those same arrays, so a held row is always current.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -80,9 +105,13 @@ class Habit:
 
 @dataclass(frozen=True)
 class UserProfile:
+    """A user, its group and the group's routine. `bounds` holds the running
+    weight sums of every habit but the last, which `_habit_index` bisects."""
+
     user_id: str
     social_group: str
     routine: tuple[Habit, ...]
+    bounds: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -231,6 +260,17 @@ def _routine(entries, group: str) -> tuple[Habit, ...]:
     return routine
 
 
+def _habit_bounds(routine: Sequence[Habit]) -> tuple[float, ...]:
+    """The running sums `acc += weight` of every habit's weight but the last,
+    as a loop over the routine adds them up."""
+    acc = 0.0
+    bounds = []
+    for habit in routine[:-1]:
+        acc += habit.weight
+        bounds.append(acc)
+    return tuple(bounds)
+
+
 def _habit(entry, group: str) -> Habit:
     """A habit the simulator can realize: `gen_event` draws a point inside its
     place's region, which reverse-geocodes back to that place only for a leaf."""
@@ -289,8 +329,10 @@ def parse_scenario(raw: dict) -> Scenario:
     if n_users * n_items * longest > MAX_RELEVANCE_VALUES:
         raise ValueError(f"users x items x the longest routine must be at most "
                          f"{MAX_RELEVANCE_VALUES}, got {n_users} x {n_items} x {longest}")
-    users = tuple(UserProfile(f"u{i:02d}", groups[i % n_groups], routines[groups[i % n_groups]])
-                  for i in range(n_users))
+    bounds = {group: _habit_bounds(routine) for group, routine in routines.items()}
+    member_of = [groups[i % n_groups] for i in range(n_users)]
+    users = tuple(UserProfile(f"u{i:02d}", group, routines[group], bounds[group])
+                  for i, group in enumerate(member_of))
     if raw["agent_user"] not in [u.user_id for u in users]:
         raise ValueError(f"agent_user {raw['agent_user']!r} is not one of the "
                          f"scenario's {len(users)} users")
@@ -324,15 +366,11 @@ def world_from_scenario(scenario: Scenario, seed: int) -> WorldModel:
 # Event synthesis
 # ---------------------------------------------------------------------------
 
-def _sample_habit(routine: Sequence[Habit], rng: random.Random) -> int:
-    """The index of one routine habit, drawn by weight with one random number."""
-    u = rng.random()
-    acc = 0.0
-    for i, habit in enumerate(routine):
-        acc += habit.weight
-        if u < acc:
-            return i
-    return len(routine) - 1
+def _habit_index(bounds: Sequence[float], u: float) -> int:
+    """The index of the habit a draw `u` in [0, 1) picks: the first whose
+    running weight sum exceeds `u`, or the last habit when none of the
+    others' does (the sums may end just short of 1)."""
+    return bisect_right(bounds, u)
 
 
 def gen_event(world: WorldModel, user_id: str, step: int, rng: random.Random) -> RawEvent:
@@ -344,8 +382,8 @@ def gen_event(world: WorldModel, user_id: str, step: int, rng: random.Random) ->
     class. Coordinates are uniform inside the place's bounding region.
     """
     scenario = world.scenario
-    routine = scenario.user(user_id).routine
-    s = routine[_sample_habit(routine, rng)].situation
+    profile = scenario.user(user_id)
+    s = profile.routine[_habit_index(profile.bounds, rng.random())].situation
     time = s.time
 
     day_number = step // scenario.day_length
@@ -444,9 +482,13 @@ class SimEnv:
         self.global_step = 0
         self.event_log: list[tuple[int, RawEvent]] = []
         self._situation: Optional[SituationKey] = None  # the focal user's current one
-        # per background user: its routine and the relevance key of each habit
-        self._habits = [(u.routine, [(u.user_id, h.situation) for h in u.routine])
-                        for u in scenario.users if u.user_id != self.focal]
+        # per background user: its id, its habit bounds and, per habit, its
+        # relevance row (drift swaps values inside it) and its situation
+        relevance = world.relevance
+        self._background = [
+            (u.user_id, u.bounds,
+             tuple((relevance[(u.user_id, h.situation)], h.situation) for h in u.routine))
+            for u in scenario.users if u.user_id != self.focal]
 
     def reset(self) -> RawEvent:
         self.global_step = 0
@@ -461,20 +503,27 @@ class SimEnv:
         return event
 
     def background_burst(self, n_events: int) -> None:
-        """Simulate n ambient interactions of the background users."""
-        habits = self._habits
-        if not habits:
+        """Simulate n ambient interactions of the background users: per event
+        a user, a habit, an item and an acceptance, drawn in that order as
+        the module docstring states, and one `record_implicit` call."""
+        background = self._background
+        if not background:
             return
         rng = self.background_rng
-        n_items = len(self.scenario.items)
-        relevance = self.world.relevance
+        getrandbits, draw = rng.getrandbits, rng.random
+        n_users, n_items = len(background), len(self.scenario.items)
+        user_bits, item_bits = n_users.bit_length(), n_items.bit_length()
         record = self.cf_store.record_implicit
         for _ in range(n_events):
-            routine, row_keys = habits[rng.randrange(len(habits))]
-            row_key = row_keys[_sample_habit(routine, rng)]
-            i = rng.randrange(n_items)
-            accepted = rng.random() < relevance[row_key][i]
-            record(row_key[0], i, accepted, row_key[1])
+            u = getrandbits(user_bits)  # rng.randrange(n_users), inline
+            while u >= n_users:
+                u = getrandbits(user_bits)
+            user_id, bounds, habits = background[u]
+            row, s = habits[bisect_right(bounds, draw())]  # _habit_index, inline
+            i = getrandbits(item_bits)  # rng.randrange(n_items), inline
+            while i >= n_items:
+                i = getrandbits(item_bits)
+            record(user_id, i, draw() < row[i], s)
 
     def step(self, action: int) -> tuple[float, RawEvent]:
         """Advance one step: drift, reward, ambient activity, next event."""

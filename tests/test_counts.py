@@ -33,9 +33,9 @@ WARM_START = 20_000
 # (python calls, C calls) per counted run, by interpreter version
 COUNTS = {
     (3, 11): {
-        "canonical HyQL trial": (193_797, 166_363),
-        "canonical CFOnly trial": (216_661, 208_432),
-        "cf-wide warm start": (180_140, 271_134),
+        "canonical HyQL trial": (156_929, 154_373),
+        "canonical CFOnly trial": (179_793, 196_442),
+        "cf-wide warm start": (40_152, 191_143),
     },
 }
 
