@@ -15,8 +15,9 @@ from hyql.context import (CALENDAR_STATES, COGNITIVE_KINDS, CONTEXT, DAY_CLASSES
                           PARTS_OF_DAY, situation)
 from hyql.simenv import (_STREAM_BUILD, MAX_ITEMS, MAX_RELEVANCE_ROWS,
                          MAX_RELEVANCE_VALUES, SEED_SPREAD,
-                         DriftOp, SimEnv, _draw_row, _mix_row, apply_drift, gen_event,
-                         parse_scenario, reward, world_from_scenario)
+                         DriftOp, Habit, SimEnv, _draw_row, _habit_bounds, _habit_index,
+                         _mix_row, apply_drift, gen_event, parse_scenario, reward,
+                         world_from_scenario)
 
 SINGLE_HABIT = {"part_of_day": "Morning", "day_class": "Weekday", "calendar": "Free",
                 "place": "Office", "cognitive": "Navigate", "weight": 1.0}
@@ -446,6 +447,176 @@ class TestEnvStep:
                 for level in range(CONTEXT.depth + 1):
                     assert positive_items(store, user, key, level) == \
                         positive_items(ref_store, user, key, level)
+
+
+def views_of(store):
+    """Every view of a store by its scope, with its ratings and counts."""
+    return {scope: (view.ratings, view.counts) for scope, view in store._scoped.items()}
+
+
+# Distinct leaf-place habits to draw routines from, weight left to the draw.
+HABIT_POOL = [dict(part_of_day=part, day_class=day, calendar=state, place=place,
+                   cognitive=kind)
+              for place in LEAVES for part, day, state, kind in (
+                  ("Morning", "Weekday", "Free", "Navigate"),
+                  ("Afternoon", "Weekday", "InMeeting", "OpenFolder"),
+                  ("Evening", "Weekend", "Free", "SendEmail"))]
+
+# catalog sizes at and just past powers of two, where the inline draw redraws
+EDGE_SIZES = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33]
+
+
+@st.composite
+def background_scenarios(draw):
+    """A scenario config of 2-10 users (so 1-9 background users) in 1-2
+    groups, on 1-40 items, each group's routine 1-5 pool habits weighted by
+    integer shares, zero shares included, and 0-3 swaps at steps 0-3."""
+    n_users = draw(st.integers(2, 10))
+    n_groups = draw(st.integers(1, 2))
+    routines = {}
+    for g in range(n_groups):
+        picks = draw(st.lists(st.integers(0, len(HABIT_POOL) - 1),
+                              min_size=1, max_size=5, unique=True))
+        shares = draw(st.lists(st.integers(0, 3), min_size=len(picks), max_size=len(picks))
+                      .filter(any))
+        routines[f"g{g}"] = [dict(HABIT_POOL[i], weight=share / sum(shares))
+                             for i, share in zip(picks, shares)]
+    users = [f"u{i:02d}" for i in range(n_users)]
+    drift = [{"step": draw(st.integers(0, 3)), "op": "SwapTopItems",
+              "target": draw(st.sampled_from(list(routines) + users))}
+             for _ in range(draw(st.integers(0, 3)))]
+    n_items = draw(st.sampled_from(EDGE_SIZES) | st.integers(1, 40))
+    return scenario(n_users=n_users, n_items=n_items, groups=n_groups, routines=routines,
+                    drift=drift, agent_user=draw(st.sampled_from(users)))
+
+
+class TestBackgroundKernel:
+    """`background_burst` against the plain loop it replaced: the same
+    draws from `background_rng`, the same transactions, in the same order."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(config=background_scenarios(), seed=st.integers(0, 2**32),
+           bursts=st.lists(st.integers(0, 300), min_size=1, max_size=4))
+    def test_matches_the_reference_loop(self, config, seed, bursts):
+        parsed = parse_scenario(config)
+        world, ref_world = (world_from_scenario(parsed, seed) for _ in range(2))
+        env = env_of(world)
+        ref_store = TransactionStore(len(parsed.items))
+        ref_rng = random.Random()
+        ref_rng.setstate(env.background_rng.getstate())
+        background = [u.user_id for u in parsed.users if u.user_id != parsed.agent_user]
+        for step, n_events in enumerate(bursts):
+            # drift fired between bursts: the kernel's held rows must follow it
+            assert apply_drift(world, step) == apply_drift(ref_world, step)
+            env.background_burst(n_events)
+            reference_burst(ref_world, ref_store, ref_rng, background, n_events)
+            assert env.background_rng.getstate() == ref_rng.getstate()
+            assert len(env.cf_store) == len(ref_store)
+            assert views_of(env.cf_store) == views_of(ref_store)
+        assert exact_rows(world) == exact_rows(ref_world)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_the_inline_draw_is_randrange(self, seed):
+        """The premise of the kernel's user and item draws: CPython's
+        `randrange(n)` is `getrandbits(n.bit_length())`, drawn again while it
+        is n or more, values and generator state alike."""
+        for n in range(1, 301):
+            inline, library = random.Random(seed * 1000 + n), random.Random(seed * 1000 + n)
+            bits = n.bit_length()
+            for _ in range(20):
+                value = inline.getrandbits(bits)
+                while value >= n:
+                    value = inline.getrandbits(bits)
+                assert value == library.randrange(n)
+            assert inline.getstate() == library.getstate()
+
+    @pytest.mark.parametrize("weights", [
+        [0.1] * 10, [0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0], [1.0, 0.0, 0.0],
+        [0.25, 0.25, 0.0, 0.25, 0.25]])
+    def test_the_habit_index_is_the_weight_loop(self, weights):
+        """`_habit_index` over the bounds picks what a `u < acc` loop picks,
+        with the last habit as its fallback, at every sum and beside it."""
+        bounds = _habit_bounds([Habit(None, w) for w in weights])
+        acc, sums = 0.0, []
+        for w in weights:
+            acc += w
+            sums.append(acc)
+        draws = {0.0, LARGEST_DRAW, 0.5} | {math.nextafter(x, d) for x in sums
+                                            for d in (0.0, 2.0)} | set(sums)
+        for u in sorted(d for d in draws if 0.0 <= d < 1.0):
+            loop = next((i for i, total in enumerate(sums) if u < total), len(weights) - 1)
+            assert _habit_index(bounds, u) == loop, u
+
+    def test_a_draw_past_every_sum_falls_back_to_the_last_habit(self):
+        """Ten weights of 0.1 sum to the largest `random()` draw, not to 1, so
+        that draw passes every running sum: both the event stream and the
+        background stream then take the last habit."""
+        routine = [dict(HABIT_POOL[i], weight=0.1) for i in range(10)]
+        assert sum(h["weight"] for h in routine) == LARGEST_DRAW
+        world = small_world(n_users=2, routine=routine)
+        last = world.scenario.user("u01").routine[-1].situation
+
+        class Stub(Draws):
+            """Hands out its draws to random(), and the lowest value to the rest."""
+
+            def getrandbits(self, k):
+                return 0
+
+            def randrange(self, n):
+                return 0
+
+            def uniform(self, low, high):
+                return low
+
+        event = gen_event(world, "u00", 0, Stub([LARGEST_DRAW]))
+        assert CONTEXT.aggregate(event, "g0") is last
+        env = env_of(world)
+        env.background_rng = Stub([LARGEST_DRAW, 0.0])  # the habit, then accept
+        env.background_burst(1)
+        assert env.background_rng.n == 2
+        assert positive_items(env.cf_store, "u01", last) == {0: 1.0}
+
+
+@st.composite
+def action_pairs(draw):
+    """A world's config and seed, and two action sequences of one length."""
+    config = draw(background_scenarios())
+    steps = draw(st.integers(1, 40))
+    actions = st.lists(st.integers(0, config["items"] - 1), min_size=steps, max_size=steps)
+    return config, draw(st.integers(0, 2**32)), draw(actions), draw(actions)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(case=action_pairs(), rate=st.integers(0, 3))
+def test_nothing_the_world_draws_reads_the_action(case, rate):
+    """The world is a contextual bandit: two SimEnvs of one world stepped
+    with different actions see the same events, the same drift, the same
+    background writes and the same reward draws; only whether a reward
+    draw accepts reads the action."""
+    config, seed, actions, others = case
+    parsed = parse_scenario(dict(config, background_rate=rate, warm_start_events=rate * 10))
+    envs = [env_of(world_from_scenario(parsed, seed)) for _ in range(2)]
+    for env in envs:
+        env.background_burst(parsed.warm_start_events)
+        env.reset()
+    for a, b in zip(actions, others):
+        draws = [env.reward_rng.getstate() for env in envs]
+        (r_a, event_a), (r_b, event_b) = envs[0].step(a), envs[1].step(b)
+        assert draws[0] == draws[1]
+        assert event_a == event_b
+        u = random.Random()
+        u.setstate(draws[0])
+        u = u.random()
+        for env, r, action in ((envs[0], r_a, a), (envs[1], r_b, b)):
+            prev = env.event_log[-2][1]
+            s = CONTEXT.aggregate(prev, env.group)
+            assert r == (1.0 if u < env.world.row(env.focal, s)[action] else 0.0)
+        assert envs[0].world.drift_fired == envs[1].world.drift_fired
+        assert envs[0].background_rng.getstate() == envs[1].background_rng.getstate()
+    assert envs[0].event_log == envs[1].event_log
+    assert exact_rows(envs[0].world) == exact_rows(envs[1].world)
+    assert len(envs[0].cf_store) == len(envs[1].cf_store)
+    assert views_of(envs[0].cf_store) == views_of(envs[1].cf_store)
 
 
 def reference_burst(world, store, rng, background_users, n_events):
