@@ -9,6 +9,9 @@ step per situation and item), can be recomputed from those files alone,
 which is what `verify` does. `verify` also ties each trace to its run's
 event log: every step's situation must be the one its logged event
 aggregates to, so a trace situation edited to another valid key fails.
+The event log itself must be the one the seed gives (`simenv.focal_events`,
+since no event reads an action), and every trace action an item of the
+scenario's catalog.
 Outputs are canonical: rerunning a spec reproduces the CSV and the traces
 byte for byte, with or without parallelism. `--parallel K` starts at most
 min(K, trials, CPUs) workers, and the process pool is imported only when
@@ -53,8 +56,8 @@ from .agent import Agent, AgentConfig, VARIANTS
 from .collab import TransactionStore
 from .context import CONTEXT
 from .qlearn import EXPLOIT, StepRecord
-from .simenv import (SEED_SPREAD, Scenario, SimEnv, check_keys, json_int,
-                     json_list, parse_scenario, world_from_scenario)
+from .simenv import (SEED_SPREAD, Scenario, SimEnv, check_keys, focal_events,
+                     json_int, json_list, parse_scenario, world_from_scenario)
 from .store import (PreferenceRecord, RunStore, StoreParseError, fmt_float,
                     read_action_history, read_event_history, read_run_file)
 
@@ -363,23 +366,34 @@ def recompute_runs(out_dir: str | Path) -> tuple[list[MetricRow], list[str]]:
 
     Returns the rows, and one message for each run whose trace does not
     follow from its event log, naming the trace line of the first step
-    whose situation is not the one its event aggregates to, and one for
-    each run whose preferences.tsv differs from the table its trace gives,
-    naming the file and the first line that differs.
+    whose situation is not the one its event aggregates to, one for each
+    run whose event log is not the one its seed gives, naming its first
+    differing line, and one for each run whose preferences.tsv differs from
+    the table its trace gives, naming the file and the first line that
+    differs. A trace action outside the scenario's catalog raises
+    StoreParseError.
     """
     out = Path(out_dir)
     spec = load_experiment_spec(out / "spec.json")
     scenario = spec.parsed
     focal = scenario.agent_user
     group = scenario.user(focal).social_group
+    catalog = set(scenario.items)
     drift_step = _drift_step(scenario, spec.steps)
     rows: list[MetricRow] = []
     stale: list[str] = []
     for seed in spec.seeds():
-        optimal = world_from_scenario(scenario, seed).optimal_expected_reward(focal)
+        world = world_from_scenario(scenario, seed)
+        optimal = world.optimal_expected_reward(focal)
+        seed_events = focal_events(world, spec.steps + 1)
         for variant in spec.variants:
             run_dir = out / "runs" / variant["name"] / str(seed)
             trace = read_trace(run_dir, spec.steps)
+            for record in trace:
+                if record.a not in catalog:
+                    raise StoreParseError(run_dir / "history_actions.tsv", record.step + 2,
+                                          f"action {record.a!r} is not in the "
+                                          f"scenario's catalog")
             events = read_event_history(run_dir, spec.steps)
             rows.extend(rows_for_trial(variant["name"], seed,
                                        TrialResult(trace, optimal, drift_step)))
@@ -389,6 +403,11 @@ def recompute_runs(out_dir: str | Path) -> tuple[list[MetricRow], list[str]]:
                 stale.append(f"{run_dir / 'history_actions.tsv'}:{record.step + 2}: "
                              f"situation {record.s.canonical()!r}, its event gives "
                              f"{want.canonical()!r}")
+            if events != seed_events:
+                step = next(i for i, pair in enumerate(zip(events, seed_events))
+                            if pair[0] != pair[1])
+                stale.append(f"{run_dir / 'history_events.tsv'}:{step + 2}: event "
+                             f"{step} is not the one seed {seed} gives")
             path = run_dir / "preferences.tsv"
             recorded = read_run_file(path)
             expected = _preference_store(focal, trace).preferences_text()

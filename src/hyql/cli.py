@@ -62,9 +62,23 @@ that differs, byte for byte and line endings included, from the text its
 traces give (test_crlf_line_endings_are_a_mismatch), a hand-edited
 preference table and one with the old per-step header included (TestVerify's
 test_hand_edited_preference_table_is_a_mismatch and
-test_per_step_preference_table_is_a_mismatch). Any mutated run file
-makes `verify` and `report` exit 0, 2 or 3
-(test_a_mutated_run_file_verifies_and_reports_with_exit_0_2_or_3).
+test_per_step_preference_table_is_a_mismatch); a history line spelt
+otherwise than `run` writes it, such as a step `0_0`, a reward ` +0.000 `,
+a timestamp `+22500` or a latitude with trailing zeros
+(test_a_value_spelt_otherwise_than_hyql_writes_it_is_a_mismatch), or a
+history file with `\r\n` endings, a blank line or no newline after its
+last line (test_a_history_file_in_other_bytes_is_a_mismatch); a trace
+branch outside the four tags
+(test_a_branch_outside_the_four_tags_is_a_mismatch); a trace action
+outside the scenario's catalog
+(test_an_action_outside_the_catalog_is_a_mismatch); an event other than
+the one the run's seed gives, even where its situation is unchanged
+(test_an_event_its_seed_does_not_give_is_a_mismatch). Any mutated run file
+makes `verify` and `report` exit 0, 2 or 3, and `verify` exits 0 on a
+mutated history file, preferences.tsv or metrics.csv only if its bytes are
+unchanged (test_a_mutated_run_file_verifies_and_reports_with_exit_0_2_or_3).
+The codes themselves are pinned as literals
+(test_the_documented_exit_codes_are_2_and_3).
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ EXPLOIT = "Exploit"
 ADVISE = "Advise"
 RANDOM_FALLBACK = "RandomFallback"
 CASE_BOOTSTRAPPED = "CaseBootstrapped"
+BRANCHES = (EXPLOIT, ADVISE, RANDOM_FALLBACK, CASE_BOOTSTRAPPED)
 
 State = Hashable
 ActionId = int  # the item's index in the scenario's catalog

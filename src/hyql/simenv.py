@@ -416,6 +416,15 @@ def gen_event(world: WorldModel, user_id: str, step: int, rng: random.Random) ->
     return RawEvent(timestamp, (lat, lon), cognitive, calendar)
 
 
+def focal_events(world: WorldModel, count: int) -> list[RawEvent]:
+    """The focal user's events at steps 0 to count - 1: those a `SimEnv` of
+    the world observes, whatever its agent does, since they read only the
+    event stream."""
+    rng = random.Random(world.seed * SEED_SPREAD + _STREAM_EVENTS)
+    focal = world.scenario.agent_user
+    return [gen_event(world, focal, step, rng) for step in range(count)]
+
+
 def reward(world: WorldModel, user_id: str, s: SituationKey, a: int,
            rng: random.Random) -> float:
     """Bernoulli acceptance of the item at catalog index `a`, with its

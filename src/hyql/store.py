@@ -32,7 +32,13 @@ streams each file line by line through one buffered handle, so it never
 holds a whole file's text in memory. Reading is header- and field-checked:
 a malformed file, or one written under another schema version, raises
 StoreParseError with its path and line number, and no partial history is
-returned. A run file is read as it is on disk, line endings included.
+returned. A run file is read as it is on disk, line endings included, and
+a history file reads back only in the exact spelling `snapshot` writes:
+each parsed record is rendered again through the writer's own line format,
+and the first line that differs, such as a step `0_0`, a reward ` +0.000 `,
+a timestamp `+22500`, a float with trailing zeros, a blank line, a `\r\n`
+ending or a last line without its newline, raises StoreParseError. A trace
+branch must be one of the four tags.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .context import CalendarEntry, CognitiveAction, RawEvent, SituationKey
-from .qlearn import StepRecord
+from .qlearn import BRANCHES, StepRecord
 
 SCHEMA_VERSION = 2
 
@@ -137,12 +143,14 @@ def read_action_history(dirpath: str | Path, steps: int) -> list[StepRecord]:
 
     Any error, from the field count, a field's parse, a situation the
     gazetteer or the cognitive kinds cannot hold, a reward outside [0, 1],
-    a record numbered other than its place in the trace or a trace shorter
-    or longer than `steps`, is raised as a StoreParseError naming the file
-    and line. Each situation is the shared key `context.situation` hands
+    a branch outside the four tags, a record numbered other than its place
+    in the trace, a line spelt otherwise than `snapshot` writes it or a
+    trace shorter or longer than `steps`, is raised as a StoreParseError
+    naming the file and line. Each situation is the shared key `context.situation` hands
     out.
     """
-    return _read_history(dirpath, "actions", _checked_step, steps, "trace", "step")
+    return _read_history(dirpath, "actions", _checked_step,
+                         lambda step, record: _step_line(record), steps, "trace", "step")
 
 
 def read_event_history(dirpath: str | Path, steps: int) -> list[RawEvent]:
@@ -154,26 +162,28 @@ def read_event_history(dirpath: str | Path, steps: int) -> list[RawEvent]:
     latitude outside [-90, 90] or a meeting that ends before it starts, is
     a StoreParseError too.
     """
-    return _read_history(dirpath, "events", _event_from_fields, steps + 1,
+    return _read_history(dirpath, "events", _event_from_fields, _event_line, steps + 1,
                          "event log", "event")
 
 
-def _read_history(dirpath: str | Path, part: str, parse, count: int,
+def _read_history(dirpath: str | Path, part: str, parse, render, count: int,
                   name: str, unit: str) -> list:
     """The `count` records of a history file, the record of line n + 2
     numbered n: `parse` turns a line's fields into (step, record), or raises
-    ValueError. `name` and `unit` word the messages: "trace" and "step"."""
+    ValueError, and `render(step, record)` must give the line back exactly.
+    `name` and `unit` word the messages: "trace" and "step"."""
     filename, columns = _FILES[part]
     n_fields = columns.count("\t") + 1
     path = Path(dirpath) / filename
-    lines = read_run_file(path).splitlines()
+    lines = read_run_file(path).split("\n")
+    unterminated = lines.pop()  # "" after a file's last newline
     if not lines or lines[0] != _header(part):
         raise StoreParseError(path, 1, f"missing or wrong schema header, "
                                        f"expected v{SCHEMA_VERSION} {part}")
+    if unterminated:
+        raise StoreParseError(path, len(lines) + 1, "last line has no newline")
     records = []
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
         fields = line.split("\t")
         if len(fields) != n_fields:
             raise StoreParseError(path, lineno,
@@ -187,6 +197,10 @@ def _read_history(dirpath: str | Path, part: str, parse, count: int,
                                   f"step {step} where step {len(records)} belongs")
         if step == count:
             raise StoreParseError(path, lineno, f"more than the run's {count} {unit}s")
+        written = render(step, record)
+        if line != written:
+            raise StoreParseError(path, lineno, f"{line!r} is not spelt as hyql writes "
+                                                f"it: {written!r}")
         records.append(record)
     if len(records) != count:
         raise StoreParseError(path, len(lines) + 1,
@@ -236,6 +250,8 @@ def _checked_step(fields: list[str]) -> tuple[int, StepRecord]:
     record = _step_from_fields(fields)
     if not 0.0 <= record.r <= 1.0:
         raise ValueError(f"reward {record.r!r} outside [0, 1]")
+    if record.branch not in BRANCHES:
+        raise ValueError(f"branch {record.branch!r} is none of {', '.join(BRANCHES)}")
     return record.step, record
 
 

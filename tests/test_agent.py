@@ -162,6 +162,18 @@ def run_pair(variant, seed, steps=120, world_seed=5, **overrides):
     return agent, agent.run(env, steps)
 
 
+def test_a_scenario_without_background_rate_records_one_transaction_per_step():
+    """`background_rate` defaults to 0: the store then holds the focal
+    user's own rating of each step, and nothing else."""
+    config = small_scenario()
+    del config["background_rate"]
+    scenario = parse_scenario(config)
+    cf = TransactionStore(len(scenario.items))
+    agent = Agent(AgentConfig("HyQL", "u00", seed=1), scenario.items, "g0", cf)
+    agent.run(SimEnv(world_from_scenario(scenario, 5), cf), 40)
+    assert len(cf) == 40
+
+
 class TestRunEpisode:
     def test_single_step_episode(self):
         agent = make_agent("GreedyQ", episode_length=1)

@@ -210,6 +210,84 @@ class TestVerify:
         assert main(["verify", str(run_copy)]) == EXIT_MISMATCH
         assert f"{path}:2: unknown place 'Mars'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, lineno, field, respell", [
+        ("history_actions.tsv", 2, 0, lambda step: f"{step}_0"),  # 0_0: int() reads 0
+        ("history_actions.tsv", 2, 4, lambda reward: f" +{float(reward):.3f} "),
+        ("history_events.tsv", 2, 1, lambda timestamp: f"+{timestamp}"),
+        ("history_events.tsv", 2, 2, lambda lat: f"{lat}0000"),
+    ], ids=["step", "reward", "timestamp", "latitude"])
+    def test_a_value_spelt_otherwise_than_hyql_writes_it_is_a_mismatch(
+            self, run_copy, capsys, name, lineno, field, respell):
+        """The same value in another spelling, which int() and float() read."""
+        path = run_copy / "runs" / "HyQL" / "1000" / name
+        lines = path.read_text(encoding="utf-8").splitlines()
+        fields = lines[lineno - 1].split("\t")
+        written = lines[lineno - 1]
+        fields[field] = respell(fields[field])
+        lines[lineno - 1] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["verify", str(run_copy)]) == EXIT_MISMATCH
+        assert (f"{path}:{lineno}: {lines[lineno - 1]!r} is not spelt as hyql writes it: "
+                f"{written!r}") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["history_actions.tsv", "history_events.tsv"])
+    @pytest.mark.parametrize("edit", ["crlf", "blank line", "no last newline"])
+    def test_a_history_file_in_other_bytes_is_a_mismatch(self, run_copy, capsys, name, edit):
+        path = run_copy / "runs" / "HyQL" / "1000" / name
+        text = path.read_text(encoding="utf-8")
+        n_lines = text.count("\n")
+        path.write_bytes({"crlf": text.replace("\n", "\r\n"),
+                          "blank line": text + "\n",
+                          "no last newline": text[:-1]}[edit].encode("utf-8"))
+        assert main(["verify", str(run_copy)]) == EXIT_MISMATCH
+        assert {"crlf": f"{path}:1: missing or wrong schema header",
+                "blank line": f"{path}:{n_lines + 1}: expected ",
+                "no last newline": f"{path}:{n_lines}: last line has no newline"}[edit] \
+            in capsys.readouterr().err
+
+    def test_a_branch_outside_the_four_tags_is_a_mismatch(self, run_copy, capsys):
+        path = run_copy / "runs" / "HyQL" / "1000" / "history_actions.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lineno = next(i for i, line in enumerate(lines) if i and "\tExploit\t" not in line)
+        lines[lineno] = re.sub(r"\t(Advise|RandomFallback)\t", "\tNonsense\t", lines[lineno])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["verify", str(run_copy)]) == EXIT_MISMATCH
+        assert f"{path}:{lineno + 1}: branch 'Nonsense' is none of Exploit, Advise, " \
+            in capsys.readouterr().err
+
+    def test_an_action_outside_the_catalog_is_a_mismatch(self, run_copy, capsys):
+        """Every doc00 renamed in the trace and in the preference table, so
+        the table still follows from the trace."""
+        run_dir = run_copy / "runs" / "HyQL" / "1000"
+        for name in ("history_actions.tsv", "preferences.tsv"):
+            path = run_dir / name
+            path.write_text(path.read_text(encoding="utf-8").replace("\tdoc00\t",
+                                                                     "\tnot-an-item\t"),
+                            encoding="utf-8")
+        lineno = next(i for i, line in enumerate(
+            (run_dir / "history_actions.tsv").read_text(encoding="utf-8").splitlines(), 1)
+            if "\tnot-an-item\t" in line)
+        assert main(["verify", str(run_copy)]) == EXIT_MISMATCH
+        assert (f"{run_dir / 'history_actions.tsv'}:{lineno}: action 'not-an-item' "
+                f"is not in the scenario's catalog") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [(6, "lunch"), (5, "doc01")],
+                             ids=["calendar label", "item"])
+    def test_an_event_its_seed_does_not_give_is_a_mismatch(
+            self, run_copy, capsys, field, value):
+        """An edit that keeps the event's situation, so the trace still ties to it."""
+        path = run_copy / "runs" / "HyQL" / "1000" / "history_events.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lineno = next(i for i, line in enumerate(lines)
+                      if i and line.split("\t")[field] not in ("", value))
+        fields = lines[lineno].split("\t")
+        fields[field] = value
+        lines[lineno] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["verify", str(run_copy)]) == EXIT_MISMATCH
+        assert f"{path}:{lineno + 1}: event {lineno - 1} is not the one seed 1000 gives" \
+            in capsys.readouterr().err
+
     def test_spec_with_an_extra_key_exits_2(self, run_copy):
         path = run_copy / "spec.json"
         spec = dict(json.loads(path.read_text(encoding="utf-8")), metrics=["CumulativeReward"])
@@ -272,6 +350,19 @@ class TestReport:
         path.unlink()
         assert main([command, str(run_copy)]) == EXIT_MISMATCH
         assert f"{path}:0: missing store file" in capsys.readouterr().err
+
+
+def test_the_documented_exit_codes_are_2_and_3():
+    """The codes the module docstring documents, as literals: a constant
+    changed with its tests would otherwise go unseen."""
+    assert (EXIT_OK, EXIT_CONFIG, EXIT_MISMATCH) == (0, 2, 3)
+
+
+def test_run_creates_the_missing_parents_of_out(tmp_path):
+    out = tmp_path / "a" / "b" / "c"
+    assert main(["run", str(write_spec(tmp_path, steps=5)), "--out", str(out)]) == 0
+    assert main(["verify", str(out)]) == 0
+    assert (out / "metrics.csv").is_file()
 
 
 def make_unreadable(path, kind):
@@ -748,13 +839,28 @@ def replace_field(line, suffix, index, value):
     return ("\t" if suffix == ".tsv" else ",").join(fields)
 
 
+TINY_ACTIONS, TINY_EVENTS = RUN_FILES[3], RUN_FILES[4]
+
+
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(name=st.sampled_from(RUN_FILES), line=st.integers(0, 10**6),
        kind=st.sampled_from(["drop", "duplicate", "truncate", "append", "replace"]),
        field=st.integers(0, 20), text=st.sampled_from(["0", "9", "x", "\t", ",", "-"]),
        value=st.sampled_from(["nan", "inf", "1e999", "", HUGE_INT, str(FLOAT_RANGE_INT)]))
+# values respelt as int() and float() still read them: the first step and
+# the first event's timestamp and latitude, and a reward of 0 at step 1
+@example(name=TINY_ACTIONS, line=1, kind="replace", field=0, text="0", value="0_0")
+@example(name=TINY_ACTIONS, line=2, kind="replace", field=4, text="0", value=" +0.000 ")
+@example(name=TINY_EVENTS, line=1, kind="replace", field=1, text="0", value="+85620")
+@example(name=TINY_EVENTS, line=1, kind="replace", field=2, text="0",
+         value="48.8834579606370310000")
+# a branch and an item no run writes
+@example(name=TINY_ACTIONS, line=1, kind="replace", field=3, text="0", value="Nonsense")
+@example(name=TINY_ACTIONS, line=1, kind="replace", field=2, text="0", value="not-an-item")
 def test_a_mutated_run_file_verifies_and_reports_with_exit_0_2_or_3(
         tiny_run, name, line, kind, field, text, value):
+    """`verify` accepts a history file, a preference table or metrics.csv
+    only in the bytes `run` wrote; a spec or scenario file may be respelt."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         shutil.copytree(tiny_run, out)
@@ -771,6 +877,10 @@ def test_a_mutated_run_file_verifies_and_reports_with_exit_0_2_or_3(
             lines[i] += text
         else:
             lines[i] = replace_field(lines[i], path.suffix, field, value)
+        written = path.read_bytes()
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        assert main(["verify", str(out)]) in (EXIT_OK, EXIT_CONFIG, EXIT_MISMATCH)
+        code = main(["verify", str(out)])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_MISMATCH)
+        if path.suffix != ".json" and path.read_bytes() != written:
+            assert code == EXIT_MISMATCH
         assert main(["report", str(out)]) in (EXIT_OK, EXIT_CONFIG, EXIT_MISMATCH)

@@ -236,6 +236,15 @@ class TestParams:
             LearningParams(alpha=1.5, gamma=0.5)
         with pytest.raises(ValueError):
             LearningParams(alpha=0.5, gamma=0.5, p=1.5)
+        with pytest.raises(ValueError):
+            LearningParams(alpha=0.5, gamma=0.5, p=-0.1)
+
+    def test_every_bound_is_inclusive(self):
+        """p 0 never exploits and p 1 always does; both are valid settings."""
+        for p in (0.0, 1.0):
+            assert LearningParams(alpha=0.5, gamma=0.5, p=p).p == p
+        assert LearningParams(alpha=0.0, gamma=0.0).alpha == 0.0
+        assert LearningParams(alpha=1.0, gamma=0.5).alpha == 1.0
 
 
 class TestGreedy:

@@ -16,8 +16,8 @@ from hyql.context import (CALENDAR_STATES, COGNITIVE_KINDS, CONTEXT, DAY_CLASSES
 from hyql.simenv import (_STREAM_BUILD, MAX_ITEMS, MAX_RELEVANCE_ROWS,
                          MAX_RELEVANCE_VALUES, SEED_SPREAD,
                          DriftOp, Habit, SimEnv, _draw_row, _habit_bounds, _habit_index,
-                         _mix_row, apply_drift, gen_event, parse_scenario, reward,
-                         world_from_scenario)
+                         _mix_row, apply_drift, focal_events, gen_event, parse_scenario,
+                         reward, world_from_scenario)
 
 SINGLE_HABIT = {"part_of_day": "Morning", "day_class": "Weekday", "calendar": "Free",
                 "place": "Office", "cognitive": "Navigate", "weight": 1.0}
@@ -614,6 +614,8 @@ def test_nothing_the_world_draws_reads_the_action(case, rate):
         assert envs[0].world.drift_fired == envs[1].world.drift_fired
         assert envs[0].background_rng.getstate() == envs[1].background_rng.getstate()
     assert envs[0].event_log == envs[1].event_log
+    assert [event for _, event in envs[0].event_log] == \
+        focal_events(world_from_scenario(parsed, seed), len(actions) + 1)
     assert exact_rows(envs[0].world) == exact_rows(envs[1].world)
     assert len(envs[0].cf_store) == len(envs[1].cf_store)
     assert views_of(envs[0].cf_store) == views_of(envs[1].cf_store)
