@@ -106,7 +106,8 @@ class Habit:
 @dataclass(frozen=True)
 class UserProfile:
     """A user, its group and the group's routine. `bounds` holds the running
-    weight sums of every habit but the last, which `_habit_index` bisects."""
+    weight sums of every habit but the last: `bisect_right(bounds, u)` is the
+    index of the habit a `random()` draw u picks (see the module docstring)."""
 
     user_id: str
     social_group: str
@@ -366,13 +367,6 @@ def world_from_scenario(scenario: Scenario, seed: int) -> WorldModel:
 # Event synthesis
 # ---------------------------------------------------------------------------
 
-def _habit_index(bounds: Sequence[float], u: float) -> int:
-    """The index of the habit a draw `u` in [0, 1) picks: the first whose
-    running weight sum exceeds `u`, or the last habit when none of the
-    others' does (the sums may end just short of 1)."""
-    return bisect_right(bounds, u)
-
-
 def gen_event(world: WorldModel, user_id: str, step: int, rng: random.Random) -> RawEvent:
     """Synthesize a raw event realizing one weighted routine habit, whose
     situation it aggregates back to.
@@ -383,7 +377,7 @@ def gen_event(world: WorldModel, user_id: str, step: int, rng: random.Random) ->
     """
     scenario = world.scenario
     profile = scenario.user(user_id)
-    s = profile.routine[_habit_index(profile.bounds, rng.random())].situation
+    s = profile.routine[bisect_right(profile.bounds, rng.random())].situation
     time = s.time
 
     day_number = step // scenario.day_length
@@ -528,7 +522,7 @@ class SimEnv:
             while u >= n_users:
                 u = getrandbits(user_bits)
             user_id, bounds, habits = background[u]
-            row, s = habits[bisect_right(bounds, draw())]  # _habit_index, inline
+            row, s = habits[bisect_right(bounds, draw())]
             i = getrandbits(item_bits)  # rng.randrange(n_items), inline
             while i >= n_items:
                 i = getrandbits(item_bits)

@@ -146,8 +146,8 @@ def read_action_history(dirpath: str | Path, steps: int) -> list[StepRecord]:
     a branch outside the four tags, a record numbered other than its place
     in the trace, a line spelt otherwise than `snapshot` writes it or a
     trace shorter or longer than `steps`, is raised as a StoreParseError
-    naming the file and line. Each situation is the shared key `context.situation` hands
-    out.
+    naming the file and line. Each situation is the shared key
+    `context.situation` hands out.
     """
     return _read_history(dirpath, "actions", _checked_step,
                          lambda step, record: _step_line(record), steps, "trace", "step")

@@ -4,6 +4,7 @@ import math
 import random
 import re
 from array import array
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,7 @@ from hyql.context import (CALENDAR_STATES, COGNITIVE_KINDS, CONTEXT, DAY_CLASSES
                           PARTS_OF_DAY, situation)
 from hyql.simenv import (_STREAM_BUILD, MAX_ITEMS, MAX_RELEVANCE_ROWS,
                          MAX_RELEVANCE_VALUES, SEED_SPREAD,
-                         DriftOp, Habit, SimEnv, _draw_row, _habit_bounds, _habit_index,
+                         DriftOp, Habit, SimEnv, _draw_row, _habit_bounds,
                          _mix_row, apply_drift, focal_events, gen_event, parse_scenario,
                          reward, world_from_scenario)
 
@@ -533,8 +534,8 @@ class TestBackgroundKernel:
     @pytest.mark.parametrize("weights", [
         [0.1] * 10, [0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0], [1.0, 0.0, 0.0],
         [0.25, 0.25, 0.0, 0.25, 0.25]])
-    def test_the_habit_index_is_the_weight_loop(self, weights):
-        """`_habit_index` over the bounds picks what a `u < acc` loop picks,
+    def test_bisecting_the_bounds_is_the_weight_loop(self, weights):
+        """`bisect_right` over the bounds picks what a `u < acc` loop picks,
         with the last habit as its fallback, at every sum and beside it."""
         bounds = _habit_bounds([Habit(None, w) for w in weights])
         acc, sums = 0.0, []
@@ -545,7 +546,7 @@ class TestBackgroundKernel:
                                             for d in (0.0, 2.0)} | set(sums)
         for u in sorted(d for d in draws if 0.0 <= d < 1.0):
             loop = next((i for i, total in enumerate(sums) if u < total), len(weights) - 1)
-            assert _habit_index(bounds, u) == loop, u
+            assert bisect_right(bounds, u) == loop, u
 
     def test_a_draw_past_every_sum_falls_back_to_the_last_habit(self):
         """Ten weights of 0.1 sum to the largest `random()` draw, not to 1, so
