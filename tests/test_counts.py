@@ -45,7 +45,7 @@ from hyql.bench import load_scenario, run_trial
 from hyql.collab import TransactionStore
 from hyql.simenv import SimEnv, parse_scenario, world_from_scenario
 
-STEPS, WARM_START = {steps}, {warm_start}
+STEPS, WARM_START = int(sys.argv[1]), int(sys.argv[2])
 EVENTS = ("call", "return", "c_call", "c_return", "c_exception")
 
 
@@ -67,21 +67,20 @@ canonical = parse_scenario(load_scenario("canonical"))
 wide = parse_scenario(dict(load_scenario("canonical"), users=101, items=200,
                            warm_start_events=WARM_START))
 env = SimEnv(world_from_scenario(wide, 1000), TransactionStore(len(wide.items)))
-print(json.dumps({{
+print(json.dumps({
     "canonical HyQL trial": counted(lambda: run_trial(
-        canonical, {{"name": "HyQL", "variant": "HyQL"}}, 1000, STEPS)),
+        canonical, {"name": "HyQL", "variant": "HyQL"}, 1000, STEPS)),
     "canonical CFOnly trial": counted(lambda: run_trial(
-        canonical, {{"name": "CFOnly", "variant": "CFOnly"}}, 1000, STEPS)),
+        canonical, {"name": "CFOnly", "variant": "CFOnly"}, 1000, STEPS)),
     "cf-wide warm start": counted(lambda: env.background_burst(WARM_START)),
-}}))
+}))
 """
 
 
 @pytest.fixture(scope="module")
 def counts():
-    code = COUNTER.format(steps=STEPS, warm_start=WARM_START)
-    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, check=True,
-                          capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", COUNTER, str(STEPS), str(WARM_START)],
+                          cwd=ROOT, check=True, capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src"),
                                    PYTHONHASHSEED="0"))
     return {name: tuple(value) for name, value in json.loads(proc.stdout).items()}

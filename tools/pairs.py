@@ -125,10 +125,17 @@ def main(argv=None) -> int:
     out = args.json or Path(f"pairs-{args.workload}-{args.seed}.json")
 
     runs: list[dict] = []
-    failed = False
+    correct = _run_pairs(args, checkouts, out, runs)
+    print("\n".join(summarize(runs, better)))
+    print(f"raw runs: {out}")
+    return 0 if correct else 1
+
+
+def _run_pairs(args, checkouts: dict[str, Path], out: Path, runs: list[dict]) -> bool:
+    """Append each run to `runs` and to the JSON file; False at the first
+    run that is not correct."""
     for pair in range(args.pairs):
-        order = SIDES if pair % 2 == 0 else SIDES[::-1]
-        for side in order:
+        for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
             run = run_once(checkouts[side], args.workload, args.seed, args.seconds)
             run.update(pair=pair, side=side)
             runs.append(run)
@@ -140,13 +147,8 @@ def main(argv=None) -> int:
             if not run["correct"]:
                 print(f"stopping: the {side} run was not correct "
                       f"{run.get('error', '')}", file=sys.stderr)
-                failed = True
-                break
-        if failed:
-            break
-    print("\n".join(summarize(runs, better)))
-    print(f"raw runs: {out}")
-    return 1 if failed else 0
+                return False
+    return True
 
 
 if __name__ == "__main__":
