@@ -1,14 +1,14 @@
 """Alternating benchmark pairs: a parent checkout against a change.
 
     python3 tools/pairs.py PARENT CHANGE --workload W [--pairs 10] [--seed N]
-        [--seconds S] [--json PATH]
+        [--json PATH]
 
 PARENT and CHANGE are two source checkouts. Each pair runs
-`perfbench/run.py --workload W --seed N --seconds S` once in each, from the
-checkout's own root and with its own perfbench; the order alternates from
-pair to pair (parent first, then change first), so a drift in the host's
-speed does not favour one side. The script stops at the first run that
-does not print `"correct": true`.
+`perfbench/run.py --workload W --seed N` once in each, from the checkout's
+own root and with its own perfbench, which sets the run length; the order
+alternates from pair to pair (parent first, then change first), so a drift
+in the host's speed does not favour one side. The script stops at the
+first run that does not print `"correct": true`.
 
 At the end it prints, per end-to-end metric, each side's median and
 quartiles, the change's median relative to the parent's, the parent's
@@ -97,10 +97,9 @@ def _triple(q: tuple[float, float, float]) -> str:
     return "/".join(f"{x:.6g}" for x in q)
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds)],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)],
         cwd=checkout, capture_output=True, text=True)
     try:
         return parse_run(proc.stdout)
@@ -116,7 +115,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1000)
-    parser.add_argument("--seconds", type=int, default=50)
     parser.add_argument("--json", type=Path, default=None)
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -136,7 +134,7 @@ def _run_pairs(args, checkouts: dict[str, Path], out: Path, runs: list[dict]) ->
     run that is not correct."""
     for pair in range(args.pairs):
         for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-            run = run_once(checkouts[side], args.workload, args.seed, args.seconds)
+            run = run_once(checkouts[side], args.workload, args.seed)
             run.update(pair=pair, side=side)
             runs.append(run)
             print(f"pair {pair} {side}: correct {run['correct']}, repeats "
