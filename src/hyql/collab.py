@@ -138,32 +138,28 @@ class TransactionStore:
 
         The background stream calls this once per transaction, tens of
         thousands of times before a trial's first step, so the memo is read
-        inline and each rating takes its own loop.
+        inline.
         """
         views = self._views_of.get(situation)
         if views is None:
             views = self._views(situation)
-        self._count += 1
         bit = 1 << item
-        if positive:
-            for view in views:
-                entry = view.ratings.get(user_id)
-                if entry is None:
-                    view.ratings[user_id] = [bit, None]
+        self._count += 1
+        for view in views:
+            entry = view.ratings.get(user_id)
+            if entry is None:
+                view.ratings[user_id] = [bit, None] if positive else [0, ()]
+                if positive:
                     view.counts[item] += 1
-                elif not entry[0] & bit:  # a 0 overwritten by a 1
-                    entry[0] |= bit
-                    entry[1] = None
-                    view.counts[item] += 1
-        else:
-            for view in views:
-                entry = view.ratings.get(user_id)
-                if entry is None:
-                    view.ratings[user_id] = [0, ()]
-                elif entry[0] & bit:  # a 1 overwritten by a 0
+            elif entry[0] & bit:
+                if not positive:  # a 1 overwritten by a 0
                     entry[0] ^= bit
                     entry[1] = None
                     view.counts[item] -= 1
+            elif positive:  # a 0 overwritten by a 1
+                entry[0] |= bit
+                entry[1] = None
+                view.counts[item] += 1
 
     # -- the CF pipeline ---------------------------------------------------
 

@@ -414,9 +414,14 @@ def focal_events(world: WorldModel, count: int) -> list[RawEvent]:
     """The focal user's events at steps 0 to count - 1: those a `SimEnv` of
     the world observes, whatever its agent does, since they read only the
     event stream."""
-    rng = random.Random(world.seed * SEED_SPREAD + _STREAM_EVENTS)
+    rng = _event_rng(world)
     focal = world.scenario.agent_user
     return [gen_event(world, focal, step, rng) for step in range(count)]
+
+
+def _event_rng(world: WorldModel) -> random.Random:
+    """The focal user's event stream of the world, at its start."""
+    return random.Random(world.seed * SEED_SPREAD + _STREAM_EVENTS)
 
 
 def reward(world: WorldModel, user_id: str, s: SituationKey, a: int,
@@ -476,7 +481,7 @@ class SimEnv:
         base = world.seed * SEED_SPREAD
         self.world = world
         self.scenario = scenario
-        self.event_rng = random.Random(base + _STREAM_EVENTS)
+        self.event_rng = _event_rng(world)
         self.reward_rng = random.Random(base + _STREAM_REWARDS)
         self.background_rng = random.Random(base + _STREAM_BACKGROUND)
         self.cf_store = cf_store

@@ -33,8 +33,8 @@ WARM_START = 20_000
 # (python calls, C calls) per counted run, by interpreter version
 COUNTS = {
     (3, 11): {
-        "canonical HyQL trial": (154_928, 154_373),
-        "canonical CFOnly trial": (177_792, 196_442),
+        "canonical HyQL trial": (154_929, 154_373),
+        "canonical CFOnly trial": (177_793, 196_442),
         "cf-wide warm start": (40_152, 191_143),
     },
 }
