@@ -7,11 +7,11 @@ history, which doubles as the trace) under the output directory; every
 metric, and each run's preference table (the focal user's last reward and
 step per situation and item), can be recomputed from those files alone,
 which is what `verify` does. `verify` also ties each trace to its run's
-event log: the log must hold, byte for byte, the events the seed gives
-(`simenv.focal_events`, since no event reads an action), and every step's
-situation must be the one its event aggregates to, so a trace situation
-edited to another valid key fails. Every trace action must be an item of
-the scenario's catalog.
+event log: every step's situation must be the one its logged event
+aggregates to, so a trace situation edited to another valid key fails.
+The event log itself must be the one the seed gives (`simenv.focal_events`,
+since no event reads an action), and every trace action an item of the
+scenario's catalog.
 Outputs are canonical: rerunning a spec reproduces the CSV and the traces
 byte for byte, with or without parallelism. `--parallel K` starts at most
 min(K, trials, CPUs) workers, and the process pool is imported only when
@@ -54,12 +54,12 @@ from typing import Optional, Sequence
 
 from .agent import Agent, AgentConfig, VARIANTS
 from .collab import TransactionStore
-from .context import CONTEXT, SituationKey
+from .context import CONTEXT
 from .qlearn import EXPLOIT, StepRecord
 from .simenv import (SEED_SPREAD, Scenario, SimEnv, check_keys, focal_events,
                      json_int, json_list, parse_scenario, world_from_scenario)
-from .store import (PreferenceRecord, RunStore, StoreParseError, event_history_text,
-                    fmt_float, read_action_history, read_event_history, read_run_file)
+from .store import (PreferenceRecord, RunStore, StoreParseError, fmt_float,
+                    read_action_history, read_event_history, read_run_file)
 
 NEVER = -1.0
 THRESHOLD_WINDOW, THRESHOLD_FRACTION = 50, 0.8
@@ -364,16 +364,14 @@ def recompute_runs(out_dir: str | Path) -> tuple[list[MetricRow], list[str]]:
     """Rebuild every metric row and preference table from the persisted
     traces and configs, reading each trace and event log once.
 
-    Each seed's events are drawn and rendered once, and each run's event
-    log compared with that text, as its preferences.tsv is compared with
-    the table its trace gives; only a log that differs is parsed, so that
-    a malformed one raises StoreParseError at its bad line. Returns the
-    rows, and one message for each run whose trace does not follow from
-    its seed's events, naming the trace line of the first step whose
-    situation is not the one its event aggregates to, and one for each run
-    whose history_events.tsv or preferences.tsv differs from its expected
-    text, naming the file and the first line that differs. A trace action
-    outside the scenario's catalog raises StoreParseError.
+    Returns the rows, and one message for each run whose trace does not
+    follow from its event log, naming the trace line of the first step
+    whose situation is not the one its event aggregates to, one for each
+    run whose event log is not the one its seed gives, naming its first
+    differing line, and one for each run whose preferences.tsv differs from
+    the table its trace gives, naming the file and the first line that
+    differs. A trace action outside the scenario's catalog raises
+    StoreParseError.
     """
     out = Path(out_dir)
     spec = load_experiment_spec(out / "spec.json")
@@ -388,8 +386,6 @@ def recompute_runs(out_dir: str | Path) -> tuple[list[MetricRow], list[str]]:
         world = world_from_scenario(scenario, seed)
         optimal = world.optimal_expected_reward(focal)
         seed_events = focal_events(world, spec.steps + 1)
-        events_text = event_history_text(seed_events)
-        situations = [CONTEXT.aggregate(event, group) for event in seed_events]
         for variant in spec.variants:
             run_dir = out / "runs" / variant["name"] / str(seed)
             trace = read_trace(run_dir, spec.steps)
@@ -398,20 +394,20 @@ def recompute_runs(out_dir: str | Path) -> tuple[list[MetricRow], list[str]]:
                     raise StoreParseError(run_dir / "history_actions.tsv", record.step + 2,
                                           f"action {record.a!r} is not in the "
                                           f"scenario's catalog")
+            events = read_event_history(run_dir, spec.steps)
             rows.extend(rows_for_trial(variant["name"], seed,
                                        TrialResult(trace, optimal, drift_step)))
-            untied = _first_untied_step(trace, situations)
+            untied = _first_untied_step(trace, events, group)
             if untied is not None:
                 record, want = untied
                 stale.append(f"{run_dir / 'history_actions.tsv'}:{record.step + 2}: "
                              f"situation {record.s.canonical()!r}, its event gives "
                              f"{want.canonical()!r}")
-            path = run_dir / "history_events.tsv"
-            recorded = read_run_file(path)
-            if recorded != events_text:
-                read_event_history(run_dir, spec.steps)  # raises at a malformed line
-                lineno, got, want = next(_differing_lines(recorded, events_text))
-                stale.append(f"{path}:{lineno}: file has {got!r}, seed {seed} gives {want!r}")
+            if events != seed_events:
+                step = next(i for i, pair in enumerate(zip(events, seed_events))
+                            if pair[0] != pair[1])
+                stale.append(f"{run_dir / 'history_events.tsv'}:{step + 2}: event "
+                             f"{step} is not the one seed {seed} gives")
             path = run_dir / "preferences.tsv"
             recorded = read_run_file(path)
             expected = _preference_store(focal, trace).preferences_text()
@@ -421,11 +417,15 @@ def recompute_runs(out_dir: str | Path) -> tuple[list[MetricRow], list[str]]:
     return rows, stale
 
 
-def _first_untied_step(trace: list[StepRecord], situations: list[SituationKey]):
+def _first_untied_step(trace: list[StepRecord], events, group: str):
     """(record, the situation its event gives) at the first step whose
-    situation is not the interned key of its step in `situations`, or None."""
-    return next(((record, s) for record, s in zip(trace, situations) if s is not record.s),
-                None)
+    situation is not the interned key its event aggregates to, or None."""
+    aggregate = CONTEXT.aggregate
+    for record, event in zip(trace, events):
+        s = aggregate(event, group)
+        if s is not record.s:
+            return record, s
+    return None
 
 
 def _differing_lines(recorded: str, expected: str):

@@ -49,31 +49,31 @@ under another schema version, such as v1
 (test_a_run_written_under_schema_v1_exits_3); a trace
 situation whose place the gazetteer lacks
 (test_a_trace_naming_a_place_the_gazetteer_lacks_exits_3); a trace
-situation that is not the one its step's event aggregates to
-(test_a_trace_situation_swapped_for_another_valid_key_is_a_mismatch); a
-metrics.csv row short of a field (TestReport); metrics that differ from
-those recomputed from the traces (perfbench's
+situation that is not the one its step's logged event aggregates to,
+whether the trace or the event was edited
+(test_a_trace_situation_swapped_for_another_valid_key_is_a_mismatch,
+test_an_event_moved_to_another_place_is_a_mismatch); an event log that is
+not one event per step and one more, the last step's next event
+(test_an_event_log_missing_its_last_line_is_a_mismatch); a metrics.csv
+row short of a field (TestReport); metrics that differ from those
+recomputed from the traces (perfbench's
 test_tampered_reward_fails_that_trial); a metrics.csv or a preferences.tsv
 that differs, byte for byte and line endings included, from the text its
 traces give (test_crlf_line_endings_are_a_mismatch), a hand-edited
 preference table and one with the old per-step header included (TestVerify's
 test_hand_edited_preference_table_is_a_mismatch and
-test_per_step_preference_table_is_a_mismatch); an event log that is not
-one event per step and one more, the last step's next event
-(test_an_event_log_missing_its_last_line_is_a_mismatch); a well-formed
-event log that differs, byte for byte, from the text of the events the
-run's seed gives, such as an event moved to another place or one that
-keeps its situation (test_an_event_moved_to_another_place_is_a_mismatch,
-test_an_event_its_seed_does_not_give_is_a_mismatch); a history line
-spelt otherwise than `run` writes it, such as a step `0_0`, a reward
-` +0.000 `, a timestamp `+22500` or a latitude with trailing zeros
+test_per_step_preference_table_is_a_mismatch); a history line spelt
+otherwise than `run` writes it, such as a step `0_0`, a reward ` +0.000 `,
+a timestamp `+22500` or a latitude with trailing zeros
 (test_a_value_spelt_otherwise_than_hyql_writes_it_is_a_mismatch), or a
 history file with `\r\n` endings, a blank line or no newline after its
 last line (test_a_history_file_in_other_bytes_is_a_mismatch); a trace
 branch outside the four tags
 (test_a_branch_outside_the_four_tags_is_a_mismatch); a trace action
 outside the scenario's catalog
-(test_an_action_outside_the_catalog_is_a_mismatch). Any mutated run file
+(test_an_action_outside_the_catalog_is_a_mismatch); an event other than
+the one the run's seed gives, even where its situation is unchanged
+(test_an_event_its_seed_does_not_give_is_a_mismatch). Any mutated run file
 makes `verify` and `report` exit 0, 2 or 3, and `verify` exits 0 on a
 mutated history file, preferences.tsv or metrics.csv only if its bytes are
 unchanged (test_a_mutated_run_file_verifies_and_reports_with_exit_0_2_or_3).

@@ -23,8 +23,7 @@ then holds one record to a line. Schema v2 states each fact once:
 This module is the only owner of these line formats and of the float
 format they share (`fmt_float`); every other module reads a run's action
 history, the trace, through `read_action_history`, its event log through
-`read_event_history`, and gets the exact text of an event log from
-`event_history_text` and of the preference table from
+`read_event_history`, and gets the preference table's exact text from
 `RunStore.preferences_text`.
 
 Snapshots are canonical: the same records always write the same bytes,
@@ -136,13 +135,6 @@ class RunStore:
     def _preference_lines(self):
         return (f"{p.user_id}\t{p.situation.canonical()}\t{p.action}"
                 f"\t{fmt_float(p.reward)}\t{p.step}" for p in self.preferences.values())
-
-
-def event_history_text(events) -> str:
-    """history_events.tsv's exact contents for the events at steps 0, 1,
-    ..., as `snapshot` writes them."""
-    return "".join(_file_lines("events", (_event_line(step, e)
-                                          for step, e in enumerate(events))))
 
 
 def read_action_history(dirpath: str | Path, steps: int) -> list[StepRecord]:
