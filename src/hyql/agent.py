@@ -7,8 +7,9 @@ in a never-visited situation, the case-boosted variants try to retrieve a
 similar past case and bootstrap the Q-row from its solution. `run` steps
 through fixed-length simulated days; at each day boundary, and after the
 last step, a variant that learns a Q-table retains each situation visited
-at least 5 times, with its Q-row as the solution, into its case base.
-GreedyQ and CFOnly keep no table, so they keep no cases either.
+at least 5 times, with its Q-row as the solution, into its case base. Only
+those variants count visits: GreedyQ and CFOnly keep no table, so they keep
+no cases and no case bookkeeping either.
 
 The learning settings are fixed for every variant: alpha 0.3, gamma 0.1 and
 exploit probability p 0.8 (`PARAMS`).
@@ -89,10 +90,11 @@ class Agent:
         self.cf_store = cf_store
         self.rng = random.Random(config.seed)
         self.step_count = 0
-        # lifetime [steps, reward sum] per situation: retention reads both,
-        # and a situation with none is one the agent has never stepped in
-        self._situation_stats: dict[SituationKey, list] = {}
-        self._episode_seen: set[SituationKey] = set()
+        # steps per situation over the agent's lifetime up to the last day
+        # boundary, and over the current day: retention reads both, and only
+        # a variant with a Q-table keeps them
+        self._visits: dict[SituationKey, int] = {}
+        self._day_visits: dict[SituationKey, int] = {}
 
     @property
     def user_id(self) -> str:
@@ -115,9 +117,9 @@ class Agent:
                              self.user_id, self.rng)
 
     def _maybe_bootstrap(self, s: SituationKey) -> bool:
-        # only a situation never stepped in is looked up; every case variant
-        # is a Q variant, so its row of `s` is also absent until this step
-        if self.config.variant not in _CASE_VARIANTS or s in self._situation_stats:
+        # only a situation never stepped in is looked up: a case variant's
+        # row of `s` is written only here and by the update of a step in `s`
+        if self.config.variant not in _CASE_VARIANTS or self.table.row(s):
             return False
         result = self.casebase.retrieve(s)
         return result is not None and adapt(result, s, self.table)
@@ -135,31 +137,22 @@ class Agent:
         s_next = CONTEXT.aggregate(next_event, self.social_group)
         if self.config.variant in _Q_VARIANTS:
             self.table.update(s, a, r, s_next, PARAMS)
+            self._day_visits[s] = self._day_visits.get(s, 0) + 1
         self.cf_store.record_implicit(self.user_id, a,
                                       r >= POSITIVE_RATING_THRESHOLD, s)
-        stats = self._situation_stats.setdefault(s, [0, 0.0])
-        stats[0] += 1
-        stats[1] += r
-        self._episode_seen.add(s)
         record = StepRecord(self.step_count, s, self.items[a], branch, r)
         self.step_count += 1
         return record, next_event
 
-    def end_episode(self) -> int:
+    def end_episode(self) -> None:
         """Retain each situation of the finished day stepped in at least
-        RETAIN_MIN_VISITS times over the agent's lifetime, if the agent
-        learns a Q-table: its row there is the case's solution."""
-        retained = 0
-        if self.config.variant in _Q_VARIANTS:
-            for s in sorted(self._episode_seen, key=lambda k: k.canonical()):
-                count, total = self._situation_stats[s]
-                if count < RETAIN_MIN_VISITS:
-                    continue
-                self.casebase.retain(s, self.table.row(s), count, total / count,
-                                     self.user_id, self.step_count)
-                retained += 1
-        self._episode_seen.clear()
-        return retained
+        RETAIN_MIN_VISITS times over the agent's lifetime: its row there is
+        the case's solution. Only a variant with a Q-table has any."""
+        for s in sorted(self._day_visits, key=lambda k: k.canonical()):
+            visits = self._visits[s] = self._visits.get(s, 0) + self._day_visits[s]
+            if visits >= RETAIN_MIN_VISITS:
+                self.casebase.retain(s, self.table.row(s), visits, self.step_count)
+        self._day_visits.clear()
 
     def run(self, env, total_steps: int) -> list[StepRecord]:
         """`total_steps` steps from a reset; the episode ends after every

@@ -2,14 +2,18 @@
 
 A case pairs a problem description (the situation key's four feature
 dimensions) with the Q-row that worked there, a list of values in catalog
-order, and some outcome statistics.
+order, and the visit count and step that rank it against equally similar
+cases.
 Retrieval is an argmax over a weighted per-dimension similarity; reuse
 writes a similarity-scaled copy of the stored row into the live Q-table,
 but only for a row the table does not hold yet, so learned values are
 never clobbered by old cases.
 
-The settings are fixed: the four dimensions weigh 0.25 each, a case is
-reused at a similarity of 0.8 or more, and the base holds 1000 cases.
+The settings are fixed: the four dimensions weigh 0.25 each, and a case is
+reused at a similarity of 0.8 or more. The base holds one case per problem
+and evicts none: an agent retains only level-0 situations of its own social
+group, and there are at most 16 time buckets x 7 places x 4 cognitive kinds
+= 448 of those.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .qlearn import QTable
 
 FEATURE_WEIGHTS = (0.25, 0.25, 0.25, 0.25)  # time, place, group, cognitive
 RETRIEVAL_THRESHOLD = 0.8
-MAX_SIZE = 1000
 
 
 @dataclass
@@ -31,18 +34,13 @@ class Case:
     problem: SituationKey
     solution: list[float]  # Q value per catalog index
     visits: int
-    mean_reward: float
-    user_id: str
     step: int
-    order: int = 0  # insertion counter, used as age for eviction ties
 
     def __post_init__(self):
         if not self.solution:
             raise ValueError("a case needs a solution")
         if self.visits < 1:
             raise ValueError("a case needs at least one visit")
-        if not 0.0 <= self.mean_reward <= 1.0:
-            raise ValueError("mean_reward must be in [0, 1]")
         for value in self.solution:
             if not math.isfinite(value):
                 raise ValueError("case solution contains a non-finite value")
@@ -92,11 +90,10 @@ def case_similarity(problem_a: SituationKey, problem_b: SituationKey) -> float:
 
 
 class CaseBase:
-    """Fixed-capacity case store with replace-on-duplicate retention."""
+    """One case per problem, in first-retained order."""
 
     def __init__(self):
-        self.cases: list[Case] = []
-        self._next_order = 0
+        self.cases: dict[SituationKey, Case] = {}
 
     def __len__(self) -> int:
         return len(self.cases)
@@ -105,11 +102,11 @@ class CaseBase:
         """Most similar case at or above the threshold, or None.
 
         Ties: higher visit count, then earlier provenance step, then
-        insertion order.
+        first-retained order.
         """
         best: Optional[Case] = None
         best_sim = -1.0
-        for case in self.cases:
+        for case in self.cases.values():
             sim = case_similarity(problem, case.problem)
             if best is None or (sim, case.visits, -case.step) > (best_sim, best.visits, -best.step):
                 best, best_sim = case, sim
@@ -118,28 +115,14 @@ class CaseBase:
         return RetrievalResult(best, best_sim)
 
     def retain(self, problem: SituationKey, q_row: Sequence[float],
-               visits: int, mean_reward: float, user_id: str, step: int) -> Case:
-        """Insert a finished experience, copying `q_row`; revise an equal
-        problem in place.
+               visits: int, step: int) -> None:
+        """Store a finished experience, copying `q_row`; an equal problem is
+        revised in place and keeps its position in the order.
 
         Equal means an equal key, not a similarity of 1.0: two keys that
         differ only in granularity score 1.0 and stay two cases.
-
-        Over capacity, the lowest-mean-reward case is evicted, oldest first
-        on ties.
         """
-        case = Case(problem, list(q_row), visits, mean_reward, user_id, step,
-                    order=self._next_order)
-        self._next_order += 1
-        for i, existing in enumerate(self.cases):
-            if existing.problem == problem:
-                self.cases[i] = case
-                return case
-        self.cases.append(case)
-        if len(self.cases) > MAX_SIZE:
-            victim = min(self.cases, key=lambda c: (c.mean_reward, c.order))
-            self.cases.remove(victim)
-        return case
+        self.cases[problem] = Case(problem, list(q_row), visits, step)
 
 
 def adapt(result: RetrievalResult, target_s: SituationKey, table: QTable) -> bool:

@@ -291,11 +291,9 @@ class ContextModel:
 
         Deepest containing region wins; same-depth ties go to the
         lexicographically smaller name. A point no region contains raises
-        ValueError: a root that covers the globe, as the built-in one
-        does, contains every valid point.
+        ValueError. The built-in root covers exactly the valid range, which
+        `RawEvent` enforces: it contains every valid point and no other.
         """
-        if not (-90.0 <= lat <= 90.0) or not (-180.0 <= lon <= 180.0):
-            raise ValueError(f"invalid coordinates ({lat}, {lon})")
         for node in self._scan:
             if node.contains(lat, lon):
                 return node

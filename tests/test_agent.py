@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import hyql.bench
 from hyql.agent import PARAMS, RETAIN_MIN_VISITS, VARIANTS, Agent, AgentConfig, hybrid_policy
 from hyql.bench import load_scenario, run_trial
 from hyql.casebase import CaseBase
@@ -10,6 +11,7 @@ from hyql.context import CONTEXT, CognitiveAction, RawEvent, SituationKey, TimeB
 from hyql.qlearn import ADVISE, CASE_BOOTSTRAPPED, EXPLOIT, RANDOM_FALLBACK, QTable
 from hyql.simenv import SimEnv, parse_scenario, world_from_scenario
 from hyql.store import read_action_history, read_event_history
+from test_golden import TINY_SCENARIO, WIDE_OVERRIDES
 
 ITEMS = ("a0", "a1", "a2", "a3")
 
@@ -102,8 +104,7 @@ class TestStep:
         seed = next(s for s in range(100) if random.Random(s).random() <= PARAMS.p)
         agent = make_agent("HyQL", seed=seed)
         s = CONTEXT.aggregate(office_event(), "g0")
-        agent.casebase.retain(s, [1.0, 0.0, 0.0, 5.0], visits=5,
-                              mean_reward=0.9, user_id="u00", step=1)
+        agent.casebase.retain(s, [1.0, 0.0, 0.0, 5.0], visits=5, step=1)
         record, _ = agent.step(office_event(), StubEnv())
         assert record.branch == CASE_BOOTSTRAPPED
         assert record.a == "a3"
@@ -234,7 +235,7 @@ class TestRunEpisode:
             else:
                 assert len(agent.casebase) > 0
                 assert all(len(case.solution) == len(agent.items)
-                           for case in agent.casebase.cases)
+                           for case in agent.casebase.cases.values())
 
     def test_trace_is_deterministic(self):
         _, t1 = run_pair("HyQL", seed=9)
@@ -283,3 +284,29 @@ def test_each_update_learns_the_transition_the_run_files_state(tmp_path, monkeyp
     assert [(s, r) for s, r, _ in updates] == [(record.s, record.r) for record in trace]
     assert [s_next for _, _, s_next in updates] == \
         [record.s for record in trace[1:]] + [CONTEXT.aggregate(last_event, group)]
+
+
+@pytest.mark.parametrize("name, steps", [("canonical", 2000), ("wide", 600), ("tiny", 2000)])
+@pytest.mark.parametrize("variant", ["EpsilonGreedyQ", "CBRQ", "HyQL"])
+def test_the_case_base_holds_only_the_focal_routines_situations(monkeypatch, name, steps,
+                                                                variant):
+    """The bound that stands in for eviction: the focal user steps only in
+    its group's habits, so every case is one of them, and the base, which
+    never drops a case, never outgrows that routine (at most 448 level-0
+    situations of one group)."""
+    agents = []
+
+    def capture(*args):
+        agents.append(Agent(*args))
+        return agents[-1]
+
+    monkeypatch.setattr(hyql.bench, "Agent", capture)
+    config = TINY_SCENARIO if name == "tiny" else load_scenario("canonical")
+    if name == "wide":
+        config.update(WIDE_OVERRIDES)
+    scenario = parse_scenario(config)
+    run_trial(scenario, {"name": variant, "variant": variant}, 1000, steps)
+    routine = {habit.situation for habit in scenario.user(scenario.agent_user).routine}
+    casebase = agents[0].casebase
+    assert casebase.cases and set(casebase.cases) <= routine
+    assert len(casebase) <= len(routine)

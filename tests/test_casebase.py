@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from hyql.casebase import (MAX_SIZE, RETRIEVAL_THRESHOLD, Case, CaseBase, RetrievalResult,
-                           adapt, case_similarity)
+from hyql.casebase import (RETRIEVAL_THRESHOLD, Case, CaseBase, RetrievalResult, adapt,
+                           case_similarity)
 from hyql.context import SituationKey, TimeBucket
 from hyql.qlearn import QTable
 
@@ -69,8 +69,7 @@ class TestRetrieve:
 
     def test_single_exact_case(self):
         base = CaseBase()
-        base.retain(skey(), [2.0], visits=5, mean_reward=0.9,
-                    user_id="u0", step=10)
+        base.retain(skey(), [2.0], visits=5, step=10)
         result = base.retrieve(skey())
         assert result is not None
         assert result.similarity == 1.0
@@ -78,8 +77,7 @@ class TestRetrieve:
 
     def test_below_threshold_is_none(self):
         base = CaseBase()
-        base.retain(skey(cognitive="Call"), [2.0], visits=5,
-                    mean_reward=0.9, user_id="u0", step=10)
+        base.retain(skey(cognitive="Call"), [2.0], visits=5, step=10)
         assert (case_similarity(skey(cognitive="Navigate"), skey(cognitive="Call"))
                 == 0.75 < RETRIEVAL_THRESHOLD)
         assert base.retrieve(skey(cognitive="Navigate")) is None
@@ -90,14 +88,13 @@ class TestRetrieve:
         # a small base, so that some queries fall below the threshold
         for i in range(100):
             base.retain(random_key(rng), [rng.random()],
-                        visits=rng.randrange(1, 20),
-                        mean_reward=rng.random(), user_id="u0", step=i)
+                        visits=rng.randrange(1, 20), step=i)
         hits = 0
         for _ in range(200):
             query = random_key(rng)
             best = None
             best_rank = None
-            for case in base.cases:
+            for case in base.cases.values():
                 sim = case_similarity(query, case.problem)
                 rank = (sim, case.visits, -case.step)
                 if best_rank is None or rank > best_rank:
@@ -114,26 +111,20 @@ class TestRetrieve:
 
 class TestAdapt:
     def test_identity_transfer(self):
-        base = CaseBase()
-        case = base.retain(skey(), [2.0, 0.0], visits=5,
-                           mean_reward=0.5, user_id="u0", step=1)
+        case = Case(skey(), [2.0, 0.0], visits=5, step=1)
         table = QTable(2)
         assert adapt(RetrievalResult(case, 1.0), skey(), table)
         assert table.row(skey()) == [2.0, 0.0]
 
     def test_similarity_scaling(self):
-        base = CaseBase()
-        case = base.retain(skey(), [2.0, 0.5], visits=5, mean_reward=0.5,
-                           user_id="u0", step=1)
+        case = Case(skey(), [2.0, 0.5], visits=5, step=1)
         table = QTable(2)
         adapt(RetrievalResult(case, 0.5), skey(place="Home"), table)
         assert table.row(skey(place="Home")) == [1.0, 0.25]
 
     def test_visited_row_never_overwritten(self):
         from hyql.qlearn import LearningParams
-        base = CaseBase()
-        case = base.retain(skey(), [9.0, 9.0], visits=5, mean_reward=0.5,
-                           user_id="u0", step=1)
+        case = Case(skey(), [9.0, 9.0], visits=5, step=1)
         table = QTable(2)
         table.update(skey(), 0, 1.0, skey(), LearningParams(alpha=1.0, gamma=0.0))
         before = list(table.row(skey()))
@@ -141,9 +132,7 @@ class TestAdapt:
         assert table.row(skey()) == before
 
     def test_only_target_row_touched(self):
-        base = CaseBase()
-        case = base.retain(skey(), [3.0, 0.0], visits=5, mean_reward=0.5,
-                           user_id="u0", step=1)
+        case = Case(skey(), [3.0, 0.0], visits=5, step=1)
         table = QTable(2)
         table.set_value(skey(place="Home"), 1, 0.4)
         adapt(RetrievalResult(case, 1.0), skey(), table)
@@ -156,18 +145,15 @@ class TestAdapt:
 class TestRetain:
     def test_round_trip(self):
         base = CaseBase()
-        base.retain(skey(), [1.5], visits=7, mean_reward=0.8,
-                    user_id="u0", step=99)
+        base.retain(skey(), [1.5], visits=7, step=99)
         result = base.retrieve(skey())
         assert result.similarity == 1.0
         assert result.case.solution == [1.5]
 
     def test_duplicate_problem_replaces(self):
         base = CaseBase()
-        base.retain(skey(), [1.0], visits=5, mean_reward=0.5,
-                    user_id="u0", step=1)
-        base.retain(skey(), [2.0], visits=6, mean_reward=0.6,
-                    user_id="u0", step=2)
+        base.retain(skey(), [1.0], visits=5, step=1)
+        base.retain(skey(), [2.0], visits=6, step=2)
         assert len(base) == 1
         assert base.retrieve(skey()).case.solution == [2.0]
 
@@ -176,54 +162,39 @@ class TestRetain:
         rng = random.Random(25)
         keys = [random_key(rng) for _ in range(300)]
         for i, key in enumerate(keys):
-            base.retain(key, [float(i)], visits=5, mean_reward=0.5,
-                        user_id="u0", step=i)
-        assert len(base) == len(set(keys))
-        last = {key: float(i) for i, key in enumerate(keys)}
-        assert {case.problem: case.solution[0] for case in base.cases} == last
+            base.retain(key, [float(i)], visits=5, step=i)
+        last = {key: float(i) for i, key in enumerate(keys)}  # first-seen order
+        assert [(problem, case.problem, case.solution[0])
+                for problem, case in base.cases.items()] == [
+            (key, key, value) for key, value in last.items()]
+
+    def test_a_revised_case_keeps_its_place_in_the_tie_break(self):
+        """Equal similarity, visits and step: the first-retained case wins,
+        and revising it does not move it behind the other."""
+        base = CaseBase()
+        first, second = skey(granularity=1), skey(granularity=0)
+        base.retain(first, [1.0], visits=5, step=1)
+        base.retain(second, [2.0], visits=5, step=1)
+        assert base.retrieve(skey()).case.problem == first
+        base.retain(first, [3.0], visits=5, step=1)
+        assert base.retrieve(skey()).case.solution == [3.0]
 
     def test_problems_differing_only_in_granularity_are_two_cases(self):
         base = CaseBase()
         assert case_similarity(skey(granularity=0), skey(granularity=1)) == 1.0
-        base.retain(skey(granularity=0), [1.0], visits=5, mean_reward=0.5,
-                    user_id="u0", step=1)
-        base.retain(skey(granularity=1), [2.0], visits=5, mean_reward=0.5,
-                    user_id="u1", step=2)
-        assert [case.problem.granularity for case in base.cases] == [0, 1]
-
-    def test_eviction_matches_brute_force(self):
-        rng = random.Random(22)
-        base = CaseBase()
-        for i in range(MAX_SIZE):
-            base.retain(skey(group=f"g{i}"), [0.0], visits=1,
-                        mean_reward=rng.choice([0.25, 0.5, 0.75]),
-                        user_id="u0", step=i)
-        for i in range(MAX_SIZE, MAX_SIZE + 20):
-            before = list(base.cases)
-            new = base.retain(skey(group=f"g{i}"), [0.0], visits=1,
-                              mean_reward=rng.choice([0.25, 0.5, 0.75]),
-                              user_id="u0", step=i)
-            victim = min(before + [new], key=lambda c: (c.mean_reward, c.order))
-            assert len(base) == MAX_SIZE
-            assert base.cases == [c for c in before + [new] if c is not victim]
-
-    def test_size_never_exceeds_max(self):
-        rng = random.Random(23)
-        base = CaseBase()
-        for i in range(MAX_SIZE + 200):
-            base.retain(skey(group=f"g{i}"), [0.0], visits=1,
-                        mean_reward=rng.random(), user_id="u0", step=i)
-            assert len(base) == min(i + 1, MAX_SIZE)
+        base.retain(skey(granularity=0), [1.0], visits=5, step=1)
+        base.retain(skey(granularity=1), [2.0], visits=5, step=2)
+        assert [case.problem.granularity for case in base.cases.values()] == [0, 1]
 
     def test_a_case_without_a_solution_is_rejected(self):
         with pytest.raises(ValueError, match="a case needs a solution"):
-            Case(skey(), [], visits=5, mean_reward=0.5, user_id="u0", step=1)
+            Case(skey(), [], visits=5, step=1)
         with pytest.raises(ValueError, match="a case needs a solution"):
-            CaseBase().retain(skey(), (), visits=5, mean_reward=0.5, user_id="u0", step=1)
+            CaseBase().retain(skey(), (), visits=5, step=1)
 
     def test_solution_is_snapshotted(self):
         base = CaseBase()
         row = [1.0]
-        base.retain(skey(), row, visits=5, mean_reward=0.5, user_id="u0", step=1)
+        base.retain(skey(), row, visits=5, step=1)
         row[0] = 99.0
         assert base.retrieve(skey()).case.solution == [1.0]

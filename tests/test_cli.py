@@ -64,6 +64,16 @@ class TestVerify:
         assert main(["verify", str(run_copy)]) == EXIT_MISMATCH
         assert f"{path}:{len(lines)}:" in capsys.readouterr().err
 
+    def test_at_most_20_mismatches_are_printed_before_the_count(self, run_copy, capsys):
+        path = run_copy / "metrics.csv"
+        kept = len(path.read_text(encoding="utf-8").splitlines())
+        with path.open("a", encoding="utf-8") as f:
+            f.writelines(f"extra,{i}\n" for i in range(25))
+        assert main(["verify", str(run_copy)]) == EXIT_MISMATCH
+        assert capsys.readouterr().err.splitlines() == [
+            f"line {kept + 1 + i}: recorded 'extra,{i}\\n' != recomputed '<missing>'"
+            for i in range(20)] + ["verification FAILED: 25 mismatched lines"]
+
     def test_stripped_header_is_a_mismatch(self, run_copy, capsys):
         path = run_copy / "runs" / "HyQL" / "1000" / "history_actions.tsv"
         lines = path.read_text(encoding="utf-8").splitlines()

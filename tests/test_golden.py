@@ -1,11 +1,11 @@
 """Golden runs: the canonical scenario's outputs, pinned byte for byte.
 
 All five variants, one seed, 600 steps, run through the command line.
-The SHA-256 of metrics.csv and of every run's history_*.tsv and
-preferences.tsv is pinned below, and a `--parallel 2` run of the same spec
-must write the same bytes, as must fresh interpreters under two
-PYTHONHASHSEED values (no set or dict order keyed by a string hash may
-reach the output). Each run's preference table is also checked against
+The SHA-256 of metrics.csv, of the scenario.json and spec.json the run
+writes back, and of every run's history_*.tsv and preferences.tsv is
+pinned below, and a `--parallel 2` run of the same spec must write the
+same bytes, as must fresh interpreters under two PYTHONHASHSEED values (no
+set or dict order keyed by a string hash may reach the output). Each run's preference table is also checked against
 its trace (the last reward and step per situation and item, in first-seen
 order), and its accepted items against the focal user's positive bits in
 the CF store.
@@ -53,6 +53,10 @@ SEED = 1000
 GOLDEN = {
     "metrics.csv":
         "eb12935a7166338ccc014b7d727a874f714772f549b226fbd6386617e697d904",
+    "scenario.json":
+        "665f0914ade302b06f79fb7d99443d81279ea439b9ebd889cb8adfc8e1d6e68c",
+    "spec.json":
+        "94db3017f5b2bd7665d5366fd2aa6f3b47df1fe049d8a32256dc508f36c06090",
     "runs/CBRQ/1000/history_actions.tsv":
         "2214e2e011bf8c1e318639a08c61d7b62920c80ed7672ff2838c2be7e7d26bd0",
     "runs/CBRQ/1000/history_events.tsv":
@@ -95,7 +99,7 @@ def _write_spec(directory):
 
 
 def _digests(out):
-    paths = [out / "metrics.csv"] + sorted(
+    paths = [out / name for name in ("metrics.csv", "scenario.json", "spec.json")] + sorted(
         path for pattern in ("history_*.tsv", "preferences.tsv")
         for path in out.glob(f"runs/*/*/{pattern}"))
     return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
@@ -207,6 +211,10 @@ WIDE_OVERRIDES = {"users": 101, "items": 200, "warm_start_events": 20000}
 WIDE_GOLDEN = {
     "metrics.csv":
         "2a2d1c888e899de35c49ca541d16b9dd2c034195fd4848076922d7b008a9b980",
+    "scenario.json":
+        "36bc0c52d244e98ce1f7a6a9288a0b710b484e9f755c88ce6dabff561170cc28",
+    "spec.json":
+        "4ad65e531783ec4afee870d49e761ebe4a66bfa8e673b8d1aa3a40da2a387a50",
     "runs/CFOnly/1000/history_actions.tsv":
         "f666a3b3d740305d4a6cdbcf9ab668b7bd69c24f7f6c806a343fe51cf15e9a1b",
     "runs/CFOnly/1000/history_events.tsv":
@@ -263,6 +271,10 @@ TINY_SCENARIO = {
 TINY_GOLDEN = {
     "metrics.csv":
         "92e10292d9be717da32bbd21de68b132aa92bb097b6f41bd64e97561f76c32cd",
+    "scenario.json":
+        "e03f6347b673a5caf3d30ae377b9a88c5995b68aefef683b44227802d8cd642e",
+    "spec.json":
+        "e81b6b174e14af06d66c77be57ccea5cb719ae90a37e0974389d9a88e4eb659c",
     "runs/CBRQ/7/history_actions.tsv":
         "a7a47e4fca2a961f414c24d4fc3da65289cd4a55ecdb705c2b4869d959cc0cf2",
     "runs/CBRQ/7/history_events.tsv":

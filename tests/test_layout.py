@@ -6,8 +6,9 @@ store/bench -> cli; collab and simenv need only context, since an item is
 its catalog index. Only simenv spells the scenario format's keys and builds
 the items' id strings, and only bench spells the experiment spec's keys.
 Every function, method and class is used by the package itself, not only by
-the tests, and every annotated class field and every attribute a method
-sets on `self` is read by it. A private attribute is read only through
+the tests; every annotated class field is read by it in the class's module
+or in one that imports the class, and every attribute a method sets on
+`self` is read by it. A private attribute is read only through
 `self` or inside the module that sets it. There is one context: only
 context builds a `ContextModel`, and no function takes a `context`.
 """
@@ -156,20 +157,36 @@ def loaded_attributes(trees):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
 
+def imported_names(tree):
+    """Every name a module imports with `from ... import`."""
+    return {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names}
+
+
 def unread_fields(trees):
-    """Annotated class fields no code reads as an attribute.
+    """Annotated class fields no code reads as an attribute where the class
+    is known.
 
     A read is an `ast.Attribute` in load context spelling the field's name
-    anywhere in the given modules; a keyword argument that sets the field,
-    a store and a `del` do not count.
+    in the module that defines the class, or in a module that imports the
+    class's name; so another class's field of the same name elsewhere does
+    not count, nor do a keyword argument that sets the field, a store and
+    a `del`.
     """
-    loaded = loaded_attributes(trees)
-    return sorted(f"{module}.{cls.name}.{stmt.target.id} (line {stmt.lineno})"
-                  for module, tree in trees.items()
-                  for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
-                  for stmt in cls.body
-                  if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-                  and stmt.target.id not in loaded)
+    loaded = {module: loaded_attributes({module: tree}) for module, tree in trees.items()}
+    imported = {module: imported_names(tree) for module, tree in trees.items()}
+    found = []
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            read = set().union(*(loaded[reader] for reader in trees
+                                 if reader == module or cls.name in imported[reader]))
+            found += [f"{module}.{cls.name}.{stmt.target.id} (line {stmt.lineno})"
+                      for stmt in cls.body
+                      if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                      and stmt.target.id not in read]
+    return sorted(found)
 
 
 def unread_instance_attributes(trees):

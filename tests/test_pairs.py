@@ -4,6 +4,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
@@ -39,15 +41,15 @@ def test_summary_gives_quartiles_relative_change_spread_and_wins():
             run(2, "parent", 0.11, 100.0), run(2, "change", 0.12, 100.0),
             run(3, "parent", 0.13, 90.0), run(3, "change", 0.07, 120.0),
             run(4, "parent", 0.5, 1.0)]  # an incomplete pair is left out
-    lines = pairs.summarize(runs, {"setup_s": "lower", "steps_per_s": "higher",
-                                   "step_us_p99": "lower"})
+    lines = pairs.summarize(runs, {"setup_s": ("lower", 0.25), "steps_per_s": ("higher", 0.25),
+                                   "step_us_p99": ("lower", 0.25)})
     assert lines[0] == "4 complete pairs"
     setup = next(line for line in lines if line.startswith("setup_s")).split()
     # parent 0.10, 0.11, 0.12, 0.13; change 0.07, 0.08, 0.09, 0.12
     assert setup[1:] == ["0.1075/0.115/0.1225", "0.0775/0.085/0.0975", "-26.1%",
-                         "13.0%", "3/4"]
+                         "13.0%", "3/4", "within", "bound"]
     rate = next(line for line in lines if line.startswith("steps_per_s")).split()
-    assert rate[-1] == "2/4"
+    assert rate[-3:] == ["2/4", "within", "bound"]
     assert not any(line.startswith("step_us_p99") for line in lines)  # no values
     assert "   1 change repeats   45 peak_rss_mb 31.00" in lines
     assert len([line for line in lines if " repeats " in line]) == 8
@@ -55,9 +57,30 @@ def test_summary_gives_quartiles_relative_change_spread_and_wins():
 
 def test_a_single_pair_has_its_values_as_quartiles():
     lines = pairs.summarize([run(0, "parent", 0.1, 1.0), run(0, "change", 0.2, 1.0)],
-                            {"setup_s": "lower"})
+                            {"setup_s": ("lower", 0.25)})
     assert lines[2].split()[1:3] == ["0.1/0.1/0.1", "0.2/0.2/0.2"]
-    assert lines[2].split()[-1] == "0/1"
+    assert lines[2].split()[-2:] == ["0/1", "worse"]
+
+
+TIGHT = [1.0 + 0.01 * i for i in range(10)]  # quartile spread 4.5% of the median
+WIDE = [0.6 + 0.1 * i for i in range(10)]  # quartile spread 43% of the median
+
+
+@pytest.mark.parametrize("direction, parent, change, want", [
+    ("lower", TIGHT, [1.3 * v for v in TIGHT], "worse"),
+    ("higher", TIGHT, [0.7 * v for v in TIGHT], "worse"),
+    ("lower", WIDE, WIDE[::-1], "unresolved"),
+    ("lower", WIDE, [0.9 * v for v in WIDE], "unresolved"),  # wins 10/10, overlaps
+    ("lower", WIDE, [0.1 + 0.04 * i for i in range(10)], "better"),  # below every parent
+    ("lower", TIGHT, [v - 0.1 for v in TIGHT], "better"),
+    ("higher", TIGHT, [v + 0.1 for v in TIGHT], "better"),
+    ("lower", TIGHT, [v - 0.1 for v in TIGHT[:9]] + [2.0], "better"),  # wins 9/10
+    ("lower", TIGHT, [v - 0.1 for v in TIGHT[:8]] + [2.0, 2.0], "within bound"),  # 8/10
+    ("lower", TIGHT, [v - 0.01 for v in TIGHT], "within bound"),  # gap inside the spread
+    ("lower", TIGHT, [1.2 * v for v in TIGHT], "within bound"),  # 20% worse, bound 25%
+])
+def test_verdict(direction, parent, change, want):
+    assert pairs.verdict(parent, change, direction, 0.25) == want
 
 
 def test_main_stops_at_a_run_that_is_not_correct(tmp_path, monkeypatch, capsys):

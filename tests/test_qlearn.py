@@ -183,7 +183,7 @@ class TestCachedMaximum:
                 oracle.setdefault(s, [0.0] * WIDE)[a] = old + params.alpha * (target - old)
             else:
                 _, _, solution, similarity = op
-                case = Case(key(), solution, visits=1, mean_reward=0.5, user_id="u0", step=0)
+                case = Case(key(), solution, visits=1, step=0)
                 assert adapt(RetrievalResult(case, similarity), s, table) == (s not in oracle)
                 oracle.setdefault(s, [similarity * v for v in solution])
             for state in range(N_STATES):

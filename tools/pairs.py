@@ -12,9 +12,10 @@ first run that does not print `"correct": true`.
 
 At the end it prints, per end-to-end metric, each side's median and
 quartiles, the change's median relative to the parent's, the parent's
-quartile spread relative to its median, and how many pairs the change won
-(by the metric's direction in BENCHMARK.json). Each run's repeat count
-is printed beside its `peak_rss_mb`, which follows the repeat count. The
+quartile spread relative to its median, how many pairs the change won
+(by the metric's direction in BENCHMARK.json) and a verdict against the
+metric's bound there (see `verdict`). Each run's repeat count is printed
+beside its `peak_rss_mb`, which follows the repeat count. The
 raw runs go to a JSON file (default `pairs-W-N.json` in the working
 directory). Stdlib only; it never imports hyql.
 """
@@ -55,12 +56,49 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> list[str]:
+def verdict(parent: list[float], change: list[float], direction: str,
+            bound: float) -> str:
+    """One metric's verdict over complete pairs, `parent[i]` against
+    `change[i]`, with `bound` the relative worsening BENCHMARK.json allows:
+
+    - "worse": the change's median is worse than the parent's by more than
+      the bound;
+    - "unresolved": the parent's quartile spread, relative to its median,
+      is wider than the bound, and not every change run beats every parent
+      run;
+    - "better": the change wins at least 9 of 10 pairs, and its median is
+      better than the parent's by more than the parent's quartile spread;
+    - "within bound" otherwise.
+    """
+    sign = _sign(direction)
+    p_q1, p_median, p_q3 = quartiles(parent)
+    gain = sign * (quartiles(change)[1] - p_median)
+    if gain < -bound * p_median:
+        return "worse"
+    separated = min(sign * c for c in change) > max(sign * p for p in parent)
+    if p_q3 - p_q1 > bound * p_median and not separated:
+        return "unresolved"
+    if 10 * _wins(parent, change, sign) >= 9 * len(parent) and gain > p_q3 - p_q1:
+        return "better"
+    return "within bound"
+
+
+def _sign(direction: str) -> int:
+    return 1 if direction == "higher" else -1
+
+
+def _wins(parent: list[float], change: list[float], sign: int) -> int:
+    """The pairs whose change run is strictly better than its parent run."""
+    return sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+
+
+def summarize(runs: list[dict], metrics: dict[str, tuple[str, float]]) -> list[str]:
     """The report's lines for runs of complete pairs.
 
     `runs` holds dicts with "pair", "side" ("parent" or "change") and
-    "metrics"; `better` maps each metric to "higher" or "lower". A pair is
-    won when its change run is strictly better than its parent run.
+    "metrics"; `metrics` maps each metric to its direction, "higher" or
+    "lower", and its bound. A pair is won when its change run is strictly
+    better than its parent run.
     """
     by_pair: dict[int, dict[str, dict]] = {}
     for run in runs:
@@ -68,22 +106,22 @@ def summarize(runs: list[dict], better: dict[str, str]) -> list[str]:
     pairs = [sides for _, sides in sorted(by_pair.items()) if set(sides) == set(SIDES)]
     lines = [f"{len(pairs)} complete pairs",
              f"{'metric':<20} {'parent q1/median/q3':>32} {'change q1/median/q3':>32} "
-             f"{'change':>8} {'spread':>7} {'wins':>6}"]
-    for name, direction in better.items():
+             f"{'change':>8} {'spread':>7} {'wins':>6} verdict"]
+    for name, (direction, bound) in metrics.items():
         both = [p for p in pairs
                 if name in p["parent"]["metrics"] and name in p["change"]["metrics"]]
         if not both:
             continue
         parent = [p["parent"]["metrics"][name] for p in both]
         change = [p["change"]["metrics"][name] for p in both]
-        sign = 1 if direction == "higher" else -1
-        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        wins = _wins(parent, change, _sign(direction))
         p_q = quartiles(parent)
         c_q = quartiles(change)
         relative = (c_q[1] - p_q[1]) / p_q[1] if p_q[1] else 0.0
         spread = (p_q[2] - p_q[0]) / p_q[1] if p_q[1] else 0.0
         lines.append(f"{name:<20} {_triple(p_q):>32} {_triple(c_q):>32} "
-                     f"{relative:>+8.1%} {spread:>7.1%} {wins:>3}/{len(parent):<2}")
+                     f"{relative:>+8.1%} {spread:>7.1%} {wins:>3}/{len(parent):<2} "
+                     f"{verdict(parent, change, direction, bound)}")
     lines.append("runs (pair, side, repeats, peak_rss_mb):")
     for i, sides in enumerate(pairs):
         for side in SIDES:
@@ -119,12 +157,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {entry["name"]: entry["better"] for entry in spec["end_to_end"]}
+    metrics = {entry["name"]: (entry["better"], entry["bound"]) for entry in spec["end_to_end"]}
     out = args.json or Path(f"pairs-{args.workload}-{args.seed}.json")
 
     runs: list[dict] = []
     correct = _run_pairs(args, checkouts, out, runs)
-    print("\n".join(summarize(runs, better)))
+    print("\n".join(summarize(runs, metrics)))
     print(f"raw runs: {out}")
     return 0 if correct else 1
 
