@@ -14,6 +14,15 @@ no cases and no case bookkeeping either.
 The learning settings are fixed for every variant: alpha 0.3, gamma 0.1 and
 exploit probability p 0.8 (`PARAMS`).
 
+The world is a contextual bandit: nothing the simulator draws reads the
+action (see `simenv`), so the next situation s' does not depend on the pick.
+With exact values, gamma * max Q(s') would add the same amount to every
+action of a situation and could not change the argmax. Learned values can:
+a first pick that earns reward 0 still gets alpha * gamma * max Q(s'), which
+is > 0 once s' holds any positive value, so it becomes the argmax of a zero
+row and the greedy branch keeps choosing it. That is why gamma > 0 still
+changes results.
+
 GreedyQ always recommends the first catalog item and keeps no table: from
 a zero table, on 0/1 rewards and with non-negative alpha and gamma, greedy
 learning writes only values >= 0.0, and `greedy_action` gives ties to

@@ -64,11 +64,9 @@ def _chain_match(chain_a: Sequence, chain_b: Sequence, levels: int) -> float:
 
 
 def _time_chain(key: SituationKey) -> tuple:
-    t = key.time
+    t = key.time  # (part of day, day class, calendar state)
     # generalize away the most volatile component first
-    return ((t.part_of_day, t.day_class, t.calendar_state),
-            (t.part_of_day, t.day_class),
-            (t.part_of_day,))
+    return t, t[:2], t[:1]
 
 
 def case_similarity(problem_a: SituationKey, problem_b: SituationKey) -> float:

@@ -10,20 +10,23 @@ offline. The gazetteer is built in (`GAZETTEER`), and every layer reads
 the one `ContextModel` made from it, `CONTEXT`. Every event carries a
 position and a cognitive action; only the calendar entry may be absent.
 
-Every layer indexes by situation, so situation keys are interned:
-`situation` hands out one shared `SituationKey` per distinct situation,
-process-wide, and each key hashes its fields once, when it is built.
-Equality stays by value, so a key built elsewhere still finds the
-interned one in a dict; a key parsed from a trace (`from_canonical`) or
-loaded from a pickle is the interned one itself. The intern table only ever
-gains entries, and it is filled with `setdefault`, so the functions here
-behave as pure ones: same inputs, same key, from any thread.
+Every layer indexes by situation. A `SituationKey` and its `TimeBucket`
+are named tuples, so the interpreter hashes and compares them as the tuples
+of their fields, with no Python-level call. Keys are also interned:
+`situation` hands out one shared key per distinct situation, process-wide.
+Interning is what lets a dict lookup stop at the identity check, lets
+`verify` tie a trace's situation to its event with `is`, and makes a key
+parsed from a trace (`from_canonical`) or loaded from a pickle the shared
+one itself. Equality stays by value, so a key built elsewhere still finds
+the shared one in a dict. The intern table only ever gains entries, and it
+is filled with `setdefault`, so the functions here behave as pure ones:
+same inputs, same key, from any thread.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 SECONDS_PER_HOUR = 3_600
 SECONDS_PER_DAY = 86_400
@@ -46,34 +49,21 @@ _PART_OF_HOUR = tuple(next(part for part, (start, end) in HOUR_RANGES.items()
                       for hour in range(24))
 
 
-@dataclass(frozen=True)
-class TimeBucket:
+class TimeBucket(NamedTuple):
     """Discretized time: part of day, weekday/weekend, calendar state.
 
-    Like `SituationKey`, it hashes once, in `__post_init__`; a pickled
-    bucket loads as the shared one `time_bucket` hands out, hashed by the
-    interpreter that loads it.
+    A named tuple, hashed and compared by the interpreter as the tuple of its
+    fields. `time_bucket` checks the fields and hands out one of the 16
+    shared buckets, so interned situations hold their buckets by identity; a
+    pickled bucket loads as that shared one.
     """
 
     part_of_day: str
     day_class: str
     calendar_state: str
 
-    def __post_init__(self):
-        if self.part_of_day not in PARTS_OF_DAY:
-            raise ValueError(f"bad part_of_day: {self.part_of_day!r}")
-        if self.day_class not in DAY_CLASSES:
-            raise ValueError(f"bad day_class: {self.day_class!r}")
-        if self.calendar_state not in CALENDAR_STATES:
-            raise ValueError(f"bad calendar_state: {self.calendar_state!r}")
-        object.__setattr__(self, "_hash", hash((self.part_of_day, self.day_class,
-                                                self.calendar_state)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __reduce__(self):
-        return (time_bucket, (self.part_of_day, self.day_class, self.calendar_state))
+        return (time_bucket, tuple(self))
 
     def canonical(self) -> str:
         return f"{self.part_of_day}-{self.day_class}-{self.calendar_state}"
@@ -150,18 +140,19 @@ class PlaceNode:
                 and self.lon_min <= lon <= self.lon_max)
 
 
-@dataclass(frozen=True)
-class SituationKey:
-    """The discrete state: hashable, equality by value.
+class SituationKey(NamedTuple):
+    """The discrete state: a named tuple, hashed and compared by the
+    interpreter as the tuple of its fields.
 
     `granularity` is the effective place level actually used (0 = most
     specific). Lifting a key whose place chain is shorter than the asked
     level clamps at the chain end, the root: a key at the root place stays
     at level 0 at every granularity.
 
-    The hash is computed once, in `__post_init__`. String hashes differ
-    between interpreters, so a pickled key loads as the shared one
-    `situation` hands out, hashed by the interpreter that loads it.
+    `situation` hands out the shared key, which a lookup finds by identity
+    and `verify` compares with `is`. A pickled key loads as that shared one,
+    so it is hashed by the interpreter that loads it: string hashes differ
+    between interpreters.
     """
 
     time: TimeBucket
@@ -170,16 +161,8 @@ class SituationKey:
     cognitive: str
     granularity: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.time, self.place, self.social_group,
-                                                self.cognitive, self.granularity)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __reduce__(self):
-        return (situation, (self.time, self.place, self.social_group,
-                            self.cognitive, self.granularity))
+        return (situation, tuple(self))
 
     def canonical(self) -> str:
         return "|".join((self.time.canonical(), self.place, self.social_group,
@@ -208,12 +191,15 @@ _BUCKETS = {(part, day, state): TimeBucket(part, day, state)
 
 
 def time_bucket(part_of_day: str, day_class: str, calendar_state: str) -> TimeBucket:
-    """The shared bucket for these fields; ValueError for an unknown field."""
-    try:
-        return _BUCKETS[part_of_day, day_class, calendar_state]
-    except KeyError:
-        # not one of the 16: the constructor raises, naming the bad field
-        return TimeBucket(part_of_day, day_class, calendar_state)
+    """The shared bucket for these fields; ValueError naming an unknown field."""
+    bucket = _BUCKETS.get((part_of_day, day_class, calendar_state))
+    if bucket is not None:
+        return bucket
+    if part_of_day not in PARTS_OF_DAY:
+        raise ValueError(f"bad part_of_day: {part_of_day!r}")
+    if day_class not in DAY_CLASSES:
+        raise ValueError(f"bad day_class: {day_class!r}")
+    raise ValueError(f"bad calendar_state: {calendar_state!r}")
 
 
 def abstract_time(timestamp: int, calendar: Iterable[CalendarEntry] = ()) -> TimeBucket:

@@ -293,6 +293,29 @@ class TestSituationKey:
         assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
 
+    @pytest.mark.parametrize("interned", [True, False])
+    def test_hash_lookup_and_equality_make_no_python_call(self, interned):
+        # the interpreter hashes and compares a key as a tuple, in C
+        key = situation(time_bucket("Morning", "Weekday", "Free"), "Office", "g0",
+                        "Navigate", 0)
+        other = key if interned else SituationKey(TimeBucket("Morning", "Weekday", "Free"),
+                                                  "Office", "g0", "Navigate", 0)
+        assert (other is key) == interned
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_qualname)
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            hashed, found, equal = hash(key), {key: 1}.get(other), key == other
+        finally:
+            sys.setprofile(previous)
+        assert (hashed, found, equal) == (hash(other), 1, True)
+        assert calls == []
+
     def test_equal_situations_share_one_key(self):
         a = CONTEXT.aggregate(office_event(), "g0")
         assert CONTEXT.aggregate(office_event(ts(TUESDAY, 11, 45)), "g0") is a
@@ -322,6 +345,8 @@ class TestSituationKey:
         ("Morning-Weekday-Free|Office|g0|Dance|0", "bad cognitive kind: 'Dance'"),
         ("Morning-Weekday-Free|Office|g0|Navigate|x", "invalid literal"),
         ("Dawn-Weekday-Free|Office|g0|Navigate|0", "bad part_of_day"),
+        ("Morning-Weekly-Free|Office|g0|Navigate|0", "bad day_class"),
+        ("Morning-Weekday-Busy|Office|g0|Navigate|0", "bad calendar_state"),
     ])
     def test_a_parsed_key_the_context_cannot_hold_is_rejected_before_interning(
             self, text, message):

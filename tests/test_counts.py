@@ -33,9 +33,9 @@ WARM_START = 20_000
 # (python calls, C calls) per counted run, by interpreter version
 COUNTS = {
     (3, 11): {
-        "canonical HyQL trial": (155_986, 154_607),
-        "canonical CFOnly trial": (173_793, 192_482),
-        "cf-wide warm start": (40_152, 191_143),
+        "canonical HyQL trial": (121_520, 154_607),
+        "canonical CFOnly trial": (156_474, 192_482),
+        "cf-wide warm start": (20_104, 191_143),
     },
 }
 

@@ -93,3 +93,21 @@ def test_main_stops_at_a_run_that_is_not_correct(tmp_path, monkeypatch, capsys):
     assert [(r["pair"], r["side"], r["correct"]) for r in runs] == \
         [(0, "parent", True), (0, "change", False)]
     assert "stopping: the change run was not correct" in capsys.readouterr().err
+
+
+def test_a_run_that_is_not_correct_stops_with_run_pys_reasons(tmp_path, capsys):
+    checkout = tmp_path / "checkout"
+    (checkout / "perfbench").mkdir(parents=True)
+    (checkout / "BENCHMARK.json").write_text('{"end_to_end": []}', encoding="utf-8")
+    (checkout / "perfbench" / "run.py").write_text(
+        "import sys\n"
+        "print('error: plain worker exited 1', file=sys.stderr)\n"
+        "print('# repeats: 0')\n"
+        "print('{\"correct\": false, \"metrics\": {}}')\n", encoding="utf-8")
+    out = tmp_path / "runs.json"
+    assert pairs.main([str(checkout), str(checkout), "--workload", "canonical",
+                       "--json", str(out)]) == 1
+    assert ("stopping: the parent run was not correct: error: plain worker exited 1"
+            in capsys.readouterr().err)
+    [parent] = json.loads(out.read_text(encoding="utf-8"))
+    assert parent["error"] == "error: plain worker exited 1"

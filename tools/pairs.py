@@ -8,7 +8,8 @@ PARENT and CHANGE are two source checkouts. Each pair runs
 own root and with its own perfbench, which sets the run length; the order
 alternates from pair to pair (parent first, then change first), so a drift
 in the host's speed does not favour one side. The script stops at the
-first run that does not print `"correct": true`.
+first run that does not print `"correct": true`, and prints that run's
+`error:` lines from run.py's stderr, which the raw runs keep too.
 
 At the end it prints, per end-to-end metric, each side's median and
 quartiles, the change's median relative to the parent's, the parent's
@@ -140,10 +141,14 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)],
         cwd=checkout, capture_output=True, text=True)
     try:
-        return parse_run(proc.stdout)
+        run = parse_run(proc.stdout)
     except (ValueError, KeyError) as exc:
         return {"correct": False, "metrics": {}, "info": {},
                 "error": f"{exc}; exit {proc.returncode}; stderr {proc.stderr[-500:]!r}"}
+    if not run["correct"]:
+        reasons = [line for line in proc.stderr.splitlines() if line.startswith("error: ")]
+        run["error"] = "; ".join(reasons) or f"exit {proc.returncode}, no error line"
+    return run
 
 
 def main(argv=None) -> int:
@@ -181,8 +186,8 @@ def _run_pairs(args, checkouts: dict[str, Path], out: Path, runs: list[dict]) ->
                   flush=True)
             out.write_text(json.dumps(runs, indent=1) + "\n", encoding="utf-8")
             if not run["correct"]:
-                print(f"stopping: the {side} run was not correct "
-                      f"{run.get('error', '')}", file=sys.stderr)
+                print(f"stopping: the {side} run was not correct: "
+                      f"{run.get('error', 'no reason given')}", file=sys.stderr)
                 return False
     return True
 
