@@ -6,9 +6,11 @@ variants consume the identical event stream and per-step acceptance draws
 history, which doubles as the trace) under the output directory; every
 metric, and each run's preference table (the focal user's last reward and
 step per situation and item), can be recomputed from those files alone,
-which is what `verify` does. `verify` also ties each trace to its run's
-event log: every step's situation must be the one its logged event
-aggregates to, so a trace situation edited to another valid key fails.
+which is what `verify` does. `verify` reads each trace against its run's
+event log: a trace line's step and situation columns are rendered and
+compared, never parsed, the step from the line's place and the situation
+from the step's logged event, aggregated. So a trace situation edited to
+another valid key fails, and no key is ever built from a trace's text.
 The event log itself must be the one the seed gives (`simenv.focal_events`,
 since no event reads an action), and every trace action an item of the
 scenario's catalog.
@@ -54,7 +56,7 @@ from typing import Optional, Sequence
 
 from .agent import Agent, AgentConfig, VARIANTS
 from .collab import TransactionStore
-from .context import CONTEXT
+from .context import CONTEXT, SituationKey
 from .qlearn import EXPLOIT, StepRecord
 from .simenv import (SEED_SPREAD, Scenario, SimEnv, check_keys, focal_events,
                      json_int, json_list, parse_scenario, world_from_scenario)
@@ -255,10 +257,11 @@ def _preference_store(focal: str, trace: list[StepRecord]) -> RunStore:
     return store
 
 
-def read_trace(run_dir: str | Path, steps: int) -> list[StepRecord]:
-    """A run's trace of `steps` records; raises StoreParseError on a malformed
-    or incomplete history file."""
-    return read_action_history(run_dir, steps)
+def read_trace(run_dir: str | Path, situations: Sequence[SituationKey]) -> list[StepRecord]:
+    """A run's trace, one record per step's situation; raises StoreParseError
+    on a malformed or incomplete history file, or a line other than the one
+    hyql writes for that step and situation."""
+    return read_action_history(run_dir, situations)
 
 
 def rows_for_trial(variant_name: str, seed: int,
@@ -364,14 +367,14 @@ def recompute_runs(out_dir: str | Path) -> tuple[list[MetricRow], list[str]]:
     """Rebuild every metric row and preference table from the persisted
     traces and configs, reading each trace and event log once.
 
-    Returns the rows, and one message for each run whose trace does not
-    follow from its event log, naming the trace line of the first step
-    whose situation is not the one its event aggregates to, one for each
-    run whose event log is not the one its seed gives, naming its first
-    differing line, and one for each run whose preferences.tsv differs from
-    the table its trace gives, naming the file and the first line that
-    differs. A trace action outside the scenario's catalog raises
-    StoreParseError.
+    A trace is read against the situations its event log aggregates to, one
+    per step, so a trace line whose situation does not follow from its
+    step's event raises StoreParseError naming that line, as does a trace
+    action outside the scenario's catalog. Returns the rows, and one message
+    for each run whose event log is not the one its seed gives, naming its
+    first differing line, and one for each run whose preferences.tsv differs
+    from the table its trace gives, naming the file and the first line that
+    differs.
     """
     out = Path(out_dir)
     spec = load_experiment_spec(out / "spec.json")
@@ -388,21 +391,16 @@ def recompute_runs(out_dir: str | Path) -> tuple[list[MetricRow], list[str]]:
         seed_events = focal_events(world, spec.steps + 1)
         for variant in spec.variants:
             run_dir = out / "runs" / variant["name"] / str(seed)
-            trace = read_trace(run_dir, spec.steps)
+            events = read_event_history(run_dir, spec.steps)
+            trace = read_trace(run_dir, [CONTEXT.aggregate(event, group)
+                                         for event in events[:-1]])
             for record in trace:
                 if record.a not in catalog:
                     raise StoreParseError(run_dir / "history_actions.tsv", record.step + 2,
                                           f"action {record.a!r} is not in the "
                                           f"scenario's catalog")
-            events = read_event_history(run_dir, spec.steps)
             rows.extend(rows_for_trial(variant["name"], seed,
                                        TrialResult(trace, optimal, drift_step)))
-            untied = _first_untied_step(trace, events, group)
-            if untied is not None:
-                record, want = untied
-                stale.append(f"{run_dir / 'history_actions.tsv'}:{record.step + 2}: "
-                             f"situation {record.s.canonical()!r}, its event gives "
-                             f"{want.canonical()!r}")
             if events != seed_events:
                 step = next(i for i, pair in enumerate(zip(events, seed_events))
                             if pair[0] != pair[1])
@@ -415,17 +413,6 @@ def recompute_runs(out_dir: str | Path) -> tuple[list[MetricRow], list[str]]:
                 lineno, got, want = next(_differing_lines(recorded, expected))
                 stale.append(f"{path}:{lineno}: file has {got!r}, its trace gives {want!r}")
     return rows, stale
-
-
-def _first_untied_step(trace: list[StepRecord], events, group: str):
-    """(record, the situation its event gives) at the first step whose
-    situation is not the interned key its event aggregates to, or None."""
-    aggregate = CONTEXT.aggregate
-    for record, event in zip(trace, events):
-        s = aggregate(event, group)
-        if s is not record.s:
-            return record, s
-    return None
 
 
 def _differing_lines(recorded: str, expected: str):
@@ -450,8 +437,8 @@ def _metrics_path(out_dir: str | Path) -> Path:
 
 
 def verify_dir(out_dir: str | Path) -> list[str]:
-    """Recompute metrics and preference tables from the traces, and tie each
-    trace to its event log; return a list of mismatch messages, metrics.csv's
+    """Recompute metrics and preference tables from the traces, each read
+    against its event log; return a list of mismatch messages, metrics.csv's
     lines first. metrics.csv must match byte for byte, line endings too."""
     recorded = read_run_file(_metrics_path(out_dir))
     rows, stale = recompute_runs(out_dir)

@@ -46,13 +46,20 @@ missing, a directory or not UTF-8 (TestReport,
 test_unreadable_run_file_exits_3); a trace with a wrong header, a short
 line, a reward outside [0, 1] or too few lines (TestVerify); a run written
 under another schema version, such as v1
-(test_a_run_written_under_schema_v1_exits_3); a trace
-situation whose place the gazetteer lacks
-(test_a_trace_naming_a_place_the_gazetteer_lacks_exits_3); a trace
-situation that is not the one its step's logged event aggregates to,
-whether the trace or the event was edited
+(test_a_run_written_under_schema_v1_exits_3); a history
+line other than the one hyql writes at its position, whose step and
+situation follow from the line's place and its step's logged event: a
+trace situation swapped for another valid key, one whose event was moved
+elsewhere, one naming a place the gazetteer lacks and one no event gives
 (test_a_trace_situation_swapped_for_another_valid_key_is_a_mismatch,
-test_an_event_moved_to_another_place_is_a_mismatch); an event log that is
+test_an_event_moved_to_another_place_is_a_mismatch,
+test_a_trace_naming_a_place_the_gazetteer_lacks_exits_3,
+test_a_situation_no_event_gives_exits_3_and_interns_no_key), or a value
+spelt otherwise than `run` writes it, such as a step `0_0`, a reward
+` +0.000 `, a timestamp `+22500` or a latitude with trailing zeros
+(test_a_value_spelt_otherwise_than_hyql_writes_it_is_a_mismatch); a history
+file with `\r\n` endings, a blank line or no newline after its last line
+(test_a_history_file_in_other_bytes_is_a_mismatch); an event log that is
 not one event per step and one more, the last step's next event
 (test_an_event_log_missing_its_last_line_is_a_mismatch); a metrics.csv
 row short of a field (TestReport); metrics that differ from those
@@ -62,12 +69,7 @@ that differs, byte for byte and line endings included, from the text its
 traces give (test_crlf_line_endings_are_a_mismatch), a hand-edited
 preference table and one with the old per-step header included (TestVerify's
 test_hand_edited_preference_table_is_a_mismatch and
-test_per_step_preference_table_is_a_mismatch); a history line spelt
-otherwise than `run` writes it, such as a step `0_0`, a reward ` +0.000 `,
-a timestamp `+22500` or a latitude with trailing zeros
-(test_a_value_spelt_otherwise_than_hyql_writes_it_is_a_mismatch), or a
-history file with `\r\n` endings, a blank line or no newline after its
-last line (test_a_history_file_in_other_bytes_is_a_mismatch); a trace
+test_per_step_preference_table_is_a_mismatch); a trace
 branch outside the four tags
 (test_a_branch_outside_the_four_tags_is_a_mismatch); a trace action
 outside the scenario's catalog
@@ -111,8 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("dir", help="experiment output directory")
 
     verify = sub.add_parser("verify", help="recompute metrics and preference tables "
-                                           "from traces, tie traces to event logs "
-                                           "and diff")
+                                           "from traces read against their event "
+                                           "logs, and diff")
     verify.add_argument("dir", help="experiment output directory")
     return parser
 

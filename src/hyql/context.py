@@ -14,13 +14,14 @@ Every layer indexes by situation. A `SituationKey` and its `TimeBucket`
 are named tuples, so the interpreter hashes and compares them as the tuples
 of their fields, with no Python-level call. Keys are also interned:
 `situation` hands out one shared key per distinct situation, process-wide.
-Interning is what lets a dict lookup stop at the identity check, lets
-`verify` tie a trace's situation to its event with `is`, and makes a key
-parsed from a trace (`from_canonical`) or loaded from a pickle the shared
-one itself. Equality stays by value, so a key built elsewhere still finds
-the shared one in a dict. The intern table only ever gains entries, and it
-is filled with `setdefault`, so the functions here behave as pure ones:
-same inputs, same key, from any thread.
+Interning is what lets a dict lookup stop at the identity check, and makes
+a key loaded from a pickle the shared one itself. Equality stays by value,
+so a key built elsewhere still finds the shared one in a dict. A key is
+only ever written as text (`canonical`), never parsed back: `verify`
+renders a trace's situation column from each step's logged event and
+compares it. The intern table only ever gains entries, and it is filled
+with `setdefault`, so the functions here behave as pure ones: same inputs,
+same key, from any thread.
 """
 
 from __future__ import annotations
@@ -67,13 +68,6 @@ class TimeBucket(NamedTuple):
 
     def canonical(self) -> str:
         return f"{self.part_of_day}-{self.day_class}-{self.calendar_state}"
-
-    @classmethod
-    def from_canonical(cls, text: str) -> "TimeBucket":
-        parts = text.split("-")
-        if len(parts) != 3:
-            raise ValueError(f"bad time bucket string: {text!r}")
-        return time_bucket(*parts)
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,10 +143,9 @@ class SituationKey(NamedTuple):
     level clamps at the chain end, the root: a key at the root place stays
     at level 0 at every granularity.
 
-    `situation` hands out the shared key, which a lookup finds by identity
-    and `verify` compares with `is`. A pickled key loads as that shared one,
-    so it is hashed by the interpreter that loads it: string hashes differ
-    between interpreters.
+    `situation` hands out the shared key, which a lookup finds by identity.
+    A pickled key loads as that shared one, so it is hashed by the
+    interpreter that loads it: string hashes differ between interpreters.
     """
 
     time: TimeBucket
@@ -167,21 +160,6 @@ class SituationKey(NamedTuple):
     def canonical(self) -> str:
         return "|".join((self.time.canonical(), self.place, self.social_group,
                          self.cognitive, str(self.granularity)))
-
-    @classmethod
-    def from_canonical(cls, text: str) -> "SituationKey":
-        """The shared key `situation` hands out for this text, as a pickle
-        loads; a place the gazetteer lacks or an unknown cognitive kind is a
-        ValueError, raised before the key is interned."""
-        parts = text.split("|")
-        if len(parts) != 5:
-            raise ValueError(f"bad situation key string: {text!r}")
-        time, place, group, cognitive, level = parts
-        CONTEXT.place_chain(place)  # raises on an unknown place
-        if cognitive not in COGNITIVE_KINDS:
-            raise ValueError(f"bad cognitive kind: {cognitive!r}")
-        return situation(TimeBucket.from_canonical(time), place, group, cognitive,
-                         int(level))
 
 
 # The 16 time buckets, built once and handed out by time_bucket and

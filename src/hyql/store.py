@@ -33,18 +33,23 @@ holds a whole file's text in memory. Reading is header- and field-checked:
 a malformed file, or one written under another schema version, raises
 StoreParseError with its path and line number, and no partial history is
 returned. A run file is read as it is on disk, line endings included, and
-a history file reads back only in the exact spelling `snapshot` writes:
-each parsed record is rendered again through the writer's own line format,
-and the first line that differs, such as a step `0_0`, a reward ` +0.000 `,
-a timestamp `+22500`, a float with trailing zeros, a blank line, a `\r\n`
-ending or a last line without its newline, raises StoreParseError. A trace
-branch must be one of the four tags.
+a history file reads back only as the exact line `snapshot` writes at each
+place. The step and situation columns are rendered and compared, never
+parsed: a line's step is its place in the file, and a trace line's
+situation is the one the reader is given for that step. The other fields
+are parsed, the record is rendered again through the writer's own line
+format, and the first line that differs, such as a step `0_0` or one out of
+order, another situation, a reward ` +0.000 `, a timestamp `+22500`, a
+float with trailing zeros, a blank line, a `\r\n` ending or a last line
+without its newline, raises StoreParseError. A trace branch must be one of
+the four tags.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 from .context import CalendarEntry, CognitiveAction, RawEvent, SituationKey
 from .qlearn import BRANCHES, StepRecord
@@ -137,30 +142,42 @@ class RunStore:
                 f"\t{fmt_float(p.reward)}\t{p.step}" for p in self.preferences.values())
 
 
-def read_action_history(dirpath: str | Path, steps: int) -> list[StepRecord]:
-    """The action history of one run of `steps` steps, header-, field- and
-    order-checked.
+def read_action_history(dirpath: str | Path,
+                        situations: Sequence[SituationKey]) -> list[StepRecord]:
+    """The action history of a run whose step n is in situation
+    `situations[n]`, one record per situation, header- and field-checked.
 
-    Any error, from the field count, a field's parse, a situation the
-    gazetteer or the cognitive kinds cannot hold, a reward outside [0, 1],
-    a branch outside the four tags, a record numbered other than its place
-    in the trace, a line spelt otherwise than `snapshot` writes it or a
-    trace shorter or longer than `steps`, is raised as a StoreParseError
-    naming the file and line. Each situation is the shared key
-    `context.situation` hands out.
+    Only a line's action, branch and reward are parsed: its step and
+    situation columns are rendered, the step from the line's place in the
+    trace and the situation from `situations`, and the line must be the one
+    `snapshot` writes from them. Any error, from the field count, the
+    reward's parse, a reward outside [0, 1], a branch outside the four tags,
+    a line other than the one hyql writes at its place (another step, another
+    situation, another spelling) or a trace shorter or longer than
+    `situations`, is raised as a StoreParseError naming the file and line.
     """
-    return _read_history(dirpath, "actions", _checked_step,
-                         lambda step, record: _step_line(record), steps, "trace", "step")
+    def parse(step: int, fields: list[str]) -> StepRecord:
+        _, _, action, branch, reward = fields
+        r = float(reward)
+        if not 0.0 <= r <= 1.0:
+            raise ValueError(f"reward {r!r} outside [0, 1]")
+        if branch not in BRANCHES:
+            raise ValueError(f"branch {branch!r} is none of {', '.join(BRANCHES)}")
+        return StepRecord(step, situations[step], action, branch, r)
+
+    return _read_history(dirpath, "actions", parse, lambda step, record: _step_line(record),
+                         len(situations), "trace", "step")
 
 
 def read_event_history(dirpath: str | Path, steps: int) -> list[RawEvent]:
     """The event log of one run of `steps` steps: the focal user's events at
     steps 0 to `steps`, in order, the last one the last step's next event.
 
-    Checked as `read_action_history` checks a trace; an event that
-    `RawEvent`, `CognitiveAction` or `CalendarEntry` rejects, such as a
-    latitude outside [-90, 90] or a meeting that ends before it starts, is
-    a StoreParseError too.
+    Checked as `read_action_history` checks a trace, the step column
+    rendered from the line's place; an event that `RawEvent`,
+    `CognitiveAction` or `CalendarEntry` rejects, such as a latitude outside
+    [-90, 90] or a meeting that ends before it starts, is a StoreParseError
+    too.
     """
     return _read_history(dirpath, "events", _event_from_fields, _event_line, steps + 1,
                          "event log", "event")
@@ -168,10 +185,10 @@ def read_event_history(dirpath: str | Path, steps: int) -> list[RawEvent]:
 
 def _read_history(dirpath: str | Path, part: str, parse, render, count: int,
                   name: str, unit: str) -> list:
-    """The `count` records of a history file, the record of line n + 2
-    numbered n: `parse` turns a line's fields into (step, record), or raises
-    ValueError, and `render(step, record)` must give the line back exactly.
-    `name` and `unit` word the messages: "trace" and "step"."""
+    """The `count` records of a history file, the record of line n + 2 at
+    step n: `parse(step, fields)` turns a line's fields into its record, or
+    raises ValueError, and `render(step, record)` must give the line back
+    exactly. `name` and `unit` word the messages: "trace" and "step"."""
     filename, columns = _FILES[part]
     n_fields = columns.count("\t") + 1
     path = Path(dirpath) / filename
@@ -188,15 +205,13 @@ def _read_history(dirpath: str | Path, part: str, parse, render, count: int,
         if len(fields) != n_fields:
             raise StoreParseError(path, lineno,
                                   f"expected {n_fields} fields, got {len(fields)}")
-        try:
-            step, record = parse(fields)
-        except ValueError as exc:
-            raise StoreParseError(path, lineno, str(exc)) from exc
-        if step != len(records):
-            raise StoreParseError(path, lineno,
-                                  f"step {step} where step {len(records)} belongs")
+        step = len(records)
         if step == count:
             raise StoreParseError(path, lineno, f"more than the run's {count} {unit}s")
+        try:
+            record = parse(step, fields)
+        except ValueError as exc:
+            raise StoreParseError(path, lineno, str(exc)) from exc
         written = render(step, record)
         if line != written:
             raise StoreParseError(path, lineno, f"{line!r} is not spelt as hyql writes "
@@ -241,20 +256,6 @@ def _step_line(record: StepRecord) -> str:
                       record.branch, fmt_float(record.r)))
 
 
-def _step_from_fields(fields: list[str]) -> StepRecord:
-    step, s, a, branch, r = fields
-    return StepRecord(int(step), SituationKey.from_canonical(s), a, branch, float(r))
-
-
-def _checked_step(fields: list[str]) -> tuple[int, StepRecord]:
-    record = _step_from_fields(fields)
-    if not 0.0 <= record.r <= 1.0:
-        raise ValueError(f"reward {record.r!r} outside [0, 1]")
-    if record.branch not in BRANCHES:
-        raise ValueError(f"branch {record.branch!r} is none of {', '.join(BRANCHES)}")
-    return record.step, record
-
-
 def _event_line(step: int, event: RawEvent) -> str:
     lat, lon = event.geo
     entry = event.calendar_entry
@@ -264,11 +265,12 @@ def _event_line(step: int, event: RawEvent) -> str:
                       str(entry.end) if entry else ""))
 
 
-def _event_from_fields(fields: list[str]) -> tuple[int, RawEvent]:
-    """(step, event) of an event line: an empty item is none, and a line whose
-    three calendar fields are all empty has no calendar entry."""
-    step, timestamp, lat, lon, kind, item, label, start, end = fields
+def _event_from_fields(step: int, fields: list[str]) -> RawEvent:
+    """The event of an event line, its step column aside: an empty item is
+    none, and a line whose three calendar fields are all empty has no
+    calendar entry."""
+    _, timestamp, lat, lon, kind, item, label, start, end = fields
     entry = (None if label == start == end == ""
              else CalendarEntry(label, int(start), int(end)))
-    return int(step), RawEvent(int(timestamp), (float(lat), float(lon)),
-                               CognitiveAction(kind, item or None), entry)
+    return RawEvent(int(timestamp), (float(lat), float(lon)),
+                    CognitiveAction(kind, item or None), entry)

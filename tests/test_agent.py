@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import read_run_trace
 import hyql.bench
 from hyql.agent import PARAMS, RETAIN_MIN_VISITS, VARIANTS, Agent, AgentConfig, hybrid_policy
 from hyql.bench import load_scenario, run_trial
@@ -10,7 +11,7 @@ from hyql.collab import TransactionStore
 from hyql.context import CONTEXT, CognitiveAction, RawEvent, SituationKey, TimeBucket
 from hyql.qlearn import ADVISE, CASE_BOOTSTRAPPED, EXPLOIT, RANDOM_FALLBACK, QTable
 from hyql.simenv import SimEnv, parse_scenario, world_from_scenario
-from hyql.store import read_action_history, read_event_history
+from hyql.store import read_event_history
 from test_golden import TINY_SCENARIO, WIDE_OVERRIDES
 
 ITEMS = ("a0", "a1", "a2", "a3")
@@ -278,9 +279,9 @@ def test_each_update_learns_the_transition_the_run_files_state(tmp_path, monkeyp
     scenario = parse_scenario(load_scenario("canonical"))
     steps, run_dir = 300, tmp_path / "run"
     run_trial(scenario, {"name": "HyQL", "variant": "HyQL"}, 1000, steps, run_dir)
-    trace = read_action_history(run_dir, steps)
-    last_event = read_event_history(run_dir, steps)[-1]
     group = scenario.user(scenario.agent_user).social_group
+    trace = read_run_trace(run_dir, steps, group)
+    last_event = read_event_history(run_dir, steps)[-1]
     assert [(s, r) for s, r, _ in updates] == [(record.s, record.r) for record in trace]
     assert [s_next for _, _, s_next in updates] == \
         [record.s for record in trace[1:]] + [CONTEXT.aggregate(last_event, group)]

@@ -11,12 +11,14 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import read_run_trace
 import hyql
 import hyql.bench
+import hyql.context
 from hyql.bench import NEVER, SPEC_KEYS, load_experiment_spec, load_scenario, parse_csv
 from hyql.cli import EXIT_CONFIG, EXIT_MISMATCH, EXIT_OK, main
 from hyql.context import CONTEXT
-from hyql.store import fmt_float, read_action_history, read_event_history
+from hyql.store import fmt_float, read_event_history
 
 BASE_SPEC = {"scenario": "canonical", "trials": 1, "steps": 60,
              "variants": [{"name": "HyQL", "variant": "HyQL"}]}
@@ -113,7 +115,7 @@ class TestVerify:
     def test_per_step_preference_table_is_a_mismatch(self, run_copy, capsys):
         """The table as runs wrote it before it kept one line per key."""
         run_dir = run_copy / "runs" / "HyQL" / "1000"
-        trace = read_action_history(run_dir, 60)
+        trace = read_run_trace(run_dir, 60)
         path = run_dir / "preferences.tsv"
         path.write_text("".join(
             ["# hyql-store v1 preferences: user_id\tsituation_key\taction\treward\tstep\n"]
@@ -147,9 +149,10 @@ class TestVerify:
 
     def test_a_run_written_under_schema_v1_exits_3(self, run_copy, capsys):
         """The three files as the v1 writer wrote them: each header at v1, the
-        trace with its next situation and each event with its user."""
+        trace with its next situation and each event with its user. The event
+        log, which the trace is read against, is read first."""
         run_dir = run_copy / "runs" / "HyQL" / "1000"
-        trace, events = read_action_history(run_dir, 60), read_event_history(run_dir, 60)
+        trace, events = read_run_trace(run_dir, 60), read_event_history(run_dir, 60)
         following = [r.s for r in trace[1:]] + [CONTEXT.aggregate(events[-1], "g0")]
         actions = run_dir / "history_actions.tsv"
         lines = actions.read_text(encoding="utf-8").splitlines()
@@ -158,9 +161,9 @@ class TestVerify:
              "\tnext_situation_key\n"]
             + [f"{line}\t{s.canonical()}\n" for line, s in zip(lines[1:], following)]),
             encoding="utf-8")
-        path = run_dir / "history_events.tsv"
-        header, *lines = path.read_text(encoding="utf-8").splitlines()
-        path.write_text("".join(
+        event_log = run_dir / "history_events.tsv"
+        header, *lines = event_log.read_text(encoding="utf-8").splitlines()
+        event_log.write_text("".join(
             [header.replace("v2 events: step\t", "v1 events: step\tuser_id\t") + "\n"]
             + [line.replace("\t", f"\t{FOCAL}\t", 1) + "\n" for line in lines]),
             encoding="utf-8")
@@ -168,7 +171,7 @@ class TestVerify:
         path.write_text(path.read_text(encoding="utf-8").replace("v2", "v1", 1),
                         encoding="utf-8")
         assert main(["verify", str(run_copy)]) == EXIT_MISMATCH
-        assert f"{actions}:1: missing or wrong schema header" in capsys.readouterr().err
+        assert f"{event_log}:1: missing or wrong schema header" in capsys.readouterr().err
 
     def test_a_trace_situation_swapped_for_another_valid_key_is_a_mismatch(
             self, run_copy, capsys):
@@ -180,10 +183,11 @@ class TestVerify:
         other = next(line.split("\t")[1] for line in lines[2:]
                      if line.split("\t")[1] != first[1]
                      and line.split("\t")[1].split("|")[1] == place)
+        written = lines[1]
         lines[1] = "\t".join([first[0], other] + first[2:])
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert main(["verify", str(run_copy)]) == EXIT_MISMATCH
-        assert f"{path}:2: situation {other!r}, its event gives {first[1]!r}" \
+        assert f"{path}:2: {lines[1]!r} is not spelt as hyql writes it: {written!r}" \
             in capsys.readouterr().err
 
     def test_an_event_moved_to_another_place_is_a_mismatch(self, run_copy, capsys):
@@ -197,8 +201,11 @@ class TestVerify:
                        fmt_float((elsewhere.lon_min + elsewhere.lon_max) / 2))
         lines[1] = "\t".join(fields)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        actions = run_dir / "history_actions.tsv"
+        step_0 = actions.read_text(encoding="utf-8").splitlines()[1]
         assert main(["verify", str(run_copy)]) == EXIT_MISMATCH
-        assert f"{run_dir / 'history_actions.tsv'}:2: situation " in capsys.readouterr().err
+        assert f"{actions}:2: {step_0!r} is not spelt as hyql writes it: " \
+            in capsys.readouterr().err
 
     def test_an_event_log_missing_its_last_line_is_a_mismatch(self, run_copy, capsys):
         path = run_copy / "runs" / "HyQL" / "1000" / "history_events.tsv"
@@ -215,10 +222,34 @@ class TestVerify:
         key = fields[1].split("|")
         key[1] = "Mars"
         fields[1] = "|".join(key)
+        written = lines[1]
         lines[1] = "\t".join(fields)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert main(["verify", str(run_copy)]) == EXIT_MISMATCH
-        assert f"{path}:2: unknown place 'Mars'" in capsys.readouterr().err
+        assert f"{path}:2: {lines[1]!r} is not spelt as hyql writes it: {written!r}" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("part, value", [(2, "g9"), (4, "2")],
+                             ids=["group", "granularity"])
+    def test_a_situation_no_event_gives_exits_3_and_interns_no_key(
+            self, run_copy, capsys, part, value):
+        """A well-formed situation that no event of the run gives: verify
+        renders the situation column and compares it, never building a key
+        from the file's text."""
+        path = run_copy / "runs" / "HyQL" / "1000" / "history_actions.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        fields = lines[1].split("\t")
+        key = fields[1].split("|")
+        key[part] = value
+        fields[1] = "|".join(key)
+        written = lines[1]
+        lines[1] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        interned = len(hyql.context._KEYS)
+        assert main(["verify", str(run_copy)]) == EXIT_MISMATCH
+        assert len(hyql.context._KEYS) == interned
+        assert f"{path}:2: {lines[1]!r} is not spelt as hyql writes it: {written!r}" \
+            in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, lineno, field, respell", [
         ("history_actions.tsv", 2, 0, lambda step: f"{step}_0"),  # 0_0: int() reads 0
@@ -285,7 +316,7 @@ class TestVerify:
                              ids=["calendar label", "item"])
     def test_an_event_its_seed_does_not_give_is_a_mismatch(
             self, run_copy, capsys, field, value):
-        """An edit that keeps the event's situation, so the trace still ties to it."""
+        """An edit that keeps the event's situation, so the trace still reads against it."""
         path = run_copy / "runs" / "HyQL" / "1000" / "history_events.tsv"
         lines = path.read_text(encoding="utf-8").splitlines()
         lineno = next(i for i, line in enumerate(lines)
@@ -553,6 +584,8 @@ def routines_with_negative_weight():
     {"scenario": {"groups": 2}},
     {"scenario": {"routines": routines_with(weight=0.9)}},
     {"scenario": {"routines": routines_with(part_of_day="Dawn")}},
+    {"scenario": {"routines": routines_with(day_class="Weekly")}},
+    {"scenario": {"routines": routines_with(calendar="Busy")}},
     {"scenario": {"drift": [{"step": 10, "op": "SwapTopItems", "target": "g7"}]}},
     {"scenario": {"drift": [{"step": 10, "op": "SwapTopItems", "target": "g0",
                              "scope": "nonsense"}]}},
@@ -600,8 +633,8 @@ def routines_with_negative_weight():
         "feature-weights-sum", "retrieval-threshold", "agent-user-not-in-population",
         "cf-k", "routine-place", "routine-place-unknown", "routine-place-city",
         "routine-place-root", "drift-op", "group-without-routine",
-        "routine-weights-sum", "part-of-day", "drift-target", "drift-scope",
-        "drift-step-negative", "variant-name-path", "warm-start-negative",
+        "routine-weights-sum", "part-of-day", "day-class", "calendar", "drift-target",
+        "drift-scope", "drift-step-negative", "variant-name-path", "warm-start-negative",
         "background-rate-negative", "routine-weight-negative", "alpha-schedule",
         "default-q", "scenario-cf-same-group-only", "scenario-seed",
         "scenario-misspelt-key", "routine-cognitive", "routine-unknown-group",

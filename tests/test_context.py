@@ -10,9 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hyql
-import hyql.context as context_module
-from hyql.context import (CALENDAR_STATES, COGNITIVE_KINDS, CONTEXT, DAY_CLASSES,
-                          HOUR_RANGES, PARTS_OF_DAY, CalendarEntry, CognitiveAction,
+from hyql.context import (CONTEXT, HOUR_RANGES, CalendarEntry, CognitiveAction,
                           ContextModel, PlaceNode, RawEvent, SituationKey, TimeBucket,
                           abstract_time, situation, time_bucket,
                           SECONDS_PER_DAY, SECONDS_PER_HOUR)
@@ -267,25 +265,6 @@ class TestEnumerateGranularities:
 
 
 class TestSituationKey:
-    def test_canonical_round_trip(self):
-        key = CONTEXT.aggregate(office_event(), "g0")
-        assert SituationKey.from_canonical(key.canonical()) == key
-
-    @settings(derandomize=True, deadline=None, max_examples=100)
-    @given(key=st.builds(
-        SituationKey,
-        st.builds(time_bucket, st.sampled_from(PARTS_OF_DAY), st.sampled_from(DAY_CLASSES),
-                  st.sampled_from(CALENDAR_STATES)),
-        st.sampled_from(sorted(CONTEXT.nodes)),
-        st.integers(0, 99).map("g{}".format), st.sampled_from(COGNITIVE_KINDS),
-        st.integers(0, 3)))
-    def test_canonical_round_trips_for_any_key(self, key):
-        text = key.canonical()
-        back = SituationKey.from_canonical(text)
-        assert back == key and hash(back) == hash(key)
-        assert back.time is key.time  # one of the 16 shared buckets
-        assert back.canonical() == text
-
     def test_value_equality_and_hash(self):
         bucket = TimeBucket("Morning", "Weekday", "Free")
         a = SituationKey(bucket, "Office", "g0", "Navigate", 0)
@@ -329,32 +308,6 @@ class TestSituationKey:
         assert CONTEXT.generalize(outside, 0) is a
         assert CONTEXT.generalize(outside, 1) is lifted
 
-    def test_a_parsed_key_is_the_shared_one_of_every_key_of_a_canonical_run(self):
-        from hyql.bench import load_scenario, run_trial
-        from hyql.simenv import parse_scenario
-        trace = run_trial(parse_scenario(load_scenario("canonical")),
-                          {"name": "HyQL", "variant": "HyQL"}, 1000, 200).trace
-        keys = {CONTEXT.generalize(record.s, level) for record in trace
-                for level in range(CONTEXT.depth + 1)}
-        assert len(keys) > 6
-        for key in keys:
-            assert SituationKey.from_canonical(key.canonical()) is key
-
-    @pytest.mark.parametrize("text, message", [
-        ("Morning-Weekday-Free|Mars|g0|Navigate|0", "unknown place 'Mars'"),
-        ("Morning-Weekday-Free|Office|g0|Dance|0", "bad cognitive kind: 'Dance'"),
-        ("Morning-Weekday-Free|Office|g0|Navigate|x", "invalid literal"),
-        ("Dawn-Weekday-Free|Office|g0|Navigate|0", "bad part_of_day"),
-        ("Morning-Weekly-Free|Office|g0|Navigate|0", "bad day_class"),
-        ("Morning-Weekday-Busy|Office|g0|Navigate|0", "bad calendar_state"),
-    ])
-    def test_a_parsed_key_the_context_cannot_hold_is_rejected_before_interning(
-            self, text, message):
-        interned = len(context_module._KEYS)
-        with pytest.raises(ValueError, match=message):
-            SituationKey.from_canonical(text)
-        assert len(context_module._KEYS) == interned
-
     def test_pickled_key_hashes_where_it_is_loaded(self):
         # another interpreter hashes strings with another seed
         hash_seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
@@ -377,6 +330,15 @@ class TestSituationKey:
         shared = time_bucket("Morning", "Weekday", "Free")
         assert loaded.time is shared and hash(loaded.time) == hash(shared)
         assert pickle.loads(pickle.dumps(TimeBucket("Morning", "Weekday", "Free"))) is shared
+
+    @pytest.mark.parametrize("fields, message", [
+        (("Dawn", "Weekday", "Free"), "bad part_of_day: 'Dawn'"),
+        (("Morning", "Weekly", "Free"), "bad day_class: 'Weekly'"),
+        (("Morning", "Weekday", "Busy"), "bad calendar_state: 'Busy'"),
+    ])
+    def test_time_bucket_names_the_field_it_cannot_hold(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            time_bucket(*fields)
 
 
 class TestRawEvent:

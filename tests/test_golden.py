@@ -38,14 +38,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import positive_items
+from conftest import positive_items, read_run_trace
 import hyql
 import hyql.bench
 from hyql.bench import load_experiment_spec, load_scenario, run_trial
 from hyql.cli import main
 from hyql.collab import TransactionStore
 from hyql.qlearn import CASE_BOOTSTRAPPED
-from hyql.store import read_action_history
 
 VARIANTS = ("GreedyQ", "EpsilonGreedyQ", "CFOnly", "CBRQ", "HyQL")
 SEED = 1000
@@ -173,7 +172,7 @@ def test_the_preference_table_is_the_last_feedback_per_situation_and_item(
     _, out = golden_out
     run_dir = out / "runs" / variant / str(SEED)
     last = {}  # a key keeps its first place when a later step replaces it
-    for record in read_action_history(run_dir, 600):
+    for record in read_run_trace(run_dir, 600):
         last[(record.s.canonical(), record.a)] = (record.r, record.step)
     assert _preference_lines(run_dir, load_scenario("canonical")["agent_user"]) == [
         (s, a, r, step) for (s, a), (r, step) in last.items()]
@@ -320,7 +319,7 @@ def test_tiny_outputs_match_the_pinned_hashes_and_bootstrap_a_case(tmp_path):
     out = tmp_path / "out"
     assert main(["run", str(_write_tiny_spec(tmp_path)), "--out", str(out)]) == 0
     assert _digests(out) == TINY_GOLDEN
-    traces = {variant: read_action_history(out / "runs" / variant / str(TINY_SEED), 300)
+    traces = {variant: read_run_trace(out / "runs" / variant / str(TINY_SEED), 300)
               for variant in TINY_VARIANTS}
     for variant in ("CBRQ", "HyQL"):
         assert sum(record.branch == CASE_BOOTSTRAPPED for record in traces[variant]) >= 1

@@ -8,16 +8,20 @@ from hypothesis import given, settings, strategies as st
 from hyql.context import (CALENDAR_STATES, COGNITIVE_KINDS, DAY_CLASSES, PARTS_OF_DAY,
                           CalendarEntry, CognitiveAction, RawEvent, SituationKey,
                           TimeBucket, time_bucket)
-from hyql.qlearn import (ADVISE, CASE_BOOTSTRAPPED, EXPLOIT, RANDOM_FALLBACK,
-                         StepRecord)
+from hyql.qlearn import BRANCHES, EXPLOIT, StepRecord
 from hyql.store import (OrderingError, PreferenceRecord, RunStore,
-                        StoreParseError, _event_line, _step_from_fields, _step_line,
+                        StoreParseError, _event_line, _step_line,
                         read_action_history, read_event_history)
 
 
 def skey(place="Office"):
     return SituationKey(TimeBucket("Morning", "Weekday", "Free"), place, "g0",
                         "Navigate", 0)
+
+
+def situations(steps):
+    """The situation of each step of a `populated_store` trace."""
+    return [skey()] * steps
 
 
 def step_record(step, reward=1.0):
@@ -128,7 +132,7 @@ class TestPreferences:
 class TestSnapshotLoad:
     def test_empty_round_trip(self, tmp_path):
         RunStore().snapshot(tmp_path / "run")
-        assert read_action_history(tmp_path / "run", 0) == []
+        assert read_action_history(tmp_path / "run", []) == []
 
     def test_empty_store_writes_only_the_headers(self, tmp_path):
         RunStore().snapshot(tmp_path)
@@ -146,7 +150,7 @@ class TestSnapshotLoad:
         second = tmp_path / "second"
         store.snapshot(first)
         again = RunStore()
-        for record in read_action_history(first, 3):
+        for record in read_action_history(first, situations(3)):
             again.append_action_history(record)
         again.snapshot(second)
         name = "history_actions.tsv"
@@ -155,7 +159,7 @@ class TestSnapshotLoad:
     def test_observational_equality(self, tmp_path):
         store = populated_store()
         store.snapshot(tmp_path / "run")
-        assert read_action_history(tmp_path / "run", 3) == store.action_history
+        assert read_action_history(tmp_path / "run", situations(3)) == store.action_history
 
     def test_truncated_file_is_parse_error_with_line(self, tmp_path):
         store = populated_store()
@@ -165,7 +169,7 @@ class TestSnapshotLoad:
         lines[-1] = lines[-1][: len(lines[-1]) // 2]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(StoreParseError) as info:
-            read_action_history(tmp_path / "run", 3)
+            read_action_history(tmp_path / "run", situations(3))
         assert str(info.value).startswith(f"{path}:{len(lines)}:")
 
     def test_missing_header_rejected(self, tmp_path):
@@ -175,14 +179,14 @@ class TestSnapshotLoad:
         body = path.read_text().splitlines()[1:]
         path.write_text("\n".join(body) + "\n")
         with pytest.raises(StoreParseError, match="schema header"):
-            read_action_history(tmp_path / "run", 3)
+            read_action_history(tmp_path / "run", situations(3))
 
     def test_missing_file_rejected(self, tmp_path):
         store = populated_store()
         store.snapshot(tmp_path / "run")
         (tmp_path / "run" / "history_actions.tsv").unlink()
         with pytest.raises(StoreParseError, match="missing store file"):
-            read_action_history(tmp_path / "run", 3)
+            read_action_history(tmp_path / "run", situations(3))
 
     @pytest.mark.parametrize("reward", ["nan", "-0.5", "2"])
     def test_a_reward_outside_the_unit_interval_is_rejected(self, tmp_path, reward):
@@ -194,7 +198,7 @@ class TestSnapshotLoad:
         lines[2] = "\t".join(fields)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(StoreParseError) as info:
-            read_action_history(tmp_path / "run", 3)
+            read_action_history(tmp_path / "run", situations(3))
         assert str(info.value) == f"{path}:3: reward {float(reward)!r} outside [0, 1]"
 
     def test_ordering_violation_in_file_detected(self, tmp_path):
@@ -202,10 +206,27 @@ class TestSnapshotLoad:
         store.snapshot(tmp_path / "run")
         path = tmp_path / "run" / "history_actions.tsv"
         lines = path.read_text().splitlines()
-        lines.append(lines[1].replace(lines[1].split("\t")[0], "0", 1))
+        lines.append(lines[1])  # step 0 again, where step 3 belongs
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(StoreParseError, match="step 0 where step 3 belongs"):
-            read_action_history(tmp_path / "run", 4)
+        with pytest.raises(StoreParseError) as info:
+            read_action_history(tmp_path / "run", situations(4))
+        written = _step_line(step_record(3, reward=0.0))
+        assert str(info.value) == (f"{path}:5: {lines[1]!r} is not spelt as hyql writes "
+                                   f"it: {written!r}")
+
+    def test_a_situation_other_than_the_given_one_is_rejected(self, tmp_path):
+        """The situation column is rendered from the given situations and
+        compared, never parsed."""
+        populated_store().snapshot(tmp_path / "run")
+        path = tmp_path / "run" / "history_actions.tsv"
+        lines = path.read_text().splitlines()
+        given = situations(3)
+        given[1] = skey("Home")
+        with pytest.raises(StoreParseError) as info:
+            read_action_history(tmp_path / "run", given)
+        written = _step_line(StepRecord(1, skey("Home"), "doc00", "Exploit", 1.0))
+        assert str(info.value) == (f"{path}:3: {lines[2]!r} is not spelt as hyql writes "
+                                   f"it: {written!r}")
 
 
 class TestStepRecord:
@@ -216,7 +237,7 @@ class TestStepRecord:
         store = RunStore()
         store.append_action_history(record)
         store.snapshot(tmp_path)
-        assert read_action_history(tmp_path, 1) == [record]
+        assert read_action_history(tmp_path, [s]) == [record]
 
 
 situation_keys = st.builds(
@@ -228,17 +249,25 @@ situation_keys = st.builds(
     st.integers(0, 3))
 
 
+# every reward in [0, 1] the line format must carry bit for bit
+EDGE_REWARDS = [0.0, -0.0, 1.0, 5e-324, 2.2250738585072009e-308, 0.1 + 0.2, 1 / 3]
+
+
 @settings(derandomize=True, deadline=None, max_examples=100)
-@given(record=st.builds(
-    StepRecord, st.integers(0, 10**9), situation_keys,
-    st.integers(0, 999).map("doc{:02d}".format),
-    st.sampled_from([EXPLOIT, ADVISE, RANDOM_FALLBACK, CASE_BOOTSTRAPPED]),
-    st.floats(allow_nan=False)))
-def test_step_line_round_trips_for_any_record(record):
-    line = _step_line(record)
-    back = _step_from_fields(line.split("\t"))
-    assert back == record
-    assert _step_line(back) == line  # the reward's sign and bits too
+@given(payloads=st.lists(st.tuples(
+    situation_keys, st.integers(0, 999).map("doc{:02d}".format), st.sampled_from(BRANCHES),
+    st.floats(0.0, 1.0) | st.sampled_from(EDGE_REWARDS)), min_size=1, max_size=5))
+def test_a_trace_reads_back_equal_for_any_records(payloads):
+    records = [StepRecord(step, *payload) for step, payload in enumerate(payloads)]
+    store = RunStore()
+    for record in records:
+        store.append_action_history(record)
+    with tempfile.TemporaryDirectory() as tmp:
+        store.snapshot(tmp)
+        back = read_action_history(tmp, [record.s for record in records])
+        text = (Path(tmp) / "history_actions.tsv").read_text(encoding="utf-8")
+    assert back == records
+    assert text.splitlines()[1:] == [_step_line(record) for record in back]  # sign and bits
 
 
 def event_store(events):
@@ -280,7 +309,7 @@ class TestReadEventHistory:
             read_event_history(tmp_path, steps)
 
     @pytest.mark.parametrize("index, value, message", [
-        (0, "1", "step 1 where step 0 belongs"),
+        (0, "1", r"'1\\t.*' is not spelt as hyql writes it: '0\\t"),
         (1, "-5", "timestamp must be >= 0"),
         (2, "90.5", "latitude out of range"),
         (3, "nan", "longitude out of range"),
