@@ -229,13 +229,16 @@ class TestVerify:
         assert f"{path}:2: {lines[1]!r} is not spelt as hyql writes it: {written!r}" \
             in capsys.readouterr().err
 
-    @pytest.mark.parametrize("part, value", [(2, "g9"), (4, "2")],
-                             ids=["group", "granularity"])
+    @pytest.mark.parametrize("part, value", [
+        (2, "g9"), (4, "2"),
+        # spellings no key can take: verify rejects them by the same rule
+        (0, "Dawn-Weekday-Free"), (3, "Dance"), (4, "x"),
+    ], ids=["group", "granularity", "time-bucket", "cognitive-kind", "not-a-level"])
     def test_a_situation_no_event_gives_exits_3_and_interns_no_key(
             self, run_copy, capsys, part, value):
-        """A well-formed situation that no event of the run gives: verify
-        renders the situation column and compares it, never building a key
-        from the file's text."""
+        """A situation that no event of the run gives, well-formed or not:
+        verify renders the situation column and compares it, never building
+        a key from the file's text."""
         path = run_copy / "runs" / "HyQL" / "1000" / "history_actions.tsv"
         lines = path.read_text(encoding="utf-8").splitlines()
         fields = lines[1].split("\t")
